@@ -15,7 +15,8 @@ from .generator import (CagladPath, GeneratorValue, PathFunctional,
                         clamped_running_sup, conjugation_residual,
                         constant_functional, evaluate_generator,
                         evaluate_transformed_generator, generator_ball_modulus,
-                        martingale_residual, martingale_residual_ensemble,
+                        generator_state, martingale_residual,
+                        martingale_residual_ensemble,
                         pullback_functional, resolve_functional, sin_left_limit,
                         zero_functional)
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 all requested checks passed, 1 a diagnostic failed,
-2 validation problem, 3 numeric failure.  The default output directory is
-``$SDELAB_OUT`` or ``./out``.
+Exit codes: 0 all requested checks passed, 1 a diagnostic failed or was
+inconclusive, 2 validation problem, 3 numeric failure.  A statistical
+diagnostic is inconclusive, never a pass, when its statistic is not finite
+or fewer than ``scenarios.MIN_ACTIVE_PATHS`` active paths entered it.
+The default output directory is ``$SDELAB_OUT`` or ``./out``.
 """
 from __future__ import annotations
 
@@ -19,9 +21,10 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      ValidationError)
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
 from .pathcalc import qv_estimate
-from .scenarios import (ScenarioSpec, build_bundle, counterexample_cauchy,
-                        counterexample_stable, emit_report, load_spec,
-                        report_json, run_scenario, scenario_names)
+from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
+                        counterexample_cauchy, counterexample_stable,
+                        emit_report, load_spec, report_json, run_scenario,
+                        scenario_names)
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -41,9 +44,9 @@ def _spec_from_args(args) -> ScenarioSpec:
         if not getattr(args, "name", None):
             raise ValidationError("either --config or --name is required")
         spec = ScenarioSpec(name=args.name)
-    if getattr(args, "paths", None):
+    if getattr(args, "paths", None) is not None:
         spec.n_paths = args.paths
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         spec.n_steps = args.steps
     if getattr(args, "seed", None) is not None:
         spec.seed = args.seed
@@ -180,13 +183,11 @@ def cmd_dirichlet(args):
 
 def cmd_counterexample(args):
     if args.which == "stable":
-        from .simulator import SimConfig
-        config = None
-        if args.paths:
-            config = SimConfig(horizon=1.0, n_steps=args.steps or 64,
-                               n_paths=args.paths,
-                               master_seed=args.seed if args.seed is not None
-                               else 41)
+        overrides = {key: value for key, value in (("n_paths", args.paths),
+                                                   ("n_steps", args.steps),
+                                                   ("master_seed", args.seed))
+                     if value is not None}
+        config = COUNTEREXAMPLE_STABLE_CONFIG.replace(**overrides)
         report = counterexample_stable(gamma=args.gamma, config=config)
     else:
         report = counterexample_cauchy(

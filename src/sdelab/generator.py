@@ -324,28 +324,72 @@ def conjugation_residual(phi: ConjugateTestFunction,
 # vectorized generator along grids and martingale residuals
 # ---------------------------------------------------------------------------
 
-def _jump_term_grid(f: ConjugateTestFunction, kernel: Optional[Kernel],
-                    trunc: TruncationFunction, transform: ScaleTransform,
-                    x, tol=1e-8, table_nodes=257):
-    """Nonlocal generator term on an array of states.
+def _is_discrete(kernel):
+    return isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law,
+                                                                   DiscreteLaw)
 
-    Discrete kernels are summed exactly and vectorized; kernels requiring
-    quadrature are tabulated on a covering grid and interpolated (the
-    interpolation error is far below Monte Carlo resolution, which is the
-    only consumer of this code path).
+
+@dataclass(frozen=True)
+class GeneratorState:
+    """Profile-free inputs of the generator of f = phi o h on a path array.
+
+    With y = h(x): f(x) = phi(y), f'(x) = phi'(y) h'(x), the local term is
+    half * (sigma(x) h'(x))^2 * phi''(y), and an atom at w contributes
+    phi(h(x + w)).  None of h(x), h'(x), sigma(x), the drift functional's
+    grid values or the atom images depends on phi, so one state serves
+    every profile evaluated on the same paths.  ``hx`` is computed from
+    ``x``, not read from a simulated Y, so that f(X) is phi(h(X)) exactly.
+    Treat every array as read-only: ``hx`` may share memory with ``x``.
     """
-    x = np.asarray(x, dtype=float)
+
+    times: np.ndarray
+    x: np.ndarray
+    hx: np.ndarray
+    hpx: np.ndarray
+    sigma: np.ndarray
+    hv: object            # functional grid values, or 0.0 without a functional
+    atom_images: tuple    # h(x + w) per atom of a DiscreteLaw kernel, else ()
+
+
+def generator_state(functional: Optional[PathFunctional], kernel: Optional[Kernel],
+                    coeffs: CoefficientSet, times, values) -> GeneratorState:
+    """Evaluate the transform, sigma and the functional once on ``values``."""
+    transform = coeffs.transform
+    times = np.asarray(times, dtype=float)
+    x = np.asarray(values, dtype=float)
+    hv = 0.0 if functional is None else functional.grid_values(times, x)
+    images = (tuple(np.asarray(transform.forward(x + w))
+                    for w in kernel.law.positions) if _is_discrete(kernel) else ())
+    return GeneratorState(times=times, x=x, hx=np.asarray(transform.forward(x)),
+                          hpx=np.asarray(transform.deriv(x)),
+                          sigma=np.asarray(coeffs.diffusion.sigma(x)), hv=hv,
+                          atom_images=images)
+
+
+def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
+                    kernel: Optional[Kernel], trunc: TruncationFunction,
+                    transform: ScaleTransform, tol=1e-8, table_nodes=257):
+    """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
+
+    Discrete kernels are summed exactly over the state's atom images;
+    kernels requiring quadrature are tabulated on a covering grid and
+    interpolated (the interpolation error is far below Monte Carlo
+    resolution, which is the only consumer of this code path).
+    """
+    x = state.x
     if kernel is None:
-        return np.zeros_like(x)
-    fx, fpx = f.as_x_callables(transform)
-    if isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw):
-        rate = kernel.rate_at(x)
+        return 0.0
+    if _is_discrete(kernel):
         out = np.zeros_like(x)
-        base = np.asarray(fx(x))
-        fp = np.asarray(fpx(x))
-        for w, p in zip(kernel.law.positions, kernel.law.probs):
-            out += p * (np.asarray(fx(x + w)) - base - float(trunc(w)) * fp)
-        return rate * out
+        for w, p, hxw in zip(kernel.law.positions, kernel.law.probs,
+                             state.atom_images):
+            term = f.phi(hxw) - base
+            term -= float(trunc(w)) * fp
+            term *= p
+            out += term
+        out *= kernel.rate_at(x)
+        return out
+    fx, fpx = f.as_x_callables(transform)
     if isinstance(kernel, TabulatedKernel):
         out = np.empty_like(x)
         flat = out.ravel()
@@ -374,21 +418,26 @@ def _jump_term_grid(f: ConjugateTestFunction, kernel: Optional[Kernel],
     return PchipInterpolator(nodes, vals)(x)
 
 
-def generator_grid(f: ConjugateTestFunction, functional: Optional[PathFunctional],
+def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,
                    kernel: Optional[Kernel], trunc: TruncationFunction,
-                   coeffs: CoefficientSet, times, values, tol=1e-8):
-    """Generator values along one path or a stack of paths (last axis = time)."""
-    transform = coeffs.transform
-    x = np.asarray(values, dtype=float)
-    lf = np.asarray(local_generator(f, transform, coeffs.diffusion, x))
-    if functional is None:
-        hv = 0.0
-    else:
-        hv = functional.grid_values(np.asarray(times, dtype=float), x)
-    fp = np.asarray(f.f_prime(transform, x))
-    drift = np.asarray(coeffs.diffusion.sigma(x)) * hv * fp
-    jump = _jump_term_grid(f, kernel, trunc, transform, x, tol=tol)
-    return lf + drift + jump
+                   coeffs: CoefficientSet, tol=1e-8):
+    """Generator values along the state's path(s) (last axis = time).
+
+    ``fx`` is phi(state.hx), which the residual needs as well.  The terms
+    are accumulated in place, so a profile holds a few arrays at a time.
+    """
+    gen = state.sigma * state.hpx
+    gen *= gen
+    gen *= 0.5
+    gen *= f.phi_second(state.hx)       # local term
+    fp = f.phi_prime(state.hx) * state.hpx
+    drift = state.sigma * state.hv
+    drift *= fp
+    gen += drift
+    del drift
+    gen += _jump_term_grid(f, state, fx, fp, kernel, trunc, coeffs.transform,
+                           tol=tol)
+    return gen
 
 
 def martingale_residual(path, f: ConjugateTestFunction,
@@ -401,28 +450,34 @@ def martingale_residual(path, f: ConjugateTestFunction,
     integrand of the defining property.  Accepts a simulated path object
     (with .times/.x) or a CagladPath.
     """
-    times = np.asarray(path.times, dtype=float)
-    values = np.asarray(path.x if hasattr(path, "x") else path.values, dtype=float)
-    gen = generator_grid(f, functional, kernel, trunc, coeffs, times, values, tol=tol)
-    return _residual_from_generator(times, values, gen, f, coeffs.transform)
+    values = path.x if hasattr(path, "x") else path.values
+    state = generator_state(functional, kernel, coeffs, path.times, values)
+    return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
 
 
 def martingale_residual_ensemble(ensemble, f, functional, kernel, trunc, coeffs,
-                                 tol=1e-8):
-    """Residual paths for a whole ensemble, shape (paths, grid)."""
-    times = ensemble.times
-    values = ensemble.x
-    gen = generator_grid(f, functional, kernel, trunc, coeffs, times, values, tol=tol)
-    return _residual_from_generator(times, values, gen, f, coeffs.transform)
+                                 tol=1e-8, state: Optional[GeneratorState] = None):
+    """Residual paths for a whole ensemble, shape (paths, grid).
+
+    ``state`` is ``generator_state(functional, kernel, coeffs,
+    ensemble.times, ensemble.x)``; pass it to share it across profiles,
+    or leave it out to have it built here.
+    """
+    if state is None:
+        state = generator_state(functional, kernel, coeffs, ensemble.times,
+                                ensemble.x)
+    return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
 
 
-def _residual_from_generator(times, values, gen, f, transform):
-    dt = np.diff(times)
-    fx = np.asarray(f.f(transform, values))
-    integ = np.cumsum(gen[..., :-1] * dt, axis=-1)
-    pad = np.zeros(values.shape[:-1] + (1,))
-    integ = np.concatenate([pad, integ], axis=-1)
-    return fx - fx[..., :1] - integ
+def _residual_from_generator(f, state: GeneratorState, kernel, trunc, coeffs, tol):
+    fx = f.phi(state.hx)
+    gen = generator_grid(f, state, fx, kernel, trunc, coeffs, tol=tol)
+    integ = gen[..., :-1]
+    integ *= np.diff(state.times)
+    np.cumsum(integ, axis=-1, out=integ)
+    res = fx - fx[..., :1]
+    res[..., 1:] -= integ
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import yaml
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (PathFunctional, constant_functional,
+from .generator import (PathFunctional, constant_functional, generator_state,
                         martingale_residual_ensemble, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       TruncationFunction, moment_bound)
@@ -277,7 +277,7 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
     functional_name = params.pop("functional", None)
     try:
         bundle = builder(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad parameters for {spec.name}: {exc}") from exc
     sim = bundle.sim
     kw = {}
@@ -326,32 +326,55 @@ def _status(ok):
     return "pass" if ok else "fail"
 
 
+# z-score gates read nothing from fewer active paths than this
+MIN_ACTIVE_PATHS = 30
+
+
+def _mean_z(values, center=0.0):
+    """|mean - center| in standard errors; NaN when the error is not positive."""
+    se = np.std(values, ddof=1) / np.sqrt(len(values))
+    return float(abs(np.mean(values) - center) / se) if se > 0 else float("nan")
+
+
+def _z_gate(name, zs, tol, n_active, details):
+    """Pass when the largest z-score is below ``tol``.
+
+    Fails closed: a non-finite z-score, or fewer than MIN_ACTIVE_PATHS
+    active paths, makes the result inconclusive, never a pass.
+    """
+    worst = float(np.max(zs)) if len(zs) else float("nan")
+    if n_active < MIN_ACTIVE_PATHS or not np.isfinite(worst):
+        details = {**details, "active_paths": int(n_active),
+                   "min_active_paths": MIN_ACTIVE_PATHS}
+        return DiagnosticResult(name, "inconclusive", worst, tol, details)
+    return DiagnosticResult(name, _status(worst < tol), worst, tol, details)
+
+
 def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     """Zero-mean terminal residuals and increment orthogonality, 5 profiles."""
-    worst = 0.0
+    n_active = int(np.sum(ens.active))
+    if n_active < MIN_ACTIVE_PATHS:
+        return _z_gate("martingale", [], 3.0, n_active, {})
     details = {}
     n_half = ens.x.shape[1] // 2
     x_half = ens.x[:, n_half]
-    run_half = np.clip(np.maximum.accumulate(ens.x, axis=-1)[:, n_half], -1.0, 1.0)
+    run_half = np.clip(np.max(ens.x[:, :n_half + 1], axis=-1), -1.0, 1.0)
     pasts = {"clamp_mid": np.clip(x_half, -1.0, 1.0),
              "one": np.ones_like(x_half),
              "runsup_mid": run_half}
+    # h, h', sigma and the atom images are shared by all five profiles
+    state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
+                            ens.times, ens.x)
     for prof in standard_profiles():
         M = martingale_residual_ensemble(ens, prof, bundle.functional, bundle.kernel,
-                                         bundle.trunc, bundle.coeffs)
-        M = M[ens.active]
-        m_t = M[:, -1]
-        z = abs(np.mean(m_t)) / (np.std(m_t, ddof=1) / np.sqrt(len(m_t)))
-        details[f"{prof.name}_terminal_z"] = float(z)
-        worst = max(worst, float(z))
-        inc = M[:, -1] - M[:, n_half]
+                                         bundle.trunc, bundle.coeffs, state=state)
+        m_t = M[ens.active, -1]
+        inc = m_t - M[ens.active, n_half]
+        del M
+        details[f"{prof.name}_terminal_z"] = _mean_z(m_t)
         for gname, g in pasts.items():
-            prod = inc * g[ens.active]
-            se = np.std(prod, ddof=1) / np.sqrt(len(prod))
-            z2 = abs(np.mean(prod)) / se if se > 0 else 0.0
-            details[f"{prof.name}_orth_{gname}_z"] = float(z2)
-            worst = max(worst, float(z2))
-    return DiagnosticResult("martingale", _status(worst < 3.0), worst, 3.0, details)
+            details[f"{prof.name}_orth_{gname}_z"] = _mean_z(inc * g[ens.active])
+    return _z_gate("martingale", list(details.values()), 3.0, n_active, details)
 
 
 def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
@@ -394,16 +417,19 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     functional = bundle.functional or constant_functional(0.5)
+    n_active = int(np.sum(ens.active))
+    if n_active < MIN_ACTIVE_PATHS:
+        return _z_gate("girsanov", [], 3.0, n_active,
+                       {"functional": functional.name})
     gw = girsanov_weight_ensemble(ens, functional)
     k_t = gw.final[ens.active]
-    se = np.std(k_t, ddof=1) / np.sqrt(len(k_t))
-    z = abs(np.mean(k_t) - 1.0) / se if se > 0 else 0.0
+    z = _mean_z(k_t, center=1.0)
     est = weighted_expectation(ens, k_t, ens.x[ens.active, -1])
-    return DiagnosticResult("girsanov", _status(z < 3.0), float(z), 3.0,
-                            {"mean_weight": float(np.mean(k_t)),
-                             "weighted_terminal_mean": est.value,
-                             "weighted_terminal_se": est.se,
-                             "functional": functional.name})
+    return _z_gate("girsanov", [z], 3.0, n_active,
+                   {"mean_weight": float(np.mean(k_t)),
+                    "weighted_terminal_mean": est.value,
+                    "weighted_terminal_se": est.se,
+                    "functional": functional.name})
 
 
 def _default_region(kernel: Kernel):
@@ -413,10 +439,12 @@ def _default_region(kernel: Kernel):
 
 
 def _diag_compensator(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
+    n_active = int(np.sum(ens.active))
+    if n_active < MIN_ACTIVE_PATHS:
+        return _z_gate("compensator", [], 3.0, n_active, {})
     stats = compensator_residual(ens, _default_region(bundle.kernel), bundle.kernel)
-    z = abs(stats.zscore)
-    return DiagnosticResult("compensator", _status(z < 3.0), float(z), 3.0,
-                            {"mean": stats.mean, "se": stats.se})
+    return _z_gate("compensator", [abs(stats.zscore)], 3.0, n_active,
+                   {"mean": stats.mean, "se": stats.se})
 
 
 def _diag_conjugation(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
@@ -454,12 +482,11 @@ def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticR
     se_va = np.sqrt((np.mean((a - a.mean()) ** 4) - va**2) / len(a))
     se_vb = np.sqrt((np.mean((b - b.mean()) ** 4) - vb**2) / len(b))
     z_var = abs(va - vb) / np.sqrt(se_va**2 + se_vb**2)
-    worst = float(max(z_mean, z_var))
-    return DiagnosticResult("crosscheck_euler", _status(worst < 3.0), worst, 3.0,
-                            {"mean_transform_route": float(np.mean(a)),
-                             "mean_direct_euler": float(np.mean(b)),
-                             "var_transform_route": float(va),
-                             "var_direct_euler": float(vb)})
+    return _z_gate("crosscheck_euler", [z_mean, z_var], 3.0, min(len(a), len(b)),
+                   {"mean_transform_route": float(np.mean(a)),
+                    "mean_direct_euler": float(np.mean(b)),
+                    "var_transform_route": float(va),
+                    "var_direct_euler": float(vb)})
 
 
 def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
@@ -507,8 +534,11 @@ class RunReport:
 
     @property
     def status(self):
-        if any(d.status == "fail" for d in self.diagnostics):
-            return "fail"
+        """fail if any diagnostic failed, else inconclusive if any was,
+        else pass."""
+        for status in ("fail", "inconclusive"):
+            if any(d.status == status for d in self.diagnostics):
+                return status
         return "pass"
 
     def to_dict(self, include_timing=False):
@@ -577,6 +607,10 @@ def run_scenario(spec: ScenarioSpec) -> tuple:
 # counterexamples
 # ---------------------------------------------------------------------------
 
+COUNTEREXAMPLE_STABLE_CONFIG = SimConfig(horizon=1.0, n_steps=64, n_paths=4000,
+                                         master_seed=41)
+
+
 def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
                           a=1.0, caps=(10.0, 100.0)) -> RunReport:
     """Brownian motion plus a pure-jump power tail: integrability dichotomy.
@@ -595,8 +629,7 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     delta = 0.05 if gamma < 1.0 else 0.1
     lam = 2.0 * float(kernel.one_tail_mass(delta))
     mode = "drop" if gamma < 1.0 else "gaussian_match"
-    config = config or SimConfig(horizon=1.0, n_steps=64, n_paths=4000,
-                                 master_seed=41)
+    config = config or COUNTEREXAMPLE_STABLE_CONFIG
     config = config.replace(small_jump_cutoff=delta, small_jump_mode=mode,
                             big_jump_intensity_bound=lam * 1.02)
     ens = simulate_x_markovian(coeffs, kernel, TruncationFunction(), config, 0.0)

@@ -12,7 +12,7 @@ generate in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -717,7 +717,8 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     for s in range(n):
         y = Y[:, s]
         hv = stepper.update(y) if stepper is not None else 0.0
-        drift = np.asarray(chars.b(y)) + np.asarray(chars.sigma0(y)) * hv
+        s0 = np.asarray(chars.sigma0(y))
+        drift = np.asarray(chars.b(y)) + s0 * hv
         jump_add = np.zeros(P)
         if has_jumps:
             drift = drift - np.asarray(ops.kdelta(y))
@@ -751,7 +752,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
                     marks["y_pre"].extend(y[pa].tolist())
                     marks["z"].extend(np.asarray(z).tolist())
                     marks["w"].extend(np.asarray(w).tolist())
-        incr = drift * dt + np.asarray(chars.sigma0(y)) * sq_dt * normals[:, s]
+        incr = drift * dt + s0 * sq_dt * normals[:, s]
         if use_gauss and has_jumps:
             sv = np.asarray(ops.small_var(y))
             incr = incr + np.sqrt(np.maximum(sv, 0.0) * dt) * small_normals[:, s]
@@ -890,7 +891,8 @@ class ResidualStats:
 
     @property
     def zscore(self):
-        return self.mean / self.se if self.se > 0 else 0.0
+        """mean / se; NaN when the standard error is not positive."""
+        return self.mean / self.se if self.se > 0 else float("nan")
 
 
 def compensator_residual(ensemble: Ensemble, region, kernel: Kernel) -> ResidualStats:

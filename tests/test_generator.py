@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from sdelab import (CagladPath, ConjugateTestFunction, GeneratorValue, SimConfig,
                     clamped_running_sup, conjugation_residual, constant_functional,
                     evaluate_generator, evaluate_transformed_generator,
-                    generator_ball_modulus, identity_profile, martingale_residual,
+                    generator_ball_modulus, generator_state, identity_profile,
+                    local_generator, martingale_residual,
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
@@ -220,6 +221,74 @@ class TestMartingaleResidual:
         prod = (inc * g)[ens.active]
         se = np.std(prod, ddof=1) / np.sqrt(len(prod))
         assert abs(np.mean(prod)) < 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# profile-free generator state
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def atom_small():
+    """Reduced atom_jump ensemble: 200 paths on 128 steps."""
+    from sdelab.scenarios import ScenarioSpec, build_bundle
+    bundle = build_bundle(ScenarioSpec(name="atom_jump", n_paths=200, n_steps=128))
+    ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
+                               bundle.sim, bundle.x0)
+    return bundle, ens
+
+
+def _x_side_residual(f, functional, bundle, ens):
+    """Residual assembled directly in the original variable: the local
+    term, f' and the atom sum each evaluate the transform themselves."""
+    coeffs, kernel, trunc = bundle.coeffs, bundle.kernel, bundle.trunc
+    tr, x = coeffs.transform, ens.x
+    lf = local_generator(f, tr, coeffs.diffusion, x)
+    hv = 0.0 if functional is None else functional.grid_values(ens.times, x)
+    fp = f.f_prime(tr, x)
+    drift = coeffs.diffusion.sigma(x) * hv * fp
+    fx, fpx = f.as_x_callables(tr)
+    out = np.zeros_like(x)
+    base = fx(x)
+    for w, p in zip(kernel.law.positions, kernel.law.probs):
+        out += p * (fx(x + w) - base - float(trunc(w)) * fpx(x))
+    gen = lf + drift + kernel.rate_at(x) * out
+    integ = np.cumsum(gen[:, :-1] * np.diff(ens.times), axis=-1)
+    integ = np.concatenate([np.zeros((x.shape[0], 1)), integ], axis=-1)
+    fvals = f.f(tr, x)
+    return fvals - fvals[:, :1] - integ
+
+
+class TestGeneratorState:
+    @pytest.mark.parametrize("functional", (None, clamped_running_sup(1.0)),
+                             ids=("no_functional", "running_sup"))
+    def test_shared_state_matches_x_side_formulas(self, atom_small, functional):
+        bundle, ens = atom_small
+        state = generator_state(functional, bundle.kernel, bundle.coeffs,
+                                ens.times, ens.x)
+        assert len(state.atom_images) == len(bundle.kernel.law.positions)
+        for prof in standard_profiles():
+            got = martingale_residual_ensemble(ens, prof, functional, bundle.kernel,
+                                               bundle.trunc, bundle.coeffs,
+                                               state=state)
+            want = _x_side_residual(prof, functional, bundle, ens)
+            assert np.array_equal(got, want), prof.name
+        # the state is only read: a second pass gives the same bits
+        again = martingale_residual_ensemble(ens, prof, functional, bundle.kernel,
+                                             bundle.trunc, bundle.coeffs,
+                                             state=state)
+        assert np.array_equal(again, got)
+
+    def test_single_path_equals_ensemble_row(self, atom_small):
+        bundle, ens = atom_small
+        rows = [int(np.argmax(np.bincount(ens.jump_path,
+                                          minlength=ens.n_paths))), 0]
+        for prof in (standard_profiles()[0], identity_profile()):
+            M = martingale_residual_ensemble(ens, prof, None, bundle.kernel,
+                                             bundle.trunc, bundle.coeffs)
+            for i in rows:
+                single = martingale_residual(ens.path(i), prof, None, bundle.kernel,
+                                             bundle.trunc, bundle.coeffs)
+                assert np.array_equal(single, M[i])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             run_scenario(spec)
 
+    def test_out_of_range_builder_parameter_is_validation_error(self):
+        with pytest.raises(ValidationError):
+            build_bundle(ScenarioSpec(name="stable_jump", params={"gamma": 2.5}))
+
     def test_overrides_apply(self):
         spec = ScenarioSpec(name="brownian_baseline", n_paths=7, n_steps=11,
                             seed=99, x0=0.25)
@@ -127,6 +131,37 @@ class TestRunScenario:
         report, _ = run_scenario(spec)
         names = [d.name for d in report.diagnostics]
         assert names == ["qv", "gamma"]
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize("name,diag", (("brownian_baseline", "martingale"),
+                                           ("brownian_baseline", "girsanov"),
+                                           ("atom_jump", "compensator")))
+    def test_too_few_paths_is_inconclusive(self, name, diag):
+        spec = ScenarioSpec(name=name, n_paths=1, n_steps=16, diagnostics=(diag,))
+        report, _ = run_scenario(spec)
+        d = report.diagnostics[0]
+        assert d.status == "inconclusive"
+        assert np.isnan(d.statistic)
+        assert d.details["active_paths"] == 1
+        assert report.status == "inconclusive"
+
+    def test_nonfinite_statistic_is_inconclusive(self):
+        from sdelab.scenarios import MIN_ACTIVE_PATHS, _z_gate
+        n = MIN_ACTIVE_PATHS
+        for zs in ([float("nan"), 1.0], [1.0, float("nan")], [float("inf")]):
+            assert _z_gate("x", zs, 3.0, n, {}).status == "inconclusive"
+        assert _z_gate("x", [1.0, 2.0], 3.0, n, {}).status == "pass"
+        assert _z_gate("x", [1.0, 4.0], 3.0, n, {}).status == "fail"
+
+    def test_fail_outranks_inconclusive(self):
+        from sdelab.scenarios import DiagnosticResult, RunReport
+        diags = [DiagnosticResult("a", "inconclusive", float("nan"), 3.0),
+                 DiagnosticResult("b", "fail", 9.0, 3.0)]
+        rep = RunReport("s", {}, 0, {}, {}, diags)
+        assert rep.status == "fail"
+        rep.diagnostics = diags[:1]
+        assert rep.status == "inconclusive"
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +367,41 @@ class TestCLI:
         code = cli.main(["run", "--name", "brownian_baseline",
                          "--out", str(tmp_path)])
         assert code == 3
+
+    def test_single_path_run_exits_one(self, tmp_path):
+        import sdelab.cli as cli
+        code = cli.main(["run", "--name", "brownian_baseline", "--paths", "1",
+                         "--out", str(tmp_path), "--dump-paths", "0"])
+        assert code == 1
+        doc = parse_report(tmp_path / "report_brownian_baseline.json")
+        mart = next(d for d in doc["diagnostics"] if d["name"] == "martingale")
+        assert mart["status"] == "inconclusive"
+        assert doc["status"] != "pass"
+
+    @pytest.mark.parametrize("argv", (
+        ["run", "--name", "brownian_baseline", "--paths", "0"],
+        ["run", "--name", "brownian_baseline", "--steps", "0"],
+        ["counterexample", "stable", "--paths", "0"],
+        ["counterexample", "stable", "--steps", "0"],
+    ))
+    def test_zero_sizes_exit_two(self, tmp_path, argv):
+        import sdelab.cli as cli
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+
+    def test_counterexample_seed_applies_without_paths(self, tmp_path):
+        import sdelab.cli as cli
+        cli.main(["counterexample", "stable", "--gamma", "1.5", "--steps", "8",
+                  "--seed", "5", "--out", str(tmp_path)])
+        doc = parse_report(tmp_path / "report_counterexample_stable.json")
+        assert doc["seed"] == 5
+        assert doc["simulation"]["n_steps"] == 8
+
+    def test_out_of_range_parameter_exits_two(self, tmp_path):
+        import sdelab.cli as cli
+        cfg = tmp_path / "stable.yaml"
+        cfg.write_text("scenario:\n  name: stable_jump\n  params:\n"
+                       "    gamma: 2.5\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_csv_format_flag(self, tmp_path):
         r = run_cli(["run", "--name", "brownian_baseline", "--paths", "200",

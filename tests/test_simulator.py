@@ -277,6 +277,11 @@ class TestCompensatorResidual:
         stats = compensator_residual(ens, [(1.0, np.inf), (-np.inf, -1.0)], kernel)
         assert abs(stats.zscore) < 3.0
 
+    def test_zero_standard_error_gives_nan_zscore(self):
+        from sdelab.simulator import ResidualStats
+        stats = ResidualStats(mean=0.5, se=0.0, per_path=np.full(40, 0.5))
+        assert np.isnan(stats.zscore)
+
     def test_region_touching_zero_rejected(self, brownian_ens, atom_kernel):
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
