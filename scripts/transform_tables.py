@@ -2,13 +2,15 @@
 """Build the scale transform for a chosen scenario and dump its tables.
 
 Usage: python scripts/transform_tables.py [--name SCENARIO] [--out OUT]
+
+Same as ``sdelab check-coefficients --name SCENARIO --out OUT``, with
+``weierstrass_drift`` and ``out`` as defaults.
 """
 import argparse
-import json
-import os
+import sys
 
-from sdelab import ScenarioSpec, check_hypotheses
-from sdelab.scenarios import build_bundle, scenario_names
+from sdelab import cli
+from sdelab.scenarios import scenario_names
 
 
 def main():
@@ -16,19 +18,8 @@ def main():
     ap.add_argument("--name", default="weierstrass_drift", choices=scenario_names())
     ap.add_argument("--out", default="out")
     args = ap.parse_args()
-
-    bundle = build_bundle(ScenarioSpec(name=args.name))
-    rep = check_hypotheses(bundle.coeffs.potential)
-    print(json.dumps(rep.to_dict(), indent=2, sort_keys=True))
-
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, f"coefficients_{args.name}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,sigma_value,h,hprime\n")
-        for row in bundle.coeffs.table():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    print(f"tables -> {path}")
+    return cli.main(["check-coefficients", "--name", args.name, "--out", args.out])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

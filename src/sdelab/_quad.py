@@ -77,7 +77,6 @@ def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None, max_blocks=200):
         hi = 2.0 * lo
         block = quad_checked(f, lo, hi, tol=tol)
         total += block
-        mid = 0.5 * (lo + hi)
         dens_scale = max(tail_mass(lo) - tail_mass(hi), 1e-300)
         observed = max(observed, abs(block) / dens_scale)
         bound = sup_bound if sup_bound is not None else 2.0 * max(observed, 1e-12)

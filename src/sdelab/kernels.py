@@ -659,8 +659,6 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
     if direction == "out" and last_mean is not None:
         return total + last_mean * float(kernel.one_tail_mass(a))
     return total if total is not None else 0.0
-    # inward walk exhausted its depth: the remaining mass-weighted
-    # contribution decays like x^(1+alpha-gamma) and is below resolution
 
 
 _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the

@@ -326,7 +326,7 @@ def _status(ok):
     return "pass" if ok else "fail"
 
 
-# z-score gates read nothing from fewer active paths than this
+# statistical gates read nothing from fewer active paths than this
 MIN_ACTIVE_PATHS = 30
 
 
@@ -379,6 +379,9 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     """Window sweep of the realized variation against the driver-based value."""
+    n_active = int(np.sum(ens.active))
+    if n_active < MIN_ACTIVE_PATHS:
+        return _z_gate("qv", [], 0.1, n_active, {})
     T = float(ens.times[-1])
     eps = aligned_window_ladder(ens.times)
     dt = float(ens.times[1] - ens.times[0])
@@ -406,6 +409,9 @@ def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
+    n_active = int(np.sum(ens.active))
+    if n_active < MIN_ACTIVE_PATHS:
+        return _z_gate("gamma", [], 0.05, n_active, {})
     eps = aligned_window_ladder(ens.times)
     rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.coeffs, bundle.kernel,
                             eps, phi_bound=1.0)

@@ -630,6 +630,13 @@ class Ensemble:
 # the engine
 # ---------------------------------------------------------------------------
 
+def _candidate_capacity(mean_total):
+    """Candidate slots reserved before the noise is drawn: the mean of the
+    Poisson total plus six of its standard deviations, so the buffer almost
+    never has to grow."""
+    return int(mean_total + 6.0 * np.sqrt(mean_total)) + 16
+
+
 def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
                config: SimConfig, y0: float,
                transform: Optional[ScaleTransform] = None,
@@ -685,25 +692,45 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
                 f"dominating intensity {lam_max} below scanned supremum {sup_rate:.6g}"
             )
 
-    # per-path noise blocks (fixed draw order: normals, small normals,
-    # candidate count, candidate times, acceptance u, size u1, size u2)
+    # per-path noise, drawn in place in a fixed order from the path's own
+    # stream: n normals, n small-jump normals, the candidate count k, then
+    # one block of 4k uniforms holding k candidate times (scaled by T), k
+    # acceptance uniforms, k size uniforms u1 and k size uniforms u2
     normals = np.empty((P, n))
     small_normals = np.empty((P, n))
-    cand_records = []  # (step, path, time, u_accept, u1, u2, cand_idx)
+    counts = np.zeros(P, dtype=np.int64)
+    unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
+    total = 0
     for i in range(P):
         rng = path_rng(config.master_seed, i)
-        normals[i] = rng.standard_normal(n)
-        small_normals[i] = rng.standard_normal(n)
-        n_cand = rng.poisson(lam_max * T) if lam_max > 0 else 0
-        t_cand = rng.uniform(0.0, T, size=n_cand)
-        u_acc = rng.uniform(size=n_cand)
-        u1 = rng.uniform(size=n_cand)
-        u2 = rng.uniform(size=n_cand)
-        for j in range(n_cand):
-            step = min(int(t_cand[j] / dt), n - 1)
-            cand_records.append((step, i, t_cand[j], u_acc[j], u1[j], u2[j], j))
-    cand_records.sort(key=lambda r: (r[0], r[1], r[2]))
-    cand_steps = np.asarray([r[0] for r in cand_records], dtype=int)
+        rng.standard_normal(out=normals[i])
+        rng.standard_normal(out=small_normals[i])
+        k = int(rng.poisson(lam_max * T)) if lam_max > 0 else 0
+        if k:
+            end = 4 * (total + k)
+            if end > len(unif):
+                grown = np.empty(max(2 * len(unif), end))
+                grown[:4 * total] = unif[:4 * total]
+                unif = grown
+            rng.random(out=unif[4 * total:end])
+            counts[i] = k
+            total += k
+
+    # candidates, processed in (step, path, time) order; candidate j of
+    # path p reads its time, acceptance, u1 and u2 uniforms at
+    # 4 * first[p] + j + m * counts[p] for m = 0, 1, 2, 3
+    c_path = np.repeat(np.arange(P), counts)
+    first = np.cumsum(counts) - counts
+    c_j = np.arange(total) - first[c_path]
+    c_at = 4 * first[c_path] + c_j
+    c_t = T * unif[c_at]
+    c_step = np.minimum((c_t / dt).astype(np.int64), n - 1)
+    order = np.lexsort((c_t, c_path, c_step))
+    c_path, c_j, c_t, c_step = c_path[order], c_j[order], c_t[order], c_step[order]
+    c_at, c_count = c_at[order], counts[c_path]
+    c_u, c_u1, c_u2 = (unif[c_at + m * c_count] for m in (1, 2, 3))
+    del unif, first, order, c_at, c_count
+    bounds = np.searchsorted(c_step, np.arange(n + 1))
 
     Y = np.empty((P, n + 1))
     Y[:, 0] = y0
@@ -711,9 +738,8 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     stepper = hbar.make_stepper(None) if hbar is not None else None
     use_gauss = config.small_jump_mode == "gaussian_match"
 
-    marks = {"path": [], "time": [], "y_pre": [], "z": [], "w": []}
-    ptr = 0
-    n_cand_total = len(cand_records)
+    # accepted marks: indices into the sorted candidates plus their values
+    acc_idx, acc_y, acc_z, acc_w = [], [], [], []
     for s in range(n):
         y = Y[:, s]
         hv = stepper.update(y) if stepper is not None else 0.0
@@ -722,36 +748,27 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
         jump_add = np.zeros(P)
         if has_jumps:
             drift = drift - np.asarray(ops.kdelta(y))
-        if n_cand_total:
-            lo = ptr
-            while ptr < n_cand_total and cand_steps[ptr] == s:
-                ptr += 1
-            batch = cand_records[lo:ptr]
-            if batch:
-                p_idx = np.asarray([r[1] for r in batch], dtype=int)
-                rate = np.asarray(ops.big_rate(y[p_idx]), dtype=float)
-                ratio = rate / lam_max
-                if np.any(ratio > 1.0 + 1e-12):
-                    raise IntensityBoundViolated(
-                        f"acceptance probability {float(np.max(ratio)):.6g} > 1 "
-                        f"at step {s}"
-                    )
-                u_acc = np.asarray([r[3] for r in batch])
-                acc = (u_acc < ratio) & active[p_idx]
-                if np.any(acc):
-                    pa = p_idx[acc]
-                    z, w = ops.sample(
-                        y[pa],
-                        np.asarray([r[4] for r in batch])[acc],
-                        np.asarray([r[5] for r in batch])[acc],
-                        pa, np.asarray([r[6] for r in batch], dtype=int)[acc],
-                    )
-                    np.add.at(jump_add, pa, z)
-                    marks["path"].extend(pa.tolist())
-                    marks["time"].extend(np.asarray([r[2] for r in batch])[acc].tolist())
-                    marks["y_pre"].extend(y[pa].tolist())
-                    marks["z"].extend(np.asarray(z).tolist())
-                    marks["w"].extend(np.asarray(w).tolist())
+        lo, hi = bounds[s], bounds[s + 1]
+        if hi > lo:
+            p_idx = c_path[lo:hi]
+            rate = np.asarray(ops.big_rate(y[p_idx]), dtype=float)
+            ratio = rate / lam_max
+            if np.any(ratio > 1.0 + 1e-12):
+                raise IntensityBoundViolated(
+                    f"acceptance probability {float(np.max(ratio)):.6g} > 1 "
+                    f"at step {s}"
+                )
+            acc = (c_u[lo:hi] < ratio) & active[p_idx]
+            if np.any(acc):
+                sel = lo + np.flatnonzero(acc)
+                pa = c_path[sel]
+                y_pre = y[pa]
+                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel], pa, c_j[sel])
+                np.add.at(jump_add, pa, z)
+                acc_idx.append(sel)
+                acc_y.append(y_pre)
+                acc_z.append(np.asarray(z, dtype=float))
+                acc_w.append(np.asarray(w, dtype=float))
         incr = drift * dt + s0 * sq_dt * normals[:, s]
         if use_gauss and has_jumps:
             sv = np.asarray(ops.small_var(y))
@@ -764,6 +781,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
                 active &= ~newly
             y_next = np.where(active, y_next, y)
         Y[:, s + 1] = y_next
+    del small_normals, c_j, c_step, c_u, c_u1, c_u2
 
     frac = 1.0 - float(np.mean(active))
     if frac > config.max_exclusion_fraction:
@@ -773,18 +791,20 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
         )
 
     X = np.asarray(transform.inverse(Y)) if not transform.is_identity else Y.copy()
-    jp = np.asarray(marks["path"], dtype=int)
-    order = np.lexsort((np.asarray(marks["time"]), jp)) if len(jp) else np.empty(0, int)
-    jt = np.asarray(marks["time"])[order] if len(jp) else np.empty(0)
-    jy = np.asarray(marks["y_pre"])[order] if len(jp) else np.empty(0)
-    jz = np.asarray(marks["z"])[order] if len(jp) else np.empty(0)
-    jw = np.asarray(marks["w"])[order] if len(jp) else np.empty(0)
-    jp = jp[order] if len(jp) else jp
-    jx = (np.asarray(transform.inverse(jy)) if not transform.is_identity
-          else jy.copy()) if len(jy) else np.empty(0)
+    if acc_idx:
+        sel = np.concatenate(acc_idx)
+        jp, jt = c_path[sel], c_t[sel]
+        order = np.lexsort((jt, jp))
+        jp, jt = jp[order], jt[order]
+        jy, jz, jw = (np.concatenate(a)[order] for a in (acc_y, acc_z, acc_w))
+        jx = np.asarray(transform.inverse(jy)) if not transform.is_identity else jy.copy()
+    else:
+        jp = np.empty(0, dtype=int)
+        jt, jy, jz, jw, jx = (np.empty(0) for _ in range(5))
 
     x0 = float(np.asarray(transform.inverse(np.asarray(y0))))
-    return Ensemble(times=times, y=Y, x=X, dW=normals * sq_dt, active=active,
+    normals *= sq_dt  # the recorded Brownian increments
+    return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_y_pre=jy, jump_x_pre=jx,
                     jump_z=jz, jump_w=jw, config=config, y0=float(y0), x0=x0)
 

@@ -136,6 +136,8 @@ class TestRunScenario:
 class TestFailClosed:
     @pytest.mark.parametrize("name,diag", (("brownian_baseline", "martingale"),
                                            ("brownian_baseline", "girsanov"),
+                                           ("brownian_baseline", "qv"),
+                                           ("brownian_baseline", "gamma"),
                                            ("atom_jump", "compensator")))
     def test_too_few_paths_is_inconclusive(self, name, diag):
         spec = ScenarioSpec(name=name, n_paths=1, n_steps=16, diagnostics=(diag,))
@@ -377,6 +379,20 @@ class TestCLI:
         mart = next(d for d in doc["diagnostics"] if d["name"] == "martingale")
         assert mart["status"] == "inconclusive"
         assert doc["status"] != "pass"
+
+    def test_single_path_qv_and_gamma_inconclusive(self, tmp_path):
+        import warnings
+        import sdelab.cli as cli
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--name", "brownian_baseline", "--paths", "1",
+                             "--steps", "16", "--out", str(tmp_path),
+                             "--dump-paths", "0"])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        doc = parse_report(tmp_path / "report_brownian_baseline.json")
+        status = {d["name"]: d["status"] for d in doc["diagnostics"]}
+        assert status["qv"] == status["gamma"] == "inconclusive"
 
     @pytest.mark.parametrize("argv", (
         ["run", "--name", "brownian_baseline", "--paths", "0"],

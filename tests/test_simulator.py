@@ -8,7 +8,10 @@ from sdelab import (AtomJumpMeasure, CharacteristicsY, DegenerateWeights,
                     constant_functional, domain_approximant, girsanov_weight,
                     girsanov_weight_ensemble, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
-                    clamped_running_sup, StableTailKernel)
+                    clamped_running_sup, StableTailKernel, CoefficientSet,
+                    PushforwardJumpMeasure, ScaleTransform, TruncationFunction)
+from sdelab import simulator
+from sdelab.simulator import event_rng, path_rng
 
 
 def ones(y):
@@ -62,6 +65,135 @@ class TestDeterminism:
         b = simulate_y(chars, None, cfg, 0.0)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.jump_time, b.jump_time)
+
+
+# ---------------------------------------------------------------------------
+# the per-path draw order
+# ---------------------------------------------------------------------------
+
+def _rebuilt_noise(seed, i, n, horizon, lam_max):
+    """Path ``i``'s noise redrawn call by call in the documented order: n
+    normals, n small-jump normals, the candidate count, then count uniforms
+    each for times, acceptance, size u1 and size u2."""
+    rng = path_rng(seed, i)
+    normals = rng.standard_normal(n)
+    rng.standard_normal(n)  # small-jump normals
+    k = rng.poisson(lam_max * horizon) if lam_max > 0 else 0
+    t = rng.uniform(0.0, horizon, size=k)
+    u_acc, u1, u2 = (rng.uniform(size=k) for _ in range(3))
+    return normals, t, u_acc, u1, u2
+
+
+class TestDrawOrder:
+    """Rebuild every path's stream independently and derive the accepted
+    jumps from it; the engine must agree bit for bit."""
+
+    def _check(self, ens, cfg, rate, sizes):
+        """``sizes(i, j, u1, u2)`` gives (z, w) of candidate ``j`` of path i."""
+        dt = cfg.horizon / cfg.n_steps
+        n_cand = n_acc = 0
+        for i in range(cfg.n_paths):
+            normals, t, u_acc, u1, u2 = _rebuilt_noise(
+                cfg.master_seed, i, cfg.n_steps, cfg.horizon,
+                cfg.big_jump_intensity_bound)
+            n_cand += len(t)
+            assert np.array_equal(ens.dW[i], normals * np.sqrt(dt))
+            j = np.flatnonzero(u_acc < rate / cfg.big_jump_intensity_bound)
+            j = j[np.argsort(t[j], kind="stable")]
+            n_acc += len(j)
+            z, w = sizes(i, j, u1[j], u2[j])
+            sel = ens.jump_path == i
+            assert np.array_equal(ens.jump_time[sel], t[j])
+            assert np.array_equal(ens.jump_z[sel], z)
+            assert np.array_equal(ens.jump_w[sel], w)
+        assert len(ens.jump_path) == n_acc
+        assert np.all(np.diff(ens.jump_path) >= 0)
+        return n_cand
+
+    def _stable_case(self):
+        kernel = StableTailKernel(gamma=1.5, scale=0.5, alpha=0.75)
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=40, master_seed=23,
+                        small_jump_cutoff=0.3, big_jump_intensity_bound=6.0)
+        return kernel, cfg, CoefficientSet.unit(), TruncationFunction()
+
+    def _stable_sizes(self, kernel, cutoff):
+        def sizes(i, j, u1, u2):
+            z = kernel.sample_two_tail(u1, u2, -cutoff, cutoff)
+            return z, z
+        return sizes
+
+    def test_stable_kernel(self):
+        kernel, cfg, coeffs, trunc = self._stable_case()
+        ens = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
+        n_cand = self._check(ens, cfg, rate,
+                             self._stable_sizes(kernel, cfg.small_jump_cutoff))
+        assert n_cand > 150 and len(ens.jump_time) > 100
+
+    def test_buffer_growth_keeps_the_streams(self, monkeypatch):
+        kernel, cfg, coeffs, trunc = self._stable_case()
+        ref = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        monkeypatch.setattr(simulator, "_candidate_capacity", lambda mean: 1)
+        ens = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        for f in ("y", "dW", "jump_path", "jump_time", "jump_z", "jump_w"):
+            assert np.array_equal(getattr(ens, f), getattr(ref, f))
+        rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
+        self._check(ens, cfg, rate, self._stable_sizes(kernel, cfg.small_jump_cutoff))
+
+    def test_atom_measure(self):
+        atoms = ((1.0, 0.7), (-0.5, 0.6))
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=8,
+                        small_jump_cutoff=0.4, big_jump_intensity_bound=2.0)
+        chars = CharacteristicsY(b=ones, sigma0=ones,
+                                 measure=AtomJumpMeasure(atoms))
+        ens = simulate_y(chars, None, cfg, 0.0)
+        z_big = np.asarray([a[0] for a in atoms])
+        r_big = np.asarray([a[1] for a in atoms])
+        cum = np.cumsum(r_big) / np.sum(r_big)
+
+        def sizes(i, j, u1, u2):
+            z = z_big[np.clip(np.searchsorted(cum, u1), 0, len(z_big) - 1)]
+            return z, z
+
+        self._check(ens, cfg, float(np.sum(r_big)), sizes)
+        assert len(ens.jump_time) > 40
+
+    def test_density_law_pins_event_index(self):
+        # each accepted candidate draws its size from event_rng(seed, path, j)
+        # with j its index among the path's candidates
+        from sdelab import DensityLaw, FiniteActivityKernel
+        law = DensityLaw(
+            pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
+            support=(0.5, 1.5),
+            sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
+        kernel = FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
+        trunc = TruncationFunction()
+        ens = simulate_x_markovian(CoefficientSet.unit(), kernel, trunc, cfg, 0.0)
+        ops = PushforwardJumpMeasure(kernel, ScaleTransform.identity()).prepare(
+            cfg.small_jump_cutoff, trunc, None, cfg.master_seed)
+        rate = float(ops.big_rate(np.zeros(1))[0])
+
+        def sizes(i, j, u1, u2):
+            w = np.asarray([law.sampler(event_rng(cfg.master_seed, i, jj), 1)[0]
+                            for jj in j], dtype=float)
+            y_pre = ens.jump_y_pre[ens.jump_path == i]
+            return (y_pre + w) - y_pre, w
+
+        self._check(ens, cfg, rate, sizes)
+        assert len(ens.jump_time) > 30
+
+    def test_no_candidates(self):
+        # a positive bound whose Poisson counts all come out 0: the
+        # candidate arrays are empty and the path noise is unchanged
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=20, master_seed=4,
+                        small_jump_cutoff=0.4, big_jump_intensity_bound=1e-9)
+        chars = CharacteristicsY(b=zeros, sigma0=ones,
+                                 measure=AtomJumpMeasure(((1.0, 1e-9),)))
+        ens = simulate_y(chars, None, cfg, 0.0)
+        assert self._check(ens, cfg, 1e-9, lambda i, j, u1, u2: (u1, u2)) == 0
+        assert len(ens.jump_time) == 0 and ens.jump_path.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
