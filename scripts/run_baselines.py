@@ -7,12 +7,9 @@ import argparse
 
 from sdelab import ScenarioSpec, emit_report, run_scenario
 
-SCENARIOS = (
-    ("brownian_baseline", ("martingale", "qv", "gamma")),
-    ("smooth_drift_crosscheck", ("crosscheck_euler", "martingale")),
-    ("atom_jump", ("martingale", "compensator", "conjugation")),
-    ("path_dependent_drift", ("girsanov",)),
-)
+# each runs its registry default diagnostics
+SCENARIOS = ("brownian_baseline", "smooth_drift_crosscheck", "atom_jump",
+             "path_dependent_drift")
 
 
 def main():
@@ -23,9 +20,8 @@ def main():
     args = ap.parse_args()
 
     failures = 0
-    for name, diags in SCENARIOS:
-        spec = ScenarioSpec(name=name, n_paths=args.paths, seed=args.seed,
-                            diagnostics=diags)
+    for name in SCENARIOS:
+        spec = ScenarioSpec(name=name, n_paths=args.paths, seed=args.seed)
         report, ens = run_scenario(spec)
         path = emit_report(report, out_dir=args.out)
         print(f"{name}: {report.status} "

@@ -33,7 +33,7 @@ from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
 from .simulator import (AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure,
-                        Ensemble, GirsanovWeight, PushforwardJumpMeasure,
+                        Ensemble, GirsanovWeight, JumpOps, PushforwardJumpMeasure,
                         SamplePath, SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
                         girsanov_weight, girsanov_weight_ensemble,

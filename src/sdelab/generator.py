@@ -447,11 +447,10 @@ def martingale_residual(path, f: ConjugateTestFunction,
     """Residual path f(X_t) - f(x_0) - int_0^t (generator) ds on the grid.
 
     Left-endpoint rule with left limits, matching the predictable
-    integrand of the defining property.  Accepts a simulated path object
-    (with .times/.x) or a CagladPath.
+    integrand of the defining property.  Accepts a simulated path or a
+    CagladPath: both carry ``.times`` and ``.values``.
     """
-    values = path.x if hasattr(path, "x") else path.values
-    state = generator_state(functional, kernel, coeffs, path.times, values)
+    state = generator_state(functional, kernel, coeffs, path.times, path.values)
     return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
 
 

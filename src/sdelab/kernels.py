@@ -495,7 +495,9 @@ def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
         return
     lo, hi = transform.domain
     sr = kernel.support_radius
-    if sr > min(x - lo, hi - x):
+    # the same slack as ScaleTransform's domain check: an image-grid end
+    # node inverts to within rounding of the edge minus the support
+    if sr > min(x - lo, hi - x) + 1e-12:
         raise RangeError(
             "kernel support exceeds the tabulated transform range around the state"
         )

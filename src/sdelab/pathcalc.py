@@ -60,11 +60,6 @@ def _qv_core(values, m, idx_t, dt, epsilon):
     return np.sum(d * d, axis=-1) * dt / epsilon
 
 
-def _path_values(path):
-    return np.asarray(getattr(path, "x", None) if hasattr(path, "x")
-                      else path.values, dtype=float)
-
-
 def aligned_window_ladder(times, fracs=(0.1, 0.05, 0.025, 0.0125)):
     """Window widths near the requested horizon fractions, snapped to the
     grid (widths must be integer step multiples), descending, deduplicated."""
@@ -90,7 +85,7 @@ def qv_regularization(path, epsilon, t):
         raise GridMismatch("epsilon must be smaller than t")
     m = _window_steps(epsilon, dt)
     idx_t = _time_index(times, t, dt)
-    return float(_qv_core(_path_values(path), m, idx_t, dt, epsilon))
+    return float(_qv_core(np.asarray(path.values, dtype=float), m, idx_t, dt, epsilon))
 
 
 def covariation(path1, path2, epsilon, t):
@@ -102,7 +97,7 @@ def covariation(path1, path2, epsilon, t):
     dt = _grid_step(t1)
     m = _window_steps(epsilon, dt)
     idx_t = _time_index(t1, t, dt)
-    v1, v2 = _path_values(path1), _path_values(path2)
+    v1, v2 = (np.asarray(p.values, dtype=float) for p in (path1, path2))
     plus = _qv_core(v1 + v2, m, idx_t, dt, epsilon)
     minus = _qv_core(v1 - v2, m, idx_t, dt, epsilon)
     return float(0.25 * (plus - minus))
@@ -155,7 +150,7 @@ def chain_rule_qv(phi, phi_prime, path, epsilons, t) -> ChainRuleComparison:
     dt = _grid_step(times)
     idx_t = _time_index(times, t, dt)
     m_eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    v = _path_values(path)
+    v = np.asarray(path.values, dtype=float)
 
     jt = np.asarray(getattr(path, "jump_times", np.empty(0)))
     jw = np.asarray(getattr(path, "jump_w", np.empty(0)))

@@ -351,7 +351,8 @@ def _z_gate(name, zs, tol, n_active, details):
 
 
 def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    """Zero-mean terminal residuals and increment orthogonality, 5 profiles."""
+    """Zero-mean terminal residuals and increment orthogonality, 5 profiles;
+    weighted by the Girsanov weight when the bundle has a drift functional."""
     n_active = int(np.sum(ens.active))
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("martingale", [], 3.0, n_active, {})
@@ -365,12 +366,19 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     # h, h', sigma and the atom images are shared by all five profiles
     state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
                             ens.times, ens.x)
+    # the engine does not simulate a drift functional, but the generator
+    # includes it: the Girsanov weight realises that law, so the residuals
+    # are read under it
+    kappa = (girsanov_weight_ensemble(ens, bundle.functional).final[ens.active]
+             if bundle.functional is not None else None)
     for prof in standard_profiles():
         M = martingale_residual_ensemble(ens, prof, bundle.functional, bundle.kernel,
                                          bundle.trunc, bundle.coeffs, state=state)
         m_t = M[ens.active, -1]
         inc = m_t - M[ens.active, n_half]
         del M
+        if kappa is not None:
+            m_t, inc = m_t * kappa, inc * kappa
         details[f"{prof.name}_terminal_z"] = _mean_z(m_t)
         for gname, g in pasts.items():
             details[f"{prof.name}_orth_{gname}_z"] = _mean_z(inc * g[ens.active])

@@ -81,30 +81,41 @@ def event_rng(master_seed: int, path_index: int, event_index: int) -> np.random.
 # jump measures of the transformed state
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class JumpOps:
+    """What the engine needs of a jump measure once the cutoff is fixed.
+
+    ``profiles(y)`` stacks the big-jump rate, the truncated compensator of
+    the big jumps and the small-jump variance at the states ``y`` on a
+    leading axis of length 3.  ``sample(y_pre, u1, u2, path_idx, cand_idx)``
+    returns the sizes ``(z, w)`` of accepted big jumps in transformed and
+    original coordinates.  The margins keep every state at which these are
+    evaluated inside the tabulated ranges: ``x_margin`` in the original
+    variable, ``z_margin`` in the transformed one.
+    """
+
+    profiles: Callable
+    sample: Callable
+    x_margin: float = 0.0
+    z_margin: float = 0.0
+
+
+def _constant_profiles(rate, kdelta, small_var):
+    """State-independent profiles as a broadcast view: nothing is allocated
+    per evaluation."""
+    c = np.asarray([rate, kdelta, small_var], dtype=float)
+
+    def profiles(y):
+        shape = np.shape(y)
+        return np.broadcast_to(c.reshape((3,) + (1,) * len(shape)), (3,) + shape)
+    return profiles
+
+
 class EmptyJumpMeasure:
     """No jumps at all."""
 
-    is_empty = True
-
     def prepare(self, delta, trunc, transform, master_seed):
-        return _EmptyOps()
-
-    def x_margin(self):
-        return 0.0
-
-    def z_margin(self):
-        return 0.0
-
-
-class _EmptyOps:
-    def big_rate(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-    kdelta = big_rate
-    small_var = big_rate
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
-        raise RuntimeError("no jumps to sample from the empty measure")
+        return None
 
 
 @dataclass
@@ -117,53 +128,26 @@ class AtomJumpMeasure:
 
     atoms: tuple  # of (size z, rate)
 
-    is_empty = False
-
     def prepare(self, delta, trunc, transform, master_seed):
         z = np.asarray([a[0] for a in self.atoms], dtype=float)
         r = np.asarray([a[1] for a in self.atoms], dtype=float)
         if np.any(z == 0.0) or np.any(r < 0):
             raise ValidationError("atom sizes must avoid 0 and rates be nonnegative")
         big = np.abs(z) > delta
-        return _AtomOps(z[big], r[big], float(np.sum(trunc(z[big]) * r[big])),
-                        float(np.sum(z[~big] ** 2 * r[~big])), transform)
+        z_big, r_big = z[big], r[big]
+        rate = float(np.sum(r_big))
+        cum = np.cumsum(r_big) / max(rate, 1e-300) if len(r_big) else np.asarray([])
 
-    def x_margin(self):
-        return 0.0
+        def sample(y_pre, u1, u2, path_idx, cand_idx):
+            zs = z_big[np.clip(np.searchsorted(cum, np.asarray(u1)), 0, len(z_big) - 1)]
+            if transform is None or transform.is_identity:
+                return zs, zs.copy()
+            y_pre = np.asarray(y_pre)
+            return zs, transform.inverse(y_pre + zs) - transform.inverse(y_pre)
 
-    def z_margin(self):
-        return max(abs(a[0]) for a in self.atoms)
-
-
-class _AtomOps:
-    def __init__(self, z_big, r_big, kdelta_const, small_var_const, transform):
-        self.z_big = z_big
-        self.r_big = r_big
-        self.rate_const = float(np.sum(r_big))
-        self.kdelta_const = kdelta_const
-        self.small_var_const = small_var_const
-        self.transform = transform
-        self.cum = (np.cumsum(r_big) / max(self.rate_const, 1e-300)
-                    if len(r_big) else np.asarray([]))
-
-    def big_rate(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.rate_const)
-
-    def kdelta(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.kdelta_const)
-
-    def small_var(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.small_var_const)
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
-        idx = np.searchsorted(self.cum, np.asarray(u1))
-        z = self.z_big[np.clip(idx, 0, len(self.z_big) - 1)]
-        if self.transform is None or self.transform.is_identity:
-            w = z.copy()
-        else:
-            w = (self.transform.inverse(np.asarray(y_pre) + z)
-                 - self.transform.inverse(np.asarray(y_pre)))
-        return z, w
+        return JumpOps(_constant_profiles(rate, float(np.sum(trunc(z_big) * r_big)),
+                                          float(np.sum(z[~big] ** 2 * r[~big]))),
+                       sample, z_margin=float(np.max(np.abs(z))))
 
 
 @dataclass
@@ -173,223 +157,140 @@ class PushforwardJumpMeasure:
     kernel: Kernel
     transform: ScaleTransform
 
-    is_empty = False
-
-    def x_margin(self):
-        return float(self.kernel.support_radius)
-
-    def z_margin(self):
-        return 0.0
-
     def prepare(self, delta, trunc, transform, master_seed):
         del transform  # the measure carries its own
-        k, tr = self.kernel, self.transform
+        k, tr, delta = self.kernel, self.transform, float(delta)
         if isinstance(k, StableTailKernel):
             if not tr.is_identity:
                 raise RangeError(
                     "power-tail kernels need the identity transform: their support "
                     "exceeds any finite transform table"
                 )
-            return _StableOps(k, delta, trunc)
-        if isinstance(k, FiniteActivityKernel) and isinstance(k.law, DiscreteLaw):
-            return _DiscretePushOps(k, tr, delta, trunc)
-        if isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
-            return _DensityPushOps(k, tr, delta, trunc, master_seed)
-        if isinstance(k, TabulatedKernel):
-            return _TabulatedPushOps(k, tr, delta, trunc)
-        raise ValidationError(f"unsupported kernel type {type(k).__name__}")
+            profiles, sample = _stable_ops(k, delta, trunc)
+        elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DiscreteLaw):
+            profiles, sample = _discrete_ops(k, tr, delta, trunc)
+        elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
+            profiles, sample = _density_ops(k, tr, delta, trunc, master_seed)
+        elif isinstance(k, TabulatedKernel):
+            profiles, sample = _tabulated_kernel_ops(k, tr, delta, trunc)
+        else:
+            raise ValidationError(f"unsupported kernel type {type(k).__name__}")
+        return JumpOps(profiles, sample, x_margin=float(k.support_radius))
 
 
-class _StableOps:
+def _stable_ops(kernel: StableTailKernel, delta, trunc):
     """Identity transform: everything is state independent and closed form."""
+    rate = 2.0 * float(kernel.one_tail_mass(delta))
+    kneg = kernel.integral(0.0, lambda z: np.asarray(trunc(z)), lo=-np.inf,
+                           hi=-delta, tol=1e-10, g_bound=trunc.cap)
+    kpos = kernel.integral(0.0, lambda z: np.asarray(trunc(z)), lo=delta,
+                           hi=np.inf, tol=1e-10, g_bound=trunc.cap)
+    svar = kernel.integral(0.0, lambda z: np.asarray(z, dtype=float) ** 2,
+                           lo=-delta, hi=delta, tol=1e-10)
 
-    def __init__(self, kernel: StableTailKernel, delta, trunc):
-        self.kernel = kernel
-        self.delta = float(delta)
-        rate = 2.0 * float(kernel.one_tail_mass(self.delta))
-        kneg = kernel.integral(0.0, lambda z: np.asarray(trunc(z)),
-                               lo=-np.inf, hi=-self.delta, tol=1e-10,
-                               g_bound=trunc.cap)
-        kpos = kernel.integral(0.0, lambda z: np.asarray(trunc(z)),
-                               lo=self.delta, hi=np.inf, tol=1e-10,
-                               g_bound=trunc.cap)
-        svar = kernel.integral(0.0, lambda z: np.asarray(z, dtype=float) ** 2,
-                               lo=-self.delta, hi=self.delta, tol=1e-10)
-        self._rate, self._kdelta, self._svar = rate, kneg + kpos, svar
-
-    def big_rate(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self._rate)
-
-    def kdelta(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self._kdelta)
-
-    def small_var(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self._svar)
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
-        z = self.kernel.sample_two_tail(np.asarray(u1), np.asarray(u2),
-                                        -self.delta, self.delta)
+    def sample(y_pre, u1, u2, path_idx, cand_idx):
+        z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z.copy()
+    return _constant_profiles(rate, kneg + kpos, svar), sample
 
 
-class _DiscretePushOps:
+def _discrete_ops(kernel: FiniteActivityKernel, transform, delta, trunc):
     """Finite-activity discrete law through a (possibly nontrivial) transform.
 
     When the big/small classification of every atom is uniform over the
-    working range, the three state profiles are smooth, so they are
-    tabulated once and interpolated (the per-step exact evaluation costs
-    three transform inversions, which dominates the whole engine).  Size
-    sampling is always exact.
+    working range, the profiles are smooth, so they are tabulated once and
+    interpolated (the per-step exact evaluation costs a transform
+    inversion, which dominates the whole engine).  Otherwise, and under
+    the identity, they are evaluated exactly.  Size sampling is always
+    exact.
     """
+    w_atoms, p = kernel.law.positions, kernel.law.probs
 
-    def __init__(self, kernel: FiniteActivityKernel, transform, delta, trunc):
-        self.kernel = kernel
-        self.transform = transform
-        self.delta = float(delta)
-        self.trunc = trunc
-        self.w = kernel.law.positions
-        self.p = kernel.law.probs
-        self._tab = None
-        if not transform.is_identity:
-            ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
-            _, z = self._images(ys)
-            big = np.abs(z) > self.delta
-            uniform = np.all(big == big[:1, :])
-            if uniform:
-                self._tab = (PchipInterpolator(ys, self._exact_big_rate(ys)),
-                             PchipInterpolator(ys, self._exact_kdelta(ys)),
-                             PchipInterpolator(ys, self._exact_small_var(ys)))
-
-    def _images(self, y):
+    def images(y):
         y = np.asarray(y, dtype=float)
-        x = self.transform.inverse(y)
-        z = np.stack([np.asarray(self.transform.forward(x + w)) - y
-                      for w in self.w], axis=-1)
+        x = transform.inverse(y)
+        z = np.stack([np.asarray(transform.forward(x + w)) - y for w in w_atoms],
+                     axis=-1)
         return x, z
 
-    def _exact_big_rate(self, y):
-        x, z = self._images(y)
-        pbig = np.sum(np.where(np.abs(z) > self.delta, self.p, 0.0), axis=-1)
-        return self.kernel.rate_at(x) * pbig
+    def exact(y):
+        x, z = images(y)
+        big = np.abs(z) > delta
+        vals = np.stack([np.sum(np.where(big, p, 0.0), axis=-1),
+                         np.sum(np.where(big, p * np.asarray(trunc(z)), 0.0), axis=-1),
+                         np.sum(np.where(~big, p * z**2, 0.0), axis=-1)])
+        return kernel.rate_at(x) * vals
 
-    def _exact_kdelta(self, y):
-        x, z = self._images(y)
-        kz = np.asarray(self.trunc(z))
-        vals = np.sum(np.where(np.abs(z) > self.delta, self.p * kz, 0.0), axis=-1)
-        return self.kernel.rate_at(x) * vals
+    profiles = exact
+    if not transform.is_identity:
+        ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
+        big = np.abs(images(ys)[1]) > delta
+        if np.all(big == big[:1, :]):
+            profiles = PchipInterpolator(ys, exact(ys), axis=1)
 
-    def _exact_small_var(self, y):
-        x, z = self._images(y)
-        vals = np.sum(np.where(np.abs(z) <= self.delta, self.p * z**2, 0.0), axis=-1)
-        return self.kernel.rate_at(x) * vals
-
-    def big_rate(self, y):
-        if self._tab is not None:
-            return np.asarray(self._tab[0](np.asarray(y, dtype=float)))
-        return self._exact_big_rate(y)
-
-    def kdelta(self, y):
-        if self._tab is not None:
-            return np.asarray(self._tab[1](np.asarray(y, dtype=float)))
-        return self._exact_kdelta(y)
-
-    def small_var(self, y):
-        if self._tab is not None:
-            return np.asarray(self._tab[2](np.asarray(y, dtype=float)))
-        return self._exact_small_var(y)
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
-        _, z = self._images(y_pre)
-        pbig = np.where(np.abs(z) > self.delta, self.p, 0.0)
+    def sample(y_pre, u1, u2, path_idx, cand_idx):
+        _, z = images(y_pre)
+        pbig = np.where(np.abs(z) > delta, p, 0.0)
         tot = np.sum(pbig, axis=-1, keepdims=True)
         cum = np.cumsum(pbig, axis=-1) / np.maximum(tot, 1e-300)
         idx = np.sum(cum < np.asarray(u1)[..., None], axis=-1)
-        idx = np.clip(idx, 0, len(self.w) - 1)
-        z_out = np.take_along_axis(z, idx[..., None], axis=-1)[..., 0]
-        w_out = self.w[idx]
-        return z_out, w_out
+        idx = np.clip(idx, 0, len(w_atoms) - 1)
+        return np.take_along_axis(z, idx[..., None], axis=-1)[..., 0], w_atoms[idx]
+    return profiles, sample
 
 
-class _DensityPushOps:
-    """Finite-activity continuous law; state profile tabulated, sizes rejected."""
-
-    def __init__(self, kernel: FiniteActivityKernel, transform, delta, trunc,
+def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
                  master_seed, nodes=129):
-        self.kernel = kernel
-        self.transform = transform
-        self.delta = float(delta)
-        self.trunc = trunc
-        self.master_seed = master_seed
-        law = kernel.law
-        if transform.is_identity:
-            d = self.delta
-            pbig = law.mass(-np.inf, -np.nextafter(d, np.inf)) + law.mass(
-                np.nextafter(d, np.inf), np.inf)
-            kdel = (law.expect(lambda z: np.asarray(trunc(z)), -np.inf, -d)
-                    + law.expect(lambda z: np.asarray(trunc(z)), d, np.inf))
-            svar = law.expect(lambda z: np.asarray(z) ** 2, -d, d)
-            self._tab = None
-            self._const = (pbig, kdel, svar)
-        else:
-            ys = _shrunk_image_grid(transform, kernel.law.support_radius, nodes)
-            pb, kd, sv = [], [], []
-            for yv in ys:
-                pb.append(self._exact_pbig(yv))
-                kd.append(self._exact_kdelta(yv))
-                sv.append(self._exact_small_var(yv))
-            self._tab = (PchipInterpolator(ys, np.asarray(pb)),
-                         PchipInterpolator(ys, np.asarray(kd)),
-                         PchipInterpolator(ys, np.asarray(sv)))
-            self._const = None
+    """Finite-activity continuous law: the law's profiles are constant under
+    the identity and tabulated otherwise, times the rate at the state;
+    sizes are drawn by rejection."""
+    law = kernel.law
 
-    def _z_of(self, y, w):
-        x = self.transform.inverse(y)
-        return np.asarray(self.transform.forward(x + np.asarray(w))) - y
+    def z_of(y, w):
+        x = transform.inverse(y)
+        return np.asarray(transform.forward(x + np.asarray(w))) - y
 
-    def _exact_pbig(self, y):
-        return self.kernel.law.expect(
-            lambda w: (np.abs(self._z_of(y, w)) > self.delta).astype(float))
+    if transform.is_identity:
+        d = delta
+        pbig = law.mass(-np.inf, -np.nextafter(d, np.inf)) + law.mass(
+            np.nextafter(d, np.inf), np.inf)
+        kdel = (law.expect(lambda z: np.asarray(trunc(z)), -np.inf, -d)
+                + law.expect(lambda z: np.asarray(trunc(z)), d, np.inf))
+        svar = law.expect(lambda z: np.asarray(z) ** 2, -d, d)
+        per_jump = _constant_profiles(pbig, kdel, svar)
+    else:
+        def at_node(y):
+            def big(w):
+                return np.abs(z_of(y, w)) > delta
 
-    def _exact_kdelta(self, y):
-        def g(w):
-            z = self._z_of(y, w)
-            return np.where(np.abs(z) > self.delta, np.asarray(self.trunc(z)), 0.0)
-        return self.kernel.law.expect(g)
+            def kd(w):
+                z = z_of(y, w)
+                return np.where(np.abs(z) > delta, np.asarray(trunc(z)), 0.0)
 
-    def _exact_small_var(self, y):
-        def g(w):
-            z = self._z_of(y, w)
-            return np.where(np.abs(z) <= self.delta, z**2, 0.0)
-        return self.kernel.law.expect(g)
+            def sv(w):
+                z = z_of(y, w)
+                return np.where(np.abs(z) <= delta, z**2, 0.0)
+            return [law.expect(lambda w: big(w).astype(float)), law.expect(kd),
+                    law.expect(sv)]
 
-    def _profile(self, y, which):
+        ys = _shrunk_image_grid(transform, law.support_radius, nodes)
+        per_jump = PchipInterpolator(ys, np.asarray([at_node(yv) for yv in ys]).T,
+                                     axis=1)
+
+    def profiles(y):
         y = np.asarray(y, dtype=float)
-        if self._const is not None:
-            return np.full_like(y, self._const[which])
-        return np.asarray(self._tab[which](y))
+        return kernel.rate_at(transform.inverse(y)) * per_jump(y)
 
-    def big_rate(self, y):
-        x = self.transform.inverse(np.asarray(y, dtype=float))
-        return self.kernel.rate_at(x) * self._profile(y, 0)
-
-    def kdelta(self, y):
-        x = self.transform.inverse(np.asarray(y, dtype=float))
-        return self.kernel.rate_at(x) * self._profile(y, 1)
-
-    def small_var(self, y):
-        x = self.transform.inverse(np.asarray(y, dtype=float))
-        return self.kernel.rate_at(x) * self._profile(y, 2)
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
+    def sample(y_pre, u1, u2, path_idx, cand_idx):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         z_out = np.empty_like(y_pre)
         w_out = np.empty_like(y_pre)
         for i in range(len(y_pre)):
-            rng = event_rng(self.master_seed, int(path_idx[i]), int(cand_idx[i]))
+            rng = event_rng(master_seed, int(path_idx[i]), int(cand_idx[i]))
             for _ in range(10000):
-                w = float(self.kernel.law.sampler(rng, 1)[0])
-                z = float(self._z_of(y_pre[i], w))
-                if abs(z) > self.delta:
+                w = float(law.sampler(rng, 1)[0])
+                z = float(z_of(y_pre[i], w))
+                if abs(z) > delta:
                     z_out[i], w_out[i] = z, w
                     break
             else:
@@ -398,62 +299,42 @@ class _DensityPushOps:
                     "cutoff too large for this law"
                 )
         return z_out, w_out
+    return profiles, sample
 
 
-class _TabulatedPushOps:
-    """Tabulated discrete kernels; everything evaluated exactly per state."""
+def _tabulated_kernel_ops(kernel: TabulatedKernel, transform, delta, trunc):
+    """Tabulated discrete kernels; everything evaluated exactly per state,
+    with one inversion per evaluation."""
 
-    def __init__(self, kernel: TabulatedKernel, transform, delta, trunc):
-        self.kernel = kernel
-        self.transform = transform
-        self.delta = float(delta)
-        self.trunc = trunc
+    def rows(y):
+        """(atom positions, transformed sizes, masses) at each state of 1-d y."""
+        x = np.asarray(transform.inverse(y))
+        for xi, yi in zip(x, y):
+            pos, mass = kernel._at(xi)
+            yield pos, np.asarray(transform.forward(xi + pos)) - yi, mass
 
-    def _rows(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        x = np.asarray(self.transform.inverse(y))
-        out = []
-        for xi, yi in zip(np.atleast_1d(x), y):
-            pos, mass = self.kernel._at(xi)
-            z = np.asarray(self.transform.forward(xi + pos)) - yi
-            out.append((z, mass))
-        return out
+    def profiles(y):
+        y = np.asarray(y, dtype=float)
+        out = np.empty((3, y.size))
+        for i, (_, z, m) in enumerate(rows(y.ravel())):
+            big = np.abs(z) > delta
+            out[:, i] = (np.sum(m[big]), np.sum(np.asarray(trunc(z)) * m * big),
+                         np.sum(z**2 * m * ~big))
+        return out.reshape((3,) + y.shape)
 
-    def _reduce(self, y, fn):
-        y_arr = np.asarray(y, dtype=float)
-        rows = self._rows(y_arr)
-        vals = np.asarray([fn(z, m) for z, m in rows])
-        return vals.reshape(np.atleast_1d(y_arr).shape) if y_arr.ndim else float(vals[0])
-
-    def big_rate(self, y):
-        out = self._reduce(y, lambda z, m: float(np.sum(m[np.abs(z) > self.delta])))
-        return np.asarray(out)
-
-    def kdelta(self, y):
-        return np.asarray(self._reduce(
-            y, lambda z, m: float(np.sum(
-                np.asarray(self.trunc(z)) * m * (np.abs(z) > self.delta)))))
-
-    def small_var(self, y):
-        return np.asarray(self._reduce(
-            y, lambda z, m: float(np.sum(z**2 * m * (np.abs(z) <= self.delta)))))
-
-    def sample(self, y_pre, u1, u2, path_idx, cand_idx):
+    def sample(y_pre, u1, u2, path_idx, cand_idx):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
         z_out = np.empty_like(y_pre)
         w_out = np.empty_like(y_pre)
-        rows = self._rows(y_pre)
-        x = np.asarray(self.transform.inverse(y_pre))
-        for i, (z, m) in enumerate(rows):
-            big = np.abs(z) > self.delta
+        for i, (pos, z, m) in enumerate(rows(y_pre)):
+            big = np.abs(z) > delta
             zb, mb = z[big], m[big]
             cum = np.cumsum(mb) / np.sum(mb)
             j = int(np.clip(np.searchsorted(cum, u1[i]), 0, len(zb) - 1))
-            z_out[i] = zb[j]
-            pos, _ = self.kernel._at(float(np.atleast_1d(x)[i]))
-            w_out[i] = pos[big][j]
+            z_out[i], w_out[i] = zb[j], pos[big][j]
         return z_out, w_out
+    return profiles, sample
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +542,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
 
     ops = chars.measure.prepare(config.small_jump_cutoff, trunc, transform,
                                 config.master_seed)
-    has_jumps = not getattr(chars.measure, "is_empty", False)
+    has_jumps = ops is not None
 
     # effective exclusion bounds: evaluating the jump machinery at a state
     # requires the kernel support (and the transformed atom sizes) to stay
@@ -669,8 +550,8 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     img_lo, img_hi = transform.image
     if not transform.is_identity:
         dlo, dhi = transform.domain
-        xm = float(chars.measure.x_margin()) if has_jumps else 0.0
-        zm = float(chars.measure.z_margin()) if has_jumps else 0.0
+        xm = ops.x_margin if has_jumps else 0.0
+        zm = ops.z_margin if has_jumps else 0.0
         if not np.isfinite(xm) or 2.0 * xm >= dhi - dlo:
             raise RangeError("kernel support exceeds the tabulated transform range")
         img_lo = float(np.asarray(transform.forward(np.asarray(dlo + xm)))) + zm
@@ -686,7 +567,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
             scan = np.linspace(y0 - span, y0 + span, 65)
         else:
             scan = np.linspace(img_lo, img_hi, 129)
-        sup_rate = float(np.max(ops.big_rate(scan)))
+        sup_rate = float(np.max(ops.profiles(scan)[0]))
         if sup_rate > lam_max * (1.0 + 1e-9):
             raise IntensityBoundViolated(
                 f"dominating intensity {lam_max} below scanned supremum {sup_rate:.6g}"
@@ -747,12 +628,12 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
         drift = np.asarray(chars.b(y)) + s0 * hv
         jump_add = np.zeros(P)
         if has_jumps:
-            drift = drift - np.asarray(ops.kdelta(y))
+            big_rate, kdelta, small_var = ops.profiles(y)
+            drift = drift - kdelta
         lo, hi = bounds[s], bounds[s + 1]
-        if hi > lo:
+        if has_jumps and hi > lo:
             p_idx = c_path[lo:hi]
-            rate = np.asarray(ops.big_rate(y[p_idx]), dtype=float)
-            ratio = rate / lam_max
+            ratio = big_rate[p_idx] / lam_max
             if np.any(ratio > 1.0 + 1e-12):
                 raise IntensityBoundViolated(
                     f"acceptance probability {float(np.max(ratio)):.6g} > 1 "
@@ -771,8 +652,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
                 acc_w.append(np.asarray(w, dtype=float))
         incr = drift * dt + s0 * sq_dt * normals[:, s]
         if use_gauss and has_jumps:
-            sv = np.asarray(ops.small_var(y))
-            incr = incr + np.sqrt(np.maximum(sv, 0.0) * dt) * small_normals[:, s]
+            incr = incr + np.sqrt(np.maximum(small_var, 0.0) * dt) * small_normals[:, s]
         y_next = y + incr + jump_add
         if not transform.is_identity:
             out = (y_next < img_lo) | (y_next > img_hi)

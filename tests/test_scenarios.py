@@ -125,6 +125,14 @@ class TestRunScenario:
         report, _ = run_scenario(spec)
         assert report.status == "pass"
 
+    def test_path_dependent_default_run_passes_martingale(self):
+        # the engine leaves the drift functional out; the martingale
+        # residuals are read under its Girsanov weight
+        report, _ = run_scenario(ScenarioSpec(name="path_dependent_drift"))
+        assert [d.name for d in report.diagnostics] == ["girsanov", "martingale"]
+        assert report.diagnostics[1].status == "pass"
+        assert report.status == "pass"
+
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
                             diagnostics=("qv", "gamma"), **SMALL)

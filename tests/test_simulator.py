@@ -173,7 +173,7 @@ class TestDrawOrder:
         ens = simulate_x_markovian(CoefficientSet.unit(), kernel, trunc, cfg, 0.0)
         ops = PushforwardJumpMeasure(kernel, ScaleTransform.identity()).prepare(
             cfg.small_jump_cutoff, trunc, None, cfg.master_seed)
-        rate = float(ops.big_rate(np.zeros(1))[0])
+        rate = float(ops.profiles(np.zeros(1))[0, 0])
 
         def sizes(i, j, u1, u2):
             w = np.asarray([law.sampler(event_rng(cfg.master_seed, i, jj), 1)[0]
@@ -281,6 +281,98 @@ class TestLawOracles:
             errs.append(abs(e.y[0, -1] - ref.y[0, -1]))
         ratio = errs[1] / errs[0]
         assert 0.4 < ratio < 0.6
+
+
+# ---------------------------------------------------------------------------
+# jump-measure branches under a nontrivial transform
+# ---------------------------------------------------------------------------
+
+def _uniform_density_kernel():
+    from sdelab import DensityLaw, FiniteActivityKernel
+    law = DensityLaw(
+        pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
+        support=(0.5, 1.5),
+        sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
+    return FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
+
+
+def _split_atom_kernel():
+    # the 0.05 atom is big at some states and small at others once pushed
+    # through the transform, so its profiles are evaluated exactly
+    from sdelab import DiscreteLaw, FiniteActivityKernel
+    return FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.05, 0.5), (0.8, 0.5))),
+                                alpha=1.0)
+
+
+def _state_dependent_table():
+    from sdelab import TabulatedKernel
+    grid = np.linspace(-4.0, 4.0, 9)
+    measures = tuple(((0.6, 0.5 + 0.05 * i), (-0.4, 0.3)) for i in range(len(grid)))
+    return TabulatedKernel(y_grid=grid, measures=measures, alpha=1.0)
+
+
+class TestJumpMeasureBranches:
+    """Discrete laws on the exact fallback, density laws and tabulated
+    kernels, each simulated through the tanh transform."""
+
+    CASES = {
+        "discrete_exact": (_split_atom_kernel, [(0.5, 1.0)],
+                           lambda w: np.isin(w, [0.05, 0.8])),
+        "density": (_uniform_density_kernel, [(0.5, 1.5)],
+                    lambda w: (w >= 0.5) & (w <= 1.5)),
+        "tabulated": (_state_dependent_table, [(0.3, 1.0), (-1.0, -0.2)],
+                      lambda w: np.isin(w, [0.6, -0.4])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_marks_support_and_compensator(self, case, tanh_coeffs, clamp1):
+        make, region, in_support = self.CASES[case]
+        kernel = make()
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=300, master_seed=31,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=1.25)
+        ens = simulate_x_markovian(tanh_coeffs, kernel, clamp1, cfg, 0.0)
+        assert len(ens.jump_w) > 150
+        h = tanh_coeffs.transform.forward
+        z_check = h(ens.jump_x_pre + ens.jump_w) - h(ens.jump_x_pre)
+        assert np.max(np.abs(z_check - ens.jump_z)) < 1e-8
+        assert np.all(in_support(ens.jump_w))
+        stats = compensator_residual(ens, region, kernel)
+        assert abs(stats.zscore) < 3.5
+
+    def test_profiles_match_exact_evaluation(self, tanh_coeffs, atom_kernel, clamp1):
+        # (rate, compensator, small variance) assembled by hand from the
+        # transformed sizes z = h(x + w) - y, against the tabulated tables
+        # at their nodes and the exact fallback anywhere
+        tr = tanh_coeffs.transform
+        h = tr.forward
+
+        def prepare(kernel, cutoff):
+            return PushforwardJumpMeasure(kernel, tr).prepare(cutoff, clamp1, None, 0)
+
+        ys = simulator._shrunk_image_grid(tr, 0.1, 257)
+        z = h(tr.inverse(ys) + 0.1) - ys
+        np.testing.assert_allclose(prepare(atom_kernel, 0.01).profiles(ys),
+                                   [np.ones_like(ys), z, np.zeros_like(ys)],
+                                   rtol=1e-12, atol=1e-15)
+
+        # h' > 0.3 here, so every jump of the law on [0.5, 1.5] is big
+        from scipy.integrate import quad
+        ys = simulator._shrunk_image_grid(tr, 1.5, 129)[::16]
+        comp = [quad(lambda w: float(np.clip(h(x + w) - y, -1.0, 1.0)), 0.5, 1.5,
+                     epsabs=1e-12)[0] for x, y in zip(tr.inverse(ys), ys)]
+        np.testing.assert_allclose(
+            prepare(_uniform_density_kernel(), 0.05).profiles(ys),
+            [np.ones_like(ys), comp, np.zeros_like(ys)], rtol=1e-7, atol=1e-12)
+
+        ys = simulator._shrunk_image_grid(tr, 0.8, 41)
+        z = np.stack([h(tr.inverse(ys) + w) - ys for w in (0.05, 0.8)])
+        big = np.abs(z) > 0.05
+        exact = [0.5 * big.sum(axis=0),
+                 0.5 * np.sum(np.where(big, clamp1(z), 0.0), axis=0),
+                 0.5 * np.sum(np.where(big, 0.0, z**2), axis=0)]
+        assert 0 < big[0].sum() < len(ys)  # the 0.05 atom changes class
+        np.testing.assert_allclose(prepare(_split_atom_kernel(), 0.05).profiles(ys),
+                                   exact, rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
