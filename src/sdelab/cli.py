@@ -19,12 +19,14 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError,
                      ValidationError)
+from .generator import martingale_residual_ensemble
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
 from .pathcalc import qv_estimate
 from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
                         counterexample_cauchy, counterexample_stable,
-                        emit_report, load_spec, report_json, run_scenario,
-                        scenario_names)
+                        emit_report, load_spec, report_json, run_bundle,
+                        run_scenario, scenario_names, standard_profiles)
+from .simulator import girsanov_weight_ensemble
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -137,20 +139,21 @@ def cmd_simulate(args):
 def cmd_verify_martingale(args):
     spec = _spec_from_args(args)
     spec.diagnostics = ("martingale",)
-    report, ens = run_scenario(spec)
-    out_dir = _out_dir(args)
-    from .generator import martingale_residual_ensemble
-    from .scenarios import build_bundle, standard_profiles
     bundle = build_bundle(spec)
+    report, ens = run_bundle(spec, bundle)
+    out_dir = _out_dir(args)
     prof = standard_profiles()[0]
     M = martingale_residual_ensemble(ens, prof, bundle.functional, bundle.kernel,
                                      bundle.trunc, bundle.coeffs)
+    # the Girsanov weight under which the diagnostic reads the residuals
+    kappa = (girsanov_weight_ensemble(ens, bundle.functional).final
+             if bundle.functional is not None else np.ones(ens.n_paths))
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
     with open(res_path, "w", encoding="utf-8") as fh:
-        fh.write("path_id,t,M_f\n")
+        fh.write("path_id,t,M_f,kappa_T\n")
         for i in range(min(args.dump_paths, ens.n_paths)):
             for t, v in zip(ens.times, M[i]):
-                fh.write(f"{i},{float(t)!r},{float(v)!r}\n")
+                fh.write(f"{i},{float(t)!r},{float(v)!r},{float(kappa[i])!r}\n")
     print(f"residual paths -> {res_path}", file=sys.stderr)
     return _print_report(report, out_dir, args.format)
 

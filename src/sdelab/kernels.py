@@ -332,14 +332,22 @@ class TabulatedKernel:
         sel = (pos >= lo) & (pos <= hi)
         return float(np.sum(mass[sel]))
 
+    def _nearest(self, y):
+        """``_at``'s grid index for every entry of 1-d ``y``: the same
+        ``argmin`` (first minimum on ties), in chunks of bounded size."""
+        idx = np.empty(len(y), dtype=np.intp)
+        chunk = max(1, 2**20 // len(self.y_grid))
+        for i in range(0, len(y), chunk):
+            idx[i:i + chunk] = np.argmin(
+                np.abs(self.y_grid - y[i:i + chunk, None]), axis=1)
+        return idx
+
     def region_mass_vec(self, y, intervals):
         y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        flat = out.ravel()
-        yf = y.ravel()
-        for i in range(len(yf)):
-            flat[i] = sum(self.region_mass(yf[i], lo, hi) for lo, hi in intervals)
-        return out
+        per_state = np.asarray([sum(float(np.sum(mass[(pos >= lo) & (pos <= hi)]))
+                                    for lo, hi in intervals)
+                                for pos, mass in self._parsed], dtype=float)
+        return per_state[self._nearest(y.ravel())].reshape(y.shape)
 
     def two_tail_mass(self, y, w_lo, w_hi):
         return (self.region_mass(y, -np.inf, w_lo)

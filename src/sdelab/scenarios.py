@@ -26,7 +26,7 @@ from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKerne
 from .pathcalc import (aligned_window_ladder, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
-from .simulator import (Ensemble, SimConfig, girsanov_weight_ensemble,
+from .simulator import (Ensemble, SimConfig, check_seed, girsanov_weight_ensemble,
                         compensator_residual, simulate_euler_direct,
                         simulate_x_markovian, weighted_expectation)
 
@@ -286,7 +286,7 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
     if spec.n_steps is not None:
         kw["n_steps"] = int(spec.n_steps)
     if spec.seed is not None:
-        kw["master_seed"] = int(spec.seed)
+        kw["master_seed"] = spec.seed  # SimConfig validates it
     if spec.horizon is not None:
         kw["horizon"] = float(spec.horizon)
     if kw:
@@ -601,7 +601,13 @@ def _simulation_section(ens: Ensemble):
 def run_scenario(spec: ScenarioSpec) -> tuple:
     """Validate, simulate and diagnose; returns (report, ensemble)."""
     t0 = time.perf_counter()
-    bundle = build_bundle(spec)
+    return run_bundle(spec, build_bundle(spec), t0)
+
+
+def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
+    """``run_scenario`` for a bundle already built from ``spec``; the wall
+    clock counts from ``t0`` (default: now)."""
+    t0 = time.perf_counter() if t0 is None else t0
     unknown = [d for d in bundle.diagnostics if d not in _DIAGNOSTICS]
     if unknown:
         raise ValidationError(f"unknown diagnostics: {unknown}")
@@ -692,6 +698,7 @@ def counterexample_cauchy(n_samples=1_000_000, caps=(10.0, 100.0, 1000.0),
     """
     if n_samples < 10_000:
         raise ValidationError("need at least 1e4 samples")
+    check_seed(seed)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     z = rng.standard_cauchy(n_samples)

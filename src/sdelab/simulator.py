@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.interpolate import PchipInterpolator
 
 from .coefficients import CoefficientSet, ScaleTransform, transformed_diffusion
@@ -37,6 +38,12 @@ def _as_vec(fn_or_const):
 # configuration
 # ---------------------------------------------------------------------------
 
+def check_seed(seed):
+    """Raise ValidationError unless ``seed`` is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass
 class SimConfig:
     horizon: float = 1.0
@@ -57,6 +64,7 @@ class SimConfig:
             raise ValidationError(f"unknown small_jump_mode {self.small_jump_mode!r}")
         if self.big_jump_intensity_bound < 0:
             raise ValidationError("big_jump_intensity_bound must be >= 0")
+        check_seed(self.master_seed)
 
     def replace(self, **kw):
         d = self.__dict__.copy()
@@ -64,17 +72,99 @@ class SimConfig:
         return SimConfig(**d)
 
 
+# ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence (NEP 19, after O'Neill's seed_seq): a pool of four
+# uint32 words, hashed and mixed with 32-bit integer arithmetic only
+_M32 = 0xFFFFFFFF
+_POOL = 4
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix with its own running constant; works on ints
+    and on uint32 arrays alike."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((0xCA01F9DD * x & _M32) - (0x4973F715 * y & _M32)) & _M32
+    return r ^ (r >> 16)
+
+
+def seed_words(master_seed, keys) -> np.ndarray:
+    """Row ``r`` equals ``SeedSequence(entropy=master_seed,
+    spawn_key=tuple(keys[r])).generate_state(4, np.uint64)``.
+
+    ``keys`` is a 2-d integer array of spawn keys of equal length whose
+    entries lie in [0, 2**32).  The master seed's words fill the pool, so
+    the pool before the key words is shared and computed once; the key
+    words and the output hash run on whole columns of uint32.
+    """
+    check_seed(master_seed)
+    keys = np.asarray(keys)
+    if keys.ndim != 2 or keys.shape[1] == 0 or keys.dtype.kind not in "iu":
+        raise ValidationError("spawn keys must be a 2-d array of integers")
+    if keys.size and (keys.min() < 0 or keys.max() > _M32):
+        raise ValidationError("spawn key entries must lie in [0, 2**32)")
+    seed, run = int(master_seed), []
+    while seed or not run:
+        run.append(seed & _M32)
+        seed >>= 32
+    run += [0] * (_POOL - len(run))  # a spawned sequence pads to the pool size
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in run[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in run[_POOL:] + list(keys.astype(np.uint32).T):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    out_hash = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = np.empty((len(keys), 2 * _POOL), dtype=np.uint32)
+    for i in range(2 * _POOL):
+        out[:, i] = out_hash(pool[i % _POOL])
+    # word pairs read as little-endian uint64, as generate_state does
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Seed words computed in advance, handed to PCG64 as its state."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("precomputed seed words serve PCG64 only")
+        return self.words
+
+
+def streams(master_seed, keys):
+    """One PCG64 Generator per spawn key, as ``np.random.default_rng`` of
+    the SeedSequence would give; the words are computed now for all keys,
+    each Generator when it is reached."""
+    return (np.random.Generator(np.random.PCG64(_Words(w)))
+            for w in seed_words(master_seed, keys))
+
+
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-derived stream: (seed, path index) fully determines a path."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(int(path_index),))
-    return np.random.default_rng(ss)
+    return next(streams(master_seed, [[path_index]]))
 
 
 def event_rng(master_seed: int, path_index: int, event_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(int(path_index), 1 + int(event_index)))
-    return np.random.default_rng(ss)
+    return next(streams(master_seed, [[path_index, 1 + event_index]]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +375,8 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         z_out = np.empty_like(y_pre)
         w_out = np.empty_like(y_pre)
-        for i in range(len(y_pre)):
-            rng = event_rng(master_seed, int(path_idx[i]), int(cand_idx[i]))
+        keys = np.column_stack((np.atleast_1d(path_idx), 1 + np.atleast_1d(cand_idx)))
+        for i, rng in enumerate(streams(master_seed, keys)):
             for _ in range(10000):
                 w = float(law.sampler(rng, 1)[0])
                 z = float(z_of(y_pre[i], w))
@@ -582,8 +672,7 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     counts = np.zeros(P, dtype=np.int64)
     unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
     total = 0
-    for i in range(P):
-        rng = path_rng(config.master_seed, i)
+    for i, rng in enumerate(streams(config.master_seed, np.arange(P)[:, None])):
         rng.standard_normal(out=normals[i])
         rng.standard_normal(out=small_normals[i])
         k = int(rng.poisson(lam_max * T)) if lam_max > 0 else 0

@@ -108,6 +108,44 @@ class TestTVModulus:
                                   np.linspace(-1, 1, 10))
 
 
+# --- tabulated region mass ---------------------------------------------------
+
+class TestTabulatedRegionMass:
+    """The array form equals the scalar ``region_mass`` summed per state."""
+
+    INTERVALS = [(0.3, 1.0), (-1.0, -0.2), (1.5, np.inf)]
+
+    @staticmethod
+    def _scalar(k, y, intervals):
+        return np.asarray([sum(k.region_mass(v, lo, hi) for lo, hi in intervals)
+                           for v in np.ravel(y)]).reshape(np.shape(y))
+
+    @pytest.mark.parametrize("grid", (np.linspace(-4.0, 4.0, 9),
+                                      np.asarray([1.0, -2.0, 0.5, 1.0, 3.0])))
+    def test_matches_scalar_sum(self, grid):
+        measures = tuple(((0.6, 0.5 + 0.05 * i), (-0.4, 0.3 * (i % 3)),
+                          (2.0, 0.1 * i)) for i in range(len(grid)))
+        k = TabulatedKernel(y_grid=grid, measures=measures)
+        srt = np.sort(grid)
+        mids = 0.5 * (srt[1:] + srt[:-1])  # ties between neighbours
+        rng = np.random.default_rng(3)
+        y = np.concatenate([grid, mids, [-50.0, 50.0, srt[0] - 1e-9, srt[-1] + 1e-9],
+                            rng.uniform(-6.0, 6.0, 200)])
+        for intervals in (self.INTERVALS, self.INTERVALS[:1], []):
+            got = k.region_mass_vec(y, intervals)
+            assert got.dtype == float
+            assert np.array_equal(got, self._scalar(k, y, intervals))
+        y2 = y[:200].reshape(20, 10)
+        assert np.array_equal(k.region_mass_vec(y2, self.INTERVALS),
+                              self._scalar(k, y2, self.INTERVALS))
+
+    def test_scalar_and_empty_states(self):
+        k = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]),
+                            measures=(((1.0, 0.5),), ((1.0, 2.0),)))
+        assert k.region_mass_vec(0.5, [(0.5, 1.5)]) == 0.5  # tie: first state
+        assert k.region_mass_vec(np.empty((0, 3)), [(0.5, 1.5)]).shape == (0, 3)
+
+
 # --- pushforward -------------------------------------------------------------
 
 class TestPushforward:

@@ -412,6 +412,59 @@ class TestCLI:
         import sdelab.cli as cli
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", (
+        ["run", "--name", "brownian_baseline", "--paths", "50", "--steps", "8",
+         "--seed", "-1"],
+        ["counterexample", "stable", "--steps", "8", "--seed", "-3"],
+        ["counterexample", "cauchy", "--samples", "10000", "--seed", "-3"],
+    ))
+    def test_negative_seed_exits_two(self, tmp_path, argv, capsys):
+        import sdelab.cli as cli
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_non_integer_yaml_seed_exits_two(self, tmp_path):
+        import sdelab.cli as cli
+        cfg = tmp_path / "seed.yaml"
+        cfg.write_text("scenario:\n  name: brownian_baseline\n  seed: 1.5\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
+        import sdelab.cli as cli
+        from sdelab import scenarios
+        from sdelab.simulator import girsanov_weight_ensemble, simulate_x_markovian
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.name)
+            return build_bundle(spec)
+        monkeypatch.setattr(cli, "build_bundle", counted)
+        monkeypatch.setattr(scenarios, "build_bundle", counted)
+        cli.main(["verify-martingale", "--name", "path_dependent_drift",
+                  "--paths", "60", "--steps", "16", "--dump-paths", "3",
+                  "--out", str(tmp_path)])
+        assert calls == ["path_dependent_drift"]
+        lines = (tmp_path / "residuals_path_dependent_drift.csv").read_text().splitlines()
+        assert lines[0] == "path_id,t,M_f,kappa_T"
+        rows = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        assert len(rows) == 3 * 17
+        bundle = build_bundle(ScenarioSpec(name="path_dependent_drift", n_paths=60,
+                                           n_steps=16))
+        ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
+                                   bundle.sim, bundle.x0)
+        kappa = girsanov_weight_ensemble(ens, bundle.functional).final
+        for i in range(3):
+            assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
+        assert len(set(rows[:, 3])) == 3 and not np.all(rows[:, 3] == 1.0)
+
+    def test_verify_martingale_weight_is_one_without_functional(self, tmp_path):
+        import sdelab.cli as cli
+        cli.main(["verify-martingale", "--name", "brownian_baseline", "--paths", "40",
+                  "--steps", "8", "--dump-paths", "2", "--out", str(tmp_path)])
+        lines = (tmp_path / "residuals_brownian_baseline.csv").read_text().splitlines()
+        assert lines[0] == "path_id,t,M_f,kappa_T"
+        assert all(ln.split(",")[3] == "1.0" for ln in lines[1:])
+
     def test_counterexample_seed_applies_without_paths(self, tmp_path):
         import sdelab.cli as cli
         cli.main(["counterexample", "stable", "--gamma", "1.5", "--steps", "8",

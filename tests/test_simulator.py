@@ -197,6 +197,71 @@ class TestDrawOrder:
 
 
 # ---------------------------------------------------------------------------
+# the stream definition
+# ---------------------------------------------------------------------------
+
+# small and large master seeds: one, two, three and more than four words
+STREAM_SEEDS = (0, 1, 17, 41, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
+                2**73 + 3, 2**130 + 99)
+
+
+def _numpy_words(seed, key):
+    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(
+        4, np.uint64)
+
+
+class TestStreams:
+    """``seed_words`` pinned to numpy's SeedSequence, key for key."""
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_path_keys_match_seed_sequence(self, seed):
+        keys = np.concatenate([np.arange(400), [2**31, 2**32 - 1]])[:, None]
+        ref = np.stack([_numpy_words(seed, (int(k),)) for k in keys[:, 0]])
+        assert np.array_equal(simulator.seed_words(seed, keys), ref)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_event_keys_match_seed_sequence(self, seed):
+        keys = np.asarray([(p, 1 + j) for p in (0, 3, 7, 4095, 10**6) for j in range(20)])
+        ref = np.stack([_numpy_words(seed, (int(p), int(e))) for p, e in keys])
+        assert np.array_equal(simulator.seed_words(seed, keys), ref)
+
+    @pytest.mark.parametrize("seed", (0, 41, 2**64 + 7))
+    def test_first_draws_match_default_rng(self, seed):
+        for i in (0, 5, 2**32 - 1):
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            assert np.array_equal(path_rng(seed, i).random(8), ref.random(8))
+            ref = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i, 1 + 3)))
+            assert np.array_equal(event_rng(seed, i, 3).standard_normal(8),
+                                  ref.standard_normal(8))
+
+    def test_engine_streams_match_path_rng(self):
+        rngs = list(simulator.streams(9, np.arange(6)[:, None]))
+        for i, rng in enumerate(rngs):
+            assert np.array_equal(rng.random(4), path_rng(9, i).random(4))
+
+    @pytest.mark.parametrize("key", ([[2**32]], [[-1]], [[0, 2**32]], [[0.5]], [0]))
+    def test_bad_keys_rejected(self, key):
+        # SeedSequence would spend two words on an entry of 2**32 or more
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            simulator.seed_words(0, key)
+
+    def test_indices_beyond_one_word_rejected(self):
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            path_rng(0, 2**32)
+        with pytest.raises(ValidationError):
+            event_rng(0, 0, 2**32 - 1)  # its key entry is 1 + j
+
+    @pytest.mark.parametrize("seed", (-1, 1.5, True, np.float64(2.0), "3", None))
+    def test_bad_master_seed_rejected(self, seed):
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            simulator.seed_words(seed, [[0]])
+
+
+# ---------------------------------------------------------------------------
 # law oracles
 # ---------------------------------------------------------------------------
 
@@ -394,6 +459,18 @@ class TestGuards:
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
             simulate_y(brownian_chars(), None, cfg, 0.0)
+
+    @pytest.mark.parametrize("seed", (-1, -3, 1.5, True, np.bool_(True), "7", None))
+    def test_master_seed_must_be_a_nonnegative_integer(self, seed):
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            SimConfig(master_seed=seed)
+        with pytest.raises(ValidationError):
+            BROWNIAN_CFG.replace(master_seed=seed)
+
+    @pytest.mark.parametrize("seed", (0, 7, np.int64(7), np.uint32(7), 2**80))
+    def test_integer_master_seeds_accepted(self, seed):
+        assert SimConfig(master_seed=seed).master_seed == seed
 
     def test_narrow_grid_exclusion_failure(self, unit_diffusion, clamp1):
         import sdelab as sl
