@@ -26,13 +26,84 @@ from .errors import NonConvergent, QuadratureFailure, RangeError
 
 _MOLL_NODES = 48
 _SEG_NODES = 8
+_CHUNK = 2**16  # points per coefficient gather: bounds the temporaries
 
 
-def _pchip(x, y):
-    """Monotone cubic; silences the harmonic-mean overflow that scipy's
-    construction emits on near-flat (noise-scale) segments."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return PchipInterpolator(x, y)
+def _power_sum(c, s):
+    """c[3] + c[2] s + c[1] s^2 + c[0] (s^2 s), added in the order of
+    scipy's PPoly evaluation so that the result agrees to the last bit."""
+    s2 = s * s
+    v = c[2] * s
+    v += c[3]
+    v += c[1] * s2
+    s2 *= s
+    v += c[0] * s2
+    return v
+
+
+class CubicTable:
+    """Monotone cubic interpolant of values tabulated along the last axis
+    of ``y`` at the increasing nodes ``x`` (Fritsch & Carlson 1980).
+
+    The coefficients are those of scipy's ``PchipInterpolator``, built once
+    (with the harmonic-mean overflow warnings of near-flat segments
+    silenced), and evaluation repeats scipy's ``PPoly`` arithmetic, so the
+    values agree with scipy bit for bit.  A point p lies in the cell i with
+    x[i] <= p < x[i+1]; the end cells extrapolate and the last node belongs
+    to the last cell.  On a uniform grid the cell is a direct index with a
+    one-cell correction against the nodes, otherwise one ``searchsorted``.
+    Values have shape ``y.shape[:-1] + p.shape``.
+    """
+
+    def __init__(self, x, y):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pp = PchipInterpolator(x, y, axis=y.ndim - 1)
+        self.x = pp.x
+        n = len(self.x)
+        # (power, column, cell), so that a gather along cells is one take
+        self._c = np.ascontiguousarray(pp.c.reshape(4, n - 1, -1).transpose(0, 2, 1))
+        self._c[3] += 0.0  # PPoly's sum starts at +0.0, which maps -0.0 to +0.0
+        self._lead = y.shape[:-1]
+        # cell i holds left[i] <= p < right[i]; the end cells are unbounded,
+        # and a NaN bound never compares true, so no point leaves them
+        self._inner = self.x[1:-1]
+        self._left = np.concatenate([[np.nan], self._inner])
+        self._right = np.concatenate([self._inner, [np.nan]])
+        step = (self.x[-1] - self.x[0]) / (n - 1)
+        uniform = np.max(np.abs(self.x - (self.x[0] + step * np.arange(n)))) < 1e-3 * step
+        self._inv_step = 1.0 / step if uniform else None
+
+    def cell(self, p):
+        """Cell index of every point of the 1-d float array ``p``."""
+        if self._inv_step is None:
+            return np.searchsorted(self._inner, p, side="right")
+        t = p - self.x[0]
+        t *= self._inv_step
+        np.fmax(t, 0.0, out=t)  # also sends NaN to cell 0
+        np.fmin(t, len(self._inner), out=t)
+        i = t.astype(np.intp)
+        i -= p < self._left[i]
+        i += p >= self._right[i]
+        return i
+
+    def coefficients(self, i):
+        """Coefficients of the cells ``i``, shape (4, columns, len(i))."""
+        return np.take(self._c, i, axis=2)
+
+    def at(self, p, i):
+        """Values at the 1-d points ``p`` in the cells ``i``, shape
+        (columns, len(p))."""
+        return _power_sum(self.coefficients(i), p - self.x[i])
+
+    def __call__(self, p):
+        p = np.asarray(p, dtype=float)
+        flat = p.ravel()
+        out = np.empty((self._c.shape[1], len(flat)))
+        for a in range(0, len(flat), _CHUNK):
+            seg = flat[a:a + _CHUNK]
+            out[:, a:a + _CHUNK] = self.at(seg, self.cell(seg))
+        return out.reshape(self._lead + p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +318,7 @@ class DriftPotential:
             raise ValueError("potential grid must contain 0")
         if abs(self.values[i0]) > 1e-12:
             raise ValueError("potential must vanish at 0")
-        self._interp = _pchip(self.grid, self.values)
+        self._interp = CubicTable(self.grid, self.values)
 
     def __call__(self, x):
         return self._interp(x)
@@ -326,8 +397,11 @@ class ScaleTransform:
 
     The derivative table equals exp(-potential) at every node by
     construction; values are cumulative quadrature of the interpolated
-    derivative.  Inversion brackets through the value table, bisects and
-    finishes with Newton steps on the monotone interpolant.
+    derivative.  All three tables (h, h' and the inverse's starting guess)
+    are ``CubicTable``s.  Inversion brackets each point once in the value
+    table and works on that cell's coefficients from then on, so it can
+    hand back h(x) and h'(x) as well, bit for bit what ``forward`` and
+    ``deriv`` give at the returned x.
     """
 
     grid: Optional[np.ndarray] = field(default=None, repr=False)
@@ -343,10 +417,10 @@ class ScaleTransform:
         self.hprime_values = np.asarray(self.hprime_values, dtype=float)
         if np.any(np.diff(self.h_values) <= 0):
             raise ValueError("transform values must be strictly increasing")
-        self._h = _pchip(self.grid, self.h_values)
-        self._hp = _pchip(self.grid, self.hprime_values)
+        self._h = CubicTable(self.grid, self.h_values)
+        self._hp = CubicTable(self.grid, self.hprime_values)
         # monotone interpolant of the inverse: the Newton starting guess
-        self._inv = _pchip(self.h_values, self.grid)
+        self._inv = CubicTable(self.h_values, self.grid)
 
     # -- identity ----------------------------------------------------------
     @classmethod
@@ -393,25 +467,61 @@ class ScaleTransform:
         self._check_domain(x)
         return self._hp(x)
 
-    def inverse(self, y, newton_iters=3, bisect_iters=30):
-        """Monotone inversion: interpolated starting guess, Newton polish
-        inside the bracketing table cell, bisection fallback for stragglers."""
+    def inverse(self, y, newton_iters=3, bisect_iters=30, images=False):
+        """Monotone inversion inside the bracketing cell of the value table.
+
+        One ``searchsorted`` on ``h_values`` finds each point's cell; the
+        interpolated starting guess, the Newton polish and the residual
+        check then run on that cell's coefficients, and stragglers fall
+        back to bisection.  With ``images`` the result is ``(x, h(x),
+        h'(x))``, equal bit for bit to ``(x, forward(x), deriv(x))``.
+        """
         if self.is_identity:
-            return np.asarray(y, dtype=float)
+            x = np.asarray(y, dtype=float)
+            return (x, x, np.ones_like(x)) if images else x
         self._check_image(y)
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        yq = np.atleast_1d(y).astype(float).ravel()
-        idx = np.clip(np.searchsorted(self.h_values, yq) - 1, 0, len(self.grid) - 2)
+        yq = y.ravel()
+        out = np.empty((3 if images else 1, len(yq)))
+        for a in range(0, len(yq), _CHUNK):
+            out[:, a:a + _CHUNK] = self._invert(yq[a:a + _CHUNK], newton_iters,
+                                                bisect_iters, images)
+        if y.ndim == 0:
+            return tuple(float(v[0]) for v in out) if images else float(out[0, 0])
+        out = out.reshape((len(out),) + y.shape)
+        return tuple(out) if images else out[0]
+
+    def _invert(self, yq, newton_iters, bisect_iters, images):
+        """Rows x (and h(x), h'(x) with ``images``) for the 1-d points ``yq``."""
+        last = len(self.grid) - 2
+        idx = np.clip(np.searchsorted(self.h_values, yq) - 1, 0, last)
         lo = self.grid[idx]
         hi = self.grid[idx + 1]
-        x = np.clip(self._inv(yq), lo, hi)
+        # the inverse table's cell starts at a node value that equals the point
+        j = np.minimum(idx + (self.h_values[idx + 1] == yq), last)
+        x = np.clip(self._inv.at(yq, j)[0], lo, hi)
+        coefs = (self._h.coefficients(idx), self._hp.coefficients(idx))
+        inner = idx < last
+
+        def evaluate(x):
+            """h(x) and h'(x) from the bracketing cell."""
+            s = x - lo
+            vals = [_power_sum(c, s)[0] for c in coefs]
+            # a cell's right end node belongs to the next cell
+            edge = ((x == hi) & inner).nonzero()[0]
+            if len(edge):
+                for v, table in zip(vals, (self._h, self._hp)):
+                    v[edge] = table(x[edge])
+            return vals
+
         for _ in range(newton_iters):
-            x = x - (self._h(x) - yq) / np.maximum(self._hp(x), 1e-300)
+            hx, hpx = evaluate(x)
+            x = x - (hx - yq) / np.maximum(hpx, 1e-300)
             x = np.clip(x, lo, hi)
-        res = np.abs(self._h(x) - yq)
+        hx, hpx = evaluate(x)
+        res = np.abs(hx - yq)
         scale = 1e-10 * (1.0 + np.abs(yq))
-        bad = np.flatnonzero(res > scale)
+        bad = (res > scale).nonzero()[0]
         if len(bad):
             blo, bhi = lo[bad].copy(), hi[bad].copy()
             yb = yq[bad]
@@ -422,10 +532,9 @@ class ScaleTransform:
                 bhi = np.where(below, bhi, mid)
             xb = 0.5 * (blo + bhi)
             xb = xb - (self._h(xb) - yb) / np.maximum(self._hp(xb), 1e-300)
-            x = x.copy()
             x[bad] = np.clip(xb, blo, bhi)
-        x = x.reshape(np.atleast_1d(y).shape)
-        return float(x.ravel()[0]) if scalar else x
+            hx[bad], hpx[bad] = self._h(x[bad]), self._hp(x[bad])
+        return (x, hx, hpx) if images else x
 
     def inverse_deriv(self, y):
         """Derivative of the inverse, i.e. exp(+potential) at the preimage."""
@@ -550,9 +659,9 @@ class TestFunctionApproximant:
     lf_core_values: np.ndarray = field(repr=False)  # h' * (weighted conv with rho')
 
     def __post_init__(self):
-        self._f = _pchip(self.grid, self.f_values)
-        self._fp = _pchip(self.grid, self.fprime_values)
-        self._lc = _pchip(self.grid, self.lf_core_values)
+        self._f = CubicTable(self.grid, self.f_values)
+        self._fp = CubicTable(self.grid, self.fprime_values)
+        self._lc = CubicTable(self.grid, self.lf_core_values)
 
     def f(self, x):
         return self._f(x)
@@ -596,7 +705,7 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
     X = grid[..., None]
     core = ((weighted(X - u) - weighted(X + u)) * rho_p) @ qw
     lf_core = hp * core
-    f_vals = _cumulative_table(lambda pts: _pchip(grid, fprime)(pts), grid)
+    f_vals = _cumulative_table(CubicTable(grid, fprime), grid)
     f_vals = f_vals + float(np.asarray(target(np.zeros(1)))[0])
     return TestFunctionApproximant(
         n=n, grid=grid, f_values=f_vals, fprime_values=fprime, lf_core_values=lf_core,

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .coefficients import (CoefficientSet, ConjugateTestFunction, ScaleTransform,
-                           local_generator, transformed_diffusion)
+from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
+                           ScaleTransform, local_generator, transformed_diffusion)
 from .errors import ValidationError
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       TabulatedKernel, TruncationFunction, drift_correction,
@@ -337,8 +336,9 @@ class GeneratorState:
     half * (sigma(x) h'(x))^2 * phi''(y), and an atom at w contributes
     phi(h(x + w)).  None of h(x), h'(x), sigma(x), the drift functional's
     grid values or the atom images depends on phi, so one state serves
-    every profile evaluated on the same paths.  ``hx`` is computed from
-    ``x``, not read from a simulated Y, so that f(X) is phi(h(X)) exactly.
+    every profile evaluated on the same paths.  ``hx`` is h evaluated at
+    ``x`` (in the inverse's own cell when the engine's final inversion
+    supplies it), not a simulated Y, so that f(X) is phi(h(X)) exactly.
     Treat every array as read-only: ``hx`` may share memory with ``x``.
     """
 
@@ -352,16 +352,23 @@ class GeneratorState:
 
 
 def generator_state(functional: Optional[PathFunctional], kernel: Optional[Kernel],
-                    coeffs: CoefficientSet, times, values) -> GeneratorState:
-    """Evaluate the transform, sigma and the functional once on ``values``."""
+                    coeffs: CoefficientSet, times, values, hx=None,
+                    hpx=None) -> GeneratorState:
+    """Evaluate the transform, sigma and the functional once on ``values``.
+
+    ``hx`` and ``hpx`` are h(values) and h'(values) when the caller already
+    holds them, as an ensemble does from the engine's final inversion;
+    whichever is None is evaluated here.
+    """
     transform = coeffs.transform
     times = np.asarray(times, dtype=float)
     x = np.asarray(values, dtype=float)
     hv = 0.0 if functional is None else functional.grid_values(times, x)
     images = (tuple(np.asarray(transform.forward(x + w))
                     for w in kernel.law.positions) if _is_discrete(kernel) else ())
-    return GeneratorState(times=times, x=x, hx=np.asarray(transform.forward(x)),
-                          hpx=np.asarray(transform.deriv(x)),
+    hx = np.asarray(transform.forward(x)) if hx is None else hx
+    hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
+    return GeneratorState(times=times, x=x, hx=hx, hpx=hpx,
                           sigma=np.asarray(coeffs.diffusion.sigma(x)), hv=hv,
                           atom_images=images)
 
@@ -415,7 +422,7 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
                           f_sup=f.bound, split=False).value
             for u in nodes
         ])
-    return PchipInterpolator(nodes, vals)(x)
+    return CubicTable(nodes, vals)(x)
 
 
 def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,
@@ -459,12 +466,12 @@ def martingale_residual_ensemble(ensemble, f, functional, kernel, trunc, coeffs,
     """Residual paths for a whole ensemble, shape (paths, grid).
 
     ``state`` is ``generator_state(functional, kernel, coeffs,
-    ensemble.times, ensemble.x)``; pass it to share it across profiles,
-    or leave it out to have it built here.
+    ensemble.times, ensemble.x, ensemble.hx, ensemble.hpx)``; pass it to
+    share it across profiles, or leave it out to have it built here.
     """
     if state is None:
         state = generator_state(functional, kernel, coeffs, ensemble.times,
-                                ensemble.x)
+                                ensemble.x, ensemble.hx, ensemble.hpx)
     return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, CubicTable
 from .errors import GridMismatch, MissingDriverRecord
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel,
                       StableTailKernel)
@@ -290,8 +289,7 @@ def _phi_jump_compensator(kernel: Optional[Kernel], coeffs: CoefficientSet,
         if len(xs) == 1:
             c = float(vals[0])
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-        interp = PchipInterpolator(xs, vals)
-        return lambda x: np.asarray(interp(np.asarray(x, dtype=float)))
+        return CubicTable(xs, vals)
 
     def node_value(xv):
         def g(w):
@@ -307,8 +305,7 @@ def _phi_jump_compensator(kernel: Optional[Kernel], coeffs: CoefficientSet,
         return lambda x: np.full_like(np.asarray(x, dtype=float), c)
     xs = np.linspace(x_lo, x_hi, nodes)
     vals = np.asarray([node_value(float(u)) for u in xs])
-    interp = PchipInterpolator(xs, vals)
-    return lambda x: np.asarray(interp(np.asarray(x, dtype=float)))
+    return CubicTable(xs, vals)
 
 
 @dataclass

@@ -281,12 +281,13 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
         raise ValidationError(f"bad parameters for {spec.name}: {exc}") from exc
     sim = bundle.sim
     kw = {}
+    # SimConfig validates the sizes and the seed
     if spec.n_paths is not None:
-        kw["n_paths"] = int(spec.n_paths)
+        kw["n_paths"] = spec.n_paths
     if spec.n_steps is not None:
-        kw["n_steps"] = int(spec.n_steps)
+        kw["n_steps"] = spec.n_steps
     if spec.seed is not None:
-        kw["master_seed"] = spec.seed  # SimConfig validates it
+        kw["master_seed"] = spec.seed
     if spec.horizon is not None:
         kw["horizon"] = float(spec.horizon)
     if kw:
@@ -365,7 +366,7 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
              "runsup_mid": run_half}
     # h, h', sigma and the atom images are shared by all five profiles
     state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
-                            ens.times, ens.x)
+                            ens.times, ens.x, ens.hx, ens.hpx)
     # the engine does not simulate a drift functional, but the generator
     # includes it: the Girsanov weight realises that law, so the residuals
     # are read under it

@@ -16,9 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.interpolate import PchipInterpolator
 
-from .coefficients import CoefficientSet, ScaleTransform, transformed_diffusion
+from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
+                           transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import PathFunctional
@@ -38,9 +38,13 @@ def _as_vec(fn_or_const):
 # configuration
 # ---------------------------------------------------------------------------
 
+def _is_integer(value):
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def check_seed(seed):
     """Raise ValidationError unless ``seed`` is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -56,8 +60,12 @@ class SimConfig:
     max_exclusion_fraction: float = 0.01
 
     def __post_init__(self):
-        if self.horizon <= 0 or self.n_steps < 1 or self.n_paths < 1:
-            raise ValidationError("horizon, n_steps and n_paths must be positive")
+        if self.horizon <= 0:
+            raise ValidationError("horizon must be positive")
+        for name in ("n_steps", "n_paths"):
+            size = getattr(self, name)
+            if not _is_integer(size) or size < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {size!r}")
         if self.small_jump_cutoff <= 0:
             raise ValidationError("small_jump_cutoff must be positive")
         if self.small_jump_mode not in ("gaussian_match", "drop"):
@@ -316,7 +324,7 @@ def _discrete_ops(kernel: FiniteActivityKernel, transform, delta, trunc):
         ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
         big = np.abs(images(ys)[1]) > delta
         if np.all(big == big[:1, :]):
-            profiles = PchipInterpolator(ys, exact(ys), axis=1)
+            profiles = CubicTable(ys, exact(ys))
 
     def sample(y_pre, u1, u2, path_idx, cand_idx):
         _, z = images(y_pre)
@@ -364,8 +372,7 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
                     law.expect(sv)]
 
         ys = _shrunk_image_grid(transform, law.support_radius, nodes)
-        per_jump = PchipInterpolator(ys, np.asarray([at_node(yv) for yv in ys]).T,
-                                     axis=1)
+        per_jump = CubicTable(ys, np.asarray([at_node(yv) for yv in ys]).T)
 
     def profiles(y):
         y = np.asarray(y, dtype=float)
@@ -392,38 +399,66 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
     return profiles, sample
 
 
+def _row_sums(a, counts):
+    """Each row's sum over its first ``counts`` entries, added as ``np.sum``
+    adds a 1-d array of that length (pairwise from 8 terms on)."""
+    out = np.zeros(len(a))
+    for c in np.unique(counts):
+        sel = counts == c
+        out[sel] = np.sum(a[sel, :c], axis=-1)
+    return out
+
+
 def _tabulated_kernel_ops(kernel: TabulatedKernel, transform, delta, trunc):
-    """Tabulated discrete kernels; everything evaluated exactly per state,
-    with one inversion per evaluation."""
+    """Tabulated discrete kernels, evaluated exactly at every state.
+
+    The grid states' atoms are padded with zero-mass atoms at 0 to one
+    (grid states, atoms) table, so a batch of states costs one inversion,
+    one nearest-node lookup and one transform call.  Sums over a state's
+    atoms, or over its big atoms moved to the front of the row, add as a
+    per-state ``np.sum`` over just those atoms would: the results equal a
+    loop over the states bit for bit.
+    """
+    n_atoms = np.asarray([len(pos) for pos, _ in kernel._parsed])
+    pos_tab = np.zeros((len(n_atoms), max(n_atoms)))
+    mass_tab = np.zeros_like(pos_tab)
+    for g, (pos, mass) in enumerate(kernel._parsed):
+        pos_tab[g, :len(pos)] = pos
+        mass_tab[g, :len(pos)] = mass
 
     def rows(y):
-        """(atom positions, transformed sizes, masses) at each state of 1-d y."""
+        """Atom positions, transformed sizes, masses, big-jump flags and
+        atom counts at the states of 1-d y, one row per state."""
         x = np.asarray(transform.inverse(y))
-        for xi, yi in zip(x, y):
-            pos, mass = kernel._at(xi)
-            yield pos, np.asarray(transform.forward(xi + pos)) - yi, mass
+        g = kernel._nearest(x)
+        pos, mass = pos_tab[g], mass_tab[g]
+        z = np.asarray(transform.forward(x[:, None] + pos)) - y[:, None]
+        big = (np.abs(z) > delta) & (pos != 0)  # the padding sits at 0
+        return pos, z, mass, big, n_atoms[g]
+
+    def big_first(big, *arrays):
+        order = np.argsort(~big, axis=-1, kind="stable")
+        return [np.take_along_axis(a, order, axis=-1) for a in arrays]
 
     def profiles(y):
         y = np.asarray(y, dtype=float)
-        out = np.empty((3, y.size))
-        for i, (_, z, m) in enumerate(rows(y.ravel())):
-            big = np.abs(z) > delta
-            out[:, i] = (np.sum(m[big]), np.sum(np.asarray(trunc(z)) * m * big),
-                         np.sum(z**2 * m * ~big))
+        _, z, m, big, count = rows(y.ravel())
+        mb, = big_first(big, m * big)
+        out = np.stack([_row_sums(mb, big.sum(axis=-1)),
+                        _row_sums(np.asarray(trunc(z)) * m * big, count),
+                        _row_sums(z**2 * m * ~big, count)])
         return out.reshape((3,) + y.shape)
 
     def sample(y_pre, u1, u2, path_idx, cand_idx):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        z_out = np.empty_like(y_pre)
-        w_out = np.empty_like(y_pre)
-        for i, (pos, z, m) in enumerate(rows(y_pre)):
-            big = np.abs(z) > delta
-            zb, mb = z[big], m[big]
-            cum = np.cumsum(mb) / np.sum(mb)
-            j = int(np.clip(np.searchsorted(cum, u1[i]), 0, len(zb) - 1))
-            z_out[i], w_out[i] = zb[j], pos[big][j]
-        return z_out, w_out
+        pos, z, m, big, _ = rows(y_pre)
+        n_big = big.sum(axis=-1)
+        pos, z, mb = big_first(big, pos, z, m * big)
+        cum = np.cumsum(mb, axis=-1) / _row_sums(mb, n_big)[:, None]
+        j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)[:, None]
+        return (np.take_along_axis(z, j, axis=-1)[:, 0],
+                np.take_along_axis(pos, j, axis=-1)[:, 0])
     return profiles, sample
 
 
@@ -473,9 +508,7 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
     else:
         lo, hi = transform.image
         ys_full = np.linspace(lo, hi, max(table_nodes, 2 * len(transform.grid) - 1))
-        s_tab = PchipInterpolator(
-            ys_full, np.asarray(transformed_diffusion(transform, diffusion, ys_full)))
-        sigma0 = lambda y: np.asarray(s_tab(np.asarray(y, dtype=float)))
+        sigma0 = CubicTable(ys_full, transformed_diffusion(transform, diffusion, ys_full))
 
     if kernel is None:
         return CharacteristicsY(b=_as_vec(0.0), sigma0=sigma0,
@@ -498,16 +531,14 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
             return kernel.rate_at(x) * acc
 
         ys = _shrunk_image_grid(transform, kernel.law.support_radius, table_nodes)
-        interp = PchipInterpolator(ys, b_exact(ys))
-        b = lambda y: np.asarray(interp(np.asarray(y, dtype=float)))
+        b = CubicTable(ys, b_exact(ys))
     else:
         ys = _shrunk_image_grid(transform, kernel.support_radius, table_nodes)
         vals = np.asarray([
             drift_correction(kernel, transform, trunc, float(yv), tol=tol)
             for yv in ys
         ])
-        interp = PchipInterpolator(ys, vals)
-        b = lambda y: np.asarray(interp(np.asarray(y, dtype=float)))
+        b = CubicTable(ys, vals)
 
     return CharacteristicsY(b=b, sigma0=sigma0,
                             measure=PushforwardJumpMeasure(kernel, transform))
@@ -555,7 +586,12 @@ class SamplePath:
 
 @dataclass
 class Ensemble:
-    """Structure-of-arrays ensemble; rows are paths, last axis is time."""
+    """Structure-of-arrays ensemble; rows are paths, last axis is time.
+
+    ``hx`` and ``hpx`` hold h(x) and h'(x) from the final inversion, equal
+    bit for bit to ``transform.forward(x)`` and ``transform.deriv(x)``;
+    both are None under the identity transform.
+    """
 
     times: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
@@ -571,6 +607,8 @@ class Ensemble:
     config: SimConfig
     y0: float
     x0: float
+    hx: Optional[np.ndarray] = field(default=None, repr=False)
+    hpx: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_paths(self):
@@ -759,7 +797,10 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
             f"(limit {config.max_exclusion_fraction:.2%}); widen the grid"
         )
 
-    X = np.asarray(transform.inverse(Y)) if not transform.is_identity else Y.copy()
+    if transform.is_identity:
+        X, HX, HPX = Y.copy(), None, None
+    else:
+        X, HX, HPX = transform.inverse(Y, images=True)
     if acc_idx:
         sel = np.concatenate(acc_idx)
         jp, jt = c_path[sel], c_t[sel]
@@ -775,7 +816,8 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     normals *= sq_dt  # the recorded Brownian increments
     return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_y_pre=jy, jump_x_pre=jx,
-                    jump_z=jz, jump_w=jw, config=config, y0=float(y0), x0=x0)
+                    jump_z=jz, jump_w=jw, config=config, y0=float(y0), x0=x0,
+                    hx=HX, hpx=HPX)
 
 
 def simulate_x_markovian(coeffs: CoefficientSet, kernel: Optional[Kernel],

@@ -166,6 +166,127 @@ def test_transform_monotone_for_random_smooth_drifts(a, b, c):
 
 
 # ---------------------------------------------------------------------------
+# the cubic table and the cell-local inverse, bit for bit against scipy
+# ---------------------------------------------------------------------------
+
+def _probe_points(nodes, rng):
+    """Random points over and beyond the nodes, the nodes themselves, the
+    last node again and the neighbours of each node."""
+    lo, hi = nodes[0], nodes[-1]
+    width = hi - lo
+    return np.concatenate([rng.uniform(lo - 0.2 * width, hi + 0.2 * width, 200_000),
+                           nodes, [hi, lo - 1e3, hi + 1e3],
+                           np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+
+
+class TestCubicTable:
+    def test_values_equal_scipy_on_uniform_and_value_grids(self, tanh_coeffs):
+        from scipy.interpolate import PchipInterpolator
+
+        from sdelab.coefficients import CubicTable
+        tr = tanh_coeffs.transform
+        rng = np.random.default_rng(3)
+        for x, y in ((tr.grid, tr.h_values), (tr.grid, tr.hprime_values),
+                     (tr.h_values, tr.grid)):
+            pts = _probe_points(x, rng)
+            assert np.array_equal(CubicTable(x, y)(pts), PchipInterpolator(x, y)(pts))
+
+    def test_uniform_cell_index_equals_scipy_search(self, tanh_coeffs):
+        from sdelab.coefficients import CubicTable
+        x = tanh_coeffs.transform.grid
+        table = CubicTable(x, np.sin(x))
+        pts = _probe_points(x, np.random.default_rng(4))
+        want = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, len(x) - 2)
+        assert np.array_equal(table.cell(pts), want)
+
+    def test_three_column_table_equals_scipy_axis_1(self):
+        from scipy.interpolate import PchipInterpolator
+
+        from sdelab.coefficients import CubicTable
+        x = np.linspace(-2.0, 3.0, 257)
+        y = np.stack([np.tanh(x), np.exp(-x * x), np.abs(x) ** 1.5])
+        pts = _probe_points(x, np.random.default_rng(5))[:-2].reshape(-1, 3)
+        got = CubicTable(x, y)(pts)
+        assert got.shape == (3,) + pts.shape
+        assert np.array_equal(got, PchipInterpolator(x, y, axis=1)(pts))
+
+    def test_negative_zero_node_value_evaluates_as_scipy(self):
+        from scipy.interpolate import PchipInterpolator
+
+        from sdelab.coefficients import CubicTable
+        # PPoly's sum starts at +0.0, so this cell gives +0.0 at its left node
+        x = np.linspace(0.0, 4.0, 5)
+        y = np.array([0.82, 0.51, -0.0, -0.59, -1.32])  # c0, c1, c2 of cell 2 < 0
+        got, want = CubicTable(x, y)(x), PchipInterpolator(x, y)(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_scalar_point_gives_zero_d_array(self):
+        from scipy.interpolate import PchipInterpolator
+
+        from sdelab.coefficients import CubicTable
+        x = np.linspace(0.0, 1.0, 11)
+        got = CubicTable(x, x**3)(0.37)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == PchipInterpolator(x, x**3)(0.37)
+
+
+def _scipy_inverse(tr, y, newton_iters=3, bisect_iters=30):
+    """Inversion through scipy interpolants, each call with its own search."""
+    from scipy.interpolate import PchipInterpolator
+    h = PchipInterpolator(tr.grid, tr.h_values)
+    hp = PchipInterpolator(tr.grid, tr.hprime_values)
+    yq = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    idx = np.clip(np.searchsorted(tr.h_values, yq) - 1, 0, len(tr.grid) - 2)
+    lo, hi = tr.grid[idx], tr.grid[idx + 1]
+    x = np.clip(PchipInterpolator(tr.h_values, tr.grid)(yq), lo, hi)
+    for _ in range(newton_iters):
+        x = np.clip(x - (h(x) - yq) / np.maximum(hp(x), 1e-300), lo, hi)
+    bad = np.flatnonzero(np.abs(h(x) - yq) > 1e-10 * (1.0 + np.abs(yq)))
+    blo, bhi, yb = lo[bad], hi[bad], yq[bad]
+    for _ in range(bisect_iters):
+        mid = 0.5 * (blo + bhi)
+        below = h(mid) < yb
+        blo, bhi = np.where(below, mid, blo), np.where(below, bhi, mid)
+    xb = 0.5 * (blo + bhi)
+    x[bad] = np.clip(xb - (h(xb) - yb) / np.maximum(hp(xb), 1e-300), blo, bhi)
+    return x.reshape(np.shape(y)), len(bad)
+
+
+class TestCellLocalInverse:
+    def _check(self, tr, y, **kw):
+        x, hx, hpx = tr.inverse(y, images=True, **kw)
+        assert np.array_equal(x, tr.inverse(y, **kw))
+        assert np.array_equal(hx, tr.forward(x))
+        assert np.array_equal(hpx, tr.deriv(x))
+        want, n_bisected = _scipy_inverse(tr, y, **kw)
+        assert np.array_equal(x, want)
+        return n_bisected
+
+    def test_longer_than_one_chunk(self, tanh_coeffs):
+        from sdelab.coefficients import _CHUNK
+        tr = tanh_coeffs.transform
+        lo, hi = tr.image
+        y = np.random.default_rng(6).uniform(lo, hi, (3, _CHUNK // 2 + 5))
+        y[0, :len(tr.h_values)] = tr.h_values   # node values and both ends
+        self._check(tr, y)
+
+    def test_bisection_fallback(self, tanh_coeffs):
+        tr = tanh_coeffs.transform
+        lo, hi = tr.image
+        y = np.concatenate([np.random.default_rng(7).uniform(lo, hi, 5000),
+                            tr.h_values])
+        assert self._check(tr, y, newton_iters=0) > 1000
+
+    def test_scalar(self, tanh_coeffs):
+        tr = tanh_coeffs.transform
+        x, hx, hpx = tr.inverse(0.3, images=True)
+        assert all(isinstance(v, float) for v in (x, hx, hpx))
+        assert x == tr.inverse(0.3) == float(_scipy_inverse(tr, 0.3)[0])
+        assert hx == float(tr.forward(x)) and hpx == float(tr.deriv(x))
+
+
+# ---------------------------------------------------------------------------
 # conjugated generator pieces
 # ---------------------------------------------------------------------------
 

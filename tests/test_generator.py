@@ -278,6 +278,12 @@ class TestGeneratorState:
                                              state=state)
         assert np.array_equal(again, got)
 
+    def test_ensemble_carries_h_and_hprime_of_x(self, atom_small):
+        bundle, ens = atom_small
+        tr = bundle.coeffs.transform
+        assert np.array_equal(ens.hx, tr.forward(ens.x))
+        assert np.array_equal(ens.hpx, tr.deriv(ens.x))
+
     def test_single_path_equals_ensemble_row(self, atom_small):
         bundle, ens = atom_small
         rows = [int(np.argmax(np.bincount(ens.jump_path,

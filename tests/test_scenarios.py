@@ -429,6 +429,16 @@ class TestCLI:
         cfg.write_text("scenario:\n  name: brownian_baseline\n  seed: 1.5\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("sizes", ("n_paths: 40.7\n  n_steps: 16",
+                                       "n_paths: 40\n  n_steps: 16.9",
+                                       "n_paths: true\n  n_steps: 16"))
+    def test_non_integer_yaml_sizes_exit_two(self, tmp_path, sizes, capsys):
+        import sdelab.cli as cli
+        cfg = tmp_path / "sizes.yaml"
+        cfg.write_text(f"scenario:\n  name: brownian_baseline\n  {sizes}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
         import sdelab.cli as cli
         from sdelab import scenarios

@@ -440,6 +440,71 @@ class TestJumpMeasureBranches:
                                    exact, rtol=1e-12, atol=1e-15)
 
 
+def _tabulated_loop_ops(kernel, transform, delta, trunc):
+    """The tabulated kernel's profiles and sampler as a loop over states,
+    each reading its own measure through ``TabulatedKernel._at``."""
+    def rows(y):
+        x = np.asarray(transform.inverse(y))
+        for xi, yi in zip(x, y):
+            pos, mass = kernel._at(xi)
+            yield pos, np.asarray(transform.forward(xi + pos)) - yi, mass
+
+    def profiles(y):
+        out = np.empty((3, y.size))
+        for i, (_, z, m) in enumerate(rows(y)):
+            big = np.abs(z) > delta
+            out[:, i] = (np.sum(m[big]), np.sum(np.asarray(trunc(z)) * m * big),
+                         np.sum(z**2 * m * ~big))
+        return out
+
+    def sample(y_pre, u1):
+        z_out, w_out = np.empty_like(y_pre), np.empty_like(y_pre)
+        for i, (pos, z, m) in enumerate(rows(y_pre)):
+            big = np.abs(z) > delta
+            cum = np.cumsum(m[big]) / np.sum(m[big])
+            j = int(np.clip(np.searchsorted(cum, u1[i]), 0, big.sum() - 1))
+            z_out[i], w_out[i] = z[big][j], pos[big][j]
+        return z_out, w_out
+    return profiles, sample
+
+
+def _mixed_table():
+    """4 to 12 atoms per grid state, so that sums of 8 terms and more (which
+    numpy adds pairwise) occur, with small ones (|w| < 0.05) among them,
+    some ahead of the big ones."""
+    from sdelab import TabulatedKernel
+    grid = np.linspace(-4.0, 4.0, 9)
+    atoms = ((0.02, 0.3), (0.6, 0.2), (-0.01, 0.1), (-0.4, 0.3), (0.3, 0.25),
+             (0.9, 0.05), (-0.7, 0.15), (0.04, 0.2), (-0.2, 0.1), (1.1, 0.1),
+             (-0.9, 0.05), (0.45, 0.1))
+    measures = tuple(tuple((w, m + 0.01 * i) for w, m in atoms[:4 + i])
+                     for i in range(len(grid)))
+    return TabulatedKernel(y_grid=grid, measures=measures, alpha=1.0)
+
+
+class TestTabulatedKernelOps:
+    """The batched tabulated-kernel ops against a loop over states."""
+
+    @pytest.mark.parametrize("transformed", (False, True), ids=("identity", "tanh"))
+    @pytest.mark.parametrize("make", (_state_dependent_table, _mixed_table))
+    def test_batched_ops_equal_state_loop(self, make, transformed, tanh_coeffs, clamp1):
+        kernel = make()
+        tr = tanh_coeffs.transform if transformed else ScaleTransform.identity()
+        profiles, sample = simulator._tabulated_kernel_ops(kernel, tr, 0.05, clamp1)
+        ref_profiles, ref_sample = _tabulated_loop_ops(kernel, tr, 0.05, clamp1)
+        # states on, between and halfway between the grid nodes
+        x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
+                            kernel.y_grid[:-1] + 0.5])
+        y = np.asarray(tr.forward(x))
+        assert np.array_equal(profiles(y.reshape(6, -1)),
+                              ref_profiles(y).reshape(3, 6, -1))
+        u1 = np.random.default_rng(8).uniform(size=len(y))
+        has_big = ref_profiles(y)[0] > 0
+        got = sample(y[has_big], u1[has_big], None, None, None)
+        want = ref_sample(y[has_big], u1[has_big])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 # ---------------------------------------------------------------------------
 # guard rails
 # ---------------------------------------------------------------------------
@@ -467,6 +532,19 @@ class TestGuards:
             SimConfig(master_seed=seed)
         with pytest.raises(ValidationError):
             BROWNIAN_CFG.replace(master_seed=seed)
+
+    @pytest.mark.parametrize("size", (0, -4, 40.7, 40.0, True, "40", None))
+    @pytest.mark.parametrize("field", ("n_paths", "n_steps"))
+    def test_sizes_must_be_positive_integers(self, field, size):
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            SimConfig(**{field: size})
+        with pytest.raises(ValidationError):
+            BROWNIAN_CFG.replace(**{field: size})
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = SimConfig(n_paths=np.int64(40), n_steps=np.uint16(16))
+        assert (cfg.n_paths, cfg.n_steps) == (40, 16)
 
     @pytest.mark.parametrize("seed", (0, 7, np.int64(7), np.uint32(7), 2**80))
     def test_integer_master_seeds_accepted(self, seed):
