@@ -473,12 +473,12 @@ class ScaleTransform:
         One ``searchsorted`` on ``h_values`` finds each point's cell; the
         interpolated starting guess, the Newton polish and the residual
         check then run on that cell's coefficients, and stragglers fall
-        back to bisection.  With ``images`` the result is ``(x, h(x),
-        h'(x))``, equal bit for bit to ``(x, forward(x), deriv(x))``.
+        back to bisection.  With ``images`` a tabulated transform returns
+        ``(x, h(x), h'(x))``, equal bit for bit to ``(x, forward(x),
+        deriv(x))``; the identity always returns x alone.
         """
         if self.is_identity:
-            x = np.asarray(y, dtype=float)
-            return (x, x, np.ones_like(x)) if images else x
+            return np.asarray(y, dtype=float)
         self._check_image(y)
         y = np.asarray(y, dtype=float)
         yq = y.ravel()
@@ -503,23 +503,26 @@ class ScaleTransform:
         coefs = (self._h.coefficients(idx), self._hp.coefficients(idx))
         inner = idx < last
 
-        def evaluate(x):
-            """h(x) and h'(x) from the bracketing cell."""
+        def evaluate(x, tables):
+            """The ``tables`` (h, then h') at x from the bracketing cell."""
             s = x - lo
-            vals = [_power_sum(c, s)[0] for c in coefs]
+            vals = [_power_sum(c, s)[0] for c in coefs[:len(tables)]]
             # a cell's right end node belongs to the next cell
             edge = ((x == hi) & inner).nonzero()[0]
             if len(edge):
-                for v, table in zip(vals, (self._h, self._hp)):
+                for v, table in zip(vals, tables):
                     v[edge] = table(x[edge])
             return vals
 
+        both = (self._h, self._hp)
         for _ in range(newton_iters):
-            hx, hpx = evaluate(x)
+            hx, hpx = evaluate(x, both)
             x = x - (hx - yq) / np.maximum(hpx, 1e-300)
             x = np.clip(x, lo, hi)
-        hx, hpx = evaluate(x)
-        res = np.abs(hx - yq)
+        # the residual check needs h alone; h' only when it is handed back
+        tables = both if images else both[:1]
+        vals = evaluate(x, tables)
+        res = np.abs(vals[0] - yq)
         scale = 1e-10 * (1.0 + np.abs(yq))
         bad = (res > scale).nonzero()[0]
         if len(bad):
@@ -533,8 +536,10 @@ class ScaleTransform:
             xb = 0.5 * (blo + bhi)
             xb = xb - (self._h(xb) - yb) / np.maximum(self._hp(xb), 1e-300)
             x[bad] = np.clip(xb, blo, bhi)
-            hx[bad], hpx[bad] = self._h(x[bad]), self._hp(x[bad])
-        return (x, hx, hpx) if images else x
+            if images:
+                for v, table in zip(vals, both):
+                    v[bad] = table(x[bad])
+        return (x, *vals) if images else x
 
     def inverse_deriv(self, y):
         """Derivative of the inverse, i.e. exp(+potential) at the preimage."""
