@@ -16,9 +16,8 @@ from .generator import (CagladPath, GeneratorValue, PathFunctional,
                         constant_functional, evaluate_generator,
                         evaluate_transformed_generator, generator_ball_modulus,
                         generator_state, martingale_residual,
-                        martingale_residual_ensemble,
-                        pullback_functional, resolve_functional, sin_left_limit,
-                        zero_functional)
+                        martingale_residual_ensemble, resolve_functional,
+                        sin_left_limit, zero_functional)
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
                       TruncationFunction, diffusion_coefficient, drift_correction,
@@ -34,7 +33,7 @@ from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         run_scenario, scenario_names, standard_profiles)
 from .simulator import (AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure,
                         Ensemble, GirsanovWeight, JumpOps, PushforwardJumpMeasure,
-                        SamplePath, SimConfig, build_characteristics,
+                        SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
                         girsanov_weight, girsanov_weight_ensemble,
                         simulate_euler_direct, simulate_x_markovian, simulate_y,

@@ -19,14 +19,14 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError,
                      ValidationError)
-from .generator import martingale_residual_ensemble
+from .generator import generator_state, martingale_residual_ensemble
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
 from .pathcalc import qv_estimate
 from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
                         counterexample_cauchy, counterexample_stable,
                         emit_report, load_spec, report_json, run_bundle,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import girsanov_weight_ensemble
+from .simulator import girsanov_weight
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -69,8 +69,9 @@ def _write_paths_csv(ens, out_dir, max_paths=25):
                 flags[node] = 1
                 sizes[node] += jw
             for k, t in enumerate(ens.times):
-                fh.write(f"{i},{float(t)!r},{float(p.y[k])!r},{float(p.x[k])!r},"
-                         f"{int(flags[k])},{float(sizes[k])!r}\n")
+                fh.write(f"{i},{float(t)!r},{float(ens.y[i, k])!r},"
+                         f"{float(ens.x[i, k])!r},{int(flags[k])},"
+                         f"{float(sizes[k])!r}\n")
     return path
 
 
@@ -142,18 +143,23 @@ def cmd_verify_martingale(args):
     bundle = build_bundle(spec)
     report, ens = run_bundle(spec, bundle)
     out_dir = _out_dir(args)
-    prof = standard_profiles()[0]
-    M = martingale_residual_ensemble(ens, prof, bundle.functional, bundle.kernel,
-                                     bundle.trunc, bundle.coeffs)
-    # the Girsanov weight under which the diagnostic reads the residuals
-    kappa = (girsanov_weight_ensemble(ens, bundle.functional).final
-             if bundle.functional is not None else np.ones(ens.n_paths))
+    # residuals and weights of the written rows only
+    rows = slice(0, min(args.dump_paths, ens.n_paths))
+    hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
+    state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
+                            ens.times, ens.x[rows], hx, hpx)
+    M = martingale_residual_ensemble(ens, standard_profiles()[0], bundle.functional,
+                                     bundle.kernel, bundle.trunc, bundle.coeffs,
+                                     state=state)
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
     with open(res_path, "w", encoding="utf-8") as fh:
         fh.write("path_id,t,M_f,kappa_T\n")
-        for i in range(min(args.dump_paths, ens.n_paths)):
-            for t, v in zip(ens.times, M[i]):
-                fh.write(f"{i},{float(t)!r},{float(v)!r},{float(kappa[i])!r}\n")
+        for i, row in enumerate(M):
+            # the Girsanov weight under which the diagnostic reads the residuals
+            kappa = (girsanov_weight(ens.path(i), bundle.functional).final
+                     if bundle.functional is not None else 1.0)
+            for t, v in zip(ens.times, row):
+                fh.write(f"{i},{float(t)!r},{float(v)!r},{float(kappa)!r}\n")
     print(f"residual paths -> {res_path}", file=sys.stderr)
     return _print_report(report, out_dir, args.format)
 

@@ -541,12 +541,6 @@ class ScaleTransform:
                     v[bad] = table(x[bad])
         return (x, *vals) if images else x
 
-    def inverse_deriv(self, y):
-        """Derivative of the inverse, i.e. exp(+potential) at the preimage."""
-        if self.is_identity:
-            return np.ones_like(np.asarray(y, dtype=float))
-        return 1.0 / self.deriv(self.inverse(y))
-
     def jump_image(self, x, w):
         """Transformed jump size h(x + w) - h(x)."""
         return self.forward(np.asarray(x) + np.asarray(w)) - self.forward(x)
@@ -700,10 +694,10 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
 
     def weighted(u):
         # target' * exp(potential) * cutoff, with exp(potential) = 1/h'
-        return target_prime(u) / _deriv_or_one(transform, u) * plateau_cutoff(u, n)
+        return target_prime(u) / transform.deriv(u) * plateau_cutoff(u, n)
 
     conv = mollified_function(weighted, grid, width, shape="bump")
-    hp = _deriv_or_one(transform, grid)
+    hp = transform.deriv(grid)
     fprime = hp * conv
     # generator core: h' * d/dx[(weighted) * rho_w] via the mollifier derivative
     u, qw, _, rho_p = _mollifier_tables("bump", width)
@@ -715,12 +709,6 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
     return TestFunctionApproximant(
         n=n, grid=grid, f_values=f_vals, fprime_values=fprime, lf_core_values=lf_core,
     )
-
-
-def _deriv_or_one(transform: ScaleTransform, u):
-    if transform.is_identity:
-        return np.ones_like(np.asarray(u, dtype=float))
-    return transform.deriv(u)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The generator of the lab's equations has a local part (conjugated through
 the scale transform), a drift part driven by a bounded non-anticipating
-path functional, and a nonlocal part coming from the jump kernel.  Path
-functionals receive only the restriction of a path to [0, t]; they cannot
-read the future because the data is simply not there.
+path functional, and a nonlocal part coming from the jump kernel.  A path
+functional steps through the time columns of X in order; it cannot read
+the future because a step never sees a later column.
 """
 from __future__ import annotations
 
@@ -27,15 +27,25 @@ from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKerne
 
 @dataclass
 class CagladPath:
-    """Left-limit path values on a time grid.
+    """Left-limit path values on a time grid, with the driving records of
+    a simulated path when it has them.
 
     ``restrict`` drops everything after t, so a functional evaluated on the
     result structurally cannot anticipate.  ``stopped`` keeps the grid but
-    freezes the value from t onwards.
+    freezes the value from t onwards; both keep the times and values only.
+    ``dW`` holds the Brownian increments, None when they were not recorded.
+    ``jump_times``, ``jump_x_pre`` and ``jump_w`` hold the jump marks (time,
+    pre-jump value and size in the original variable), all empty by
+    default.  Without ``jump_x_pre`` the pre-jump values are read off the
+    grid, at the last node before each jump time.
     """
 
     times: np.ndarray
     values: np.ndarray
+    dW: Optional[np.ndarray] = None
+    jump_times: np.ndarray = ()
+    jump_x_pre: Optional[np.ndarray] = None
+    jump_w: np.ndarray = ()
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -44,6 +54,13 @@ class CagladPath:
             raise ValueError("times and values must have equal shapes")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        self.jump_times = np.asarray(self.jump_times, dtype=float)
+        self.jump_w = np.asarray(self.jump_w, dtype=float)
+        if self.jump_x_pre is None:
+            before = np.searchsorted(self.times, self.jump_times - 1e-12) - 1
+            self.jump_x_pre = self.values[np.maximum(before, 0)]
+        else:
+            self.jump_x_pre = np.asarray(self.jump_x_pre, dtype=float)
 
     @property
     def horizon(self):
@@ -73,117 +90,66 @@ class CagladPath:
 
 @dataclass
 class PathFunctional:
-    """Named bounded functional of the path restricted to [0, t].
+    """Named bounded functional H(eta)(t) of the path restricted to [0, t].
 
-    ``path_values`` is the vectorized form over a whole grid (used by the
-    Monte Carlo layers); ``make_stepper`` yields an incremental evaluator
-    for the simulator.  ``modulus(M, delta)`` optionally declares a
-    uniform-continuity modulus on sup-norm balls of radius M.
+    ``step(carry, x) -> (carry, H)`` reads one time column ``x`` of the
+    path (one value per path) and the carry left by the columns before it,
+    None at the first column, and returns the new carry and H at that
+    time.  A step never sees a later column, so the functional cannot
+    anticipate.  ``grid_values``, ``evaluate`` and the engine all run this
+    one step.
     """
 
     name: str
     bound: float
-    evaluate: Callable[[CagladPath, float], float]
-    path_values: Optional[Callable] = None
-    make_stepper: Optional[Callable] = None
-    modulus: Optional[Callable[[float, float], float]] = None
+    step: Callable
 
-    def grid_values(self, times, values):
-        """H(eta)(t_i) along the grid; shape matches ``values``."""
-        if self.path_values is not None:
-            return np.asarray(self.path_values(times, values), dtype=float)
-        values = np.asarray(values, dtype=float)
-        flat = values.reshape(-1, values.shape[-1])
-        out = np.empty_like(flat)
-        for r in range(flat.shape[0]):
-            path = CagladPath(times, flat[r])
-            for i, t in enumerate(times):
-                out[r, i] = self.evaluate(path.restrict(t), t)
-        return out.reshape(values.shape)
+    def grid_values(self, times, x):
+        """H(eta)(t_i) along the last axis of ``x``, which holds the values
+        at ``times``; the shape matches ``x``."""
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        carry = None
+        for i in range(x.shape[-1]):
+            carry, out[..., i] = self.step(carry, x[..., i])
+        return out
 
-
-class _ConstStepper:
-    def __init__(self, c):
-        self.c = c
-
-    def update(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.c)
+    def evaluate(self, path: CagladPath, t):
+        """H(path)(t): the last grid value of the path restricted to [0, t]."""
+        past = path.restrict(t)
+        return float(self.grid_values(past.times, past.values)[-1])
 
 
-class _RunningSupStepper:
-    def __init__(self, cap, transform):
-        self.cap = cap
-        self.transform = transform
-        self.state = None
-
-    def update(self, y):
-        x = self.transform.inverse(y) if self.transform is not None else np.asarray(y)
-        if self.state is None:
-            self.state = np.array(x, dtype=float)  # own the buffer, y may be a view
-        else:
-            self.state = np.maximum(self.state, x)
-        return np.clip(self.state, -self.cap, self.cap)
-
-
-class _LeftValueStepper:
-    def __init__(self, fn, transform):
-        self.fn = fn
-        self.transform = transform
-
-    def update(self, y):
-        x = self.transform.inverse(y) if self.transform is not None else np.asarray(y)
-        return self.fn(x)
+def _constant_step(c):
+    def step(carry, x):
+        return None, np.full_like(x, c)
+    return step
 
 
 def zero_functional():
-    return PathFunctional(
-        name="zero", bound=0.0,
-        evaluate=lambda path, t: 0.0,
-        path_values=lambda times, values: np.zeros_like(np.asarray(values, dtype=float)),
-        make_stepper=lambda transform=None: _ConstStepper(0.0),
-        modulus=lambda M, d: 0.0,
-    )
+    return PathFunctional(name="zero", bound=0.0, step=_constant_step(0.0))
 
 
 def constant_functional(c):
-    return PathFunctional(
-        name=f"const({c})", bound=abs(c),
-        evaluate=lambda path, t: float(c),
-        path_values=lambda times, values: np.full_like(
-            np.asarray(values, dtype=float), float(c)),
-        make_stepper=lambda transform=None: _ConstStepper(float(c)),
-        modulus=lambda M, d: 0.0,
-    )
+    return PathFunctional(name=f"const({c})", bound=abs(c),
+                          step=_constant_step(float(c)))
 
 
 def clamped_running_sup(cap=1.0):
     """Running supremum clipped to [-cap, cap]: bounded, 1-Lipschitz in sup norm."""
-    def ev(path: CagladPath, t):
-        return float(np.clip(np.max(path.values), -cap, cap))
+    def step(run, x):
+        run = x if run is None else np.maximum(run, x)
+        return run, np.clip(run, -cap, cap)
 
-    def pv(times, values):
-        run = np.maximum.accumulate(np.asarray(values, dtype=float), axis=-1)
-        return np.clip(run, -cap, cap)
-
-    return PathFunctional(
-        name="clamped_running_sup", bound=cap, evaluate=ev, path_values=pv,
-        make_stepper=lambda transform=None: _RunningSupStepper(cap, transform),
-        modulus=lambda M, d: d,
-    )
+    return PathFunctional(name="clamped_running_sup", bound=cap, step=step)
 
 
 def sin_left_limit(amplitude=1.0, frequency=1.0):
     """Bounded sinusoidal of the current left-limit value (Markovian case)."""
-    def fn(x):
-        return amplitude * np.sin(frequency * np.asarray(x, dtype=float))
+    def step(carry, x):
+        return None, amplitude * np.sin(frequency * x)
 
-    return PathFunctional(
-        name="sin_left_limit", bound=abs(amplitude),
-        evaluate=lambda path, t: float(fn(path.values[-1])),
-        path_values=lambda times, values: fn(values),
-        make_stepper=lambda transform=None: _LeftValueStepper(fn, transform),
-        modulus=lambda M, d: abs(amplitude * frequency) * d,
-    )
+    return PathFunctional(name="sin_left_limit", bound=abs(amplitude), step=step)
 
 
 FUNCTIONALS = {
@@ -199,29 +165,6 @@ def resolve_functional(name, **kwargs) -> PathFunctional:
     if name not in FUNCTIONALS:
         raise ValidationError(f"unknown path functional {name!r}")
     return FUNCTIONALS[name](**kwargs)
-
-
-def pullback_functional(functional: PathFunctional,
-                        transform: ScaleTransform) -> PathFunctional:
-    """Functional of the transformed path: evaluate on the preimage path."""
-    if transform.is_identity:
-        return functional
-
-    def ev(path: CagladPath, t):
-        pre = CagladPath(path.times, transform.inverse(path.values))
-        return functional.evaluate(pre, t)
-
-    def pv(times, values):
-        return functional.grid_values(times, transform.inverse(values))
-
-    return PathFunctional(
-        name=functional.name + "@preimage", bound=functional.bound,
-        evaluate=ev, path_values=pv,
-        make_stepper=(lambda transform_=transform:
-                      functional.make_stepper(transform_))
-        if functional.make_stepper else None,
-        modulus=functional.modulus,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +190,7 @@ def evaluate_generator(f: ConjugateTestFunction, functional: Optional[PathFuncti
     transform = coeffs.transform
     x_t = path.value(t)
     local = float(np.asarray(local_generator(f, transform, coeffs.diffusion, x_t)))
-    h_val = functional.evaluate(path.restrict(t), t) if functional is not None else 0.0
+    h_val = functional.evaluate(path, t) if functional is not None else 0.0
     fp = float(np.asarray(f.f_prime(transform, x_t)))
     drift = float(np.asarray(coeffs.diffusion.sigma(np.asarray(x_t)))) * h_val * fp
     if kernel is None:
@@ -260,7 +203,7 @@ def evaluate_generator(f: ConjugateTestFunction, functional: Optional[PathFuncti
 
 
 def evaluate_transformed_generator(phi: ConjugateTestFunction,
-                                   hbar: Optional[PathFunctional],
+                                   functional: Optional[PathFunctional],
                                    kernel: Optional[Kernel],
                                    transform: ScaleTransform,
                                    trunc: TruncationFunction,
@@ -270,7 +213,8 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction,
 
     The local part is the classical second-order term plus the drift
     correction; the nonlocal part integrates against the pushforward of
-    the kernel.
+    the kernel.  ``functional`` is the drift functional of the original
+    path, so it is evaluated on the preimage of ``y_path``.
     """
     y_t = y_path.value(t)
     s0 = float(np.asarray(transformed_diffusion(transform, coeffs.diffusion, y_t)))
@@ -278,7 +222,9 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction,
          if kernel is not None else 0.0)
     phi_p = float(np.asarray(phi.phi_prime(np.asarray(y_t))))
     local = 0.5 * s0**2 * float(np.asarray(phi.phi_second(np.asarray(y_t)))) + b * phi_p
-    h_val = hbar.evaluate(y_path.restrict(t), t) if hbar is not None else 0.0
+    h_val = (functional.evaluate(CagladPath(y_path.times,
+                                            transform.inverse(y_path.values)), t)
+             if functional is not None else 0.0)
     drift = s0 * h_val * phi_p
 
     if kernel is None:
@@ -313,8 +259,7 @@ def conjugation_residual(phi: ConjugateTestFunction,
     lhs = evaluate_generator(phi, functional, kernel, trunc, coeffs, path, t,
                              tol=tol).total
     y_path = CagladPath(path.times, transform.forward(path.values))
-    hbar = pullback_functional(functional, transform) if functional is not None else None
-    rhs = evaluate_transformed_generator(phi, hbar, kernel, transform, trunc,
+    rhs = evaluate_transformed_generator(phi, functional, kernel, transform, trunc,
                                          coeffs, y_path, t, tol=tol).total
     return abs(lhs - rhs)
 
@@ -447,15 +392,14 @@ def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,
     return gen
 
 
-def martingale_residual(path, f: ConjugateTestFunction,
+def martingale_residual(path: CagladPath, f: ConjugateTestFunction,
                         functional: Optional[PathFunctional],
                         kernel: Optional[Kernel], trunc: TruncationFunction,
                         coeffs: CoefficientSet, tol=1e-8):
     """Residual path f(X_t) - f(x_0) - int_0^t (generator) ds on the grid.
 
     Left-endpoint rule with left limits, matching the predictable
-    integrand of the defining property.  Accepts a simulated path or a
-    CagladPath: both carry ``.times`` and ``.values``.
+    integrand of the defining property.
     """
     state = generator_state(functional, kernel, coeffs, path.times, path.values)
     return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, CubicTable
 from .errors import GridMismatch, MissingDriverRecord
+from .generator import CagladPath
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel,
                       StableTailKernel)
 
@@ -110,14 +111,12 @@ class QVEstimate:
     continuous_part: float  # finest-window total minus the mark-based jump sum
 
 
-def qv_estimate(path, epsilons, t) -> QVEstimate:
+def qv_estimate(path: CagladPath, epsilons, t) -> QVEstimate:
     """Window sweep plus the exact jump split from the recorded marks."""
     eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     vals = np.asarray([qv_regularization(path, e, t) for e in eps])
-    jt = np.asarray(getattr(path, "jump_times", np.empty(0)))
-    jw = np.asarray(getattr(path, "jump_w", np.empty(0)))
-    sel = jt <= t + 1e-12
-    jump_sum = float(np.sum(jw[sel] ** 2))
+    sel = path.jump_times <= t + 1e-12
+    jump_sum = float(np.sum(path.jump_w[sel] ** 2))
     return QVEstimate(epsilons=eps, values=vals, jump_sum=jump_sum,
                       continuous_part=float(vals[-1] - jump_sum))
 
@@ -137,7 +136,8 @@ class ChainRuleComparison:
         return float(self.estimated[-1])
 
 
-def chain_rule_qv(phi, phi_prime, path, epsilons, t) -> ChainRuleComparison:
+def chain_rule_qv(phi, phi_prime, path: CagladPath, epsilons,
+                  t) -> ChainRuleComparison:
     """Predicted vs estimated quadratic variation of the image path.
 
     Predicted: the weighted continuous part plus the exact sum of squared
@@ -151,11 +151,8 @@ def chain_rule_qv(phi, phi_prime, path, epsilons, t) -> ChainRuleComparison:
     m_eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     v = np.asarray(path.values, dtype=float)
 
-    jt = np.asarray(getattr(path, "jump_times", np.empty(0)))
-    jw = np.asarray(getattr(path, "jump_w", np.empty(0)))
-    jx = np.asarray(getattr(path, "jump_x_pre", np.empty(0)))
-    sel = jt <= t + 1e-12
-    jt, jw, jx = jt[sel], jw[sel], jx[sel]
+    sel = path.jump_times <= t + 1e-12
+    jt, jw, jx = path.jump_times[sel], path.jump_w[sel], path.jump_x_pre[sel]
 
     dvc = np.diff(v).copy()
     if len(jt):

@@ -404,7 +404,7 @@ def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
             continue
         p = ens.path(i)
         est = qv_estimate(p, eps, T)
-        sig = np.asarray(bundle.coeffs.diffusion.sigma(p.x[:-1]))
+        sig = np.asarray(bundle.coeffs.diffusion.sigma(p.values[:-1]))
         ref = float(np.sum(sig**2) * dt + np.sum(p.jump_w**2))
         vals.append(est.values[-1])
         refs.append(ref)

@@ -21,7 +21,7 @@ from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
                            transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
-from .generator import PathFunctional
+from .generator import CagladPath, PathFunctional
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel, Kernel,
                       StableTailKernel, TabulatedKernel, TruncationFunction,
                       drift_correction)
@@ -485,9 +485,6 @@ class CharacteristicsY:
     sigma0: Callable
     measure: object
 
-    def c(self, y):
-        return np.asarray(self.sigma0(y)) ** 2
-
 
 def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
                           trunc: TruncationFunction, tol=1e-8,
@@ -549,42 +546,6 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SamplePath:
-    """One discretized path with its driving records."""
-
-    times: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    x: np.ndarray = field(repr=False)
-    brownian_increments: Optional[np.ndarray] = field(default=None, repr=False)
-    jump_times: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    jump_y_pre: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    jump_x_pre: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    jump_z: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    jump_w: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
-    seed: int = 0
-    excluded: bool = False
-
-    @property
-    def values(self):  # CagladPath-compatible alias
-        return self.x
-
-    @classmethod
-    def deterministic(cls, times, values, jump_times=(), jump_sizes=()):
-        """Handmade fixture path; pre-jump values read off the grid."""
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        jt = np.asarray(jump_times, dtype=float)
-        jw = np.asarray(jump_sizes, dtype=float)
-        x_pre = np.empty_like(jt)
-        for i, t in enumerate(jt):
-            idx = int(np.searchsorted(times, t - 1e-12)) - 1
-            x_pre[i] = values[max(idx, 0)]
-        return cls(times=times, y=values.copy(), x=values,
-                   brownian_increments=None, jump_times=jt, jump_y_pre=x_pre.copy(),
-                   jump_x_pre=x_pre, jump_z=jw.copy(), jump_w=jw)
-
-
-@dataclass
 class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
@@ -618,15 +579,12 @@ class Ensemble:
     def excluded_count(self):
         return int(np.sum(~self.active))
 
-    def path(self, i) -> SamplePath:
+    def path(self, i) -> CagladPath:
+        """Path i of X with its Brownian increments and jump marks."""
         sel = self.jump_path == i
-        return SamplePath(
-            times=self.times, y=self.y[i], x=self.x[i],
-            brownian_increments=self.dW[i],
-            jump_times=self.jump_time[sel], jump_y_pre=self.jump_y_pre[sel],
-            jump_x_pre=self.jump_x_pre[sel], jump_z=self.jump_z[sel],
-            jump_w=self.jump_w[sel], seed=i, excluded=not bool(self.active[i]),
-        )
+        return CagladPath(self.times, self.x[i], dW=self.dW[i],
+                          jump_times=self.jump_time[sel],
+                          jump_x_pre=self.jump_x_pre[sel], jump_w=self.jump_w[sel])
 
     def terminal_x(self):
         return self.x[self.active, -1]
@@ -646,15 +604,17 @@ def _candidate_capacity(mean_total):
     return int(mean_total + 6.0 * np.sqrt(mean_total)) + 16
 
 
-def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
+def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
                config: SimConfig, y0: float,
                transform: Optional[ScaleTransform] = None,
                trunc: Optional[TruncationFunction] = None) -> Ensemble:
     """Simulate the transformed state; see the module docstring.
 
-    ``trunc`` must be the same truncation that entered the drift of
-    ``chars``; it feeds the compensator correction for explicitly
-    simulated jumps.
+    ``functional`` is the drift functional of X: each step hands it the
+    column X = h^{-1}(Y) of the current states, and it adds
+    sigma0(Y) * H to the drift of Y.  ``trunc`` must be the same
+    truncation that entered the drift of ``chars``; it feeds the
+    compensator correction for explicitly simulated jumps.
     """
     transform = transform if transform is not None else ScaleTransform.identity()
     trunc = trunc if trunc is not None else TruncationFunction()
@@ -743,14 +703,16 @@ def simulate_y(chars: CharacteristicsY, hbar: Optional[PathFunctional],
     Y = np.empty((P, n + 1))
     Y[:, 0] = y0
     active = np.ones(P, dtype=bool)
-    stepper = hbar.make_stepper(None) if hbar is not None else None
+    carry, hv = None, 0.0
     use_gauss = config.small_jump_mode == "gaussian_match"
 
     # accepted marks: indices into the sorted candidates plus their values
     acc_idx, acc_y, acc_z, acc_w = [], [], [], []
     for s in range(n):
         y = Y[:, s]
-        hv = stepper.update(y) if stepper is not None else 0.0
+        if functional is not None:
+            x = y if transform.is_identity else transform.inverse(y)
+            carry, hv = functional.step(carry, x)
         s0 = np.asarray(chars.sigma0(y))
         drift = np.asarray(chars.b(y)) + s0 * hv
         jump_add = np.zeros(P)
@@ -863,7 +825,7 @@ def _weight_core(times, x_values, dW, functional: PathFunctional):
     return kappa, log_inc
 
 
-def girsanov_weight(path: SamplePath, functional: PathFunctional,
+def girsanov_weight(path: CagladPath, functional: PathFunctional,
                     coeffs=None) -> GirsanovWeight:
     """Exponential reweighting along one path.
 
@@ -872,8 +834,7 @@ def girsanov_weight(path: SamplePath, functional: PathFunctional,
     diffusion coefficient.
     """
     del coeffs  # the weight only needs the path records
-    kappa, log_inc = _weight_core(path.times, path.x, path.brownian_increments,
-                                  functional)
+    kappa, log_inc = _weight_core(path.times, path.values, path.dW, functional)
     return GirsanovWeight(kappa=kappa, log_increments=log_inc)
 
 

@@ -17,8 +17,7 @@ from sdelab import (CagladPath, ScenarioSpec, SimConfig, chain_rule_qv,
                     simulate_y, square_identity_residual, standard_profiles,
                     weighted_expectation, zero_functional)
 from sdelab.scenarios import build_bundle
-from sdelab.simulator import (AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure,
-                              SamplePath)
+from sdelab.simulator import AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure
 
 
 def _criterion(num, name, ok, detail=""):
@@ -151,8 +150,8 @@ def test_c05_qv_estimator(brownian_fine):
               for i in range(100)]
     mean_fine = float(np.mean(finest))
     times = np.linspace(0.0, 1.0, 11)
-    step = SamplePath.deterministic(times, np.where(times >= 0.5, 1.0, 0.0),
-                                    jump_times=(0.5,), jump_sizes=(1.0,))
+    step = CagladPath(times, np.where(times >= 0.5, 1.0, 0.0),
+                      jump_times=(0.5,), jump_w=(1.0,))
     step_val = qv_regularization(step, 0.1, 1.0)
     ok = abs(mean_fine - 1.0) < 0.05 and step_val == 1.0
     _criterion(5, "realized variation", ok,
@@ -167,8 +166,7 @@ def test_c06_chain_rule():
     # piecewise-constant paths: both routes are exact
     times = np.linspace(0.0, 1.0, 101)
     vals = np.where(times >= 0.3, 0.7, 0.0) - np.where(times >= 0.6, 0.4, 0.0)
-    path = SamplePath.deterministic(times, vals, jump_times=(0.3, 0.6),
-                                    jump_sizes=(0.7, -0.4))
+    path = CagladPath(times, vals, jump_times=(0.3, 0.6), jump_w=(0.7, -0.4))
     worst_exact = 0.0
     for phi, dphi in ((np.sin, np.cos),
                       (lambda x: np.asarray(x, dtype=float) ** 2,

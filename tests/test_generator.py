@@ -12,7 +12,6 @@ from sdelab import (CagladPath, ConjugateTestFunction, GeneratorValue, SimConfig
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
-from sdelab.simulator import SamplePath
 
 SIN = ConjugateTestFunction(np.sin, np.cos, lambda y: -np.sin(y), 1.0, "sin")
 SQUARE = ConjugateTestFunction(lambda y: np.asarray(y, dtype=float) ** 2,
@@ -56,14 +55,22 @@ class TestFunctionals:
         assert f.evaluate(p.restrict(0.0), 0.0) == 0.0
         assert f.evaluate(p.restrict(0.3), 0.3) == 1.0  # clamped at the cap
 
-    def test_grid_values_match_pointwise(self):
-        f = clamped_running_sup(cap=1.0)
+    @pytest.mark.parametrize("functional, closed_form", (
+        (clamped_running_sup(cap=1.0),
+         lambda x: np.clip(np.maximum.accumulate(x, axis=-1), -1.0, 1.0)),
+        (sin_left_limit(amplitude=0.8, frequency=1.7),
+         lambda x: 0.8 * np.sin(1.7 * x)),
+        (resolve_functional("const:0.7"), lambda x: np.full_like(x, 0.7)),
+    ), ids=("running_sup", "sin_left_limit", "const"))
+    def test_grid_values_and_evaluate_match_closed_form(self, functional,
+                                                        closed_form):
         times = np.linspace(0, 1, 17)
         rng = np.random.default_rng(0)
-        vals = np.cumsum(rng.standard_normal(17)) * 0.3
-        grid = f.grid_values(times, vals)
-        point = [f.evaluate(CagladPath(times, vals).restrict(t), t) for t in times]
-        assert np.allclose(grid, point, atol=0)
+        x = np.cumsum(rng.standard_normal((40, 17)), axis=-1) * 0.6
+        assert np.array_equal(functional.grid_values(times, x), closed_form(x))
+        path = CagladPath(times, x[5])
+        point = [functional.evaluate(path.restrict(t), t) for t in times]
+        assert np.array_equal(point, closed_form(x[5]))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError):
@@ -184,7 +191,7 @@ class TestMartingaleResidual:
                                                     clamp1):
         # the transform profile solves the equation, so nothing accumulates
         times = np.linspace(0, 1, 65)
-        path = SamplePath.deterministic(times, np.full(65, 0.3))
+        path = CagladPath(times, np.full(65, 0.3))
         for coeffs in (flat_coeffs, tanh_coeffs):
             M = martingale_residual(path, identity_profile(), zero_functional(),
                                     None, clamp1, coeffs)
@@ -194,7 +201,7 @@ class TestMartingaleResidual:
                                                                   flat_coeffs,
                                                                   clamp1):
         times = np.linspace(0, 1, 65)
-        path = SamplePath.deterministic(times, np.full(65, 0.3))
+        path = CagladPath(times, np.full(65, 0.3))
         M = martingale_residual(path, SIN, zero_functional(), None, clamp1,
                                 flat_coeffs)
         # residual is minus the integrated local term, -t * (-sin(0.3)/2)

@@ -4,21 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CharacteristicsY, AtomJumpMeasure, EmptyJumpMeasure,
+from sdelab import (CagladPath, CharacteristicsY, AtomJumpMeasure, EmptyJumpMeasure,
                     GridMismatch, MissingDriverRecord, SimConfig, StableTailKernel,
                     chain_rule_qv, classify_dirichlet, covariation,
                     dirichlet_condition_intY, gamma_residual_qv,
                     nu_jump_structural_check, qv_estimate, qv_regularization,
                     simulate_x_markovian, simulate_y)
-from sdelab.simulator import SamplePath
 
 
 def step_path(n=11):
     """Deterministic unit step at t = 0.5 on [0, 1]."""
     times = np.linspace(0.0, 1.0, n)
     values = np.where(times >= 0.5, 1.0, 0.0)
-    return SamplePath.deterministic(times, values, jump_times=(0.5,),
-                                    jump_sizes=(1.0,))
+    return CagladPath(times, values, jump_times=(0.5,), jump_w=(1.0,))
 
 
 def brownian_paths(n_paths=100, n_steps=4096, seed=21):
@@ -38,7 +36,7 @@ def brownian_paths(n_paths=100, n_steps=4096, seed=21):
 class TestQVRegularization:
     def test_constant_path_zero(self):
         times = np.linspace(0, 1, 11)
-        p = SamplePath.deterministic(times, np.full(11, 2.0))
+        p = CagladPath(times, np.full(11, 2.0))
         assert qv_regularization(p, 0.1, 1.0) == 0.0
 
     def test_step_path_exact_unit(self):
@@ -83,9 +81,9 @@ def test_qv_shift_invariance_and_quadratic_scaling(vals, shift, scale):
     dt = times[1] - times[0]
     eps = 2 * dt
     t = float(times[-1])
-    p0 = SamplePath.deterministic(times, base)
-    p_shift = SamplePath.deterministic(times, base + shift)
-    p_scale = SamplePath.deterministic(times, scale * base)
+    p0 = CagladPath(times, base)
+    p_shift = CagladPath(times, base + shift)
+    p_scale = CagladPath(times, scale * base)
     v0 = qv_regularization(p0, eps, t)
     assert qv_regularization(p_shift, eps, t) == pytest.approx(v0, abs=1e-9, rel=1e-9)
     assert qv_regularization(p_scale, eps, t) == pytest.approx(scale**2 * v0,
@@ -106,7 +104,7 @@ class TestCovariation:
     def test_bilinearity_exact(self):
         ens = brownian_paths(n_paths=3, n_steps=512, seed=6)
         p = ens.path(0)
-        doubled = SamplePath.deterministic(p.times, 2.0 * p.x)
+        doubled = CagladPath(p.times, 2.0 * p.values)
         assert covariation(p, doubled, 0.125, 1.0) == pytest.approx(
             2.0 * qv_regularization(p, 0.125, 1.0), rel=1e-12)
 
@@ -123,8 +121,8 @@ class TestCovariation:
         times = np.linspace(0, 1, 65)
         a = np.cumsum(rng.standard_normal(65)) * 0.1
         b = np.cumsum(rng.standard_normal(65)) * 0.1
-        pa = SamplePath.deterministic(times, a)
-        pb = SamplePath.deterministic(times, b)
+        pa = CagladPath(times, a)
+        pb = CagladPath(times, b)
         dt = times[1] - times[0]
         m = 4
         eps = m * dt

@@ -467,6 +467,30 @@ class TestCLI:
             assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
         assert len(set(rows[:, 3])) == 3 and not np.all(rows[:, 3] == 1.0)
 
+    @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift"))
+    def test_verify_martingale_rows_equal_full_ensemble(self, tmp_path, name):
+        # the CLI evaluates the written rows only; they must equal the same
+        # rows of the residuals and weights of the whole ensemble
+        import sdelab.cli as cli
+        from sdelab.generator import martingale_residual_ensemble
+        from sdelab.scenarios import standard_profiles
+        from sdelab.simulator import girsanov_weight_ensemble, simulate_x_markovian
+        cli.main(["verify-martingale", "--name", name, "--paths", "60",
+                  "--steps", "16", "--dump-paths", "3", "--out", str(tmp_path)])
+        lines = (tmp_path / f"residuals_{name}.csv").read_text().splitlines()
+        rows = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        bundle = build_bundle(ScenarioSpec(name=name, n_paths=60, n_steps=16))
+        ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
+                                   bundle.sim, bundle.x0)
+        M = martingale_residual_ensemble(ens, standard_profiles()[0],
+                                         bundle.functional, bundle.kernel,
+                                         bundle.trunc, bundle.coeffs)
+        kappa = (girsanov_weight_ensemble(ens, bundle.functional).final
+                 if bundle.functional is not None else np.ones(ens.n_paths))
+        want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
+                                M[:3].ravel(), np.repeat(kappa[:3], 17)))
+        assert np.array_equal(rows, want)
+
     def test_verify_martingale_weight_is_one_without_functional(self, tmp_path):
         import sdelab.cli as cli
         cli.main(["verify-martingale", "--name", "brownian_baseline", "--paths", "40",

@@ -9,7 +9,8 @@ from sdelab import (AtomJumpMeasure, CharacteristicsY, DegenerateWeights,
                     girsanov_weight_ensemble, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
-                    PushforwardJumpMeasure, ScaleTransform, TruncationFunction)
+                    PathFunctional, PushforwardJumpMeasure, ScaleTransform,
+                    TruncationFunction, build_characteristics)
 from sdelab import simulator
 from sdelab.simulator import event_rng, path_rng
 
@@ -560,6 +561,37 @@ class TestGuards:
                         big_jump_intensity_bound=0.0)
         with pytest.raises(RangeError):
             simulate_x_markovian(coeffs, None, clamp1, cfg, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the drift functional inside the engine
+# ---------------------------------------------------------------------------
+
+class TestEngineFunctional:
+    @pytest.mark.parametrize("transformed", (True, False),
+                             ids=("tanh_transform", "identity"))
+    def test_step_receives_the_columns_of_x(self, transformed, tanh_coeffs,
+                                            atom_kernel, clamp1):
+        seen = []
+
+        def record(carry, x):
+            seen.append(np.array(x))
+            return carry, np.zeros_like(x)
+
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=50, master_seed=3)
+        if transformed:
+            tr = tanh_coeffs.transform
+            chars = build_characteristics(tanh_coeffs, atom_kernel, clamp1)
+            y0 = float(tr.forward(np.asarray(0.3)))
+        else:
+            tr, chars, y0 = None, brownian_chars(), 0.3
+        ens = simulate_y(chars, PathFunctional("record", 0.0, record), cfg, y0,
+                         transform=tr, trunc=clamp1)
+        if transformed:  # a step fed Y would differ from X
+            assert not np.array_equal(ens.x, ens.y)
+        assert len(seen) == cfg.n_steps
+        for s, x in enumerate(seen):
+            assert np.array_equal(x, ens.x[:, s]), s
 
 
 # ---------------------------------------------------------------------------
