@@ -31,11 +31,10 @@ from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import (AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure,
-                        Ensemble, GirsanovWeight, JumpOps, PushforwardJumpMeasure,
-                        SimConfig, build_characteristics,
+from .simulator import (AtomJumpMeasure, CharacteristicsY, Ensemble,
+                        GirsanovWeight, JumpOps, SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
-                        girsanov_weight, girsanov_weight_ensemble,
+                        girsanov_weight, girsanov_weight_ensemble, jump_ops,
                         simulate_euler_direct, simulate_x_markovian, simulate_y,
                         weighted_expectation)
 

@@ -115,7 +115,7 @@ def cmd_check_kernel(args):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("y,moment,m1,m2,tv_modulus\n")
         tvv = [float(v) for v in tv.values] + [""]
-        for (y, mom, m1, m2, _), t in zip(rep.rows(), tvv):
+        for (y, mom, m1, m2), t in zip(rep.rows(), tvv):
             fh.write(f"{y!r},{mom!r},{m1!r},{m2!r},{t}\n")
     print(f"moment sup = {rep.sup:.8g}; tv modulus max = {tv.max:.4g}")
     print(f"table written to {path}", file=sys.stderr)

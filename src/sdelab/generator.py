@@ -17,8 +17,8 @@ from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
                            ScaleTransform, local_generator, transformed_diffusion)
 from .errors import ValidationError
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TabulatedKernel, TruncationFunction, drift_correction,
-                      jump_operator, pushforward_integral)
+                      TabulatedKernel, TruncationFunction, _row_sums,
+                      drift_correction, jump_operator, pushforward_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +323,9 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
                     transform: ScaleTransform, tol=1e-8, table_nodes=257):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
-    Discrete kernels are summed exactly over the state's atom images;
-    kernels requiring quadrature are tabulated on a covering grid and
-    interpolated (the interpolation error is far below Monte Carlo
+    Discrete laws and tabulated kernels are summed exactly over each
+    state's atoms; kernels requiring quadrature are tabulated on a covering
+    grid and interpolated (the interpolation error is far below Monte Carlo
     resolution, which is the only consumer of this code path).
     """
     x = state.x
@@ -341,15 +341,9 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
             out += term
         out *= kernel.rate_at(x)
         return out
-    fx, fpx = f.as_x_callables(transform)
     if isinstance(kernel, TabulatedKernel):
-        out = np.empty_like(x)
-        flat = out.ravel()
-        xf = x.ravel()
-        for i in range(len(xf)):
-            flat[i] = jump_operator(fx, fpx, kernel, trunc, xf[i], tol=tol,
-                                    f_sup=f.bound, split=False).value
-        return out
+        return _tabulated_jump_term(f, x, base, fp, kernel, trunc, transform)
+    fx, fpx = f.as_x_callables(transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
         val = jump_operator(fx, fpx, kernel, trunc, lo, tol=tol,
@@ -368,6 +362,27 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
             for u in nodes
         ])
     return CubicTable(nodes, vals)(x)
+
+
+# states per block of the tabulated jump term: bounds its (states, atoms)
+# temporaries
+_JUMP_TERM_CHUNK = 2**16
+
+
+def _tabulated_jump_term(f, x, base, fp, kernel: TabulatedKernel, trunc, transform):
+    """Sum over the nearest grid state's atoms of mass * (f(x + w) - f(x) -
+    trunc(w) f'(x)), term by term as ``jump_operator``'s unsplit integral
+    adds it; ``base`` and ``fp`` hold f(x) and f'(x)."""
+    xf, bf, fpf = (np.ravel(a) for a in (x, base, fp))
+    out = np.empty(len(xf))
+    for i in range(0, len(xf), _JUMP_TERM_CHUNK):
+        blk = slice(i, i + _JUMP_TERM_CHUNK)
+        g = kernel._nearest(xf[blk])
+        pos = kernel.pos_tab[g]
+        term = f.phi(transform.forward(xf[blk, None] + pos)) - bf[blk, None]
+        term -= np.asarray(trunc(pos)) * fpf[blk, None]
+        out[blk] = _row_sums(kernel.mass_tab[g] * term, kernel.n_atoms[g])
+    return out.reshape(np.shape(x))
 
 
 def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,

@@ -293,9 +293,24 @@ class FiniteActivityKernel:
         return self.law.is_symmetric()
 
 
+def _row_sums(a, counts):
+    """Each row's sum over its first ``counts`` entries, added as ``np.sum``
+    adds a 1-d array of that length (pairwise from 8 terms on)."""
+    out = np.zeros(len(a))
+    for c in np.unique(counts):
+        sel = counts == c
+        out[sel] = np.sum(a[sel, :c], axis=-1)
+    return out
+
+
 @dataclass
 class TabulatedKernel:
-    """Per-state discrete measures on a grid of states (nearest lookup)."""
+    """Per-state discrete measures on a grid of states (nearest lookup).
+
+    ``pos_tab`` and ``mass_tab`` hold each grid state's atoms in one row,
+    padded with zero-mass atoms at 0 to a (grid states, atoms) table, and
+    ``n_atoms`` counts the real atoms of each row.
+    """
 
     y_grid: np.ndarray
     measures: tuple  # per grid state: tuple of (position, mass)
@@ -313,6 +328,12 @@ class TabulatedKernel:
                 raise ValueError("invalid tabulated measure")
             parsed.append((pos, mass))
         self._parsed = parsed
+        self.n_atoms = np.asarray([len(pos) for pos, _ in parsed], dtype=np.intp)
+        self.pos_tab = np.zeros((len(parsed), self.n_atoms.max(initial=0)))
+        self.mass_tab = np.zeros_like(self.pos_tab)
+        for g, (pos, mass) in enumerate(parsed):
+            self.pos_tab[g, :len(pos)] = pos
+            self.mass_tab[g, :len(pos)] = mass
 
     def _at(self, y):
         idx = int(np.argmin(np.abs(self.y_grid - float(np.asarray(y)))))
@@ -381,18 +402,15 @@ class TiltedKernelReport:
     m2: np.ndarray = field(repr=False)  # plain mass outside the radius
     radius: float = 1.0
     alpha: float = 0.0
-    tv_modulus: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def sup(self):
         return float(np.max(self.moments))
 
     def rows(self):
-        tv = self.tv_modulus
         for i, y in enumerate(self.y_grid):
-            mod = "" if tv is None or i >= len(tv) else float(tv[i])
             yield (float(y), float(self.moments[i]), float(self.m1[i]),
-                   float(self.m2[i]), mod)
+                   float(self.m2[i]))
 
 
 def moment_bound(kernel: Kernel, y_grid, radius=1.0, tol=1e-8) -> TiltedKernelReport:

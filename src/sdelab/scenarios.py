@@ -529,10 +529,6 @@ _DIAGNOSTICS: dict = {
 }
 
 
-def diagnostic_names():
-    return tuple(sorted(_DIAGNOSTICS))
-
-
 # ---------------------------------------------------------------------------
 # run reports
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ generate in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -24,7 +24,7 @@ from .errors import (DegenerateWeights, IntensityBoundViolated,
 from .generator import CagladPath, PathFunctional
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel, Kernel,
                       StableTailKernel, TabulatedKernel, TruncationFunction,
-                      drift_correction)
+                      _row_sums, drift_correction)
 
 
 def _as_vec(fn_or_const):
@@ -209,13 +209,6 @@ def _constant_profiles(rate, kdelta, small_var):
     return profiles
 
 
-class EmptyJumpMeasure:
-    """No jumps at all."""
-
-    def prepare(self, delta, trunc, transform, master_seed):
-        return None
-
-
 @dataclass
 class AtomJumpMeasure:
     """Finitely many jump sizes in transformed coordinates, constant rates.
@@ -226,54 +219,59 @@ class AtomJumpMeasure:
 
     atoms: tuple  # of (size z, rate)
 
-    def prepare(self, delta, trunc, transform, master_seed):
-        z = np.asarray([a[0] for a in self.atoms], dtype=float)
-        r = np.asarray([a[1] for a in self.atoms], dtype=float)
-        if np.any(z == 0.0) or np.any(r < 0):
-            raise ValidationError("atom sizes must avoid 0 and rates be nonnegative")
-        big = np.abs(z) > delta
-        z_big, r_big = z[big], r[big]
-        rate = float(np.sum(r_big))
-        cum = np.cumsum(r_big) / max(rate, 1e-300) if len(r_big) else np.asarray([])
 
-        def sample(y_pre, u1, u2, path_idx, cand_idx):
-            zs = z_big[np.clip(np.searchsorted(cum, np.asarray(u1)), 0, len(z_big) - 1)]
-            if transform is None or transform.is_identity:
-                return zs, zs.copy()
-            y_pre = np.asarray(y_pre)
-            return zs, transform.inverse(y_pre + zs) - transform.inverse(y_pre)
+def jump_ops(measure, cutoff, trunc: TruncationFunction, transform: ScaleTransform,
+             master_seed) -> Optional[JumpOps]:
+    """The engine's view of a jump measure of Y once the cutoff is fixed.
 
-        return JumpOps(_constant_profiles(rate, float(np.sum(trunc(z_big) * r_big)),
-                                          float(np.sum(z[~big] ** 2 * r[~big]))),
-                       sample, z_margin=float(np.max(np.abs(z))))
+    ``measure`` is None (no jumps, so no ops), an ``AtomJumpMeasure`` with
+    atoms on Y, or a kernel of X, pushed forward through ``transform``.
+    """
+    if measure is None:
+        return None
+    if isinstance(measure, AtomJumpMeasure):
+        return _atom_ops(measure.atoms, cutoff, trunc, transform)
+    k, delta = measure, float(cutoff)
+    if isinstance(k, StableTailKernel):
+        if not transform.is_identity:
+            raise RangeError(
+                "power-tail kernels need the identity transform: their support "
+                "exceeds any finite transform table"
+            )
+        profiles, sample = _stable_ops(k, delta, trunc)
+    elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DiscreteLaw):
+        profiles, sample = _discrete_ops(k, transform, delta, trunc)
+    elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
+        profiles, sample = _density_ops(k, transform, delta, trunc, master_seed)
+    elif isinstance(k, TabulatedKernel):
+        profiles, sample = _tabulated_kernel_ops(k, transform, delta, trunc)
+    else:
+        raise ValidationError(f"unsupported kernel type {type(k).__name__}")
+    return JumpOps(profiles, sample, x_margin=float(k.support_radius))
 
 
-@dataclass
-class PushforwardJumpMeasure:
-    """Image of a state-dependent kernel under the scale transform."""
+def _atom_ops(atoms, delta, trunc, transform):
+    """Constant profiles; an accepted size z on Y moves X by the difference
+    of the preimages of its two ends."""
+    z = np.asarray([a[0] for a in atoms], dtype=float)
+    r = np.asarray([a[1] for a in atoms], dtype=float)
+    if np.any(z == 0.0) or np.any(r < 0):
+        raise ValidationError("atom sizes must avoid 0 and rates be nonnegative")
+    big = np.abs(z) > delta
+    z_big, r_big = z[big], r[big]
+    rate = float(np.sum(r_big))
+    cum = np.cumsum(r_big) / max(rate, 1e-300) if len(r_big) else np.asarray([])
 
-    kernel: Kernel
-    transform: ScaleTransform
+    def sample(y_pre, u1, u2, path_idx, cand_idx):
+        zs = z_big[np.clip(np.searchsorted(cum, np.asarray(u1)), 0, len(z_big) - 1)]
+        if transform.is_identity:
+            return zs, zs.copy()
+        y_pre = np.asarray(y_pre)
+        return zs, transform.inverse(y_pre + zs) - transform.inverse(y_pre)
 
-    def prepare(self, delta, trunc, transform, master_seed):
-        del transform  # the measure carries its own
-        k, tr, delta = self.kernel, self.transform, float(delta)
-        if isinstance(k, StableTailKernel):
-            if not tr.is_identity:
-                raise RangeError(
-                    "power-tail kernels need the identity transform: their support "
-                    "exceeds any finite transform table"
-                )
-            profiles, sample = _stable_ops(k, delta, trunc)
-        elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DiscreteLaw):
-            profiles, sample = _discrete_ops(k, tr, delta, trunc)
-        elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
-            profiles, sample = _density_ops(k, tr, delta, trunc, master_seed)
-        elif isinstance(k, TabulatedKernel):
-            profiles, sample = _tabulated_kernel_ops(k, tr, delta, trunc)
-        else:
-            raise ValidationError(f"unsupported kernel type {type(k).__name__}")
-        return JumpOps(profiles, sample, x_margin=float(k.support_radius))
+    return JumpOps(_constant_profiles(rate, float(np.sum(trunc(z_big) * r_big)),
+                                      float(np.sum(z[~big] ** 2 * r[~big]))),
+                   sample, z_margin=float(np.max(np.abs(z))))
 
 
 def _stable_ops(kernel: StableTailKernel, delta, trunc):
@@ -399,42 +397,24 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
     return profiles, sample
 
 
-def _row_sums(a, counts):
-    """Each row's sum over its first ``counts`` entries, added as ``np.sum``
-    adds a 1-d array of that length (pairwise from 8 terms on)."""
-    out = np.zeros(len(a))
-    for c in np.unique(counts):
-        sel = counts == c
-        out[sel] = np.sum(a[sel, :c], axis=-1)
-    return out
-
-
 def _tabulated_kernel_ops(kernel: TabulatedKernel, transform, delta, trunc):
     """Tabulated discrete kernels, evaluated exactly at every state.
 
-    The grid states' atoms are padded with zero-mass atoms at 0 to one
-    (grid states, atoms) table, so a batch of states costs one inversion,
-    one nearest-node lookup and one transform call.  Sums over a state's
-    atoms, or over its big atoms moved to the front of the row, add as a
-    per-state ``np.sum`` over just those atoms would: the results equal a
-    loop over the states bit for bit.
+    The kernel's padded (grid states, atoms) tables let a batch of states
+    cost one inversion, one nearest-node lookup and one transform call.
+    Sums over a state's atoms, or over its big atoms moved to the front of
+    the row, add as a per-state ``np.sum`` over just those atoms would: the
+    results equal a loop over the states bit for bit.
     """
-    n_atoms = np.asarray([len(pos) for pos, _ in kernel._parsed])
-    pos_tab = np.zeros((len(n_atoms), max(n_atoms)))
-    mass_tab = np.zeros_like(pos_tab)
-    for g, (pos, mass) in enumerate(kernel._parsed):
-        pos_tab[g, :len(pos)] = pos
-        mass_tab[g, :len(pos)] = mass
-
     def rows(y):
         """Atom positions, transformed sizes, masses, big-jump flags and
         atom counts at the states of 1-d y, one row per state."""
         x = np.asarray(transform.inverse(y))
         g = kernel._nearest(x)
-        pos, mass = pos_tab[g], mass_tab[g]
+        pos, mass = kernel.pos_tab[g], kernel.mass_tab[g]
         z = np.asarray(transform.forward(x[:, None] + pos)) - y[:, None]
         big = (np.abs(z) > delta) & (pos != 0)  # the padding sits at 0
-        return pos, z, mass, big, n_atoms[g]
+        return pos, z, mass, big, kernel.n_atoms[g]
 
     def big_first(big, *arrays):
         order = np.argsort(~big, axis=-1, kind="stable")
@@ -466,29 +446,39 @@ def _tabulated_kernel_ops(kernel: TabulatedKernel, transform, delta, trunc):
 # characteristics of the transformed state
 # ---------------------------------------------------------------------------
 
-def _shrunk_image_grid(transform: ScaleTransform, support_radius, nodes):
-    """Image grid kept clear of the domain edges by the kernel support."""
+def _image_range(transform: ScaleTransform, support_radius):
+    """The image of the domain shrunk by the kernel support at both ends."""
     dlo, dhi = transform.domain
     sr = float(support_radius)
     if not np.isfinite(sr) or 2.0 * sr >= dhi - dlo:
         raise RangeError("kernel support exceeds the tabulated transform range")
-    lo = float(np.asarray(transform.forward(np.asarray(dlo + sr))))
-    hi = float(np.asarray(transform.forward(np.asarray(dhi - sr))))
-    return np.linspace(lo, hi, nodes)
+    return (float(np.asarray(transform.forward(np.asarray(dlo + sr)))),
+            float(np.asarray(transform.forward(np.asarray(dhi - sr)))))
+
+
+def _shrunk_image_grid(transform: ScaleTransform, support_radius, nodes):
+    """Image grid kept clear of the domain edges by the kernel support."""
+    return np.linspace(*_image_range(transform, support_radius), nodes)
 
 
 @dataclass
 class CharacteristicsY:
-    """Evaluators of the transformed equation: drift, diffusion, jump measure."""
+    """The transformed equation: drift, diffusion and jump measure of Y.
+
+    ``measure`` is None, an ``AtomJumpMeasure`` on Y or a kernel of X
+    pushed forward through ``transform``; ``trunc`` is the truncation under
+    which the drift ``b`` and the jump compensator are taken.
+    """
 
     b: Callable
     sigma0: Callable
-    measure: object
+    measure: Optional[Union[AtomJumpMeasure, Kernel]] = None
+    transform: ScaleTransform = field(default_factory=ScaleTransform.identity)
+    trunc: TruncationFunction = field(default_factory=TruncationFunction)
 
 
 def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
-                          trunc: TruncationFunction, tol=1e-8,
-                          table_nodes=257) -> CharacteristicsY:
+                          trunc: TruncationFunction) -> CharacteristicsY:
     """Characteristics induced by (transform, diffusion, kernel).
 
     For a nontrivial transform the state profiles (drift correction and
@@ -504,15 +494,11 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
             return np.asarray(transformed_diffusion(transform, diffusion, y))
     else:
         lo, hi = transform.image
-        ys_full = np.linspace(lo, hi, max(table_nodes, 2 * len(transform.grid) - 1))
+        ys_full = np.linspace(lo, hi, max(257, 2 * len(transform.grid) - 1))
         sigma0 = CubicTable(ys_full, transformed_diffusion(transform, diffusion, ys_full))
 
-    if kernel is None:
-        return CharacteristicsY(b=_as_vec(0.0), sigma0=sigma0,
-                                measure=EmptyJumpMeasure())
-
-    if transform.is_identity:
-        b = _as_vec(0.0)  # the correction vanishes identically
+    if kernel is None or transform.is_identity:
+        b = _as_vec(0.0)  # without jumps, or under the identity, no correction
     elif isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw):
         w_atoms = kernel.law.positions
         p_atoms = kernel.law.probs
@@ -527,18 +513,14 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
                 acc += p * (np.asarray(trunc(z)) - hp * float(trunc(w)))
             return kernel.rate_at(x) * acc
 
-        ys = _shrunk_image_grid(transform, kernel.law.support_radius, table_nodes)
+        ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
         b = CubicTable(ys, b_exact(ys))
     else:
-        ys = _shrunk_image_grid(transform, kernel.support_radius, table_nodes)
-        vals = np.asarray([
-            drift_correction(kernel, transform, trunc, float(yv), tol=tol)
-            for yv in ys
-        ])
-        b = CubicTable(ys, vals)
-
-    return CharacteristicsY(b=b, sigma0=sigma0,
-                            measure=PushforwardJumpMeasure(kernel, transform))
+        ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
+        vals = [drift_correction(kernel, transform, trunc, float(yv)) for yv in ys]
+        b = CubicTable(ys, np.asarray(vals))
+    return CharacteristicsY(b=b, sigma0=sigma0, measure=kernel, transform=transform,
+                            trunc=trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +587,14 @@ def _candidate_capacity(mean_total):
 
 
 def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
-               config: SimConfig, y0: float,
-               transform: Optional[ScaleTransform] = None,
-               trunc: Optional[TruncationFunction] = None) -> Ensemble:
+               config: SimConfig, y0: float) -> Ensemble:
     """Simulate the transformed state; see the module docstring.
 
     ``functional`` is the drift functional of X: each step hands it the
     column X = h^{-1}(Y) of the current states, and it adds
-    sigma0(Y) * H to the drift of Y.  ``trunc`` must be the same
-    truncation that entered the drift of ``chars``; it feeds the
-    compensator correction for explicitly simulated jumps.
+    sigma0(Y) * H to the drift of Y.
     """
-    transform = transform if transform is not None else ScaleTransform.identity()
-    trunc = trunc if trunc is not None else TruncationFunction()
+    transform, trunc = chars.transform, chars.trunc
     if config.small_jump_cutoff >= trunc.radius:
         raise ValidationError("small_jump_cutoff must stay below the truncation radius")
 
@@ -628,8 +605,8 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
     times = np.linspace(0.0, T, n + 1)
     lam_max = config.big_jump_intensity_bound
 
-    ops = chars.measure.prepare(config.small_jump_cutoff, trunc, transform,
-                                config.master_seed)
+    ops = jump_ops(chars.measure, config.small_jump_cutoff, trunc, transform,
+                   config.master_seed)
     has_jumps = ops is not None
 
     # effective exclusion bounds: evaluating the jump machinery at a state
@@ -637,13 +614,9 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
     # inside the tabulated ranges
     img_lo, img_hi = transform.image
     if not transform.is_identity:
-        dlo, dhi = transform.domain
-        xm = ops.x_margin if has_jumps else 0.0
-        zm = ops.z_margin if has_jumps else 0.0
-        if not np.isfinite(xm) or 2.0 * xm >= dhi - dlo:
-            raise RangeError("kernel support exceeds the tabulated transform range")
-        img_lo = float(np.asarray(transform.forward(np.asarray(dlo + xm)))) + zm
-        img_hi = float(np.asarray(transform.forward(np.asarray(dhi - xm)))) - zm
+        xm, zm = (ops.x_margin, ops.z_margin) if has_jumps else (0.0, 0.0)
+        lo, hi = _image_range(transform, xm)
+        img_lo, img_hi = lo + zm, hi - zm
         if not img_lo < y0 < img_hi:
             raise RangeError("initial state outside the effective range")
 
@@ -788,14 +761,12 @@ def simulate_x_markovian(coeffs: CoefficientSet, kernel: Optional[Kernel],
     """Simulate the original state through its transformed characteristics."""
     chars = build_characteristics(coeffs, kernel, trunc)
     y0 = float(np.asarray(coeffs.transform.forward(np.asarray(x0))))
-    return simulate_y(chars, None, config, y0, transform=coeffs.transform,
-                      trunc=trunc)
+    return simulate_y(chars, None, config, y0)
 
 
 def simulate_euler_direct(drift, sigma, config: SimConfig, x0: float) -> Ensemble:
     """Plain Euler reference for classical-coefficient cross-checks."""
-    chars = CharacteristicsY(b=_as_vec(drift), sigma0=_as_vec(sigma),
-                             measure=EmptyJumpMeasure())
+    chars = CharacteristicsY(b=_as_vec(drift), sigma0=_as_vec(sigma))
     return simulate_y(chars, None, config, x0)
 
 
@@ -806,7 +777,6 @@ def simulate_euler_direct(drift, sigma, config: SimConfig, x0: float) -> Ensembl
 @dataclass
 class GirsanovWeight:
     kappa: np.ndarray = field(repr=False)
-    log_increments: np.ndarray = field(repr=False)
 
     @property
     def final(self):
@@ -821,27 +791,23 @@ def _weight_core(times, x_values, dW, functional: PathFunctional):
     log_inc = h * dW - 0.5 * h**2 * dt
     log_k = np.cumsum(log_inc, axis=-1)
     pad = np.zeros(x_values.shape[:-1] + (1,))
-    kappa = np.exp(np.concatenate([pad, log_k], axis=-1))
-    return kappa, log_inc
+    return np.exp(np.concatenate([pad, log_k], axis=-1))
 
 
-def girsanov_weight(path: CagladPath, functional: PathFunctional,
-                    coeffs=None) -> GirsanovWeight:
+def girsanov_weight(path: CagladPath, functional: PathFunctional) -> GirsanovWeight:
     """Exponential reweighting along one path.
 
     Multiplying terminal values by the final weight realises the law in
     which the bounded functional acts as an extra drift through the
     diffusion coefficient.
     """
-    del coeffs  # the weight only needs the path records
-    kappa, log_inc = _weight_core(path.times, path.values, path.dW, functional)
-    return GirsanovWeight(kappa=kappa, log_increments=log_inc)
+    return GirsanovWeight(_weight_core(path.times, path.values, path.dW, functional))
 
 
 def girsanov_weight_ensemble(ensemble: Ensemble,
                              functional: PathFunctional) -> GirsanovWeight:
-    kappa, log_inc = _weight_core(ensemble.times, ensemble.x, ensemble.dW, functional)
-    return GirsanovWeight(kappa=kappa, log_increments=log_inc)
+    return GirsanovWeight(_weight_core(ensemble.times, ensemble.x, ensemble.dW,
+                                       functional))
 
 
 @dataclass

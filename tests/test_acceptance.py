@@ -17,7 +17,7 @@ from sdelab import (CagladPath, ScenarioSpec, SimConfig, chain_rule_qv,
                     simulate_y, square_identity_residual, standard_profiles,
                     weighted_expectation, zero_functional)
 from sdelab.scenarios import build_bundle
-from sdelab.simulator import AtomJumpMeasure, CharacteristicsY, EmptyJumpMeasure
+from sdelab.simulator import AtomJumpMeasure, CharacteristicsY
 
 
 def _criterion(num, name, ok, detail=""):
@@ -46,8 +46,7 @@ def brownian_fine():
                     big_jump_intensity_bound=0.0)
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
-        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        measure=EmptyJumpMeasure())
+        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     return simulate_y(chars, None, cfg, 0.0)
 
 
@@ -244,8 +243,7 @@ def test_c09_girsanov(brownian_10k):
     est = weighted_expectation(ens, gw.final, lambda e: e.x[:, -1])
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
-        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        measure=EmptyJumpMeasure())
+        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     direct = simulate_y(chars, constant_functional(c),
                         ens.config.replace(master_seed=777), 0.0)
     dm = direct.terminal_y()

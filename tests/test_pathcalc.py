@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CagladPath, CharacteristicsY, AtomJumpMeasure, EmptyJumpMeasure,
+from sdelab import (CagladPath, CharacteristicsY, AtomJumpMeasure,
                     GridMismatch, MissingDriverRecord, SimConfig, StableTailKernel,
                     chain_rule_qv, classify_dirichlet, covariation,
                     dirichlet_condition_intY, gamma_residual_qv,
@@ -24,8 +24,7 @@ def brownian_paths(n_paths=100, n_steps=4096, seed=21):
                     master_seed=seed, big_jump_intensity_bound=0.0)
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
-        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        measure=EmptyJumpMeasure())
+        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
     return simulate_y(chars, None, cfg, 0.0)
 
 

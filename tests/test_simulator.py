@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 
 from sdelab import (AtomJumpMeasure, CharacteristicsY, DegenerateWeights,
-                    EmptyJumpMeasure, IntensityBoundViolated, RangeError, SimConfig,
+                    IntensityBoundViolated, RangeError, SimConfig,
                     canonical_decomposition_residual, compensator_residual,
                     constant_functional, domain_approximant, girsanov_weight,
                     girsanov_weight_ensemble, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
-                    PathFunctional, PushforwardJumpMeasure, ScaleTransform,
-                    TruncationFunction, build_characteristics)
+                    PathFunctional, ScaleTransform, TruncationFunction,
+                    build_characteristics, jump_operator, jump_ops)
 from sdelab import simulator
 from sdelab.simulator import event_rng, path_rng
 
@@ -24,7 +24,7 @@ def zeros(y):
 
 
 def brownian_chars():
-    return CharacteristicsY(b=zeros, sigma0=ones, measure=EmptyJumpMeasure())
+    return CharacteristicsY(b=zeros, sigma0=ones)
 
 
 BROWNIAN_CFG = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=1,
@@ -172,8 +172,8 @@ class TestDrawOrder:
                         small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
         trunc = TruncationFunction()
         ens = simulate_x_markovian(CoefficientSet.unit(), kernel, trunc, cfg, 0.0)
-        ops = PushforwardJumpMeasure(kernel, ScaleTransform.identity()).prepare(
-            cfg.small_jump_cutoff, trunc, None, cfg.master_seed)
+        ops = jump_ops(kernel, cfg.small_jump_cutoff, trunc, ScaleTransform.identity(),
+                       cfg.master_seed)
         rate = float(ops.profiles(np.zeros(1))[0, 0])
 
         def sizes(i, j, u1, u2):
@@ -413,7 +413,7 @@ class TestJumpMeasureBranches:
         h = tr.forward
 
         def prepare(kernel, cutoff):
-            return PushforwardJumpMeasure(kernel, tr).prepare(cutoff, clamp1, None, 0)
+            return jump_ops(kernel, cutoff, clamp1, tr, 0)
 
         ys = simulator._shrunk_image_grid(tr, 0.1, 257)
         z = h(tr.inverse(ys) + 0.1) - ys
@@ -505,6 +505,28 @@ class TestTabulatedKernelOps:
         want = ref_sample(y[has_big], u1[has_big])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("transformed", (False, True), ids=("identity", "tanh"))
+    @pytest.mark.parametrize("make", (_state_dependent_table, _mixed_table))
+    def test_generator_jump_term_equals_state_loop(self, make, transformed,
+                                                   tanh_coeffs, clamp1, monkeypatch):
+        from sdelab import generator, generator_state, standard_profiles
+        kernel = make()
+        coeffs = tanh_coeffs if transformed else CoefficientSet.unit()
+        tr = coeffs.transform
+        x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
+                            kernel.y_grid[:-1] + 0.5]).reshape(6, -1)
+        state = generator_state(None, kernel, coeffs, np.linspace(0, 1, 53), x)
+        monkeypatch.setattr(generator, "_JUMP_TERM_CHUNK", 100)  # blocks of states
+        for f in standard_profiles():
+            fx, fpx = f.as_x_callables(tr)
+            want = [jump_operator(fx, fpx, kernel, clamp1, xi, f_sup=f.bound,
+                                  split=False).value for xi in x.ravel()]
+            got = generator._jump_term_grid(
+                f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx,
+                kernel, clamp1, tr)
+            np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=1e-13,
+                                       atol=0, err_msg=f.name)
+
 
 # ---------------------------------------------------------------------------
 # guard rails
@@ -564,6 +586,33 @@ class TestGuards:
 
 
 # ---------------------------------------------------------------------------
+# the characteristics carry their transform and truncation
+# ---------------------------------------------------------------------------
+
+class TestCharacteristics:
+    def test_simulate_y_reads_transform_and_truncation(self, tanh_coeffs,
+                                                       atom_kernel, clamp1):
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=50, master_seed=3)
+        chars = build_characteristics(tanh_coeffs, atom_kernel, clamp1)
+        x0 = 0.3
+        y0 = float(tanh_coeffs.transform.forward(np.asarray(x0)))
+        ens = simulate_y(chars, None, cfg, y0)
+        ref = simulate_x_markovian(tanh_coeffs, atom_kernel, clamp1, cfg, x0)
+        assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.y)
+        for name in ("x", "y", "hx", "hpx", "jump_x_pre", "jump_w"):
+            assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
+        # the cutoff is checked against the truncation the drift was built with
+        narrow = TruncationFunction(radius=0.5, cap=0.5)
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError):
+            simulate_y(build_characteristics(tanh_coeffs, atom_kernel, narrow), None,
+                       cfg.replace(small_jump_cutoff=0.6), y0)
+
+    def test_no_measure_gives_no_ops(self, clamp1):
+        assert jump_ops(None, 0.05, clamp1, ScaleTransform.identity(), 0) is None
+
+
+# ---------------------------------------------------------------------------
 # the drift functional inside the engine
 # ---------------------------------------------------------------------------
 
@@ -580,13 +629,11 @@ class TestEngineFunctional:
 
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=50, master_seed=3)
         if transformed:
-            tr = tanh_coeffs.transform
             chars = build_characteristics(tanh_coeffs, atom_kernel, clamp1)
-            y0 = float(tr.forward(np.asarray(0.3)))
+            y0 = float(chars.transform.forward(np.asarray(0.3)))
         else:
-            tr, chars, y0 = None, brownian_chars(), 0.3
-        ens = simulate_y(chars, PathFunctional("record", 0.0, record), cfg, y0,
-                         transform=tr, trunc=clamp1)
+            chars, y0 = brownian_chars(), 0.3
+        ens = simulate_y(chars, PathFunctional("record", 0.0, record), cfg, y0)
         if transformed:  # a step fed Y would differ from X
             assert not np.array_equal(ens.x, ens.y)
         assert len(seen) == cfg.n_steps
