@@ -11,13 +11,12 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError, SdeLabError,
                      ValidationError)
-from .generator import (CagladPath, GeneratorValue, PathFunctional,
+from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         clamped_running_sup, conjugation_residual,
                         constant_functional, evaluate_generator,
                         evaluate_transformed_generator, generator_ball_modulus,
-                        generator_state, martingale_residual,
-                        martingale_residual_ensemble, resolve_functional,
-                        sin_left_limit, zero_functional)
+                        generator_state, martingale_residual_ensemble,
+                        resolve_functional, sin_left_limit, zero_functional)
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
                       TruncationFunction, diffusion_coefficient, drift_correction,

@@ -89,8 +89,8 @@ def cmd_check_coefficients(args):
     bundle = build_bundle(spec)
     out_dir = _out_dir(args)
     from .coefficients import check_hypotheses
-    rep = check_hypotheses(bundle.coeffs.potential)
-    table = bundle.coeffs.table()
+    rep = check_hypotheses(bundle.eq.coeffs.potential)
+    table = bundle.eq.coeffs.table()
     path = os.path.join(out_dir, f"coefficients_{bundle.name}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,sigma_value,h,hprime\n")
@@ -104,13 +104,13 @@ def cmd_check_coefficients(args):
 def cmd_check_kernel(args):
     spec = _spec_from_args(args)
     bundle = build_bundle(spec)
-    if bundle.kernel is None:
+    if bundle.eq.kernel is None:
         raise ValidationError(f"scenario {bundle.name} has no jump kernel")
     out_dir = _out_dir(args)
     y_grid = np.linspace(-2.0, 2.0, 9)
-    rep = moment_bound(bundle.kernel, y_grid, radius=bundle.trunc.radius)
+    rep = moment_bound(bundle.eq.kernel, y_grid, radius=bundle.eq.trunc.radius)
     part = geometric_partition(1e-3, 50.0, 129)
-    tv = tv_continuity_modulus(bundle.kernel, bundle.kernel.alpha, y_grid, part)
+    tv = tv_continuity_modulus(bundle.eq.kernel, bundle.eq.kernel.alpha, y_grid, part)
     path = os.path.join(out_dir, f"kernel_{bundle.name}.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("y,moment,m1,m2,tv_modulus\n")
@@ -146,18 +146,15 @@ def cmd_verify_martingale(args):
     # residuals and weights of the written rows only
     rows = slice(0, min(args.dump_paths, ens.n_paths))
     hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
-    state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
-                            ens.times, ens.x[rows], hx, hpx)
-    M = martingale_residual_ensemble(ens, standard_profiles()[0], bundle.functional,
-                                     bundle.kernel, bundle.trunc, bundle.coeffs,
-                                     state=state)
+    state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx)
+    M = martingale_residual_ensemble(state, standard_profiles()[0])
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
     with open(res_path, "w", encoding="utf-8") as fh:
         fh.write("path_id,t,M_f,kappa_T\n")
         for i, row in enumerate(M):
             # the Girsanov weight under which the diagnostic reads the residuals
-            kappa = (girsanov_weight(ens.path(i), bundle.functional).final
-                     if bundle.functional is not None else 1.0)
+            kappa = (girsanov_weight(ens.path(i), bundle.eq.functional).final
+                     if bundle.eq.functional is not None else 1.0)
             for t, v in zip(ens.times, row):
                 fh.write(f"{i},{float(t)!r},{float(v)!r},{float(kappa)!r}\n")
     print(f"residual paths -> {res_path}", file=sys.stderr)
@@ -214,6 +211,13 @@ def cmd_run(args):
     return _print_report(report, out_dir, args.format)
 
 
+def non_negative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {n}")
+    return n
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="sdelab",
                                 description="stochastic lab for SDEs with "
@@ -229,7 +233,7 @@ def build_parser():
         sp.add_argument("--paths", type=int, default=None)
         sp.add_argument("--steps", type=int, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--dump-paths", type=int, default=dump_default,
+        sp.add_argument("--dump-paths", type=non_negative_int, default=dump_default,
                         help="number of paths to export as CSV")
 
     for name, fn in (

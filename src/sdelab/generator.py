@@ -4,21 +4,23 @@ The generator of the lab's equations has a local part (conjugated through
 the scale transform), a drift part driven by a bounded non-anticipating
 path functional, and a nonlocal part coming from the jump kernel.  A path
 functional steps through the time columns of X in order; it cannot read
-the future because a step never sees a later column.
+the future because a step never sees a later column.  ``EquationX`` holds
+the coefficients, kernel, truncation and functional, and every generator
+function reads them from it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
-                           ScaleTransform, local_generator, transformed_diffusion)
+                           local_generator, transformed_diffusion)
 from .errors import ValidationError
-from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TabulatedKernel, TruncationFunction, _row_sums,
-                      drift_correction, jump_operator, pushforward_integral)
+from .kernels import (Kernel, StableTailKernel, TabulatedKernel, TruncationFunction,
+                      _row_sums, drift_correction, is_discrete_law, jump_operator,
+                      pushforward_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,20 @@ def resolve_functional(name, **kwargs) -> PathFunctional:
 
 
 # ---------------------------------------------------------------------------
-# generator values
+# the original equation and its generator values
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EquationX:
+    """The path-dependent equation of X: coefficients (diffusion and scale
+    transform), jump kernel, truncation and bounded drift functional.
+    ``kernel`` and ``functional`` are None when the equation has none."""
+
+    coeffs: CoefficientSet
+    kernel: Optional[Kernel] = None
+    trunc: TruncationFunction = field(default_factory=TruncationFunction)
+    functional: Optional[PathFunctional] = None
+
 
 @dataclass(frozen=True)
 class GeneratorValue:
@@ -182,49 +196,43 @@ class GeneratorValue:
         return self.local + self.drift + self.jump
 
 
-def evaluate_generator(f: ConjugateTestFunction, functional: Optional[PathFunctional],
-                       kernel: Optional[Kernel], trunc: TruncationFunction,
-                       coeffs: CoefficientSet, path: CagladPath, t,
+def evaluate_generator(f: ConjugateTestFunction, eq: EquationX, path: CagladPath, t,
                        tol=1e-8) -> GeneratorValue:
     """Generator of the original equation on a path at time t."""
-    transform = coeffs.transform
+    transform = eq.coeffs.transform
     x_t = path.value(t)
-    local = float(np.asarray(local_generator(f, transform, coeffs.diffusion, x_t)))
-    h_val = functional.evaluate(path, t) if functional is not None else 0.0
+    local = float(np.asarray(local_generator(f, transform, eq.coeffs.diffusion, x_t)))
+    h_val = eq.functional.evaluate(path, t) if eq.functional is not None else 0.0
     fp = float(np.asarray(f.f_prime(transform, x_t)))
-    drift = float(np.asarray(coeffs.diffusion.sigma(np.asarray(x_t)))) * h_val * fp
-    if kernel is None:
+    drift = float(np.asarray(eq.coeffs.diffusion.sigma(np.asarray(x_t)))) * h_val * fp
+    if eq.kernel is None:
         jump = 0.0
     else:
         fx, fpx = f.as_x_callables(transform)
-        jump = jump_operator(fx, fpx, kernel, trunc, x_t, tol=tol,
+        jump = jump_operator(fx, fpx, eq.kernel, eq.trunc, x_t, tol=tol,
                              f_sup=f.bound).value
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 
-def evaluate_transformed_generator(phi: ConjugateTestFunction,
-                                   functional: Optional[PathFunctional],
-                                   kernel: Optional[Kernel],
-                                   transform: ScaleTransform,
-                                   trunc: TruncationFunction,
-                                   coeffs: CoefficientSet, y_path: CagladPath, t,
-                                   tol=1e-8) -> GeneratorValue:
+def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
+                                   y_path: CagladPath, t, tol=1e-8) -> GeneratorValue:
     """Generator of the transformed equation on an image-space path.
 
     The local part is the classical second-order term plus the drift
     correction; the nonlocal part integrates against the pushforward of
-    the kernel.  ``functional`` is the drift functional of the original
-    path, so it is evaluated on the preimage of ``y_path``.
+    the kernel.  The drift functional is that of the original path, so it
+    is evaluated on the preimage of ``y_path``.
     """
+    transform, kernel, trunc = eq.coeffs.transform, eq.kernel, eq.trunc
     y_t = y_path.value(t)
-    s0 = float(np.asarray(transformed_diffusion(transform, coeffs.diffusion, y_t)))
+    s0 = float(np.asarray(transformed_diffusion(transform, eq.coeffs.diffusion, y_t)))
     b = (drift_correction(kernel, transform, trunc, y_t, tol=tol)
          if kernel is not None else 0.0)
     phi_p = float(np.asarray(phi.phi_prime(np.asarray(y_t))))
     local = 0.5 * s0**2 * float(np.asarray(phi.phi_second(np.asarray(y_t)))) + b * phi_p
-    h_val = (functional.evaluate(CagladPath(y_path.times,
-                                            transform.inverse(y_path.values)), t)
-             if functional is not None else 0.0)
+    h_val = (eq.functional.evaluate(CagladPath(y_path.times,
+                                               transform.inverse(y_path.values)), t)
+             if eq.functional is not None else 0.0)
     drift = s0 * h_val * phi_p
 
     if kernel is None:
@@ -244,23 +252,17 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction,
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 
-def conjugation_residual(phi: ConjugateTestFunction,
-                         functional: Optional[PathFunctional],
-                         kernel: Optional[Kernel], trunc: TruncationFunction,
-                         coeffs: CoefficientSet, path: CagladPath, t,
-                         tol=1e-8):
+def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: CagladPath,
+                         t, tol=1e-8):
     """|generator on the original path - transformed generator on its image|.
 
     The two sides are assembled through different integrals; their
     pointwise agreement is the computable content of the equivalence
     between the two formulations.
     """
-    transform = coeffs.transform
-    lhs = evaluate_generator(phi, functional, kernel, trunc, coeffs, path, t,
-                             tol=tol).total
-    y_path = CagladPath(path.times, transform.forward(path.values))
-    rhs = evaluate_transformed_generator(phi, functional, kernel, transform, trunc,
-                                         coeffs, y_path, t, tol=tol).total
+    lhs = evaluate_generator(phi, eq, path, t, tol=tol).total
+    y_path = CagladPath(path.times, eq.coeffs.transform.forward(path.values))
+    rhs = evaluate_transformed_generator(phi, eq, y_path, t, tol=tol).total
     return abs(lhs - rhs)
 
 
@@ -268,9 +270,9 @@ def conjugation_residual(phi: ConjugateTestFunction,
 # vectorized generator along grids and martingale residuals
 # ---------------------------------------------------------------------------
 
-def _is_discrete(kernel):
-    return isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law,
-                                                                   DiscreteLaw)
+# quadrature tolerance and table size of the jump term of a quadrature kernel
+_GRID_TOL = 1e-8
+_TABLE_NODES = 257
 
 
 @dataclass(frozen=True)
@@ -284,9 +286,12 @@ class GeneratorState:
     every profile evaluated on the same paths.  ``hx`` is h evaluated at
     ``x`` (in the inverse's own cell when the engine's final inversion
     supplies it), not a simulated Y, so that f(X) is phi(h(X)) exactly.
+    ``eq`` is the equation the state was built from; the grid functions
+    read its kernel, truncation and transform from here.
     Treat every array as read-only: ``hx`` may share memory with ``x``.
     """
 
+    eq: EquationX
     times: np.ndarray
     x: np.ndarray
     hx: np.ndarray
@@ -296,31 +301,29 @@ class GeneratorState:
     atom_images: tuple    # h(x + w) per atom of a DiscreteLaw kernel, else ()
 
 
-def generator_state(functional: Optional[PathFunctional], kernel: Optional[Kernel],
-                    coeffs: CoefficientSet, times, values, hx=None,
-                    hpx=None) -> GeneratorState:
-    """Evaluate the transform, sigma and the functional once on ``values``.
+def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorState:
+    """Evaluate the transform, sigma and the functional once on the path
+    array ``x`` (last axis = time; one path or many).
 
-    ``hx`` and ``hpx`` are h(values) and h'(values) when the caller already
-    holds them, as an ensemble does from the engine's final inversion;
-    whichever is None is evaluated here.
+    ``hx`` and ``hpx`` are h(x) and h'(x) when the caller already holds
+    them, as an ensemble does from the engine's final inversion; whichever
+    is None is evaluated here.
     """
-    transform = coeffs.transform
+    transform = eq.coeffs.transform
     times = np.asarray(times, dtype=float)
-    x = np.asarray(values, dtype=float)
-    hv = 0.0 if functional is None else functional.grid_values(times, x)
+    x = np.asarray(x, dtype=float)
+    hv = 0.0 if eq.functional is None else eq.functional.grid_values(times, x)
     images = (tuple(np.asarray(transform.forward(x + w))
-                    for w in kernel.law.positions) if _is_discrete(kernel) else ())
+                    for w in eq.kernel.law.positions)
+              if is_discrete_law(eq.kernel) else ())
     hx = np.asarray(transform.forward(x)) if hx is None else hx
     hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
-    return GeneratorState(times=times, x=x, hx=hx, hpx=hpx,
-                          sigma=np.asarray(coeffs.diffusion.sigma(x)), hv=hv,
+    return GeneratorState(eq=eq, times=times, x=x, hx=hx, hpx=hpx,
+                          sigma=np.asarray(eq.coeffs.diffusion.sigma(x)), hv=hv,
                           atom_images=images)
 
 
-def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
-                    kernel: Optional[Kernel], trunc: TruncationFunction,
-                    transform: ScaleTransform, tol=1e-8, table_nodes=257):
+def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
     Discrete laws and tabulated kernels are summed exactly over each
@@ -328,10 +331,11 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
     grid and interpolated (the interpolation error is far below Monte Carlo
     resolution, which is the only consumer of this code path).
     """
-    x = state.x
+    x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
+    transform = state.eq.coeffs.transform
     if kernel is None:
         return 0.0
-    if _is_discrete(kernel):
+    if is_discrete_law(kernel):
         out = np.zeros_like(x)
         for w, p, hxw in zip(kernel.law.positions, kernel.law.probs,
                              state.atom_images):
@@ -346,18 +350,18 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp,
     fx, fpx = f.as_x_callables(transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
-        val = jump_operator(fx, fpx, kernel, trunc, lo, tol=tol,
+        val = jump_operator(fx, fpx, kernel, trunc, lo, tol=_GRID_TOL,
                             f_sup=f.bound, split=False).value
         return np.full_like(x, val)
-    nodes = np.linspace(lo, hi, table_nodes)
+    nodes = np.linspace(lo, hi, _TABLE_NODES)
     if isinstance(kernel, StableTailKernel):
         from .kernels import _stable_nonlocal
-        vals, _ = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, tol=tol,
+        vals, _ = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, tol=_GRID_TOL,
                                    split=False, f_sup=f.bound,
                                    subpanel_budget=512)
     else:
         vals = np.array([
-            jump_operator(fx, fpx, kernel, trunc, float(u), tol=tol,
+            jump_operator(fx, fpx, kernel, trunc, float(u), tol=_GRID_TOL,
                           f_sup=f.bound, split=False).value
             for u in nodes
         ])
@@ -385,9 +389,7 @@ def _tabulated_jump_term(f, x, base, fp, kernel: TabulatedKernel, trunc, transfo
     return out.reshape(np.shape(x))
 
 
-def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,
-                   kernel: Optional[Kernel], trunc: TruncationFunction,
-                   coeffs: CoefficientSet, tol=1e-8):
+def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx):
     """Generator values along the state's path(s) (last axis = time).
 
     ``fx`` is phi(state.hx), which the residual needs as well.  The terms
@@ -402,41 +404,20 @@ def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx,
     drift *= fp
     gen += drift
     del drift
-    gen += _jump_term_grid(f, state, fx, fp, kernel, trunc, coeffs.transform,
-                           tol=tol)
+    gen += _jump_term_grid(f, state, fx, fp)
     return gen
 
 
-def martingale_residual(path: CagladPath, f: ConjugateTestFunction,
-                        functional: Optional[PathFunctional],
-                        kernel: Optional[Kernel], trunc: TruncationFunction,
-                        coeffs: CoefficientSet, tol=1e-8):
-    """Residual path f(X_t) - f(x_0) - int_0^t (generator) ds on the grid.
+def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction):
+    """Residual paths f(X_t) - f(x_0) - int_0^t (generator) ds on the state's
+    grid, one row per path (a single path gives one row).
 
     Left-endpoint rule with left limits, matching the predictable
-    integrand of the defining property.
+    integrand of the defining property.  Build ``state`` once with
+    ``generator_state`` to share it across profiles.
     """
-    state = generator_state(functional, kernel, coeffs, path.times, path.values)
-    return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
-
-
-def martingale_residual_ensemble(ensemble, f, functional, kernel, trunc, coeffs,
-                                 tol=1e-8, state: Optional[GeneratorState] = None):
-    """Residual paths for a whole ensemble, shape (paths, grid).
-
-    ``state`` is ``generator_state(functional, kernel, coeffs,
-    ensemble.times, ensemble.x, ensemble.hx, ensemble.hpx)``; pass it to
-    share it across profiles, or leave it out to have it built here.
-    """
-    if state is None:
-        state = generator_state(functional, kernel, coeffs, ensemble.times,
-                                ensemble.x, ensemble.hx, ensemble.hpx)
-    return _residual_from_generator(f, state, kernel, trunc, coeffs, tol)
-
-
-def _residual_from_generator(f, state: GeneratorState, kernel, trunc, coeffs, tol):
     fx = f.phi(state.hx)
-    gen = generator_grid(f, state, fx, kernel, trunc, coeffs, tol=tol)
+    gen = generator_grid(f, state, fx)
     integ = gen[..., :-1]
     integ *= np.diff(state.times)
     np.cumsum(integ, axis=-1, out=integ)
@@ -460,10 +441,9 @@ class ModulusEstimate:
         return float(np.sum(d * s) / np.sum(d * d))
 
 
-def generator_ball_modulus(f: ConjugateTestFunction, functional, kernel,
-                           trunc: TruncationFunction, coeffs: CoefficientSet,
-                           ball_radius, n_probes=24, deltas=(0.4, 0.2, 0.1, 0.05),
-                           seed=0, n_grid=65, tol=1e-6) -> ModulusEstimate:
+def generator_ball_modulus(f: ConjugateTestFunction, eq: EquationX, ball_radius,
+                           n_probes=24, deltas=(0.4, 0.2, 0.1, 0.05), seed=0,
+                           n_grid=65, tol=1e-6) -> ModulusEstimate:
     """Empirical modulus sup |gen(eta1)(t) - gen(eta2)(t)| over close path pairs.
 
     Pairs are random paths inside the sup-norm ball with perturbations of
@@ -487,9 +467,7 @@ def generator_ball_modulus(f: ConjugateTestFunction, functional, kernel,
             else:
                 pert = d * rng.uniform(-1.0, 1.0, size=base.shape)
             other = np.clip(base + pert, -m, m)
-            g1 = evaluate_generator(f, functional, kernel, trunc, coeffs,
-                                    CagladPath(times, base), t, tol=tol).total
-            g2 = evaluate_generator(f, functional, kernel, trunc, coeffs,
-                                    CagladPath(times, other), t, tol=tol).total
+            g1 = evaluate_generator(f, eq, CagladPath(times, base), t, tol=tol).total
+            g2 = evaluate_generator(f, eq, CagladPath(times, other), t, tol=tol).total
             sups[j] = max(sups[j], abs(g1 - g2))
     return ModulusEstimate(deltas=deltas, sups=np.maximum.accumulate(sups))

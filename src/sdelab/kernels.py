@@ -390,6 +390,12 @@ class TabulatedKernel:
 Kernel = Union[StableTailKernel, FiniteActivityKernel, TabulatedKernel]
 
 
+def is_discrete_law(kernel: Optional[Kernel]) -> bool:
+    """True for a finite-activity kernel whose jump law has finitely many atoms."""
+    return isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law,
+                                                                   DiscreteLaw)
+
+
 # ---------------------------------------------------------------------------
 # moment / total-variation diagnostics
 # ---------------------------------------------------------------------------

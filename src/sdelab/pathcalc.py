@@ -17,8 +17,7 @@ import numpy as np
 from .coefficients import CoefficientSet, CubicTable
 from .errors import GridMismatch, MissingDriverRecord
 from .generator import CagladPath
-from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel,
-                      StableTailKernel)
+from .kernels import Kernel, StableTailKernel, is_discrete_law
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def _phi_jump_compensator(kernel: Optional[Kernel], coeffs: CoefficientSet,
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     transform = coeffs.transform
 
-    if isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw):
+    if is_discrete_law(kernel):
         w_atoms, probs = kernel.law.positions, kernel.law.probs
 
         def fn(x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -19,10 +19,10 @@ import yaml
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (PathFunctional, constant_functional, generator_state,
+from .generator import (EquationX, constant_functional, generator_state,
                         martingale_residual_ensemble, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TruncationFunction, moment_bound)
+                      TruncationFunction, is_discrete_law, moment_bound)
 from .pathcalc import (aligned_window_ladder, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
@@ -65,10 +65,7 @@ def standard_profiles():
 @dataclass
 class ScenarioBundle:
     name: str
-    coeffs: CoefficientSet
-    kernel: Optional[Kernel]
-    trunc: TruncationFunction
-    functional: Optional[PathFunctional]
+    eq: EquationX
     x0: float
     sim: SimConfig
     diagnostics: tuple
@@ -127,8 +124,7 @@ def _build_brownian():
                                             name="zero"),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
-        name="brownian_baseline", coeffs=coeffs, kernel=None,
-        trunc=TruncationFunction(), functional=None, x0=0.0,
+        name="brownian_baseline", eq=EquationX(coeffs), x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=256, n_paths=2000, master_seed=11,
                       big_jump_intensity_bound=0.0),
         diagnostics=("martingale", "qv", "gamma"),
@@ -140,8 +136,7 @@ def _build_smooth_drift():
     coeffs = CoefficientSet.build(_linear_drift(0.3), _unit_diffusion(),
                                   MollifierConfig(), grid)
     return ScenarioBundle(
-        name="smooth_drift_crosscheck", coeffs=coeffs, kernel=None,
-        trunc=TruncationFunction(), functional=None, x0=0.0,
+        name="smooth_drift_crosscheck", eq=EquationX(coeffs), x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=256, n_paths=4000, master_seed=5,
                       big_jump_intensity_bound=0.0),
         diagnostics=("crosscheck_euler", "martingale"),
@@ -153,8 +148,7 @@ def _build_weierstrass():
     moll = MollifierConfig(widths=(2.5e-5, 1.25e-5, 6.25e-6))
     coeffs = CoefficientSet.build(_weierstrass_drift(), _unit_diffusion(), moll, grid)
     return ScenarioBundle(
-        name="weierstrass_drift", coeffs=coeffs, kernel=None,
-        trunc=TruncationFunction(), functional=None, x0=0.0,
+        name="weierstrass_drift", eq=EquationX(coeffs), x0=0.0,
         sim=SimConfig(horizon=0.25, n_steps=128, n_paths=500, master_seed=3,
                       big_jump_intensity_bound=0.0),
         diagnostics=("martingale",),
@@ -167,8 +161,7 @@ def _build_atom_jump():
                                   MollifierConfig(), grid)
     kernel = FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.1, 1.0),)), alpha=1.0)
     return ScenarioBundle(
-        name="atom_jump", coeffs=coeffs, kernel=kernel,
-        trunc=TruncationFunction(), functional=None, x0=0.0,
+        name="atom_jump", eq=EquationX(coeffs, kernel), x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=512, n_paths=2000, master_seed=17,
                       small_jump_cutoff=0.01, big_jump_intensity_bound=1.05),
         diagnostics=("martingale", "compensator", "conjugation"),
@@ -182,8 +175,7 @@ def _build_stable_jump(gamma=1.5, scale=0.5):
     delta = 0.1
     lam = 2.0 * float(kernel.one_tail_mass(delta))
     return ScenarioBundle(
-        name="stable_jump", coeffs=coeffs, kernel=kernel,
-        trunc=TruncationFunction(), functional=None, x0=0.0,
+        name="stable_jump", eq=EquationX(coeffs, kernel), x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=29,
                       small_jump_cutoff=delta,
                       big_jump_intensity_bound=lam * 1.02),
@@ -197,8 +189,8 @@ def _build_path_dependent():
                                             name="zero"),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
-        name="path_dependent_drift", coeffs=coeffs, kernel=None,
-        trunc=TruncationFunction(), functional=resolve_functional("clamped_running_sup"),
+        name="path_dependent_drift",
+        eq=EquationX(coeffs, functional=resolve_functional("clamped_running_sup")),
         x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=256, n_paths=4000, master_seed=23,
                       big_jump_intensity_bound=0.0),
@@ -292,12 +284,11 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
         kw["horizon"] = float(spec.horizon)
     if kw:
         sim = sim.replace(**kw)
-    functional = bundle.functional
+    eq = bundle.eq
     if functional_name is not None:
-        functional = resolve_functional(str(functional_name))
+        eq = replace(eq, functional=resolve_functional(str(functional_name)))
     return ScenarioBundle(
-        name=bundle.name, coeffs=bundle.coeffs, kernel=bundle.kernel,
-        trunc=bundle.trunc, functional=functional,
+        name=bundle.name, eq=eq,
         x0=bundle.x0 if spec.x0 is None else float(spec.x0),
         sim=sim,
         diagnostics=spec.diagnostics if spec.diagnostics is not None
@@ -365,16 +356,14 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
              "one": np.ones_like(x_half),
              "runsup_mid": run_half}
     # h, h', sigma and the atom images are shared by all five profiles
-    state = generator_state(bundle.functional, bundle.kernel, bundle.coeffs,
-                            ens.times, ens.x, ens.hx, ens.hpx)
+    state = generator_state(bundle.eq, ens.times, ens.x, ens.hx, ens.hpx)
     # the engine does not simulate a drift functional, but the generator
     # includes it: the Girsanov weight realises that law, so the residuals
     # are read under it
-    kappa = (girsanov_weight_ensemble(ens, bundle.functional).final[ens.active]
-             if bundle.functional is not None else None)
+    kappa = (girsanov_weight_ensemble(ens, bundle.eq.functional).final[ens.active]
+             if bundle.eq.functional is not None else None)
     for prof in standard_profiles():
-        M = martingale_residual_ensemble(ens, prof, bundle.functional, bundle.kernel,
-                                         bundle.trunc, bundle.coeffs, state=state)
+        M = martingale_residual_ensemble(state, prof)
         m_t = M[ens.active, -1]
         inc = m_t - M[ens.active, n_half]
         del M
@@ -404,7 +393,7 @@ def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
             continue
         p = ens.path(i)
         est = qv_estimate(p, eps, T)
-        sig = np.asarray(bundle.coeffs.diffusion.sigma(p.values[:-1]))
+        sig = np.asarray(bundle.eq.coeffs.diffusion.sigma(p.values[:-1]))
         ref = float(np.sum(sig**2) * dt + np.sum(p.jump_w**2))
         vals.append(est.values[-1])
         refs.append(ref)
@@ -422,7 +411,7 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("gamma", [], 0.05, n_active, {})
     eps = aligned_window_ladder(ens.times)
-    rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.coeffs, bundle.kernel,
+    rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.eq.coeffs, bundle.eq.kernel,
                             eps, phi_bound=1.0)
     ok = rep.decreasing() and rep.final < 0.05
     return DiagnosticResult("gamma", _status(ok), rep.final, 0.05,
@@ -431,7 +420,7 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    functional = bundle.functional or constant_functional(0.5)
+    functional = bundle.eq.functional or constant_functional(0.5)
     n_active = int(np.sum(ens.active))
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("girsanov", [], 3.0, n_active,
@@ -448,7 +437,7 @@ def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _default_region(kernel: Kernel):
-    if isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw):
+    if is_discrete_law(kernel):
         return [(w - 0.4 * abs(w), w + 0.4 * abs(w)) for w in kernel.law.positions]
     return [(1.0, np.inf), (-np.inf, -1.0)]
 
@@ -457,7 +446,8 @@ def _diag_compensator(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult
     n_active = int(np.sum(ens.active))
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("compensator", [], 3.0, n_active, {})
-    stats = compensator_residual(ens, _default_region(bundle.kernel), bundle.kernel)
+    kernel = bundle.eq.kernel
+    stats = compensator_residual(ens, _default_region(kernel), kernel)
     return _z_gate("compensator", [abs(stats.zscore)], 3.0, n_active,
                    {"mean": stats.mean, "se": stats.se})
 
@@ -474,19 +464,17 @@ def _diag_conjugation(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult
         vals = np.clip(vals, -2.0, 2.0)
         t = float(rng.choice(times[1:]))
         prof = profiles[rng.integers(len(profiles))]
-        res = conjugation_residual(prof, bundle.functional, bundle.kernel,
-                                   bundle.trunc, bundle.coeffs,
-                                   CagladPath(times, vals), t)
+        res = conjugation_residual(prof, bundle.eq, CagladPath(times, vals), t)
         worst = max(worst, float(res))
     return DiagnosticResult("conjugation", _status(worst < 1e-6), worst, 1e-6, {})
 
 
 def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     """Transform route against plain Euler with the classical drift."""
-    bp = bundle.coeffs.drift.beta_prime
+    bp = bundle.eq.coeffs.drift.beta_prime
     if bp is None:
         raise ValidationError("cross-check needs a classical drift")
-    direct = simulate_euler_direct(lambda x: bp(x), bundle.coeffs.diffusion.sigma,
+    direct = simulate_euler_direct(lambda x: bp(x), bundle.eq.coeffs.diffusion.sigma,
                                    bundle.sim.replace(master_seed=bundle.sim.master_seed
                                                       + 1000),
                                    bundle.x0)
@@ -509,7 +497,7 @@ def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000) if m <= n] or [n]
     growth = dirichlet_condition_intY(lambda x: np.asarray(x, dtype=float), ens,
                                       a=1.0, sample_sizes=ladder)
-    nu = nu_jump_structural_check(bundle.kernel)
+    nu = nu_jump_structural_check(bundle.eq.kernel)
     report = classify_dirichlet(growth, nu_jump=nu)
     return DiagnosticResult("dirichlet",
                             "pass" if report.verdict != "inconsistent" else "fail",
@@ -569,11 +557,11 @@ class RunReport:
 
 
 def _hypothesis_section(bundle: ScenarioBundle):
-    rep = check_hypotheses(bundle.coeffs.potential, truncation_range=1000.0)
+    rep = check_hypotheses(bundle.eq.coeffs.potential, truncation_range=1000.0)
     out = {"potential": rep.to_dict()}
-    if bundle.kernel is not None:
+    if bundle.eq.kernel is not None:
         probes = np.linspace(-2.0, 2.0, 9)
-        kr = moment_bound(bundle.kernel, probes, radius=bundle.trunc.radius)
+        kr = moment_bound(bundle.eq.kernel, probes, radius=bundle.eq.trunc.radius)
         out["kernel"] = {"moment_sup": kr.sup, "alpha": kr.alpha,
                          "m1_max": float(np.max(kr.m1)),
                          "m2_max": float(np.max(kr.m2))}
@@ -609,8 +597,8 @@ def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
     if unknown:
         raise ValidationError(f"unknown diagnostics: {unknown}")
     hypothesis = _hypothesis_section(bundle)  # hard gate before any simulation
-    ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
-                               bundle.sim, bundle.x0)
+    eq = bundle.eq
+    ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
     results = [(_DIAGNOSTICS[d])(bundle, ens) for d in bundle.diagnostics]
     report = RunReport(
         scenario=bundle.name, spec=spec.to_dict(), seed=bundle.sim.master_seed,

@@ -22,9 +22,9 @@ from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import CagladPath, PathFunctional
-from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel, Kernel,
-                      StableTailKernel, TabulatedKernel, TruncationFunction,
-                      _row_sums, drift_correction)
+from .kernels import (DensityLaw, FiniteActivityKernel, Kernel, StableTailKernel,
+                      TabulatedKernel, TruncationFunction, _row_sums,
+                      drift_correction, is_discrete_law)
 
 
 def _as_vec(fn_or_const):
@@ -239,7 +239,7 @@ def jump_ops(measure, cutoff, trunc: TruncationFunction, transform: ScaleTransfo
                 "exceeds any finite transform table"
             )
         profiles, sample = _stable_ops(k, delta, trunc)
-    elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DiscreteLaw):
+    elif is_discrete_law(k):
         profiles, sample = _discrete_ops(k, transform, delta, trunc)
     elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
         profiles, sample = _density_ops(k, transform, delta, trunc, master_seed)
@@ -499,7 +499,7 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
 
     if kernel is None or transform.is_identity:
         b = _as_vec(0.0)  # without jumps, or under the identity, no correction
-    elif isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw):
+    elif is_discrete_law(kernel):
         w_atoms = kernel.law.positions
         p_atoms = kernel.law.probs
 

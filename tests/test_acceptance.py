@@ -4,6 +4,8 @@ Every test prints a single PASS/FAIL line; tolerances are pinned here and
 expected values come from closed forms or independent quadrature computed
 inside this module, never from the code under test.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -69,7 +71,7 @@ def atom_10k():
 # ---------------------------------------------------------------------------
 
 def test_c01_transform_identities(weier_bundle):
-    coeffs = weier_bundle.coeffs
+    coeffs = weier_bundle.eq.coeffs
     tr, pot = coeffs.transform, coeffs.potential
     table_gap = float(np.max(np.abs(tr.hprime_values - np.exp(-pot.values))))
     lo, hi = tr.image
@@ -92,7 +94,7 @@ def test_c02_square_identity(weier_bundle, tanh_coeffs):
     pts = np.linspace(-2.0, 2.0, 201)
     fixtures = (identity_profile(),) + standard_profiles()[:4]
     worst = 0.0
-    for coeffs in (weier_bundle.coeffs, tanh_coeffs):
+    for coeffs in (weier_bundle.eq.coeffs, tanh_coeffs):
         for prof in fixtures:
             worst = max(worst, square_identity_residual(
                 prof, coeffs.transform, coeffs.diffusion, pts))
@@ -108,14 +110,13 @@ def test_c03_conjugation(atom_bundle):
     rng = np.random.default_rng(77)
     profiles = standard_profiles()
     times = np.linspace(0.0, 1.0, 33)
+    eq = replace(atom_bundle.eq, functional=clamped_running_sup(1.0))
     worst = 0.0
     for _ in range(20):
         vals = np.clip(np.cumsum(rng.standard_normal(33)) * 0.3, -2.5, 2.5)
         t = float(rng.choice(times[1:]))
         prof = profiles[rng.integers(len(profiles))]
-        res = conjugation_residual(prof, clamped_running_sup(1.0),
-                                   atom_bundle.kernel, atom_bundle.trunc,
-                                   atom_bundle.coeffs, CagladPath(times, vals), t)
+        res = conjugation_residual(prof, eq, CagladPath(times, vals), t)
         worst = max(worst, float(res))
     _criterion(3, "conjugation", worst < 1e-6,
                f"max residual {worst:.2e} over 20 randomized triples")

@@ -1,14 +1,16 @@
 """Path-dependent generator assembly, conjugation, martingale residuals."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CagladPath, ConjugateTestFunction, GeneratorValue, SimConfig,
-                    clamped_running_sup, conjugation_residual, constant_functional,
-                    evaluate_generator, evaluate_transformed_generator,
-                    generator_ball_modulus, generator_state, identity_profile,
-                    local_generator, martingale_residual,
+from sdelab import (CagladPath, ConjugateTestFunction, EquationX, GeneratorValue,
+                    SimConfig, clamped_running_sup, conjugation_residual,
+                    constant_functional, evaluate_generator,
+                    evaluate_transformed_generator, generator_ball_modulus,
+                    generator_state, identity_profile, local_generator,
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
@@ -101,22 +103,22 @@ def test_nonanticipation_bit_identity(data, frac):
 
 class TestEvaluateGenerator:
     def test_identity_profile_no_kernel_vanishes(self, tanh_coeffs, clamp1):
-        gv = evaluate_generator(identity_profile(), zero_functional(), None, clamp1,
-                                tanh_coeffs, flat_path(0.4), 0.5)
+        eq = EquationX(tanh_coeffs, None, clamp1, zero_functional())
+        gv = evaluate_generator(identity_profile(), eq, flat_path(0.4), 0.5)
         assert gv.total == 0.0
 
     def test_flat_formula_oracle(self, flat_coeffs, clamp1):
         # local 1 + drift 1 * 1 * (2 * 0.5) = 2 at a constant path at 0.5
-        gv = evaluate_generator(SQUARE, constant_functional(1.0), None, clamp1,
-                                flat_coeffs, flat_path(0.5), 0.7)
+        eq = EquationX(flat_coeffs, None, clamp1, constant_functional(1.0))
+        gv = evaluate_generator(SQUARE, eq, flat_path(0.5), 0.7)
         assert abs(gv.total - 2.0) < 1e-9
         assert abs(gv.local - 1.0) < 1e-10
         assert abs(gv.drift - 1.0) < 1e-10
 
     def test_atom_kernel_oracle(self, flat_coeffs, unit_atom_kernel, clamp1):
         # jump part only: sin(1) - 1 at the origin
-        gv = evaluate_generator(SIN, zero_functional(), unit_atom_kernel, clamp1,
-                                flat_coeffs, flat_path(0.0), 0.5)
+        eq = EquationX(flat_coeffs, unit_atom_kernel, clamp1, zero_functional())
+        gv = evaluate_generator(SIN, eq, flat_path(0.0), 0.5)
         assert abs(gv.local) < 1e-12
         assert abs(gv.total - (np.sin(1.0) - 1.0)) < 1e-9
 
@@ -127,8 +129,9 @@ class TestEvaluateGenerator:
     def test_time_invariance_on_constant_paths(self, tanh_coeffs, atom_kernel,
                                                clamp1):
         p = flat_path(0.3)
-        a = evaluate_generator(SIN, None, atom_kernel, clamp1, tanh_coeffs, p, 0.25)
-        b = evaluate_generator(SIN, None, atom_kernel, clamp1, tanh_coeffs, p, 0.75)
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
+        a = evaluate_generator(SIN, eq, p, 0.25)
+        b = evaluate_generator(SIN, eq, p, 0.75)
         assert a.total == b.total
 
 
@@ -136,19 +139,17 @@ class TestTransformedGenerator:
     def test_identity_transform_coincides(self, flat_coeffs, unit_atom_kernel,
                                           clamp1):
         p = flat_path(0.2)
-        lhs = evaluate_generator(SIN, constant_functional(0.5), unit_atom_kernel,
-                                 clamp1, flat_coeffs, p, 0.5)
+        eq = EquationX(flat_coeffs, unit_atom_kernel, clamp1, constant_functional(0.5))
+        lhs = evaluate_generator(SIN, eq, p, 0.5)
         rhs = evaluate_transformed_generator(
-            SIN, constant_functional(0.5), unit_atom_kernel, flat_coeffs.transform,
-            clamp1, flat_coeffs, CagladPath(p.times, flat_coeffs.transform.forward(p.values)),
-            0.5)
+            SIN, eq, CagladPath(p.times, flat_coeffs.transform.forward(p.values)), 0.5)
         assert abs(lhs.total - rhs.total) < 1e-9
 
     def test_no_kernel_linear_potential_oracle(self, linear_coeffs, clamp1):
         tr = linear_coeffs.transform
         y1 = float(tr.forward(np.asarray(1.0)))
-        gv = evaluate_transformed_generator(SQUARE, None, None, tr, clamp1,
-                                            linear_coeffs, flat_path(y1), 0.5)
+        gv = evaluate_transformed_generator(
+            SQUARE, EquationX(linear_coeffs, None, clamp1), flat_path(y1), 0.5)
         assert abs(gv.total - np.exp(-1.2)) < 1e-8
 
 
@@ -158,12 +159,12 @@ class TestConjugation:
         rng = np.random.default_rng(3)
         times = np.linspace(0, 1, 17)
         vals = np.clip(np.cumsum(rng.standard_normal(17)) * 0.2, -2, 2)
-        res = conjugation_residual(SIN, clamped_running_sup(1.0), unit_atom_kernel,
-                                   clamp1, flat_coeffs, CagladPath(times, vals), 0.6)
+        eq = EquationX(flat_coeffs, unit_atom_kernel, clamp1, clamped_running_sup(1.0))
+        res = conjugation_residual(SIN, eq, CagladPath(times, vals), 0.6)
         assert res < 1e-9
 
     def test_no_kernel_smooth_case(self, tanh_coeffs, clamp1):
-        res = conjugation_residual(SIN, None, None, clamp1, tanh_coeffs,
+        res = conjugation_residual(SIN, EquationX(tanh_coeffs, None, clamp1),
                                    flat_path(0.7), 0.5)
         assert res < 1e-10
 
@@ -172,13 +173,12 @@ class TestConjugation:
         rng = np.random.default_rng(11)
         profiles = standard_profiles()
         times = np.linspace(0, 1, 17)
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1, clamped_running_sup(1.0))
         for _ in range(20):
             vals = np.clip(np.cumsum(rng.standard_normal(17)) * 0.3, -2.5, 2.5)
             t = float(rng.choice(times[1:]))
             prof = profiles[rng.integers(len(profiles))]
-            res = conjugation_residual(prof, clamped_running_sup(1.0), atom_kernel,
-                                       clamp1, tanh_coeffs,
-                                       CagladPath(times, vals), t)
+            res = conjugation_residual(prof, eq, CagladPath(times, vals), t)
             assert res < 1e-6
 
 
@@ -193,8 +193,9 @@ class TestMartingaleResidual:
         times = np.linspace(0, 1, 65)
         path = CagladPath(times, np.full(65, 0.3))
         for coeffs in (flat_coeffs, tanh_coeffs):
-            M = martingale_residual(path, identity_profile(), zero_functional(),
-                                    None, clamp1, coeffs)
+            state = generator_state(EquationX(coeffs, None, clamp1, zero_functional()),
+                                    path.times, path.values)
+            M = martingale_residual_ensemble(state, identity_profile())
             assert np.max(np.abs(M)) < 1e-14
 
     def test_constant_path_generic_profile_accumulates_local_term(self,
@@ -202,8 +203,9 @@ class TestMartingaleResidual:
                                                                   clamp1):
         times = np.linspace(0, 1, 65)
         path = CagladPath(times, np.full(65, 0.3))
-        M = martingale_residual(path, SIN, zero_functional(), None, clamp1,
-                                flat_coeffs)
+        state = generator_state(EquationX(flat_coeffs, None, clamp1, zero_functional()),
+                                path.times, path.values)
+        M = martingale_residual_ensemble(state, SIN)
         # residual is minus the integrated local term, -t * (-sin(0.3)/2)
         expected = 0.5 * np.sin(0.3) * times
         assert np.max(np.abs(M - expected)) < 1e-12
@@ -212,7 +214,9 @@ class TestMartingaleResidual:
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=7,
                         big_jump_intensity_bound=0.0)
         ens = simulate_x_markovian(flat_coeffs, None, clamp1, cfg, 0.0)
-        M = martingale_residual_ensemble(ens, SIN, None, None, clamp1, flat_coeffs)
+        state = generator_state(EquationX(flat_coeffs, None, clamp1), ens.times, ens.x,
+                                ens.hx, ens.hpx)
+        M = martingale_residual_ensemble(state, SIN)
         m_t = M[ens.active, -1]
         se = np.std(m_t, ddof=1) / np.sqrt(len(m_t))
         assert abs(np.mean(m_t)) < 3.0 * se
@@ -221,7 +225,9 @@ class TestMartingaleResidual:
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=8,
                         big_jump_intensity_bound=0.0)
         ens = simulate_x_markovian(flat_coeffs, None, clamp1, cfg, 0.0)
-        M = martingale_residual_ensemble(ens, SIN, None, None, clamp1, flat_coeffs)
+        state = generator_state(EquationX(flat_coeffs, None, clamp1), ens.times, ens.x,
+                                ens.hx, ens.hpx)
+        M = martingale_residual_ensemble(state, SIN)
         half = M.shape[1] // 2
         inc = M[:, -1] - M[:, half]
         g = np.clip(ens.x[:, half], -1, 1)
@@ -239,15 +245,15 @@ def atom_small():
     """Reduced atom_jump ensemble: 200 paths on 128 steps."""
     from sdelab.scenarios import ScenarioSpec, build_bundle
     bundle = build_bundle(ScenarioSpec(name="atom_jump", n_paths=200, n_steps=128))
-    ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
-                               bundle.sim, bundle.x0)
+    eq = bundle.eq
+    ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
     return bundle, ens
 
 
 def _x_side_residual(f, functional, bundle, ens):
     """Residual assembled directly in the original variable: the local
     term, f' and the atom sum each evaluate the transform themselves."""
-    coeffs, kernel, trunc = bundle.coeffs, bundle.kernel, bundle.trunc
+    coeffs, kernel, trunc = bundle.eq.coeffs, bundle.eq.kernel, bundle.eq.trunc
     tr, x = coeffs.transform, ens.x
     lf = local_generator(f, tr, coeffs.diffusion, x)
     hv = 0.0 if functional is None else functional.grid_values(ens.times, x)
@@ -270,24 +276,20 @@ class TestGeneratorState:
                              ids=("no_functional", "running_sup"))
     def test_shared_state_matches_x_side_formulas(self, atom_small, functional):
         bundle, ens = atom_small
-        state = generator_state(functional, bundle.kernel, bundle.coeffs,
+        state = generator_state(replace(bundle.eq, functional=functional),
                                 ens.times, ens.x)
-        assert len(state.atom_images) == len(bundle.kernel.law.positions)
+        assert len(state.atom_images) == len(bundle.eq.kernel.law.positions)
         for prof in standard_profiles():
-            got = martingale_residual_ensemble(ens, prof, functional, bundle.kernel,
-                                               bundle.trunc, bundle.coeffs,
-                                               state=state)
+            got = martingale_residual_ensemble(state, prof)
             want = _x_side_residual(prof, functional, bundle, ens)
             assert np.array_equal(got, want), prof.name
         # the state is only read: a second pass gives the same bits
-        again = martingale_residual_ensemble(ens, prof, functional, bundle.kernel,
-                                             bundle.trunc, bundle.coeffs,
-                                             state=state)
+        again = martingale_residual_ensemble(state, prof)
         assert np.array_equal(again, got)
 
     def test_ensemble_carries_h_and_hprime_of_x(self, atom_small):
         bundle, ens = atom_small
-        tr = bundle.coeffs.transform
+        tr = bundle.eq.coeffs.transform
         assert np.array_equal(ens.hx, tr.forward(ens.x))
         assert np.array_equal(ens.hpx, tr.deriv(ens.x))
 
@@ -295,12 +297,13 @@ class TestGeneratorState:
         bundle, ens = atom_small
         rows = [int(np.argmax(np.bincount(ens.jump_path,
                                           minlength=ens.n_paths))), 0]
+        state = generator_state(bundle.eq, ens.times, ens.x, ens.hx, ens.hpx)
         for prof in (standard_profiles()[0], identity_profile()):
-            M = martingale_residual_ensemble(ens, prof, None, bundle.kernel,
-                                             bundle.trunc, bundle.coeffs)
+            M = martingale_residual_ensemble(state, prof)
             for i in rows:
-                single = martingale_residual(ens.path(i), prof, None, bundle.kernel,
-                                             bundle.trunc, bundle.coeffs)
+                path = ens.path(i)
+                one = generator_state(bundle.eq, path.times, path.values)
+                single = martingale_residual_ensemble(one, prof)
                 assert np.array_equal(single, M[i])
 
 
@@ -314,14 +317,14 @@ class TestBallModulus:
             lambda y: np.full_like(np.asarray(y, dtype=float), 1.0),
             lambda y: np.zeros_like(np.asarray(y, dtype=float)),
             lambda y: np.zeros_like(np.asarray(y, dtype=float)), 1.0)
-        est = generator_ball_modulus(prof, zero_functional(), None, clamp1,
-                                     flat_coeffs, ball_radius=2.0, n_probes=6)
+        eq = EquationX(flat_coeffs, None, clamp1, zero_functional())
+        est = generator_ball_modulus(prof, eq, ball_radius=2.0, n_probes=6)
         assert np.max(est.sups) == 0.0
 
     def test_smooth_fixture_monotone_ladder(self, tanh_coeffs, clamp1):
-        est = generator_ball_modulus(SIN, sin_left_limit(), None, clamp1,
-                                     tanh_coeffs, ball_radius=2.0, n_probes=10,
-                                     seed=4)
+        est = generator_ball_modulus(SIN, EquationX(tanh_coeffs, None, clamp1,
+                                                    sin_left_limit()),
+                                     ball_radius=2.0, n_probes=10, seed=4)
         assert np.all(np.diff(est.sups) >= 0)  # sups grow with the window
         assert est.sups[0] < est.sups[-1] + 1e-12
 
@@ -329,9 +332,8 @@ class TestBallModulus:
         # identity-like profile, unit diffusion: the generator difference is
         # exactly the running-sup difference, which is 1-Lipschitz
         prof = identity_profile()
-        est = generator_ball_modulus(prof, clamped_running_sup(cap=5.0), None,
-                                     clamp1, flat_coeffs, ball_radius=2.0,
-                                     n_probes=24, seed=9)
+        eq = EquationX(flat_coeffs, None, clamp1, clamped_running_sup(cap=5.0))
+        est = generator_ball_modulus(prof, eq, ball_radius=2.0, n_probes=24, seed=9)
         slope = est.slope()
         assert 0.5 < slope < 1.05
         assert np.all(est.sups <= est.deltas + 1e-9)

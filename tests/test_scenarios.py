@@ -63,30 +63,31 @@ class TestShippedCoefficients:
         # the limit must not depend on the smoothing family
         from sdelab import compute_drift_potential
         b = build_bundle(ScenarioSpec(name=name))
-        moll = b.coeffs.mollifier
-        alt = compute_drift_potential(b.coeffs.drift, b.coeffs.diffusion, moll,
-                                      b.coeffs.potential.grid, shape="bump")
-        gap = float(np.max(np.abs(alt.values - b.coeffs.potential.values)))
+        coeffs = b.eq.coeffs
+        moll = coeffs.mollifier
+        alt = compute_drift_potential(coeffs.drift, coeffs.diffusion, moll,
+                                      coeffs.potential.grid, shape="bump")
+        gap = float(np.max(np.abs(alt.values - coeffs.potential.values)))
         assert gap < 10.0 * moll.convergence_tol
 
     def test_stable_jump_accepts_tail_exponent(self):
         b = build_bundle(ScenarioSpec(name="stable_jump",
                                       params={"gamma": 0.8}))
-        assert b.kernel.gamma == 0.8
+        assert b.eq.kernel.gamma == 0.8
 
 
 class TestHardOrdering:
     def test_failing_checks_block_simulation(self, monkeypatch):
         # a kernel with a divergent tilted mass must abort before any paths
         import sdelab.scenarios as sc
-        from sdelab import DivergentMoment, StableTailKernel, TruncationFunction
+        from sdelab import DivergentMoment, EquationX, StableTailKernel
 
         base = sc._build_stable_jump()
         bad = sc.ScenarioBundle(
-            name="stable_jump", coeffs=base.coeffs,
-            kernel=StableTailKernel(gamma=1.5, scale=1.0, alpha=0.3),
-            trunc=TruncationFunction(), functional=None, x0=0.0,
-            sim=base.sim, diagnostics=())
+            name="stable_jump",
+            eq=EquationX(base.eq.coeffs,
+                         StableTailKernel(gamma=1.5, scale=1.0, alpha=0.3)),
+            x0=0.0, sim=base.sim, diagnostics=())
         monkeypatch.setitem(sc._REGISTRY, "stable_jump", lambda: bad)
         called = []
         monkeypatch.setattr(sc, "simulate_x_markovian",
@@ -423,6 +424,16 @@ class TestCLI:
         assert cli.main(argv + ["--out", str(tmp_path)]) == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("simulate", "verify-martingale", "qv", "run"))
+    def test_negative_dump_paths_exits_two(self, tmp_path, command, capsys):
+        import sdelab.cli as cli
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--name", "brownian_baseline", "--paths", "40",
+                      "--steps", "16", "--dump-paths", "-3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--dump-paths" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())  # rejected before any simulation
+
     def test_non_integer_yaml_seed_exits_two(self, tmp_path):
         import sdelab.cli as cli
         cfg = tmp_path / "seed.yaml"
@@ -460,9 +471,9 @@ class TestCLI:
         assert len(rows) == 3 * 17
         bundle = build_bundle(ScenarioSpec(name="path_dependent_drift", n_paths=60,
                                            n_steps=16))
-        ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
-                                   bundle.sim, bundle.x0)
-        kappa = girsanov_weight_ensemble(ens, bundle.functional).final
+        eq = bundle.eq
+        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+        kappa = girsanov_weight_ensemble(ens, eq.functional).final
         for i in range(3):
             assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
         assert len(set(rows[:, 3])) == 3 and not np.all(rows[:, 3] == 1.0)
@@ -472,7 +483,7 @@ class TestCLI:
         # the CLI evaluates the written rows only; they must equal the same
         # rows of the residuals and weights of the whole ensemble
         import sdelab.cli as cli
-        from sdelab.generator import martingale_residual_ensemble
+        from sdelab.generator import generator_state, martingale_residual_ensemble
         from sdelab.scenarios import standard_profiles
         from sdelab.simulator import girsanov_weight_ensemble, simulate_x_markovian
         cli.main(["verify-martingale", "--name", name, "--paths", "60",
@@ -480,13 +491,12 @@ class TestCLI:
         lines = (tmp_path / f"residuals_{name}.csv").read_text().splitlines()
         rows = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=60, n_steps=16))
-        ens = simulate_x_markovian(bundle.coeffs, bundle.kernel, bundle.trunc,
-                                   bundle.sim, bundle.x0)
-        M = martingale_residual_ensemble(ens, standard_profiles()[0],
-                                         bundle.functional, bundle.kernel,
-                                         bundle.trunc, bundle.coeffs)
-        kappa = (girsanov_weight_ensemble(ens, bundle.functional).final
-                 if bundle.functional is not None else np.ones(ens.n_paths))
+        eq = bundle.eq
+        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
+        M = martingale_residual_ensemble(state, standard_profiles()[0])
+        kappa = (girsanov_weight_ensemble(ens, eq.functional).final
+                 if eq.functional is not None else np.ones(ens.n_paths))
         want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
                                 M[:3].ravel(), np.repeat(kappa[:3], 17)))
         assert np.array_equal(rows, want)

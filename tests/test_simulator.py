@@ -509,21 +509,21 @@ class TestTabulatedKernelOps:
     @pytest.mark.parametrize("make", (_state_dependent_table, _mixed_table))
     def test_generator_jump_term_equals_state_loop(self, make, transformed,
                                                    tanh_coeffs, clamp1, monkeypatch):
-        from sdelab import generator, generator_state, standard_profiles
+        from sdelab import EquationX, generator, generator_state, standard_profiles
         kernel = make()
         coeffs = tanh_coeffs if transformed else CoefficientSet.unit()
         tr = coeffs.transform
         x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
                             kernel.y_grid[:-1] + 0.5]).reshape(6, -1)
-        state = generator_state(None, kernel, coeffs, np.linspace(0, 1, 53), x)
+        state = generator_state(EquationX(coeffs, kernel, clamp1),
+                                np.linspace(0, 1, 53), x)
         monkeypatch.setattr(generator, "_JUMP_TERM_CHUNK", 100)  # blocks of states
         for f in standard_profiles():
             fx, fpx = f.as_x_callables(tr)
             want = [jump_operator(fx, fpx, kernel, clamp1, xi, f_sup=f.bound,
                                   split=False).value for xi in x.ravel()]
             got = generator._jump_term_grid(
-                f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx,
-                kernel, clamp1, tr)
+                f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx)
             np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=1e-13,
                                        atol=0, err_msg=f.name)
 
@@ -774,11 +774,11 @@ class TestCanonicalDecomposition:
         from sdelab import ScenarioSpec
         bundle = build_bundle(ScenarioSpec(name="weierstrass_drift", n_paths=30,
                                            n_steps=64))
-        ens = simulate_x_markovian(bundle.coeffs, None, clamp1, bundle.sim,
+        ens = simulate_x_markovian(bundle.eq.coeffs, None, clamp1, bundle.sim,
                                    bundle.x0)
-        aps = [domain_approximant(ident, ones, bundle.coeffs.transform, n=n)
+        aps = [domain_approximant(ident, ones, bundle.eq.coeffs.transform, n=n)
                for n in (2, 4, 8)]
-        diag = canonical_decomposition_residual(ens, bundle.coeffs, aps)
+        diag = canonical_decomposition_residual(ens, bundle.eq.coeffs, aps)
         assert diag.sup_gap_mean[1] < diag.sup_gap_mean[0]
 
     def test_classical_drift_recovered(self, linear_coeffs, clamp1):
