@@ -27,7 +27,7 @@ from .pathcalc import (aligned_window_ladder, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
 from .simulator import (Ensemble, SimConfig, check_seed, girsanov_weight_ensemble,
-                        compensator_residual, simulate_euler_direct,
+                        compensator_residual, is_finite_real, simulate_euler_direct,
                         simulate_x_markovian, weighted_expectation)
 
 SCHEMA_VERSION = 1
@@ -273,7 +273,7 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
         raise ValidationError(f"bad parameters for {spec.name}: {exc}") from exc
     sim = bundle.sim
     kw = {}
-    # SimConfig validates the sizes and the seed
+    # SimConfig validates the sizes, the seed and the horizon
     if spec.n_paths is not None:
         kw["n_paths"] = spec.n_paths
     if spec.n_steps is not None:
@@ -281,9 +281,11 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
     if spec.seed is not None:
         kw["master_seed"] = spec.seed
     if spec.horizon is not None:
-        kw["horizon"] = float(spec.horizon)
+        kw["horizon"] = spec.horizon
     if kw:
         sim = sim.replace(**kw)
+    if spec.x0 is not None and not is_finite_real(spec.x0):
+        raise ValidationError(f"x0 must be a finite number, got {spec.x0!r}")
     eq = bundle.eq
     if functional_name is not None:
         eq = replace(eq, functional=resolve_functional(str(functional_name)))

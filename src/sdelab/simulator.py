@@ -11,6 +11,8 @@ generate in parallel.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -42,6 +44,12 @@ def _is_integer(value):
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
+def is_finite_real(value):
+    """True for a finite real number; a bool does not count as one."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and math.isfinite(value))
+
+
 def check_seed(seed):
     """Raise ValidationError unless ``seed`` is a non-negative integer."""
     if not _is_integer(seed) or seed < 0:
@@ -60,8 +68,10 @@ class SimConfig:
     max_exclusion_fraction: float = 0.01
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValidationError("horizon must be positive")
+        if not is_finite_real(self.horizon) or self.horizon <= 0:
+            raise ValidationError(
+                f"horizon must be a finite positive number, got {self.horizon!r}")
+        self.horizon = float(self.horizon)
         for name in ("n_steps", "n_paths"):
             size = getattr(self, name)
             if not _is_integer(size) or size < 1:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftSpec,
-                    MollifierConfig, NonConvergent, RangeError,
+                    MollifierConfig, NonConvergent, QuadratureFailure, RangeError,
                     build_scale_transform, check_hypotheses, compute_drift_potential,
                     domain_approximant, identity_profile, local_generator,
                     square_identity_residual, transformed_diffusion)
@@ -93,6 +93,54 @@ class TestDriftPotential:
         with pytest.raises(ValueError):
             compute_drift_potential(DriftSpec(beta=zero_beta), unit_diff,
                                     MollifierConfig(), np.linspace(0.5, 2.0, 50))
+
+
+_LADDER = (2.5e-5, 1.25e-5, 6.25e-6)
+
+
+class TestSegmentSelfCheck:
+    """The finest table against its Gauss-Kronrod extension, |K17 - G8|."""
+
+    def test_coarse_grid_fails(self, unit_diff):
+        # measured against a 32-point Gauss rule, the 8-point table is off
+        # by 1.2e-7 on this grid: above the 1e-8 quadrature tolerance
+        with pytest.raises(QuadratureFailure, match="off by 1.20e-07"):
+            compute_drift_potential(DriftSpec(beta=weier_beta), unit_diff,
+                                    MollifierConfig(widths=_LADDER),
+                                    np.linspace(-2.0, 2.0, 101))
+
+    def test_finer_grid_passes(self, unit_diff):
+        pot = compute_drift_potential(DriftSpec(beta=weier_beta), unit_diff,
+                                      MollifierConfig(widths=_LADDER),
+                                      np.linspace(-2.0, 2.0, 129))
+        assert pot.converged
+
+
+class TestTwoFinestLevels:
+    grid = np.linspace(-2.0, 2.0, 129)
+
+    def test_coarser_widths_are_not_read(self, unit_diff):
+        drift = DriftSpec(beta=weier_beta)
+        full = compute_drift_potential(drift, unit_diff, MollifierConfig(widths=_LADDER),
+                                       self.grid)
+        last = compute_drift_potential(drift, unit_diff,
+                                       MollifierConfig(widths=_LADDER[1:]), self.grid)
+        assert full.values.tobytes() == last.values.tobytes()
+        assert (full.level_gap, full.alpha, full.holder_const, full.converged) == (
+            last.level_gap, last.alpha, last.holder_const, last.converged)
+
+    def test_beta_evaluations_per_segment(self, unit_diff):
+        # two widths at the 8 Gauss points plus the 9 Kronrod-only points of
+        # the finest: 25 point sets per segment, each 2 x 48 mollifier nodes
+        seen = []
+
+        def counting_beta(x):
+            seen.append(np.size(x))
+            return weier_beta(x)
+
+        compute_drift_potential(DriftSpec(beta=counting_beta), unit_diff,
+                                MollifierConfig(widths=_LADDER), self.grid)
+        assert sum(seen) == 96 * 25 * (len(self.grid) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,17 @@ class TestCLI:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ("horizon: .nan", "horizon: .inf", "horizon: 'abc'",
+                                       "horizon: true", "x0: 'abc'", "x0: true",
+                                       "x0: .nan"))
+    def test_bad_yaml_horizon_or_x0_exits_two(self, tmp_path, entry, capsys):
+        import sdelab.cli as cli
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("scenario:\n  name: brownian_baseline\n  n_paths: 50\n"
+                       f"  n_steps: 8\n  {entry}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert entry.split(":")[0] + " must be a finite" in capsys.readouterr().err
+
     def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
         import sdelab.cli as cli
         from sdelab import scenarios
