@@ -24,7 +24,7 @@ from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
                       pushforward_integral, tv_continuity_modulus)
 from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
                        IntegrabilityGrowthTable, QVEstimate, aligned_window_ladder,
-                       chain_rule_qv, classify_dirichlet, covariation,
+                       big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate, qv_regularization)
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
@@ -34,7 +34,7 @@ from .simulator import (AtomJumpMeasure, CharacteristicsY, Ensemble,
                         GirsanovWeight, JumpOps, SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
                         girsanov_weight, girsanov_weight_ensemble, jump_ops,
-                        simulate_euler_direct, simulate_x_markovian, simulate_y,
-                        weighted_expectation)
+                        simulate_blocks, simulate_euler_direct,
+                        simulate_x_markovian, simulate_y, weighted_expectation)
 
 __version__ = "0.1.0"

@@ -327,9 +327,10 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
     Discrete laws and tabulated kernels are summed exactly over each
-    state's atoms; kernels requiring quadrature are tabulated on a covering
-    grid and interpolated (the interpolation error is far below Monte Carlo
-    resolution, which is the only consumer of this code path).
+    state's atoms; kernels requiring quadrature are tabulated at the
+    quantiles of the states and interpolated (the interpolation error is
+    far below Monte Carlo resolution, which is the only consumer of this
+    code path).
     """
     x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
     transform = state.eq.coeffs.transform
@@ -353,7 +354,9 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
         val = jump_operator(fx, fpx, kernel, trunc, lo, tol=_GRID_TOL,
                             f_sup=f.bound, split=False).value
         return np.full_like(x, val)
-    nodes = np.linspace(lo, hi, _TABLE_NODES)
+    # nodes at the quantiles of the states, so that heavy-tailed paths far
+    # out do not thin the table where most states are
+    nodes = np.unique(np.quantile(x, np.linspace(0.0, 1.0, _TABLE_NODES)))
     if isinstance(kernel, StableTailKernel):
         from .kernels import _stable_nonlocal
         vals, _ = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, tol=_GRID_TOL,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import CoefficientSet, CubicTable
-from .errors import GridMismatch, MissingDriverRecord
+from .errors import GridMismatch, MissingDriverRecord, ValidationError
 from .generator import CagladPath
 from .kernels import Kernel, StableTailKernel, is_discrete_law
 
@@ -197,43 +197,57 @@ class IntegrabilityGrowthTable:
         return abs(m[-1] - m[-2]) <= rtol * abs(m[-1])
 
 
-def dirichlet_condition_intY(phi, ensemble, a, sample_sizes,
-                             caps=None) -> IntegrabilityGrowthTable:
-    """Growth table of the summed big-jump image increments.
+def big_jump_sums(phi, ensemble, a, caps=()) -> np.ndarray:
+    """Per-path sums of the big-jump image increments, shape
+    ``(1 + len(caps), n_paths)``.
 
-    For each n, the mean over the first n (active) paths of
-    sum |phi(X_- + dX) - phi(X_-)| over jumps larger than ``a``.  A
-    stabilizing table is consistent with integrability; unbounded growth
-    is evidence against it.  This is a diagnostic, never a proof.
-    ``caps`` adds truncated columns that drop increments above each cap,
-    for comparison against closed-form tail integrals.
+    Row 0 sums |phi(X_- + dX) - phi(X_-)| over the path's jumps larger
+    than ``a``; row k + 1 sums only the increments at most ``caps[k]``.
+    The rows reduce one ensemble (or one block of a run) to O(paths)
+    floats, which ``dirichlet_condition_intY`` turns into its table.
     """
     P = ensemble.n_paths
     jp = ensemble.jump_path
     big = np.abs(ensemble.jump_w) > a
     inc = np.abs(np.asarray(phi(ensemble.jump_x_pre + ensemble.jump_w))
                  - np.asarray(phi(ensemble.jump_x_pre)))
-    sums = np.zeros(P)
-    if len(jp):
-        np.add.at(sums, jp[big], inc[big])
-    active_sums = sums[ensemble.active]
+    sums = np.zeros((1 + len(caps), P))
+    for row, keep in zip(sums, [big] + [big & (inc <= M) for M in caps]):
+        if len(jp):
+            np.add.at(row, jp[keep], inc[keep])
+    return sums
+
+
+def dirichlet_condition_intY(sums, active, a, sample_sizes,
+                             caps=None) -> IntegrabilityGrowthTable:
+    """Growth table of the summed big-jump image increments.
+
+    ``sums`` and ``active`` hold one column and one flag per path, in path
+    order: the rows of ``big_jump_sums`` (those of several blocks
+    concatenated along the paths) and the ensemble's ``active``.  For each
+    n, the mean over the first n active paths of the sum over jumps larger
+    than ``a``.  A stabilizing table is consistent with integrability;
+    unbounded growth is evidence against it.  This is a diagnostic, never
+    a proof.  ``caps`` adds truncated columns, the means of the capped
+    rows, for comparison against closed-form tail integrals; ``sums`` must
+    hold one row per cap after row 0 (else ``ValidationError``).
+    """
+    n_caps = 0 if caps is None else len(caps)
+    if np.ndim(sums) != 2 or np.shape(sums) != (1 + n_caps, len(active)):
+        raise ValidationError(
+            f"sums of shape {np.shape(sums)} do not hold row 0 and one row per "
+            f"cap for each of {len(active)} paths")
+    active_sums = sums[:, active]
     ns, means = [], []
     for n in np.asarray(sample_sizes, dtype=int):
-        if n <= len(active_sums):
+        if n <= active_sums.shape[1]:
             ns.append(int(n))
-            means.append(float(np.mean(active_sums[:n])))
+            means.append(float(np.mean(active_sums[0, :n])))
     capped_means = None
     caps_arr = None
     if caps is not None:
         caps_arr = np.asarray(caps, dtype=float)
-        capped_means = []
-        for M in caps_arr:
-            keep = big & (inc <= M)
-            s = np.zeros(P)
-            if len(jp):
-                np.add.at(s, jp[keep], inc[keep])
-            capped_means.append(float(np.mean(s[ensemble.active])))
-        capped_means = np.asarray(capped_means)
+        capped_means = np.asarray([float(np.mean(row)) for row in active_sums[1:]])
     return IntegrabilityGrowthTable(threshold=float(a),
                                     sample_sizes=np.asarray(ns, dtype=int),
                                     means=np.asarray(means),

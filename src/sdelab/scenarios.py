@@ -23,11 +23,12 @@ from .generator import (EquationX, constant_functional, generator_state,
                         martingale_residual_ensemble, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       TruncationFunction, is_discrete_law, moment_bound)
-from .pathcalc import (aligned_window_ladder, classify_dirichlet,
+from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
-from .simulator import (Ensemble, SimConfig, check_seed, girsanov_weight_ensemble,
-                        compensator_residual, is_finite_real, simulate_euler_direct,
+from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
+                        compensator_residual, girsanov_weight_ensemble,
+                        is_finite_real, simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, weighted_expectation)
 
 SCHEMA_VERSION = 1
@@ -69,6 +70,10 @@ class ScenarioBundle:
     x0: float
     sim: SimConfig
     diagnostics: tuple
+
+
+def _identity(x):
+    return np.asarray(x, dtype=float)
 
 
 def _zero_beta(x):
@@ -497,7 +502,7 @@ def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticR
 def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     n = ens.n_paths
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000) if m <= n] or [n]
-    growth = dirichlet_condition_intY(lambda x: np.asarray(x, dtype=float), ens,
+    growth = dirichlet_condition_intY(big_jump_sums(_identity, ens, 1.0), ens.active,
                                       a=1.0, sample_sizes=ladder)
     nu = nu_jump_structural_check(bundle.eq.kernel)
     report = classify_dirichlet(growth, nu_jump=nu)
@@ -572,14 +577,15 @@ def _hypothesis_section(bundle: ScenarioBundle):
     return out
 
 
-def _simulation_section(ens: Ensemble):
-    xt = ens.terminal_x()
+def _simulation_section(config: SimConfig, xt, excluded, n_jumps):
+    """The report's simulation section from the run's configuration, the
+    terminal X of its active paths, its exclusion count and jump count."""
     return {
-        "n_paths": int(ens.n_paths),
-        "n_steps": int(len(ens.times) - 1),
-        "horizon": float(ens.times[-1]),
-        "excluded": ens.excluded_count,
-        "n_jumps": int(len(ens.jump_time)),
+        "n_paths": int(config.n_paths),
+        "n_steps": int(config.n_steps),
+        "horizon": float(config.horizon),
+        "excluded": int(excluded),
+        "n_jumps": int(n_jumps),
         "terminal_mean": float(np.mean(xt)),
         "terminal_var": float(np.var(xt, ddof=1)) if len(xt) > 1 else 0.0,
     }
@@ -604,7 +610,9 @@ def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
     results = [(_DIAGNOSTICS[d])(bundle, ens) for d in bundle.diagnostics]
     report = RunReport(
         scenario=bundle.name, spec=spec.to_dict(), seed=bundle.sim.master_seed,
-        hypothesis=hypothesis, simulation=_simulation_section(ens),
+        hypothesis=hypothesis,
+        simulation=_simulation_section(ens.config, ens.terminal_x(),
+                                       ens.excluded_count, len(ens.jump_time)),
         diagnostics=results, wall_clock=time.perf_counter() - t0,
     )
     return report, ens
@@ -639,14 +647,26 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     config = config or COUNTEREXAMPLE_STABLE_CONFIG
     config = config.replace(small_jump_cutoff=delta, small_jump_mode=mode,
                             big_jump_intensity_bound=lam * 1.02)
-    ens = simulate_x_markovian(coeffs, kernel, TruncationFunction(), config, 0.0)
+    chars = build_characteristics(coeffs, kernel, TruncationFunction())
 
-    n = ens.n_paths
+    # per-path terminal X, active flags and big-jump sums, filled block by
+    # block; nothing else of a block outlives it
+    n = config.n_paths
+    x_end, active = np.empty(n), np.empty(n, dtype=bool)
+    sums = np.empty((1 + len(caps), n))
+
+    def reduce(ens):
+        rows = slice(ens.first_path, ens.first_path + ens.n_paths)
+        x_end[rows], active[rows] = ens.x[:, -1], ens.active
+        sums[:, rows] = big_jump_sums(_identity, ens, a, caps)
+        return len(ens.jump_time)
+
+    n_jumps = sum(simulate_blocks(chars, config, 0.0, reduce))
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000, 100000) if m <= n]
     if not ladder or ladder[-1] != n:
         ladder.append(n)
-    growth = dirichlet_condition_intY(lambda x: np.asarray(x, dtype=float), ens,
-                                      a=a, sample_sizes=ladder, caps=caps)
+    growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder,
+                                      caps=caps)
     nu = nu_jump_structural_check(kernel)
     # reference: the two-sided big-jump size integral, or its largest
     # truncation when it diverges
@@ -668,7 +688,9 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     return RunReport(
         scenario="counterexample_stable", spec=spec_echo, seed=config.master_seed,
         hypothesis={"kernel": {"gamma": float(gamma), "alpha": kernel.alpha}},
-        simulation=_simulation_section(ens), diagnostics=[diag],
+        simulation=_simulation_section(config, x_end[active], int(np.sum(~active)),
+                                       n_jumps),
+        diagnostics=[diag],
         wall_clock=time.perf_counter() - t0,
     )
 

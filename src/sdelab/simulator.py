@@ -6,8 +6,8 @@ simulated explicitly), the transformed diffusion, and big jumps produced
 by thinning a dominating Poisson stream.  Jumps below the cutoff are
 either dropped or replaced by a variance-matched Gaussian.  Paths map
 back through the inverse transform.  Every path owns a counter-derived
-random stream, so ensembles are reproducible path by path and safe to
-generate in parallel.
+random stream, so ensembles are reproducible path by path, and a run
+simulated in blocks of paths equals one run over all paths bit for bit.
 """
 from __future__ import annotations
 
@@ -562,6 +562,7 @@ class Ensemble:
     x0: float
     hx: Optional[np.ndarray] = field(default=None, repr=False)
     hpx: Optional[np.ndarray] = field(default=None, repr=False)
+    first_path: int = 0  # run-wide index of row 0
 
     @property
     def n_paths(self):
@@ -589,6 +590,11 @@ class Ensemble:
 # the engine
 # ---------------------------------------------------------------------------
 
+# paths per block of a blocked run (``simulate_blocks``): one block's
+# ensemble is simulated, reduced and dropped before the next is drawn
+BLOCK_PATHS = 8192
+
+
 def _candidate_capacity(mean_total):
     """Candidate slots reserved before the noise is drawn: the mean of the
     Poisson total plus six of its standard deviations, so the buffer almost
@@ -596,66 +602,127 @@ def _candidate_capacity(mean_total):
     return int(mean_total + 6.0 * np.sqrt(mean_total)) + 16
 
 
-def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
-               config: SimConfig, y0: float) -> Ensemble:
-    """Simulate the transformed state; see the module docstring.
+@dataclass(frozen=True)
+class EngineSetup:
+    """What a run builds and validates once, before any path is drawn: the
+    jump measure's ops (None without jumps) and the range ``(lo, hi)`` of
+    Y whose leaving excludes a path (unbounded under the identity), with
+    the equation, configuration and initial state they were built for."""
 
-    ``functional`` is the drift functional of X: each step hands it the
-    column X = h^{-1}(Y) of the current states, and it adds
-    sigma0(Y) * H to the drift of Y.
-    """
+    ops: Optional[JumpOps]
+    y_range: tuple
+    chars: CharacteristicsY = field(repr=False)
+    config: SimConfig = field(repr=False)
+    y0: float
+
+
+def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> EngineSetup:
+    """Validate the cutoff, the initial state and the dominating intensity,
+    and build the jump ops, once for all blocks of a run."""
     transform, trunc = chars.transform, chars.trunc
     if config.small_jump_cutoff >= trunc.radius:
         raise ValidationError("small_jump_cutoff must stay below the truncation radius")
-
-    n, P = config.n_steps, config.n_paths
-    T = config.horizon
-    dt = T / n
-    sq_dt = np.sqrt(dt)
-    times = np.linspace(0.0, T, n + 1)
-    lam_max = config.big_jump_intensity_bound
-
     ops = jump_ops(chars.measure, config.small_jump_cutoff, trunc, transform,
                    config.master_seed)
-    has_jumps = ops is not None
 
     # effective exclusion bounds: evaluating the jump machinery at a state
     # requires the kernel support (and the transformed atom sizes) to stay
     # inside the tabulated ranges
     img_lo, img_hi = transform.image
     if not transform.is_identity:
-        xm, zm = (ops.x_margin, ops.z_margin) if has_jumps else (0.0, 0.0)
+        xm, zm = (ops.x_margin, ops.z_margin) if ops is not None else (0.0, 0.0)
         lo, hi = _image_range(transform, xm)
         img_lo, img_hi = lo + zm, hi - zm
         if not img_lo < y0 < img_hi:
             raise RangeError("initial state outside the effective range")
 
     # start-up validation of the dominating intensity on a scan grid
-    if has_jumps:
+    if ops is not None:
         if transform.is_identity:
             span = max(8.0 * abs(float(np.asarray(chars.sigma0(np.asarray(y0)))))
-                       * np.sqrt(T), 1.0)
+                       * np.sqrt(config.horizon), 1.0)
             scan = np.linspace(y0 - span, y0 + span, 65)
         else:
             scan = np.linspace(img_lo, img_hi, 129)
         sup_rate = float(np.max(ops.profiles(scan)[0]))
+        lam_max = config.big_jump_intensity_bound
         if sup_rate > lam_max * (1.0 + 1e-9):
             raise IntensityBoundViolated(
                 f"dominating intensity {lam_max} below scanned supremum {sup_rate:.6g}"
             )
+    return EngineSetup(ops, (img_lo, img_hi), chars, config, float(y0))
+
+
+def _check_exclusions(n_excluded, config: SimConfig):
+    """Raise RangeError when more than ``max_exclusion_fraction`` of all
+    the run's paths left the effective range."""
+    frac = 1.0 - (config.n_paths - n_excluded) / config.n_paths
+    if frac > config.max_exclusion_fraction:
+        raise RangeError(
+            f"{frac:.2%} of paths left the tabulated range "
+            f"(limit {config.max_exclusion_fraction:.2%}); widen the grid"
+        )
+
+
+def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
+               config: SimConfig, y0: float, *, paths: Optional[range] = None,
+               setup: Optional[EngineSetup] = None) -> Ensemble:
+    """Simulate the transformed state; see the module docstring.
+
+    ``functional`` is the drift functional of X: each step hands it the
+    column X = h^{-1}(Y) of the current states, and it adds
+    sigma0(Y) * H to the drift of Y.
+
+    ``paths`` is a range of path indices, all ``config.n_paths`` by
+    default.  Path i draws only from the streams keyed by
+    ``(master_seed, i)``, so the rows of a range equal the same rows of a
+    run over all paths, bit for bit; ``jump_path`` counts rows from
+    ``paths.start``.  ``setup`` is the ``engine_setup`` of these
+    ``chars``, ``config`` and ``y0`` (else ``ValidationError``), built here
+    when None.  The ``max_exclusion_fraction`` check covers the whole run,
+    so it runs here only over all paths: a caller that simulates a shorter
+    range must count the exclusions of all its ranges and check them
+    itself, as ``simulate_blocks`` does.
+    """
+    if setup is None:
+        setup = engine_setup(chars, config, y0)
+    elif (setup.chars is not chars or setup.config != config
+          or setup.y0 != float(y0)):
+        raise ValidationError("setup was built for another equation, "
+                              "configuration or initial state")
+    if paths is None:
+        paths = range(config.n_paths)
+    if not (isinstance(paths, range) and paths.step == 1
+            and 0 <= paths.start < paths.stop <= config.n_paths):
+        raise ValidationError(f"paths must be a nonempty range within "
+                              f"range({config.n_paths}), got {paths!r}")
+    transform, ops = chars.transform, setup.ops
+    has_jumps = ops is not None
+    img_lo, img_hi = setup.y_range
+
+    n, P = config.n_steps, len(paths)
+    T = config.horizon
+    dt = T / n
+    sq_dt = np.sqrt(dt)
+    times = np.linspace(0.0, T, n + 1)
+    lam_max = config.big_jump_intensity_bound
+    use_gauss = has_jumps and config.small_jump_mode == "gaussian_match"
 
     # per-path noise, drawn in place in a fixed order from the path's own
     # stream: n normals, n small-jump normals, the candidate count k, then
     # one block of 4k uniforms holding k candidate times (scaled by T), k
-    # acceptance uniforms, k size uniforms u1 and k size uniforms u2
+    # acceptance uniforms, k size uniforms u1 and k size uniforms u2.
+    # Small-jump normals nobody reads all go to one reused row, which keeps
+    # the later draws in place.
     normals = np.empty((P, n))
-    small_normals = np.empty((P, n))
+    small_normals = np.empty((P if use_gauss else 1, n))
     counts = np.zeros(P, dtype=np.int64)
     unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
     total = 0
-    for i, rng in enumerate(streams(config.master_seed, np.arange(P)[:, None])):
+    keys = np.arange(paths.start, paths.stop)[:, None]
+    for i, rng in enumerate(streams(config.master_seed, keys)):
         rng.standard_normal(out=normals[i])
-        rng.standard_normal(out=small_normals[i])
+        rng.standard_normal(out=small_normals[i if use_gauss else 0])
         k = int(rng.poisson(lam_max * T)) if lam_max > 0 else 0
         if k:
             end = 4 * (total + k)
@@ -687,7 +754,6 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
     Y[:, 0] = y0
     active = np.ones(P, dtype=bool)
     carry, hv = None, 0.0
-    use_gauss = config.small_jump_mode == "gaussian_match"
 
     # accepted marks: indices into the sorted candidates plus their values
     acc_idx, acc_y, acc_z, acc_w = [], [], [], []
@@ -716,14 +782,15 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
                 sel = lo + np.flatnonzero(acc)
                 pa = c_path[sel]
                 y_pre = y[pa]
-                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel], pa, c_j[sel])
+                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel], paths.start + pa,
+                                  c_j[sel])
                 np.add.at(jump_add, pa, z)
                 acc_idx.append(sel)
                 acc_y.append(y_pre)
                 acc_z.append(np.asarray(z, dtype=float))
                 acc_w.append(np.asarray(w, dtype=float))
         incr = drift * dt + s0 * sq_dt * normals[:, s]
-        if use_gauss and has_jumps:
+        if use_gauss:
             incr = incr + np.sqrt(np.maximum(small_var, 0.0) * dt) * small_normals[:, s]
         y_next = y + incr + jump_add
         if not transform.is_identity:
@@ -735,12 +802,8 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
         Y[:, s + 1] = y_next
     del small_normals, c_j, c_step, c_u, c_u1, c_u2
 
-    frac = 1.0 - float(np.mean(active))
-    if frac > config.max_exclusion_fraction:
-        raise RangeError(
-            f"{frac:.2%} of paths left the tabulated range "
-            f"(limit {config.max_exclusion_fraction:.2%}); widen the grid"
-        )
+    if P == config.n_paths:
+        _check_exclusions(int(np.sum(~active)), config)
 
     if transform.is_identity:
         X, HX, HPX = Y.copy(), None, None
@@ -762,7 +825,30 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
     return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_y_pre=jy, jump_x_pre=jx,
                     jump_z=jz, jump_w=jw, config=config, y0=float(y0), x0=x0,
-                    hx=HX, hpx=HPX)
+                    hx=HX, hpx=HPX, first_path=paths.start)
+
+
+def simulate_blocks(chars: CharacteristicsY, config: SimConfig, y0: float,
+                    reduce: Callable) -> list:
+    """``reduce(ensemble)`` of every block of ``BLOCK_PATHS`` consecutive
+    paths, in path order, from one ``engine_setup``; no drift functional.
+
+    Each block goes through ``simulate_y`` and is dropped once reduced, so
+    memory holds one block plus whatever ``reduce`` keeps; a reduction
+    should copy what it keeps, since a view holds its whole block.  The
+    ``max_exclusion_fraction`` check counts the excluded paths of all
+    blocks.
+    """
+    setup = engine_setup(chars, config, y0)
+    out, n_excluded = [], 0
+    for start in range(0, config.n_paths, BLOCK_PATHS):
+        block = range(start, min(start + BLOCK_PATHS, config.n_paths))
+        ens = simulate_y(chars, None, config, y0, paths=block, setup=setup)
+        n_excluded += ens.excluded_count
+        out.append(reduce(ens))
+        del ens
+    _check_exclusions(n_excluded, config)
+    return out
 
 
 def simulate_x_markovian(coeffs: CoefficientSet, kernel: Optional[Kernel],

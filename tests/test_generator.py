@@ -14,6 +14,7 @@ from sdelab import (CagladPath, ConjugateTestFunction, EquationX, GeneratorValue
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
+from sdelab.scenarios import ScenarioSpec, build_bundle
 
 SIN = ConjugateTestFunction(np.sin, np.cos, lambda y: -np.sin(y), 1.0, "sin")
 SQUARE = ConjugateTestFunction(lambda y: np.asarray(y, dtype=float) ** 2,
@@ -305,6 +306,29 @@ class TestGeneratorState:
                 one = generator_state(bundle.eq, path.times, path.values)
                 single = martingale_residual_ensemble(one, prof)
                 assert np.array_equal(single, M[i])
+
+
+    def test_quadrature_kernel_table_follows_the_states(self):
+        # stable_jump's heavy tail stretches its 400 paths over [-14, 158];
+        # the jump term's table must still resolve the states near 0, where
+        # almost all of them lie (0.029 off with evenly spaced nodes)
+        from sdelab import generator, jump_operator
+        bundle = build_bundle(ScenarioSpec(name="stable_jump", n_paths=400))
+        eq = bundle.eq
+        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim,
+                                   bundle.x0)
+        state = generator_state(eq, ens.times, ens.x)
+        f = standard_profiles()[0]
+        got = generator._jump_term_grid(f, state, f.phi(state.hx),
+                                        f.phi_prime(state.hx) * state.hpx)
+        fx, fpx = f.as_x_callables(eq.coeffs.transform)
+        # 12 states spread over the first 25 paths and the whole horizon
+        rows = np.arange(0, 24, 2)
+        cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
+        err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
+                                             f_sup=f.bound, split=False).value)
+               for r, c in zip(rows, cols)]
+        assert f.name == "sin" and max(err) < 1e-4, err
 
 
 # ---------------------------------------------------------------------------

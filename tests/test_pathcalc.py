@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sdelab import (CagladPath, CharacteristicsY, AtomJumpMeasure,
                     GridMismatch, MissingDriverRecord, SimConfig, StableTailKernel,
-                    chain_rule_qv, classify_dirichlet, covariation,
+                    big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
                     dirichlet_condition_intY, gamma_residual_qv,
                     nu_jump_structural_check, qv_estimate, qv_regularization,
                     simulate_x_markovian, simulate_y)
@@ -196,30 +196,46 @@ def ident(x):
 class TestIntegrabilityGrowth:
     def test_no_jumps_zero_table(self):
         ens = brownian_paths(n_paths=50, n_steps=128, seed=3)
-        tab = dirichlet_condition_intY(ident, ens, a=1.0, sample_sizes=(10, 50))
+        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
+                                       a=1.0, sample_sizes=(10, 50))
         assert np.all(tab.means == 0.0)
 
     def test_light_tail_stabilizes_near_oracle(self):
         # oracle: T * int_{|x|>1} |x| * 0.5 |x|^(-2.5) dx = 2 * 0.5 * 2 = 2
         ens, _ = _stable_ensemble(1.5)
-        tab = dirichlet_condition_intY(ident, ens, a=1.0,
-                                       sample_sizes=(100, 500, 2000))
+        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
+                                       a=1.0, sample_sizes=(100, 500, 2000))
         assert tab.stabilized()
         assert 0.5 * 2.0 < tab.means[-1] < 2.0 * 2.0
 
     def test_heavy_tail_diverges(self):
         ens, _ = _stable_ensemble(0.5)
-        tab = dirichlet_condition_intY(ident, ens, a=1.0,
-                                       sample_sizes=(100, 500, 2000))
+        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
+                                       a=1.0, sample_sizes=(100, 500, 2000))
         assert tab.diverging() or tab.means[-1] > 2.0 * 2.0 * (np.sqrt(100) - 1)
 
     def test_capped_columns_match_tail_integral(self):
         # truncated oracle: T * 2 * scale * int_1^M x^(-1/2) dx = 2(sqrt(M)-1)
         ens, _ = _stable_ensemble(0.5, n_paths=4000, seed=35)
-        tab = dirichlet_condition_intY(ident, ens, a=1.0, sample_sizes=(4000,),
-                                       caps=(10.0, 100.0))
+        caps = (10.0, 100.0)
+        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, caps), ens.active,
+                                       a=1.0, sample_sizes=(4000,), caps=caps)
         oracle = 2.0 * (np.sqrt(np.asarray([10.0, 100.0])) - 1.0)
         assert np.all(np.abs(tab.capped_means / oracle - 1.0) < 0.2)
+
+    def test_rows_must_match_caps(self):
+        from sdelab import ValidationError
+        ens = brownian_paths(n_paths=50, n_steps=128, seed=3)
+        plain = big_jump_sums(ident, ens, 1.0)
+        with pytest.raises(ValidationError):
+            dirichlet_condition_intY(plain, ens.active, a=1.0, sample_sizes=(50,),
+                                     caps=(10.0, 100.0))
+        with pytest.raises(ValidationError):
+            dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, (10.0,)),
+                                     ens.active, a=1.0, sample_sizes=(50,))
+        with pytest.raises(ValidationError):
+            dirichlet_condition_intY(plain, ens.active[:40], a=1.0,
+                                     sample_sizes=(40,))
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +294,12 @@ class TestVerdicts:
         ens_h, k_h = _stable_ensemble(0.5, seed=45)
         sizes = (100, 300, 1000, 2000)
         rep_l = classify_dirichlet(
-            dirichlet_condition_intY(ident, ens_l, 1.0, sizes),
+            dirichlet_condition_intY(big_jump_sums(ident, ens_l, 1.0), ens_l.active,
+                                     1.0, sizes),
             nu_jump=nu_jump_structural_check(k_l), reference=2.0)
         rep_h = classify_dirichlet(
-            dirichlet_condition_intY(ident, ens_h, 1.0, sizes),
+            dirichlet_condition_intY(big_jump_sums(ident, ens_h, 1.0), ens_h.active,
+                                     1.0, sizes),
             nu_jump=nu_jump_structural_check(k_h),
             reference=2.0 * (np.sqrt(100.0) - 1.0))
         assert rep_l.verdict == "consistent_with_dirichlet"

@@ -263,6 +263,131 @@ class TestStreams:
 
 
 # ---------------------------------------------------------------------------
+# blocks of paths
+# ---------------------------------------------------------------------------
+
+ENSEMBLE_ARRAYS = ("times", "y", "x", "dW", "active", "hx", "hpx", "jump_time",
+                   "jump_y_pre", "jump_x_pre", "jump_z", "jump_w")
+
+
+def _blocked(chars, cfg, y0, block_paths, monkeypatch):
+    """The block ensembles of a blocked run, with ``block_paths`` paths each."""
+    monkeypatch.setattr(simulator, "BLOCK_PATHS", block_paths)
+    return simulator.simulate_blocks(chars, cfg, y0, lambda ens: ens)
+
+
+def _merged(blocks, field):
+    parts = [getattr(b, field) for b in blocks]
+    if field == "times" or parts[0] is None:
+        assert all(np.array_equal(p, parts[0]) for p in parts)
+        return parts[0]
+    if field == "jump_path":
+        parts = [b.first_path + p for b, p in zip(blocks, parts)]
+    return np.concatenate(parts)
+
+
+class TestBlocks:
+    """A blocked run equals one run over all paths, bit for bit: each path
+    reads only the streams keyed by its own index."""
+
+    def _stable(self, mode):
+        kernel = StableTailKernel(gamma=0.5, scale=0.5, alpha=0.25)
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=41,
+                        small_jump_cutoff=0.05, small_jump_mode=mode,
+                        big_jump_intensity_bound=9.2)
+        return build_characteristics(CoefficientSet.unit(), kernel,
+                                     TruncationFunction()), cfg, 0.0
+
+    def _atom_tanh(self, tanh_coeffs, atom_kernel, clamp1):
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=40, master_seed=17,
+                        small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
+        return build_characteristics(tanh_coeffs, atom_kernel, clamp1), cfg, 0.0
+
+    def _density(self, clamp1):
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
+        return (build_characteristics(CoefficientSet.unit(), _uniform_density_kernel(),
+                                      clamp1), cfg, 0.0)
+
+    @pytest.mark.parametrize("case", ("stable_drop", "stable_gaussian_match",
+                                      "atom_tanh", "density"))
+    @pytest.mark.parametrize("block_paths", (1, 7, 17))
+    def test_blocks_equal_one_run(self, case, block_paths, tanh_coeffs, atom_kernel,
+                                  clamp1, monkeypatch):
+        if case.startswith("stable"):
+            chars, cfg, y0 = self._stable(case[len("stable_"):])
+        elif case == "atom_tanh":
+            chars, cfg, y0 = self._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
+        else:
+            chars, cfg, y0 = self._density(clamp1)
+        whole = simulate_y(chars, None, cfg, y0)
+        assert len(whole.jump_time) > 10
+        blocks = _blocked(chars, cfg, y0, block_paths, monkeypatch)
+        assert [b.first_path for b in blocks] == list(range(0, 40, block_paths))
+        for field in ENSEMBLE_ARRAYS + ("jump_path",):
+            want, got = getattr(whole, field), _merged(blocks, field)
+            if want is None:
+                assert got is None, field
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+        assert all((b.x0, b.y0) == (whole.x0, whole.y0) for b in blocks)
+
+    def test_jump_ops_built_once_per_run(self, monkeypatch):
+        chars, cfg, y0 = self._stable("drop")
+        calls = []
+        real = simulator.jump_ops
+        monkeypatch.setattr(simulator, "jump_ops",
+                            lambda *a: calls.append(1) or real(*a))
+        assert len(_blocked(chars, cfg, y0, 7, monkeypatch)) == 6
+        assert len(calls) == 1
+
+    def test_exclusion_limit_counts_the_whole_run(self, unit_diffusion, clamp1,
+                                                  monkeypatch):
+        import sdelab as sl
+        grid = np.linspace(-2.0, 2.0, 161)
+        drift = sl.DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        coeffs = sl.CoefficientSet.build(drift, unit_diffusion,
+                                         sl.MollifierConfig(), grid)
+        chars = build_characteristics(coeffs, None, clamp1)
+        cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=100, master_seed=1,
+                        big_jump_intensity_bound=0.0, max_exclusion_fraction=1.0)
+        excluded = simulate_y(chars, None, cfg, 0.0).excluded_count
+        assert 0 < excluded < 50
+        # some block of 7 paths loses far more than the run's share
+        above = cfg.replace(max_exclusion_fraction=(excluded + 0.5) / 100)
+        blocks = _blocked(chars, above, 0.0, 7, monkeypatch)
+        assert max(b.excluded_count / b.n_paths for b in blocks) > (excluded + 0.5) / 100
+        assert sum(b.excluded_count for b in blocks) == excluded
+        below = cfg.replace(max_exclusion_fraction=(excluded - 0.5) / 100)
+        with pytest.raises(RangeError):
+            _blocked(chars, below, 0.0, 7, monkeypatch)
+        with pytest.raises(RangeError):
+            simulate_y(chars, None, below, 0.0)
+
+    def test_setup_of_another_run_rejected(self):
+        from sdelab import ValidationError
+        chars, cfg, y0 = self._stable("drop")
+        setup = simulator.engine_setup(chars, cfg, y0)
+        block = range(0, 7)
+        assert np.array_equal(
+            simulate_y(chars, None, cfg, y0, paths=block, setup=setup).y,
+            simulate_y(chars, None, cfg, y0, paths=block).y)
+        other_chars, _, _ = self._stable("drop")
+        for args in ((other_chars, cfg, y0), (chars, cfg.replace(master_seed=42), y0),
+                     (chars, cfg, 0.5)):
+            with pytest.raises(ValidationError):
+                simulate_y(args[0], None, args[1], args[2], paths=block, setup=setup)
+
+    @pytest.mark.parametrize("paths", (range(0), range(3, 2), range(0, 41),
+                                       range(-1, 4), range(0, 10, 2), (0, 1)))
+    def test_bad_path_ranges_rejected(self, paths):
+        from sdelab import ValidationError
+        cfg = BROWNIAN_CFG.replace(n_paths=40)
+        with pytest.raises(ValidationError):
+            simulate_y(brownian_chars(), None, cfg, 0.0, paths=paths)
+
+
+# ---------------------------------------------------------------------------
 # law oracles
 # ---------------------------------------------------------------------------
 
