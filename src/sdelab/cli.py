@@ -26,7 +26,7 @@ from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle
                         counterexample_cauchy, counterexample_stable,
                         emit_report, load_spec, report_json, run_bundle,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import girsanov_weight
+from .simulator import girsanov_weight_ensemble
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -143,20 +143,22 @@ def cmd_verify_martingale(args):
     bundle = build_bundle(spec)
     report, ens = run_bundle(spec, bundle)
     out_dir = _out_dir(args)
-    # residuals and weights of the written rows only
+    # residuals and weights of the written rows only; none without rows
     rows = slice(0, min(args.dump_paths, ens.n_paths))
-    hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
-    state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx)
-    M = martingale_residual_ensemble(state, standard_profiles()[0])
+    M, kappa = (), ()
+    if args.dump_paths:
+        hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
+        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx)
+        M = martingale_residual_ensemble(state, standard_profiles()[0])
+        # the Girsanov weights under which the diagnostic reads the residuals
+        kappa = (girsanov_weight_ensemble(ens, bundle.eq.functional).final[rows]
+                 if bundle.eq.functional is not None else np.ones(len(M)))
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
     with open(res_path, "w", encoding="utf-8") as fh:
         fh.write("path_id,t,M_f,kappa_T\n")
-        for i, row in enumerate(M):
-            # the Girsanov weight under which the diagnostic reads the residuals
-            kappa = (girsanov_weight(ens.path(i), bundle.eq.functional).final
-                     if bundle.eq.functional is not None else 1.0)
+        for i, (row, k) in enumerate(zip(M, kappa)):
             for t, v in zip(ens.times, row):
-                fh.write(f"{i},{float(t)!r},{float(v)!r},{float(kappa)!r}\n")
+                fh.write(f"{i},{float(t)!r},{float(v)!r},{float(k)!r}\n")
     print(f"residual paths -> {res_path}", file=sys.stderr)
     return _print_report(report, out_dir, args.format)
 

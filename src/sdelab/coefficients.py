@@ -561,10 +561,6 @@ class ScaleTransform:
                     v[bad] = table(x[bad])
         return (x, *vals) if images else x
 
-    def jump_image(self, x, w):
-        """Transformed jump size h(x + w) - h(x)."""
-        return self.forward(np.asarray(x) + np.asarray(w)) - self.forward(x)
-
     @property
     def inv_deriv_sup(self):
         """Upper bound on the inverse derivative over the table."""

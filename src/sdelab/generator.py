@@ -10,6 +10,7 @@ function reads them from it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -18,9 +19,8 @@ import numpy as np
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
                            local_generator, transformed_diffusion)
 from .errors import ValidationError
-from .kernels import (Kernel, StableTailKernel, TabulatedKernel, TruncationFunction,
-                      _row_sums, drift_correction, is_discrete_law, jump_operator,
-                      pushforward_integral)
+from .kernels import (Kernel, StableTailKernel, TruncationFunction, drift_correction,
+                      has_atoms, jump_operator, pushforward_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +162,18 @@ FUNCTIONALS = {
 
 
 def resolve_functional(name, **kwargs) -> PathFunctional:
+    """The functional ``name`` names: ``const:<c>`` for a finite real ``c``,
+    else a key of ``FUNCTIONALS`` (anything else is a ``ValidationError``)."""
     if name.startswith("const:"):
-        return constant_functional(float(name.split(":", 1)[1]))
+        text = name.split(":", 1)[1]
+        try:
+            c = float(text)
+        except ValueError:
+            c = math.nan
+        if not math.isfinite(c):
+            raise ValidationError(f"a constant functional needs a finite real, "
+                                  f"got {text!r}")
+        return constant_functional(c)
     if name not in FUNCTIONALS:
         raise ValidationError(f"unknown path functional {name!r}")
     return FUNCTIONALS[name](**kwargs)
@@ -298,7 +308,7 @@ class GeneratorState:
     hpx: np.ndarray
     sigma: np.ndarray
     hv: object            # functional grid values, or 0.0 without a functional
-    atom_images: tuple    # h(x + w) per atom of a DiscreteLaw kernel, else ()
+    atom_images: tuple    # h(x + w) per atom column of an atomic kernel, else ()
 
 
 def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorState:
@@ -313,9 +323,11 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorStat
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     hv = 0.0 if eq.functional is None else eq.functional.grid_values(times, x)
-    images = (tuple(np.asarray(transform.forward(x + w))
-                    for w in eq.kernel.law.positions)
-              if is_discrete_law(eq.kernel) else ())
+    images = ()
+    if has_atoms(eq.kernel):
+        pos = eq.kernel.atoms(x).pos
+        images = tuple(np.asarray(transform.forward(x + pos[..., j]))
+                       for j in range(pos.shape[-1]))
     hx = np.asarray(transform.forward(x)) if hx is None else hx
     hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
     return GeneratorState(eq=eq, times=times, x=x, hx=hx, hpx=hpx,
@@ -326,7 +338,7 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorStat
 def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
-    Discrete laws and tabulated kernels are summed exactly over each
+    Kernels with atoms (``kernel.atoms``) are summed exactly over each
     state's atoms; kernels requiring quadrature are tabulated at the
     quantiles of the states and interpolated (the interpolation error is
     far below Monte Carlo resolution, which is the only consumer of this
@@ -336,18 +348,15 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     transform = state.eq.coeffs.transform
     if kernel is None:
         return 0.0
-    if is_discrete_law(kernel):
+    if has_atoms(kernel):
+        atoms = kernel.atoms(x)
         out = np.zeros_like(x)
-        for w, p, hxw in zip(kernel.law.positions, kernel.law.probs,
-                             state.atom_images):
+        for j, hxw in enumerate(state.atom_images):
             term = f.phi(hxw) - base
-            term -= float(trunc(w)) * fp
-            term *= p
+            term -= np.asarray(trunc(atoms.pos[..., j])) * fp
+            term *= atoms.mass[..., j]
             out += term
-        out *= kernel.rate_at(x)
         return out
-    if isinstance(kernel, TabulatedKernel):
-        return _tabulated_jump_term(f, x, base, fp, kernel, trunc, transform)
     fx, fpx = f.as_x_callables(transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
@@ -369,27 +378,6 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
             for u in nodes
         ])
     return CubicTable(nodes, vals)(x)
-
-
-# states per block of the tabulated jump term: bounds its (states, atoms)
-# temporaries
-_JUMP_TERM_CHUNK = 2**16
-
-
-def _tabulated_jump_term(f, x, base, fp, kernel: TabulatedKernel, trunc, transform):
-    """Sum over the nearest grid state's atoms of mass * (f(x + w) - f(x) -
-    trunc(w) f'(x)), term by term as ``jump_operator``'s unsplit integral
-    adds it; ``base`` and ``fp`` hold f(x) and f'(x)."""
-    xf, bf, fpf = (np.ravel(a) for a in (x, base, fp))
-    out = np.empty(len(xf))
-    for i in range(0, len(xf), _JUMP_TERM_CHUNK):
-        blk = slice(i, i + _JUMP_TERM_CHUNK)
-        g = kernel._nearest(xf[blk])
-        pos = kernel.pos_tab[g]
-        term = f.phi(transform.forward(xf[blk, None] + pos)) - bf[blk, None]
-        term -= np.asarray(trunc(pos)) * fpf[blk, None]
-        out[blk] = _row_sums(kernel.mass_tab[g] * term, kernel.n_atoms[g])
-    return out.reshape(np.shape(x))
 
 
 def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx):

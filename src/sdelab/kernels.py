@@ -10,7 +10,7 @@ and the nonlocal generator term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -153,8 +153,8 @@ class StableTailKernel:
     def __post_init__(self):
         if not 0.0 < self.gamma < 2.0:
             raise ValueError("gamma must lie in (0, 2)")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
@@ -245,6 +245,39 @@ class StableTailKernel:
         return True
 
 
+class AtomRows(NamedTuple):
+    """The atoms of a batch of states ``x``, one padded row per state.
+
+    ``mass`` has shape ``x.shape + (k,)``.  ``pos`` has the same shape, or
+    shape ``(k,)`` when every state has its atoms at the same positions.
+    A row holds ``count`` real atoms (one count for every row or one per
+    row) followed by padding at 0 with mass 0, which is never a big jump.
+    """
+
+    pos: np.ndarray
+    mass: np.ndarray
+    count: object
+
+    @property
+    def fixed(self):
+        """True when every state has its atoms at the same positions."""
+        return self.pos.ndim == 1
+
+    def sum(self, a, count=None):
+        """Each row's sum of ``a`` over its first ``count`` entries (its
+        real atoms by default; one count for every row or one per row),
+        added as ``np.sum`` adds a 1-d array of that length (pairwise from
+        8 terms on)."""
+        count = self.count if count is None else count
+        if np.ndim(count) == 0:
+            return np.sum(a[..., :count], axis=-1)
+        out = np.zeros(a.shape[:-1])
+        for c in np.unique(count):
+            sel = count == c
+            out[sel] = np.sum(a[sel, :c], axis=-1)
+        return out
+
+
 def _as_rate(rate) -> Callable:
     if callable(rate):
         return rate
@@ -285,22 +318,23 @@ class FiniteActivityKernel:
         p = self.law.mass(-np.inf, w_lo) + self.law.mass(w_hi, np.inf)
         return self.rate_at(y) * p
 
+    def atoms(self, x) -> AtomRows:
+        """A ``DiscreteLaw``'s atoms at the states ``x``: the same positions
+        for every state, masses ``rate(x) * p`` (a read-only broadcast of
+        ``rate * p`` for a constant rate)."""
+        x = np.asarray(x, dtype=float)
+        law = self.law
+        rate = self.rate_at(x)[..., None] if callable(self.rate) else float(self.rate)
+        return AtomRows(law.positions,
+                        np.broadcast_to(rate * law.probs, x.shape + law.probs.shape),
+                        len(law.positions))
+
     @property
     def support_radius(self):
         return self.law.support_radius
 
     def is_symmetric(self):
         return self.law.is_symmetric()
-
-
-def _row_sums(a, counts):
-    """Each row's sum over its first ``counts`` entries, added as ``np.sum``
-    adds a 1-d array of that length (pairwise from 8 terms on)."""
-    out = np.zeros(len(a))
-    for c in np.unique(counts):
-        sel = counts == c
-        out[sel] = np.sum(a[sel, :c], axis=-1)
-    return out
 
 
 @dataclass
@@ -353,6 +387,12 @@ class TabulatedKernel:
         sel = (pos >= lo) & (pos <= hi)
         return float(np.sum(mass[sel]))
 
+    def atoms(self, x) -> AtomRows:
+        """The atoms of the grid state nearest to each state of ``x``."""
+        x = np.asarray(x, dtype=float)
+        g = self._nearest(x.ravel()).reshape(x.shape)
+        return AtomRows(self.pos_tab[g], self.mass_tab[g], self.n_atoms[g])
+
     def _nearest(self, y):
         """``_at``'s grid index for every entry of 1-d ``y``: the same
         ``argmin`` (first minimum on ties), in chunks of bounded size."""
@@ -390,10 +430,12 @@ class TabulatedKernel:
 Kernel = Union[StableTailKernel, FiniteActivityKernel, TabulatedKernel]
 
 
-def is_discrete_law(kernel: Optional[Kernel]) -> bool:
-    """True for a finite-activity kernel whose jump law has finitely many atoms."""
-    return isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law,
-                                                                   DiscreteLaw)
+def has_atoms(kernel: Optional[Kernel]) -> bool:
+    """True for the kernels with finitely many atoms at every state, which
+    ``kernel.atoms(x)`` lists: a finite-activity kernel with a
+    ``DiscreteLaw`` and a ``TabulatedKernel``."""
+    return isinstance(kernel, TabulatedKernel) or (
+        isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CoefficientSet, CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
 from .generator import CagladPath
-from .kernels import Kernel, StableTailKernel, is_discrete_law
+from .kernels import Kernel, StableTailKernel, has_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +267,15 @@ def _phi_jump_compensator(kernel: Optional[Kernel], coeffs: CoefficientSet,
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     transform = coeffs.transform
 
-    if is_discrete_law(kernel):
-        w_atoms, probs = kernel.law.positions, kernel.law.probs
-
+    if has_atoms(kernel):
         def fn(x):
             x = np.asarray(x, dtype=float)
-            acc = np.zeros_like(x)
-            base = np.asarray(phi(x))
-            for w, p in zip(w_atoms, probs):
-                z = np.asarray(transform.jump_image(x, w))
-                acc += p * np.where(np.abs(z) > delta,
-                                    np.asarray(phi(x + w)) - base, 0.0)
-            return kernel.rate_at(x) * acc
+            atoms = kernel.atoms(x)
+            xw = x[..., None] + atoms.pos
+            z = (np.asarray(transform.forward(xw))
+                 - np.asarray(transform.forward(x))[..., None])
+            inc = np.asarray(phi(xw)) - np.asarray(phi(x))[..., None]
+            return atoms.sum(atoms.mass * np.where(np.abs(z) > delta, inc, 0.0))
         return fn
 
     if not transform.is_identity:

@@ -22,7 +22,7 @@ from .errors import IoError, ValidationError
 from .generator import (EquationX, constant_functional, generator_state,
                         martingale_residual_ensemble, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TruncationFunction, is_discrete_law, moment_bound)
+                      TruncationFunction, moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
@@ -444,7 +444,7 @@ def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _default_region(kernel: Kernel):
-    if is_discrete_law(kernel):
+    if isinstance(getattr(kernel, "law", None), DiscreteLaw):
         return [(w - 0.4 * abs(w), w + 0.4 * abs(w)) for w in kernel.law.positions]
     return [(1.0, np.inf), (-np.inf, -1.0)]
 

@@ -25,8 +25,7 @@ from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import CagladPath, PathFunctional
 from .kernels import (DensityLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TabulatedKernel, TruncationFunction, _row_sums,
-                      drift_correction, is_discrete_law)
+                      TruncationFunction, drift_correction, has_atoms)
 
 
 def _as_vec(fn_or_const):
@@ -249,12 +248,10 @@ def jump_ops(measure, cutoff, trunc: TruncationFunction, transform: ScaleTransfo
                 "exceeds any finite transform table"
             )
         profiles, sample = _stable_ops(k, delta, trunc)
-    elif is_discrete_law(k):
-        profiles, sample = _discrete_ops(k, transform, delta, trunc)
+    elif has_atoms(k):
+        profiles, sample = _atom_kernel_ops(k, transform, delta, trunc)
     elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
         profiles, sample = _density_ops(k, transform, delta, trunc, master_seed)
-    elif isinstance(k, TabulatedKernel):
-        profiles, sample = _tabulated_kernel_ops(k, transform, delta, trunc)
     else:
         raise ValidationError(f"unsupported kernel type {type(k).__name__}")
     return JumpOps(profiles, sample, x_margin=float(k.support_radius))
@@ -298,51 +295,6 @@ def _stable_ops(kernel: StableTailKernel, delta, trunc):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z.copy()
     return _constant_profiles(rate, kneg + kpos, svar), sample
-
-
-def _discrete_ops(kernel: FiniteActivityKernel, transform, delta, trunc):
-    """Finite-activity discrete law through a (possibly nontrivial) transform.
-
-    When the big/small classification of every atom is uniform over the
-    working range, the profiles are smooth, so they are tabulated once and
-    interpolated (the per-step exact evaluation costs a transform
-    inversion, which dominates the whole engine).  Otherwise, and under
-    the identity, they are evaluated exactly.  Size sampling is always
-    exact.
-    """
-    w_atoms, p = kernel.law.positions, kernel.law.probs
-
-    def images(y):
-        y = np.asarray(y, dtype=float)
-        x = transform.inverse(y)
-        z = np.stack([np.asarray(transform.forward(x + w)) - y for w in w_atoms],
-                     axis=-1)
-        return x, z
-
-    def exact(y):
-        x, z = images(y)
-        big = np.abs(z) > delta
-        vals = np.stack([np.sum(np.where(big, p, 0.0), axis=-1),
-                         np.sum(np.where(big, p * np.asarray(trunc(z)), 0.0), axis=-1),
-                         np.sum(np.where(~big, p * z**2, 0.0), axis=-1)])
-        return kernel.rate_at(x) * vals
-
-    profiles = exact
-    if not transform.is_identity:
-        ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
-        big = np.abs(images(ys)[1]) > delta
-        if np.all(big == big[:1, :]):
-            profiles = CubicTable(ys, exact(ys))
-
-    def sample(y_pre, u1, u2, path_idx, cand_idx):
-        _, z = images(y_pre)
-        pbig = np.where(np.abs(z) > delta, p, 0.0)
-        tot = np.sum(pbig, axis=-1, keepdims=True)
-        cum = np.cumsum(pbig, axis=-1) / np.maximum(tot, 1e-300)
-        idx = np.sum(cum < np.asarray(u1)[..., None], axis=-1)
-        idx = np.clip(idx, 0, len(w_atoms) - 1)
-        return np.take_along_axis(z, idx[..., None], axis=-1)[..., 0], w_atoms[idx]
-    return profiles, sample
 
 
 def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
@@ -407,45 +359,58 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
     return profiles, sample
 
 
-def _tabulated_kernel_ops(kernel: TabulatedKernel, transform, delta, trunc):
-    """Tabulated discrete kernels, evaluated exactly at every state.
+def _atom_kernel_ops(kernel, transform, delta, trunc):
+    """Kernels with finitely many atoms at every state (``kernel.atoms``)
+    through a (possibly nontrivial) transform.
 
-    The kernel's padded (grid states, atoms) tables let a batch of states
-    cost one inversion, one nearest-node lookup and one transform call.
-    Sums over a state's atoms, or over its big atoms moved to the front of
-    the row, add as a per-state ``np.sum`` over just those atoms would: the
-    results equal a loop over the states bit for bit.
+    A batch of states costs one inversion, one ``atoms`` call and one
+    transform call on the padded atoms of all states.  Sums over a state's
+    atoms, or over its big atoms moved to the front of the row, add as a
+    per-state ``np.sum`` over just those atoms would: the results equal a
+    loop over the states bit for bit.  When the atoms sit at fixed
+    positions and the big/small class of each is uniform over the working
+    range, the profiles are smooth, so they are tabulated once and
+    interpolated (the per-step exact evaluation costs a transform
+    inversion, which dominates the whole engine).  Size sampling is always
+    exact.
     """
     def rows(y):
-        """Atom positions, transformed sizes, masses, big-jump flags and
-        atom counts at the states of 1-d y, one row per state."""
+        """The atoms at the states of 1-d y, their sizes in transformed
+        coordinates and their big-jump flags, one row per state."""
         x = np.asarray(transform.inverse(y))
-        g = kernel._nearest(x)
-        pos, mass = kernel.pos_tab[g], kernel.mass_tab[g]
-        z = np.asarray(transform.forward(x[:, None] + pos)) - y[:, None]
-        big = (np.abs(z) > delta) & (pos != 0)  # the padding sits at 0
-        return pos, z, mass, big, kernel.n_atoms[g]
+        atoms = kernel.atoms(x)
+        z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - y[:, None]
+        return atoms, z, np.abs(z) > delta
 
     def big_first(big, *arrays):
         order = np.argsort(~big, axis=-1, kind="stable")
-        return [np.take_along_axis(a, order, axis=-1) for a in arrays]
+        return [np.take_along_axis(np.broadcast_to(a, big.shape), order, axis=-1)
+                for a in arrays]
 
-    def profiles(y):
+    def exact(y):
         y = np.asarray(y, dtype=float)
-        _, z, m, big, count = rows(y.ravel())
+        atoms, z, big = rows(y.ravel())
+        m = atoms.mass
         mb, = big_first(big, m * big)
-        out = np.stack([_row_sums(mb, big.sum(axis=-1)),
-                        _row_sums(np.asarray(trunc(z)) * m * big, count),
-                        _row_sums(z**2 * m * ~big, count)])
+        out = np.stack([atoms.sum(mb, big.sum(axis=-1)),
+                        atoms.sum(np.asarray(trunc(z)) * m * big),
+                        atoms.sum(z**2 * m * ~big)])
         return out.reshape((3,) + y.shape)
+
+    profiles = exact
+    if not transform.is_identity:
+        ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
+        atoms, _, big = rows(ys)
+        if atoms.fixed and np.all(big == big[:1, :]):
+            profiles = CubicTable(ys, exact(ys))
 
     def sample(y_pre, u1, u2, path_idx, cand_idx):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        pos, z, m, big, _ = rows(y_pre)
+        atoms, z, big = rows(y_pre)
         n_big = big.sum(axis=-1)
-        pos, z, mb = big_first(big, pos, z, m * big)
-        cum = np.cumsum(mb, axis=-1) / _row_sums(mb, n_big)[:, None]
+        pos, z, mb = big_first(big, atoms.pos, z, atoms.mass * big)
+        cum = np.cumsum(mb, axis=-1) / atoms.sum(mb, n_big)[:, None]
         j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)[:, None]
         return (np.take_along_axis(z, j, axis=-1)[:, 0],
                 np.take_along_axis(pos, j, axis=-1)[:, 0])
@@ -509,25 +474,19 @@ def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
 
     if kernel is None or transform.is_identity:
         b = _as_vec(0.0)  # without jumps, or under the identity, no correction
-    elif is_discrete_law(kernel):
-        w_atoms = kernel.law.positions
-        p_atoms = kernel.law.probs
-
-        def b_exact(y):
-            y = np.asarray(y, dtype=float)
-            x = transform.inverse(y)
-            hp = np.asarray(transform.deriv(x))
-            acc = np.zeros_like(y)
-            for w, p in zip(w_atoms, p_atoms):
-                z = np.asarray(transform.forward(x + w)) - y
-                acc += p * (np.asarray(trunc(z)) - hp * float(trunc(w)))
-            return kernel.rate_at(x) * acc
-
-        ys = _shrunk_image_grid(transform, kernel.law.support_radius, 257)
-        b = CubicTable(ys, b_exact(ys))
     else:
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
-        vals = [drift_correction(kernel, transform, trunc, float(yv)) for yv in ys]
+        if has_atoms(kernel):
+            # the defining integral of drift_correction, summed exactly over
+            # each node's atoms
+            x = transform.inverse(ys)
+            atoms = kernel.atoms(x)
+            z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - ys[:, None]
+            hp = np.asarray(transform.deriv(x))[:, None]
+            vals = atoms.sum(atoms.mass * (np.asarray(trunc(z))
+                                           - hp * np.asarray(trunc(atoms.pos))))
+        else:
+            vals = [drift_correction(kernel, transform, trunc, float(yv)) for yv in ys]
         b = CubicTable(ys, np.asarray(vals))
     return CharacteristicsY(b=b, sigma0=sigma0, measure=kernel, transform=transform,
                             trunc=trunc)

@@ -69,20 +69,20 @@ class TestMomentBound:
         assert abs(rep.sup - oracle) < 1e-8
 
 
-# --- discrete-law predicate --------------------------------------------------
+# --- kernels with atoms --------------------------------------------------------
 
-def test_is_discrete_law_only_for_atom_laws(atom_kernel, stable_half_kernel):
+def test_has_atoms_only_for_atom_kernels(atom_kernel, stable_half_kernel):
     from sdelab import DensityLaw
-    from sdelab.kernels import is_discrete_law
+    from sdelab.kernels import has_atoms
     density = FiniteActivityKernel(
         rate=1.0, law=DensityLaw(pdf=lambda x: np.ones_like(np.asarray(x)),
                                  support=(0.5, 1.5),
                                  sampler=lambda rng, size: rng.uniform(0.5, 1.5, size)))
     tabulated = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]),
                                 measures=(((1.0, 0.5),), ((1.0, 2.0),)))
-    assert is_discrete_law(atom_kernel)
-    for kernel in (None, density, stable_half_kernel, tabulated):
-        assert not is_discrete_law(kernel)
+    assert has_atoms(atom_kernel) and has_atoms(tabulated)
+    for kernel in (None, density, stable_half_kernel):
+        assert not has_atoms(kernel)
 
 
 # --- total-variation modulus -------------------------------------------------

@@ -560,6 +560,34 @@ class TestCLI:
                        "    gamma: 2.5\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("value", ("abc", "nan", "inf"))
+    def test_bad_constant_functional_exits_two(self, tmp_path, value, capsys):
+        import sdelab.cli as cli
+        cfg = tmp_path / "const.yaml"
+        cfg.write_text("scenario:\n  name: path_dependent_drift\n  n_paths: 50\n"
+                       f"  n_steps: 8\n  params:\n    functional: 'const:{value}'\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "finite real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", (".nan", ".inf", "-1.0"))
+    def test_bad_stable_scale_exits_two(self, tmp_path, scale, capsys):
+        import sdelab.cli as cli
+        cfg = tmp_path / "scale.yaml"
+        cfg.write_text("scenario:\n  name: stable_jump\n  n_paths: 50\n"
+                       f"  n_steps: 8\n  params:\n    scale: {scale}\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "scale must be finite and positive" in capsys.readouterr().err
+
+    def test_verify_martingale_without_rows(self, tmp_path):
+        # no residual rows: the header alone, and the exit code of the report
+        import sdelab.cli as cli
+        code = cli.main(["verify-martingale", "--name", "stable_jump", "--paths", "300",
+                         "--steps", "32", "--dump-paths", "0", "--out", str(tmp_path)])
+        doc = parse_report(tmp_path / "report_stable_jump.json")
+        assert code == (0 if doc["status"] == "pass" else 1)
+        assert (tmp_path / "residuals_stable_jump.csv").read_text() == (
+            "path_id,t,M_f,kappa_T\n")
+
     def test_csv_format_flag(self, tmp_path):
         r = run_cli(["run", "--name", "brownian_baseline", "--paths", "200",
                      "--steps", "64", "--out", str(tmp_path),

@@ -616,7 +616,7 @@ class TestTabulatedKernelOps:
     def test_batched_ops_equal_state_loop(self, make, transformed, tanh_coeffs, clamp1):
         kernel = make()
         tr = tanh_coeffs.transform if transformed else ScaleTransform.identity()
-        profiles, sample = simulator._tabulated_kernel_ops(kernel, tr, 0.05, clamp1)
+        profiles, sample = simulator._atom_kernel_ops(kernel, tr, 0.05, clamp1)
         ref_profiles, ref_sample = _tabulated_loop_ops(kernel, tr, 0.05, clamp1)
         # states on, between and halfway between the grid nodes
         x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
@@ -633,7 +633,7 @@ class TestTabulatedKernelOps:
     @pytest.mark.parametrize("transformed", (False, True), ids=("identity", "tanh"))
     @pytest.mark.parametrize("make", (_state_dependent_table, _mixed_table))
     def test_generator_jump_term_equals_state_loop(self, make, transformed,
-                                                   tanh_coeffs, clamp1, monkeypatch):
+                                                   tanh_coeffs, clamp1):
         from sdelab import EquationX, generator, generator_state, standard_profiles
         kernel = make()
         coeffs = tanh_coeffs if transformed else CoefficientSet.unit()
@@ -642,7 +642,6 @@ class TestTabulatedKernelOps:
                             kernel.y_grid[:-1] + 0.5]).reshape(6, -1)
         state = generator_state(EquationX(coeffs, kernel, clamp1),
                                 np.linspace(0, 1, 53), x)
-        monkeypatch.setattr(generator, "_JUMP_TERM_CHUNK", 100)  # blocks of states
         for f in standard_profiles():
             fx, fpx = f.as_x_callables(tr)
             want = [jump_operator(fx, fpx, kernel, clamp1, xi, f_sup=f.bound,
@@ -651,6 +650,40 @@ class TestTabulatedKernelOps:
                 f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx)
             np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=1e-13,
                                        atol=0, err_msg=f.name)
+
+
+class TestTabulatedKernelThroughTransform:
+    """The drift correction and the gamma compensator of a tabulated kernel
+    under the tanh transform, summed over each state's atoms."""
+
+    def test_drift_correction_equals_definition(self, tanh_coeffs, clamp1):
+        from sdelab import drift_correction
+        kernel = _mixed_table()
+        b = build_characteristics(tanh_coeffs, kernel, clamp1).b
+        want = [drift_correction(kernel, tanh_coeffs.transform, clamp1, float(y),
+                                 method="definition") for y in b.x]
+        np.testing.assert_allclose(b(b.x), want, rtol=1e-12, atol=0)
+
+    def test_gamma_compensator_equals_state_loop(self, tanh_coeffs, clamp1):
+        from sdelab import gamma_residual_qv, pathcalc
+        kernel = _mixed_table()
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=5,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=3.0)
+        ens = simulate_x_markovian(tanh_coeffs, kernel, clamp1, cfg, 0.0)
+        rep = gamma_residual_qv(ens, np.sin, np.cos, tanh_coeffs, kernel,
+                                (0.25, 0.125))
+        assert np.all(np.isfinite(rep.mean_qv))
+        x = ens.x[ens.active, :-1]
+        got = pathcalc._phi_jump_compensator(kernel, tanh_coeffs, 0.05, np.sin,
+                                             x.min(), x.max(), 1.0)(x)
+        h = tanh_coeffs.transform.forward
+        want = []
+        for xi in x.ravel():
+            pos, mass = kernel._at(xi)
+            z = h(xi + pos) - h(xi)
+            want.append(np.sum(mass * np.where(np.abs(z) > 0.05,
+                                               np.sin(xi + pos) - np.sin(xi), 0.0)))
+        assert np.array_equal(got, np.reshape(want, x.shape))
 
 
 # ---------------------------------------------------------------------------
