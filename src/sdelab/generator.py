@@ -19,8 +19,8 @@ import numpy as np
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
                            local_generator, transformed_diffusion)
 from .errors import ValidationError
-from .kernels import (Kernel, StableTailKernel, TruncationFunction, drift_correction,
-                      has_atoms, jump_operator, pushforward_integral)
+from .kernels import (AtomRows, Kernel, StableTailKernel, TruncationFunction,
+                      drift_correction, has_atoms, jump_operator, pushforward_integral)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +292,12 @@ class GeneratorState:
     With y = h(x): f(x) = phi(y), f'(x) = phi'(y) h'(x), the local term is
     half * (sigma(x) h'(x))^2 * phi''(y), and an atom at w contributes
     phi(h(x + w)).  None of h(x), h'(x), sigma(x), the drift functional's
-    grid values or the atom images depends on phi, so one state serves
-    every profile evaluated on the same paths.  ``hx`` is h evaluated at
-    ``x`` (in the inverse's own cell when the engine's final inversion
-    supplies it), not a simulated Y, so that f(X) is phi(h(X)) exactly.
-    ``eq`` is the equation the state was built from; the grid functions
-    read its kernel, truncation and transform from here.
+    grid values, the kernel's atoms at x or their images depends on phi,
+    so one state serves every profile evaluated on the same paths.  ``hx``
+    is h evaluated at ``x`` (in the inverse's own cell when the engine's
+    final inversion supplies it), not a simulated Y, so that f(X) is
+    phi(h(X)) exactly.  ``eq`` is the equation the state was built from;
+    the grid functions read its kernel, truncation and transform from here.
     Treat every array as read-only: ``hx`` may share memory with ``x``.
     """
 
@@ -308,7 +308,8 @@ class GeneratorState:
     hpx: np.ndarray
     sigma: np.ndarray
     hv: object            # functional grid values, or 0.0 without a functional
-    atom_images: tuple    # h(x + w) per atom column of an atomic kernel, else ()
+    atoms: Optional[AtomRows]  # kernel.atoms(x) of an atomic kernel, else None
+    atom_images: tuple    # h(x + w) per atom column of ``atoms``, else ()
 
 
 def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorState:
@@ -323,23 +324,21 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorStat
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
     hv = 0.0 if eq.functional is None else eq.functional.grid_values(times, x)
-    images = ()
-    if has_atoms(eq.kernel):
-        pos = eq.kernel.atoms(x).pos
-        images = tuple(np.asarray(transform.forward(x + pos[..., j]))
-                       for j in range(pos.shape[-1]))
+    atoms = eq.kernel.atoms(x) if has_atoms(eq.kernel) else None
+    images = () if atoms is None else tuple(np.asarray(transform.forward(x + w))
+                                            for w in np.moveaxis(atoms.pos, -1, 0))
     hx = np.asarray(transform.forward(x)) if hx is None else hx
     hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
     return GeneratorState(eq=eq, times=times, x=x, hx=hx, hpx=hpx,
                           sigma=np.asarray(eq.coeffs.diffusion.sigma(x)), hv=hv,
-                          atom_images=images)
+                          atoms=atoms, atom_images=images)
 
 
 def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
-    Kernels with atoms (``kernel.atoms``) are summed exactly over each
-    state's atoms; kernels requiring quadrature are tabulated at the
+    Kernels with atoms are summed exactly over each state's atoms, which
+    the state holds; kernels requiring quadrature are tabulated at the
     quantiles of the states and interpolated (the interpolation error is
     far below Monte Carlo resolution, which is the only consumer of this
     code path).
@@ -348,13 +347,12 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     transform = state.eq.coeffs.transform
     if kernel is None:
         return 0.0
-    if has_atoms(kernel):
-        atoms = kernel.atoms(x)
+    if state.atoms is not None:
         out = np.zeros_like(x)
         for j, hxw in enumerate(state.atom_images):
             term = f.phi(hxw) - base
-            term -= np.asarray(trunc(atoms.pos[..., j])) * fp
-            term *= atoms.mass[..., j]
+            term -= np.asarray(trunc(state.atoms.pos[..., j])) * fp
+            term *= state.atoms.mass[..., j]
             out += term
         return out
     fx, fpx = f.as_x_callables(transform)

@@ -25,6 +25,10 @@ def _open_above(a):
     return float(np.nextafter(a, np.inf))
 
 
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
 # ---------------------------------------------------------------------------
 # truncation function
 # ---------------------------------------------------------------------------
@@ -69,6 +73,8 @@ class DiscreteLaw:
     def __post_init__(self):
         pos = np.asarray([a[0] for a in self.atoms], dtype=float)
         prob = np.asarray([a[1] for a in self.atoms], dtype=float)
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(prob))):
+            raise ValueError("atom positions and probabilities must be finite")
         if np.any(pos == 0.0):
             raise ValueError("jump laws must not charge 0")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
@@ -91,11 +97,17 @@ class DiscreteLaw:
         return float(np.max(np.abs(self.positions)))
 
     def is_symmetric(self, tol=1e-12):
-        for w, p in zip(self.positions, self.probs):
-            mirror = np.isclose(self.positions, -w, atol=tol)
-            if not np.any(mirror) or abs(self.probs[mirror].sum() - p) > tol:
-                return False
-        return True
+        return _is_symmetric(self.positions, self.probs, tol)
+
+
+def _is_symmetric(pos, mass, tol):
+    """True when every atom (w, m) of one measure has mirror atoms at -w
+    (within ``tol``) of total mass m (within ``tol``)."""
+    for w, m in zip(pos, mass):
+        mirror = np.isclose(pos, -w, atol=tol)
+        if not np.any(mirror) or abs(mass[mirror].sum() - m) > tol:
+            return False
+    return True
 
 
 @dataclass
@@ -121,8 +133,7 @@ class DensityLaw:
         return total
 
     def mass(self, lo=-np.inf, hi=np.inf, tol=1e-10):
-        return self.expect(lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                           lo, hi, tol=tol)
+        return self.expect(_ones, lo, hi, tol=tol)
 
     @property
     def support_radius(self):
@@ -180,11 +191,8 @@ class StableTailKernel:
         return float(self.one_tail_mass(a)) - tail_b
 
     def region_mass_vec(self, y, intervals):
-        y = np.asarray(y, dtype=float)
-        total = 0.0
-        for lo, hi in intervals:
-            total += self.region_mass(0.0, lo, hi)
-        return np.full_like(y, total)
+        return np.full_like(np.asarray(y, dtype=float),
+                            sum(self.region_mass(0.0, lo, hi) for lo, hi in intervals))
 
     def two_tail_mass(self, y, w_lo, w_hi):
         """Q(y, (-inf, w_lo] u [w_hi, inf)) with w_lo < 0 < w_hi."""
@@ -293,6 +301,8 @@ class FiniteActivityKernel:
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not callable(self.rate) and not 0.0 <= float(self.rate) < np.inf:
+            raise ValueError("a constant rate must be finite and nonnegative")
         self._rate = _as_rate(self.rate)
 
     def rate_at(self, y):
@@ -341,9 +351,10 @@ class FiniteActivityKernel:
 class TabulatedKernel:
     """Per-state discrete measures on a grid of states (nearest lookup).
 
-    ``pos_tab`` and ``mass_tab`` hold each grid state's atoms in one row,
-    padded with zero-mass atoms at 0 to a (grid states, atoms) table, and
-    ``n_atoms`` counts the real atoms of each row.
+    One table holds the measures: ``pos_tab`` and ``mass_tab`` hold each
+    grid state's atoms in one row, padded with zero-mass atoms at 0 to a
+    (grid states, atoms) table, and ``n_atoms`` counts the real atoms of
+    each row.  A state reads the row that ``_nearest`` gives it.
     """
 
     y_grid: np.ndarray
@@ -352,40 +363,62 @@ class TabulatedKernel:
 
     def __post_init__(self):
         self.y_grid = np.asarray(self.y_grid, dtype=float)
+        if not (self.y_grid.ndim == 1 and self.y_grid.size
+                and np.all(np.isfinite(self.y_grid))):
+            raise ValueError("y_grid must be a non-empty 1-d array of finite states")
         if len(self.measures) != len(self.y_grid):
             raise ValueError("one measure per grid state required")
-        parsed = []
-        for m in self.measures:
-            pos = np.asarray([a[0] for a in m], dtype=float)
-            mass = np.asarray([a[1] for a in m], dtype=float)
-            if np.any(pos == 0.0) or np.any(mass < 0):
-                raise ValueError("invalid tabulated measure")
-            parsed.append((pos, mass))
-        self._parsed = parsed
-        self.n_atoms = np.asarray([len(pos) for pos, _ in parsed], dtype=np.intp)
-        self.pos_tab = np.zeros((len(parsed), self.n_atoms.max(initial=0)))
+        self.n_atoms = np.asarray([len(m) for m in self.measures], dtype=np.intp)
+        self.pos_tab = np.zeros((len(self.measures), self.n_atoms.max()))
         self.mass_tab = np.zeros_like(self.pos_tab)
-        for g, (pos, mass) in enumerate(parsed):
-            self.pos_tab[g, :len(pos)] = pos
-            self.mass_tab[g, :len(pos)] = mass
+        for g, m in enumerate(self.measures):
+            self.pos_tab[g, :len(m)] = np.asarray([a[0] for a in m], dtype=float)
+            self.mass_tab[g, :len(m)] = np.asarray([a[1] for a in m], dtype=float)
+        # a real atom at 0 shows as one nonzero position fewer than atoms
+        if (np.count_nonzero(self.pos_tab) < self.n_atoms.sum() or np.any(self.mass_tab < 0)
+                or not np.all(np.isfinite(self.pos_tab) & np.isfinite(self.mass_tab))):
+            raise ValueError("tabulated atoms need finite nonzero positions and "
+                             "finite nonnegative masses")
+        # the distinct grid states in ascending order, each with its lowest index
+        self._states, self._first = np.unique(self.y_grid, return_index=True)
 
-    def _at(self, y):
-        idx = int(np.argmin(np.abs(self.y_grid - float(np.asarray(y)))))
-        return self._parsed[idx]
+    def _nearest(self, y):
+        """The grid row ``np.argmin(np.abs(y_grid - y))`` gives every entry
+        of 1-d ``y`` (the nearest state, the lowest index among equally near
+        ones, row 0 for a non-finite entry), found by bisection of the
+        sorted distinct states with the same computed distances."""
+        s, first = self._states, self._first
+        hi = np.minimum(np.searchsorted(s, y), len(s) - 1)
+        lo = np.maximum(hi - 1, 0)
+        d_lo, d_hi = np.abs(s[lo] - y), np.abs(s[hi] - y)
+        d = np.minimum(d_lo, d_hi)
+        # [a, b]: the run of sorted states at the least distance d
+        a, b = np.where(d_lo == d, lo, hi), np.where(d_hi == d, hi, lo)
+        idx = np.minimum(first[a], first[b])
+        finite = np.isfinite(y)
+        # rounding can leave states beyond the two neighbours at distance d
+        for step, end in ((-1, a), (1, b)):
+            rows = np.flatnonzero(finite)
+            while rows.size:
+                j = np.clip(end[rows] + step, 0, len(s) - 1)
+                rows = rows[(j != end[rows]) & (np.abs(s[j] - y[rows]) == d[rows])]
+                end[rows] += step
+                idx[rows] = np.minimum(idx[rows], first[end[rows]])
+        idx[~finite] = 0
+        return idx
 
     def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=(),
                  g_bound=None):
         del tol, breakpoints, g_bound
-        pos, mass = self._at(y)
+        pos, mass, n = self.atoms(float(y))
+        pos, mass = pos[:n], mass[:n]
         sel = (pos >= lo) & (pos <= hi)
         if not np.any(sel):
             return 0.0
         return float(np.sum(mass[sel] * np.asarray(g(pos[sel]))))
 
     def region_mass(self, y, lo, hi):
-        pos, mass = self._at(y)
-        sel = (pos >= lo) & (pos <= hi)
-        return float(np.sum(mass[sel]))
+        return self.integral(y, np.ones_like, lo, hi)
 
     def atoms(self, x) -> AtomRows:
         """The atoms of the grid state nearest to each state of ``x``."""
@@ -393,38 +426,21 @@ class TabulatedKernel:
         g = self._nearest(x.ravel()).reshape(x.shape)
         return AtomRows(self.pos_tab[g], self.mass_tab[g], self.n_atoms[g])
 
-    def _nearest(self, y):
-        """``_at``'s grid index for every entry of 1-d ``y``: the same
-        ``argmin`` (first minimum on ties), in chunks of bounded size."""
-        idx = np.empty(len(y), dtype=np.intp)
-        chunk = max(1, 2**20 // len(self.y_grid))
-        for i in range(0, len(y), chunk):
-            idx[i:i + chunk] = np.argmin(
-                np.abs(self.y_grid - y[i:i + chunk, None]), axis=1)
-        return idx
-
     def region_mass_vec(self, y, intervals):
         y = np.asarray(y, dtype=float)
-        per_state = np.asarray([sum(float(np.sum(mass[(pos >= lo) & (pos <= hi)]))
+        per_state = np.asarray([sum(float(np.sum(m[:n][(p[:n] >= lo) & (p[:n] <= hi)]))
                                     for lo, hi in intervals)
-                                for pos, mass in self._parsed], dtype=float)
+                                for p, m, n in zip(self.pos_tab, self.mass_tab,
+                                                   self.n_atoms)], dtype=float)
         return per_state[self._nearest(y.ravel())].reshape(y.shape)
-
-    def two_tail_mass(self, y, w_lo, w_hi):
-        return (self.region_mass(y, -np.inf, w_lo)
-                + self.region_mass(y, w_hi, np.inf))
 
     @property
     def support_radius(self):
-        return max(float(np.max(np.abs(p))) for p, _ in self._parsed)
+        return float(np.max(np.abs(self.pos_tab), initial=0.0))
 
     def is_symmetric(self, tol=1e-12):
-        for pos, mass in self._parsed:
-            for w, m in zip(pos, mass):
-                mirror = np.isclose(pos, -w, atol=tol)
-                if not np.any(mirror) or abs(mass[mirror].sum() - m) > tol:
-                    return False
-        return True
+        return all(_is_symmetric(p[:n], m[:n], tol)
+                   for p, m, n in zip(self.pos_tab, self.mass_tab, self.n_atoms))
 
 
 Kernel = Union[StableTailKernel, FiniteActivityKernel, TabulatedKernel]
@@ -461,6 +477,17 @@ class TiltedKernelReport:
                    float(self.m2[i]))
 
 
+def _split_masses(kernel: Kernel, y, radius, alpha, tol):
+    """m1 = int over |x| <= radius of |x|^(1+alpha) Q(y, dx) and
+    m2 = Q(y, |x| > radius)."""
+    m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha), lo=-radius, hi=radius,
+                         tol=tol)
+    m2 = (kernel.integral(y, _ones, lo=_open_above(radius), hi=np.inf, tol=tol, g_bound=1.0)
+          + kernel.integral(y, _ones, lo=-np.inf, hi=-_open_above(radius), tol=tol,
+                            g_bound=1.0))
+    return m1, m2
+
+
 def moment_bound(kernel: Kernel, y_grid, radius=1.0, tol=1e-8) -> TiltedKernelReport:
     """Certify the tilted-mass hypothesis sup_y int (1 ^ |x|^(1+alpha)) Q(y, dx).
 
@@ -481,12 +508,7 @@ def moment_bound(kernel: Kernel, y_grid, radius=1.0, tol=1e-8) -> TiltedKernelRe
     for y in y_grid:
         try:
             mom = kernel.integral(y, tilt, tol=tol, breakpoints=(-1.0, 1.0), g_bound=1.0)
-            m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha),
-                                 lo=-radius, hi=radius, tol=tol)
-            m2 = kernel.integral(y, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                 lo=_open_above(radius), hi=np.inf, tol=tol, g_bound=1.0)
-            m2 += kernel.integral(y, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                  lo=-np.inf, hi=-_open_above(radius), tol=tol, g_bound=1.0)
+            m1, m2 = _split_masses(kernel, y, radius, alpha, tol)
         except QuadratureFailure as exc:
             raise DivergentMoment(f"tilted mass at y={y} diverges: {exc}") from exc
         if not np.isfinite(mom):
@@ -543,10 +565,8 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition,
         return out
 
     vectors = [cell_vector(y) for y in y_grid]
-    pairs, vals = [], []
-    for i in range(len(y_grid) - 1):
-        pairs.append((float(y_grid[i]), float(y_grid[i + 1])))
-        vals.append(float(np.sum(np.abs(vectors[i + 1] - vectors[i]))))
+    pairs = [(float(a), float(b)) for a, b in zip(y_grid[:-1], y_grid[1:])]
+    vals = [float(np.sum(np.abs(v1 - v0))) for v0, v1 in zip(vectors[:-1], vectors[1:])]
     return TVModulusReport(y_pairs=pairs, values=np.asarray(vals))
 
 
@@ -554,14 +574,11 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition,
 # pushforward, drift correction, nonlocal operator
 # ---------------------------------------------------------------------------
 
-def _scalarized(fn):
-    """Allow a scalar-only integrand to accept arrays (discrete kernels)."""
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        return np.array([fn(float(v)) for v in arr.ravel()]).reshape(arr.shape)
-    return wrapped
+def _jump_breaks(transform: ScaleTransform, x, y0, z_breaks):
+    """The jumps w with h(x + w) = y0 + z, z in ``z_breaks``, y0 + z in the image."""
+    lo_im, hi_im = transform.image
+    return tuple(float(np.asarray(transform.inverse(y0 + z))) - x
+                 for z in z_breaks if lo_im < y0 + z < hi_im)
 
 
 def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
@@ -592,13 +609,8 @@ def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g,
     def integrand(w):
         return g(transform.forward(x + np.asarray(w)) - y0)
 
-    w_breaks = []
-    lo_im, hi_im = transform.image
-    for zb in z_breakpoints:
-        target = y0 + zb
-        if lo_im < target < hi_im:
-            w_breaks.append(float(np.asarray(transform.inverse(target))) - x)
-    return kernel.integral(x, integrand, tol=tol, breakpoints=tuple(w_breaks),
+    return kernel.integral(x, integrand, tol=tol,
+                           breakpoints=_jump_breaks(transform, x, y0, z_breakpoints),
                            g_bound=g_bound)
 
 
@@ -618,19 +630,15 @@ def drift_correction(kernel: Kernel, transform: ScaleTransform,
     _guard_support(kernel, transform, x)
     y0 = float(np.asarray(transform.forward(x)))
     hp_x = float(np.asarray(transform.deriv(x)))
-    lo_im, hi_im = transform.image
 
     if method == "definition":
         def integrand(w):
             z = transform.forward(x + np.asarray(w)) - y0
             return trunc(z) - hp_x * trunc(np.asarray(w))
 
-        breaks = [trunc.radius, -trunc.radius]
-        for zb in (trunc.radius, -trunc.radius):
-            tgt = y0 + zb
-            if lo_im < tgt < hi_im:
-                breaks.append(float(np.asarray(transform.inverse(tgt))) - x)
-        return kernel.integral(x, integrand, tol=tol, breakpoints=tuple(breaks),
+        breaks = (trunc.radius, -trunc.radius)
+        return kernel.integral(x, integrand, tol=tol,
+                               breakpoints=breaks + _jump_breaks(transform, x, y0, breaks),
                                g_bound=trunc.cap * (1.0 + hp_x))
 
     if method != "expansion":
@@ -658,14 +666,9 @@ def drift_correction(kernel: Kernel, transform: ScaleTransform,
         psi_bar = float(np.sum(inv_deriv(y0 + a_nodes * z) * a_wts))
         return inv_dy * float(trunc(z)) - float(trunc(z * psi_bar))
 
-    breaks = []
-    for zb in (r_in, -r_in):
-        tgt = y0 + zb
-        if lo_im < tgt < hi_im:
-            breaks.append(float(np.asarray(transform.inverse(tgt))) - x)
-    val = kernel.integral(x, _scalarized(lambda w: core(w) + tail(w)), tol=tol,
-                          breakpoints=tuple(breaks),
-                          g_bound=trunc.cap * (1.0 + inv_dy))
+    val = kernel.integral(x, np.vectorize(lambda w: core(w) + tail(w), otypes=[float]),
+                          tol=tol, g_bound=trunc.cap * (1.0 + inv_dy),
+                          breakpoints=_jump_breaks(transform, x, y0, (r_in, -r_in)))
     return hp_x * val
 
 
@@ -908,12 +911,7 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
                              g_bound=far_bound)
         f2 += kernel.integral(y, far, lo=-np.inf, hi=-_open_above(R), tol=tol,
                               g_bound=far_bound)
-        m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha),
-                             lo=-R, hi=R, tol=tol)
-        m2 = (kernel.integral(y, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                              lo=_open_above(R), hi=np.inf, tol=tol, g_bound=1.0)
-              + kernel.integral(y, lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                lo=-np.inf, hi=-_open_above(R), tol=tol, g_bound=1.0))
+        m1, m2 = _split_masses(kernel, y, R, alpha, tol)
 
     window = abs(y) + R + 1.0
     norm = _holder_norm(f_prime, alpha, window)

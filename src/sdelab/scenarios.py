@@ -245,9 +245,9 @@ def load_spec(path) -> ScenarioSpec:
     """Read a declarative scenario description (plain key/value document)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
-    if not isinstance(doc, dict) or "scenario" not in doc:
-        raise ValidationError("configuration must contain a 'scenario' section")
-    sect = doc["scenario"]
+    sect = doc.get("scenario") if isinstance(doc, dict) else None
+    if not isinstance(sect, dict):
+        raise ValidationError("configuration must contain a 'scenario' mapping")
     known = {"name", "n_paths", "n_steps", "seed", "horizon", "x0",
              "diagnostics", "params"}
     unknown = set(sect) - known
@@ -255,13 +255,17 @@ def load_spec(path) -> ScenarioSpec:
         raise ValidationError(f"unknown configuration keys: {sorted(unknown)}")
     if "name" not in sect:
         raise ValidationError("scenario.name is required")
-    diags = sect.get("diagnostics")
+    diags, params = sect.get("diagnostics"), sect.get("params")
+    if diags is not None and not (isinstance(diags, list)
+                                  and all(isinstance(d, str) for d in diags)):
+        raise ValidationError(f"scenario.diagnostics must list names, got {diags!r}")
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"scenario.params must be a mapping, got {params!r}")
     return ScenarioSpec(
         name=str(sect["name"]),
         n_paths=sect.get("n_paths"), n_steps=sect.get("n_steps"),
         seed=sect.get("seed"), horizon=sect.get("horizon"), x0=sect.get("x0"),
-        diagnostics=tuple(diags) if diags else None,
-        params=dict(sect.get("params") or {}),
+        diagnostics=tuple(diags) if diags else None, params=dict(params or {}),
     )
 
 

@@ -605,10 +605,9 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
             scan = np.linspace(img_lo, img_hi, 129)
         sup_rate = float(np.max(ops.profiles(scan)[0]))
         lam_max = config.big_jump_intensity_bound
-        if sup_rate > lam_max * (1.0 + 1e-9):
-            raise IntensityBoundViolated(
-                f"dominating intensity {lam_max} below scanned supremum {sup_rate:.6g}"
-            )
+        if not sup_rate <= lam_max * (1.0 + 1e-9):  # a NaN rate fails too
+            raise IntensityBoundViolated(f"dominating intensity {lam_max} does not bound "
+                                         f"the scanned supremum rate {sup_rate:.6g}")
     return EngineSetup(ops, (img_lo, img_hi), chars, config, float(y0))
 
 

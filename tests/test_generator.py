@@ -307,6 +307,21 @@ class TestGeneratorState:
                 single = martingale_residual_ensemble(one, prof)
                 assert np.array_equal(single, M[i])
 
+    def test_atoms_looked_up_once_per_ensemble(self, tanh_coeffs, clamp1, monkeypatch):
+        from sdelab import TabulatedKernel
+        kernel = TabulatedKernel(y_grid=np.linspace(-4.0, 4.0, 9),
+                                 measures=tuple(((0.6, 0.5 + 0.05 * i), (-0.4, 0.3))
+                                                for i in range(9)))
+        calls = []
+        atoms = kernel.atoms
+        monkeypatch.setattr(kernel, "atoms", lambda x: calls.append(1) or atoms(x))
+        x = np.linspace(-4.5, 4.5, 4 * 33).reshape(4, 33)
+        state = generator_state(EquationX(tanh_coeffs, kernel, clamp1),
+                                np.linspace(0.0, 1.0, 33), x)
+        for prof in standard_profiles():
+            martingale_residual_ensemble(state, prof)
+        assert len(standard_profiles()) == 5 and len(calls) == 1
+
 
     def test_quadrature_kernel_table_follows_the_states(self):
         # stable_jump's heavy tail stretches its 400 paths over [-14, 158];

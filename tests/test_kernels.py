@@ -161,6 +161,106 @@ class TestTabulatedRegionMass:
         assert k.region_mass_vec(0.5, [(0.5, 1.5)]) == 0.5  # tie: first state
         assert k.region_mass_vec(np.empty((0, 3)), [(0.5, 1.5)]).shape == (0, 3)
 
+    def test_empty_measure_row(self):
+        k = TabulatedKernel(y_grid=np.asarray([0.0, 1.0, 2.0]),
+                            measures=((), ((0.5, 1.0), (-0.25, 2.0)), ()))
+        rows = k.atoms(np.asarray([[-1.0, 0.2], [1.1, 3.0]]))
+        assert np.array_equal(rows.count, [[0, 0], [2, 0]])
+        assert np.array_equal(rows.mass, [[[0.0, 0.0], [0.0, 0.0]],
+                                          [[1.0, 2.0], [0.0, 0.0]]])
+        assert np.array_equal(k.region_mass_vec([0.0, 0.9, 2.0], [(-1.0, 1.0)]),
+                              [0.0, 3.0, 0.0])
+        assert k.support_radius == 0.5
+        assert k.integral(0.0, np.sin) == 0.0 and k.region_mass(2.0, -1.0, 1.0) == 0.0
+        assert not k.is_symmetric()
+        bare = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]), measures=((), ()))
+        assert bare.support_radius == 0.0 and bare.is_symmetric()
+        assert bare.atoms(np.asarray([0.3, 7.0])).pos.shape == (2, 0)
+
+
+# --- tabulated nearest-state lookup ------------------------------------------
+
+def _argmin_rows(grid, y):
+    """The reference lookup: a brute-force ``argmin`` per query."""
+    return np.asarray([int(np.argmin(np.abs(grid - v))) for v in y], dtype=np.intp)
+
+
+def _lookup_queries(grid, extra=()):
+    """Grid states, midpoints between sorted neighbours (ties), points just
+    and far outside the grid, +-inf and NaN."""
+    srt = np.unique(grid)
+    return np.concatenate([grid, 0.5 * (srt[1:] + srt[:-1]),
+                           [srt[0] - 1e-9, srt[-1] + 1e-9, srt[0] - 1.0,
+                            srt[-1] + 1.0, -50.0, 50.0, -1e300, 1e300,
+                            -np.inf, np.inf, np.nan], np.asarray(extra, dtype=float)])
+
+
+class TestTabulatedLookup:
+    """``TabulatedKernel._nearest`` bisects the sorted distinct states and
+    must give the row of a brute-force ``argmin`` index for index."""
+
+    @pytest.mark.parametrize("grid", (
+        np.linspace(-4.0, 4.0, 9),
+        np.asarray([1.0, -2.0, 0.5, 1.0, 3.0]),
+        np.asarray([2.5]),
+        np.asarray([3.0, 3.0, -1.0, 3.0, -1.0]),
+        # rounding puts three distinct states at the same distance from 0.5
+        np.asarray([0.0, 1e-300, 1.0, 1e-300]),
+    ))
+    def test_nearest_equals_argmin(self, grid):
+        k = TabulatedKernel(y_grid=grid, measures=(((1.0, 1.0),),) * len(grid))
+        y = _lookup_queries(grid, np.random.default_rng(3).uniform(-6.0, 6.0, 200))
+        assert np.array_equal(k._nearest(y), _argmin_rows(grid, y))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           states=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=8))
+    def test_nearest_equals_argmin_on_unsorted_repeated_grids(self, data, states):
+        grid = np.asarray(data.draw(st.lists(st.sampled_from(states), min_size=1,
+                                             max_size=12)), dtype=float)
+        extra = data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                                   max_size=8))
+        k = TabulatedKernel(y_grid=grid, measures=(((1.0, 1.0),),) * len(grid))
+        y = _lookup_queries(grid, extra)
+        assert np.array_equal(k._nearest(y), _argmin_rows(grid, y))
+
+
+# --- fail-closed construction ------------------------------------------------
+
+class TestNonFiniteKernelInput:
+    @pytest.mark.parametrize("atoms", (((0.1, np.nan),), ((np.nan, 1.0),),
+                                       ((np.inf, 1.0),), ((0.1, 0.5), (0.2, np.inf))))
+    def test_discrete_law_rejects_non_finite_atoms(self, atoms):
+        with pytest.raises(ValueError):
+            DiscreteLaw(atoms)
+
+    @pytest.mark.parametrize("rate", (np.nan, np.inf, -np.inf, -1.0))
+    def test_constant_rate_must_be_finite_and_nonnegative(self, rate):
+        with pytest.raises(ValueError):
+            FiniteActivityKernel(rate=rate, law=DiscreteLaw(((0.1, 1.0),)))
+
+    def test_zero_and_callable_rates_are_accepted(self):
+        law = DiscreteLaw(((0.1, 1.0),))
+        assert FiniteActivityKernel(rate=0.0, law=law).rate_at(0.3) == 0.0
+        square = FiniteActivityKernel(rate=lambda y: np.asarray(y) ** 2, law=law)
+        assert square.rate_at(3.0) == 9.0
+
+    @pytest.mark.parametrize("grid, measures", (
+        (np.asarray([[0.0, 1.0]]), (((1.0, 1.0),), ((1.0, 1.0),))),
+        (np.asarray([0.0, np.nan]), (((1.0, 1.0),), ((1.0, 1.0),))),
+        (np.asarray([-np.inf, 1.0]), (((1.0, 1.0),), ((1.0, 1.0),))),
+        (np.asarray([]), ()),
+        (np.asarray([0.0, 1.0]), (((1.0, 1.0),), ((np.nan, 1.0),))),
+        (np.asarray([0.0, 1.0]), (((1.0, 1.0),), ((np.inf, 1.0),))),
+        (np.asarray([0.0, 1.0]), (((1.0, np.nan),), ((1.0, 1.0),))),
+        (np.asarray([0.0, 1.0]), (((1.0, 1.0),), ((0.5, 1.0), (1.0, np.inf)))),
+        (np.asarray([0.0, 1.0]), (((1.0, 1.0),), ((0.5, 1.0), (0.0, 1.0)))),
+        (np.asarray([0.0, 1.0]), (((1.0, -1.0),), ((1.0, 1.0),))),
+    ))
+    def test_tabulated_kernel_rejects_bad_tables(self, grid, measures):
+        with pytest.raises(ValueError):
+            TabulatedKernel(y_grid=grid, measures=measures)
+
 
 # --- pushforward -------------------------------------------------------------
 

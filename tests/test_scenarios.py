@@ -486,6 +486,25 @@ class TestCLI:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert entry.split(":")[0] + " must be a finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", (
+        ("scenario: [name]\n", "'scenario' mapping"),
+        ("scenario: brownian_baseline\n", "'scenario' mapping"),
+        ("  diagnostics: 5\n", "diagnostics must list names"),
+        ("  diagnostics: martingale\n", "diagnostics must list names"),
+        ("  diagnostics: [martingale, 3]\n", "diagnostics must list names"),
+        ("  params: 5\n", "params must be a mapping"),
+        ("  params: [1, 2]\n", "params must be a mapping"),
+    ))
+    def test_malformed_yaml_section_exits_two(self, tmp_path, doc, message, capsys):
+        import sdelab.cli as cli
+        if doc.startswith("  "):
+            doc = ("scenario:\n  name: brownian_baseline\n  n_paths: 50\n"
+                   "  n_steps: 8\n" + doc)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
         import sdelab.cli as cli
         from sdelab import scenarios

@@ -566,13 +566,23 @@ class TestJumpMeasureBranches:
                                    exact, rtol=1e-12, atol=1e-15)
 
 
+def _measure_at(kernel, x):
+    """The atoms (positions, masses) of the grid state nearest to the state
+    ``x``, read from ``kernel.measures`` at a brute-force ``argmin`` (first
+    minimum on ties), so that the reference does not use the kernel's own
+    lookup."""
+    atoms = kernel.measures[int(np.argmin(np.abs(kernel.y_grid - x)))]
+    return (np.asarray([a[0] for a in atoms], dtype=float),
+            np.asarray([a[1] for a in atoms], dtype=float))
+
+
 def _tabulated_loop_ops(kernel, transform, delta, trunc):
     """The tabulated kernel's profiles and sampler as a loop over states,
-    each reading its own measure through ``TabulatedKernel._at``."""
+    each reading its own measure through ``_measure_at``."""
     def rows(y):
         x = np.asarray(transform.inverse(y))
         for xi, yi in zip(x, y):
-            pos, mass = kernel._at(xi)
+            pos, mass = _measure_at(kernel, xi)
             yield pos, np.asarray(transform.forward(xi + pos)) - yi, mass
 
     def profiles(y):
@@ -679,7 +689,7 @@ class TestTabulatedKernelThroughTransform:
         h = tanh_coeffs.transform.forward
         want = []
         for xi in x.ravel():
-            pos, mass = kernel._at(xi)
+            pos, mass = _measure_at(kernel, xi)
             z = h(xi + pos) - h(xi)
             want.append(np.sum(mass * np.where(np.abs(z) > 0.05,
                                                np.sin(xi + pos) - np.sin(xi), 0.0)))
@@ -698,6 +708,17 @@ class TestGuards:
                                  measure=AtomJumpMeasure(((1.0, 1.0),)))
         with pytest.raises(IntensityBoundViolated):
             simulate_y(chars, None, cfg, 0.0)
+
+    def test_nan_rate_fails_closed(self, clamp1):
+        # the scanned supremum rate is NaN: the run used to finish with no
+        # jumps and a NaN terminal mean
+        from sdelab import DiscreteLaw, FiniteActivityKernel
+        kernel = FiniteActivityKernel(rate=lambda x: np.full_like(np.asarray(x), np.nan),
+                                      law=DiscreteLaw(((0.1, 1.0),)))
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=50, master_seed=1,
+                        small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
+        with pytest.raises(IntensityBoundViolated, match="nan"):
+            simulate_x_markovian(CoefficientSet.unit(), kernel, clamp1, cfg, 0.0)
 
     def test_cutoff_must_stay_below_truncation_radius(self):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=10, master_seed=1,
