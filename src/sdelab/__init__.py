@@ -19,7 +19,7 @@ from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         resolve_functional, sin_left_limit, zero_functional)
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
-                      TruncationFunction, diffusion_coefficient, drift_correction,
+                      TruncationFunction, drift_correction,
                       geometric_partition, jump_operator, moment_bound,
                       pushforward_integral, tv_continuity_modulus)
 from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
@@ -30,8 +30,8 @@ from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import (AtomJumpMeasure, CharacteristicsY, Ensemble,
-                        GirsanovWeight, JumpOps, SimConfig, build_characteristics,
+from .simulator import (CharacteristicsY, Ensemble, GirsanovWeight, JumpOps,
+                        SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
                         girsanov_weight, girsanov_weight_ensemble, jump_ops,
                         simulate_blocks, simulate_euler_direct,

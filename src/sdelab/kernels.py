@@ -15,8 +15,9 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from ._quad import dyadic_tail, gauss_legendre, gauss_legendre_01, quad_checked
-from .coefficients import DiffusionSpec, ScaleTransform, transformed_diffusion
-from .errors import DivergentMoment, QuadratureFailure, RangeError
+from .coefficients import ScaleTransform
+from .errors import (DivergentMoment, IntensityBoundViolated, QuadratureFailure,
+                     RangeError)
 
 _INNER_NODES = 16
 
@@ -194,11 +195,6 @@ class StableTailKernel:
         return np.full_like(np.asarray(y, dtype=float),
                             sum(self.region_mass(0.0, lo, hi) for lo, hi in intervals))
 
-    def two_tail_mass(self, y, w_lo, w_hi):
-        """Q(y, (-inf, w_lo] u [w_hi, inf)) with w_lo < 0 < w_hi."""
-        del y
-        return self.one_tail_mass(np.abs(w_lo)) + self.one_tail_mass(np.abs(w_hi))
-
     def sample_two_tail(self, u_side, u_mag, w_lo, w_hi):
         """Exact inverse-CDF draw from the two-sided tail restriction."""
         m_neg = self.one_tail_mass(np.abs(w_lo))
@@ -306,7 +302,14 @@ class FiniteActivityKernel:
         self._rate = _as_rate(self.rate)
 
     def rate_at(self, y):
-        return np.asarray(self._rate(np.asarray(y, dtype=float)))
+        """The rate at the states ``y``; a NaN, infinite or negative value
+        raises ``IntensityBoundViolated``."""
+        rate = np.asarray(self._rate(np.asarray(y, dtype=float)))
+        bad = ~((rate >= 0) & (rate < np.inf))
+        if np.any(bad):
+            raise IntensityBoundViolated(f"the jump rate must be finite and "
+                                         f"nonnegative, got {float(rate[bad].flat[0])}")
+        return rate
 
     def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=(),
                  g_bound=None):
@@ -322,10 +325,6 @@ class FiniteActivityKernel:
     def region_mass_vec(self, y, intervals):
         y = np.asarray(y, dtype=float)
         p = sum(self.law.mass(lo, hi) for lo, hi in intervals)
-        return self.rate_at(y) * p
-
-    def two_tail_mass(self, y, w_lo, w_hi):
-        p = self.law.mass(-np.inf, w_lo) + self.law.mass(w_hi, np.inf)
         return self.rate_at(y) * p
 
     def atoms(self, x) -> AtomRows:
@@ -919,8 +918,3 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
     bound = norm * m1 + (2.0 * sup_est + trunc.cap * sup_fp) * m2
     return JumpOperatorValue(value=f1 + f2, local_part=f1, tail_part=f2,
                              bound=bound, fprime_norm=norm)
-
-
-def diffusion_coefficient(transform: ScaleTransform, diffusion: DiffusionSpec, y):
-    """Squared transformed diffusion coefficient (strictly positive)."""
-    return np.asarray(transformed_diffusion(transform, diffusion, y)) ** 2

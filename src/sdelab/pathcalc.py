@@ -14,9 +14,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import CoefficientSet, CubicTable
+from .coefficients import CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
-from .generator import CagladPath
+from .generator import CagladPath, EquationX
 from .kernels import Kernel, StableTailKernel, has_atoms
 
 
@@ -258,14 +258,14 @@ def dirichlet_condition_intY(sums, active, a, sample_sizes,
 # remainder reconstruction and its quadratic variation
 # ---------------------------------------------------------------------------
 
-def _phi_jump_compensator(kernel: Optional[Kernel], coeffs: CoefficientSet,
-                          delta, phi, x_lo, x_hi, phi_bound,
+def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi, phi_bound,
                           nodes=129, tol=1e-8) -> Callable:
     """Vectorized x -> integral of the image increment over the simulated
-    (big) jump region; matches the cutoff geometry of the engine."""
+    (big) jump region of ``eq.kernel``; matches the cutoff geometry of the
+    engine."""
+    kernel, transform = eq.kernel, eq.coeffs.transform
     if kernel is None:
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    transform = coeffs.transform
 
     if has_atoms(kernel):
         def fn(x):
@@ -329,10 +329,10 @@ class GammaQVReport:
         return bool(np.all(np.diff(self.mean_qv) < 0))
 
 
-def gamma_residual_qv(ensemble, phi, phi_prime, coeffs: CoefficientSet,
-                      kernel: Optional[Kernel], epsilons,
+def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
                       phi_bound=None, t=None) -> GammaQVReport:
-    """Quadratic variation of the reconstructed orthogonal remainder.
+    """Quadratic variation of the reconstructed orthogonal remainder of
+    the Markovian part of ``eq`` (its drift functional is not read).
 
     The remainder is the image path minus its reconstructed continuous
     martingale integral and compensated jump part, built from the recorded
@@ -351,7 +351,7 @@ def gamma_residual_qv(ensemble, phi, phi_prime, coeffs: CoefficientSet,
     t = float(times[-1]) if t is None else float(t)
     idx_t = _time_index(times, t, dt)
 
-    sig = np.asarray(coeffs.diffusion.sigma(X[:, :-1]))
+    sig = np.asarray(eq.coeffs.diffusion.sigma(X[:, :-1]))
     stoch = np.cumsum(np.asarray(phi_prime(X[:, :-1])) * sig * dW, axis=-1)
     stoch = np.concatenate([np.zeros((X.shape[0], 1)), stoch], axis=-1)
 
@@ -373,8 +373,8 @@ def gamma_residual_qv(ensemble, phi, phi_prime, coeffs: CoefficientSet,
 
     bound = phi_bound if phi_bound is not None else float(
         np.max(np.abs(phi(np.linspace(np.min(X), np.max(X), 33)))) + 1.0)
-    comp_fn = _phi_jump_compensator(kernel, coeffs, ensemble.config.small_jump_cutoff,
-                                    phi, float(np.min(X)), float(np.max(X)), bound)
+    comp_fn = _phi_jump_compensator(eq, ensemble.config.small_jump_cutoff, phi,
+                                    float(np.min(X)), float(np.max(X)), bound)
     comp = np.cumsum(comp_fn(X[:, :-1]) * dt, axis=-1)
     comp = np.concatenate([np.zeros((X.shape[0], 1)), comp], axis=-1)
 

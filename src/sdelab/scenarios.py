@@ -22,7 +22,7 @@ from .errors import IoError, ValidationError
 from .generator import (EquationX, constant_functional, generator_state,
                         martingale_residual_ensemble, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TruncationFunction, moment_bound)
+                      moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
@@ -422,8 +422,7 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("gamma", [], 0.05, n_active, {})
     eps = aligned_window_ladder(ens.times)
-    rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.eq.coeffs, bundle.eq.kernel,
-                            eps, phi_bound=1.0)
+    rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.eq, eps, phi_bound=1.0)
     ok = rep.decreasing() and rep.final < 0.05
     return DiagnosticResult("gamma", _status(ok), rep.final, 0.05,
                             {"mean_qv": [float(v) for v in rep.mean_qv],
@@ -609,8 +608,7 @@ def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
     if unknown:
         raise ValidationError(f"unknown diagnostics: {unknown}")
     hypothesis = _hypothesis_section(bundle)  # hard gate before any simulation
-    eq = bundle.eq
-    ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+    ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
     results = [(_DIAGNOSTICS[d])(bundle, ens) for d in bundle.diagnostics]
     report = RunReport(
         scenario=bundle.name, spec=spec.to_dict(), seed=bundle.sim.master_seed,
@@ -643,7 +641,6 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     if not 0.0 < gamma < 2.0:
         raise ValidationError("gamma must lie in (0, 2)")
     t0 = time.perf_counter()
-    coeffs = CoefficientSet.unit()
     kernel = StableTailKernel(gamma=gamma, scale=scale, alpha=min(1.0, gamma / 2.0))
     delta = 0.05 if gamma < 1.0 else 0.1
     lam = 2.0 * float(kernel.one_tail_mass(delta))
@@ -651,7 +648,7 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     config = config or COUNTEREXAMPLE_STABLE_CONFIG
     config = config.replace(small_jump_cutoff=delta, small_jump_mode=mode,
                             big_jump_intensity_bound=lam * 1.02)
-    chars = build_characteristics(coeffs, kernel, TruncationFunction())
+    chars = build_characteristics(EquationX(CoefficientSet.unit(), kernel))
 
     # per-path terminal X, active flags and big-jump sums, filled block by
     # block; nothing else of a block outlives it

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -23,7 +23,7 @@ from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
                            transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
-from .generator import CagladPath, PathFunctional
+from .generator import CagladPath, EquationX, PathFunctional
 from .kernels import (DensityLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       TruncationFunction, drift_correction, has_atoms)
 
@@ -75,12 +75,19 @@ class SimConfig:
             size = getattr(self, name)
             if not _is_integer(size) or size < 1:
                 raise ValidationError(f"{name} must be a positive integer, got {size!r}")
-        if self.small_jump_cutoff <= 0:
-            raise ValidationError("small_jump_cutoff must be positive")
+        if not is_finite_real(self.small_jump_cutoff) or self.small_jump_cutoff <= 0:
+            raise ValidationError(f"small_jump_cutoff must be a finite positive "
+                                  f"number, got {self.small_jump_cutoff!r}")
         if self.small_jump_mode not in ("gaussian_match", "drop"):
             raise ValidationError(f"unknown small_jump_mode {self.small_jump_mode!r}")
-        if self.big_jump_intensity_bound < 0:
-            raise ValidationError("big_jump_intensity_bound must be >= 0")
+        if (not is_finite_real(self.big_jump_intensity_bound)
+                or self.big_jump_intensity_bound < 0):
+            raise ValidationError(f"big_jump_intensity_bound must be a finite number "
+                                  f">= 0, got {self.big_jump_intensity_bound!r}")
+        if (not is_finite_real(self.max_exclusion_fraction)
+                or not 0 <= self.max_exclusion_fraction <= 1):
+            raise ValidationError(f"max_exclusion_fraction must lie in [0, 1], "
+                                  f"got {self.max_exclusion_fraction!r}")
         check_seed(self.master_seed)
 
     def replace(self, **kw):
@@ -196,15 +203,11 @@ class JumpOps:
     the big jumps and the small-jump variance at the states ``y`` on a
     leading axis of length 3.  ``sample(y_pre, u1, u2, path_idx, cand_idx)``
     returns the sizes ``(z, w)`` of accepted big jumps in transformed and
-    original coordinates.  The margins keep every state at which these are
-    evaluated inside the tabulated ranges: ``x_margin`` in the original
-    variable, ``z_margin`` in the transformed one.
+    original coordinates.
     """
 
     profiles: Callable
     sample: Callable
-    x_margin: float = 0.0
-    z_margin: float = 0.0
 
 
 def _constant_profiles(rate, kdelta, small_var):
@@ -218,29 +221,16 @@ def _constant_profiles(rate, kdelta, small_var):
     return profiles
 
 
-@dataclass
-class AtomJumpMeasure:
-    """Finitely many jump sizes in transformed coordinates, constant rates.
-
-    Meant for synthetic experiments directly on the transformed state
-    (no original-variable kernel behind it).
+def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
+    """The engine's view of the jump measure of Y once the cutoff
+    ``config.small_jump_cutoff`` is fixed: None without jumps, else the
+    kernel of X in ``chars.measure`` pushed forward through
+    ``chars.transform``, compensated under ``chars.trunc``.
     """
-
-    atoms: tuple  # of (size z, rate)
-
-
-def jump_ops(measure, cutoff, trunc: TruncationFunction, transform: ScaleTransform,
-             master_seed) -> Optional[JumpOps]:
-    """The engine's view of a jump measure of Y once the cutoff is fixed.
-
-    ``measure`` is None (no jumps, so no ops), an ``AtomJumpMeasure`` with
-    atoms on Y, or a kernel of X, pushed forward through ``transform``.
-    """
-    if measure is None:
+    k, transform, trunc = chars.measure, chars.transform, chars.trunc
+    if k is None:
         return None
-    if isinstance(measure, AtomJumpMeasure):
-        return _atom_ops(measure.atoms, cutoff, trunc, transform)
-    k, delta = measure, float(cutoff)
+    delta = float(config.small_jump_cutoff)
     if isinstance(k, StableTailKernel):
         if not transform.is_identity:
             raise RangeError(
@@ -251,34 +241,10 @@ def jump_ops(measure, cutoff, trunc: TruncationFunction, transform: ScaleTransfo
     elif has_atoms(k):
         profiles, sample = _atom_kernel_ops(k, transform, delta, trunc)
     elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
-        profiles, sample = _density_ops(k, transform, delta, trunc, master_seed)
+        profiles, sample = _density_ops(k, transform, delta, trunc, config.master_seed)
     else:
         raise ValidationError(f"unsupported kernel type {type(k).__name__}")
-    return JumpOps(profiles, sample, x_margin=float(k.support_radius))
-
-
-def _atom_ops(atoms, delta, trunc, transform):
-    """Constant profiles; an accepted size z on Y moves X by the difference
-    of the preimages of its two ends."""
-    z = np.asarray([a[0] for a in atoms], dtype=float)
-    r = np.asarray([a[1] for a in atoms], dtype=float)
-    if np.any(z == 0.0) or np.any(r < 0):
-        raise ValidationError("atom sizes must avoid 0 and rates be nonnegative")
-    big = np.abs(z) > delta
-    z_big, r_big = z[big], r[big]
-    rate = float(np.sum(r_big))
-    cum = np.cumsum(r_big) / max(rate, 1e-300) if len(r_big) else np.asarray([])
-
-    def sample(y_pre, u1, u2, path_idx, cand_idx):
-        zs = z_big[np.clip(np.searchsorted(cum, np.asarray(u1)), 0, len(z_big) - 1)]
-        if transform.is_identity:
-            return zs, zs.copy()
-        y_pre = np.asarray(y_pre)
-        return zs, transform.inverse(y_pre + zs) - transform.inverse(y_pre)
-
-    return JumpOps(_constant_profiles(rate, float(np.sum(trunc(z_big) * r_big)),
-                                      float(np.sum(z[~big] ** 2 * r[~big]))),
-                   sample, z_margin=float(np.max(np.abs(z))))
+    return JumpOps(profiles, sample)
 
 
 def _stable_ops(kernel: StableTailKernel, delta, trunc):
@@ -440,29 +406,29 @@ def _shrunk_image_grid(transform: ScaleTransform, support_radius, nodes):
 class CharacteristicsY:
     """The transformed equation: drift, diffusion and jump measure of Y.
 
-    ``measure`` is None, an ``AtomJumpMeasure`` on Y or a kernel of X
-    pushed forward through ``transform``; ``trunc`` is the truncation under
-    which the drift ``b`` and the jump compensator are taken.
+    ``measure`` is None or a kernel of X, whose jumps reach Y pushed
+    forward through ``transform``; ``trunc`` is the truncation under which
+    the drift ``b`` and the jump compensator are taken.
     """
 
     b: Callable
     sigma0: Callable
-    measure: Optional[Union[AtomJumpMeasure, Kernel]] = None
+    measure: Optional[Kernel] = None
     transform: ScaleTransform = field(default_factory=ScaleTransform.identity)
     trunc: TruncationFunction = field(default_factory=TruncationFunction)
 
 
-def build_characteristics(coeffs: CoefficientSet, kernel: Optional[Kernel],
-                          trunc: TruncationFunction) -> CharacteristicsY:
-    """Characteristics induced by (transform, diffusion, kernel).
+def build_characteristics(eq: EquationX) -> CharacteristicsY:
+    """Characteristics of Y = h(X) induced by the transform, diffusion,
+    kernel and truncation of ``eq``; its drift functional is not read.
 
     For a nontrivial transform the state profiles (drift correction and
     transformed diffusion) are tabulated on the image and interpolated by
     monotone cubics; the residual interpolation error sits far below the
     Monte Carlo resolution these evaluators feed.
     """
-    transform = coeffs.transform
-    diffusion = coeffs.diffusion
+    transform, diffusion = eq.coeffs.transform, eq.coeffs.diffusion
+    kernel, trunc = eq.kernel, eq.trunc
 
     if transform.is_identity:
         def sigma0(y):
@@ -581,17 +547,14 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
     transform, trunc = chars.transform, chars.trunc
     if config.small_jump_cutoff >= trunc.radius:
         raise ValidationError("small_jump_cutoff must stay below the truncation radius")
-    ops = jump_ops(chars.measure, config.small_jump_cutoff, trunc, transform,
-                   config.master_seed)
+    ops = jump_ops(chars, config)
 
     # effective exclusion bounds: evaluating the jump machinery at a state
-    # requires the kernel support (and the transformed atom sizes) to stay
-    # inside the tabulated ranges
+    # requires the kernel support to stay inside the tabulated range
     img_lo, img_hi = transform.image
     if not transform.is_identity:
-        xm, zm = (ops.x_margin, ops.z_margin) if ops is not None else (0.0, 0.0)
-        lo, hi = _image_range(transform, xm)
-        img_lo, img_hi = lo + zm, hi - zm
+        radius = chars.measure.support_radius if chars.measure is not None else 0.0
+        img_lo, img_hi = _image_range(transform, radius)
         if not img_lo < y0 < img_hi:
             raise RangeError("initial state outside the effective range")
 
@@ -809,12 +772,12 @@ def simulate_blocks(chars: CharacteristicsY, config: SimConfig, y0: float,
     return out
 
 
-def simulate_x_markovian(coeffs: CoefficientSet, kernel: Optional[Kernel],
-                         trunc: TruncationFunction, config: SimConfig,
-                         x0: float) -> Ensemble:
-    """Simulate the original state through its transformed characteristics."""
-    chars = build_characteristics(coeffs, kernel, trunc)
-    y0 = float(np.asarray(coeffs.transform.forward(np.asarray(x0))))
+def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensemble:
+    """Simulate the Markovian part of ``eq`` through its transformed
+    characteristics: ``eq.functional`` is not simulated, and the
+    diagnostics realise the full law through its Girsanov weight."""
+    chars = build_characteristics(eq)
+    y0 = float(np.asarray(eq.coeffs.transform.forward(np.asarray(x0))))
     return simulate_y(chars, None, config, y0)
 
 

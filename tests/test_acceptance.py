@@ -11,7 +11,8 @@ import pytest
 from scipy.integrate import quad
 
 import sdelab as sl
-from sdelab import (CagladPath, ScenarioSpec, SimConfig, chain_rule_qv,
+from sdelab import (CagladPath, DiscreteLaw, EquationX, FiniteActivityKernel,
+                    ScenarioSpec, SimConfig, chain_rule_qv,
                     clamped_running_sup, conjugation_residual, constant_functional,
                     counterexample_cauchy, counterexample_stable,
                     gamma_residual_qv, girsanov_weight_ensemble, identity_profile,
@@ -19,7 +20,7 @@ from sdelab import (CagladPath, ScenarioSpec, SimConfig, chain_rule_qv,
                     simulate_y, square_identity_residual, standard_profiles,
                     weighted_expectation, zero_functional)
 from sdelab.scenarios import build_bundle
-from sdelab.simulator import AtomJumpMeasure, CharacteristicsY
+from sdelab.simulator import CharacteristicsY
 
 
 def _criterion(num, name, ok, detail=""):
@@ -180,7 +181,7 @@ def test_c06_chain_rule():
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        measure=AtomJumpMeasure(((0.5, 1.0),)))
+        measure=FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),))))
     ens = simulate_y(chars, None, cfg, 0.0)
     pred, est = [], []
     for i in range(ens.n_paths):
@@ -342,7 +343,7 @@ def test_c12_counterexample_cauchy():
 
 def test_c13_gamma_residual(brownian_fine):
     coeffs = sl.CoefficientSet.unit()
-    rep = gamma_residual_qv(brownian_fine, np.sin, np.cos, coeffs, None,
+    rep = gamma_residual_qv(brownian_fine, np.sin, np.cos, EquationX(coeffs),
                             (0.125, 0.0625, 0.03125, 0.015625), phi_bound=1.0)
     ok = rep.decreasing() and rep.final < 0.05
     _criterion(13, "remainder variation", ok,

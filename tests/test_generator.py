@@ -214,9 +214,9 @@ class TestMartingaleResidual:
     def test_brownian_terminal_mean_small(self, flat_coeffs, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=7,
                         big_jump_intensity_bound=0.0)
-        ens = simulate_x_markovian(flat_coeffs, None, clamp1, cfg, 0.0)
-        state = generator_state(EquationX(flat_coeffs, None, clamp1), ens.times, ens.x,
-                                ens.hx, ens.hpx)
+        eq = EquationX(flat_coeffs, None, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
+        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
         M = martingale_residual_ensemble(state, SIN)
         m_t = M[ens.active, -1]
         se = np.std(m_t, ddof=1) / np.sqrt(len(m_t))
@@ -225,9 +225,9 @@ class TestMartingaleResidual:
     def test_orthogonality_to_past(self, flat_coeffs, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=8,
                         big_jump_intensity_bound=0.0)
-        ens = simulate_x_markovian(flat_coeffs, None, clamp1, cfg, 0.0)
-        state = generator_state(EquationX(flat_coeffs, None, clamp1), ens.times, ens.x,
-                                ens.hx, ens.hpx)
+        eq = EquationX(flat_coeffs, None, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
+        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
         M = martingale_residual_ensemble(state, SIN)
         half = M.shape[1] // 2
         inc = M[:, -1] - M[:, half]
@@ -246,8 +246,7 @@ def atom_small():
     """Reduced atom_jump ensemble: 200 paths on 128 steps."""
     from sdelab.scenarios import ScenarioSpec, build_bundle
     bundle = build_bundle(ScenarioSpec(name="atom_jump", n_paths=200, n_steps=128))
-    eq = bundle.eq
-    ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+    ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
     return bundle, ens
 
 
@@ -330,8 +329,7 @@ class TestGeneratorState:
         from sdelab import generator, jump_operator
         bundle = build_bundle(ScenarioSpec(name="stable_jump", n_paths=400))
         eq = bundle.eq
-        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim,
-                                   bundle.x0)
+        ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
         state = generator_state(eq, ens.times, ens.x)
         f = standard_profiles()[0]
         got = generator._jump_term_grid(f, state, f.phi(state.hx),

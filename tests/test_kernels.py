@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from sdelab import (DiscreteLaw, DivergentMoment, FiniteActivityKernel,
                     StableTailKernel, TabulatedKernel, TruncationFunction,
-                    diffusion_coefficient, drift_correction, geometric_partition,
-                    jump_operator, moment_bound, pushforward_integral,
+                    drift_correction, geometric_partition, jump_operator,
+                    moment_bound, pushforward_integral, transformed_diffusion,
                     tv_continuity_modulus)
 
 
@@ -314,9 +314,9 @@ class TestPushforward:
         via_push = pushforward_integral(k, tr, y0, ind)
         w_plus = float(tr.inverse(y0 + d)) - x0
         w_minus = float(tr.inverse(y0 - d)) - x0
-        direct = k.two_tail_mass(x0, np.nextafter(w_minus, -np.inf),
-                                 np.nextafter(w_plus, np.inf))
-        assert abs(via_push - float(direct)) < 1e-12
+        direct = (k.region_mass(x0, -np.inf, np.nextafter(w_minus, -np.inf))
+                  + k.region_mass(x0, np.nextafter(w_plus, np.inf), np.inf))
+        assert abs(via_push - direct) < 1e-12
 
 
 # --- drift correction --------------------------------------------------------
@@ -410,20 +410,21 @@ class TestJumpOperator:
 
 
 class TestDiffusionCoefficient:
+    """The squared transformed diffusion coefficient."""
+
+    @staticmethod
+    def squared(coeffs, y):
+        return float(transformed_diffusion(coeffs.transform, coeffs.diffusion, y)) ** 2
+
     def test_flat(self, flat_coeffs):
-        assert abs(float(diffusion_coefficient(flat_coeffs.transform,
-                                               flat_coeffs.diffusion, 0.5)) - 1.0) < 1e-9
+        assert abs(self.squared(flat_coeffs, 0.5) - 1.0) < 1e-9
 
     def test_origin(self, tanh_coeffs):
-        val = float(diffusion_coefficient(tanh_coeffs.transform,
-                                          tanh_coeffs.diffusion, 0.0))
-        assert abs(val - 1.0) < 1e-12
+        assert abs(self.squared(tanh_coeffs, 0.0) - 1.0) < 1e-12
 
     def test_linear_potential_oracle(self, linear_coeffs):
         y1 = float(linear_coeffs.transform.forward(np.asarray(1.0)))
-        val = float(diffusion_coefficient(linear_coeffs.transform,
-                                          linear_coeffs.diffusion, y1))
-        assert abs(val - np.exp(-1.2)) < 1e-8
+        assert abs(self.squared(linear_coeffs, y1) - np.exp(-1.2)) < 1e-8
 
 
 # --- truncation function properties ------------------------------------------

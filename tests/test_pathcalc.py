@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CagladPath, CharacteristicsY, AtomJumpMeasure,
-                    GridMismatch, MissingDriverRecord, SimConfig, StableTailKernel,
+from sdelab import (CagladPath, CharacteristicsY, DiscreteLaw, EquationX,
+                    FiniteActivityKernel, GridMismatch, MissingDriverRecord, SimConfig,
+                    StableTailKernel,
                     big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
                     dirichlet_condition_intY, gamma_residual_qv,
                     nu_jump_structural_check, qv_estimate, qv_regularization,
@@ -159,7 +160,7 @@ class TestChainRule:
         chars = CharacteristicsY(
             b=lambda y: np.zeros_like(y),
             sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-            measure=AtomJumpMeasure(((0.5, 1.0),)))
+            measure=FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),))))
         ens = simulate_y(chars, None, cfg, 0.0)
         pred, est = [], []
         for i in range(ens.n_paths):
@@ -185,8 +186,7 @@ def _stable_ensemble(gamma, n_paths=2000, seed=33):
     cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=n_paths, master_seed=seed,
                     small_jump_cutoff=delta, small_jump_mode=mode,
                     big_jump_intensity_bound=lam * 1.02)
-    from sdelab import TruncationFunction
-    return simulate_x_markovian(coeffs, kernel, TruncationFunction(), cfg, 0.0), kernel
+    return simulate_x_markovian(EquationX(coeffs, kernel), cfg, 0.0), kernel
 
 
 def ident(x):
@@ -248,12 +248,12 @@ class TestGammaResidual:
         fake = brownian_paths(n_paths=2, n_steps=64, seed=1)
         object.__setattr__(fake, "dW", np.empty(0))
         with pytest.raises(MissingDriverRecord):
-            gamma_residual_qv(fake, np.sin, np.cos, flat_coeffs, None,
+            gamma_residual_qv(fake, np.sin, np.cos, EquationX(flat_coeffs),
                               (0.125,))
 
     def test_brownian_remainder_shrinks_along_ladder(self, flat_coeffs):
         ens = brownian_paths(n_paths=100, n_steps=4096, seed=22)
-        rep = gamma_residual_qv(ens, np.sin, np.cos, flat_coeffs, None,
+        rep = gamma_residual_qv(ens, np.sin, np.cos, EquationX(flat_coeffs),
                                 (0.125, 0.0625, 0.03125, 0.015625),
                                 phi_bound=1.0)
         assert rep.decreasing()
@@ -263,7 +263,7 @@ class TestGammaResidual:
         ens = brownian_paths(n_paths=20, n_steps=256, seed=23)
         rep = gamma_residual_qv(ens, ident,
                                 lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                flat_coeffs, None, (0.125, 0.0625))
+                                EquationX(flat_coeffs), (0.125, 0.0625))
         assert np.max(rep.mean_qv) < 1e-25
 
 

@@ -527,7 +527,7 @@ class TestCLI:
         bundle = build_bundle(ScenarioSpec(name="path_dependent_drift", n_paths=60,
                                            n_steps=16))
         eq = bundle.eq
-        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+        ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
         kappa = girsanov_weight_ensemble(ens, eq.functional).final
         for i in range(3):
             assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
@@ -547,7 +547,7 @@ class TestCLI:
         rows = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=60, n_steps=16))
         eq = bundle.eq
-        ens = simulate_x_markovian(eq.coeffs, eq.kernel, eq.trunc, bundle.sim, bundle.x0)
+        ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
         state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
         M = martingale_residual_ensemble(state, standard_profiles()[0])
         kappa = (girsanov_weight_ensemble(ens, eq.functional).final

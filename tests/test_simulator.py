@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from sdelab import (AtomJumpMeasure, CharacteristicsY, DegenerateWeights,
-                    IntensityBoundViolated, RangeError, SimConfig,
+from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
+                    FiniteActivityKernel, IntensityBoundViolated, RangeError, SimConfig,
                     canonical_decomposition_residual, compensator_residual,
                     constant_functional, domain_approximant, girsanov_weight,
                     girsanov_weight_ensemble, simulate_euler_direct,
@@ -57,11 +57,10 @@ class TestDeterminism:
         b = simulate_y(brownian_chars(), None, cfg8, 0.0)
         assert np.array_equal(a.y, b.y[:4])
 
-    def test_jump_runs_reproducible(self):
+    def test_jump_runs_reproducible(self, unit_atom_kernel):
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=50, master_seed=3,
                         small_jump_cutoff=0.4, big_jump_intensity_bound=1.5)
-        chars = CharacteristicsY(b=ones, sigma0=zeros,
-                                 measure=AtomJumpMeasure(((1.0, 1.0),)))
+        chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
         a = simulate_y(chars, None, cfg, 0.0)
         b = simulate_y(chars, None, cfg, 0.0)
         assert np.array_equal(a.y, b.y)
@@ -125,7 +124,7 @@ class TestDrawOrder:
 
     def test_stable_kernel(self):
         kernel, cfg, coeffs, trunc = self._stable_case()
-        ens = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
         rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
         n_cand = self._check(ens, cfg, rate,
                              self._stable_sizes(kernel, cfg.small_jump_cutoff))
@@ -133,9 +132,9 @@ class TestDrawOrder:
 
     def test_buffer_growth_keeps_the_streams(self, monkeypatch):
         kernel, cfg, coeffs, trunc = self._stable_case()
-        ref = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        ref = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
         monkeypatch.setattr(simulator, "_candidate_capacity", lambda mean: 1)
-        ens = simulate_x_markovian(coeffs, kernel, trunc, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
         for f in ("y", "dW", "jump_path", "jump_time", "jump_z", "jump_w"):
             assert np.array_equal(getattr(ens, f), getattr(ref, f))
         rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
@@ -145,16 +144,18 @@ class TestDrawOrder:
         atoms = ((1.0, 0.7), (-0.5, 0.6))
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=8,
                         small_jump_cutoff=0.4, big_jump_intensity_bound=2.0)
-        chars = CharacteristicsY(b=ones, sigma0=ones,
-                                 measure=AtomJumpMeasure(atoms))
-        ens = simulate_y(chars, None, cfg, 0.0)
         z_big = np.asarray([a[0] for a in atoms])
         r_big = np.asarray([a[1] for a in atoms])
+        kernel = FiniteActivityKernel(
+            rate=np.sum(r_big), law=DiscreteLaw(tuple(zip(z_big, r_big / np.sum(r_big)))))
+        chars = CharacteristicsY(b=ones, sigma0=ones, measure=kernel)
+        ens = simulate_y(chars, None, cfg, 0.0)
         cum = np.cumsum(r_big) / np.sum(r_big)
 
         def sizes(i, j, u1, u2):
-            z = z_big[np.clip(np.searchsorted(cum, u1), 0, len(z_big) - 1)]
-            return z, z
+            w = z_big[np.clip(np.searchsorted(cum, u1), 0, len(z_big) - 1)]
+            y_pre = ens.jump_y_pre[ens.jump_path == i]
+            return (y_pre + w) - y_pre, w
 
         self._check(ens, cfg, float(np.sum(r_big)), sizes)
         assert len(ens.jump_time) > 40
@@ -170,10 +171,9 @@ class TestDrawOrder:
         kernel = FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
-        trunc = TruncationFunction()
-        ens = simulate_x_markovian(CoefficientSet.unit(), kernel, trunc, cfg, 0.0)
-        ops = jump_ops(kernel, cfg.small_jump_cutoff, trunc, ScaleTransform.identity(),
-                       cfg.master_seed)
+        chars = build_characteristics(EquationX(CoefficientSet.unit(), kernel))
+        ens = simulate_y(chars, None, cfg, 0.0)
+        ops = jump_ops(chars, cfg)
         rate = float(ops.profiles(np.zeros(1))[0, 0])
 
         def sizes(i, j, u1, u2):
@@ -190,8 +190,8 @@ class TestDrawOrder:
         # candidate arrays are empty and the path noise is unchanged
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=20, master_seed=4,
                         small_jump_cutoff=0.4, big_jump_intensity_bound=1e-9)
-        chars = CharacteristicsY(b=zeros, sigma0=ones,
-                                 measure=AtomJumpMeasure(((1.0, 1e-9),)))
+        chars = CharacteristicsY(b=zeros, sigma0=ones, measure=FiniteActivityKernel(
+            rate=1e-9, law=DiscreteLaw(((1.0, 1.0),))))
         ens = simulate_y(chars, None, cfg, 0.0)
         assert self._check(ens, cfg, 1e-9, lambda i, j, u1, u2: (u1, u2)) == 0
         assert len(ens.jump_time) == 0 and ens.jump_path.dtype == np.int64
@@ -295,19 +295,19 @@ class TestBlocks:
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=41,
                         small_jump_cutoff=0.05, small_jump_mode=mode,
                         big_jump_intensity_bound=9.2)
-        return build_characteristics(CoefficientSet.unit(), kernel,
-                                     TruncationFunction()), cfg, 0.0
+        return build_characteristics(EquationX(CoefficientSet.unit(), kernel)), cfg, 0.0
 
     def _atom_tanh(self, tanh_coeffs, atom_kernel, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=40, master_seed=17,
                         small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
-        return build_characteristics(tanh_coeffs, atom_kernel, clamp1), cfg, 0.0
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
+        return build_characteristics(eq), cfg, 0.0
 
     def _density(self, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
-        return (build_characteristics(CoefficientSet.unit(), _uniform_density_kernel(),
-                                      clamp1), cfg, 0.0)
+        eq = EquationX(CoefficientSet.unit(), _uniform_density_kernel(), clamp1)
+        return build_characteristics(eq), cfg, 0.0
 
     @pytest.mark.parametrize("case", ("stable_drop", "stable_gaussian_match",
                                       "atom_tanh", "density"))
@@ -348,7 +348,7 @@ class TestBlocks:
         drift = sl.DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         coeffs = sl.CoefficientSet.build(drift, unit_diffusion,
                                          sl.MollifierConfig(), grid)
-        chars = build_characteristics(coeffs, None, clamp1)
+        chars = build_characteristics(EquationX(coeffs, None, clamp1))
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=100, master_seed=1,
                         big_jump_intensity_bound=0.0, max_exclusion_fraction=1.0)
         excluded = simulate_y(chars, None, cfg, 0.0).excluded_count
@@ -399,13 +399,12 @@ class TestLawOracles:
         se = np.sqrt(2.0 / (len(yt) - 1))  # SE of the variance under normality
         assert abs(var - 1.0) < 3.0 * se
 
-    def test_poisson_counts(self):
+    def test_poisson_counts(self, unit_atom_kernel):
         # unit atom at rate 1, no diffusion, drift cancels the compensator:
         # the terminal value counts a thinned unit-rate stream
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=4000, master_seed=2,
                         small_jump_cutoff=0.5, big_jump_intensity_bound=1.5)
-        chars = CharacteristicsY(b=ones, sigma0=zeros,
-                                 measure=AtomJumpMeasure(((1.0, 1.0),)))
+        chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
         ens = simulate_y(chars, None, cfg, 0.0)
         yt = ens.terminal_y()
         se = np.std(yt, ddof=1) / np.sqrt(len(yt))
@@ -417,7 +416,7 @@ class TestLawOracles:
         # transform route vs direct Euler must agree in law
         cfg = SimConfig(horizon=1.0, n_steps=256, n_paths=4000, master_seed=6,
                         big_jump_intensity_bound=0.0)
-        via_h = simulate_x_markovian(linear_coeffs, None, clamp1, cfg, 0.0)
+        via_h = simulate_x_markovian(EquationX(linear_coeffs, None, clamp1), cfg, 0.0)
         direct = simulate_euler_direct(lambda x: np.full_like(x, 0.3), ones,
                                        cfg.replace(master_seed=1006), 0.0)
         a, b = via_h.terminal_x(), direct.terminal_x()
@@ -429,7 +428,7 @@ class TestLawOracles:
                                                clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=256, n_paths=300, master_seed=4,
                         small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
-        ens = simulate_x_markovian(tanh_coeffs, atom_kernel, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(tanh_coeffs, atom_kernel, clamp1), cfg, 0.0)
         assert len(ens.jump_time) > 100
         tr = tanh_coeffs.transform
         w_check = (tr.inverse(ens.jump_y_pre + ens.jump_z)
@@ -448,7 +447,7 @@ class TestLawOracles:
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=400, master_seed=71,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=1.05)
         for coeffs in (__import__("sdelab").CoefficientSet.unit(), tanh_coeffs):
-            ens = simulate_x_markovian(coeffs, kernel, clamp1, cfg, 0.0)
+            ens = simulate_x_markovian(EquationX(coeffs, kernel, clamp1), cfg, 0.0)
             assert len(ens.jump_w) > 200
             se = np.std(ens.jump_w, ddof=1) / np.sqrt(len(ens.jump_w))
             assert abs(np.mean(ens.jump_w) - 1.0) < 4.0 * se
@@ -521,7 +520,7 @@ class TestJumpMeasureBranches:
         kernel = make()
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=300, master_seed=31,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=1.25)
-        ens = simulate_x_markovian(tanh_coeffs, kernel, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(tanh_coeffs, kernel, clamp1), cfg, 0.0)
         assert len(ens.jump_w) > 150
         h = tanh_coeffs.transform.forward
         z_check = h(ens.jump_x_pre + ens.jump_w) - h(ens.jump_x_pre)
@@ -538,7 +537,9 @@ class TestJumpMeasureBranches:
         h = tr.forward
 
         def prepare(kernel, cutoff):
-            return jump_ops(kernel, cutoff, clamp1, tr, 0)
+            chars = CharacteristicsY(b=zeros, sigma0=ones, measure=kernel,
+                                     transform=tr, trunc=clamp1)
+            return jump_ops(chars, SimConfig(small_jump_cutoff=cutoff, master_seed=0))
 
         ys = simulator._shrunk_image_grid(tr, 0.1, 257)
         z = h(tr.inverse(ys) + 0.1) - ys
@@ -669,7 +670,7 @@ class TestTabulatedKernelThroughTransform:
     def test_drift_correction_equals_definition(self, tanh_coeffs, clamp1):
         from sdelab import drift_correction
         kernel = _mixed_table()
-        b = build_characteristics(tanh_coeffs, kernel, clamp1).b
+        b = build_characteristics(EquationX(tanh_coeffs, kernel)).b
         want = [drift_correction(kernel, tanh_coeffs.transform, clamp1, float(y),
                                  method="definition") for y in b.x]
         np.testing.assert_allclose(b(b.x), want, rtol=1e-12, atol=0)
@@ -679,13 +680,13 @@ class TestTabulatedKernelThroughTransform:
         kernel = _mixed_table()
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=5,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=3.0)
-        ens = simulate_x_markovian(tanh_coeffs, kernel, clamp1, cfg, 0.0)
-        rep = gamma_residual_qv(ens, np.sin, np.cos, tanh_coeffs, kernel,
-                                (0.25, 0.125))
+        eq = EquationX(tanh_coeffs, kernel, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
+        rep = gamma_residual_qv(ens, np.sin, np.cos, eq, (0.25, 0.125))
         assert np.all(np.isfinite(rep.mean_qv))
         x = ens.x[ens.active, :-1]
-        got = pathcalc._phi_jump_compensator(kernel, tanh_coeffs, 0.05, np.sin,
-                                             x.min(), x.max(), 1.0)(x)
+        got = pathcalc._phi_jump_compensator(eq, 0.05, np.sin, x.min(), x.max(),
+                                             1.0)(x)
         h = tanh_coeffs.transform.forward
         want = []
         for xi in x.ravel():
@@ -701,11 +702,10 @@ class TestTabulatedKernelThroughTransform:
 # ---------------------------------------------------------------------------
 
 class TestGuards:
-    def test_intensity_bound_violation_raises(self):
+    def test_intensity_bound_violation_raises(self, unit_atom_kernel):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=10, master_seed=1,
                         small_jump_cutoff=0.4, big_jump_intensity_bound=0.5)
-        chars = CharacteristicsY(b=zeros, sigma0=zeros,
-                                 measure=AtomJumpMeasure(((1.0, 1.0),)))
+        chars = CharacteristicsY(b=zeros, sigma0=zeros, measure=unit_atom_kernel)
         with pytest.raises(IntensityBoundViolated):
             simulate_y(chars, None, cfg, 0.0)
 
@@ -718,7 +718,22 @@ class TestGuards:
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=50, master_seed=1,
                         small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
         with pytest.raises(IntensityBoundViolated, match="nan"):
-            simulate_x_markovian(CoefficientSet.unit(), kernel, clamp1, cfg, 0.0)
+            simulate_x_markovian(EquationX(CoefficientSet.unit(), kernel, clamp1), cfg,
+                                 0.0)
+
+    @pytest.mark.parametrize("value", (np.nan, np.inf, -1.0))
+    @pytest.mark.parametrize("transformed", (False, True), ids=("unit", "tanh"))
+    def test_bad_callable_rate_fails_closed(self, transformed, value, tanh_coeffs):
+        # the same error under either transform: under tanh a NaN rate used
+        # to escape as scipy's ValueError from the drift-correction table,
+        # and a negative rate ran under both with no jumps
+        kernel = FiniteActivityKernel(rate=lambda x: np.full_like(np.asarray(x), value),
+                                      law=DiscreteLaw(((0.1, 1.0),)))
+        coeffs = tanh_coeffs if transformed else CoefficientSet.unit()
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=50, master_seed=1,
+                        small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
+        with pytest.raises(IntensityBoundViolated, match="jump rate"):
+            simulate_x_markovian(EquationX(coeffs, kernel), cfg, 0.0)
 
     def test_cutoff_must_stay_below_truncation_radius(self):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=10, master_seed=1,
@@ -744,6 +759,18 @@ class TestGuards:
         with pytest.raises(ValidationError):
             BROWNIAN_CFG.replace(**{field: size})
 
+    @pytest.mark.parametrize("field, value", (
+        ("small_jump_cutoff", np.nan), ("small_jump_cutoff", np.inf),
+        ("big_jump_intensity_bound", np.nan), ("big_jump_intensity_bound", np.inf),
+        ("max_exclusion_fraction", np.nan), ("max_exclusion_fraction", -0.1),
+        ("max_exclusion_fraction", 1.5)))
+    def test_jump_settings_must_be_finite_and_in_range(self, field, value):
+        from sdelab import ValidationError
+        with pytest.raises(ValidationError, match=field):
+            SimConfig(**{field: value})
+        with pytest.raises(ValidationError, match=field):
+            BROWNIAN_CFG.replace(**{field: value})
+
     def test_numpy_integer_sizes_accepted(self):
         cfg = SimConfig(n_paths=np.int64(40), n_steps=np.uint16(16))
         assert (cfg.n_paths, cfg.n_steps) == (40, 16)
@@ -761,7 +788,7 @@ class TestGuards:
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=100, master_seed=1,
                         big_jump_intensity_bound=0.0)
         with pytest.raises(RangeError):
-            simulate_x_markovian(coeffs, None, clamp1, cfg, 0.0)
+            simulate_x_markovian(EquationX(coeffs, None, clamp1), cfg, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -772,11 +799,11 @@ class TestCharacteristics:
     def test_simulate_y_reads_transform_and_truncation(self, tanh_coeffs,
                                                        atom_kernel, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=50, master_seed=3)
-        chars = build_characteristics(tanh_coeffs, atom_kernel, clamp1)
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
         x0 = 0.3
         y0 = float(tanh_coeffs.transform.forward(np.asarray(x0)))
-        ens = simulate_y(chars, None, cfg, y0)
-        ref = simulate_x_markovian(tanh_coeffs, atom_kernel, clamp1, cfg, x0)
+        ens = simulate_y(build_characteristics(eq), None, cfg, y0)
+        ref = simulate_x_markovian(eq, cfg, x0)
         assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.y)
         for name in ("x", "y", "hx", "hpx", "jump_x_pre", "jump_w"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
@@ -784,11 +811,11 @@ class TestCharacteristics:
         narrow = TruncationFunction(radius=0.5, cap=0.5)
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            simulate_y(build_characteristics(tanh_coeffs, atom_kernel, narrow), None,
-                       cfg.replace(small_jump_cutoff=0.6), y0)
+            simulate_y(build_characteristics(EquationX(tanh_coeffs, atom_kernel, narrow)),
+                       None, cfg.replace(small_jump_cutoff=0.6), y0)
 
-    def test_no_measure_gives_no_ops(self, clamp1):
-        assert jump_ops(None, 0.05, clamp1, ScaleTransform.identity(), 0) is None
+    def test_no_measure_gives_no_ops(self):
+        assert jump_ops(brownian_chars(), SimConfig()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +835,7 @@ class TestEngineFunctional:
 
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=50, master_seed=3)
         if transformed:
-            chars = build_characteristics(tanh_coeffs, atom_kernel, clamp1)
+            chars = build_characteristics(EquationX(tanh_coeffs, atom_kernel, clamp1))
             y0 = float(chars.transform.forward(np.asarray(0.3)))
         else:
             chars, y0 = brownian_chars(), 0.3
@@ -897,7 +924,7 @@ class TestCompensatorResidual:
     def test_atom_kernel_mean_zero(self, tanh_coeffs, atom_kernel, clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=256, n_paths=1000, master_seed=9,
                         small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
-        ens = simulate_x_markovian(tanh_coeffs, atom_kernel, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(tanh_coeffs, atom_kernel, clamp1), cfg, 0.0)
         stats = compensator_residual(ens, [(0.05, 0.2)], atom_kernel)
         assert abs(stats.zscore) < 3.0
         counts = np.bincount(ens.jump_path, minlength=ens.n_paths)
@@ -910,7 +937,7 @@ class TestCompensatorResidual:
         lam = 2.0 * float(kernel.one_tail_mass(0.1))
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=1000, master_seed=12,
                         small_jump_cutoff=0.1, big_jump_intensity_bound=lam * 1.02)
-        ens = simulate_x_markovian(coeffs, kernel, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(coeffs, kernel, clamp1), cfg, 0.0)
         stats = compensator_residual(ens, [(1.0, np.inf), (-np.inf, -1.0)], kernel)
         assert abs(stats.zscore) < 3.0
 
@@ -939,7 +966,7 @@ class TestCanonicalDecomposition:
         # the approximant generator vanishes identically
         cfg = SimConfig(horizon=0.25, n_steps=64, n_paths=50, master_seed=13,
                         big_jump_intensity_bound=0.0)
-        ens = simulate_x_markovian(flat_coeffs, None, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(flat_coeffs, None, clamp1), cfg, 0.0)
         aps = [domain_approximant(ident, ones, flat_coeffs.transform, n=n)
                for n in (3, 4, 5)]
         diag = canonical_decomposition_residual(ens, flat_coeffs, aps)
@@ -953,8 +980,7 @@ class TestCanonicalDecomposition:
         from sdelab import ScenarioSpec
         bundle = build_bundle(ScenarioSpec(name="weierstrass_drift", n_paths=30,
                                            n_steps=64))
-        ens = simulate_x_markovian(bundle.eq.coeffs, None, clamp1, bundle.sim,
-                                   bundle.x0)
+        ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
         aps = [domain_approximant(ident, ones, bundle.eq.coeffs.transform, n=n)
                for n in (2, 4, 8)]
         diag = canonical_decomposition_residual(ens, bundle.eq.coeffs, aps)
@@ -964,7 +990,7 @@ class TestCanonicalDecomposition:
         # for beta' = 0.3 the stabilised integral is 0.3 t on the plateau
         cfg = SimConfig(horizon=0.5, n_steps=128, n_paths=50, master_seed=14,
                         big_jump_intensity_bound=0.0)
-        ens = simulate_x_markovian(linear_coeffs, None, clamp1, cfg, 0.0)
+        ens = simulate_x_markovian(EquationX(linear_coeffs, None, clamp1), cfg, 0.0)
         aps = [domain_approximant(ident, ones, linear_coeffs.transform, n=n)
                for n in (2, 4)]
         diag = canonical_decomposition_residual(ens, linear_coeffs, aps)
