@@ -30,10 +30,10 @@ from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import (CharacteristicsY, Ensemble, GirsanovWeight, JumpOps,
+from .simulator import (CharacteristicsY, EngineSetup, Ensemble, JumpOps,
                         SimConfig, build_characteristics,
                         canonical_decomposition_residual, compensator_residual,
-                        girsanov_weight, girsanov_weight_ensemble, jump_ops,
+                        engine_setup, girsanov_weight, jump_ops,
                         simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, simulate_y, weighted_expectation)
 

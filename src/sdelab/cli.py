@@ -26,7 +26,7 @@ from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle
                         counterexample_cauchy, counterexample_stable,
                         emit_report, load_spec, report_json, run_bundle,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import girsanov_weight_ensemble
+from .simulator import girsanov_weight
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -151,7 +151,7 @@ def cmd_verify_martingale(args):
         state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx)
         M = martingale_residual_ensemble(state, standard_profiles()[0])
         # the Girsanov weights under which the diagnostic reads the residuals
-        kappa = (girsanov_weight_ensemble(ens, bundle.eq.functional).final[rows]
+        kappa = (girsanov_weight(ens.times, state.hv, ens.dW[rows])[:, -1]
                  if bundle.eq.functional is not None else np.ones(len(M)))
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
     with open(res_path, "w", encoding="utf-8") as fh:

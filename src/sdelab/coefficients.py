@@ -149,9 +149,12 @@ class DiffusionSpec:
     name: str = "diffusion"
 
     def validate_on(self, grid):
+        if not (np.all(np.isfinite((self.sigma_min, self.sigma_max)))
+                and 0 < self.sigma_min <= self.sigma_max):
+            raise ValueError("need finite 0 < sigma_min <= sigma_max")
         vals = np.asarray(self.sigma(np.asarray(grid, dtype=float)))
-        if self.sigma_min <= 0:
-            raise ValueError("sigma_min must be positive")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sigma is not finite on the grid")
         if np.any(vals < self.sigma_min - 1e-12) or np.any(vals > self.sigma_max + 1e-12):
             raise ValueError("sigma leaves its declared [sigma_min, sigma_max] band")
 
@@ -165,12 +168,14 @@ class MollifierConfig:
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.widths)
-        if len(w) == 0 or any(v <= 0 for v in w):
-            raise ValueError("widths must be a nonempty positive sequence")
+        # two widths at least: convergence compares the two finest
+        if len(w) < 2 or not np.all(np.isfinite(w)) or min(w) <= 0:
+            raise ValueError("widths must hold at least two finite positive numbers")
         if any(b >= a for a, b in zip(w, w[1:])):
             raise ValueError("widths must be strictly decreasing")
-        if self.quadrature_tol <= 0 or self.convergence_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        tols = (self.quadrature_tol, self.convergence_tol)
+        if not (np.all(np.isfinite(tols)) and min(tols) > 0):
+            raise ValueError("tolerances must be finite and positive")
         if self.shape not in ("gaussian", "bump"):
             raise ValueError(f"unknown mollifier shape {self.shape!r}")
         self.widths = w
@@ -389,10 +394,7 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
             f"segment quadrature of the potential off by {disc:.2e}"
         )
 
-    if len(tables) >= 2:
-        gap = float(np.max(np.abs(tables[-1] - tables[-2])))
-    else:
-        gap = 0.0
+    gap = float(np.max(np.abs(tables[-1] - tables[-2])))
     converged = gap < moll.convergence_tol
     if strict and not converged:
         raise NonConvergent(

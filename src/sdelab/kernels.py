@@ -43,8 +43,9 @@ class TruncationFunction:
     fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.radius <= 0 or self.cap < self.radius:
-            raise ValueError("need 0 < radius <= cap")
+        if not (np.all(np.isfinite((self.radius, self.cap)))
+                and 0 < self.radius <= self.cap):
+            raise ValueError("need finite 0 < radius <= cap")
 
     def __call__(self, x):
         if self.fn is not None:

@@ -27,7 +27,7 @@ from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv,
                        nu_jump_structural_check, qv_estimate)
 from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
-                        compensator_residual, girsanov_weight_ensemble,
+                        compensator_residual, engine_setup, girsanov_weight,
                         is_finite_real, simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, weighted_expectation)
 
@@ -99,10 +99,13 @@ def _tanh_drift(amp=0.6, width=2.0):
         name="tanh-drift")
 
 
-def weierstrass_beta(n_terms=9, decay=0.5, lacunarity=2.0):
-    """Truncated lacunary sine series; Hoelder exponent ~ -log(decay^?)."""
+def weierstrass_beta(n_terms=9, holder=0.5, lacunarity=2.0):
+    """The first ``n_terms`` terms of the Weierstrass series
+    sum_j b^(-holder j) sin(b^j x), b = ``lacunarity``; for 0 < holder < 1
+    the full series is Hoelder continuous with exponent ``holder`` and no
+    larger one (Hardy 1916)."""
     js = np.arange(n_terms)
-    amps = decay ** (js / 1.0) if decay != 0.5 else 2.0 ** (-js / 2.0)
+    amps = lacunarity ** (-holder * js)
     freqs = lacunarity ** js
 
     def beta(x):
@@ -366,12 +369,13 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     pasts = {"clamp_mid": np.clip(x_half, -1.0, 1.0),
              "one": np.ones_like(x_half),
              "runsup_mid": run_half}
-    # h, h', sigma and the atom images are shared by all five profiles
+    # h, h', sigma, the functional's grid values and the atom images are
+    # shared by all five profiles
     state = generator_state(bundle.eq, ens.times, ens.x, ens.hx, ens.hpx)
     # the engine does not simulate a drift functional, but the generator
-    # includes it: the Girsanov weight realises that law, so the residuals
-    # are read under it
-    kappa = (girsanov_weight_ensemble(ens, bundle.eq.functional).final[ens.active]
+    # includes it: the Girsanov weight of its grid values realises that
+    # law, so the residuals are read under it
+    kappa = (girsanov_weight(ens.times, state.hv, ens.dW)[ens.active, -1]
              if bundle.eq.functional is not None else None)
     for prof in standard_profiles():
         M = martingale_residual_ensemble(state, prof)
@@ -435,8 +439,8 @@ def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     if n_active < MIN_ACTIVE_PATHS:
         return _z_gate("girsanov", [], 3.0, n_active,
                        {"functional": functional.name})
-    gw = girsanov_weight_ensemble(ens, functional)
-    k_t = gw.final[ens.active]
+    h = functional.grid_values(ens.times, ens.x)
+    k_t = girsanov_weight(ens.times, h, ens.dW)[ens.active, -1]
     z = _mean_z(k_t, center=1.0)
     est = weighted_expectation(ens, k_t, ens.x[ens.active, -1])
     return _z_gate("girsanov", [z], 3.0, n_active,
@@ -648,7 +652,8 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     config = config or COUNTEREXAMPLE_STABLE_CONFIG
     config = config.replace(small_jump_cutoff=delta, small_jump_mode=mode,
                             big_jump_intensity_bound=lam * 1.02)
-    chars = build_characteristics(EquationX(CoefficientSet.unit(), kernel))
+    setup = engine_setup(build_characteristics(EquationX(CoefficientSet.unit(), kernel)),
+                         config, 0.0)
 
     # per-path terminal X, active flags and big-jump sums, filled block by
     # block; nothing else of a block outlives it
@@ -662,7 +667,7 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
         sums[:, rows] = big_jump_sums(_identity, ens, a, caps)
         return len(ens.jump_time)
 
-    n_jumps = sum(simulate_blocks(chars, config, 0.0, reduce))
+    n_jumps = sum(simulate_blocks(setup, reduce))
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000, 100000) if m <= n]
     if not ladder or ladder[-1] != n:
         ladder.append(n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -404,11 +404,14 @@ def _shrunk_image_grid(transform: ScaleTransform, support_radius, nodes):
 
 @dataclass
 class CharacteristicsY:
-    """The transformed equation: drift, diffusion and jump measure of Y.
+    """The transformed equation: drift, diffusion and jump measure of Y,
+    and the drift functional of X.
 
     ``measure`` is None or a kernel of X, whose jumps reach Y pushed
     forward through ``transform``; ``trunc`` is the truncation under which
-    the drift ``b`` and the jump compensator are taken.
+    the drift ``b`` and the jump compensator are taken.  ``functional`` is
+    None or a bounded functional H of X, which adds sigma0(Y) * H to the
+    drift of Y.
     """
 
     b: Callable
@@ -416,11 +419,12 @@ class CharacteristicsY:
     measure: Optional[Kernel] = None
     transform: ScaleTransform = field(default_factory=ScaleTransform.identity)
     trunc: TruncationFunction = field(default_factory=TruncationFunction)
+    functional: Optional[PathFunctional] = None
 
 
 def build_characteristics(eq: EquationX) -> CharacteristicsY:
     """Characteristics of Y = h(X) induced by the transform, diffusion,
-    kernel and truncation of ``eq``; its drift functional is not read.
+    kernel, truncation and drift functional of ``eq``.
 
     For a nontrivial transform the state profiles (drift correction and
     transformed diffusion) are tabulated on the image and interpolated by
@@ -455,7 +459,7 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
             vals = [drift_correction(kernel, transform, trunc, float(yv)) for yv in ys]
         b = CubicTable(ys, np.asarray(vals))
     return CharacteristicsY(b=b, sigma0=sigma0, measure=kernel, transform=transform,
-                            trunc=trunc)
+                            trunc=trunc, functional=eq.functional)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +533,11 @@ def _candidate_capacity(mean_total):
 
 @dataclass(frozen=True)
 class EngineSetup:
-    """What a run builds and validates once, before any path is drawn: the
-    jump measure's ops (None without jumps) and the range ``(lo, hi)`` of
-    Y whose leaving excludes a path (unbounded under the identity), with
-    the equation, configuration and initial state they were built for."""
+    """One run of the engine: the characteristics, configuration and
+    initial state, and what is built and validated from them once before
+    any path is drawn, the jump measure's ops (None without jumps) and the
+    range ``(lo, hi)`` of Y whose leaving excludes a path (unbounded under
+    the identity)."""
 
     ops: Optional[JumpOps]
     y_range: tuple
@@ -585,39 +590,30 @@ def _check_exclusions(n_excluded, config: SimConfig):
         )
 
 
-def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
-               config: SimConfig, y0: float, *, paths: Optional[range] = None,
-               setup: Optional[EngineSetup] = None) -> Ensemble:
-    """Simulate the transformed state; see the module docstring.
+def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble:
+    """Simulate the transformed state of ``setup``; see the module docstring.
 
-    ``functional`` is the drift functional of X: each step hands it the
-    column X = h^{-1}(Y) of the current states, and it adds
-    sigma0(Y) * H to the drift of Y.
+    The drift functional ``setup.chars.functional``, when there is one, is
+    that of X: each step hands it the column X = h^{-1}(Y) of the current
+    states, and it adds sigma0(Y) * H to the drift of Y.
 
     ``paths`` is a range of path indices, all ``config.n_paths`` by
     default.  Path i draws only from the streams keyed by
     ``(master_seed, i)``, so the rows of a range equal the same rows of a
     run over all paths, bit for bit; ``jump_path`` counts rows from
-    ``paths.start``.  ``setup`` is the ``engine_setup`` of these
-    ``chars``, ``config`` and ``y0`` (else ``ValidationError``), built here
-    when None.  The ``max_exclusion_fraction`` check covers the whole run,
-    so it runs here only over all paths: a caller that simulates a shorter
-    range must count the exclusions of all its ranges and check them
-    itself, as ``simulate_blocks`` does.
+    ``paths.start``.  The ``max_exclusion_fraction`` check covers the whole
+    run, so it runs here only over all paths: a caller that simulates a
+    shorter range must count the exclusions of all its ranges and check
+    them itself, as ``simulate_blocks`` does.
     """
-    if setup is None:
-        setup = engine_setup(chars, config, y0)
-    elif (setup.chars is not chars or setup.config != config
-          or setup.y0 != float(y0)):
-        raise ValidationError("setup was built for another equation, "
-                              "configuration or initial state")
+    chars, config, y0 = setup.chars, setup.config, setup.y0
     if paths is None:
         paths = range(config.n_paths)
     if not (isinstance(paths, range) and paths.step == 1
             and 0 <= paths.start < paths.stop <= config.n_paths):
         raise ValidationError(f"paths must be a nonempty range within "
                               f"range({config.n_paths}), got {paths!r}")
-    transform, ops = chars.transform, setup.ops
+    transform, functional, ops = chars.transform, chars.functional, setup.ops
     has_jumps = ops is not None
     img_lo, img_hi = setup.y_range
 
@@ -745,14 +741,13 @@ def simulate_y(chars: CharacteristicsY, functional: Optional[PathFunctional],
     normals *= sq_dt  # the recorded Brownian increments
     return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_y_pre=jy, jump_x_pre=jx,
-                    jump_z=jz, jump_w=jw, config=config, y0=float(y0), x0=x0,
+                    jump_z=jz, jump_w=jw, config=config, y0=y0, x0=x0,
                     hx=HX, hpx=HPX, first_path=paths.start)
 
 
-def simulate_blocks(chars: CharacteristicsY, config: SimConfig, y0: float,
-                    reduce: Callable) -> list:
+def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
     """``reduce(ensemble)`` of every block of ``BLOCK_PATHS`` consecutive
-    paths, in path order, from one ``engine_setup``; no drift functional.
+    paths of the run ``setup``, in path order.
 
     Each block goes through ``simulate_y`` and is dropped once reduced, so
     memory holds one block plus whatever ``reduce`` keeps; a reduction
@@ -760,11 +755,11 @@ def simulate_blocks(chars: CharacteristicsY, config: SimConfig, y0: float,
     ``max_exclusion_fraction`` check counts the excluded paths of all
     blocks.
     """
-    setup = engine_setup(chars, config, y0)
+    config = setup.config
     out, n_excluded = [], 0
     for start in range(0, config.n_paths, BLOCK_PATHS):
         block = range(start, min(start + BLOCK_PATHS, config.n_paths))
-        ens = simulate_y(chars, None, config, y0, paths=block, setup=setup)
+        ens = simulate_y(setup, paths=block)
         n_excluded += ens.excluded_count
         out.append(reduce(ens))
         del ens
@@ -776,55 +771,35 @@ def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensembl
     """Simulate the Markovian part of ``eq`` through its transformed
     characteristics: ``eq.functional`` is not simulated, and the
     diagnostics realise the full law through its Girsanov weight."""
-    chars = build_characteristics(eq)
+    chars = build_characteristics(replace(eq, functional=None))
     y0 = float(np.asarray(eq.coeffs.transform.forward(np.asarray(x0))))
-    return simulate_y(chars, None, config, y0)
+    return simulate_y(engine_setup(chars, config, y0))
 
 
 def simulate_euler_direct(drift, sigma, config: SimConfig, x0: float) -> Ensemble:
     """Plain Euler reference for classical-coefficient cross-checks."""
     chars = CharacteristicsY(b=_as_vec(drift), sigma0=_as_vec(sigma))
-    return simulate_y(chars, None, config, x0)
+    return simulate_y(engine_setup(chars, config, x0))
 
 
 # ---------------------------------------------------------------------------
 # reweighting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GirsanovWeight:
-    kappa: np.ndarray = field(repr=False)
+def girsanov_weight(times, h, dW) -> np.ndarray:
+    """Exponential weight kappa at ``times`` (kappa = 1 at the first) from
+    the drift functional's grid values ``h`` there and the Brownian
+    increments ``dW`` between them; the last axis is time.
 
-    @property
-    def final(self):
-        return float(self.kappa[..., -1]) if self.kappa.ndim == 1 else self.kappa[..., -1]
-
-
-def _weight_core(times, x_values, dW, functional: PathFunctional):
+    Multiplying terminal values by kappa_T realises the law in which the
+    bounded functional acts as an extra drift through the diffusion
+    coefficient.
+    """
     if dW is None:
         raise MissingDriverRecord("Brownian increments are required for reweighting")
-    dt = np.diff(times)
-    h = functional.grid_values(times, x_values)[..., :-1]
-    log_inc = h * dW - 0.5 * h**2 * dt
-    log_k = np.cumsum(log_inc, axis=-1)
-    pad = np.zeros(x_values.shape[:-1] + (1,))
-    return np.exp(np.concatenate([pad, log_k], axis=-1))
-
-
-def girsanov_weight(path: CagladPath, functional: PathFunctional) -> GirsanovWeight:
-    """Exponential reweighting along one path.
-
-    Multiplying terminal values by the final weight realises the law in
-    which the bounded functional acts as an extra drift through the
-    diffusion coefficient.
-    """
-    return GirsanovWeight(_weight_core(path.times, path.values, path.dW, functional))
-
-
-def girsanov_weight_ensemble(ensemble: Ensemble,
-                             functional: PathFunctional) -> GirsanovWeight:
-    return GirsanovWeight(_weight_core(ensemble.times, ensemble.x, ensemble.dW,
-                                       functional))
+    h = np.asarray(h)[..., :-1]
+    log_k = np.cumsum(h * dW - 0.5 * h**2 * np.diff(times), axis=-1)
+    return np.exp(np.concatenate([np.zeros(log_k.shape[:-1] + (1,)), log_k], axis=-1))
 
 
 @dataclass

@@ -14,8 +14,8 @@ import sdelab as sl
 from sdelab import (CagladPath, DiscreteLaw, EquationX, FiniteActivityKernel,
                     ScenarioSpec, SimConfig, chain_rule_qv,
                     clamped_running_sup, conjugation_residual, constant_functional,
-                    counterexample_cauchy, counterexample_stable,
-                    gamma_residual_qv, girsanov_weight_ensemble, identity_profile,
+                    counterexample_cauchy, counterexample_stable, engine_setup,
+                    gamma_residual_qv, girsanov_weight, identity_profile,
                     local_generator, qv_regularization, run_scenario,
                     simulate_y, square_identity_residual, standard_profiles,
                     weighted_expectation, zero_functional)
@@ -50,7 +50,7 @@ def brownian_fine():
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    return simulate_y(chars, None, cfg, 0.0)
+    return simulate_y(engine_setup(chars, cfg, 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -182,7 +182,7 @@ def test_c06_chain_rule():
         b=lambda y: np.zeros_like(y),
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
         measure=FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),))))
-    ens = simulate_y(chars, None, cfg, 0.0)
+    ens = simulate_y(engine_setup(chars, cfg, 0.0))
     pred, est = [], []
     for i in range(ens.n_paths):
         c = chain_rule_qv(np.sin, np.cos, ens.path(i),
@@ -231,23 +231,27 @@ def test_c08_compensator_residual(atom_10k):
 
 def test_c09_girsanov(brownian_10k):
     _, ens = brownian_10k
-    exact = girsanov_weight_ensemble(ens, zero_functional())
-    exact_one = bool(np.all(exact.kappa == 1.0))
+
+    def kappa(functional):
+        return girsanov_weight(ens.times, functional.grid_values(ens.times, ens.x),
+                               ens.dW)
+
+    exact_one = bool(np.all(kappa(zero_functional()) == 1.0))
 
     zs = []
     for functional in (constant_functional(0.5), clamped_running_sup(1.0)):
-        k = girsanov_weight_ensemble(ens, functional).final[ens.active]
+        k = kappa(functional)[ens.active, -1]
         se = np.std(k, ddof=1) / np.sqrt(len(k))
         zs.append(abs(np.mean(k) - 1.0) / se)
 
     c = 0.5
-    gw = girsanov_weight_ensemble(ens, constant_functional(c))
-    est = weighted_expectation(ens, gw.final, lambda e: e.x[:, -1])
+    est = weighted_expectation(ens, kappa(constant_functional(c))[:, -1],
+                               lambda e: e.x[:, -1])
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
-        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    direct = simulate_y(chars, constant_functional(c),
-                        ens.config.replace(master_seed=777), 0.0)
+        sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+        functional=constant_functional(c))
+    direct = simulate_y(engine_setup(chars, ens.config.replace(master_seed=777), 0.0))
     dm = direct.terminal_y()
     z_cross = abs(est.value - np.mean(dm)) / np.sqrt(
         est.se**2 + np.var(dm, ddof=1) / len(dm))

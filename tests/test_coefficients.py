@@ -98,6 +98,48 @@ class TestDriftPotential:
 _LADDER = (2.5e-5, 1.25e-5, 6.25e-6)
 
 
+class TestMollifierConfig:
+    @pytest.mark.parametrize("kw", (
+        dict(widths=(0.25,)), dict(widths=()), dict(widths=(0.5, np.nan)),
+        dict(widths=(np.nan, 0.25)), dict(widths=(np.inf, 0.25)),
+        dict(widths=(0.5, -0.25)), dict(widths=(0.25, 0.5)),
+        dict(quadrature_tol=np.nan), dict(convergence_tol=np.nan),
+        dict(quadrature_tol=np.inf), dict(convergence_tol=0.0)))
+    def test_bad_ladder_or_tolerance_rejected(self, kw):
+        with pytest.raises(ValueError):
+            MollifierConfig(**kw)
+
+    def test_one_width_cannot_hide_nonconvergence(self, unit_diff):
+        # a one-width ladder compared nothing: level gap 0, "converged";
+        # with a second width the same series does not converge
+        with pytest.raises(ValueError, match="at least two"):
+            MollifierConfig(widths=(0.25,))
+        with pytest.raises(NonConvergent):
+            compute_drift_potential(DriftSpec(beta=weier_beta), unit_diff,
+                                    MollifierConfig(widths=(0.5, 0.25)),
+                                    np.linspace(-2.0, 2.0, 401))
+
+
+class TestDiffusionBand:
+    grid = np.linspace(-1.0, 1.0, 11)
+
+    @staticmethod
+    def constant(c, lo, hi):
+        return DiffusionSpec(sigma=lambda x: np.full_like(np.asarray(x, dtype=float), c),
+                             sigma_min=lo, sigma_max=hi)
+
+    @pytest.mark.parametrize("c,lo,hi", ((5.0, np.nan, np.nan), (np.nan, 1.0, 1.0),
+                                         (1.0, 1.0, np.inf), (1.0, 0.0, 1.0),
+                                         (1.0, 2.0, 1.0), (2.0, 0.5, 1.0)))
+    def test_bad_band_or_values_rejected(self, c, lo, hi):
+        with pytest.raises(ValueError):
+            self.constant(c, lo, hi).validate_on(self.grid)
+
+    def test_values_inside_a_finite_band_pass(self):
+        self.constant(1.0, 0.5, 2.0).validate_on(self.grid)
+        self.constant(1.0, 1.0, 1.0).validate_on(self.grid)
+
+
 class TestSegmentSelfCheck:
     """The finest table against its Gauss-Kronrod extension, |K17 - G8|."""
 

@@ -439,6 +439,26 @@ def test_truncation_identity_inside_bounded_everywhere(x, radius):
         assert v == pytest.approx(x, abs=1e-12)
 
 
+@pytest.mark.parametrize("radius,cap", ((np.nan, np.nan), (np.nan, 1.0), (1.0, np.nan),
+                                        (np.inf, np.inf), (1.0, np.inf), (0.0, 1.0),
+                                        (-1.0, 1.0), (2.0, 1.0)))
+def test_truncation_needs_finite_radius_within_cap(radius, cap):
+    with pytest.raises(ValueError):
+        TruncationFunction(radius=radius, cap=cap)
+
+
+def test_nan_truncation_run_fails_closed():
+    # this run used to finish with 12 jumps and a NaN terminal mean
+    from sdelab import CoefficientSet, EquationX, SimConfig, simulate_x_markovian
+    kernel = FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),)))
+    cfg = SimConfig(n_steps=16, n_paths=200, master_seed=1, small_jump_cutoff=0.1,
+                    big_jump_intensity_bound=1.05)
+    with pytest.raises(ValueError, match="radius"):
+        eq = EquationX(CoefficientSet.unit(), kernel,
+                       TruncationFunction(radius=np.nan, cap=np.nan))
+        simulate_x_markovian(eq, cfg, 0.0)
+
+
 def test_truncation_validate_rejects_bad_fn():
     bad = TruncationFunction(radius=1.0, cap=1.0,
                              fn=lambda x: 2.0 * np.asarray(x, dtype=float))

@@ -10,7 +10,7 @@ from sdelab import (CagladPath, CharacteristicsY, DiscreteLaw, EquationX,
                     big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
                     dirichlet_condition_intY, gamma_residual_qv,
                     nu_jump_structural_check, qv_estimate, qv_regularization,
-                    simulate_x_markovian, simulate_y)
+                    engine_setup, simulate_x_markovian, simulate_y)
 
 
 def step_path(n=11):
@@ -26,7 +26,7 @@ def brownian_paths(n_paths=100, n_steps=4096, seed=21):
     chars = CharacteristicsY(
         b=lambda y: np.zeros_like(y),
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    return simulate_y(chars, None, cfg, 0.0)
+    return simulate_y(engine_setup(chars, cfg, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ class TestChainRule:
             b=lambda y: np.zeros_like(y),
             sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
             measure=FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),))))
-        ens = simulate_y(chars, None, cfg, 0.0)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
         pred, est = [], []
         for i in range(ens.n_paths):
             c = chain_rule_qv(np.sin, np.cos, ens.path(i),

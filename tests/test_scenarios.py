@@ -70,6 +70,18 @@ class TestShippedCoefficients:
         gap = float(np.max(np.abs(alt.values - coeffs.potential.values)))
         assert gap < 10.0 * moll.convergence_tol
 
+    def test_weierstrass_default_amplitudes(self):
+        # holder=0.5 gives the amplitudes 2^(-j/2), bit for bit
+        from sdelab.scenarios import weierstrass_beta
+        x = np.linspace(-4.0, 4.0, 1001)
+        want = np.zeros_like(x)
+        for j in range(9):
+            want = want + 2.0 ** (-j / 2.0) * np.sin(2.0**j * x)
+        assert np.array_equal(weierstrass_beta()(x), want)
+        got = weierstrass_beta(n_terms=3, holder=0.25, lacunarity=3.0)(x)
+        want = sum(3.0 ** (-0.25 * j) * np.sin(3.0**j * x) for j in range(3))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
     def test_stable_jump_accepts_tail_exponent(self):
         b = build_bundle(ScenarioSpec(name="stable_jump",
                                       params={"gamma": 0.8}))
@@ -133,6 +145,18 @@ class TestRunScenario:
         assert [d.name for d in report.diagnostics] == ["girsanov", "martingale"]
         assert report.diagnostics[1].status == "pass"
         assert report.status == "pass"
+
+    def test_martingale_diagnostic_evaluates_the_functional_once(self, monkeypatch):
+        # the generator state's grid values give the Girsanov weight too
+        from sdelab import PathFunctional, scenarios, simulate_x_markovian
+        bundle = build_bundle(ScenarioSpec(name="path_dependent_drift", n_paths=60,
+                                           n_steps=16))
+        ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
+        calls, real = [], PathFunctional.grid_values
+        monkeypatch.setattr(PathFunctional, "grid_values",
+                            lambda self, *a: calls.append(1) or real(self, *a))
+        assert scenarios._diag_martingale(bundle, ens).name == "martingale"
+        assert len(calls) == 1
 
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
@@ -508,7 +532,7 @@ class TestCLI:
     def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
         import sdelab.cli as cli
         from sdelab import scenarios
-        from sdelab.simulator import girsanov_weight_ensemble, simulate_x_markovian
+        from sdelab.simulator import girsanov_weight, simulate_x_markovian
         calls = []
 
         def counted(spec):
@@ -528,7 +552,8 @@ class TestCLI:
                                            n_steps=16))
         eq = bundle.eq
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
-        kappa = girsanov_weight_ensemble(ens, eq.functional).final
+        h = eq.functional.grid_values(ens.times, ens.x)
+        kappa = girsanov_weight(ens.times, h, ens.dW)[:, -1]
         for i in range(3):
             assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
         assert len(set(rows[:, 3])) == 3 and not np.all(rows[:, 3] == 1.0)
@@ -540,7 +565,7 @@ class TestCLI:
         import sdelab.cli as cli
         from sdelab.generator import generator_state, martingale_residual_ensemble
         from sdelab.scenarios import standard_profiles
-        from sdelab.simulator import girsanov_weight_ensemble, simulate_x_markovian
+        from sdelab.simulator import girsanov_weight, simulate_x_markovian
         cli.main(["verify-martingale", "--name", name, "--paths", "60",
                   "--steps", "16", "--dump-paths", "3", "--out", str(tmp_path)])
         lines = (tmp_path / f"residuals_{name}.csv").read_text().splitlines()
@@ -550,7 +575,7 @@ class TestCLI:
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
         state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
         M = martingale_residual_ensemble(state, standard_profiles()[0])
-        kappa = (girsanov_weight_ensemble(ens, eq.functional).final
+        kappa = (girsanov_weight(ens.times, state.hv, ens.dW)[:, -1]
                  if eq.functional is not None else np.ones(ens.n_paths))
         want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
                                 M[:3].ravel(), np.repeat(kappa[:3], 17)))

@@ -1,12 +1,14 @@
 """Monte Carlo engine: determinism, law oracles, weights, residuals."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     FiniteActivityKernel, IntensityBoundViolated, RangeError, SimConfig,
                     canonical_decomposition_residual, compensator_residual,
-                    constant_functional, domain_approximant, girsanov_weight,
-                    girsanov_weight_ensemble, simulate_euler_direct,
+                    constant_functional, domain_approximant, engine_setup,
+                    girsanov_weight, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
                     PathFunctional, ScaleTransform, TruncationFunction,
@@ -33,7 +35,7 @@ BROWNIAN_CFG = SimConfig(horizon=1.0, n_steps=128, n_paths=2000, master_seed=1,
 
 @pytest.fixture(scope="module")
 def brownian_ens():
-    return simulate_y(brownian_chars(), None, BROWNIAN_CFG, 0.0)
+    return simulate_y(engine_setup(brownian_chars(), BROWNIAN_CFG, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +46,8 @@ class TestDeterminism:
     def test_single_path_bit_identical(self):
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=1, master_seed=42,
                         big_jump_intensity_bound=0.0)
-        a = simulate_y(brownian_chars(), None, cfg, 0.0)
-        b = simulate_y(brownian_chars(), None, cfg, 0.0)
+        a = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
+        b = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.dW, b.dW)
 
@@ -53,16 +55,16 @@ class TestDeterminism:
         cfg4 = SimConfig(horizon=1.0, n_steps=32, n_paths=4, master_seed=5,
                          big_jump_intensity_bound=0.0)
         cfg8 = cfg4.replace(n_paths=8)
-        a = simulate_y(brownian_chars(), None, cfg4, 0.0)
-        b = simulate_y(brownian_chars(), None, cfg8, 0.0)
+        a = simulate_y(engine_setup(brownian_chars(), cfg4, 0.0))
+        b = simulate_y(engine_setup(brownian_chars(), cfg8, 0.0))
         assert np.array_equal(a.y, b.y[:4])
 
     def test_jump_runs_reproducible(self, unit_atom_kernel):
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=50, master_seed=3,
                         small_jump_cutoff=0.4, big_jump_intensity_bound=1.5)
         chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
-        a = simulate_y(chars, None, cfg, 0.0)
-        b = simulate_y(chars, None, cfg, 0.0)
+        a = simulate_y(engine_setup(chars, cfg, 0.0))
+        b = simulate_y(engine_setup(chars, cfg, 0.0))
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.jump_time, b.jump_time)
 
@@ -149,7 +151,7 @@ class TestDrawOrder:
         kernel = FiniteActivityKernel(
             rate=np.sum(r_big), law=DiscreteLaw(tuple(zip(z_big, r_big / np.sum(r_big)))))
         chars = CharacteristicsY(b=ones, sigma0=ones, measure=kernel)
-        ens = simulate_y(chars, None, cfg, 0.0)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
         cum = np.cumsum(r_big) / np.sum(r_big)
 
         def sizes(i, j, u1, u2):
@@ -172,7 +174,7 @@ class TestDrawOrder:
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
         chars = build_characteristics(EquationX(CoefficientSet.unit(), kernel))
-        ens = simulate_y(chars, None, cfg, 0.0)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
         ops = jump_ops(chars, cfg)
         rate = float(ops.profiles(np.zeros(1))[0, 0])
 
@@ -192,7 +194,7 @@ class TestDrawOrder:
                         small_jump_cutoff=0.4, big_jump_intensity_bound=1e-9)
         chars = CharacteristicsY(b=zeros, sigma0=ones, measure=FiniteActivityKernel(
             rate=1e-9, law=DiscreteLaw(((1.0, 1.0),))))
-        ens = simulate_y(chars, None, cfg, 0.0)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
         assert self._check(ens, cfg, 1e-9, lambda i, j, u1, u2: (u1, u2)) == 0
         assert len(ens.jump_time) == 0 and ens.jump_path.dtype == np.int64
 
@@ -273,7 +275,7 @@ ENSEMBLE_ARRAYS = ("times", "y", "x", "dW", "active", "hx", "hpx", "jump_time",
 def _blocked(chars, cfg, y0, block_paths, monkeypatch):
     """The block ensembles of a blocked run, with ``block_paths`` paths each."""
     monkeypatch.setattr(simulator, "BLOCK_PATHS", block_paths)
-    return simulator.simulate_blocks(chars, cfg, y0, lambda ens: ens)
+    return simulator.simulate_blocks(engine_setup(chars, cfg, y0), lambda ens: ens)
 
 
 def _merged(blocks, field):
@@ -284,6 +286,9 @@ def _merged(blocks, field):
     if field == "jump_path":
         parts = [b.first_path + p for b, p in zip(blocks, parts)]
     return np.concatenate(parts)
+
+
+CASES = ("stable_drop", "stable_gaussian_match", "atom_tanh", "density")
 
 
 class TestBlocks:
@@ -309,18 +314,34 @@ class TestBlocks:
         eq = EquationX(CoefficientSet.unit(), _uniform_density_kernel(), clamp1)
         return build_characteristics(eq), cfg, 0.0
 
-    @pytest.mark.parametrize("case", ("stable_drop", "stable_gaussian_match",
-                                      "atom_tanh", "density"))
+    def _case(self, case, tanh_coeffs, atom_kernel, clamp1):
+        if case.startswith("stable"):
+            return self._stable(case[len("stable_"):])
+        if case == "atom_tanh":
+            return self._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
+        return self._density(clamp1)
+
+    @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("block_paths", (1, 7, 17))
     def test_blocks_equal_one_run(self, case, block_paths, tanh_coeffs, atom_kernel,
                                   clamp1, monkeypatch):
-        if case.startswith("stable"):
-            chars, cfg, y0 = self._stable(case[len("stable_"):])
-        elif case == "atom_tanh":
-            chars, cfg, y0 = self._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
-        else:
-            chars, cfg, y0 = self._density(clamp1)
-        whole = simulate_y(chars, None, cfg, y0)
+        chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
+        self._check_blocks(chars, cfg, y0, block_paths, monkeypatch)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("block_paths", (1, 7, 17))
+    def test_blocks_with_a_functional_equal_one_run(self, case, block_paths,
+                                                    tanh_coeffs, atom_kernel, clamp1,
+                                                    monkeypatch):
+        chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
+        with_sup = replace(chars, functional=clamped_running_sup(1.0))
+        whole = self._check_blocks(with_sup, cfg, y0, block_paths, monkeypatch)
+        assert not np.array_equal(whole.y, simulate_y(engine_setup(chars, cfg, y0)).y)
+
+    def _check_blocks(self, chars, cfg, y0, block_paths, monkeypatch):
+        """Assert that the blocks of ``block_paths`` paths merge into the
+        one-block run, which is returned."""
+        whole = simulate_y(engine_setup(chars, cfg, y0))
         assert len(whole.jump_time) > 10
         blocks = _blocked(chars, cfg, y0, block_paths, monkeypatch)
         assert [b.first_path for b in blocks] == list(range(0, 40, block_paths))
@@ -331,6 +352,7 @@ class TestBlocks:
             else:
                 assert got.dtype == want.dtype and np.array_equal(got, want), field
         assert all((b.x0, b.y0) == (whole.x0, whole.y0) for b in blocks)
+        return whole
 
     def test_jump_ops_built_once_per_run(self, monkeypatch):
         chars, cfg, y0 = self._stable("drop")
@@ -351,7 +373,7 @@ class TestBlocks:
         chars = build_characteristics(EquationX(coeffs, None, clamp1))
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=100, master_seed=1,
                         big_jump_intensity_bound=0.0, max_exclusion_fraction=1.0)
-        excluded = simulate_y(chars, None, cfg, 0.0).excluded_count
+        excluded = simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
         assert 0 < excluded < 50
         # some block of 7 paths loses far more than the run's share
         above = cfg.replace(max_exclusion_fraction=(excluded + 0.5) / 100)
@@ -362,21 +384,7 @@ class TestBlocks:
         with pytest.raises(RangeError):
             _blocked(chars, below, 0.0, 7, monkeypatch)
         with pytest.raises(RangeError):
-            simulate_y(chars, None, below, 0.0)
-
-    def test_setup_of_another_run_rejected(self):
-        from sdelab import ValidationError
-        chars, cfg, y0 = self._stable("drop")
-        setup = simulator.engine_setup(chars, cfg, y0)
-        block = range(0, 7)
-        assert np.array_equal(
-            simulate_y(chars, None, cfg, y0, paths=block, setup=setup).y,
-            simulate_y(chars, None, cfg, y0, paths=block).y)
-        other_chars, _, _ = self._stable("drop")
-        for args in ((other_chars, cfg, y0), (chars, cfg.replace(master_seed=42), y0),
-                     (chars, cfg, 0.5)):
-            with pytest.raises(ValidationError):
-                simulate_y(args[0], None, args[1], args[2], paths=block, setup=setup)
+            simulate_y(engine_setup(chars, below, 0.0))
 
     @pytest.mark.parametrize("paths", (range(0), range(3, 2), range(0, 41),
                                        range(-1, 4), range(0, 10, 2), (0, 1)))
@@ -384,7 +392,7 @@ class TestBlocks:
         from sdelab import ValidationError
         cfg = BROWNIAN_CFG.replace(n_paths=40)
         with pytest.raises(ValidationError):
-            simulate_y(brownian_chars(), None, cfg, 0.0, paths=paths)
+            simulate_y(engine_setup(brownian_chars(), cfg, 0.0), paths=paths)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +413,7 @@ class TestLawOracles:
         cfg = SimConfig(horizon=1.0, n_steps=128, n_paths=4000, master_seed=2,
                         small_jump_cutoff=0.5, big_jump_intensity_bound=1.5)
         chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
-        ens = simulate_y(chars, None, cfg, 0.0)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
         yt = ens.terminal_y()
         se = np.std(yt, ddof=1) / np.sqrt(len(yt))
         assert abs(np.mean(yt) - 1.0) < 3.0 * se
@@ -707,7 +715,7 @@ class TestGuards:
                         small_jump_cutoff=0.4, big_jump_intensity_bound=0.5)
         chars = CharacteristicsY(b=zeros, sigma0=zeros, measure=unit_atom_kernel)
         with pytest.raises(IntensityBoundViolated):
-            simulate_y(chars, None, cfg, 0.0)
+            simulate_y(engine_setup(chars, cfg, 0.0))
 
     def test_nan_rate_fails_closed(self, clamp1):
         # the scanned supremum rate is NaN: the run used to finish with no
@@ -740,7 +748,7 @@ class TestGuards:
                         small_jump_cutoff=2.0, big_jump_intensity_bound=1.0)
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            simulate_y(brownian_chars(), None, cfg, 0.0)
+            simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
 
     @pytest.mark.parametrize("seed", (-1, -3, 1.5, True, np.bool_(True), "7", None))
     def test_master_seed_must_be_a_nonnegative_integer(self, seed):
@@ -802,7 +810,7 @@ class TestCharacteristics:
         eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
         x0 = 0.3
         y0 = float(tanh_coeffs.transform.forward(np.asarray(x0)))
-        ens = simulate_y(build_characteristics(eq), None, cfg, y0)
+        ens = simulate_y(engine_setup(build_characteristics(eq), cfg, y0))
         ref = simulate_x_markovian(eq, cfg, x0)
         assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.y)
         for name in ("x", "y", "hx", "hpx", "jump_x_pre", "jump_w"):
@@ -811,8 +819,8 @@ class TestCharacteristics:
         narrow = TruncationFunction(radius=0.5, cap=0.5)
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            simulate_y(build_characteristics(EquationX(tanh_coeffs, atom_kernel, narrow)),
-                       None, cfg.replace(small_jump_cutoff=0.6), y0)
+            engine_setup(build_characteristics(EquationX(tanh_coeffs, atom_kernel, narrow)),
+                         cfg.replace(small_jump_cutoff=0.6), y0)
 
     def test_no_measure_gives_no_ops(self):
         assert jump_ops(brownian_chars(), SimConfig()) is None
@@ -839,7 +847,8 @@ class TestEngineFunctional:
             y0 = float(chars.transform.forward(np.asarray(0.3)))
         else:
             chars, y0 = brownian_chars(), 0.3
-        ens = simulate_y(chars, PathFunctional("record", 0.0, record), cfg, y0)
+        chars = replace(chars, functional=PathFunctional("record", 0.0, record))
+        ens = simulate_y(engine_setup(chars, cfg, y0))
         if transformed:  # a step fed Y would differ from X
             assert not np.array_equal(ens.x, ens.y)
         assert len(seen) == cfg.n_steps
@@ -851,22 +860,31 @@ class TestEngineFunctional:
 # reweighting
 # ---------------------------------------------------------------------------
 
+def _kappa_T(ens, functional):
+    """The terminal Girsanov weight of every path of ``ens``."""
+    h = functional.grid_values(ens.times, ens.x)
+    return girsanov_weight(ens.times, h, ens.dW)[:, -1]
+
+
 class TestGirsanov:
     def test_zero_functional_weight_exactly_one(self, brownian_ens):
         from sdelab import zero_functional
-        gw = girsanov_weight_ensemble(brownian_ens, zero_functional())
-        assert np.all(gw.kappa == 1.0)
+        h = zero_functional().grid_values(brownian_ens.times, brownian_ens.x)
+        assert np.all(girsanov_weight(brownian_ens.times, h, brownian_ens.dW) == 1.0)
 
     def test_single_path_interface(self, brownian_ens):
-        gw = girsanov_weight(brownian_ens.path(3), constant_functional(0.5))
-        assert gw.kappa[0] == 1.0
-        assert gw.final > 0
+        from sdelab import MissingDriverRecord
+        p, f = brownian_ens.path(3), constant_functional(0.5)
+        kappa = girsanov_weight(p.times, f.grid_values(p.times, p.values), p.dW)
+        assert kappa.shape == p.times.shape and kappa[0] == 1.0 and kappa[-1] > 0
+        assert kappa[-1] == _kappa_T(brownian_ens, f)[3]
+        with pytest.raises(MissingDriverRecord):
+            girsanov_weight(p.times, f.grid_values(p.times, p.values), None)
 
     def test_constant_drift_lognormal_moments(self, brownian_ens):
         # log weight is Gaussian with mean -c^2 T / 2 and variance c^2 T
         c = 0.8
-        gw = girsanov_weight_ensemble(brownian_ens, constant_functional(c))
-        logk = np.log(gw.final)
+        logk = np.log(_kappa_T(brownian_ens, constant_functional(c)))
         n = len(logk)
         se_mean = np.std(logk, ddof=1) / np.sqrt(n)
         assert abs(np.mean(logk) + 0.5 * c**2) < 3.0 * se_mean
@@ -875,24 +893,23 @@ class TestGirsanov:
         assert abs(var - c**2) < 3.0 * se_var
 
     def test_weight_mean_one(self, brownian_ens):
-        gw = girsanov_weight_ensemble(brownian_ens, constant_functional(0.5))
-        k = gw.final
+        k = _kappa_T(brownian_ens, constant_functional(0.5))
         se = np.std(k, ddof=1) / np.sqrt(len(k))
         assert abs(np.mean(k) - 1.0) < 3.0 * se
 
     def test_running_sup_weight_mean_one(self, brownian_ens):
-        gw = girsanov_weight_ensemble(brownian_ens, clamped_running_sup(1.0))
-        k = gw.final
+        k = _kappa_T(brownian_ens, clamped_running_sup(1.0))
         se = np.std(k, ddof=1) / np.sqrt(len(k))
         assert abs(np.mean(k) - 1.0) < 3.0 * se
 
     def test_reweighting_matches_direct_drift(self, brownian_ens):
         c = 0.5
-        gw = girsanov_weight_ensemble(brownian_ens, constant_functional(c))
-        est = weighted_expectation(brownian_ens, gw.final,
+        est = weighted_expectation(brownian_ens, _kappa_T(brownian_ens,
+                                                          constant_functional(c)),
                                    lambda e: e.y[:, -1])
-        direct = simulate_y(brownian_chars(), constant_functional(c),
-                            BROWNIAN_CFG.replace(master_seed=101), 0.0)
+        chars = replace(brownian_chars(), functional=constant_functional(c))
+        direct = simulate_y(engine_setup(chars, BROWNIAN_CFG.replace(master_seed=101),
+                                         0.0))
         dmean = np.mean(direct.terminal_y())
         dse = np.std(direct.terminal_y(), ddof=1) / np.sqrt(direct.n_paths)
         z = abs(est.value - dmean) / np.sqrt(est.se**2 + dse**2)
@@ -904,8 +921,8 @@ class TestGirsanov:
         assert est.value == pytest.approx(float(np.mean(brownian_ens.y[:, -1])))
 
     def test_normalization_estimate(self, brownian_ens):
-        gw = girsanov_weight_ensemble(brownian_ens, constant_functional(0.5))
-        est = weighted_expectation(brownian_ens, gw.final,
+        est = weighted_expectation(brownian_ens,
+                                   _kappa_T(brownian_ens, constant_functional(0.5)),
                                    np.ones(brownian_ens.n_paths))
         assert abs(est.value - 1.0) < 3.0 * est.se
 
