@@ -283,6 +283,7 @@ def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: Caglad
 # quadrature tolerance and table size of the jump term of a quadrature kernel
 _GRID_TOL = 1e-8
 _TABLE_NODES = 257
+_BLOCK = 2**15  # grid values per martingale block: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -306,13 +307,16 @@ class GeneratorState:
     x: np.ndarray
     hx: np.ndarray
     hpx: np.ndarray
-    sigma: np.ndarray
+    half_s0_sq: np.ndarray  # 0.5 * (sigma h')^2, the local term per unit phi''
     hv: object            # functional grid values, or 0.0 without a functional
+    sigma_hv: object      # sigma * hv, the drift term per unit f'; None without
     atoms: Optional[AtomRows]  # kernel.atoms(x) of an atomic kernel, else None
     atom_images: tuple    # h(x + w) per atom column of ``atoms``, else ()
+    jump_tables: Optional[dict] = None  # profile name -> _jump_table, else None
 
 
-def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorState:
+def generator_state(eq: EquationX, times, x, hx=None, hpx=None,
+                    jump_tables=None) -> GeneratorState:
     """Evaluate the transform, sigma and the functional once on the path
     array ``x`` (last axis = time; one path or many).
 
@@ -329,38 +333,23 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None) -> GeneratorStat
                                             for w in np.moveaxis(atoms.pos, -1, 0))
     hx = np.asarray(transform.forward(x)) if hx is None else hx
     hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
+    sigma = np.asarray(eq.coeffs.diffusion.sigma(x))
     return GeneratorState(eq=eq, times=times, x=x, hx=hx, hpx=hpx,
-                          sigma=np.asarray(eq.coeffs.diffusion.sigma(x)), hv=hv,
-                          atoms=atoms, atom_images=images)
+                          half_s0_sq=0.5 * (sigma * hpx) ** 2, hv=hv,
+                          sigma_hv=None if eq.functional is None else sigma * hv,
+                          atoms=atoms, atom_images=images, jump_tables=jump_tables)
 
 
-def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
-    """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
-
-    Kernels with atoms are summed exactly over each state's atoms, which
-    the state holds; kernels requiring quadrature are tabulated at the
-    quantiles of the states and interpolated (the interpolation error is
-    far below Monte Carlo resolution, which is the only consumer of this
-    code path).
-    """
-    x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
-    transform = state.eq.coeffs.transform
-    if kernel is None:
-        return 0.0
-    if state.atoms is not None:
-        out = np.zeros_like(x)
-        for j, hxw in enumerate(state.atom_images):
-            term = f.phi(hxw) - base
-            term -= np.asarray(trunc(state.atoms.pos[..., j])) * fp
-            term *= state.atoms.mass[..., j]
-            out += term
-        return out
-    fx, fpx = f.as_x_callables(transform)
+def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
+    """The jump term of a quadrature kernel as a function of x, interpolated
+    from the quantiles of the states ``x`` (far below Monte Carlo error)."""
+    kernel, trunc = eq.kernel, eq.trunc
+    fx, fpx = f.as_x_callables(eq.coeffs.transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
         val = jump_operator(fx, fpx, kernel, trunc, lo, tol=_GRID_TOL,
                             f_sup=f.bound, split=False).value
-        return np.full_like(x, val)
+        return lambda u: np.full_like(u, val)
     # nodes at the quantiles of the states, so that heavy-tailed paths far
     # out do not thin the table where most states are
     nodes = np.unique(np.quantile(x, np.linspace(0.0, 1.0, _TABLE_NODES)))
@@ -375,7 +364,30 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
                           f_sup=f.bound, split=False).value
             for u in nodes
         ])
-    return CubicTable(nodes, vals)(x)
+    return CubicTable(nodes, vals)
+
+
+def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
+    """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
+
+    Kernels with atoms are summed exactly over each state's atoms, which
+    the state holds; kernels requiring quadrature read the profile's table
+    from ``state.jump_tables``, or tabulate it over the state's own grid.
+    """
+    x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
+    if kernel is None:
+        return 0.0
+    if state.atoms is not None:
+        out = np.zeros_like(x)
+        for j, hxw in enumerate(state.atom_images):
+            term = f.phi(hxw) - base
+            term -= np.asarray(trunc(state.atoms.pos[..., j])) * fp
+            term *= state.atoms.mass[..., j]
+            out += term
+        return out
+    table = (_jump_table(f, state.eq, x) if state.jump_tables is None
+             else state.jump_tables[f.name])
+    return table(x)
 
 
 def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx):
@@ -384,15 +396,10 @@ def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx):
     ``fx`` is phi(state.hx), which the residual needs as well.  The terms
     are accumulated in place, so a profile holds a few arrays at a time.
     """
-    gen = state.sigma * state.hpx
-    gen *= gen
-    gen *= 0.5
-    gen *= f.phi_second(state.hx)       # local term
+    gen = state.half_s0_sq * f.phi_second(state.hx)    # local term
     fp = f.phi_prime(state.hx) * state.hpx
-    drift = state.sigma * state.hv
-    drift *= fp
-    gen += drift
-    del drift
+    if state.sigma_hv is not None:
+        gen += state.sigma_hv * fp                      # drift term
     gen += _jump_term_grid(f, state, fx, fp)
     return gen
 
@@ -413,6 +420,30 @@ def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction
     res = fx - fx[..., :1]
     res[..., 1:] -= integ
     return res
+
+
+def martingale_columns(eq: EquationX, ens, profiles, cols):
+    """Each profile's residual at the time columns ``cols`` of every path
+    of ``ens`` (profiles x paths x columns) and the terminal Girsanov weight
+    (None without a functional), read in row blocks of about ``_BLOCK``
+    grid values.  A row's numbers do not depend on its block: a quadrature
+    kernel's jump term is tabulated once per profile over all states."""
+    from .simulator import girsanov_weight  # simulator imports this module
+    n_paths, n_times = ens.x.shape
+    tables = ({f.name: _jump_table(f, eq, ens.x) for f in profiles}
+              if eq.kernel is not None and not has_atoms(eq.kernel) else None)
+    out = np.empty((len(profiles), n_paths, len(cols)))
+    kappa = None if eq.functional is None else np.empty(n_paths)
+    rows = max(1, _BLOCK // n_times)
+    for a in range(0, n_paths, rows):
+        r = slice(a, a + rows)
+        hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
+        state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
+        for i, f in enumerate(profiles):
+            out[i, r] = martingale_residual_ensemble(state, f)[:, cols]
+        if kappa is not None:
+            kappa[r] = girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1]
+    return out, kappa
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import yaml
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (EquationX, constant_functional, generator_state,
-                        martingale_residual_ensemble, resolve_functional)
+from .generator import (EquationX, constant_functional, martingale_columns,
+                        resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
@@ -369,21 +369,16 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     pasts = {"clamp_mid": np.clip(x_half, -1.0, 1.0),
              "one": np.ones_like(x_half),
              "runsup_mid": run_half}
-    # h, h', sigma, the functional's grid values and the atom images are
-    # shared by all five profiles
-    state = generator_state(bundle.eq, ens.times, ens.x, ens.hx, ens.hpx)
     # the engine does not simulate a drift functional, but the generator
     # includes it: the Girsanov weight of its grid values realises that
     # law, so the residuals are read under it
-    kappa = (girsanov_weight(ens.times, state.hv, ens.dW)[ens.active, -1]
-             if bundle.eq.functional is not None else None)
-    for prof in standard_profiles():
-        M = martingale_residual_ensemble(state, prof)
-        m_t = M[ens.active, -1]
-        inc = m_t - M[ens.active, n_half]
-        del M
+    profiles = standard_profiles()
+    res, kappa = martingale_columns(bundle.eq, ens, profiles, [n_half, -1])
+    for prof, M in zip(profiles, res):
+        m_t = M[ens.active, 1]
+        inc = m_t - M[ens.active, 0]
         if kappa is not None:
-            m_t, inc = m_t * kappa, inc * kappa
+            m_t, inc = m_t * kappa[ens.active], inc * kappa[ens.active]
         details[f"{prof.name}_terminal_z"] = _mean_z(m_t)
         for gname, g in pasts.items():
             details[f"{prof.name}_orth_{gname}_z"] = _mean_z(inc * g[ens.active])

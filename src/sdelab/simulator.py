@@ -547,9 +547,13 @@ class EngineSetup:
 
 
 def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> EngineSetup:
-    """Validate the cutoff, the initial state and the dominating intensity,
-    and build the jump ops, once for all blocks of a run."""
+    """Validate the truncation, cutoff, initial state and dominating
+    intensity, and build the jump ops, once for all blocks of a run."""
     transform, trunc = chars.transform, chars.trunc
+    try:
+        trunc.validate()
+    except ValueError as e:
+        raise ValidationError(str(e)) from None
     if config.small_jump_cutoff >= trunc.radius:
         raise ValidationError("small_jump_cutoff must stay below the truncation radius")
     ops = jump_ops(chars, config)

@@ -158,6 +158,40 @@ class TestRunScenario:
         assert scenarios._diag_martingale(bundle, ens).name == "martingale"
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name,diagnostics", (
+        ("atom_jump", None), ("path_dependent_drift", None),
+        ("stable_jump", ("martingale",))), ids=("atoms", "girsanov", "quadrature"))
+    def test_martingale_report_independent_of_block_size(self, name, diagnostics,
+                                                         monkeypatch):
+        from sdelab import generator
+        spec = ScenarioSpec(name=name, n_paths=300, n_steps=64, diagnostics=diagnostics)
+        whole = report_json(run_scenario(spec)[0])
+        for rows in (1, 7):  # 7: 43 blocks, the last short
+            monkeypatch.setattr(generator, "_BLOCK", rows * (spec.n_steps + 1))
+            assert report_json(run_scenario(spec)[0]) == whole, rows
+
+    def test_atom_jump_peak_memory_grows_with_the_ensemble_only(self):
+        # the martingale diagnostic reads the paths in row blocks, so four
+        # times the paths add about the ensemble's own bytes to the peak
+        # (2-core box, 2000 -> 8000 paths: 32 MB of peak RSS for 31 MB of
+        # ensemble; 79 MB when the diagnostic held whole-ensemble arrays)
+        code = ("import resource, sys\n"
+                "import numpy as np\n"
+                "from sdelab import ScenarioSpec, run_scenario\n"
+                "_, ens = run_scenario(ScenarioSpec(name='atom_jump',"
+                " n_paths=int(sys.argv[1]), n_steps=128))\n"
+                "nbytes = sum(v.nbytes for v in vars(ens).values()"
+                " if isinstance(v, np.ndarray))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024, nbytes)\n")
+        src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        (rss0, ens0), (rss1, ens1) = [
+            map(int, subprocess.run([sys.executable, "-c", code, str(n)], env=env,
+                                    capture_output=True, text=True,
+                                    check=True).stdout.split())
+            for n in (2000, 8000)]
+        assert rss1 - rss0 < 1.5 * (ens1 - ens0), (rss0, rss1, ens0, ens1)
+
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
                             diagnostics=("qv", "gamma"), **SMALL)

@@ -743,6 +743,17 @@ class TestGuards:
         with pytest.raises(IntensityBoundViolated, match="jump rate"):
             simulate_x_markovian(EquationX(coeffs, kernel), cfg, 0.0)
 
+    def test_truncation_that_is_not_one_fails_closed(self):
+        # this run used to finish with 228 jumps and a terminal mean of
+        # -0.424, its compensator taken under a truncation that is not one
+        from sdelab import ValidationError
+        kernel = FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),)))
+        trunc = TruncationFunction(radius=1.0, cap=1.0, fn=lambda x: 2.0 * np.asarray(x))
+        cfg = SimConfig(n_steps=16, n_paths=200, master_seed=1, small_jump_cutoff=0.1,
+                        big_jump_intensity_bound=1.05)
+        with pytest.raises(ValidationError, match="cap"):
+            simulate_x_markovian(EquationX(CoefficientSet.unit(), kernel, trunc), cfg, 0.0)
+
     def test_cutoff_must_stay_below_truncation_radius(self):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=10, master_seed=1,
                         small_jump_cutoff=2.0, big_jump_intensity_bound=1.0)
