@@ -19,7 +19,7 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError,
                      ValidationError)
-from .generator import generator_state, martingale_residual_ensemble
+from .generator import generator_state, jump_tables, martingale_residual_ensemble
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
 from .pathcalc import qv_estimate
 from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
@@ -143,13 +143,15 @@ def cmd_verify_martingale(args):
     bundle = build_bundle(spec)
     report, ens = run_bundle(spec, bundle)
     out_dir = _out_dir(args)
-    # residuals and weights of the written rows only; none without rows
+    # the written rows only (none without rows), read as the diagnostic reads them
     rows = slice(0, min(args.dump_paths, ens.n_paths))
     M, kappa = (), ()
     if args.dump_paths:
+        f = standard_profiles()[0]
         hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
-        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx)
-        M = martingale_residual_ensemble(state, standard_profiles()[0])
+        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx,
+                                jump_tables(bundle.eq, (f,), ens.x))
+        M = martingale_residual_ensemble(state, f)
         # the Girsanov weights under which the diagnostic reads the residuals
         kappa = (girsanov_weight(ens.times, state.hv, ens.dW[rows])[:, -1]
                  if bundle.eq.functional is not None else np.ones(len(M)))

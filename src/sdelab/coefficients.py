@@ -27,7 +27,7 @@ from .errors import NonConvergent, QuadratureFailure, RangeError
 
 _MOLL_NODES = 48
 _SEG_NODES = 8
-_CHUNK = 2**16  # points per coefficient gather: bounds the temporaries
+_CHUNK = 2**14  # values per gather or convolution block: temporaries stay in cache
 
 
 def _power_sum(c, s):
@@ -217,20 +217,31 @@ def _mollifier_tables(shape: str, width: float):
     return u, qw, rho, rho_p
 
 
+def _folded(fn, x, width, shape, odd):
+    """(fn * rho'_w)(x) if ``odd``, else (fn * rho_w)(x), in blocks of at most
+    ``_CHUNK`` point-node values along the leading axis of x.  Each row keeps
+    its own stacked product with the node weights (one point per row for a
+    1-d x), so no value depends on the block size."""
+    u, qw, rho, rho_p = _mollifier_tables(shape, width)
+    op, weight = (np.subtract, rho_p) if odd else (np.add, rho)
+    x = np.asarray(x, dtype=float)
+    pts = x.reshape(x.shape[0] if x.ndim else 1, int(np.prod(x.shape[1:])))
+    out = np.empty(pts.shape)
+    rows = max(1, _CHUNK // (pts.shape[1] * len(u)))
+    for a in range(0, len(pts), rows):
+        X = pts[a:a + rows, :, None]
+        out[a:a + rows] = (op(fn(X - u), fn(X + u)) * weight) @ qw
+    return out.reshape(x.shape)
+
+
 def mollified_drift_derivative(beta, x, width, shape="gaussian"):
     """(beta * rho'_w)(x) on an array of points."""
-    u, qw, _, rho_p = _mollifier_tables(shape, width)
-    X = np.asarray(x, dtype=float)[..., None]
-    vals = (beta(X - u) - beta(X + u)) * rho_p
-    return vals @ qw
+    return _folded(beta, x, width, shape, odd=True)
 
 
 def mollified_function(fn, x, width, shape="gaussian"):
     """(fn * rho_w)(x) on an array of points."""
-    u, qw, rho, _ = _mollifier_tables(shape, width)
-    X = np.asarray(x, dtype=float)[..., None]
-    vals = (fn(X - u) + fn(X + u)) * rho
-    return vals @ qw
+    return _folded(fn, x, width, shape, odd=False)
 
 
 def smooth_cutoff(a):
@@ -301,11 +312,12 @@ def _holder_fit(grid, values):
     ls, lm = np.log(np.asarray(lags)), np.log(np.asarray(moduli))
     slope, _ = np.polyfit(ls, lm, 1)
     alpha = float(np.clip(slope, 0.0, 1.0))
-    # constant over all pairs at the fitted exponent
+    # constant over all pairs at the fitted exponent; rows i meet all j >= i
     const = 0.0
-    for lag in range(1, n):
-        gap = np.abs(values[lag:] - values[:-lag])
-        sep = np.abs(grid[lag:] - grid[:-lag])
+    rows = max(1, _CHUNK // n)
+    for a in range(0, n, rows):
+        gap = np.abs(values[a:a + rows, None] - values[None, a:])
+        sep = np.abs(grid[a:a + rows, None] - grid[None, a:])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(sep > 0, gap / sep**alpha, 0.0)
         const = max(const, float(np.max(ratio, initial=0.0)))
@@ -366,18 +378,16 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
     shape = shape or moll.shape
     diffusion.validate_on(grid)
 
-    def integrand_for(width):
-        def integrand(pts):
-            num = mollified_drift_derivative(drift.beta, pts, width, shape)
-            den = mollified_function(diffusion.sigma, pts, width, shape)
-            return 2.0 * num / den**2
-        return integrand
+    def integrand(pts, width):
+        num = mollified_drift_derivative(drift.beta, pts, width, shape)
+        den = mollified_function(diffusion.sigma, pts, width, shape)
+        return 2.0 * num / den**2
 
     gx, gw = gauss_legendre(_SEG_NODES)
     pts, half = _segment_points(grid, gx)
     tables = []
     for width in moll.widths[-2:]:
-        vals = integrand_for(width)(pts)
+        vals = integrand(pts, width)
         tab = _anchored_cumsum((vals * gw[None, :]).sum(axis=1) * half, grid)
         if not np.all(np.isfinite(tab)):
             raise QuadratureFailure("potential table is not finite")
@@ -385,7 +395,7 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
     # segment-quadrature self check at the finest width: the Kronrod
     # extension reuses the Gauss values and adds the Kronrod-only points
     kx, kw = gauss_kronrod(_SEG_NODES)
-    extra = integrand_for(moll.widths[-1])(_segment_points(grid, kx[0::2])[0])
+    extra = integrand(_segment_points(grid, kx[0::2])[0], moll.widths[-1])
     seg = (vals * kw[None, 1::2]).sum(axis=1) + (extra * kw[None, 0::2]).sum(axis=1)
     fine = _anchored_cumsum(seg * half, grid)
     disc = float(np.max(np.abs(fine - tables[-1])))
@@ -714,14 +724,10 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
         # target' * exp(potential) * cutoff, with exp(potential) = 1/h'
         return target_prime(u) / transform.deriv(u) * plateau_cutoff(u, n)
 
-    conv = mollified_function(weighted, grid, width, shape="bump")
     hp = transform.deriv(grid)
-    fprime = hp * conv
+    fprime = hp * mollified_function(weighted, grid, width, shape="bump")
     # generator core: h' * d/dx[(weighted) * rho_w] via the mollifier derivative
-    u, qw, _, rho_p = _mollifier_tables("bump", width)
-    X = grid[..., None]
-    core = ((weighted(X - u) - weighted(X + u)) * rho_p) @ qw
-    lf_core = hp * core
+    lf_core = hp * mollified_drift_derivative(weighted, grid, width, shape="bump")
     f_vals = _cumulative_table(CubicTable(grid, fprime), grid)
     f_vals = f_vals + float(np.asarray(target(np.zeros(1)))[0])
     return TestFunctionApproximant(

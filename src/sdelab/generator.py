@@ -283,7 +283,7 @@ def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: Caglad
 # quadrature tolerance and table size of the jump term of a quadrature kernel
 _GRID_TOL = 1e-8
 _TABLE_NODES = 257
-_BLOCK = 2**15  # grid values per martingale block: bounds the temporaries
+_BLOCK = 2**15  # grid values per martingale or compensator block: bounds temporaries
 
 
 @dataclass(frozen=True)
@@ -367,6 +367,12 @@ def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
     return CubicTable(nodes, vals)
 
 
+def jump_tables(eq: EquationX, profiles, x):
+    """Profile name -> jump-term table over ``x``; None without kernel or with atoms."""
+    return (None if eq.kernel is None or has_atoms(eq.kernel)
+            else {f.name: _jump_table(f, eq, x) for f in profiles})
+
+
 def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
@@ -430,8 +436,7 @@ def martingale_columns(eq: EquationX, ens, profiles, cols):
     kernel's jump term is tabulated once per profile over all states."""
     from .simulator import girsanov_weight  # simulator imports this module
     n_paths, n_times = ens.x.shape
-    tables = ({f.name: _jump_table(f, eq, ens.x) for f in profiles}
-              if eq.kernel is not None and not has_atoms(eq.kernel) else None)
+    tables = jump_tables(eq, profiles, ens.x)
     out = np.empty((len(profiles), n_paths, len(cols)))
     kappa = None if eq.functional is None else np.empty(n_paths)
     rows = max(1, _BLOCK // n_times)

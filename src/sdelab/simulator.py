@@ -23,7 +23,7 @@ from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
                            transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
-from .generator import CagladPath, EquationX, PathFunctional
+from .generator import _BLOCK, CagladPath, EquationX, PathFunctional
 from .kernels import (DensityLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       TruncationFunction, drift_correction, has_atoms)
 
@@ -869,8 +869,10 @@ def compensator_residual(ensemble: Ensemble, region, kernel: Kernel) -> Residual
             inside |= (ensemble.jump_w >= lo) & (ensemble.jump_w <= hi)
         np.add.at(counts, ensemble.jump_path[inside], 1.0)
     dt = float(ensemble.times[1] - ensemble.times[0])
-    mass = np.asarray(kernel.region_mass_vec(ensemble.x[:, :-1], intervals))
-    integral = mass.sum(axis=-1) * dt
+    rows = max(1, _BLOCK // (len(ensemble.times) - 1))  # blocks of ~_BLOCK states
+    integral = np.concatenate([
+        np.asarray(kernel.region_mass_vec(ensemble.x[a:a + rows, :-1], intervals)).sum(-1)
+        for a in range(0, P, rows)]) * dt
     res = (counts - integral)[ensemble.active]
     return ResidualStats(mean=float(np.mean(res)),
                          se=float(np.std(res, ddof=1) / np.sqrt(len(res))),

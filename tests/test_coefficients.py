@@ -185,6 +185,74 @@ class TestTwoFinestLevels:
         assert sum(seen) == 96 * 25 * (len(self.grid) - 1)
 
 
+def _holder_const_by_lags(grid, values, alpha):
+    """The Hoelder constant over all pairs, one pass per lag (reference)."""
+    const = 0.0
+    for lag in range(1, len(grid)):
+        gap = np.abs(values[lag:] - values[:-lag])
+        sep = np.abs(grid[lag:] - grid[:-lag])
+        const = max(const, float(np.max(gap / sep**alpha)))
+    return const
+
+
+class TestBlocks:
+    """The convolutions, the Hoelder pairs and the inversion run in blocks
+    of ``coefficients._CHUNK`` values; no number depends on its size."""
+
+    grid = np.linspace(-2.0, 2.0, 129)
+
+    @pytest.mark.parametrize("chunk", (1, 97))
+    def test_numbers_independent_of_block_size(self, unit_diff, tanh_coeffs,
+                                                monkeypatch, chunk):
+        from sdelab import coefficients
+        from sdelab.coefficients import mollified_function
+        drift, moll = DriftSpec(beta=weier_beta), MollifierConfig(widths=_LADDER)
+        tr = tanh_coeffs.transform
+        y = np.random.default_rng(8).uniform(*tr.image, (3, 700))
+
+        def run():
+            pot = compute_drift_potential(drift, unit_diff, moll, self.grid)
+            return (pot.values.tobytes(), pot.holder_const,
+                    mollified_function(weier_beta, self.grid, 0.01).tobytes(),
+                    [v.tobytes() for v in tr.inverse(y, images=True)])
+        whole = run()
+        monkeypatch.setattr(coefficients, "_CHUNK", chunk)
+        assert run() == whole
+
+    @pytest.mark.parametrize("chunk", (1, 97, None))
+    def test_holder_constant_equals_the_loop_over_lags(self, weier_potential,
+                                                       monkeypatch, chunk):
+        from sdelab import coefficients
+        if chunk:
+            monkeypatch.setattr(coefficients, "_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        uneven = np.cumsum(rng.uniform(0.5, 1.5, 300))
+        for grid, values in ((weier_potential.grid, weier_potential.values),
+                             (uneven, np.cumsum(rng.standard_normal(300)))):
+            alpha, const = coefficients._holder_fit(grid, values)
+            assert const == _holder_const_by_lags(grid, values, alpha)
+
+    def test_build_memory_grows_with_the_tables_only(self, unit_diff):
+        # four times the cells may add a few (cells, 8) point arrays of 64
+        # bytes per cell, not the cells x 8 x 48 point-node values (2-core
+        # box: 1.1 -> 3.3 MB of tracemalloc peak from 1601 to 6401 nodes,
+        # 28 -> 112 MB when the whole point-node array was built at once)
+        import tracemalloc
+        drift = DriftSpec(beta=lambda x: (np.sin(x) + 0.5 * np.sin(2.0 * x)
+                                          + 0.25 * np.sin(4.0 * x)))
+        moll = MollifierConfig(widths=(0.02, 0.01))
+        peaks = []
+        for n in (1601, 6401):
+            tracemalloc.start()
+            try:
+                compute_drift_potential(drift, unit_diff, moll,
+                                        np.linspace(-2.0, 2.0, n), strict=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 12 * 64 * (6401 - 1601), peaks
+
+
 # ---------------------------------------------------------------------------
 # scale transform
 # ---------------------------------------------------------------------------

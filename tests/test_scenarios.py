@@ -170,6 +170,19 @@ class TestRunScenario:
             monkeypatch.setattr(generator, "_BLOCK", rows * (spec.n_steps + 1))
             assert report_json(run_scenario(spec)[0]) == whole, rows
 
+    @pytest.mark.parametrize("name", ("weierstrass_drift", "atom_jump"))
+    def test_report_independent_of_coefficient_and_compensator_blocks(self, name,
+                                                                     monkeypatch):
+        # the potential, the tables and the inversion run in blocks of
+        # coefficients._CHUNK values, the compensator in row blocks of paths
+        from sdelab import coefficients, simulator
+        spec = ScenarioSpec(name=name, n_paths=100, n_steps=32)
+        whole = report_json(run_scenario(spec)[0])
+        monkeypatch.setattr(simulator, "_BLOCK", 1)  # one path per block
+        for chunk in (1, 97):
+            monkeypatch.setattr(coefficients, "_CHUNK", chunk)
+            assert report_json(run_scenario(spec)[0]) == whole, chunk
+
     def test_atom_jump_peak_memory_grows_with_the_ensemble_only(self):
         # the martingale diagnostic reads the paths in row blocks, so four
         # times the paths add about the ensemble's own bytes to the peak
@@ -592,14 +605,17 @@ class TestCLI:
             assert np.all(rows[rows[:, 0] == i, 3] == kappa[i])
         assert len(set(rows[:, 3])) == 3 and not np.all(rows[:, 3] == 1.0)
 
-    @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift"))
+    @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift",
+                                      "stable_jump"))
     def test_verify_martingale_rows_equal_full_ensemble(self, tmp_path, name):
         # the CLI evaluates the written rows only; they must equal the same
-        # rows of the residuals and weights of the whole ensemble
+        # rows of the residuals and weights of the whole ensemble, as the
+        # martingale diagnostic reads them (stable_jump: the jump term's
+        # table comes from all states, not from the written rows)
         import sdelab.cli as cli
-        from sdelab.generator import generator_state, martingale_residual_ensemble
+        from sdelab.generator import martingale_columns
         from sdelab.scenarios import standard_profiles
-        from sdelab.simulator import girsanov_weight, simulate_x_markovian
+        from sdelab.simulator import simulate_x_markovian
         cli.main(["verify-martingale", "--name", name, "--paths", "60",
                   "--steps", "16", "--dump-paths", "3", "--out", str(tmp_path)])
         lines = (tmp_path / f"residuals_{name}.csv").read_text().splitlines()
@@ -607,12 +623,11 @@ class TestCLI:
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=60, n_steps=16))
         eq = bundle.eq
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
-        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
-        M = martingale_residual_ensemble(state, standard_profiles()[0])
-        kappa = (girsanov_weight(ens.times, state.hv, ens.dW)[:, -1]
-                 if eq.functional is not None else np.ones(ens.n_paths))
+        M, kappa = martingale_columns(eq, ens, standard_profiles()[:1],
+                                      np.arange(len(ens.times)))
+        kappa = np.ones(ens.n_paths) if kappa is None else kappa
         want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
-                                M[:3].ravel(), np.repeat(kappa[:3], 17)))
+                                M[0, :3].ravel(), np.repeat(kappa[:3], 17)))
         assert np.array_equal(rows, want)
 
     def test_verify_martingale_weight_is_one_without_functional(self, tmp_path):
