@@ -4,9 +4,9 @@ state-dependent jumps and path-dependent coefficients."""
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftPotential, DriftSpec, MollifierConfig,
                            ScaleTransform, build_scale_transform, check_hypotheses,
-                           compute_drift_potential, domain_approximant,
-                           identity_profile, local_generator,
-                           square_identity_residual, transformed_diffusion)
+                           compute_drift_potential, identity_profile,
+                           local_generator, square_identity_residual,
+                           transformed_diffusion)
 from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError, SdeLabError,

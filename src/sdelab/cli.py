@@ -143,14 +143,15 @@ def cmd_verify_martingale(args):
     bundle = build_bundle(spec)
     report, ens = run_bundle(spec, bundle)
     out_dir = _out_dir(args)
-    # the written rows only (none without rows), read as the diagnostic reads them
+    # the written rows only (none without rows), read as the diagnostic reads
+    # them, with its jump-term tables over all states
     rows = slice(0, min(args.dump_paths, ens.n_paths))
     M, kappa = (), ()
     if args.dump_paths:
         f = standard_profiles()[0]
         hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
-        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx,
-                                jump_tables(bundle.eq, (f,), ens.x))
+        tables = report.diagnostics[0].jump_tables or jump_tables(bundle.eq, (f,), ens.x)
+        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx, tables)
         M = martingale_residual_ensemble(state, f)
         # the Girsanov weights under which the diagnostic reads the residuals
         kappa = (girsanov_weight(ens.times, state.hv, ens.dW[rows])[:, -1]

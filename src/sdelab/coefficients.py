@@ -15,6 +15,8 @@ Hoelder-continuous potential is never differentiated.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -117,7 +119,8 @@ class DriftSpec:
 
     ``beta_prime`` is optional and only present when the drift happens to
     be a classical function; it is used for cross-checks, never for the
-    potential construction.
+    potential construction.  ``beta`` may be called from several threads
+    at once, which a pure numpy function allows.
     """
 
     beta: Callable[[np.ndarray], np.ndarray]
@@ -143,6 +146,9 @@ class DriftSpec:
 
 @dataclass
 class DiffusionSpec:
+    """Diffusion coefficient inside its declared band.  ``sigma`` may be
+    called from several threads at once, which a pure numpy function allows."""
+
     sigma: Callable[[np.ndarray], np.ndarray]
     sigma_min: float
     sigma_max: float
@@ -217,20 +223,40 @@ def _mollifier_tables(shape: str, width: float):
     return u, qw, rho, rho_p
 
 
+def _usable_cpus():
+    """CPUs this process may run on (all CPUs where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pooled(task, jobs):
+    """``list(map(task, jobs))`` on a pool of min(usable CPUs, jobs) threads;
+    a task's exception is raised here."""
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(jobs)))) as pool:
+        return list(pool.map(task, jobs))
+
+
 def _folded(fn, x, width, shape, odd):
     """(fn * rho'_w)(x) if ``odd``, else (fn * rho_w)(x), in blocks of at most
-    ``_CHUNK`` point-node values along the leading axis of x.  Each row keeps
-    its own stacked product with the node weights (one point per row for a
-    1-d x), so no value depends on the block size."""
+    ``_CHUNK`` point-node values along the leading axis of x, spread over the
+    usable CPUs (numpy's ufuncs release the GIL).  Each block writes its own
+    rows, and each row keeps its own stacked product with the node weights
+    (one point per row for a 1-d x), so no value depends on the block size
+    or the number of threads."""
     u, qw, rho, rho_p = _mollifier_tables(shape, width)
     op, weight = (np.subtract, rho_p) if odd else (np.add, rho)
     x = np.asarray(x, dtype=float)
     pts = x.reshape(x.shape[0] if x.ndim else 1, int(np.prod(x.shape[1:])))
     out = np.empty(pts.shape)
     rows = max(1, _CHUNK // (pts.shape[1] * len(u)))
-    for a in range(0, len(pts), rows):
+
+    def block(a):
         X = pts[a:a + rows, :, None]
         out[a:a + rows] = (op(fn(X - u), fn(X + u)) * weight) @ qw
+
+    _pooled(block, range(0, len(pts), rows))
     return out.reshape(x.shape)
 
 
@@ -242,28 +268,6 @@ def mollified_drift_derivative(beta, x, width, shape="gaussian"):
 def mollified_function(fn, x, width, shape="gaussian"):
     """(fn * rho_w)(x) on an array of points."""
     return _folded(fn, x, width, shape, odd=False)
-
-
-def smooth_cutoff(a):
-    """C-infinity transition equal to 1 for a <= -1 and 0 for a >= 0."""
-    a = np.asarray(a, dtype=float)
-
-    def psi(t):
-        out = np.zeros_like(t)
-        pos = t > 0
-        out[pos] = np.exp(-1.0 / t[pos])
-        return out
-
-    num = psi(-a)
-    den = num + psi(1.0 + a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
-    return out
-
-
-def plateau_cutoff(x, n):
-    """Smooth cutoff equal to 1 on [-n, n] and 0 outside [-(n+1), n+1]."""
-    return smooth_cutoff(np.abs(x) - n - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,75 +668,6 @@ def square_identity_residual(f: ConjugateTestFunction, transform: ScaleTransform
     lf2 = 0.5 * s0sq * (2.0 * f.phi_prime(y) ** 2 + 2.0 * f.phi(y) * f.phi_second(y))
     carre = (f.phi_prime(y) * hp * sig) ** 2
     return float(np.max(np.abs(lf2 - 2.0 * f.phi(y) * lf - carre)))
-
-
-# ---------------------------------------------------------------------------
-# C1 approximants inside the operator domain
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TestFunctionApproximant:
-    """Smooth compact-derivative approximant of a C^1 target.
-
-    f_n' = h' * ((target' / h') * cutoff_n) convolved with a compactly
-    supported mollifier of width 1/n, so that both f_n' and the generator
-    value are available without differentiating the potential.
-    """
-
-    n: int
-    grid: np.ndarray = field(repr=False)
-    f_values: np.ndarray = field(repr=False)
-    fprime_values: np.ndarray = field(repr=False)
-    lf_core_values: np.ndarray = field(repr=False)  # h' * (weighted conv with rho')
-
-    def __post_init__(self):
-        self._f = CubicTable(self.grid, self.f_values)
-        self._fp = CubicTable(self.grid, self.fprime_values)
-        self._lc = CubicTable(self.grid, self.lf_core_values)
-
-    def f(self, x):
-        return self._f(x)
-
-    def f_prime(self, x):
-        return self._fp(x)
-
-    def generator_value(self, diffusion: DiffusionSpec, x):
-        """Local generator of the approximant at x."""
-        x = np.asarray(x, dtype=float)
-        return 0.5 * diffusion.sigma(x) ** 2 * self._lc(x)
-
-
-def domain_approximant(target, target_prime, transform: ScaleTransform,
-                       n: int, grid=None) -> TestFunctionApproximant:
-    """Build the n-th approximant of a C^1 target inside the domain."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if grid is None:
-        if transform.is_identity:
-            raise ValueError("an explicit grid is required with the identity transform")
-        grid = transform.grid
-    grid = np.asarray(grid, dtype=float)
-    width = 1.0 / n
-    lo, hi = transform.domain
-    if np.isfinite(lo):
-        # keep the mollifier window inside the tabulated domain
-        grid = grid[(grid >= lo + width) & (grid <= hi - width)]
-        if len(grid) < 3 or grid[0] > 0 or grid[-1] < 0:
-            raise ValueError("transform table too narrow for this smoothing width")
-
-    def weighted(u):
-        # target' * exp(potential) * cutoff, with exp(potential) = 1/h'
-        return target_prime(u) / transform.deriv(u) * plateau_cutoff(u, n)
-
-    hp = transform.deriv(grid)
-    fprime = hp * mollified_function(weighted, grid, width, shape="bump")
-    # generator core: h' * d/dx[(weighted) * rho_w] via the mollifier derivative
-    lf_core = hp * mollified_drift_derivative(weighted, grid, width, shape="bump")
-    f_vals = _cumulative_table(CubicTable(grid, fprime), grid)
-    f_vals = f_vals + float(np.asarray(target(np.zeros(1)))[0])
-    return TestFunctionApproximant(
-        n=n, grid=grid, f_values=f_vals, fprime_values=fprime, lf_core_values=lf_core,
-    )
 
 
 # ---------------------------------------------------------------------------

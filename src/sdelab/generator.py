@@ -428,15 +428,16 @@ def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction
     return res
 
 
-def martingale_columns(eq: EquationX, ens, profiles, cols):
+def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
     """Each profile's residual at the time columns ``cols`` of every path
     of ``ens`` (profiles x paths x columns) and the terminal Girsanov weight
     (None without a functional), read in row blocks of about ``_BLOCK``
     grid values.  A row's numbers do not depend on its block: a quadrature
-    kernel's jump term is tabulated once per profile over all states."""
+    kernel's jump term is tabulated once per profile over all states
+    (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``)."""
     from .simulator import girsanov_weight  # simulator imports this module
     n_paths, n_times = ens.x.shape
-    tables = jump_tables(eq, profiles, ens.x)
+    tables = jump_tables(eq, profiles, ens.x) if tables is None else tables
     out = np.empty((len(profiles), n_paths, len(cols)))
     kappa = None if eq.functional is None else np.empty(n_paths)
     rows = max(1, _BLOCK // n_times)

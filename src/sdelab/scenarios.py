@@ -19,8 +19,8 @@ import yaml
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (EquationX, constant_functional, martingale_columns,
-                        resolve_functional)
+from .generator import (EquationX, constant_functional, jump_tables,
+                        martingale_columns, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
@@ -321,6 +321,8 @@ class DiagnosticResult:
     statistic: float
     tolerance: float
     details: dict = field(default_factory=dict)
+    # the martingale diagnostic's jump-term tables, for the CLI; not reported
+    jump_tables: Optional[dict] = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         return {"name": self.name, "status": self.status,
@@ -373,7 +375,8 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     # includes it: the Girsanov weight of its grid values realises that
     # law, so the residuals are read under it
     profiles = standard_profiles()
-    res, kappa = martingale_columns(bundle.eq, ens, profiles, [n_half, -1])
+    tables = jump_tables(bundle.eq, profiles, ens.x)
+    res, kappa = martingale_columns(bundle.eq, ens, profiles, [n_half, -1], tables)
     for prof, M in zip(profiles, res):
         m_t = M[ens.active, 1]
         inc = m_t - M[ens.active, 0]
@@ -382,7 +385,8 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
         details[f"{prof.name}_terminal_z"] = _mean_z(m_t)
         for gname, g in pasts.items():
             details[f"{prof.name}_orth_{gname}_z"] = _mean_z(inc * g[ens.active])
-    return _z_gate("martingale", list(details.values()), 3.0, n_active, details)
+    return replace(_z_gate("martingale", list(details.values()), 3.0, n_active, details),
+                   jump_tables=tables)
 
 
 def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftSpec,
                     MollifierConfig, NonConvergent, QuadratureFailure, RangeError,
                     build_scale_transform, check_hypotheses, compute_drift_potential,
-                    domain_approximant, identity_profile, local_generator,
-                    square_identity_residual, transformed_diffusion)
+                    identity_profile, local_generator, square_identity_residual,
+                    transformed_diffusion)
+from approximants import domain_approximant
 from conftest import unit_sigma, zero_beta
 
 # lacunary sine series: beta = sum 2^(-j/2) sin(2^j x), j = 0..8.
@@ -197,7 +198,8 @@ def _holder_const_by_lags(grid, values, alpha):
 
 class TestBlocks:
     """The convolutions, the Hoelder pairs and the inversion run in blocks
-    of ``coefficients._CHUNK`` values; no number depends on its size."""
+    of ``coefficients._CHUNK`` values, the convolutions on a thread pool;
+    no number depends on the block size or the number of threads."""
 
     grid = np.linspace(-2.0, 2.0, 129)
 
@@ -218,6 +220,66 @@ class TestBlocks:
         whole = run()
         monkeypatch.setattr(coefficients, "_CHUNK", chunk)
         assert run() == whole
+
+    @pytest.mark.parametrize("cpus", (1, 3))
+    def test_numbers_independent_of_worker_count(self, unit_diff, monkeypatch, cpus):
+        # one worker, and more workers than a 2-core box has: the blocks of
+        # every convolution here outnumber both, so the pool is that wide;
+        # a short switch interval interleaves the workers' row writes
+        import sys
+        from sdelab import coefficients
+        from sdelab.coefficients import mollified_function
+        drift, moll = DriftSpec(beta=weier_beta), MollifierConfig(widths=_LADDER)
+        points = np.linspace(-2.0, 2.0, 1025)
+
+        def run():
+            pot = compute_drift_potential(drift, unit_diff, moll, self.grid)
+            return (pot.values.tobytes(), pot.level_gap, pot.alpha, pot.holder_const,
+                    pot.converged, mollified_function(weier_beta, points, 0.01).tobytes())
+        whole = run()
+        widths = []
+
+        class Recorded(coefficients.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(coefficients, "ThreadPoolExecutor", Recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run() == whole
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(widths) == cpus
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        from sdelab import coefficients
+        monkeypatch.delattr(coefficients.os, "sched_getaffinity", raising=False)
+        assert coefficients._usable_cpus() == (coefficients.os.cpu_count() or 1)
+
+    def test_worker_error_reaches_the_caller(self, unit_diff):
+        # beta runs in the pool's threads; its error surfaces as itself
+        import threading
+        threads = set()
+
+        def failing_beta(x):
+            threads.add(threading.current_thread().name)
+            if np.max(x) > 1.0:
+                raise ValueError("beta fails on this block")
+            return weier_beta(x)
+
+        with pytest.raises(ValueError, match="beta fails on this block"):
+            compute_drift_potential(DriftSpec(beta=failing_beta), unit_diff,
+                                    MollifierConfig(widths=_LADDER), self.grid)
+        assert threading.current_thread().name not in threads
+
+    def test_nan_block_fails_closed(self, unit_diff):
+        # NaN from the blocks beyond x = 1.5 only
+        nan_beta = lambda x: np.where(x > 1.5, np.nan, weier_beta(x))
+        with pytest.raises(QuadratureFailure):
+            compute_drift_potential(DriftSpec(beta=nan_beta), unit_diff,
+                                    MollifierConfig(widths=_LADDER), self.grid)
 
     @pytest.mark.parametrize("chunk", (1, 97, None))
     def test_holder_constant_equals_the_loop_over_lags(self, weier_potential,

@@ -630,6 +630,22 @@ class TestCLI:
                                 M[0, :3].ravel(), np.repeat(kappa[:3], 17)))
         assert np.array_equal(rows, want)
 
+    def test_verify_martingale_tabulates_each_profile_once(self, tmp_path, monkeypatch):
+        # the written rows read the diagnostic's jump-term table, not a second one
+        import sdelab.cli as cli
+        from sdelab import generator
+        from sdelab.scenarios import standard_profiles
+        made = []
+
+        def counted(f, eq, x):
+            made.append(f.name)
+            return table(f, eq, x)
+        table = generator._jump_table
+        monkeypatch.setattr(generator, "_jump_table", counted)
+        cli.main(["verify-martingale", "--name", "stable_jump", "--paths", "60",
+                  "--steps", "16", "--dump-paths", "3", "--out", str(tmp_path)])
+        assert made == [f.name for f in standard_profiles()]
+
     def test_verify_martingale_weight_is_one_without_functional(self, tmp_path):
         import sdelab.cli as cli
         cli.main(["verify-martingale", "--name", "brownian_baseline", "--paths", "40",

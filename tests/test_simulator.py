@@ -7,7 +7,7 @@ import pytest
 from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     FiniteActivityKernel, IntensityBoundViolated, RangeError, SimConfig,
                     canonical_decomposition_residual, compensator_residual,
-                    constant_functional, domain_approximant, engine_setup,
+                    constant_functional, engine_setup,
                     girsanov_weight, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
@@ -15,6 +15,8 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     build_characteristics, jump_operator, jump_ops)
 from sdelab import simulator
 from sdelab.simulator import event_rng, path_rng
+
+from approximants import domain_approximant
 
 
 def ones(y):
