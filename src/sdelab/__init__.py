@@ -4,8 +4,7 @@ state-dependent jumps and path-dependent coefficients."""
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftPotential, DriftSpec, MollifierConfig,
                            ScaleTransform, build_scale_transform, check_hypotheses,
-                           compute_drift_potential, identity_profile,
-                           local_generator, square_identity_residual,
+                           compute_drift_potential, local_generator,
                            transformed_diffusion)
 from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
@@ -14,25 +13,24 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
 from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         clamped_running_sup, conjugation_residual,
                         constant_functional, evaluate_generator,
-                        evaluate_transformed_generator, generator_ball_modulus,
-                        generator_state, martingale_residual_ensemble,
-                        resolve_functional, sin_left_limit, zero_functional)
+                        evaluate_transformed_generator, generator_state,
+                        martingale_residual_ensemble, resolve_functional,
+                        sin_left_limit, zero_functional)
 from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
                       TruncationFunction, drift_correction,
                       geometric_partition, jump_operator, moment_bound,
                       pushforward_integral, tv_continuity_modulus)
-from .pathcalc import (ChainRuleComparison, DirichletReport, GammaQVReport,
-                       IntegrabilityGrowthTable, QVEstimate, aligned_window_ladder,
-                       big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
-                       dirichlet_condition_intY, gamma_residual_qv,
-                       nu_jump_structural_check, qv_estimate, qv_regularization)
+from .pathcalc import (DirichletReport, GammaQVReport, IntegrabilityGrowthTable,
+                       QVEstimate, aligned_window_ladder, big_jump_sums,
+                       classify_dirichlet, dirichlet_condition_intY,
+                       gamma_residual_qv, nu_jump_structural_check, qv_estimate,
+                       qv_regularization)
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
 from .simulator import (CharacteristicsY, EngineSetup, Ensemble, JumpOps,
-                        SimConfig, build_characteristics,
-                        canonical_decomposition_residual, compensator_residual,
+                        SimConfig, build_characteristics, compensator_residual,
                         engine_setup, girsanov_weight, jump_ops,
                         simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, simulate_y, weighted_expectation)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all requested checks passed, 1 a diagnostic failed or was
-inconclusive, 2 validation problem, 3 numeric failure.  A statistical
+inconclusive, 2 validation problem, 3 numeric failure or a path that
+cannot be read or written.  A statistical
 diagnostic is inconclusive, never a pass, when its statistic is not finite
 or fewer than ``scenarios.MIN_ACTIVE_PATHS`` active paths entered it.
 The default output directory is ``$SDELAB_OUT`` or ``./out``.
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,8 +37,21 @@ _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment
 
 def _out_dir(args):
     d = args.out or os.environ.get("SDELAB_OUT") or "out"
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot use output directory {d!r}: {exc}") from exc
     return d
+
+
+@contextmanager
+def _written(path):
+    """``path`` opened for writing text; a failed open or write raises IoError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoError(f"could not write {path}: {exc}") from exc
 
 
 def _spec_from_args(args) -> ScenarioSpec:
@@ -57,7 +72,7 @@ def _spec_from_args(args) -> ScenarioSpec:
 
 def _write_paths_csv(ens, out_dir, max_paths=25):
     path = os.path.join(out_dir, "paths.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _written(path) as fh:
         fh.write("path_id,t,Y,X,jump_flag,jump_size\n")
         dt = float(ens.times[1] - ens.times[0])
         for i in range(min(max_paths, ens.n_paths)):
@@ -92,7 +107,7 @@ def cmd_check_coefficients(args):
     rep = check_hypotheses(bundle.eq.coeffs.potential)
     table = bundle.eq.coeffs.table()
     path = os.path.join(out_dir, f"coefficients_{bundle.name}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _written(path) as fh:
         fh.write("x,sigma_value,h,hprime\n")
         for row in table:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -112,7 +127,7 @@ def cmd_check_kernel(args):
     part = geometric_partition(1e-3, 50.0, 129)
     tv = tv_continuity_modulus(bundle.eq.kernel, bundle.eq.kernel.alpha, y_grid, part)
     path = os.path.join(out_dir, f"kernel_{bundle.name}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _written(path) as fh:
         fh.write("y,moment,m1,m2,tv_modulus\n")
         tvv = [float(v) for v in tv.values] + [""]
         for (y, mom, m1, m2), t in zip(rep.rows(), tvv):
@@ -129,7 +144,7 @@ def cmd_simulate(args):
     out_dir = _out_dir(args)
     csv_path = _write_paths_csv(ens, out_dir, max_paths=args.dump_paths)
     summary = os.path.join(out_dir, f"summary_{report.scenario}.json")
-    with open(summary, "w", encoding="utf-8") as fh:
+    with _written(summary) as fh:
         fh.write(report_json(report))
     print(f"simulated {ens.n_paths} paths "
           f"({ens.excluded_count} excluded, {len(ens.jump_time)} jumps)")
@@ -157,7 +172,7 @@ def cmd_verify_martingale(args):
         kappa = (girsanov_weight(ens.times, state.hv, ens.dW[rows])[:, -1]
                  if bundle.eq.functional is not None else np.ones(len(M)))
     res_path = os.path.join(out_dir, f"residuals_{report.scenario}.csv")
-    with open(res_path, "w", encoding="utf-8") as fh:
+    with _written(res_path) as fh:
         fh.write("path_id,t,M_f,kappa_T\n")
         for i, (row, k) in enumerate(zip(M, kappa)):
             for t, v in zip(ens.times, row):
@@ -175,7 +190,7 @@ def cmd_qv(args):
     from .pathcalc import aligned_window_ladder
     eps = aligned_window_ladder(ens.times)
     path = os.path.join(out_dir, f"qv_{report.scenario}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _written(path) as fh:
         fh.write("epsilon,t,value\n")
         for i in range(min(args.dump_paths, ens.n_paths)):
             est = qv_estimate(ens.path(i), eps, T)

@@ -127,7 +127,8 @@ class DriftSpec:
     beta_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "drift"
 
-    def validate(self, probes=(-1.0, 0.0, 0.7), tol=1e-3):
+    def validate(self):
+        probes = (-1.0, 0.0, 0.7)
         for p in probes:
             v = float(np.asarray(self.beta(np.asarray(p))))
             if not np.isfinite(v):
@@ -138,7 +139,7 @@ class DriftSpec:
                 num = (float(self.beta(np.asarray(p + eps)))
                        - float(self.beta(np.asarray(p - eps)))) / (2 * eps)
                 ref = float(np.asarray(self.beta_prime(np.asarray(p))))
-                if abs(num - ref) > tol * (1.0 + abs(ref)):
+                if abs(num - ref) > 1e-3 * (1.0 + abs(ref)):
                     raise ValueError(
                         f"beta_prime inconsistent with beta at {p}: {num} vs {ref}"
                     )
@@ -250,7 +251,7 @@ def _folded(fn, x, width, shape, odd):
     x = np.asarray(x, dtype=float)
     pts = x.reshape(x.shape[0] if x.ndim else 1, int(np.prod(x.shape[1:])))
     out = np.empty(pts.shape)
-    rows = max(1, _CHUNK // (pts.shape[1] * len(u)))
+    rows = max(1, _CHUNK // (max(1, pts.shape[1]) * len(u)))
 
     def block(a):
         X = pts[a:a + rows, :, None]
@@ -361,8 +362,7 @@ class DriftPotential:
 
 
 def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
-                            moll: MollifierConfig, grid, strict=True,
-                            shape=None) -> DriftPotential:
+                            moll: MollifierConfig, grid, strict=True) -> DriftPotential:
     """Tabulate the potential at the finest width of the mollifier ladder.
 
     Only the two finest widths are computed, each by the 8-point Gauss
@@ -379,12 +379,11 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
         raise ValueError("grid must be a sorted 1-d array with >= 3 nodes")
     if np.min(np.abs(grid)) > 1e-12:
         raise ValueError("grid must contain 0")
-    shape = shape or moll.shape
     diffusion.validate_on(grid)
 
     def integrand(pts, width):
-        num = mollified_drift_derivative(drift.beta, pts, width, shape)
-        den = mollified_function(diffusion.sigma, pts, width, shape)
+        num = mollified_drift_derivative(drift.beta, pts, width, moll.shape)
+        den = mollified_function(diffusion.sigma, pts, width, moll.shape)
         return 2.0 * num / den**2
 
     gx, gw = gauss_legendre(_SEG_NODES)
@@ -585,17 +584,14 @@ class ScaleTransform:
         return float(np.max(1.0 / self.hprime_values))
 
 
-def build_scale_transform(potential: DriftPotential, grid=None) -> ScaleTransform:
-    """Tabulate h = cumulative integral of exp(-potential), anchored at 0."""
+def build_scale_transform(potential: DriftPotential) -> ScaleTransform:
+    """Tabulate h = cumulative integral of exp(-potential) on the potential's
+    grid, anchored at 0."""
     if not potential.converged:
         raise NonConvergent("potential did not converge; refusing to build transform")
-    grid = potential.grid if grid is None else np.asarray(grid, dtype=float)
-    if grid is potential.grid:
-        pv = potential.values
-    else:
-        pv = potential(grid)
-    h_vals = _cumulative_table(lambda pts: np.exp(-potential(pts)), grid)
-    return ScaleTransform(grid=grid, h_values=h_vals, hprime_values=np.exp(-pv))
+    h_vals = _cumulative_table(lambda pts: np.exp(-potential(pts)), potential.grid)
+    return ScaleTransform(grid=potential.grid, h_values=h_vals,
+                          hprime_values=np.exp(-potential.values))
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +608,6 @@ class ConjugateTestFunction:
     bound: float
     name: str = "phi"
 
-    def f(self, transform: ScaleTransform, x):
-        return self.phi(transform.forward(x))
-
     def f_prime(self, transform: ScaleTransform, x):
         return self.phi_prime(transform.forward(x)) * transform.deriv(x)
 
@@ -622,16 +615,6 @@ class ConjugateTestFunction:
         """(f, f') as plain functions of the original variable."""
         return (lambda u: self.phi(transform.forward(u)),
                 lambda u: self.phi_prime(transform.forward(u)) * transform.deriv(u))
-
-
-def identity_profile(span=50.0):
-    """phi(y) = y, declared bounded on the working range of width ``span``."""
-    return ConjugateTestFunction(
-        phi=lambda y: np.asarray(y, dtype=float),
-        phi_prime=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        phi_second=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        bound=span, name="identity",
-    )
 
 
 def local_generator(f: ConjugateTestFunction, transform: ScaleTransform,
@@ -650,24 +633,6 @@ def transformed_diffusion(transform: ScaleTransform, diffusion: DiffusionSpec, y
     """Diffusion coefficient of the transformed state: (sigma h') o h^{-1}."""
     x = transform.inverse(y)
     return diffusion.sigma(np.asarray(x)) * transform.deriv(x)
-
-
-def square_identity_residual(f: ConjugateTestFunction, transform: ScaleTransform,
-                             diffusion: DiffusionSpec, sample_points):
-    """max |L(f^2) - 2 f Lf - (f' sigma)^2| over the sample points.
-
-    L(f^2) is computed through the conjugate phi^2, using
-    (phi^2)'' = 2 phi'^2 + 2 phi phi''.
-    """
-    x = np.asarray(sample_points, dtype=float)
-    y = transform.forward(x)
-    hp = transform.deriv(x)
-    sig = diffusion.sigma(x)
-    s0sq = (sig * hp) ** 2
-    lf = 0.5 * s0sq * f.phi_second(y)
-    lf2 = 0.5 * s0sq * (2.0 * f.phi_prime(y) ** 2 + 2.0 * f.phi(y) * f.phi_second(y))
-    carre = (f.phi_prime(y) * hp * sig) ** 2
-    return float(np.max(np.abs(lf2 - 2.0 * f.phi(y) * lf - carre)))
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +668,13 @@ class PotentialHypothesisReport:
         }
 
 
-def check_hypotheses(potential: DriftPotential, truncation_range=1000.0,
-                     n_levels=6) -> PotentialHypothesisReport:
+# the scale integrals' growth is read at _N_LEVELS geometric levels up to
+# the table's half-width, capped at _TRUNCATION_RANGE
+_TRUNCATION_RANGE = 1000.0
+_N_LEVELS = 6
+
+
+def check_hypotheses(potential: DriftPotential) -> PotentialHypothesisReport:
     """Growth/regularity diagnostics for the potential.
 
     Divergence of the scale integrals on half lines cannot be certified
@@ -717,8 +687,8 @@ def check_hypotheses(potential: DriftPotential, truncation_range=1000.0,
     half_sup = float(np.max(np.abs(vals[half]))) if np.any(half) else sup
     saturating = sup <= 1.2 * half_sup + 1e-12
 
-    m_hi = min(float(truncation_range), float(min(-grid[0], grid[-1])))
-    levels = np.geomspace(max(m_hi / 2**(n_levels - 1), 1e-3), m_hi, n_levels)
+    m_hi = min(_TRUNCATION_RANGE, float(min(-grid[0], grid[-1])))
+    levels = np.geomspace(max(m_hi / 2**(_N_LEVELS - 1), 1e-3), m_hi, _N_LEVELS)
     pos, neg = [], []
     interp = potential._interp
     for m in levels:
@@ -754,9 +724,9 @@ class CoefficientSet:
     transform: ScaleTransform
 
     @classmethod
-    def build(cls, drift, diffusion, mollifier, grid, strict=True):
+    def build(cls, drift, diffusion, mollifier, grid):
         drift.validate()
-        pot = compute_drift_potential(drift, diffusion, mollifier, grid, strict=strict)
+        pot = compute_drift_potential(drift, diffusion, mollifier, grid)
         return cls(drift=drift, diffusion=diffusion, mollifier=mollifier,
                    potential=pot, transform=build_scale_transform(pot))
 

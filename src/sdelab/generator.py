@@ -33,8 +33,8 @@ class CagladPath:
     a simulated path when it has them.
 
     ``restrict`` drops everything after t, so a functional evaluated on the
-    result structurally cannot anticipate.  ``stopped`` keeps the grid but
-    freezes the value from t onwards; both keep the times and values only.
+    result structurally cannot anticipate; it keeps the times and values
+    only.
     ``dW`` holds the Brownian increments, None when they were not recorded.
     ``jump_times``, ``jump_x_pre`` and ``jump_w`` hold the jump marks (time,
     pre-jump value and size in the original variable), all empty by
@@ -78,12 +78,6 @@ class CagladPath:
     def restrict(self, t):
         i = self.index_at(t)
         return CagladPath(self.times[: i + 1].copy(), self.values[: i + 1].copy())
-
-    def stopped(self, t):
-        i = self.index_at(t)
-        vals = self.values.copy()
-        vals[i + 1:] = vals[i]
-        return CagladPath(self.times.copy(), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -450,50 +444,3 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
         if kappa is not None:
             kappa[r] = girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1]
     return out, kappa
-
-
-# ---------------------------------------------------------------------------
-# uniform continuity of the generator on balls
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ModulusEstimate:
-    deltas: np.ndarray
-    sups: np.ndarray
-
-    def slope(self):
-        """Least-squares slope of sup against delta through the origin."""
-        d, s = self.deltas, self.sups
-        return float(np.sum(d * s) / np.sum(d * d))
-
-
-def generator_ball_modulus(f: ConjugateTestFunction, eq: EquationX, ball_radius,
-                           n_probes=24, deltas=(0.4, 0.2, 0.1, 0.05), seed=0,
-                           n_grid=65, tol=1e-6) -> ModulusEstimate:
-    """Empirical modulus sup |gen(eta1)(t) - gen(eta2)(t)| over close path pairs.
-
-    Pairs are random paths inside the sup-norm ball with perturbations of
-    prescribed size; the report is cumulative over descending delta, so it
-    is monotone by construction (a sup over a larger neighborhood can only
-    grow).
-    """
-    rng = np.random.default_rng(seed)
-    deltas = np.sort(np.asarray(deltas, dtype=float))
-    times = np.linspace(0.0, 1.0, n_grid)
-    sups = np.zeros_like(deltas)
-    m = float(ball_radius)
-    for _ in range(n_probes):
-        steps = rng.standard_normal(n_grid - 1) * (0.5 * m / np.sqrt(n_grid))
-        base = np.concatenate([[0.0], np.cumsum(steps)])
-        base = np.clip(base, -0.8 * m, 0.8 * m)
-        t = float(rng.choice(times[1:]))
-        for j, d in enumerate(deltas):
-            if rng.uniform() < 0.5:
-                pert = np.full_like(base, d * rng.choice([-1.0, 1.0]))
-            else:
-                pert = d * rng.uniform(-1.0, 1.0, size=base.shape)
-            other = np.clip(base + pert, -m, m)
-            g1 = evaluate_generator(f, eq, CagladPath(times, base), t, tol=tol).total
-            g2 = evaluate_generator(f, eq, CagladPath(times, other), t, tol=tol).total
-            sups[j] = max(sups[j], abs(g1 - g2))
-    return ModulusEstimate(deltas=deltas, sups=np.maximum.accumulate(sups))

@@ -52,8 +52,8 @@ class TruncationFunction:
             return self.fn(np.asarray(x, dtype=float))
         return np.clip(np.asarray(x, dtype=float), -self.cap, self.cap)
 
-    def validate(self, probes=None):
-        probes = np.linspace(-3 * self.cap, 3 * self.cap, 41) if probes is None else probes
+    def validate(self):
+        probes = np.linspace(-3 * self.cap, 3 * self.cap, 41)
         vals = self(probes)
         if np.any(np.abs(vals) > self.cap + 1e-12):
             raise ValueError("truncation exceeds its cap")
@@ -98,19 +98,6 @@ class DiscreteLaw:
     def support_radius(self):
         return float(np.max(np.abs(self.positions)))
 
-    def is_symmetric(self, tol=1e-12):
-        return _is_symmetric(self.positions, self.probs, tol)
-
-
-def _is_symmetric(pos, mass, tol):
-    """True when every atom (w, m) of one measure has mirror atoms at -w
-    (within ``tol``) of total mass m (within ``tol``)."""
-    for w, m in zip(pos, mass):
-        mirror = np.isclose(pos, -w, atol=tol)
-        if not np.any(mirror) or abs(mass[mirror].sum() - m) > tol:
-            return False
-    return True
-
 
 @dataclass
 class DensityLaw:
@@ -140,10 +127,6 @@ class DensityLaw:
     @property
     def support_radius(self):
         return float(max(abs(self.support[0]), abs(self.support[1])))
-
-    def is_symmetric(self, tol=1e-9):
-        probes = np.linspace(0.05, self.support_radius, 17)
-        return bool(np.all(np.abs(self.pdf(probes) - self.pdf(-probes)) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +229,6 @@ class StableTailKernel:
     def support_radius(self):
         return np.inf
 
-    def is_symmetric(self):
-        return True
-
 
 class AtomRows(NamedTuple):
     """The atoms of a batch of states ``x``, one padded row per state.
@@ -343,9 +323,6 @@ class FiniteActivityKernel:
     def support_radius(self):
         return self.law.support_radius
 
-    def is_symmetric(self):
-        return self.law.is_symmetric()
-
 
 @dataclass
 class TabulatedKernel:
@@ -437,10 +414,6 @@ class TabulatedKernel:
     @property
     def support_radius(self):
         return float(np.max(np.abs(self.pos_tab), initial=0.0))
-
-    def is_symmetric(self, tol=1e-12):
-        return all(_is_symmetric(p[:n], m[:n], tol)
-                   for p, m, n in zip(self.pos_tab, self.mass_tab, self.n_atoms))
 
 
 Kernel = Union[StableTailKernel, FiniteActivityKernel, TabulatedKernel]
@@ -855,7 +828,7 @@ def _holder_norm(f_prime, alpha, radius, n=161):
 
 
 def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
-                  alpha=None, tol=1e-8, f_sup=None, split=True) -> JumpOperatorValue:
+                  tol=1e-8, f_sup=None, split=True) -> JumpOperatorValue:
     """Nonlocal generator term at y, with its working bound.
 
     The near part uses the first-order Taylor remainder in integral form
@@ -864,7 +837,7 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
     compensated difference.  ``split=False`` evaluates the unsplit
     integral instead, which exists for cross-checking the decomposition.
     """
-    alpha = kernel.alpha if alpha is None else alpha
+    alpha = kernel.alpha
     R = trunc.radius
     y = float(y)
     a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)

@@ -1,7 +1,7 @@
 """Pathwise calculus: regularization estimator of the quadratic variation,
-covariations, the C^1 chain rule, and the integrability diagnostics that
-separate processes with a zero-quadratic-variation remainder from those
-without one.
+the remainder's quadratic variation, and the integrability diagnostics
+that separate processes with a zero-quadratic-variation remainder from
+those without one.
 
 All estimators work on the simulation grid; window widths must be integer
 multiples of the step.  Nothing here attempts jump detection: jump marks
@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
 from .generator import CagladPath, EquationX
-from .kernels import Kernel, StableTailKernel, has_atoms
+from .kernels import StableTailKernel, has_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -87,21 +87,6 @@ def qv_regularization(path, epsilon, t):
     return float(_qv_core(np.asarray(path.values, dtype=float), m, idx_t, dt, epsilon))
 
 
-def covariation(path1, path2, epsilon, t):
-    """Polarized covariation: quarter of [v1+v2] minus [v1-v2]."""
-    t1 = np.asarray(path1.times, dtype=float)
-    t2 = np.asarray(path2.times, dtype=float)
-    if t1.shape != t2.shape or not np.allclose(t1, t2, rtol=1e-12, atol=1e-12):
-        raise GridMismatch("covariation needs a common time grid")
-    dt = _grid_step(t1)
-    m = _window_steps(epsilon, dt)
-    idx_t = _time_index(t1, t, dt)
-    v1, v2 = (np.asarray(p.values, dtype=float) for p in (path1, path2))
-    plus = _qv_core(v1 + v2, m, idx_t, dt, epsilon)
-    minus = _qv_core(v1 - v2, m, idx_t, dt, epsilon)
-    return float(0.25 * (plus - minus))
-
-
 @dataclass
 class QVEstimate:
     epsilons: np.ndarray
@@ -118,55 +103,6 @@ def qv_estimate(path: CagladPath, epsilons, t) -> QVEstimate:
     jump_sum = float(np.sum(path.jump_w[sel] ** 2))
     return QVEstimate(epsilons=eps, values=vals, jump_sum=jump_sum,
                       continuous_part=float(vals[-1] - jump_sum))
-
-
-# ---------------------------------------------------------------------------
-# chain rule
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChainRuleComparison:
-    predicted: float
-    epsilons: np.ndarray
-    estimated: np.ndarray
-
-    @property
-    def finest_estimate(self):
-        return float(self.estimated[-1])
-
-
-def chain_rule_qv(phi, phi_prime, path: CagladPath, epsilons,
-                  t) -> ChainRuleComparison:
-    """Predicted vs estimated quadratic variation of the image path.
-
-    Predicted: the weighted continuous part plus the exact sum of squared
-    image jumps; the continuous increments are the grid increments with
-    the in-step recorded jumps removed.  Estimated: the regularization
-    estimator applied to the transformed values.
-    """
-    times = np.asarray(path.times, dtype=float)
-    dt = _grid_step(times)
-    idx_t = _time_index(times, t, dt)
-    m_eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    v = np.asarray(path.values, dtype=float)
-
-    sel = path.jump_times <= t + 1e-12
-    jt, jw, jx = path.jump_times[sel], path.jump_w[sel], path.jump_x_pre[sel]
-
-    dvc = np.diff(v).copy()
-    if len(jt):
-        steps = np.clip(((jt - 1e-12) / dt).astype(int), 0, len(dvc) - 1)
-        np.subtract.at(dvc, steps, jw)
-    pred_cont = float(np.sum((np.asarray(phi_prime(v[:idx_t])) ** 2)
-                             * dvc[:idx_t] ** 2))
-    pred_jump = float(np.sum((np.asarray(phi(jx + jw)) - np.asarray(phi(jx))) ** 2))
-
-    y = np.asarray(phi(v))
-    est = np.asarray([
-        float(_qv_core(y, _window_steps(e, dt), idx_t, dt, e)) for e in m_eps
-    ])
-    return ChainRuleComparison(predicted=pred_cont + pred_jump,
-                               epsilons=m_eps, estimated=est)
 
 
 # ---------------------------------------------------------------------------
@@ -399,39 +335,23 @@ def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
 @dataclass
 class NuJumpVerdict:
     passed: bool
-    r1_holds: bool
-    r1bis_holds: bool
     detail: str
 
 
-def nu_jump_structural_check(kernel: Optional[Kernel],
-                             time_atoms=None) -> NuJumpVerdict:
+def nu_jump_structural_check() -> NuJumpVerdict:
     """Structural check that the jump compensator has no time atoms.
 
     Every kernel in this package enters through an absolutely continuous
-    time integral, so the check passes unless the caller declares an
-    atomic time component; in that case the weaker mean-jump condition
-    still holds for symmetric kernels (informational verdict only, such
-    compensators are not constructible here).
+    time integral, so the check passes for all of them.
     """
-    if not time_atoms:
-        return NuJumpVerdict(passed=True, r1_holds=True, r1bis_holds=True,
-                             detail="compensator absolutely continuous in time")
-    symmetric = kernel.is_symmetric() if kernel is not None else True
-    if symmetric:
-        return NuJumpVerdict(passed=False, r1_holds=True, r1bis_holds=False,
-                             detail="declared time atoms with a symmetric kernel: "
-                                    "mean-jump condition holds, no-atom condition fails")
-    return NuJumpVerdict(passed=False, r1_holds=False, r1bis_holds=False,
-                         detail="declared time atoms with an asymmetric kernel: "
-                                "mean-jump condition fails")
+    return NuJumpVerdict(passed=True,
+                         detail="compensator absolutely continuous in time")
 
 
 @dataclass
 class DirichletReport:
     growth: IntegrabilityGrowthTable
     nu_jump: Optional[NuJumpVerdict]
-    gamma: Optional[GammaQVReport]
     verdict: str
 
     def to_dict(self):
@@ -449,27 +369,21 @@ class DirichletReport:
         if self.nu_jump is not None:
             d["nu_jump"] = {"passed": self.nu_jump.passed,
                             "detail": self.nu_jump.detail}
-        if self.gamma is not None:
-            d["gamma_qv"] = {"epsilons": [float(v) for v in self.gamma.epsilons],
-                             "mean_qv": [float(v) for v in self.gamma.mean_qv]}
         return d
 
 
 def classify_dirichlet(growth: IntegrabilityGrowthTable,
                        nu_jump: Optional[NuJumpVerdict] = None,
-                       gamma: Optional[GammaQVReport] = None,
-                       noise_band=0.05, reference=None,
-                       band=2.0) -> DirichletReport:
+                       reference=None) -> DirichletReport:
     """Combine the diagnostics into a three-way verdict.
 
-    "inconsistent" requires positive evidence: a blowing-up growth table, a
-    terminal mean far outside the factor-``band`` envelope of a declared
+    "inconsistent" requires positive evidence: a blowing-up growth table,
+    or a terminal mean far outside the factor-2 envelope of a declared
     finite ``reference`` (the tail integral when it converges, its largest
-    truncation otherwise), or a remainder variation above the noise band
-    at every window.  Trends within noise stay "inconclusive" rather than
-    being forced into a class.
+    truncation otherwise).  Trends within noise stay "inconclusive" rather
+    than being forced into a class.
     """
-    gamma_bad = gamma is not None and bool(np.all(gamma.mean_qv > noise_band))
+    band = 2.0
     last = float(growth.means[-1]) if len(growth.means) else 0.0
     out_of_band = reference is not None and last > band**2 * reference
     in_band = (reference is None
@@ -486,13 +400,11 @@ def classify_dirichlet(growth: IntegrabilityGrowthTable,
         cap_divergent = ratio > band
         cap_plateau = ratio < 1.5
 
-    if gamma_bad or out_of_band or (cap_divergent if cap_divergent is not None
-                                    else growth.diverging()):
+    if out_of_band or (cap_divergent if cap_divergent is not None
+                       else growth.diverging()):
         verdict = "inconsistent"
-    elif ((cap_plateau if cap_plateau is not None else growth.stabilized())
-          and in_band and (gamma is None or gamma.final <= noise_band)):
+    elif (cap_plateau if cap_plateau is not None else growth.stabilized()) and in_band:
         verdict = "consistent_with_dirichlet"
     else:
         verdict = "inconclusive"
-    return DirichletReport(growth=growth, nu_jump=nu_jump, gamma=gamma,
-                           verdict=verdict)
+    return DirichletReport(growth=growth, nu_jump=nu_jump, verdict=verdict)

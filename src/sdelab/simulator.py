@@ -19,8 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .coefficients import (CoefficientSet, CubicTable, ScaleTransform,
-                           transformed_diffusion)
+from .coefficients import CubicTable, ScaleTransform, transformed_diffusion
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import _BLOCK, CagladPath, EquationX, PathFunctional
@@ -180,15 +179,6 @@ def streams(master_seed, keys):
     each Generator when it is reached."""
     return (np.random.Generator(np.random.PCG64(_Words(w)))
             for w in seed_words(master_seed, keys))
-
-
-def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Counter-derived stream: (seed, path index) fully determines a path."""
-    return next(streams(master_seed, [[path_index]]))
-
-
-def event_rng(master_seed: int, path_index: int, event_index: int) -> np.random.Generator:
-    return next(streams(master_seed, [[path_index, 1 + event_index]]))
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +501,6 @@ class Ensemble:
     def terminal_x(self):
         return self.x[self.active, -1]
 
-    def terminal_y(self):
-        return self.y[self.active, -1]
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -813,14 +799,10 @@ class WeightedEstimate:
     ess: float
 
 
-def weighted_expectation(ensemble: Ensemble, weights, g) -> WeightedEstimate:
-    """Weighted Monte Carlo mean of a path functional with its standard error.
-
-    ``g`` maps the ensemble to one value per path (active paths only are
-    used) or may already be an array of per-path values.
-    """
+def weighted_expectation(weights, values) -> WeightedEstimate:
+    """Weighted Monte Carlo mean of per-path values with its standard error."""
     w = np.asarray(weights, dtype=float)
-    gv = np.asarray(g(ensemble) if callable(g) else g, dtype=float)
+    gv = np.asarray(values, dtype=float)
     if w.shape != gv.shape:
         raise ValidationError("weights and functional values are misaligned")
     ess = float(np.sum(w) ** 2 / np.sum(w**2))
@@ -834,7 +816,7 @@ def weighted_expectation(ensemble: Ensemble, weights, g) -> WeightedEstimate:
 
 
 # ---------------------------------------------------------------------------
-# compensator and canonical-decomposition diagnostics
+# compensator diagnostic
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -877,39 +859,3 @@ def compensator_residual(ensemble: Ensemble, region, kernel: Kernel) -> Residual
     return ResidualStats(mean=float(np.mean(res)),
                          se=float(np.std(res, ddof=1) / np.sqrt(len(res))),
                          per_path=res)
-
-
-@dataclass
-class DecompositionDiagnostics:
-    levels: list
-    sup_gap_mean: np.ndarray
-    sup_gap_max: np.ndarray
-    finest_integrals: np.ndarray = field(repr=False)  # per path, full grid
-
-
-def canonical_decomposition_residual(ensemble: Ensemble, coeffs: CoefficientSet,
-                                     approximants) -> DecompositionDiagnostics:
-    """Stabilisation of int_0^t (local generator of f_n)(X_s) ds across levels.
-
-    The gap between consecutive approximation levels, sup over the grid
-    and averaged over paths, is the observable proxy for the convergence
-    of the drift term in the canonical decomposition.
-    """
-    dt = float(ensemble.times[1] - ensemble.times[0])
-    X = ensemble.x[ensemble.active]
-    integrals = []
-    for ap in approximants:
-        gen = ap.generator_value(coeffs.diffusion, X[:, :-1])
-        integ = np.cumsum(gen * dt, axis=-1)
-        integ = np.concatenate([np.zeros((integ.shape[0], 1)), integ], axis=-1)
-        integrals.append(integ)
-    gap_mean, gap_max = [], []
-    for a, b in zip(integrals[:-1], integrals[1:]):
-        sup = np.max(np.abs(b - a), axis=-1)
-        gap_mean.append(float(np.mean(sup)))
-        gap_max.append(float(np.max(sup)))
-    return DecompositionDiagnostics(
-        levels=[ap.n for ap in approximants],
-        sup_gap_mean=np.asarray(gap_mean), sup_gap_max=np.asarray(gap_max),
-        finest_integrals=integrals[-1],
-    )

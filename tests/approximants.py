@@ -2,8 +2,8 @@
 
 ``domain_approximant`` builds the n-th smooth approximant of a C^1 target
 from the scale transform and the mollifier convolutions of
-``sdelab.coefficients``; ``simulator.canonical_decomposition_residual``
-reads any object with its ``n``, ``f``, ``f_prime`` and ``generator_value``.
+``sdelab.coefficients``; ``canonical_decomposition_residual`` reads any
+object with its ``n`` and ``generator_value`` on a simulated ensemble.
 """
 from dataclasses import dataclass, field
 
@@ -98,4 +98,40 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
     f_vals = f_vals + float(np.asarray(target(np.zeros(1)))[0])
     return TestFunctionApproximant(
         n=n, grid=grid, f_values=f_vals, fprime_values=fprime, lf_core_values=lf_core,
+    )
+
+
+@dataclass
+class DecompositionDiagnostics:
+    levels: list
+    sup_gap_mean: np.ndarray
+    sup_gap_max: np.ndarray
+    finest_integrals: np.ndarray = field(repr=False)  # per path, full grid
+
+
+def canonical_decomposition_residual(ensemble, coeffs,
+                                     approximants) -> DecompositionDiagnostics:
+    """Stabilisation of int_0^t (local generator of f_n)(X_s) ds across levels.
+
+    The gap between consecutive approximation levels, sup over the grid
+    and averaged over paths, is the observable proxy for the convergence
+    of the drift term in the canonical decomposition.
+    """
+    dt = float(ensemble.times[1] - ensemble.times[0])
+    X = ensemble.x[ensemble.active]
+    integrals = []
+    for ap in approximants:
+        gen = ap.generator_value(coeffs.diffusion, X[:, :-1])
+        integ = np.cumsum(gen * dt, axis=-1)
+        integ = np.concatenate([np.zeros((integ.shape[0], 1)), integ], axis=-1)
+        integrals.append(integ)
+    gap_mean, gap_max = [], []
+    for a, b in zip(integrals[:-1], integrals[1:]):
+        sup = np.max(np.abs(b - a), axis=-1)
+        gap_mean.append(float(np.mean(sup)))
+        gap_max.append(float(np.max(sup)))
+    return DecompositionDiagnostics(
+        levels=[ap.n for ap in approximants],
+        sup_gap_mean=np.asarray(gap_mean), sup_gap_max=np.asarray(gap_max),
+        finest_integrals=integrals[-1],
     )

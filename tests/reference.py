@@ -1,0 +1,167 @@
+"""Reference computations that only the tests use.
+
+Each one checks a property of the lab's objects against the paper's
+identities: the carre du champ of a conjugated profile, the polarized
+covariation and the C^1 chain rule of the regularization estimator, and
+the uniform continuity of the generator on balls of paths.  None of them
+is run by a command, diagnostic or script of ``sdelab``.
+"""
+from dataclasses import dataclass
+
+import numpy as np
+
+from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
+                    GridMismatch, ScaleTransform, evaluate_generator)
+from sdelab.pathcalc import _grid_step, _qv_core, _time_index, _window_steps
+
+
+# ---------------------------------------------------------------------------
+# profiles and the carre du champ
+# ---------------------------------------------------------------------------
+
+def identity_profile(span=50.0):
+    """phi(y) = y, declared bounded on the working range of width ``span``."""
+    return ConjugateTestFunction(
+        phi=lambda y: np.asarray(y, dtype=float),
+        phi_prime=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+        phi_second=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+        bound=span, name="identity",
+    )
+
+
+def square_identity_residual(f: ConjugateTestFunction, transform: ScaleTransform,
+                             diffusion: DiffusionSpec, sample_points):
+    """max |L(f^2) - 2 f Lf - (f' sigma)^2| over the sample points.
+
+    L(f^2) is computed through the conjugate phi^2, using
+    (phi^2)'' = 2 phi'^2 + 2 phi phi''.
+    """
+    x = np.asarray(sample_points, dtype=float)
+    y = transform.forward(x)
+    hp = transform.deriv(x)
+    sig = diffusion.sigma(x)
+    s0sq = (sig * hp) ** 2
+    lf = 0.5 * s0sq * f.phi_second(y)
+    lf2 = 0.5 * s0sq * (2.0 * f.phi_prime(y) ** 2 + 2.0 * f.phi(y) * f.phi_second(y))
+    carre = (f.phi_prime(y) * hp * sig) ** 2
+    return float(np.max(np.abs(lf2 - 2.0 * f.phi(y) * lf - carre)))
+
+
+# ---------------------------------------------------------------------------
+# paths: stopping, covariation and the chain rule
+# ---------------------------------------------------------------------------
+
+def stopped(path: CagladPath, t):
+    """The path on its own grid with the value frozen from t onwards
+    (times and values only)."""
+    i = path.index_at(t)
+    vals = path.values.copy()
+    vals[i + 1:] = vals[i]
+    return CagladPath(path.times.copy(), vals)
+
+
+def covariation(path1, path2, epsilon, t):
+    """Polarized covariation: quarter of [v1+v2] minus [v1-v2]."""
+    t1 = np.asarray(path1.times, dtype=float)
+    t2 = np.asarray(path2.times, dtype=float)
+    if t1.shape != t2.shape or not np.allclose(t1, t2, rtol=1e-12, atol=1e-12):
+        raise GridMismatch("covariation needs a common time grid")
+    dt = _grid_step(t1)
+    m = _window_steps(epsilon, dt)
+    idx_t = _time_index(t1, t, dt)
+    v1, v2 = (np.asarray(p.values, dtype=float) for p in (path1, path2))
+    plus = _qv_core(v1 + v2, m, idx_t, dt, epsilon)
+    minus = _qv_core(v1 - v2, m, idx_t, dt, epsilon)
+    return float(0.25 * (plus - minus))
+
+
+@dataclass
+class ChainRuleComparison:
+    predicted: float
+    epsilons: np.ndarray
+    estimated: np.ndarray
+
+    @property
+    def finest_estimate(self):
+        return float(self.estimated[-1])
+
+
+def chain_rule_qv(phi, phi_prime, path: CagladPath, epsilons,
+                  t) -> ChainRuleComparison:
+    """Predicted vs estimated quadratic variation of the image path.
+
+    Predicted: the weighted continuous part plus the exact sum of squared
+    image jumps; the continuous increments are the grid increments with
+    the in-step recorded jumps removed.  Estimated: the regularization
+    estimator applied to the transformed values.
+    """
+    times = np.asarray(path.times, dtype=float)
+    dt = _grid_step(times)
+    idx_t = _time_index(times, t, dt)
+    m_eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    v = np.asarray(path.values, dtype=float)
+
+    sel = path.jump_times <= t + 1e-12
+    jt, jw, jx = path.jump_times[sel], path.jump_w[sel], path.jump_x_pre[sel]
+
+    dvc = np.diff(v).copy()
+    if len(jt):
+        steps = np.clip(((jt - 1e-12) / dt).astype(int), 0, len(dvc) - 1)
+        np.subtract.at(dvc, steps, jw)
+    pred_cont = float(np.sum((np.asarray(phi_prime(v[:idx_t])) ** 2)
+                             * dvc[:idx_t] ** 2))
+    pred_jump = float(np.sum((np.asarray(phi(jx + jw)) - np.asarray(phi(jx))) ** 2))
+
+    y = np.asarray(phi(v))
+    est = np.asarray([
+        float(_qv_core(y, _window_steps(e, dt), idx_t, dt, e)) for e in m_eps
+    ])
+    return ChainRuleComparison(predicted=pred_cont + pred_jump,
+                               epsilons=m_eps, estimated=est)
+
+
+# ---------------------------------------------------------------------------
+# uniform continuity of the generator on balls
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ModulusEstimate:
+    deltas: np.ndarray
+    sups: np.ndarray
+
+    def slope(self):
+        """Least-squares slope of sup against delta through the origin."""
+        d, s = self.deltas, self.sups
+        return float(np.sum(d * s) / np.sum(d * d))
+
+
+def generator_ball_modulus(f: ConjugateTestFunction, eq: EquationX, ball_radius,
+                           n_probes=24, deltas=(0.4, 0.2, 0.1, 0.05), seed=0,
+                           n_grid=65, tol=1e-6) -> ModulusEstimate:
+    """Empirical modulus sup |gen(eta1)(t) - gen(eta2)(t)| over close path pairs.
+
+    Pairs are random paths inside the sup-norm ball with perturbations of
+    prescribed size; the report is cumulative over descending delta, so it
+    is monotone by construction (a sup over a larger neighborhood can only
+    grow).
+    """
+    rng = np.random.default_rng(seed)
+    deltas = np.sort(np.asarray(deltas, dtype=float))
+    times = np.linspace(0.0, 1.0, n_grid)
+    sups = np.zeros_like(deltas)
+    m = float(ball_radius)
+    for _ in range(n_probes):
+        steps = rng.standard_normal(n_grid - 1) * (0.5 * m / np.sqrt(n_grid))
+        base = np.concatenate([[0.0], np.cumsum(steps)])
+        base = np.clip(base, -0.8 * m, 0.8 * m)
+        t = float(rng.choice(times[1:]))
+        for j, d in enumerate(deltas):
+            if rng.uniform() < 0.5:
+                pert = np.full_like(base, d * rng.choice([-1.0, 1.0]))
+            else:
+                pert = d * rng.uniform(-1.0, 1.0, size=base.shape)
+            other = np.clip(base + pert, -m, m)
+            g1 = evaluate_generator(f, eq, CagladPath(times, base), t, tol=tol).total
+            g2 = evaluate_generator(f, eq, CagladPath(times, other), t, tol=tol).total
+            sups[j] = max(sups[j], abs(g1 - g2))
+    return ModulusEstimate(deltas=deltas, sups=np.maximum.accumulate(sups))

@@ -1,4 +1,6 @@
 """Potential construction, scale transform, conjugated generator pieces."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftSpec,
                     MollifierConfig, NonConvergent, QuadratureFailure, RangeError,
                     build_scale_transform, check_hypotheses, compute_drift_potential,
-                    identity_profile, local_generator, square_identity_residual,
-                    transformed_diffusion)
+                    local_generator, transformed_diffusion)
 from approximants import domain_approximant
 from conftest import unit_sigma, zero_beta
+from reference import identity_profile, square_identity_residual
 
 # lacunary sine series: beta = sum 2^(-j/2) sin(2^j x), j = 0..8.
 # With unit sigma the potential is exactly 2(beta(x) - beta(0)) = 2 beta(x);
@@ -85,9 +87,9 @@ class TestDriftPotential:
         grid = np.linspace(-2.0, 2.0, 401)
         drift = DriftSpec(beta=lambda x: 0.3 * np.asarray(x, dtype=float)
                           + 0.05 * np.sin(3.0 * np.asarray(x, dtype=float)))
-        moll = MollifierConfig(widths=(0.01, 0.005, 0.0025))
-        a = compute_drift_potential(drift, unit_diff, moll, grid, shape="gaussian")
-        b = compute_drift_potential(drift, unit_diff, moll, grid, shape="bump")
+        moll = MollifierConfig(widths=(0.01, 0.005, 0.0025), shape="gaussian")
+        a = compute_drift_potential(drift, unit_diff, moll, grid)
+        b = compute_drift_potential(drift, unit_diff, replace(moll, shape="bump"), grid)
         assert np.max(np.abs(a.values - b.values)) < 10.0 * moll.convergence_tol
 
     def test_grid_must_contain_zero(self, unit_diff):
@@ -252,6 +254,13 @@ class TestBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert max(widths) == cpus
+
+    @pytest.mark.parametrize("shape", ((0,), (3, 0)), ids=("no_points", "empty_rows"))
+    def test_empty_points_give_empty_values(self, shape):
+        # rows without points used to divide the block size by zero
+        from sdelab.coefficients import mollified_drift_derivative, mollified_function
+        for fold in (mollified_function, mollified_drift_derivative):
+            assert fold(np.sin, np.empty(shape), 0.01).shape == shape
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         from sdelab import coefficients

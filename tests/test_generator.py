@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from sdelab import (CagladPath, ConjugateTestFunction, EquationX, GeneratorValue,
                     SimConfig, clamped_running_sup, conjugation_residual,
                     constant_functional, evaluate_generator,
-                    evaluate_transformed_generator, generator_ball_modulus,
-                    generator_state, identity_profile, local_generator,
+                    evaluate_transformed_generator,
+                    generator_state, local_generator,
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
 from sdelab.scenarios import ScenarioSpec, build_bundle
+
+from reference import generator_ball_modulus, identity_profile, stopped
 
 SIN = ConjugateTestFunction(np.sin, np.cos, lambda y: -np.sin(y), 1.0, "sin")
 SQUARE = ConjugateTestFunction(lambda y: np.asarray(y, dtype=float) ** 2,
@@ -41,7 +43,7 @@ class TestCagladPath:
 
     def test_stopped_freezes(self):
         p = CagladPath(np.linspace(0, 1, 11), np.arange(11.0))
-        s = p.stopped(0.5)
+        s = stopped(p, 0.5)
         assert s.value(1.0) == p.value(0.5)
         assert len(s.values) == len(p.values)
 
@@ -94,7 +96,7 @@ def test_nonanticipation_bit_identity(data, frac):
     t = float(frac)
     for f in (zero_functional(), clamped_running_sup(1.0), sin_left_limit()):
         a = f.evaluate(path.restrict(t), t)
-        b = f.evaluate(path.stopped(t).restrict(t), t)
+        b = f.evaluate(stopped(path, t).restrict(t), t)
         assert a == b
 
 
@@ -267,7 +269,7 @@ def _x_side_residual(f, functional, bundle, ens):
     gen = lf + drift + kernel.rate_at(x) * out
     integ = np.cumsum(gen[:, :-1] * np.diff(ens.times), axis=-1)
     integ = np.concatenate([np.zeros((x.shape[0], 1)), integ], axis=-1)
-    fvals = f.f(tr, x)
+    fvals = f.phi(tr.forward(x))
     return fvals - fvals[:, :1] - integ
 
 
@@ -342,6 +344,28 @@ class TestGeneratorState:
                                              f_sup=f.bound, split=False).value)
                for r, c in zip(rows, cols)]
         assert f.name == "sin" and max(err) < 1e-4, err
+
+    def test_density_law_table_matches_pointwise_quadrature(self, clamp1,
+                                                            uniform_density_kernel):
+        # a finite-activity kernel with a density has no atoms either: its
+        # jump term is tabulated by pointwise quadrature at the quantile nodes
+        from sdelab import CoefficientSet, generator, jump_operator
+        eq = EquationX(CoefficientSet.unit(), uniform_density_kernel, clamp1)
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=400, master_seed=5,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=1.05)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
+        state = generator_state(eq, ens.times, ens.x)
+        f = standard_profiles()[0]
+        got = generator._jump_term_grid(f, state, f.phi(state.hx),
+                                        f.phi_prime(state.hx) * state.hpx)
+        fx, fpx = f.as_x_callables(eq.coeffs.transform)
+        # the same 12 states as for the stable kernel above
+        rows = np.arange(0, 24, 2)
+        cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
+        err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
+                                             f_sup=f.bound, split=False).value)
+               for r, c in zip(rows, cols)]
+        assert max(err) < 1e-4, err
 
 
 # ---------------------------------------------------------------------------

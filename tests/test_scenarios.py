@@ -1,4 +1,5 @@
 """Scenario orchestration, reports, counterexamples, CLI surface."""
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 from sdelab import (ScenarioSpec, ValidationError, counterexample_cauchy,
                     counterexample_stable, emit_report, load_spec, run_scenario,
                     scenario_names)
-from sdelab.scenarios import build_bundle, parse_report, report_json
+from sdelab.scenarios import build_bundle, report_json
 from sdelab.simulator import SimConfig
 
 
@@ -61,12 +62,15 @@ class TestShippedCoefficients:
                                       "weierstrass_drift"))
     def test_two_mollifier_families_agree(self, name):
         # the limit must not depend on the smoothing family
+        from dataclasses import replace
+
         from sdelab import compute_drift_potential
         b = build_bundle(ScenarioSpec(name=name))
         coeffs = b.eq.coeffs
         moll = coeffs.mollifier
-        alt = compute_drift_potential(coeffs.drift, coeffs.diffusion, moll,
-                                      coeffs.potential.grid, shape="bump")
+        alt = compute_drift_potential(coeffs.drift, coeffs.diffusion,
+                                      replace(moll, shape="bump"),
+                                      coeffs.potential.grid)
         gap = float(np.max(np.abs(alt.values - coeffs.potential.values)))
         assert gap < 10.0 * moll.convergence_tol
 
@@ -228,6 +232,22 @@ class TestFailClosed:
         assert d.details["active_paths"] == 1
         assert report.status == "inconclusive"
 
+    def test_non_converged_potential_fails_validation(self, unit_diffusion):
+        from dataclasses import replace
+
+        from sdelab import (DriftSpec, MollifierConfig, ValidationError,
+                            compute_drift_potential)
+        from sdelab.scenarios import _hypothesis_section
+        bundle = build_bundle(ScenarioSpec(name="brownian_baseline"))
+        pot = compute_drift_potential(
+            DriftSpec(beta=lambda x: np.sin(8.0 * np.asarray(x, dtype=float))),
+            unit_diffusion, MollifierConfig(widths=(0.2, 0.1), convergence_tol=1e-10),
+            np.linspace(-2.0, 2.0, 201), strict=False)
+        assert not pot.converged
+        coeffs = replace(bundle.eq.coeffs, potential=pot)
+        with pytest.raises(ValidationError, match="did not converge"):
+            _hypothesis_section(replace(bundle, eq=replace(bundle.eq, coeffs=coeffs)))
+
     def test_nonfinite_statistic_is_inconclusive(self):
         from sdelab.scenarios import MIN_ACTIVE_PATHS, _z_gate
         n = MIN_ACTIVE_PATHS
@@ -270,7 +290,8 @@ class TestReports:
 
     def test_round_trip(self, report, tmp_path):
         path = emit_report(report, fmt="json", out_dir=str(tmp_path))
-        loaded = parse_report(path)
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
         assert loaded == report.to_dict()
         assert loaded["schema_version"] == 1
 
@@ -408,6 +429,42 @@ class TestCLI:
                       str(tmp_path)])
         assert r2.returncode == 2  # no kernel in that scenario
 
+    @pytest.mark.parametrize("argv, config, code, message", (
+        (["run", "--name", "brownian_baseline", "--out", "{tmp}/afile"], None, 3,
+         "io error: cannot use output directory"),
+        (["run", "--name", "brownian_baseline", "--out", "{tmp}/afile/sub"], None, 3,
+         "io error: cannot use output directory"),
+        (["simulate", "--name", "brownian_baseline", "--paths", "50", "--steps", "8",
+          "--out", "{tmp}/taken"], None, 3, "io error: could not write"),
+        (["run", "--config", "/nonexistent.yaml"], None, 3,
+         "io error: cannot read configuration"),
+        (["run", "--config", "{tmp}/s.yaml"], "scenario: [\n", 2, "is not valid YAML"),
+        (["run", "--config", "{tmp}/s.yaml"], b"\xff\xfe\x00", 2, "is not valid YAML"),
+        (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: weierstrass_drift\n"
+         "  n_paths: 400\n  n_steps: 32\n  diagnostics: [crosscheck_euler]\n", 2,
+         "cross-check needs a classical drift"),
+        # inside the domain, but outside the range shrunk by the atom's support
+        (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: atom_jump\n"
+         "  n_paths: 50\n  n_steps: 8\n  x0: 7.95\n", 3,
+         "initial state outside the effective range"),
+    ), ids=("out_is_a_file", "out_under_a_file", "csv_is_a_directory", "missing_config",
+            "unparseable_yaml", "binary_config", "crosscheck_without_classical_drift",
+            "x0_near_the_edge"))
+    def test_bad_input_fails_closed_without_traceback(self, tmp_path, argv, config,
+                                                      code, message):
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "taken" / "paths.csv").mkdir(parents=True)
+        if isinstance(config, bytes):
+            (tmp_path / "s.yaml").write_bytes(config)
+        elif config is not None:
+            (tmp_path / "s.yaml").write_text(config)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out")]
+        r = run_cli(argv)
+        assert r.returncode == code, r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr, r.stderr
+
     def test_simulate_writes_path_csv(self, tmp_path):
         r = run_cli(["simulate", "--name", "atom_jump", "--paths", "50",
                      "--steps", "64", "--out", str(tmp_path),
@@ -480,7 +537,7 @@ class TestCLI:
         code = cli.main(["run", "--name", "brownian_baseline", "--paths", "1",
                          "--out", str(tmp_path), "--dump-paths", "0"])
         assert code == 1
-        doc = parse_report(tmp_path / "report_brownian_baseline.json")
+        doc = json.loads((tmp_path / "report_brownian_baseline.json").read_text())
         mart = next(d for d in doc["diagnostics"] if d["name"] == "martingale")
         assert mart["status"] == "inconclusive"
         assert doc["status"] != "pass"
@@ -495,7 +552,7 @@ class TestCLI:
                              "--dump-paths", "0"])
         assert code == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        doc = parse_report(tmp_path / "report_brownian_baseline.json")
+        doc = json.loads((tmp_path / "report_brownian_baseline.json").read_text())
         status = {d["name"]: d["status"] for d in doc["diagnostics"]}
         assert status["qv"] == status["gamma"] == "inconclusive"
 
@@ -658,7 +715,7 @@ class TestCLI:
         import sdelab.cli as cli
         cli.main(["counterexample", "stable", "--gamma", "1.5", "--steps", "8",
                   "--seed", "5", "--out", str(tmp_path)])
-        doc = parse_report(tmp_path / "report_counterexample_stable.json")
+        doc = json.loads((tmp_path / "report_counterexample_stable.json").read_text())
         assert doc["seed"] == 5
         assert doc["simulation"]["n_steps"] == 8
 
@@ -692,7 +749,7 @@ class TestCLI:
         import sdelab.cli as cli
         code = cli.main(["verify-martingale", "--name", "stable_jump", "--paths", "300",
                          "--steps", "32", "--dump-paths", "0", "--out", str(tmp_path)])
-        doc = parse_report(tmp_path / "report_stable_jump.json")
+        doc = json.loads((tmp_path / "report_stable_jump.json").read_text())
         assert code == (0 if doc["status"] == "pass" else 1)
         assert (tmp_path / "residuals_stable_jump.csv").read_text() == (
             "path_id,t,M_f,kappa_T\n")

@@ -6,7 +6,7 @@ import pytest
 
 from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     FiniteActivityKernel, IntensityBoundViolated, RangeError, SimConfig,
-                    canonical_decomposition_residual, compensator_residual,
+                    compensator_residual,
                     constant_functional, engine_setup,
                     girsanov_weight, simulate_euler_direct,
                     simulate_x_markovian, simulate_y, weighted_expectation,
@@ -14,9 +14,8 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     PathFunctional, ScaleTransform, TruncationFunction,
                     build_characteristics, jump_operator, jump_ops)
 from sdelab import simulator
-from sdelab.simulator import event_rng, path_rng
 
-from approximants import domain_approximant
+from approximants import canonical_decomposition_residual, domain_approximant
 
 
 def ones(y):
@@ -79,7 +78,7 @@ def _rebuilt_noise(seed, i, n, horizon, lam_max):
     """Path ``i``'s noise redrawn call by call in the documented order: n
     normals, n small-jump normals, the candidate count, then count uniforms
     each for times, acceptance, size u1 and size u2."""
-    rng = path_rng(seed, i)
+    rng = next(simulator.streams(seed, [[i]]))
     normals = rng.standard_normal(n)
     rng.standard_normal(n)  # small-jump normals
     k = rng.poisson(lam_max * horizon) if lam_max > 0 else 0
@@ -165,8 +164,8 @@ class TestDrawOrder:
         assert len(ens.jump_time) > 40
 
     def test_density_law_pins_event_index(self):
-        # each accepted candidate draws its size from event_rng(seed, path, j)
-        # with j its index among the path's candidates
+        # each accepted candidate draws its size from the stream of key
+        # (path, 1 + j), with j its index among the path's candidates
         from sdelab import DensityLaw, FiniteActivityKernel
         law = DensityLaw(
             pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
@@ -181,7 +180,8 @@ class TestDrawOrder:
         rate = float(ops.profiles(np.zeros(1))[0, 0])
 
         def sizes(i, j, u1, u2):
-            w = np.asarray([law.sampler(event_rng(cfg.master_seed, i, jj), 1)[0]
+            w = np.asarray([law.sampler(next(simulator.streams(cfg.master_seed,
+                                                               [[i, 1 + jj]])), 1)[0]
                             for jj in j], dtype=float)
             y_pre = ens.jump_y_pre[ens.jump_path == i]
             return (y_pre + w) - y_pre, w
@@ -234,16 +234,18 @@ class TestStreams:
     def test_first_draws_match_default_rng(self, seed):
         for i in (0, 5, 2**32 - 1):
             ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            assert np.array_equal(path_rng(seed, i).random(8), ref.random(8))
+            rng = next(simulator.streams(seed, [[i]]))
+            assert np.array_equal(rng.random(8), ref.random(8))
             ref = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(i, 1 + 3)))
-            assert np.array_equal(event_rng(seed, i, 3).standard_normal(8),
-                                  ref.standard_normal(8))
+            rng = next(simulator.streams(seed, [[i, 1 + 3]]))
+            assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
 
     def test_engine_streams_match_path_rng(self):
         rngs = list(simulator.streams(9, np.arange(6)[:, None]))
         for i, rng in enumerate(rngs):
-            assert np.array_equal(rng.random(4), path_rng(9, i).random(4))
+            one = next(simulator.streams(9, [[i]]))
+            assert np.array_equal(rng.random(4), one.random(4))
 
     @pytest.mark.parametrize("key", ([[2**32]], [[-1]], [[0, 2**32]], [[0.5]], [0]))
     def test_bad_keys_rejected(self, key):
@@ -255,9 +257,9 @@ class TestStreams:
     def test_indices_beyond_one_word_rejected(self):
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            path_rng(0, 2**32)
+            next(simulator.streams(0, [[2**32]]))
         with pytest.raises(ValidationError):
-            event_rng(0, 0, 2**32 - 1)  # its key entry is 1 + j
+            next(simulator.streams(0, [[0, 1 + 2**32 - 1]]))  # event key 1 + j
 
     @pytest.mark.parametrize("seed", (-1, 1.5, True, np.float64(2.0), "3", None))
     def test_bad_master_seed_rejected(self, seed):
@@ -404,7 +406,7 @@ class TestBlocks:
 class TestLawOracles:
     def test_brownian_terminal_variance(self, brownian_ens):
         # analytic variance of the terminal value is the horizon
-        yt = brownian_ens.terminal_y()
+        yt = brownian_ens.y[brownian_ens.active, -1]
         var = np.var(yt, ddof=1)
         se = np.sqrt(2.0 / (len(yt) - 1))  # SE of the variance under normality
         assert abs(var - 1.0) < 3.0 * se
@@ -416,7 +418,7 @@ class TestLawOracles:
                         small_jump_cutoff=0.5, big_jump_intensity_bound=1.5)
         chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
-        yt = ens.terminal_y()
+        yt = ens.y[ens.active, -1]
         se = np.std(yt, ddof=1) / np.sqrt(len(yt))
         assert abs(np.mean(yt) - 1.0) < 3.0 * se
         counts = np.round(yt).astype(int)
@@ -706,6 +708,30 @@ class TestTabulatedKernelThroughTransform:
                                                np.sin(xi + pos) - np.sin(xi), 0.0)))
         assert np.array_equal(got, np.reshape(want, x.shape))
 
+    def test_density_law_gamma_compensator_equals_quadrature(self, clamp1,
+                                                             uniform_density_kernel):
+        # a density law has no atoms: the compensator interpolates the
+        # pointwise kernel integral over |w| > delta from 129 nodes
+        from sdelab import gamma_residual_qv, pathcalc
+        kernel = uniform_density_kernel
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=5,
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=3.0)
+        eq = EquationX(CoefficientSet.unit(), kernel, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
+        rep = gamma_residual_qv(ens, np.sin, np.cos, eq, (0.25, 0.125))
+        assert np.all(np.isfinite(rep.mean_qv))
+        x = ens.x[ens.active, :-1]
+        got = pathcalc._phi_jump_compensator(eq, 0.05, np.sin, x.min(), x.max(),
+                                             1.0)(x)
+        above = float(np.nextafter(0.05, np.inf))
+        want = []
+        for xi in x.ravel():
+            def g(w, xi=xi):
+                return np.sin(xi + np.asarray(w)) - np.sin(xi)
+            want.append(kernel.integral(xi, g, lo=-np.inf, hi=-0.05)
+                        + kernel.integral(xi, g, lo=above, hi=np.inf))
+        np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=0, atol=1e-4)
+
 
 # ---------------------------------------------------------------------------
 # guard rails
@@ -718,6 +744,29 @@ class TestGuards:
         chars = CharacteristicsY(b=zeros, sigma0=zeros, measure=unit_atom_kernel)
         with pytest.raises(IntensityBoundViolated):
             simulate_y(engine_setup(chars, cfg, 0.0))
+
+    def test_rate_spike_between_scan_nodes_fails_mid_run(self, clamp1):
+        # the start-up scan sees rate 1 at its nodes 0.25 apart; the spike
+        # on (0.025, 0.225) lies between two of them, so the run stops at
+        # the first candidate that meets it, naming the step
+        def rate(x):
+            return 1.0 + 10.0 * (np.abs(np.asarray(x, dtype=float) - 0.125) < 0.1)
+        kernel = FiniteActivityKernel(rate=rate, law=DiscreteLaw(((0.5, 1.0),)))
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=200, master_seed=1,
+                        small_jump_cutoff=0.1, big_jump_intensity_bound=2.0)
+        setup = engine_setup(build_characteristics(
+            EquationX(CoefficientSet.unit(), kernel, clamp1)), cfg, 0.0)
+        with pytest.raises(IntensityBoundViolated, match=r"> 1 at step \d+$"):
+            simulate_y(setup)
+
+    def test_power_tail_kernel_needs_the_identity_transform(self, tanh_coeffs,
+                                                            stable_half_kernel):
+        chars = CharacteristicsY(b=zeros, sigma0=ones, measure=stable_half_kernel,
+                                 transform=tanh_coeffs.transform)
+        cfg = SimConfig(n_steps=16, n_paths=10, master_seed=1, small_jump_cutoff=0.1,
+                        big_jump_intensity_bound=10.0)
+        with pytest.raises(RangeError, match="identity transform"):
+            jump_ops(chars, cfg)
 
     def test_nan_rate_fails_closed(self, clamp1):
         # the scanned supremum rate is NaN: the run used to finish with no
@@ -917,25 +966,23 @@ class TestGirsanov:
 
     def test_reweighting_matches_direct_drift(self, brownian_ens):
         c = 0.5
-        est = weighted_expectation(brownian_ens, _kappa_T(brownian_ens,
-                                                          constant_functional(c)),
-                                   lambda e: e.y[:, -1])
+        est = weighted_expectation(_kappa_T(brownian_ens, constant_functional(c)),
+                                   brownian_ens.y[:, -1])
         chars = replace(brownian_chars(), functional=constant_functional(c))
         direct = simulate_y(engine_setup(chars, BROWNIAN_CFG.replace(master_seed=101),
                                          0.0))
-        dmean = np.mean(direct.terminal_y())
-        dse = np.std(direct.terminal_y(), ddof=1) / np.sqrt(direct.n_paths)
+        yt = direct.y[direct.active, -1]
+        dmean = np.mean(yt)
+        dse = np.std(yt, ddof=1) / np.sqrt(direct.n_paths)
         z = abs(est.value - dmean) / np.sqrt(est.se**2 + dse**2)
         assert z < 3.0
 
     def test_plain_weights_recover_plain_mean(self, brownian_ens):
-        est = weighted_expectation(brownian_ens, np.ones(brownian_ens.n_paths),
-                                   lambda e: e.y[:, -1])
+        est = weighted_expectation(np.ones(brownian_ens.n_paths), brownian_ens.y[:, -1])
         assert est.value == pytest.approx(float(np.mean(brownian_ens.y[:, -1])))
 
     def test_normalization_estimate(self, brownian_ens):
-        est = weighted_expectation(brownian_ens,
-                                   _kappa_T(brownian_ens, constant_functional(0.5)),
+        est = weighted_expectation(_kappa_T(brownian_ens, constant_functional(0.5)),
                                    np.ones(brownian_ens.n_paths))
         assert abs(est.value - 1.0) < 3.0 * est.se
 
@@ -943,7 +990,7 @@ class TestGirsanov:
         w = np.zeros(brownian_ens.n_paths)
         w[0] = 1.0
         with pytest.raises(DegenerateWeights):
-            weighted_expectation(brownian_ens, w, lambda e: e.y[:, -1])
+            weighted_expectation(w, brownian_ens.y[:, -1])
 
 
 # ---------------------------------------------------------------------------
