@@ -52,8 +52,8 @@ def gauss_legendre_01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def quad_checked(f, a, b, tol=1e-8, limit=400, points=None):
-    """scipy.integrate.quad with an error check.
+def quad_checked(f, a, b, tol=1e-8):
+    """scipy.integrate.quad with an error check, at most 400 subintervals.
 
     QUADPACK's own warnings are suppressed: the returned error estimate is
     checked instead.  It fails when the estimate exceeds the tolerance by
@@ -61,15 +61,10 @@ def quad_checked(f, a, b, tol=1e-8, limit=400, points=None):
     pessimistic near integrable singularities, so a strict comparison
     would produce false alarms).
     """
-    kwargs = {"epsabs": tol, "epsrel": tol, "limit": limit}
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        pts = [p for p in points if a < p < b]
-        if pts:
-            kwargs["points"] = pts
     try:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(f, a, b, **kwargs)
+            value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=400)
     except Exception as exc:  # pragma: no cover - scipy internal failures
         raise QuadratureFailure(f"quad failed on [{a}, {b}]: {exc}") from exc
     if not np.isfinite(value):
@@ -81,8 +76,8 @@ def quad_checked(f, a, b, tol=1e-8, limit=400, points=None):
     return value
 
 
-def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None, max_blocks=200):
-    """Sum int_a^inf f over blocks [a 2^k, a 2^(k+1)].
+def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None):
+    """Sum int_a^inf f over at most 200 blocks [a 2^k, a 2^(k+1)].
 
     ``tail_mass(r)`` must return the total absolute mass of the underlying
     measure beyond radius r; together with a bound on |g| (declared via
@@ -94,7 +89,7 @@ def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None, max_blocks=200):
     total = 0.0
     lo = a
     observed = 0.0
-    for _ in range(max_blocks):
+    for _ in range(200):
         hi = 2.0 * lo
         block = quad_checked(f, lo, hi, tol=tol)
         total += block

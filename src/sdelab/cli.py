@@ -70,7 +70,7 @@ def _spec_from_args(args) -> ScenarioSpec:
     return spec
 
 
-def _write_paths_csv(ens, out_dir, max_paths=25):
+def _write_paths_csv(ens, out_dir, max_paths):
     path = os.path.join(out_dir, "paths.csv")
     with _written(path) as fh:
         fh.write("path_id,t,Y,X,jump_flag,jump_size\n")
@@ -90,7 +90,7 @@ def _write_paths_csv(ens, out_dir, max_paths=25):
     return path
 
 
-def _print_report(report, out_dir, fmt, include_paths=None):
+def _print_report(report, out_dir, fmt):
     path = emit_report(report, fmt=fmt, out_dir=out_dir)
     for d in report.diagnostics:
         print(f"{report.scenario}::{d.name}: {d.status.upper()} "
@@ -243,38 +243,38 @@ def build_parser():
                                 description="stochastic lab for SDEs with "
                                             "irregular drift and jumps")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, dump_default=25):
-        sp.add_argument("--name", choices=scenario_names(), help="registry scenario")
-        sp.add_argument("--config", help="declarative scenario file (YAML)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None, help="output directory "
-                        "(default $SDELAB_OUT or ./out)")
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--dump-paths", type=non_negative_int, default=dump_default,
-                        help="number of paths to export as CSV")
-
-    for name, fn in (
-        ("check-coefficients", cmd_check_coefficients),
-        ("check-kernel", cmd_check_kernel),
-        ("simulate", cmd_simulate),
-        ("verify-martingale", cmd_verify_martingale),
-        ("qv", cmd_qv),
-        ("dirichlet", cmd_dirichlet),
-        ("run", cmd_run),
+    options = {
+        "--name": dict(choices=scenario_names(), help="registry scenario"),
+        "--config": dict(help="declarative scenario file (YAML)"),
+        "--seed": dict(type=int),
+        "--paths": dict(type=int),
+        "--steps": dict(type=int),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--dump-paths": dict(type=non_negative_int, default=25,
+                             help="number of paths to export as CSV"),
+        "--out": dict(help="output directory (default $SDELAB_OUT or ./out)"),
+    }
+    # each command registers only the options it reads
+    scenario, sizes = ("--name", "--config"), ("--seed", "--paths", "--steps")
+    every = scenario + sizes + ("--format", "--dump-paths")
+    for name, fn, flags in (
+        ("check-coefficients", cmd_check_coefficients, scenario),
+        ("check-kernel", cmd_check_kernel, scenario),
+        ("simulate", cmd_simulate, scenario + sizes + ("--dump-paths",)),
+        ("verify-martingale", cmd_verify_martingale, every),
+        ("qv", cmd_qv, every),
+        ("dirichlet", cmd_dirichlet, scenario + sizes + ("--format",)),
+        ("run", cmd_run, every),
+        ("counterexample", cmd_counterexample, sizes + ("--format",)),
     ):
         sp = sub.add_parser(name)
-        common(sp)
+        if name == "counterexample":
+            sp.add_argument("which", choices=("stable", "cauchy"))
+            sp.add_argument("--gamma", type=float, default=0.5)
+            sp.add_argument("--samples", type=int, default=1_000_000)
+        for flag in flags + ("--out",):
+            sp.add_argument(flag, **options[flag])
         sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("counterexample")
-    sp.add_argument("which", choices=("stable", "cauchy"))
-    sp.add_argument("--gamma", type=float, default=0.5)
-    sp.add_argument("--samples", type=int, default=1_000_000)
-    common(sp)
-    sp.set_defaults(fn=cmd_counterexample)
     return p
 
 

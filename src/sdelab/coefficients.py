@@ -30,6 +30,7 @@ from .errors import NonConvergent, QuadratureFailure, RangeError
 _MOLL_NODES = 48
 _SEG_NODES = 8
 _CHUNK = 2**14  # values per gather or convolution block: temporaries stay in cache
+_NEWTON_ITERS, _BISECT_ITERS = 3, 30  # steps of ScaleTransform.inverse
 
 
 def _power_sum(c, s):
@@ -502,15 +503,16 @@ class ScaleTransform:
         self._check_domain(x)
         return self._hp(x)
 
-    def inverse(self, y, newton_iters=3, bisect_iters=30, images=False):
+    def inverse(self, y, images=False):
         """Monotone inversion inside the bracketing cell of the value table.
 
         One ``searchsorted`` on ``h_values`` finds each point's cell; the
-        interpolated starting guess, the Newton polish and the residual
-        check then run on that cell's coefficients, and stragglers fall
-        back to bisection.  With ``images`` a tabulated transform returns
-        ``(x, h(x), h'(x))``, equal bit for bit to ``(x, forward(x),
-        deriv(x))``; the identity always returns x alone.
+        interpolated starting guess, ``_NEWTON_ITERS`` Newton steps and the
+        residual check then run on that cell's coefficients, and stragglers
+        fall back to ``_BISECT_ITERS`` bisection steps.  With ``images`` a
+        tabulated transform returns ``(x, h(x), h'(x))``, equal bit for bit
+        to ``(x, forward(x), deriv(x))``; the identity always returns x
+        alone.
         """
         if self.is_identity:
             return np.asarray(y, dtype=float)
@@ -519,14 +521,13 @@ class ScaleTransform:
         yq = y.ravel()
         out = np.empty((3 if images else 1, len(yq)))
         for a in range(0, len(yq), _CHUNK):
-            out[:, a:a + _CHUNK] = self._invert(yq[a:a + _CHUNK], newton_iters,
-                                                bisect_iters, images)
+            out[:, a:a + _CHUNK] = self._invert(yq[a:a + _CHUNK], images)
         if y.ndim == 0:
             return tuple(float(v[0]) for v in out) if images else float(out[0, 0])
         out = out.reshape((len(out),) + y.shape)
         return tuple(out) if images else out[0]
 
-    def _invert(self, yq, newton_iters, bisect_iters, images):
+    def _invert(self, yq, images):
         """Rows x (and h(x), h'(x) with ``images``) for the 1-d points ``yq``."""
         last = len(self.grid) - 2
         idx = np.clip(np.searchsorted(self.h_values, yq) - 1, 0, last)
@@ -550,7 +551,7 @@ class ScaleTransform:
             return vals
 
         both = (self._h, self._hp)
-        for _ in range(newton_iters):
+        for _ in range(_NEWTON_ITERS):
             hx, hpx = evaluate(x, both)
             x = x - (hx - yq) / np.maximum(hpx, 1e-300)
             x = np.clip(x, lo, hi)
@@ -563,7 +564,7 @@ class ScaleTransform:
         if len(bad):
             blo, bhi = lo[bad].copy(), hi[bad].copy()
             yb = yq[bad]
-            for _ in range(bisect_iters):
+            for _ in range(_BISECT_ITERS):
                 mid = 0.5 * (blo + bhi)
                 below = self._h(mid) < yb
                 blo = np.where(below, mid, blo)

@@ -200,8 +200,8 @@ class GeneratorValue:
         return self.local + self.drift + self.jump
 
 
-def evaluate_generator(f: ConjugateTestFunction, eq: EquationX, path: CagladPath, t,
-                       tol=1e-8) -> GeneratorValue:
+def evaluate_generator(f: ConjugateTestFunction, eq: EquationX, path: CagladPath,
+                       t) -> GeneratorValue:
     """Generator of the original equation on a path at time t."""
     transform = eq.coeffs.transform
     x_t = path.value(t)
@@ -213,13 +213,12 @@ def evaluate_generator(f: ConjugateTestFunction, eq: EquationX, path: CagladPath
         jump = 0.0
     else:
         fx, fpx = f.as_x_callables(transform)
-        jump = jump_operator(fx, fpx, eq.kernel, eq.trunc, x_t, tol=tol,
-                             f_sup=f.bound).value
+        jump = jump_operator(fx, fpx, eq.kernel, eq.trunc, x_t, f_sup=f.bound)
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 
 def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
-                                   y_path: CagladPath, t, tol=1e-8) -> GeneratorValue:
+                                   y_path: CagladPath, t) -> GeneratorValue:
     """Generator of the transformed equation on an image-space path.
 
     The local part is the classical second-order term plus the drift
@@ -230,8 +229,7 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
     transform, kernel, trunc = eq.coeffs.transform, eq.kernel, eq.trunc
     y_t = y_path.value(t)
     s0 = float(np.asarray(transformed_diffusion(transform, eq.coeffs.diffusion, y_t)))
-    b = (drift_correction(kernel, transform, trunc, y_t, tol=tol)
-         if kernel is not None else 0.0)
+    b = drift_correction(kernel, transform, trunc, y_t) if kernel is not None else 0.0
     phi_p = float(np.asarray(phi.phi_prime(np.asarray(y_t))))
     local = 0.5 * s0**2 * float(np.asarray(phi.phi_second(np.asarray(y_t)))) + b * phi_p
     h_val = (eq.functional.evaluate(CagladPath(y_path.times,
@@ -249,24 +247,23 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
             return phi.phi(y_t + z) - phi_y - np.asarray(trunc(z)) * phi_p
 
         jump = pushforward_integral(
-            kernel, transform, y_t, g, tol=tol,
+            kernel, transform, y_t, g,
             g_bound=2.0 * phi.bound + trunc.cap * abs(phi_p),
             z_breakpoints=(-trunc.radius, trunc.radius),
         )
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 
-def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: CagladPath,
-                         t, tol=1e-8):
+def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: CagladPath, t):
     """|generator on the original path - transformed generator on its image|.
 
     The two sides are assembled through different integrals; their
     pointwise agreement is the computable content of the equivalence
     between the two formulations.
     """
-    lhs = evaluate_generator(phi, eq, path, t, tol=tol).total
+    lhs = evaluate_generator(phi, eq, path, t).total
     y_path = CagladPath(path.times, eq.coeffs.transform.forward(path.values))
-    rhs = evaluate_transformed_generator(phi, eq, y_path, t, tol=tol).total
+    rhs = evaluate_transformed_generator(phi, eq, y_path, t).total
     return abs(lhs - rhs)
 
 
@@ -274,9 +271,7 @@ def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: Caglad
 # vectorized generator along grids and martingale residuals
 # ---------------------------------------------------------------------------
 
-# quadrature tolerance and table size of the jump term of a quadrature kernel
-_GRID_TOL = 1e-8
-_TABLE_NODES = 257
+_TABLE_NODES = 257  # table size of the jump term of a quadrature kernel
 _BLOCK = 2**15  # grid values per martingale or compensator block: bounds temporaries
 
 
@@ -341,21 +336,18 @@ def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
     fx, fpx = f.as_x_callables(eq.coeffs.transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
-        val = jump_operator(fx, fpx, kernel, trunc, lo, tol=_GRID_TOL,
-                            f_sup=f.bound, split=False).value
+        val = jump_operator(fx, fpx, kernel, trunc, lo, f_sup=f.bound, split=False)
         return lambda u: np.full_like(u, val)
     # nodes at the quantiles of the states, so that heavy-tailed paths far
     # out do not thin the table where most states are
     nodes = np.unique(np.quantile(x, np.linspace(0.0, 1.0, _TABLE_NODES)))
     if isinstance(kernel, StableTailKernel):
         from .kernels import _stable_nonlocal
-        vals, _ = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, tol=_GRID_TOL,
-                                   split=False, f_sup=f.bound,
-                                   subpanel_budget=512)
+        vals = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, split=False,
+                                f_sup=f.bound, subpanel_budget=512)
     else:
         vals = np.array([
-            jump_operator(fx, fpx, kernel, trunc, float(u), tol=_GRID_TOL,
-                          f_sup=f.bound, split=False).value
+            jump_operator(fx, fpx, kernel, trunc, float(u), f_sup=f.bound, split=False)
             for u in nodes
         ])
     return CubicTable(nodes, vals)

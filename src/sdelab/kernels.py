@@ -20,6 +20,7 @@ from .errors import (DivergentMoment, IntensityBoundViolated, QuadratureFailure,
                      RangeError)
 
 _INNER_NODES = 16
+_TOL = 1e-8  # quadrature tolerance of the kernel diagnostics and operators
 
 
 def _open_above(a):
@@ -107,7 +108,7 @@ class DensityLaw:
     support: tuple
     sampler: Callable  # sampler(rng, size) -> draws
 
-    def expect(self, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=()):
+    def expect(self, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=()):
         a = max(lo, self.support[0])
         b = min(hi, self.support[1])
         if a >= b:
@@ -188,7 +189,7 @@ class StableTailKernel:
         mag_neg = np.abs(w_lo) * (1.0 - u_mag) ** (-1.0 / self.gamma)
         return np.where(go_pos, mag_pos, -mag_neg)
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=(),
+    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
                  g_bound=None):
         del y  # the family is state independent
         total = 0.0
@@ -292,7 +293,7 @@ class FiniteActivityKernel:
                                          f"nonnegative, got {float(rate[bad].flat[0])}")
         return rate
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=(),
+    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
                  g_bound=None):
         del g_bound
         r = float(self.rate_at(np.asarray(y, dtype=float)))
@@ -384,7 +385,7 @@ class TabulatedKernel:
         idx[~finite] = 0
         return idx
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=1e-8, breakpoints=(),
+    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
                  g_bound=None):
         del tol, breakpoints, g_bound
         pos, mass, n = self.atoms(float(y))
@@ -450,18 +451,16 @@ class TiltedKernelReport:
                    float(self.m2[i]))
 
 
-def _split_masses(kernel: Kernel, y, radius, alpha, tol):
+def _split_masses(kernel: Kernel, y, radius, alpha):
     """m1 = int over |x| <= radius of |x|^(1+alpha) Q(y, dx) and
     m2 = Q(y, |x| > radius)."""
-    m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha), lo=-radius, hi=radius,
-                         tol=tol)
-    m2 = (kernel.integral(y, _ones, lo=_open_above(radius), hi=np.inf, tol=tol, g_bound=1.0)
-          + kernel.integral(y, _ones, lo=-np.inf, hi=-_open_above(radius), tol=tol,
-                            g_bound=1.0))
+    m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha), lo=-radius, hi=radius)
+    m2 = (kernel.integral(y, _ones, lo=_open_above(radius), hi=np.inf, g_bound=1.0)
+          + kernel.integral(y, _ones, lo=-np.inf, hi=-_open_above(radius), g_bound=1.0))
     return m1, m2
 
 
-def moment_bound(kernel: Kernel, y_grid, radius=1.0, tol=1e-8) -> TiltedKernelReport:
+def moment_bound(kernel: Kernel, y_grid, radius=1.0) -> TiltedKernelReport:
     """Certify the tilted-mass hypothesis sup_y int (1 ^ |x|^(1+alpha)) Q(y, dx).
 
     Raises DivergentMoment when the integral cannot be finite (power-tail
@@ -480,8 +479,8 @@ def moment_bound(kernel: Kernel, y_grid, radius=1.0, tol=1e-8) -> TiltedKernelRe
     moments, m1s, m2s = [], [], []
     for y in y_grid:
         try:
-            mom = kernel.integral(y, tilt, tol=tol, breakpoints=(-1.0, 1.0), g_bound=1.0)
-            m1, m2 = _split_masses(kernel, y, radius, alpha, tol)
+            mom = kernel.integral(y, tilt, breakpoints=(-1.0, 1.0), g_bound=1.0)
+            m1, m2 = _split_masses(kernel, y, radius, alpha)
         except QuadratureFailure as exc:
             raise DivergentMoment(f"tilted mass at y={y} diverges: {exc}") from exc
         if not np.isfinite(mom):
@@ -514,8 +513,7 @@ class TVModulusReport:
         return float(np.max(self.values)) if len(self.values) else 0.0
 
 
-def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition,
-                          tol=1e-8) -> TVModulusReport:
+def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition) -> TVModulusReport:
     """Partition lower bound on the tilted total-variation distance.
 
     For each adjacent pair of states the cellwise absolute differences of
@@ -534,7 +532,7 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition,
         out = np.empty(len(edges) - 1)
         for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
             out[i] = kernel.integral(y, tilt, lo=a, hi=np.nextafter(b, -np.inf),
-                                     tol=tol, g_bound=1.0)
+                                     g_bound=1.0)
         return out
 
     vectors = [cell_vector(y) for y in y_grid]
@@ -568,7 +566,7 @@ def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
 
 
 def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g,
-                         tol=1e-8, g_bound=None, z_breakpoints=()):
+                         g_bound=None, z_breakpoints=()):
     """Integral of g against the transformed kernel at the image state y.
 
     The transformed measure is the pushforward of Q at the preimage state
@@ -582,21 +580,17 @@ def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g,
     def integrand(w):
         return g(transform.forward(x + np.asarray(w)) - y0)
 
-    return kernel.integral(x, integrand, tol=tol,
+    return kernel.integral(x, integrand,
                            breakpoints=_jump_breaks(transform, x, y0, z_breakpoints),
                            g_bound=g_bound)
 
 
 def drift_correction(kernel: Kernel, transform: ScaleTransform,
-                     trunc: TruncationFunction, y, method="definition",
-                     tol=1e-8):
-    """Drift generated by transporting the truncation through the transform.
-
-    Identically zero for the identity transform.  ``method`` selects the
-    defining integral or the split into an exactly cancelling core and a
-    bounded tail; the two must agree and their comparison is a standing
-    self-check.
-    """
+                     trunc: TruncationFunction, y):
+    """Drift generated by transporting the truncation through the transform:
+    the integral of trunc(h(x + w) - h(x)) - h'(x) trunc(w) against the
+    kernel at the preimage x of y.  Identically zero for the identity
+    transform."""
     if transform.is_identity:
         return 0.0
     x = float(np.asarray(transform.inverse(y)))
@@ -604,45 +598,14 @@ def drift_correction(kernel: Kernel, transform: ScaleTransform,
     y0 = float(np.asarray(transform.forward(x)))
     hp_x = float(np.asarray(transform.deriv(x)))
 
-    if method == "definition":
-        def integrand(w):
-            z = transform.forward(x + np.asarray(w)) - y0
-            return trunc(z) - hp_x * trunc(np.asarray(w))
+    def integrand(w):
+        z = transform.forward(x + np.asarray(w)) - y0
+        return trunc(z) - hp_x * trunc(np.asarray(w))
 
-        breaks = (trunc.radius, -trunc.radius)
-        return kernel.integral(x, integrand, tol=tol,
-                               breakpoints=breaks + _jump_breaks(transform, x, y0, breaks),
-                               g_bound=trunc.cap * (1.0 + hp_x))
-
-    if method != "expansion":
-        raise ValueError(f"unknown method {method!r}")
-
-    a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
-    c1bar = transform.inv_deriv_sup
-    r_in = trunc.radius / c1bar
-    inv_dy = 1.0 / hp_x  # derivative of the inverse at y
-
-    def inv_deriv(u):
-        return 1.0 / np.asarray(transform.deriv(transform.inverse(u)))
-
-    def core(w):
-        z = float(np.asarray(transform.forward(x + w))) - y0
-        if abs(z) > r_in:
-            return 0.0
-        vals = inv_dy - inv_deriv(y0 + a_nodes * z)
-        return float(np.sum(vals * a_wts)) * z
-
-    def tail(w):
-        z = float(np.asarray(transform.forward(x + w))) - y0
-        if abs(z) <= r_in:
-            return 0.0
-        psi_bar = float(np.sum(inv_deriv(y0 + a_nodes * z) * a_wts))
-        return inv_dy * float(trunc(z)) - float(trunc(z * psi_bar))
-
-    val = kernel.integral(x, np.vectorize(lambda w: core(w) + tail(w), otypes=[float]),
-                          tol=tol, g_bound=trunc.cap * (1.0 + inv_dy),
-                          breakpoints=_jump_breaks(transform, x, y0, (r_in, -r_in)))
-    return hp_x * val
+    breaks = (trunc.radius, -trunc.radius)
+    return kernel.integral(x, integrand,
+                           breakpoints=breaks + _jump_breaks(transform, x, y0, breaks),
+                           g_bound=trunc.cap * (1.0 + hp_x))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +616,7 @@ _PANEL_NODES = 24
 
 
 def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, direction,
-                      tol, far_bound=None, slope=0.0, subpanel_budget=4096,
-                      max_panels=64):
+                      far_bound=None, slope=0.0, subpanel_budget=4096):
     """Sum of panel integrals of a kernel-weighted profile along one ray.
 
     ``values_on_panel(x_nodes)`` returns the profile at signed nodes
@@ -663,21 +625,22 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
     for direction "in".  Outward panels are subdivided so that the
     profile's declared slope stays resolvable by the Gauss rule.
 
-    The outward walk stops when the closed-form mass bound certifies the
-    remainder, when three consecutive panels fall below tol/8, or when
-    the next panel would exceed the resolution budget.  On termination
-    the remainder is extrapolated as (kernel-weighted mean of the profile
-    over the last resolved octave) times the exact remaining tail mass:
-    exact for profiles that have settled to a constant, and the cancelled
-    residue of an oscillatory profile averages out of the panel mean, so
-    the extrapolation error is of the order of the resolved decay.
+    A walk takes at most 64 panels.  The outward walk stops when the
+    closed-form mass bound certifies the remainder, when three consecutive
+    panels fall below _TOL/8, or when the next panel would exceed the
+    resolution budget.  On termination the remainder is extrapolated as
+    (kernel-weighted mean of the profile over the last resolved octave)
+    times the exact remaining tail mass: exact for profiles that have
+    settled to a constant, and the cancelled residue of an oscillatory
+    profile averages out of the panel mean, so the extrapolation error is
+    of the order of the resolved decay.
     """
     gx, gw = gauss_legendre(_PANEL_NODES)
     total = None
     quiet = 0
     a = start
     last_mean = None
-    for k in range(max_panels):
+    for k in range(64):
         lo, hi = (a, 2.0 * a) if direction == "out" else (0.5 * a, a)
         width = hi - lo
         m = 1
@@ -700,9 +663,9 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
             last_mean = contrib / panel_mass
             remainder = ((far_bound if far_bound else 1.0)
                          * float(kernel.one_tail_mass(a)))
-            if remainder < 0.5 * tol:
+            if remainder < 0.5 * _TOL:
                 return total
-        quiet = quiet + 1 if peak < 0.125 * tol else 0
+        quiet = quiet + 1 if peak < 0.125 * _TOL else 0
         if quiet >= 3:
             break
     else:
@@ -718,15 +681,13 @@ _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the
 
 
 def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
-                     fx, fpx, tol=1e-8, split=True, f_sup=None,
-                     subpanel_budget=4096):
+                     fx, fpx, split=True, f_sup=None, subpanel_budget=4096):
     """Compensated nonlocal integral for a power-tail kernel, vector in y.
 
-    Returns (near, far) in split mode -- the near part via the
-    Taylor-remainder form with an inner Gauss integral, the far part as
-    the direct compensated difference -- or (total, None) for the unsplit
-    direct evaluation (which switches to the Taylor form only below the
-    cancellation depth).
+    In split mode the near part is the Taylor-remainder form with an inner
+    Gauss integral; unsplit, it is the direct compensated difference,
+    switching to the Taylor form only below the cancellation depth.  The
+    far part is the direct compensated difference in both modes.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
     R = trunc.radius
@@ -751,7 +712,7 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
         return x_nodes[None, :] * inner
 
     def near_sum(fn, sign):
-        return _stable_panel_sum(kernel, lambda r: fn(sign * r), R, "in", tol)
+        return _stable_panel_sum(kernel, lambda r: fn(sign * r), R, "in")
 
     if split:
         near = near_sum(taylor, +1.0) + near_sum(taylor, -1.0)
@@ -771,65 +732,39 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
                 c = direct(sign * r) @ wq
                 part = c if part is None else part + c
                 a = lo
-            deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch,
-                                     "in", tol)
+            deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch, "in")
             part = part + deep
             near = part if near is None else near + part
-    far = (_stable_panel_sum(kernel, lambda r: direct(r), R, "out", tol,
+    far = (_stable_panel_sum(kernel, lambda r: direct(r), R, "out",
                              far_bound=far_bound, slope=slope,
                              subpanel_budget=subpanel_budget)
-           + _stable_panel_sum(kernel, lambda r: direct(-r), R, "out", tol,
+           + _stable_panel_sum(kernel, lambda r: direct(-r), R, "out",
                                far_bound=far_bound, slope=slope,
                                subpanel_budget=subpanel_budget))
-    if split:
-        return near, far
-    return near + far, None
+    return near + far
 
 
 def stable_threshold_expectation(kernel: StableTailKernel, x_states, g, threshold,
-                                 g_bound, g_slope, tol=1e-8, subpanel_budget=256):
+                                 g_bound, g_slope):
     """Vectorized int over {|w| > threshold} of g(x, w) against the kernel.
 
     ``g(x_col, w_row)`` must broadcast to shape (m, p); ``g_slope`` bounds
-    its w-derivative (resolution control for oscillatory profiles).
+    its w-derivative (resolution control for oscillatory profiles, at most
+    256 subpanels a panel).
     """
     x = np.atleast_1d(np.asarray(x_states, dtype=float))[:, None]
     out = (_stable_panel_sum(kernel, lambda r: np.asarray(g(x, r[None, :])),
-                             threshold, "out", tol, far_bound=g_bound,
-                             slope=g_slope, subpanel_budget=subpanel_budget)
+                             threshold, "out", far_bound=g_bound,
+                             slope=g_slope, subpanel_budget=256)
            + _stable_panel_sum(kernel, lambda r: np.asarray(g(x, -r[None, :])),
-                               threshold, "out", tol, far_bound=g_bound,
-                               slope=g_slope, subpanel_budget=subpanel_budget))
+                               threshold, "out", far_bound=g_bound,
+                               slope=g_slope, subpanel_budget=256))
     return out
 
 
-@dataclass
-class JumpOperatorValue:
-    value: float
-    local_part: float
-    tail_part: float
-    bound: float
-    fprime_norm: float
-
-
-def _holder_norm(f_prime, alpha, radius, n=161):
-    """Hoelder norm of f' over [-radius, radius] from a probe grid.
-
-    With alpha = 0 the seminorm degenerates to the sup of increments
-    (uniform-continuity convention).
-    """
-    u = np.linspace(-radius, radius, n)
-    v = np.asarray(f_prime(u), dtype=float)
-    du = np.abs(u[:, None] - u[None, :])
-    dv = np.abs(v[:, None] - v[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(du > 0, dv / np.where(du > 0, du**alpha, 1.0), 0.0)
-    return float(np.max(ratio)) + float(np.max(np.abs(v)))
-
-
 def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
-                  tol=1e-8, f_sup=None, split=True) -> JumpOperatorValue:
-    """Nonlocal generator term at y, with its working bound.
+                  f_sup=None, split=True) -> float:
+    """Nonlocal generator term at y.
 
     The near part uses the first-order Taylor remainder in integral form
     (inner integral by fixed Gauss quadrature), weighted so that only the
@@ -837,58 +772,35 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
     compensated difference.  ``split=False`` evaluates the unsplit
     integral instead, which exists for cross-checking the decomposition.
     """
-    alpha = kernel.alpha
     R = trunc.radius
     y = float(y)
-    a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
-
     fy = float(np.asarray(f(np.asarray(y))))
-    fpy = float(np.asarray(f_prime(np.asarray(y))))
     sup_est = f_sup if f_sup is not None else abs(fy) + 1.0
-    far_bound = 2.0 * sup_est + trunc.cap * abs(fpy)
 
     if isinstance(kernel, StableTailKernel):
-        if alpha <= kernel.gamma - 1.0:
+        if kernel.alpha <= kernel.gamma - 1.0:
             raise DivergentMoment("alpha <= gamma - 1: nonlocal term diverges")
-        if not split:
-            total, _ = _stable_nonlocal(kernel, trunc, y, f, f_prime, tol=tol,
-                                        split=False, f_sup=sup_est)
-            return JumpOperatorValue(value=float(total[0]), local_part=np.nan,
-                                     tail_part=np.nan, bound=np.nan,
-                                     fprime_norm=np.nan)
-        near_v, far_v = _stable_nonlocal(kernel, trunc, y, f, f_prime, tol=tol,
-                                         split=True, f_sup=sup_est)
-        f1, f2 = float(near_v[0]), float(far_v[0])
-        s, g = kernel.scale, kernel.gamma
-        m1 = 2.0 * s * R ** (1.0 + alpha - g) / (1.0 + alpha - g)
-        m2 = 2.0 * float(kernel.one_tail_mass(R))
-    else:
-        def far(x):
-            x = np.asarray(x, dtype=float)
-            return f(y + x) - fy - np.asarray(trunc(x)) * fpy
+        return float(_stable_nonlocal(kernel, trunc, y, f, f_prime, split=split,
+                                      f_sup=sup_est)[0])
 
-        if not split:
-            val = kernel.integral(y, far, tol=tol, breakpoints=(-R, R),
-                                  g_bound=far_bound)
-            return JumpOperatorValue(value=val, local_part=np.nan, tail_part=np.nan,
-                                     bound=np.nan, fprime_norm=np.nan)
+    fpy = float(np.asarray(f_prime(np.asarray(y))))
+    far_bound = 2.0 * sup_est + trunc.cap * abs(fpy)
 
-        def near(x):
-            x = np.asarray(x, dtype=float)
-            shifted = y + a_nodes[None, :] * x[..., None]
-            inner = ((np.asarray(f_prime(shifted)) - fpy) * a_wts).sum(axis=-1)
-            return x * inner.reshape(x.shape)
+    def far(x):
+        x = np.asarray(x, dtype=float)
+        return f(y + x) - fy - np.asarray(trunc(x)) * fpy
 
-        f1 = kernel.integral(y, near, lo=-R, hi=R, tol=tol)
-        f2 = kernel.integral(y, far, lo=_open_above(R), hi=np.inf, tol=tol,
-                             g_bound=far_bound)
-        f2 += kernel.integral(y, far, lo=-np.inf, hi=-_open_above(R), tol=tol,
-                              g_bound=far_bound)
-        m1, m2 = _split_masses(kernel, y, R, alpha, tol)
+    if not split:
+        return kernel.integral(y, far, breakpoints=(-R, R), g_bound=far_bound)
+    a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
 
-    window = abs(y) + R + 1.0
-    norm = _holder_norm(f_prime, alpha, window)
-    sup_fp = float(np.max(np.abs(f_prime(np.linspace(y - window, y + window, 101)))))
-    bound = norm * m1 + (2.0 * sup_est + trunc.cap * sup_fp) * m2
-    return JumpOperatorValue(value=f1 + f2, local_part=f1, tail_part=f2,
-                             bound=bound, fprime_norm=norm)
+    def near(x):
+        x = np.asarray(x, dtype=float)
+        shifted = y + a_nodes[None, :] * x[..., None]
+        inner = ((np.asarray(f_prime(shifted)) - fpy) * a_wts).sum(axis=-1)
+        return x * inner.reshape(x.shape)
+
+    f1 = kernel.integral(y, near, lo=-R, hi=R)
+    f2 = kernel.integral(y, far, lo=_open_above(R), hi=np.inf, g_bound=far_bound)
+    f2 += kernel.integral(y, far, lo=-np.inf, hi=-_open_above(R), g_bound=far_bound)
+    return f1 + f2

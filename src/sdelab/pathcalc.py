@@ -59,14 +59,15 @@ def _qv_core(values, m, idx_t, dt, epsilon):
     return np.sum(d * d, axis=-1) * dt / epsilon
 
 
-def aligned_window_ladder(times, fracs=(0.1, 0.05, 0.025, 0.0125)):
-    """Window widths near the requested horizon fractions, snapped to the
-    grid (widths must be integer step multiples), descending, deduplicated."""
+def aligned_window_ladder(times):
+    """Window widths near 1/10, 1/20, 1/40 and 1/80 of the horizon, snapped
+    to the grid (widths must be integer step multiples), descending,
+    deduplicated."""
     times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
     horizon = float(times[-1] - times[0])
     out = []
-    for f in sorted(fracs, reverse=True):
+    for f in (0.1, 0.05, 0.025, 0.0125):
         m = max(int(round(f * horizon / dt)), 1)
         eps = m * dt
         if eps < horizon and (not out or eps < out[-1]):
@@ -117,20 +118,22 @@ class IntegrabilityGrowthTable:
     caps: Optional[np.ndarray] = None
     capped_means: Optional[np.ndarray] = None
 
-    def diverging(self, ratio=4.0):
-        """Running-mean blow-up: record jumps dominate the sample mean."""
+    def diverging(self):
+        """Running-mean blow-up: record jumps dominate the sample mean, which
+        ends above four times its first value without stabilizing."""
         m = self.means
         if len(m) < 2 or m[0] <= 0:
             return False
-        return m[-1] > ratio * m[0] and not self.stabilized()
+        return m[-1] > 4.0 * m[0] and not self.stabilized()
 
-    def stabilized(self, rtol=0.25):
+    def stabilized(self):
+        """The last two means agree within a quarter of the last."""
         m = self.means
         if len(m) < 2:
             return True
         if m[-1] == 0:
             return True
-        return abs(m[-1] - m[-2]) <= rtol * abs(m[-1])
+        return abs(m[-1] - m[-2]) <= 0.25 * abs(m[-1])
 
 
 def big_jump_sums(phi, ensemble, a, caps=()) -> np.ndarray:
@@ -194,8 +197,11 @@ def dirichlet_condition_intY(sums, active, a, sample_sizes,
 # remainder reconstruction and its quadratic variation
 # ---------------------------------------------------------------------------
 
-def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi, phi_bound,
-                          nodes=129, tol=1e-8) -> Callable:
+_COMPENSATOR_NODES = 129  # table size of a quadrature kernel's compensator
+
+
+def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi,
+                          phi_bound) -> Callable:
     """Vectorized x -> integral of the image increment over the simulated
     (big) jump region of ``eq.kernel``; matches the cutoff geometry of the
     engine."""
@@ -224,11 +230,11 @@ def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi, phi_bound,
         slope = float(np.max(np.abs(
             np.diff(phi(np.linspace(x_lo - 1, x_hi + 1, 257)))
             / np.diff(np.linspace(x_lo - 1, x_hi + 1, 257))))) + 1e-9
-        xs = (np.linspace(x_lo, x_hi, nodes) if x_hi - x_lo > 1e-9
+        xs = (np.linspace(x_lo, x_hi, _COMPENSATOR_NODES) if x_hi - x_lo > 1e-9
               else np.asarray([x_lo]))
         vals = stable_threshold_expectation(
             kernel, xs, lambda xc, w: np.asarray(phi(xc + w)) - np.asarray(phi(xc)),
-            delta, g_bound=2.0 * phi_bound, g_slope=slope, tol=tol)
+            delta, g_bound=2.0 * phi_bound, g_slope=slope)
         if len(xs) == 1:
             c = float(vals[0])
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
@@ -237,16 +243,15 @@ def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi, phi_bound,
     def node_value(xv):
         def g(w):
             return np.asarray(phi(xv + np.asarray(w))) - float(np.asarray(phi(np.asarray(xv))))
-        lo_part = kernel.integral(xv, g, lo=-np.inf, hi=-delta, tol=tol,
-                                  g_bound=2.0 * phi_bound)
+        lo_part = kernel.integral(xv, g, lo=-np.inf, hi=-delta, g_bound=2.0 * phi_bound)
         hi_part = kernel.integral(xv, g, lo=float(np.nextafter(delta, np.inf)),
-                                  hi=np.inf, tol=tol, g_bound=2.0 * phi_bound)
+                                  hi=np.inf, g_bound=2.0 * phi_bound)
         return lo_part + hi_part
 
     if x_hi - x_lo < 1e-9:
         c = node_value(x_lo)
         return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    xs = np.linspace(x_lo, x_hi, nodes)
+    xs = np.linspace(x_lo, x_hi, _COMPENSATOR_NODES)
     vals = np.asarray([node_value(float(u)) for u in xs])
     return CubicTable(xs, vals)
 

@@ -2,8 +2,8 @@
 
 A scenario bundles coefficients, a jump kernel, a drift functional and a
 simulation configuration under a registry name.  Running one always goes
-hypothesis checks -> simulation -> requested diagnostics, in that order;
-a scenario whose checks fail never simulates.
+request checks -> hypothesis checks -> simulation -> requested
+diagnostics, in that order; a scenario whose checks fail never simulates.
 """
 from __future__ import annotations
 
@@ -492,9 +492,7 @@ def _diag_conjugation(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult
 def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     """Transform route against plain Euler with the classical drift."""
     bp = bundle.eq.coeffs.drift.beta_prime
-    if bp is None:
-        raise ValidationError("cross-check needs a classical drift")
-    direct = simulate_euler_direct(lambda x: bp(x), bundle.eq.coeffs.diffusion.sigma,
+    direct = simulate_euler_direct(bp, bundle.eq.coeffs.diffusion.sigma,
                                    bundle.sim.replace(master_seed=bundle.sim.master_seed
                                                       + 1000),
                                    bundle.x0)
@@ -560,8 +558,9 @@ class RunReport:
                 return status
         return "pass"
 
-    def to_dict(self, include_timing=False):
-        d = {
+    def to_dict(self):
+        """The deterministic report: everything but the wall clock."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "scenario": self.scenario,
             "spec": self.spec,
@@ -571,9 +570,6 @@ class RunReport:
             "simulation": self.simulation,
             "diagnostics": [x.to_dict() for x in self.diagnostics],
         }
-        if include_timing:
-            d["wall_clock"] = self.wall_clock
-        return d
 
 
 def _hypothesis_section(bundle: ScenarioBundle):
@@ -604,6 +600,24 @@ def _simulation_section(config: SimConfig, xt, excluded, n_jumps):
     }
 
 
+def _check_diagnostics(bundle: ScenarioBundle):
+    """Reject, before the hypothesis gate and the simulation, a requested
+    diagnostic that is unknown or that the bundle cannot feed
+    (``ValidationError``)."""
+    diags, eq = bundle.diagnostics, bundle.eq
+    unknown = [d for d in diags if d not in _DIAGNOSTICS]
+    if unknown:
+        raise ValidationError(f"unknown diagnostics: {unknown}")
+    if "compensator" in diags and eq.kernel is None:
+        raise ValidationError("the compensator diagnostic needs a jump kernel")
+    if "crosscheck_euler" in diags:
+        if eq.coeffs.drift.beta_prime is None:
+            raise ValidationError("cross-check needs a classical drift")
+        # the Euler route has no jumps, so a comparison with jumps is vacuous
+        if eq.kernel is not None:
+            raise ValidationError("cross-check needs a scenario without jumps")
+
+
 def run_scenario(spec: ScenarioSpec) -> tuple:
     """Validate, simulate and diagnose; returns (report, ensemble)."""
     t0 = time.perf_counter()
@@ -614,9 +628,7 @@ def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
     """``run_scenario`` for a bundle already built from ``spec``; the wall
     clock counts from ``t0`` (default: now)."""
     t0 = time.perf_counter() if t0 is None else t0
-    unknown = [d for d in bundle.diagnostics if d not in _DIAGNOSTICS]
-    if unknown:
-        raise ValidationError(f"unknown diagnostics: {unknown}")
+    _check_diagnostics(bundle)
     hypothesis = _hypothesis_section(bundle)  # hard gate before any simulation
     ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
     results = [(_DIAGNOSTICS[d])(bundle, ens) for d in bundle.diagnostics]
@@ -760,9 +772,8 @@ def counterexample_cauchy(n_samples=1_000_000, caps=(10.0, 100.0, 1000.0),
 # emission
 # ---------------------------------------------------------------------------
 
-def report_json(report: RunReport, include_timing=False) -> str:
-    return json.dumps(report.to_dict(include_timing=include_timing),
-                      sort_keys=True, indent=2) + "\n"
+def report_json(report: RunReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _flatten(prefix, obj, rows):

@@ -253,8 +253,7 @@ def _stable_ops(kernel: StableTailKernel, delta, trunc):
     return _constant_profiles(rate, kneg + kpos, svar), sample
 
 
-def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
-                 master_seed, nodes=129):
+def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc, master_seed):
     """Finite-activity continuous law: the law's profiles are constant under
     the identity and tabulated otherwise, times the rate at the state;
     sizes are drawn by rejection."""
@@ -287,7 +286,7 @@ def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc,
             return [law.expect(lambda w: big(w).astype(float)), law.expect(kd),
                     law.expect(sv)]
 
-        ys = _shrunk_image_grid(transform, law.support_radius, nodes)
+        ys = _shrunk_image_grid(transform, law.support_radius, 129)
         per_jump = CubicTable(ys, np.asarray([at_node(yv) for yv in ys]).T)
 
     def profiles(y):

@@ -2,16 +2,20 @@
 
 Each one checks a property of the lab's objects against the paper's
 identities: the carre du champ of a conjugated profile, the polarized
-covariation and the C^1 chain rule of the regularization estimator, and
-the uniform continuity of the generator on balls of paths.  None of them
-is run by a command, diagnostic or script of ``sdelab``.
+covariation and the C^1 chain rule of the regularization estimator, the
+uniform continuity of the generator on balls of paths, a second route to
+the drift correction and the working bound of the nonlocal term.  None of
+them is run by a command, diagnostic or script of ``sdelab``.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
-                    GridMismatch, ScaleTransform, evaluate_generator)
+                    GridMismatch, ScaleTransform, StableTailKernel,
+                    TruncationFunction, evaluate_generator)
+from sdelab._quad import gauss_legendre_01
+from sdelab.kernels import _INNER_NODES, _jump_breaks, _split_masses
 from sdelab.pathcalc import _grid_step, _qv_core, _time_index, _window_steps
 
 
@@ -137,7 +141,7 @@ class ModulusEstimate:
 
 def generator_ball_modulus(f: ConjugateTestFunction, eq: EquationX, ball_radius,
                            n_probes=24, deltas=(0.4, 0.2, 0.1, 0.05), seed=0,
-                           n_grid=65, tol=1e-6) -> ModulusEstimate:
+                           n_grid=65) -> ModulusEstimate:
     """Empirical modulus sup |gen(eta1)(t) - gen(eta2)(t)| over close path pairs.
 
     Pairs are random paths inside the sup-norm ball with perturbations of
@@ -161,7 +165,79 @@ def generator_ball_modulus(f: ConjugateTestFunction, eq: EquationX, ball_radius,
             else:
                 pert = d * rng.uniform(-1.0, 1.0, size=base.shape)
             other = np.clip(base + pert, -m, m)
-            g1 = evaluate_generator(f, eq, CagladPath(times, base), t, tol=tol).total
-            g2 = evaluate_generator(f, eq, CagladPath(times, other), t, tol=tol).total
+            g1 = evaluate_generator(f, eq, CagladPath(times, base), t).total
+            g2 = evaluate_generator(f, eq, CagladPath(times, other), t).total
             sups[j] = max(sups[j], abs(g1 - g2))
     return ModulusEstimate(deltas=deltas, sups=np.maximum.accumulate(sups))
+
+
+# ---------------------------------------------------------------------------
+# the drift correction and the nonlocal term
+# ---------------------------------------------------------------------------
+
+def drift_correction_expansion(kernel, transform: ScaleTransform,
+                               trunc: TruncationFunction, y):
+    """``drift_correction`` through the split of its integrand into a core
+    that cancels exactly near 0 and a bounded tail, both written with the
+    derivative of the inverse transform; the two routes must agree."""
+    x = float(np.asarray(transform.inverse(y)))
+    y0 = float(np.asarray(transform.forward(x)))
+    hp_x = float(np.asarray(transform.deriv(x)))
+    a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
+    r_in = trunc.radius / transform.inv_deriv_sup
+    inv_dy = 1.0 / hp_x  # derivative of the inverse at y
+
+    def inv_deriv(u):
+        return 1.0 / np.asarray(transform.deriv(transform.inverse(u)))
+
+    def core(w):
+        z = float(np.asarray(transform.forward(x + w))) - y0
+        if abs(z) > r_in:
+            return 0.0
+        vals = inv_dy - inv_deriv(y0 + a_nodes * z)
+        return float(np.sum(vals * a_wts)) * z
+
+    def tail(w):
+        z = float(np.asarray(transform.forward(x + w))) - y0
+        if abs(z) <= r_in:
+            return 0.0
+        psi_bar = float(np.sum(inv_deriv(y0 + a_nodes * z) * a_wts))
+        return inv_dy * float(trunc(z)) - float(trunc(z * psi_bar))
+
+    val = kernel.integral(x, np.vectorize(lambda w: core(w) + tail(w), otypes=[float]),
+                          g_bound=trunc.cap * (1.0 + inv_dy),
+                          breakpoints=_jump_breaks(transform, x, y0, (r_in, -r_in)))
+    return hp_x * val
+
+
+def _holder_norm(f_prime, alpha, radius, n=161):
+    """Hoelder norm of f' over [-radius, radius] from a probe grid.
+
+    With alpha = 0 the seminorm degenerates to the sup of increments
+    (uniform-continuity convention).
+    """
+    u = np.linspace(-radius, radius, n)
+    v = np.asarray(f_prime(u), dtype=float)
+    du = np.abs(u[:, None] - u[None, :])
+    dv = np.abs(v[:, None] - v[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(du > 0, dv / np.where(du > 0, du**alpha, 1.0), 0.0)
+    return float(np.max(ratio)) + float(np.max(np.abs(v)))
+
+
+def jump_operator_bound(f_prime, kernel, trunc: TruncationFunction, y, f_sup):
+    """Working bound on ``|jump_operator(f, f_prime, kernel, trunc, y, f_sup)|``
+    for |f| <= ``f_sup``: the Hoelder norm of f' near y times the tilted mass
+    m1 inside the truncation radius R, plus the far profile's sup times the
+    mass m2 beyond R."""
+    alpha, R = kernel.alpha, trunc.radius
+    if isinstance(kernel, StableTailKernel):
+        s, g = kernel.scale, kernel.gamma
+        m1 = 2.0 * s * R ** (1.0 + alpha - g) / (1.0 + alpha - g)
+        m2 = 2.0 * float(kernel.one_tail_mass(R))
+    else:
+        m1, m2 = _split_masses(kernel, y, R, alpha)
+    window = abs(y) + R + 1.0
+    sup_fp = float(np.max(np.abs(f_prime(np.linspace(y - window, y + window, 101)))))
+    return (_holder_norm(f_prime, alpha, window) * m1
+            + (2.0 * f_sup + trunc.cap * sup_fp) * m2)

@@ -341,7 +341,7 @@ class TestGeneratorState:
         rows = np.arange(0, 24, 2)
         cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
         err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
-                                             f_sup=f.bound, split=False).value)
+                                             f_sup=f.bound, split=False))
                for r, c in zip(rows, cols)]
         assert f.name == "sin" and max(err) < 1e-4, err
 
@@ -363,7 +363,7 @@ class TestGeneratorState:
         rows = np.arange(0, 24, 2)
         cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
         err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
-                                             f_sup=f.bound, split=False).value)
+                                             f_sup=f.bound, split=False))
                for r, c in zip(rows, cols)]
         assert max(err) < 1e-4, err
 

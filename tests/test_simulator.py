@@ -668,7 +668,7 @@ class TestTabulatedKernelOps:
         for f in standard_profiles():
             fx, fpx = f.as_x_callables(tr)
             want = [jump_operator(fx, fpx, kernel, clamp1, xi, f_sup=f.bound,
-                                  split=False).value for xi in x.ravel()]
+                                  split=False) for xi in x.ravel()]
             got = generator._jump_term_grid(
                 f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx)
             np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=1e-13,
@@ -683,8 +683,8 @@ class TestTabulatedKernelThroughTransform:
         from sdelab import drift_correction
         kernel = _mixed_table()
         b = build_characteristics(EquationX(tanh_coeffs, kernel)).b
-        want = [drift_correction(kernel, tanh_coeffs.transform, clamp1, float(y),
-                                 method="definition") for y in b.x]
+        want = [drift_correction(kernel, tanh_coeffs.transform, clamp1, float(y))
+                for y in b.x]
         np.testing.assert_allclose(b(b.x), want, rtol=1e-12, atol=0)
 
     def test_gamma_compensator_equals_state_loop(self, tanh_coeffs, clamp1):
