@@ -16,7 +16,7 @@ from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         evaluate_transformed_generator, generator_state,
                         martingale_residual_ensemble, resolve_functional,
                         sin_left_limit, zero_functional)
-from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
+from .kernels import (DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
                       TruncationFunction, drift_correction,
                       geometric_partition, jump_operator, moment_bound,
@@ -24,8 +24,7 @@ from .kernels import (DensityLaw, DiscreteLaw, FiniteActivityKernel,
 from .pathcalc import (DirichletReport, GammaQVReport, IntegrabilityGrowthTable,
                        QVEstimate, aligned_window_ladder, big_jump_sums,
                        classify_dirichlet, dirichlet_condition_intY,
-                       gamma_residual_qv, nu_jump_structural_check, qv_estimate,
-                       qv_regularization)
+                       gamma_residual_qv, qv_estimate, qv_regularization)
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)

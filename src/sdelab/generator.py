@@ -19,7 +19,7 @@ import numpy as np
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
                            local_generator, transformed_diffusion)
 from .errors import ValidationError
-from .kernels import (AtomRows, Kernel, StableTailKernel, TruncationFunction,
+from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
 
 
@@ -271,7 +271,7 @@ def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: Caglad
 # vectorized generator along grids and martingale residuals
 # ---------------------------------------------------------------------------
 
-_TABLE_NODES = 257  # table size of the jump term of a quadrature kernel
+_TABLE_NODES = 257  # quantile nodes of a power tail's jump-term table
 _BLOCK = 2**15  # grid values per martingale or compensator block: bounds temporaries
 
 
@@ -330,8 +330,9 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None,
 
 
 def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
-    """The jump term of a quadrature kernel as a function of x, interpolated
-    from the quantiles of the states ``x`` (far below Monte Carlo error)."""
+    """The jump term of a power-tail kernel as a function of x, interpolated
+    from nodes at the quantiles of the states ``x`` (far below Monte Carlo
+    error), with a midpoint added in each of the wider half of their gaps."""
     kernel, trunc = eq.kernel, eq.trunc
     fx, fpx = f.as_x_callables(eq.coeffs.transform)
     lo, hi = float(np.min(x)), float(np.max(x))
@@ -339,22 +340,19 @@ def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
         val = jump_operator(fx, fpx, kernel, trunc, lo, f_sup=f.bound, split=False)
         return lambda u: np.full_like(u, val)
     # nodes at the quantiles of the states, so that heavy-tailed paths far
-    # out do not thin the table where most states are
+    # out do not thin the table where most states are; the quantiles thin
+    # out in the tails, so the widest gaps are halved
     nodes = np.unique(np.quantile(x, np.linspace(0.0, 1.0, _TABLE_NODES)))
-    if isinstance(kernel, StableTailKernel):
-        from .kernels import _stable_nonlocal
-        vals = _stable_nonlocal(kernel, trunc, nodes, fx, fpx, split=False,
-                                f_sup=f.bound, subpanel_budget=512)
-    else:
-        vals = np.array([
-            jump_operator(fx, fpx, kernel, trunc, float(u), f_sup=f.bound, split=False)
-            for u in nodes
-        ])
-    return CubicTable(nodes, vals)
+    gaps = np.diff(nodes)
+    wide = np.argsort(gaps)[len(gaps) // 2:]
+    nodes = np.union1d(nodes, nodes[wide] + 0.5 * gaps[wide])
+    return CubicTable(nodes, _stable_nonlocal(kernel, trunc, nodes, fx, fpx, split=False,
+                                              f_sup=f.bound, subpanel_budget=512))
 
 
 def jump_tables(eq: EquationX, profiles, x):
-    """Profile name -> jump-term table over ``x``; None without kernel or with atoms."""
+    """Profile name -> power-tail jump-term table over ``x``; None without
+    kernel or with atoms."""
     return (None if eq.kernel is None or has_atoms(eq.kernel)
             else {f.name: _jump_table(f, eq, x) for f in profiles})
 
@@ -363,8 +361,8 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
     """Nonlocal generator term on the state's grid (``base`` = f(x), ``fp`` = f'(x)).
 
     Kernels with atoms are summed exactly over each state's atoms, which
-    the state holds; kernels requiring quadrature read the profile's table
-    from ``state.jump_tables``, or tabulate it over the state's own grid.
+    the state holds; a power tail reads the profile's table from
+    ``state.jump_tables``, or tabulates it over the state's own grid.
     """
     x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
     if kernel is None:
@@ -418,8 +416,8 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
     """Each profile's residual at the time columns ``cols`` of every path
     of ``ens`` (profiles x paths x columns) and the terminal Girsanov weight
     (None without a functional), read in row blocks of about ``_BLOCK``
-    grid values.  A row's numbers do not depend on its block: a quadrature
-    kernel's jump term is tabulated once per profile over all states
+    grid values.  A row's numbers do not depend on its block: a power
+    tail's jump term is tabulated once per profile over all states
     (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``)."""
     from .simulator import girsanov_weight  # simulator imports this module
     n_paths, n_times = ens.x.shape

@@ -1,11 +1,13 @@
 """State-dependent jump kernels and the induced operators.
 
 A kernel assigns to every state y a measure Q(y, dx) on the jump sizes,
-with no mass at 0.  Three families are provided: a two-sided power tail,
-finite-activity kernels (rate times a jump law), and tabulated discrete
-families.  On top of these sit the moment/total-variation diagnostics,
-the pushforward through a scale transform, the induced drift correction,
-and the nonlocal generator term.
+with no mass at 0.  Two families are provided: the two-sided power tail
+(infinite activity), and kernels with finitely many atoms at every state
+(``AtomKernel``: a rate times a discrete law, or a table of per-state
+atoms), whose integrals are exact sums over ``atoms(x)``.  On top of these
+sit the moment/total-variation diagnostics, the pushforward through a
+scale transform, the induced drift correction, and the nonlocal generator
+term.
 """
 from __future__ import annotations
 
@@ -64,7 +66,7 @@ class TruncationFunction:
 
 
 # ---------------------------------------------------------------------------
-# jump laws (for finite-activity kernels)
+# the jump law of a finite-activity kernel
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -84,50 +86,6 @@ class DiscreteLaw:
             raise ValueError("probabilities must be nonnegative and sum to 1")
         self.positions = pos
         self.probs = prob
-
-    def expect(self, g, lo=-np.inf, hi=np.inf, **_):
-        sel = (self.positions >= lo) & (self.positions <= hi)
-        if not np.any(sel):
-            return 0.0
-        return float(np.sum(self.probs[sel] * np.asarray(g(self.positions[sel]))))
-
-    def mass(self, lo=-np.inf, hi=np.inf):
-        sel = (self.positions >= lo) & (self.positions <= hi)
-        return float(np.sum(self.probs[sel]))
-
-    @property
-    def support_radius(self):
-        return float(np.max(np.abs(self.positions)))
-
-
-@dataclass
-class DensityLaw:
-    """Absolutely continuous jump law with a sampler."""
-
-    pdf: Callable
-    support: tuple
-    sampler: Callable  # sampler(rng, size) -> draws
-
-    def expect(self, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=()):
-        a = max(lo, self.support[0])
-        b = min(hi, self.support[1])
-        if a >= b:
-            return 0.0
-        pieces = sorted({a, b, *(p for p in breakpoints if a < p < b),
-                         *( (0.0,) if a < 0.0 < b else () )})
-        total = 0.0
-        for u, v in zip(pieces[:-1], pieces[1:]):
-            total += quad_checked(
-                lambda x: float(np.asarray(g(x)).reshape(-1)[0]) * float(self.pdf(x)),
-                u, v, tol=tol)
-        return total
-
-    def mass(self, lo=-np.inf, hi=np.inf, tol=1e-10):
-        return self.expect(_ones, lo, hi, tol=tol)
-
-    @property
-    def support_radius(self):
-        return float(max(abs(self.support[0]), abs(self.support[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +222,35 @@ class AtomRows(NamedTuple):
         return out
 
 
+class AtomKernel:
+    """A kernel with finitely many atoms at every state.
+
+    A subclass describes itself by ``atoms(x) -> AtomRows``,
+    ``support_radius`` and ``alpha``; the integrals below read the atoms
+    only.
+    """
+
+    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
+                 g_bound=None):
+        """The sum of mass * g(position) over the atoms of the state ``y``
+        that lie in [lo, hi] (exact: ``tol``, ``breakpoints`` and
+        ``g_bound`` serve the quadrature of the power tail)."""
+        del tol, breakpoints, g_bound
+        pos, mass, n = self.atoms(float(y))
+        pos, mass = pos[:n], mass[:n]
+        sel = (pos >= lo) & (pos <= hi)
+        if not np.any(sel):
+            return 0.0
+        return float(np.sum(mass[sel] * np.asarray(g(pos[sel]))))
+
+    def region_mass_vec(self, y, intervals):
+        """Q(y, [lo, hi]) summed over ``intervals`` at every state of ``y``."""
+        y = np.asarray(y, dtype=float)
+        atoms = self.atoms(y)
+        return sum((atoms.sum(atoms.mass * ((atoms.pos >= lo) & (atoms.pos <= hi)))
+                    for lo, hi in intervals), np.zeros(y.shape))
+
+
 def _as_rate(rate) -> Callable:
     if callable(rate):
         return rate
@@ -271,14 +258,17 @@ def _as_rate(rate) -> Callable:
 
 
 @dataclass
-class FiniteActivityKernel:
-    """Kernel rate(y) * law(dx) with a finite total rate."""
+class FiniteActivityKernel(AtomKernel):
+    """Kernel rate(y) * law(dx) with a finite total rate and a discrete law."""
 
     rate: Union[float, Callable]
-    law: Union[DiscreteLaw, DensityLaw]
+    law: DiscreteLaw
     alpha: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.law, DiscreteLaw):
+            raise ValueError(f"the jump law must be a DiscreteLaw, got "
+                             f"{type(self.law).__name__}")
         if not callable(self.rate) and not 0.0 <= float(self.rate) < np.inf:
             raise ValueError("a constant rate must be finite and nonnegative")
         self._rate = _as_rate(self.rate)
@@ -293,25 +283,9 @@ class FiniteActivityKernel:
                                          f"nonnegative, got {float(rate[bad].flat[0])}")
         return rate
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
-                 g_bound=None):
-        del g_bound
-        r = float(self.rate_at(np.asarray(y, dtype=float)))
-        if r == 0.0:
-            return 0.0
-        return r * self.law.expect(g, lo, hi, tol=tol, breakpoints=breakpoints)
-
-    def region_mass(self, y, lo, hi):
-        return float(self.rate_at(y)) * self.law.mass(lo, hi)
-
-    def region_mass_vec(self, y, intervals):
-        y = np.asarray(y, dtype=float)
-        p = sum(self.law.mass(lo, hi) for lo, hi in intervals)
-        return self.rate_at(y) * p
-
     def atoms(self, x) -> AtomRows:
-        """A ``DiscreteLaw``'s atoms at the states ``x``: the same positions
-        for every state, masses ``rate(x) * p`` (a read-only broadcast of
+        """The law's atoms at the states ``x``: the same positions for
+        every state, masses ``rate(x) * p`` (a read-only broadcast of
         ``rate * p`` for a constant rate)."""
         x = np.asarray(x, dtype=float)
         law = self.law
@@ -322,11 +296,11 @@ class FiniteActivityKernel:
 
     @property
     def support_radius(self):
-        return self.law.support_radius
+        return float(np.max(np.abs(self.law.positions)))
 
 
 @dataclass
-class TabulatedKernel:
+class TabulatedKernel(AtomKernel):
     """Per-state discrete measures on a grid of states (nearest lookup).
 
     One table holds the measures: ``pos_tab`` and ``mass_tab`` hold each
@@ -385,32 +359,11 @@ class TabulatedKernel:
         idx[~finite] = 0
         return idx
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
-                 g_bound=None):
-        del tol, breakpoints, g_bound
-        pos, mass, n = self.atoms(float(y))
-        pos, mass = pos[:n], mass[:n]
-        sel = (pos >= lo) & (pos <= hi)
-        if not np.any(sel):
-            return 0.0
-        return float(np.sum(mass[sel] * np.asarray(g(pos[sel]))))
-
-    def region_mass(self, y, lo, hi):
-        return self.integral(y, np.ones_like, lo, hi)
-
     def atoms(self, x) -> AtomRows:
         """The atoms of the grid state nearest to each state of ``x``."""
         x = np.asarray(x, dtype=float)
         g = self._nearest(x.ravel()).reshape(x.shape)
         return AtomRows(self.pos_tab[g], self.mass_tab[g], self.n_atoms[g])
-
-    def region_mass_vec(self, y, intervals):
-        y = np.asarray(y, dtype=float)
-        per_state = np.asarray([sum(float(np.sum(m[:n][(p[:n] >= lo) & (p[:n] <= hi)]))
-                                    for lo, hi in intervals)
-                                for p, m, n in zip(self.pos_tab, self.mass_tab,
-                                                   self.n_atoms)], dtype=float)
-        return per_state[self._nearest(y.ravel())].reshape(y.shape)
 
     @property
     def support_radius(self):
@@ -422,10 +375,8 @@ Kernel = Union[StableTailKernel, FiniteActivityKernel, TabulatedKernel]
 
 def has_atoms(kernel: Optional[Kernel]) -> bool:
     """True for the kernels with finitely many atoms at every state, which
-    ``kernel.atoms(x)`` lists: a finite-activity kernel with a
-    ``DiscreteLaw`` and a ``TabulatedKernel``."""
-    return isinstance(kernel, TabulatedKernel) or (
-        isinstance(kernel, FiniteActivityKernel) and isinstance(kernel.law, DiscreteLaw))
+    ``kernel.atoms(x)`` lists: the ``AtomKernel`` family."""
+    return isinstance(kernel, AtomKernel)
 
 
 # ---------------------------------------------------------------------------

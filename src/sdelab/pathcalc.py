@@ -17,7 +17,7 @@ import numpy as np
 from .coefficients import CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
 from .generator import CagladPath, EquationX
-from .kernels import StableTailKernel, has_atoms
+from .kernels import has_atoms, stable_threshold_expectation
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +197,16 @@ def dirichlet_condition_intY(sums, active, a, sample_sizes,
 # remainder reconstruction and its quadratic variation
 # ---------------------------------------------------------------------------
 
-_COMPENSATOR_NODES = 129  # table size of a quadrature kernel's compensator
+_COMPENSATOR_NODES = 129  # table size of a power tail's compensator
 
 
 def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi,
                           phi_bound) -> Callable:
     """Vectorized x -> integral of the image increment over the simulated
     (big) jump region of ``eq.kernel``; matches the cutoff geometry of the
-    engine."""
+    engine.  Atoms are summed exactly at every state; a power tail, which
+    needs the identity transform, is tabulated from the vectorized panel
+    sum on ``_COMPENSATOR_NODES`` even nodes over [x_lo, x_hi]."""
     kernel, transform = eq.kernel, eq.coeffs.transform
     if kernel is None:
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -222,37 +224,20 @@ def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi,
 
     if not transform.is_identity:
         raise MissingDriverRecord(
-            "remainder reconstruction with this kernel needs the identity transform"
+            "remainder reconstruction with a power tail needs the identity transform"
         )
 
-    if isinstance(kernel, StableTailKernel):
-        from .kernels import stable_threshold_expectation
-        slope = float(np.max(np.abs(
-            np.diff(phi(np.linspace(x_lo - 1, x_hi + 1, 257)))
-            / np.diff(np.linspace(x_lo - 1, x_hi + 1, 257))))) + 1e-9
-        xs = (np.linspace(x_lo, x_hi, _COMPENSATOR_NODES) if x_hi - x_lo > 1e-9
-              else np.asarray([x_lo]))
-        vals = stable_threshold_expectation(
-            kernel, xs, lambda xc, w: np.asarray(phi(xc + w)) - np.asarray(phi(xc)),
-            delta, g_bound=2.0 * phi_bound, g_slope=slope)
-        if len(xs) == 1:
-            c = float(vals[0])
-            return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-        return CubicTable(xs, vals)
-
-    def node_value(xv):
-        def g(w):
-            return np.asarray(phi(xv + np.asarray(w))) - float(np.asarray(phi(np.asarray(xv))))
-        lo_part = kernel.integral(xv, g, lo=-np.inf, hi=-delta, g_bound=2.0 * phi_bound)
-        hi_part = kernel.integral(xv, g, lo=float(np.nextafter(delta, np.inf)),
-                                  hi=np.inf, g_bound=2.0 * phi_bound)
-        return lo_part + hi_part
-
-    if x_hi - x_lo < 1e-9:
-        c = node_value(x_lo)
+    slope = float(np.max(np.abs(
+        np.diff(phi(np.linspace(x_lo - 1, x_hi + 1, 257)))
+        / np.diff(np.linspace(x_lo - 1, x_hi + 1, 257))))) + 1e-9
+    xs = (np.linspace(x_lo, x_hi, _COMPENSATOR_NODES) if x_hi - x_lo > 1e-9
+          else np.asarray([x_lo]))
+    vals = stable_threshold_expectation(
+        kernel, xs, lambda xc, w: np.asarray(phi(xc + w)) - np.asarray(phi(xc)),
+        delta, g_bound=2.0 * phi_bound, g_slope=slope)
+    if len(xs) == 1:
+        c = float(vals[0])
         return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    xs = np.linspace(x_lo, x_hi, _COMPENSATOR_NODES)
-    vals = np.asarray([node_value(float(u)) for u in xs])
     return CubicTable(xs, vals)
 
 
@@ -338,25 +323,8 @@ def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class NuJumpVerdict:
-    passed: bool
-    detail: str
-
-
-def nu_jump_structural_check() -> NuJumpVerdict:
-    """Structural check that the jump compensator has no time atoms.
-
-    Every kernel in this package enters through an absolutely continuous
-    time integral, so the check passes for all of them.
-    """
-    return NuJumpVerdict(passed=True,
-                         detail="compensator absolutely continuous in time")
-
-
-@dataclass
 class DirichletReport:
     growth: IntegrabilityGrowthTable
-    nu_jump: Optional[NuJumpVerdict]
     verdict: str
 
     def to_dict(self):
@@ -371,14 +339,10 @@ class DirichletReport:
         if self.growth.caps is not None:
             d["growth"]["caps"] = [float(v) for v in self.growth.caps]
             d["growth"]["capped_means"] = [float(v) for v in self.growth.capped_means]
-        if self.nu_jump is not None:
-            d["nu_jump"] = {"passed": self.nu_jump.passed,
-                            "detail": self.nu_jump.detail}
         return d
 
 
 def classify_dirichlet(growth: IntegrabilityGrowthTable,
-                       nu_jump: Optional[NuJumpVerdict] = None,
                        reference=None) -> DirichletReport:
     """Combine the diagnostics into a three-way verdict.
 
@@ -412,4 +376,4 @@ def classify_dirichlet(growth: IntegrabilityGrowthTable,
         verdict = "consistent_with_dirichlet"
     else:
         verdict = "inconclusive"
-    return DirichletReport(growth=growth, nu_jump=nu_jump, verdict=verdict)
+    return DirichletReport(growth=growth, verdict=verdict)

@@ -24,8 +24,7 @@ from .generator import (EquationX, constant_functional, jump_tables,
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
-                       dirichlet_condition_intY, gamma_residual_qv,
-                       nu_jump_structural_check, qv_estimate)
+                       dirichlet_condition_intY, gamma_residual_qv, qv_estimate)
 from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
                         compensator_residual, engine_setup, girsanov_weight,
                         is_finite_real, simulate_blocks, simulate_euler_direct,
@@ -457,7 +456,7 @@ def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _default_region(kernel: Kernel):
-    if isinstance(getattr(kernel, "law", None), DiscreteLaw):
+    if isinstance(kernel, FiniteActivityKernel):
         return [(w - 0.4 * abs(w), w + 0.4 * abs(w)) for w in kernel.law.positions]
     return [(1.0, np.inf), (-np.inf, -1.0)]
 
@@ -515,8 +514,7 @@ def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000) if m <= n] or [n]
     growth = dirichlet_condition_intY(big_jump_sums(_identity, ens, 1.0), ens.active,
                                       a=1.0, sample_sizes=ladder)
-    nu = nu_jump_structural_check()
-    report = classify_dirichlet(growth, nu_jump=nu)
+    report = classify_dirichlet(growth)
     return DiagnosticResult("dirichlet",
                             "pass" if report.verdict != "inconsistent" else "fail",
                             float(growth.means[-1]) if len(growth.means) else 0.0,
@@ -691,14 +689,13 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
         ladder.append(n)
     growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder,
                                       caps=caps)
-    nu = nu_jump_structural_check()
     # reference: the two-sided big-jump size integral, or its largest
     # truncation when it diverges
     from scipy.integrate import quad as _quad
     hi = np.inf if gamma > 1.0 else float(max(caps))
     ref, _ = _quad(lambda x: 2.0 * scale * x**-gamma, a, hi)
     ref *= config.horizon
-    report_d = classify_dirichlet(growth, nu_jump=nu, reference=ref)
+    report_d = classify_dirichlet(growth, reference=ref)
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
     diag = DiagnosticResult(
         "dirichlet_counterexample", _status(report_d.verdict == expected),

@@ -23,8 +23,7 @@ from .coefficients import CubicTable, ScaleTransform, transformed_diffusion
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import _BLOCK, CagladPath, EquationX, PathFunctional
-from .kernels import (DensityLaw, FiniteActivityKernel, Kernel, StableTailKernel,
-                      TruncationFunction, drift_correction, has_atoms)
+from .kernels import Kernel, StableTailKernel, TruncationFunction, has_atoms
 
 
 def _as_vec(fn_or_const):
@@ -191,9 +190,10 @@ class JumpOps:
 
     ``profiles(y)`` stacks the big-jump rate, the truncated compensator of
     the big jumps and the small-jump variance at the states ``y`` on a
-    leading axis of length 3.  ``sample(y_pre, u1, u2, path_idx, cand_idx)``
-    returns the sizes ``(z, w)`` of accepted big jumps in transformed and
-    original coordinates.
+    leading axis of length 3.  ``sample(y_pre, u1, u2)`` returns the sizes
+    ``(z, w)`` of accepted big jumps in transformed and original
+    coordinates from each candidate's two size uniforms, so a jump reads
+    only its own path's stream.
     """
 
     profiles: Callable
@@ -230,8 +230,6 @@ def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
         profiles, sample = _stable_ops(k, delta, trunc)
     elif has_atoms(k):
         profiles, sample = _atom_kernel_ops(k, transform, delta, trunc)
-    elif isinstance(k, FiniteActivityKernel) and isinstance(k.law, DensityLaw):
-        profiles, sample = _density_ops(k, transform, delta, trunc, config.master_seed)
     else:
         raise ValidationError(f"unsupported kernel type {type(k).__name__}")
     return JumpOps(profiles, sample)
@@ -247,71 +245,10 @@ def _stable_ops(kernel: StableTailKernel, delta, trunc):
     svar = kernel.integral(0.0, lambda z: np.asarray(z, dtype=float) ** 2,
                            lo=-delta, hi=delta, tol=1e-10)
 
-    def sample(y_pre, u1, u2, path_idx, cand_idx):
+    def sample(y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z.copy()
     return _constant_profiles(rate, kneg + kpos, svar), sample
-
-
-def _density_ops(kernel: FiniteActivityKernel, transform, delta, trunc, master_seed):
-    """Finite-activity continuous law: the law's profiles are constant under
-    the identity and tabulated otherwise, times the rate at the state;
-    sizes are drawn by rejection."""
-    law = kernel.law
-
-    def z_of(y, w):
-        x = transform.inverse(y)
-        return np.asarray(transform.forward(x + np.asarray(w))) - y
-
-    if transform.is_identity:
-        d = delta
-        pbig = law.mass(-np.inf, -np.nextafter(d, np.inf)) + law.mass(
-            np.nextafter(d, np.inf), np.inf)
-        kdel = (law.expect(lambda z: np.asarray(trunc(z)), -np.inf, -d)
-                + law.expect(lambda z: np.asarray(trunc(z)), d, np.inf))
-        svar = law.expect(lambda z: np.asarray(z) ** 2, -d, d)
-        per_jump = _constant_profiles(pbig, kdel, svar)
-    else:
-        def at_node(y):
-            def big(w):
-                return np.abs(z_of(y, w)) > delta
-
-            def kd(w):
-                z = z_of(y, w)
-                return np.where(np.abs(z) > delta, np.asarray(trunc(z)), 0.0)
-
-            def sv(w):
-                z = z_of(y, w)
-                return np.where(np.abs(z) <= delta, z**2, 0.0)
-            return [law.expect(lambda w: big(w).astype(float)), law.expect(kd),
-                    law.expect(sv)]
-
-        ys = _shrunk_image_grid(transform, law.support_radius, 129)
-        per_jump = CubicTable(ys, np.asarray([at_node(yv) for yv in ys]).T)
-
-    def profiles(y):
-        y = np.asarray(y, dtype=float)
-        return kernel.rate_at(transform.inverse(y)) * per_jump(y)
-
-    def sample(y_pre, u1, u2, path_idx, cand_idx):
-        y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
-        z_out = np.empty_like(y_pre)
-        w_out = np.empty_like(y_pre)
-        keys = np.column_stack((np.atleast_1d(path_idx), 1 + np.atleast_1d(cand_idx)))
-        for i, rng in enumerate(streams(master_seed, keys)):
-            for _ in range(10000):
-                w = float(law.sampler(rng, 1)[0])
-                z = float(z_of(y_pre[i], w))
-                if abs(z) > delta:
-                    z_out[i], w_out[i] = z, w
-                    break
-            else:
-                raise IntensityBoundViolated(
-                    "rejection sampling of a big jump failed 10000 times; "
-                    "cutoff too large for this law"
-                )
-        return z_out, w_out
-    return profiles, sample
 
 
 def _atom_kernel_ops(kernel, transform, delta, trunc):
@@ -359,7 +296,7 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
         if atoms.fixed and np.all(big == big[:1, :]):
             profiles = CubicTable(ys, exact(ys))
 
-    def sample(y_pre, u1, u2, path_idx, cand_idx):
+    def sample(y_pre, u1, u2):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
         u1 = np.atleast_1d(np.asarray(u1, dtype=float))
         atoms, z, big = rows(y_pre)
@@ -434,19 +371,16 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
     if kernel is None or transform.is_identity:
         b = _as_vec(0.0)  # without jumps, or under the identity, no correction
     else:
+        # a power tail fails here (RangeError): no finite table holds its
+        # support.  For atoms, the defining integral of drift_correction,
+        # summed exactly over each node's atoms
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
-        if has_atoms(kernel):
-            # the defining integral of drift_correction, summed exactly over
-            # each node's atoms
-            x = transform.inverse(ys)
-            atoms = kernel.atoms(x)
-            z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - ys[:, None]
-            hp = np.asarray(transform.deriv(x))[:, None]
-            vals = atoms.sum(atoms.mass * (np.asarray(trunc(z))
-                                           - hp * np.asarray(trunc(atoms.pos))))
-        else:
-            vals = [drift_correction(kernel, transform, trunc, float(yv)) for yv in ys]
-        b = CubicTable(ys, np.asarray(vals))
+        x = transform.inverse(ys)
+        atoms = kernel.atoms(x)
+        z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - ys[:, None]
+        hp = np.asarray(transform.deriv(x))[:, None]
+        b = CubicTable(ys, atoms.sum(atoms.mass * (np.asarray(trunc(z))
+                                                   - hp * np.asarray(trunc(atoms.pos)))))
     return CharacteristicsY(b=b, sigma0=sigma0, measure=kernel, transform=transform,
                             trunc=trunc, functional=eq.functional)
 
@@ -645,12 +579,11 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     # 4 * first[p] + j + m * counts[p] for m = 0, 1, 2, 3
     c_path = np.repeat(np.arange(P), counts)
     first = np.cumsum(counts) - counts
-    c_j = np.arange(total) - first[c_path]
-    c_at = 4 * first[c_path] + c_j
+    c_at = 3 * first[c_path] + np.arange(total)  # j = arange(total) - first[p]
     c_t = T * unif[c_at]
     c_step = np.minimum((c_t / dt).astype(np.int64), n - 1)
     order = np.lexsort((c_t, c_path, c_step))
-    c_path, c_j, c_t, c_step = c_path[order], c_j[order], c_t[order], c_step[order]
+    c_path, c_t, c_step = c_path[order], c_t[order], c_step[order]
     c_at, c_count = c_at[order], counts[c_path]
     c_u, c_u1, c_u2 = (unif[c_at + m * c_count] for m in (1, 2, 3))
     del unif, first, order, c_at, c_count
@@ -688,8 +621,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                 sel = lo + np.flatnonzero(acc)
                 pa = c_path[sel]
                 y_pre = y[pa]
-                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel], paths.start + pa,
-                                  c_j[sel])
+                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel])
                 np.add.at(jump_add, pa, z)
                 acc_idx.append(sel)
                 acc_y.append(y_pre)
@@ -706,7 +638,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                 active &= ~newly
             y_next = np.where(active, y_next, y)
         Y[:, s + 1] = y_next
-    del small_normals, c_j, c_step, c_u, c_u1, c_u2
+    del small_normals, c_step, c_u, c_u1, c_u2
 
     if P == config.n_paths:
         _check_exclusions(int(np.sum(~active)), config)

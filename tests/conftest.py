@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from sdelab import (CoefficientSet, DensityLaw, DiffusionSpec, DiscreteLaw, DriftSpec,
+from sdelab import (CoefficientSet, DiffusionSpec, DiscreteLaw, DriftSpec,
                     FiniteActivityKernel, MollifierConfig, StableTailKernel,
                     TruncationFunction)
 
@@ -58,15 +58,6 @@ def atom_kernel():
 def unit_atom_kernel():
     """Rate-1 kernel with a single jump of size +1."""
     return FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((1.0, 1.0),)), alpha=1.0)
-
-
-@pytest.fixture(scope="session")
-def uniform_density_kernel():
-    """Rate-1 kernel with uniform jumps on [-1, 1], given by their density."""
-    law = DensityLaw(pdf=lambda x: 0.5 * (np.abs(np.asarray(x, dtype=float)) <= 1.0),
-                     support=(-1.0, 1.0),
-                     sampler=lambda rng, size: rng.uniform(-1.0, 1.0, size=size))
-    return FiniteActivityKernel(rate=1.0, law=law)
 
 
 @pytest.fixture(scope="session")

@@ -344,28 +344,9 @@ class TestGeneratorState:
                                              f_sup=f.bound, split=False))
                for r, c in zip(rows, cols)]
         assert f.name == "sin" and max(err) < 1e-4, err
-
-    def test_density_law_table_matches_pointwise_quadrature(self, clamp1,
-                                                            uniform_density_kernel):
-        # a finite-activity kernel with a density has no atoms either: its
-        # jump term is tabulated by pointwise quadrature at the quantile nodes
-        from sdelab import CoefficientSet, generator, jump_operator
-        eq = EquationX(CoefficientSet.unit(), uniform_density_kernel, clamp1)
-        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=400, master_seed=5,
-                        small_jump_cutoff=0.05, big_jump_intensity_bound=1.05)
-        ens = simulate_x_markovian(eq, cfg, 0.0)
-        state = generator_state(eq, ens.times, ens.x)
-        f = standard_profiles()[0]
-        got = generator._jump_term_grid(f, state, f.phi(state.hx),
-                                        f.phi_prime(state.hx) * state.hpx)
-        fx, fpx = f.as_x_callables(eq.coeffs.transform)
-        # the same 12 states as for the stable kernel above
-        rows = np.arange(0, 24, 2)
-        cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
-        err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
-                                             f_sup=f.bound, split=False))
-               for r, c in zip(rows, cols)]
-        assert max(err) < 1e-4, err
+        # the widest quantile gaps are halved, so the tail state at x = 3.15
+        # (8.2e-5 off on the quantile nodes alone) is resolved as well
+        assert max(err) <= 2e-5, err
 
 
 # ---------------------------------------------------------------------------

@@ -57,34 +57,22 @@ class TestMomentBound:
         assert abs(rep.m1[0] - 4.0) < 1e-6
         assert abs(rep.m2[0] - 4.0) < 1e-6
 
-    def test_density_law_moment_oracle(self):
-        from sdelab import DensityLaw
-        # rate 2, uniform sizes on [0.5, 1.5], alpha = 1:
-        # oracle 2 * int_0.5^1.5 min(1, x^2) dx = 2 (7/24 + 1/2)
-        law = DensityLaw(
-            pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
-            support=(0.5, 1.5),
-            sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
-        k = FiniteActivityKernel(rate=2.0, law=law, alpha=1.0)
-        oracle, _ = quad(lambda x: 2.0 * min(1.0, x * x), 0.5, 1.5, epsabs=1e-12)
-        rep = moment_bound(k, [0.0, 1.0])
-        assert abs(rep.sup - oracle) < 1e-8
-
 
 # --- kernels with atoms --------------------------------------------------------
 
 def test_has_atoms_only_for_atom_kernels(atom_kernel, stable_half_kernel):
-    from sdelab import DensityLaw
     from sdelab.kernels import has_atoms
-    density = FiniteActivityKernel(
-        rate=1.0, law=DensityLaw(pdf=lambda x: np.ones_like(np.asarray(x)),
-                                 support=(0.5, 1.5),
-                                 sampler=lambda rng, size: rng.uniform(0.5, 1.5, size)))
     tabulated = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]),
                                 measures=(((1.0, 0.5),), ((1.0, 2.0),)))
     assert has_atoms(atom_kernel) and has_atoms(tabulated)
-    for kernel in (None, density, stable_half_kernel):
+    for kernel in (None, stable_half_kernel):
         assert not has_atoms(kernel)
+
+
+def test_finite_activity_kernel_needs_a_discrete_law():
+    # any other law fails at construction, not later inside the engine
+    with pytest.raises(ValueError, match="DiscreteLaw"):
+        FiniteActivityKernel(rate=1.0, law=((0.5, 1.0),))
 
 
 # --- total-variation modulus -------------------------------------------------
@@ -129,13 +117,15 @@ class TestTVModulus:
 # --- tabulated region mass ---------------------------------------------------
 
 class TestTabulatedRegionMass:
-    """The array form equals the scalar ``region_mass`` summed per state."""
+    """The array form equals the kernel's total mass on each interval,
+    ``integral(y, np.ones_like, lo, hi)``, summed per state."""
 
     INTERVALS = [(0.3, 1.0), (-1.0, -0.2), (1.5, np.inf)]
 
     @staticmethod
     def _scalar(k, y, intervals):
-        return np.asarray([sum(k.region_mass(v, lo, hi) for lo, hi in intervals)
+        return np.asarray([sum(k.integral(v, np.ones_like, lo, hi)
+                               for lo, hi in intervals)
                            for v in np.ravel(y)]).reshape(np.shape(y))
 
     @pytest.mark.parametrize("grid", (np.linspace(-4.0, 4.0, 9),
@@ -173,7 +163,8 @@ class TestTabulatedRegionMass:
         assert np.array_equal(k.region_mass_vec([0.0, 0.9, 2.0], [(-1.0, 1.0)]),
                               [0.0, 3.0, 0.0])
         assert k.support_radius == 0.5
-        assert k.integral(0.0, np.sin) == 0.0 and k.region_mass(2.0, -1.0, 1.0) == 0.0
+        assert k.integral(0.0, np.sin) == 0.0
+        assert k.integral(2.0, np.ones_like, -1.0, 1.0) == 0.0
         bare = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]), measures=((), ()))
         assert bare.support_radius == 0.0
         assert bare.atoms(np.asarray([0.3, 7.0])).pos.shape == (2, 0)
@@ -315,8 +306,8 @@ class TestPushforward:
         via_push = pushforward_integral(k, tr, y0, ind)
         w_plus = float(tr.inverse(y0 + d)) - x0
         w_minus = float(tr.inverse(y0 - d)) - x0
-        direct = (k.region_mass(x0, -np.inf, np.nextafter(w_minus, -np.inf))
-                  + k.region_mass(x0, np.nextafter(w_plus, np.inf), np.inf))
+        direct = (k.integral(x0, np.ones_like, -np.inf, np.nextafter(w_minus, -np.inf))
+                  + k.integral(x0, np.ones_like, np.nextafter(w_plus, np.inf), np.inf))
         assert abs(via_push - direct) < 1e-12
 
 
@@ -468,8 +459,8 @@ def test_truncation_validate_rejects_bad_fn():
 def test_discrete_kernel_mass_additivity(w, p, rate):
     law = DiscreteLaw(((w, p), (-2.0 * w, 1.0 - p)))
     k = FiniteActivityKernel(rate=rate, law=law, alpha=1.0)
-    total = k.region_mass(0.0, -np.inf, np.inf)
-    low = k.region_mass(0.0, -np.inf, 0.0)
-    high = k.region_mass(0.0, np.nextafter(0.0, 1.0), np.inf)
+    total = k.integral(0.0, np.ones_like, -np.inf, np.inf)
+    low = k.integral(0.0, np.ones_like, -np.inf, 0.0)
+    high = k.integral(0.0, np.ones_like, np.nextafter(0.0, 1.0), np.inf)
     assert total == pytest.approx(rate)
     assert low + high == pytest.approx(total)

@@ -9,7 +9,7 @@ from sdelab import (CagladPath, CharacteristicsY, DiscreteLaw, EquationX,
                     StableTailKernel,
                     big_jump_sums, classify_dirichlet,
                     dirichlet_condition_intY, gamma_residual_qv,
-                    nu_jump_structural_check, qv_estimate, qv_regularization,
+                    qv_estimate, qv_regularization,
                     engine_setup, simulate_x_markovian, simulate_y)
 
 from reference import chain_rule_qv, covariation
@@ -270,14 +270,8 @@ class TestGammaResidual:
 
 
 # ---------------------------------------------------------------------------
-# compensator time structure and verdicts
+# verdicts
 # ---------------------------------------------------------------------------
-
-class TestNuJumpCheck:
-    def test_shipped_kernels_pass(self):
-        v = nu_jump_structural_check()
-        assert v.passed and v.detail == "compensator absolutely continuous in time"
-
 
 class TestVerdicts:
     def test_dichotomy_between_tail_exponents(self):
@@ -289,11 +283,10 @@ class TestVerdicts:
         rep_l = classify_dirichlet(
             dirichlet_condition_intY(big_jump_sums(ident, ens_l, 1.0), ens_l.active,
                                      1.0, sizes),
-            nu_jump=nu_jump_structural_check(), reference=2.0)
+            reference=2.0)
         rep_h = classify_dirichlet(
             dirichlet_condition_intY(big_jump_sums(ident, ens_h, 1.0), ens_h.active,
                                      1.0, sizes),
-            nu_jump=nu_jump_structural_check(),
             reference=2.0 * (np.sqrt(100.0) - 1.0))
         assert rep_l.verdict == "consistent_with_dirichlet"
         assert rep_h.verdict == "inconsistent"

@@ -163,32 +163,6 @@ class TestDrawOrder:
         self._check(ens, cfg, float(np.sum(r_big)), sizes)
         assert len(ens.jump_time) > 40
 
-    def test_density_law_pins_event_index(self):
-        # each accepted candidate draws its size from the stream of key
-        # (path, 1 + j), with j its index among the path's candidates
-        from sdelab import DensityLaw, FiniteActivityKernel
-        law = DensityLaw(
-            pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
-            support=(0.5, 1.5),
-            sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
-        kernel = FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
-        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
-                        small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
-        chars = build_characteristics(EquationX(CoefficientSet.unit(), kernel))
-        ens = simulate_y(engine_setup(chars, cfg, 0.0))
-        ops = jump_ops(chars, cfg)
-        rate = float(ops.profiles(np.zeros(1))[0, 0])
-
-        def sizes(i, j, u1, u2):
-            w = np.asarray([law.sampler(next(simulator.streams(cfg.master_seed,
-                                                               [[i, 1 + jj]])), 1)[0]
-                            for jj in j], dtype=float)
-            y_pre = ens.jump_y_pre[ens.jump_path == i]
-            return (y_pre + w) - y_pre, w
-
-        self._check(ens, cfg, rate, sizes)
-        assert len(ens.jump_time) > 30
-
     def test_no_candidates(self):
         # a positive bound whose Poisson counts all come out 0: the
         # candidate arrays are empty and the path noise is unchanged
@@ -259,7 +233,7 @@ class TestStreams:
         with pytest.raises(ValidationError):
             next(simulator.streams(0, [[2**32]]))
         with pytest.raises(ValidationError):
-            next(simulator.streams(0, [[0, 1 + 2**32 - 1]]))  # event key 1 + j
+            next(simulator.streams(0, [[0, 2**32]]))  # a second key word
 
     @pytest.mark.parametrize("seed", (-1, 1.5, True, np.float64(2.0), "3", None))
     def test_bad_master_seed_rejected(self, seed):
@@ -292,7 +266,7 @@ def _merged(blocks, field):
     return np.concatenate(parts)
 
 
-CASES = ("stable_drop", "stable_gaussian_match", "atom_tanh", "density")
+CASES = ("stable_drop", "stable_gaussian_match", "atom_tanh", "tabulated_tanh")
 
 
 class TestBlocks:
@@ -312,10 +286,11 @@ class TestBlocks:
         eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
         return build_characteristics(eq), cfg, 0.0
 
-    def _density(self, clamp1):
+    def _tabulated_tanh(self, tanh_coeffs, clamp1):
+        # state-dependent atoms: exact profiles and sampling at every step
         cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=19,
-                        small_jump_cutoff=0.05, big_jump_intensity_bound=2.5)
-        eq = EquationX(CoefficientSet.unit(), _uniform_density_kernel(), clamp1)
+                        small_jump_cutoff=0.05, big_jump_intensity_bound=1.25)
+        eq = EquationX(tanh_coeffs, _state_dependent_table(), clamp1)
         return build_characteristics(eq), cfg, 0.0
 
     def _case(self, case, tanh_coeffs, atom_kernel, clamp1):
@@ -323,7 +298,7 @@ class TestBlocks:
             return self._stable(case[len("stable_"):])
         if case == "atom_tanh":
             return self._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
-        return self._density(clamp1)
+        return self._tabulated_tanh(tanh_coeffs, clamp1)
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("block_paths", (1, 7, 17))
@@ -447,26 +422,6 @@ class TestLawOracles:
                    - tr.inverse(ens.jump_y_pre))
         assert np.max(np.abs(w_check - ens.jump_w)) < 1e-8
 
-    def test_density_law_jump_sizes(self, tanh_coeffs, clamp1):
-        # uniform jump sizes on [0.5, 1.5]: sampled means must match, both
-        # with and without a nontrivial transform
-        from sdelab import DensityLaw, FiniteActivityKernel
-        law = DensityLaw(
-            pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
-            support=(0.5, 1.5),
-            sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
-        kernel = FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
-        cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=400, master_seed=71,
-                        small_jump_cutoff=0.05, big_jump_intensity_bound=1.05)
-        for coeffs in (__import__("sdelab").CoefficientSet.unit(), tanh_coeffs):
-            ens = simulate_x_markovian(EquationX(coeffs, kernel, clamp1), cfg, 0.0)
-            assert len(ens.jump_w) > 200
-            se = np.std(ens.jump_w, ddof=1) / np.sqrt(len(ens.jump_w))
-            assert abs(np.mean(ens.jump_w) - 1.0) < 4.0 * se
-            assert np.all((ens.jump_w >= 0.5) & (ens.jump_w <= 1.5))
-            stats = compensator_residual(ens, [(0.5, 1.5)], kernel)
-            assert abs(stats.zscore) < 3.5
-
     def test_euler_weak_error_halves_with_steps(self):
         # noise-free nonlinear drift: the step bias must scale linearly
         drift = lambda y: np.sin(y + 0.3)
@@ -489,15 +444,6 @@ class TestLawOracles:
 # jump-measure branches under a nontrivial transform
 # ---------------------------------------------------------------------------
 
-def _uniform_density_kernel():
-    from sdelab import DensityLaw, FiniteActivityKernel
-    law = DensityLaw(
-        pdf=lambda x: ((np.asarray(x) >= 0.5) & (np.asarray(x) <= 1.5)) * 1.0,
-        support=(0.5, 1.5),
-        sampler=lambda rng, size: rng.uniform(0.5, 1.5, size=size))
-    return FiniteActivityKernel(rate=1.0, law=law, alpha=1.0)
-
-
 def _split_atom_kernel():
     # the 0.05 atom is big at some states and small at others once pushed
     # through the transform, so its profiles are evaluated exactly
@@ -514,14 +460,12 @@ def _state_dependent_table():
 
 
 class TestJumpMeasureBranches:
-    """Discrete laws on the exact fallback, density laws and tabulated
-    kernels, each simulated through the tanh transform."""
+    """Discrete laws on the exact fallback and tabulated kernels, each
+    simulated through the tanh transform."""
 
     CASES = {
         "discrete_exact": (_split_atom_kernel, [(0.5, 1.0)],
                            lambda w: np.isin(w, [0.05, 0.8])),
-        "density": (_uniform_density_kernel, [(0.5, 1.5)],
-                    lambda w: (w >= 0.5) & (w <= 1.5)),
         "tabulated": (_state_dependent_table, [(0.3, 1.0), (-1.0, -0.2)],
                       lambda w: np.isin(w, [0.6, -0.4])),
     }
@@ -558,15 +502,6 @@ class TestJumpMeasureBranches:
         np.testing.assert_allclose(prepare(atom_kernel, 0.01).profiles(ys),
                                    [np.ones_like(ys), z, np.zeros_like(ys)],
                                    rtol=1e-12, atol=1e-15)
-
-        # h' > 0.3 here, so every jump of the law on [0.5, 1.5] is big
-        from scipy.integrate import quad
-        ys = simulator._shrunk_image_grid(tr, 1.5, 129)[::16]
-        comp = [quad(lambda w: float(np.clip(h(x + w) - y, -1.0, 1.0)), 0.5, 1.5,
-                     epsabs=1e-12)[0] for x, y in zip(tr.inverse(ys), ys)]
-        np.testing.assert_allclose(
-            prepare(_uniform_density_kernel(), 0.05).profiles(ys),
-            [np.ones_like(ys), comp, np.zeros_like(ys)], rtol=1e-7, atol=1e-12)
 
         ys = simulator._shrunk_image_grid(tr, 0.8, 41)
         z = np.stack([h(tr.inverse(ys) + w) - ys for w in (0.05, 0.8)])
@@ -649,7 +584,7 @@ class TestTabulatedKernelOps:
                               ref_profiles(y).reshape(3, 6, -1))
         u1 = np.random.default_rng(8).uniform(size=len(y))
         has_big = ref_profiles(y)[0] > 0
-        got = sample(y[has_big], u1[has_big], None, None, None)
+        got = sample(y[has_big], u1[has_big], None)
         want = ref_sample(y[has_big], u1[has_big])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
@@ -707,31 +642,6 @@ class TestTabulatedKernelThroughTransform:
             want.append(np.sum(mass * np.where(np.abs(z) > 0.05,
                                                np.sin(xi + pos) - np.sin(xi), 0.0)))
         assert np.array_equal(got, np.reshape(want, x.shape))
-
-    def test_density_law_gamma_compensator_equals_quadrature(self, clamp1,
-                                                             uniform_density_kernel):
-        # a density law has no atoms: the compensator interpolates the
-        # pointwise kernel integral over |w| > delta from 129 nodes
-        from sdelab import gamma_residual_qv, pathcalc
-        kernel = uniform_density_kernel
-        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=40, master_seed=5,
-                        small_jump_cutoff=0.05, big_jump_intensity_bound=3.0)
-        eq = EquationX(CoefficientSet.unit(), kernel, clamp1)
-        ens = simulate_x_markovian(eq, cfg, 0.0)
-        rep = gamma_residual_qv(ens, np.sin, np.cos, eq, (0.25, 0.125))
-        assert np.all(np.isfinite(rep.mean_qv))
-        x = ens.x[ens.active, :-1]
-        got = pathcalc._phi_jump_compensator(eq, 0.05, np.sin, x.min(), x.max(),
-                                             1.0)(x)
-        above = float(np.nextafter(0.05, np.inf))
-        want = []
-        for xi in x.ravel():
-            def g(w, xi=xi):
-                return np.sin(xi + np.asarray(w)) - np.sin(xi)
-            want.append(kernel.integral(xi, g, lo=-np.inf, hi=-0.05)
-                        + kernel.integral(xi, g, lo=above, hi=np.inf))
-        np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=0, atol=1e-4)
-
 
 # ---------------------------------------------------------------------------
 # guard rails
