@@ -1,10 +1,10 @@
 """Internal quadrature helpers.
 
-Finite pieces go through QUADPACK (which copes with integrable endpoint
-singularities); infinite tails are summed over dyadic blocks with an
-explicit remainder bound, which is far more robust than QAGI for the
-slowly decaying, possibly oscillatory integrands that jump kernels
-produce.
+Cached Gauss-Legendre and Gauss-Kronrod rules serve the mollifier blocks
+and the nonlocal integrals.  ``quad_checked`` (QUADPACK with an error
+check) serves the one scalar integral left, the mollifier's normalising
+constant; the jump kernels need none: their masses are closed forms or
+atom sums.
 """
 from __future__ import annotations
 
@@ -75,29 +75,3 @@ def quad_checked(f, a, b, tol=1e-8):
         )
     return value
 
-
-def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None):
-    """Sum int_a^inf f over at most 200 blocks [a 2^k, a 2^(k+1)].
-
-    ``tail_mass(r)`` must return the total absolute mass of the underlying
-    measure beyond radius r; together with a bound on |g| (declared via
-    ``sup_bound`` or estimated from the blocks already seen) it yields a
-    rigorous stopping criterion.
-    """
-    if a <= 0:
-        raise ValueError("dyadic tail needs a positive starting radius")
-    total = 0.0
-    lo = a
-    observed = 0.0
-    for _ in range(200):
-        hi = 2.0 * lo
-        block = quad_checked(f, lo, hi, tol=tol)
-        total += block
-        dens_scale = max(tail_mass(lo) - tail_mass(hi), 1e-300)
-        observed = max(observed, abs(block) / dens_scale)
-        bound = sup_bound if sup_bound is not None else 2.0 * max(observed, 1e-12)
-        remainder = bound * tail_mass(hi)
-        if abs(block) < 0.25 * tol and remainder < 0.5 * tol:
-            return total
-        lo = hi
-    raise QuadratureFailure(f"tail integral from {a} did not converge")

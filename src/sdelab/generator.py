@@ -222,9 +222,11 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
     """Generator of the transformed equation on an image-space path.
 
     The local part is the classical second-order term plus the drift
-    correction; the nonlocal part integrates against the pushforward of
-    the kernel.  The drift functional is that of the original path, so it
-    is evaluated on the preimage of ``y_path``.
+    correction; the nonlocal part sums the atoms of the pushforward of
+    the kernel, or, for a power tail (which needs the identity transform
+    and is its own pushforward), is the unsplit compensated integral of
+    ``jump_operator``.  The drift functional is that of the original
+    path, so it is evaluated on the preimage of ``y_path``.
     """
     transform, kernel, trunc = eq.coeffs.transform, eq.kernel, eq.trunc
     y_t = y_path.value(t)
@@ -239,18 +241,17 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
 
     if kernel is None:
         jump = 0.0
-    else:
+    elif has_atoms(kernel):
         phi_y = float(np.asarray(phi.phi(np.asarray(y_t))))
 
         def g(z):
             z = np.asarray(z, dtype=float)
             return phi.phi(y_t + z) - phi_y - np.asarray(trunc(z)) * phi_p
 
-        jump = pushforward_integral(
-            kernel, transform, y_t, g,
-            g_bound=2.0 * phi.bound + trunc.cap * abs(phi_p),
-            z_breakpoints=(-trunc.radius, trunc.radius),
-        )
+        jump = pushforward_integral(kernel, transform, y_t, g)
+    else:  # a power tail: the identity transform maps it onto itself
+        jump = jump_operator(phi.phi, phi.phi_prime, kernel, trunc, y_t,
+                             f_sup=phi.bound, split=False)
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 

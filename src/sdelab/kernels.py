@@ -1,13 +1,16 @@
 """State-dependent jump kernels and the induced operators.
 
 A kernel assigns to every state y a measure Q(y, dx) on the jump sizes,
-with no mass at 0.  Two families are provided: the two-sided power tail
-(infinite activity), and kernels with finitely many atoms at every state
+with no mass at 0.  Two families are provided, each with one route per
+kind of integral.  The two-sided power tail (infinite activity) gives its
+masses of |x|^p over bands of radii in closed form and its compensated
+profiles by a vectorized panel walk along each ray; it needs the identity
+transform.  Kernels with finitely many atoms at every state
 (``AtomKernel``: a rate times a discrete law, or a table of per-state
-atoms), whose integrals are exact sums over ``atoms(x)``.  On top of these
-sit the moment/total-variation diagnostics, the pushforward through a
-scale transform, the induced drift correction, and the nonlocal generator
-term.
+atoms) give every integral as an exact sum over ``atoms(x)``.  On top of
+these sit the moment/total-variation diagnostics, the pushforward of the
+atoms through a scale transform, the induced drift correction, and the
+nonlocal generator term.
 """
 from __future__ import annotations
 
@@ -16,21 +19,22 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from ._quad import dyadic_tail, gauss_legendre, gauss_legendre_01, quad_checked
+from ._quad import gauss_legendre, gauss_legendre_01
 from .coefficients import ScaleTransform
 from .errors import (DivergentMoment, IntensityBoundViolated, QuadratureFailure,
-                     RangeError)
+                     RangeError, ValidationError)
 
 _INNER_NODES = 16
-_TOL = 1e-8  # quadrature tolerance of the kernel diagnostics and operators
+_TOL = 1e-8  # tolerance of the power tail's panel walk
 
 
 def _open_above(a):
     return float(np.nextafter(a, np.inf))
 
 
-def _ones(x):
-    return np.ones_like(np.asarray(x, dtype=float))
+def _beyond(r):
+    """The jump sizes with |x| > r, as two closed intervals."""
+    return [(_open_above(r), np.inf), (-np.inf, -_open_above(r))]
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +126,24 @@ class StableTailKernel:
         a = np.asarray(a, dtype=float)
         return self.scale * a ** (-self.gamma) / self.gamma
 
-    def region_mass(self, y, lo, hi):
-        """Q(y, (lo, hi)); infinite when the region touches 0."""
-        del y
-        lo, hi = float(lo), float(hi)
-        if lo >= hi:
-            return 0.0
-        if lo <= 0.0 <= hi:
-            return np.inf
-        a, b = sorted((abs(lo), abs(hi)))
-        tail_b = 0.0 if np.isinf(b) else float(self.one_tail_mass(b))
-        return float(self.one_tail_mass(a)) - tail_b
+    def mass(self, y, intervals, p):
+        """The sum over ``intervals`` of int_lo^hi |x|^p Q(y, dx) at every
+        state of ``y``, in closed form per side; infinite where the integral
+        diverges (at 0 for p <= gamma, at infinity for p >= gamma)."""
+        total = sum(self._band(a, b, p) for lo, hi in intervals
+                    for a, b in ((max(lo, 0.0), hi), (max(-hi, 0.0), -lo)) if a < b)
+        return np.full(np.shape(y), float(total))
 
-    def region_mass_vec(self, y, intervals):
-        return np.full_like(np.asarray(y, dtype=float),
-                            sum(self.region_mass(0.0, lo, hi) for lo, hi in intervals))
+    def _band(self, a, b, p):
+        """int_a^b r^p scale r^(-1-gamma) dr over radii 0 <= a < b <= inf."""
+        q = p - self.gamma
+        a, b = np.float64(a), np.float64(b)
+        with np.errstate(divide="ignore"):
+            if q < 0:  # scale r^q / -q is the mass beyond r
+                return self.scale * a**q / -q - self.scale * b**q / -q
+            if q > 0:  # scale r^q / q is the mass inside r
+                return self.scale * b**q / q - self.scale * a**q / q
+            return self.scale * np.log(b / a)
 
     def sample_two_tail(self, u_side, u_mag, w_lo, w_hi):
         """Exact inverse-CDF draw from the two-sided tail restriction."""
@@ -146,43 +153,6 @@ class StableTailKernel:
         mag_pos = np.abs(w_hi) * (1.0 - u_mag) ** (-1.0 / self.gamma)
         mag_neg = np.abs(w_lo) * (1.0 - u_mag) ** (-1.0 / self.gamma)
         return np.where(go_pos, mag_pos, -mag_neg)
-
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
-                 g_bound=None):
-        del y  # the family is state independent
-        total = 0.0
-        if hi > 0 and max(lo, 0.0) < hi:
-            total += self._side(g, max(lo, 0.0), hi, +1.0, tol, breakpoints, g_bound)
-        if lo < 0 and min(hi, 0.0) > lo:
-            total += self._side(g, max(-min(hi, 0.0), 0.0), -lo, -1.0, tol,
-                                breakpoints, g_bound)
-        return total
-
-    def _side(self, g, a, b, sign, tol, breakpoints, g_bound):
-        # integrate over radii (a, b), actual points sign * r
-        def f(r):
-            return float(np.asarray(g(sign * r)).reshape(-1)[0]) * self._dens(r)
-
-        cuts = sorted({a, min(b, max(a, 1.0)),
-                       *(abs(p) for p in breakpoints if a < abs(p) < min(b, 1e300)
-                         and np.sign(p) == sign)})
-        total = 0.0
-        if not np.isfinite(b):
-            fin = max(cuts[-1], 1.0)
-            cuts = sorted(set(cuts) | {fin})
-            for u, v in zip(cuts[:-1], cuts[1:]):
-                if v > u:
-                    total += quad_checked(f, u, v, tol=tol)
-            total += dyadic_tail(
-                f, fin, tail_mass=lambda r: float(self.one_tail_mass(r)),
-                tol=tol, sup_bound=g_bound,
-            )
-        else:
-            cuts = sorted(set(cuts) | {b})
-            for u, v in zip(cuts[:-1], cuts[1:]):
-                if v > u:
-                    total += quad_checked(f, u, v, tol=tol)
-        return total
 
     @property
     def support_radius(self):
@@ -230,12 +200,9 @@ class AtomKernel:
     only.
     """
 
-    def integral(self, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
-                 g_bound=None):
+    def integral(self, y, g, lo=-np.inf, hi=np.inf):
         """The sum of mass * g(position) over the atoms of the state ``y``
-        that lie in [lo, hi] (exact: ``tol``, ``breakpoints`` and
-        ``g_bound`` serve the quadrature of the power tail)."""
-        del tol, breakpoints, g_bound
+        that lie in [lo, hi]."""
         pos, mass, n = self.atoms(float(y))
         pos, mass = pos[:n], mass[:n]
         sel = (pos >= lo) & (pos <= hi)
@@ -243,11 +210,13 @@ class AtomKernel:
             return 0.0
         return float(np.sum(mass[sel] * np.asarray(g(pos[sel]))))
 
-    def region_mass_vec(self, y, intervals):
-        """Q(y, [lo, hi]) summed over ``intervals`` at every state of ``y``."""
+    def mass(self, y, intervals, p):
+        """The sum over ``intervals`` of int_lo^hi |x|^p Q(y, dx) at every
+        state of ``y``: mass * |position|^p over the atoms in [lo, hi]."""
         y = np.asarray(y, dtype=float)
         atoms = self.atoms(y)
-        return sum((atoms.sum(atoms.mass * ((atoms.pos >= lo) & (atoms.pos <= hi)))
+        weight = atoms.mass * np.abs(atoms.pos) ** p
+        return sum((atoms.sum(weight * ((atoms.pos >= lo) & (atoms.pos <= hi)))
                     for lo, hi in intervals), np.zeros(y.shape))
 
 
@@ -402,47 +371,23 @@ class TiltedKernelReport:
                    float(self.m2[i]))
 
 
-def _split_masses(kernel: Kernel, y, radius, alpha):
-    """m1 = int over |x| <= radius of |x|^(1+alpha) Q(y, dx) and
-    m2 = Q(y, |x| > radius)."""
-    m1 = kernel.integral(y, lambda x: np.abs(x) ** (1.0 + alpha), lo=-radius, hi=radius)
-    m2 = (kernel.integral(y, _ones, lo=_open_above(radius), hi=np.inf, g_bound=1.0)
-          + kernel.integral(y, _ones, lo=-np.inf, hi=-_open_above(radius), g_bound=1.0))
-    return m1, m2
-
-
 def moment_bound(kernel: Kernel, y_grid, radius=1.0) -> TiltedKernelReport:
     """Certify the tilted-mass hypothesis sup_y int (1 ^ |x|^(1+alpha)) Q(y, dx).
 
-    Raises DivergentMoment when the integral cannot be finite (power-tail
-    kernels with alpha <= gamma - 1, or quadrature blow-up).
+    Raises DivergentMoment when a mass is not finite (for a power tail:
+    alpha <= gamma - 1).
     """
     alpha = kernel.alpha
-    if isinstance(kernel, StableTailKernel) and alpha <= kernel.gamma - 1.0:
-        raise DivergentMoment(
-            f"alpha={alpha} <= gamma-1={kernel.gamma - 1.0}: tilted mass diverges"
-        )
+    p = 1.0 + alpha
     y_grid = np.atleast_1d(np.asarray(y_grid, dtype=float))
-
-    def tilt(x):
-        return np.minimum(1.0, np.abs(x) ** (1.0 + alpha))
-
-    moments, m1s, m2s = [], [], []
-    for y in y_grid:
-        try:
-            mom = kernel.integral(y, tilt, breakpoints=(-1.0, 1.0), g_bound=1.0)
-            m1, m2 = _split_masses(kernel, y, radius, alpha)
-        except QuadratureFailure as exc:
-            raise DivergentMoment(f"tilted mass at y={y} diverges: {exc}") from exc
-        if not np.isfinite(mom):
-            raise DivergentMoment(f"tilted mass at y={y} is not finite")
-        moments.append(mom)
-        m1s.append(m1)
-        m2s.append(m2)
-    return TiltedKernelReport(
-        y_grid=y_grid, moments=np.asarray(moments), m1=np.asarray(m1s),
-        m2=np.asarray(m2s), radius=radius, alpha=alpha,
-    )
+    moments = (kernel.mass(y_grid, [(-1.0, 1.0)], p)
+               + kernel.mass(y_grid, _beyond(1.0), 0.0))
+    m1 = kernel.mass(y_grid, [(-radius, radius)], p)
+    m2 = kernel.mass(y_grid, _beyond(radius), 0.0)
+    if not np.all(np.isfinite(moments + m1 + m2)):
+        raise DivergentMoment(f"the tilted mass is not finite (alpha={alpha})")
+    return TiltedKernelReport(y_grid=y_grid, moments=moments, m1=m1, m2=m2,
+                              radius=radius, alpha=alpha)
 
 
 def geometric_partition(inner, outer, n_cells=128):
@@ -476,17 +421,15 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition) -> TVModul
         raise ValueError("partition must have at least 64 cells")
     y_grid = np.asarray(y_grid, dtype=float)
 
-    def tilt(x):
-        return np.minimum(1.0, np.abs(x) ** (1.0 + alpha))
+    def tilted_mass(a, b):
+        # the cell [a, b), tilted by |x|^(1+alpha) inside [-1, 1] and by 1 outside
+        b = np.nextafter(b, -np.inf)
+        return (kernel.mass(y_grid, [(max(a, -1.0), min(b, 1.0))], 1.0 + alpha)
+                + kernel.mass(y_grid, [(a, min(b, -_open_above(1.0))),
+                                       (max(a, _open_above(1.0)), b)], 0.0))
 
-    def cell_vector(y):
-        out = np.empty(len(edges) - 1)
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            out[i] = kernel.integral(y, tilt, lo=a, hi=np.nextafter(b, -np.inf),
-                                     g_bound=1.0)
-        return out
-
-    vectors = [cell_vector(y) for y in y_grid]
+    vectors = np.stack([tilted_mass(a, b) for a, b in zip(edges[:-1], edges[1:])],
+                       axis=-1)
     pairs = [(float(a), float(b)) for a, b in zip(y_grid[:-1], y_grid[1:])]
     vals = [float(np.sum(np.abs(v1 - v0))) for v0, v1 in zip(vectors[:-1], vectors[1:])]
     return TVModulusReport(y_pairs=pairs, values=np.asarray(vals))
@@ -495,13 +438,6 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition) -> TVModul
 # ---------------------------------------------------------------------------
 # pushforward, drift correction, nonlocal operator
 # ---------------------------------------------------------------------------
-
-def _jump_breaks(transform: ScaleTransform, x, y0, z_breaks):
-    """The jumps w with h(x + w) = y0 + z, z in ``z_breaks``, y0 + z in the image."""
-    lo_im, hi_im = transform.image
-    return tuple(float(np.asarray(transform.inverse(y0 + z))) - x
-                 for z in z_breaks if lo_im < y0 + z < hi_im)
-
 
 def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
     if transform.is_identity:
@@ -516,14 +452,20 @@ def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
         )
 
 
-def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g,
-                         g_bound=None, z_breakpoints=()):
+def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g):
     """Integral of g against the transformed kernel at the image state y.
 
     The transformed measure is the pushforward of Q at the preimage state
-    through w -> h(x + w) - h(x); the integral is carried out in the
-    original jump variable.
+    through w -> h(x + w) - h(x); the integral is a sum over the atoms of
+    Q in the original jump variable.  A power tail needs the identity
+    transform, which maps it onto itself: its compensated jump term is
+    ``jump_operator(..., split=False)``.
     """
+    if not has_atoms(kernel):
+        raise ValidationError(
+            f"pushforward_integral sums atoms, not a {type(kernel).__name__}: a "
+            f"power tail needs the identity transform, under which its jump term "
+            f"is jump_operator(..., split=False)")
     x = float(np.asarray(transform.inverse(y)))
     _guard_support(kernel, transform, x)
     y0 = float(np.asarray(transform.forward(x)))
@@ -531,9 +473,7 @@ def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g,
     def integrand(w):
         return g(transform.forward(x + np.asarray(w)) - y0)
 
-    return kernel.integral(x, integrand,
-                           breakpoints=_jump_breaks(transform, x, y0, z_breakpoints),
-                           g_bound=g_bound)
+    return kernel.integral(x, integrand)
 
 
 def drift_correction(kernel: Kernel, transform: ScaleTransform,
@@ -553,10 +493,7 @@ def drift_correction(kernel: Kernel, transform: ScaleTransform,
         z = transform.forward(x + np.asarray(w)) - y0
         return trunc(z) - hp_x * trunc(np.asarray(w))
 
-    breaks = (trunc.radius, -trunc.radius)
-    return kernel.integral(x, integrand,
-                           breakpoints=breaks + _jump_breaks(transform, x, y0, breaks),
-                           g_bound=trunc.cap * (1.0 + hp_x))
+    return kernel.integral(x, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +564,13 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
     return total if total is not None else 0.0
 
 
+def _both_rays(kernel: StableTailKernel, values_at, start, direction, **walk):
+    """The panel sums of ``values_at(x_nodes)`` along the positive and the
+    negative ray, added."""
+    return sum(_stable_panel_sum(kernel, lambda r, s=s: values_at(s * r), start,
+                                 direction, **walk) for s in (1.0, -1.0))
+
+
 _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the
 # Taylor form takes over (float cancellation of f(y+x)-f(y) below R 2^-10)
 
@@ -662,11 +606,8 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
         inner = ((np.asarray(fpx(shifted)) - fpy[:, :, None]) * a_wts).sum(axis=-1)
         return x_nodes[None, :] * inner
 
-    def near_sum(fn, sign):
-        return _stable_panel_sum(kernel, lambda r: fn(sign * r), R, "in")
-
     if split:
-        near = near_sum(taylor, +1.0) + near_sum(taylor, -1.0)
+        near = _both_rays(kernel, taylor, R, "in")
     else:
         # direct over the top panels, Taylor below the cancellation depth
         switch = R * 2.0 ** (-_DIRECT_DEPTH)
@@ -686,12 +627,8 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
             deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch, "in")
             part = part + deep
             near = part if near is None else near + part
-    far = (_stable_panel_sum(kernel, lambda r: direct(r), R, "out",
-                             far_bound=far_bound, slope=slope,
-                             subpanel_budget=subpanel_budget)
-           + _stable_panel_sum(kernel, lambda r: direct(-r), R, "out",
-                               far_bound=far_bound, slope=slope,
-                               subpanel_budget=subpanel_budget))
+    far = _both_rays(kernel, direct, R, "out", far_bound=far_bound, slope=slope,
+                     subpanel_budget=subpanel_budget)
     return near + far
 
 
@@ -704,13 +641,8 @@ def stable_threshold_expectation(kernel: StableTailKernel, x_states, g, threshol
     256 subpanels a panel).
     """
     x = np.atleast_1d(np.asarray(x_states, dtype=float))[:, None]
-    out = (_stable_panel_sum(kernel, lambda r: np.asarray(g(x, r[None, :])),
-                             threshold, "out", far_bound=g_bound,
-                             slope=g_slope, subpanel_budget=256)
-           + _stable_panel_sum(kernel, lambda r: np.asarray(g(x, -r[None, :])),
-                               threshold, "out", far_bound=g_bound,
-                               slope=g_slope, subpanel_budget=256))
-    return out
+    return _both_rays(kernel, lambda w: np.asarray(g(x, w[None, :])), threshold, "out",
+                      far_bound=g_bound, slope=g_slope, subpanel_budget=256)
 
 
 def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
@@ -721,28 +653,27 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
     (inner integral by fixed Gauss quadrature), weighted so that only the
     tilted mass of the kernel enters; the far part is the plain
     compensated difference.  ``split=False`` evaluates the unsplit
-    integral instead, which exists for cross-checking the decomposition.
+    integral instead: the transformed generator's jump term of a power
+    tail, and the power tail's jump-term tables.
     """
     R = trunc.radius
     y = float(y)
     fy = float(np.asarray(f(np.asarray(y))))
-    sup_est = f_sup if f_sup is not None else abs(fy) + 1.0
 
     if isinstance(kernel, StableTailKernel):
         if kernel.alpha <= kernel.gamma - 1.0:
             raise DivergentMoment("alpha <= gamma - 1: nonlocal term diverges")
         return float(_stable_nonlocal(kernel, trunc, y, f, f_prime, split=split,
-                                      f_sup=sup_est)[0])
+                                      f_sup=f_sup)[0])
 
     fpy = float(np.asarray(f_prime(np.asarray(y))))
-    far_bound = 2.0 * sup_est + trunc.cap * abs(fpy)
 
     def far(x):
         x = np.asarray(x, dtype=float)
         return f(y + x) - fy - np.asarray(trunc(x)) * fpy
 
     if not split:
-        return kernel.integral(y, far, breakpoints=(-R, R), g_bound=far_bound)
+        return kernel.integral(y, far)
     a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
 
     def near(x):
@@ -752,6 +683,6 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
         return x * inner.reshape(x.shape)
 
     f1 = kernel.integral(y, near, lo=-R, hi=R)
-    f2 = kernel.integral(y, far, lo=_open_above(R), hi=np.inf, g_bound=far_bound)
-    f2 += kernel.integral(y, far, lo=-np.inf, hi=-_open_above(R), g_bound=far_bound)
+    f2 = kernel.integral(y, far, lo=_open_above(R), hi=np.inf)
+    f2 += kernel.integral(y, far, lo=-np.inf, hi=-_open_above(R))
     return f1 + f2

@@ -23,7 +23,8 @@ from .coefficients import CubicTable, ScaleTransform, transformed_diffusion
 from .errors import (DegenerateWeights, IntensityBoundViolated,
                      MissingDriverRecord, RangeError, ValidationError)
 from .generator import _BLOCK, CagladPath, EquationX, PathFunctional
-from .kernels import Kernel, StableTailKernel, TruncationFunction, has_atoms
+from .kernels import (Kernel, StableTailKernel, TruncationFunction, has_atoms,
+                      stable_threshold_expectation)
 
 
 def _as_vec(fn_or_const):
@@ -121,21 +122,21 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def seed_words(master_seed, keys) -> np.ndarray:
+def seed_words(master_seed, paths) -> np.ndarray:
     """Row ``r`` equals ``SeedSequence(entropy=master_seed,
-    spawn_key=tuple(keys[r])).generate_state(4, np.uint64)``.
+    spawn_key=(paths[r],)).generate_state(4, np.uint64)``.
 
-    ``keys`` is a 2-d integer array of spawn keys of equal length whose
-    entries lie in [0, 2**32).  The master seed's words fill the pool, so
-    the pool before the key words is shared and computed once; the key
-    words and the output hash run on whole columns of uint32.
+    ``paths`` is a 1-d integer array of path indices in [0, 2**32).  The
+    master seed's words fill the pool, so the pool before the path word is
+    shared and computed once; the path words and the output hash run on
+    whole arrays of uint32.
     """
     check_seed(master_seed)
-    keys = np.asarray(keys)
-    if keys.ndim != 2 or keys.shape[1] == 0 or keys.dtype.kind not in "iu":
-        raise ValidationError("spawn keys must be a 2-d array of integers")
-    if keys.size and (keys.min() < 0 or keys.max() > _M32):
-        raise ValidationError("spawn key entries must lie in [0, 2**32)")
+    paths = np.asarray(paths)
+    if paths.ndim != 1 or paths.dtype.kind not in "iu":
+        raise ValidationError("path indices must be a 1-d array of integers")
+    if paths.size and (paths.min() < 0 or paths.max() > _M32):
+        raise ValidationError("path indices must lie in [0, 2**32)")
     seed, run = int(master_seed), []
     while seed or not run:
         run.append(seed & _M32)
@@ -147,11 +148,11 @@ def seed_words(master_seed, keys) -> np.ndarray:
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in run[_POOL:] + list(keys.astype(np.uint32).T):
+    for word in run[_POOL:] + [paths.astype(np.uint32)]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], hashmix(word))
     out_hash = _hasher(0x8B51F9DD, 0x58F38DED)
-    out = np.empty((len(keys), 2 * _POOL), dtype=np.uint32)
+    out = np.empty((len(paths), 2 * _POOL), dtype=np.uint32)
     for i in range(2 * _POOL):
         out[:, i] = out_hash(pool[i % _POOL])
     # word pairs read as little-endian uint64, as generate_state does
@@ -172,12 +173,12 @@ class _Words(ISeedSequence):
         return self.words
 
 
-def streams(master_seed, keys):
-    """One PCG64 Generator per spawn key, as ``np.random.default_rng`` of
-    the SeedSequence would give; the words are computed now for all keys,
+def streams(master_seed, paths):
+    """One PCG64 Generator per path index, as ``np.random.default_rng`` of
+    the SeedSequence would give; the words are computed now for all paths,
     each Generator when it is reached."""
     return (np.random.Generator(np.random.PCG64(_Words(w)))
-            for w in seed_words(master_seed, keys))
+            for w in seed_words(master_seed, paths))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +237,20 @@ def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
 
 
 def _stable_ops(kernel: StableTailKernel, delta, trunc):
-    """Identity transform: everything is state independent and closed form."""
+    """Identity transform: everything is state independent.  The rate and
+    the small-jump variance are closed-form masses; the truncated
+    compensator of the big jumps is the panel walk of both rays, exactly 0
+    for an odd truncation."""
     rate = 2.0 * float(kernel.one_tail_mass(delta))
-    kneg = kernel.integral(0.0, lambda z: np.asarray(trunc(z)), lo=-np.inf,
-                           hi=-delta, tol=1e-10, g_bound=trunc.cap)
-    kpos = kernel.integral(0.0, lambda z: np.asarray(trunc(z)), lo=delta,
-                           hi=np.inf, tol=1e-10, g_bound=trunc.cap)
-    svar = kernel.integral(0.0, lambda z: np.asarray(z, dtype=float) ** 2,
-                           lo=-delta, hi=delta, tol=1e-10)
+    kdelta = float(stable_threshold_expectation(
+        kernel, 0.0, lambda x, w: np.asarray(trunc(w)), delta,
+        g_bound=trunc.cap, g_slope=1.0)[0])  # the clamp's slope
+    svar = float(kernel.mass(0.0, [(-delta, delta)], 2.0))
 
     def sample(y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z.copy()
-    return _constant_profiles(rate, kneg + kpos, svar), sample
+    return _constant_profiles(rate, kdelta, svar), sample
 
 
 def _atom_kernel_ops(kernel, transform, delta, trunc):
@@ -559,8 +561,8 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     counts = np.zeros(P, dtype=np.int64)
     unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
     total = 0
-    keys = np.arange(paths.start, paths.stop)[:, None]
-    for i, rng in enumerate(streams(config.master_seed, keys)):
+    for i, rng in enumerate(streams(config.master_seed,
+                                    np.arange(paths.start, paths.stop))):
         rng.standard_normal(out=normals[i])
         rng.standard_normal(out=small_normals[i if use_gauss else 0])
         k = int(rng.poisson(lam_max * T)) if lam_max > 0 else 0
@@ -784,7 +786,7 @@ def compensator_residual(ensemble: Ensemble, region, kernel: Kernel) -> Residual
     dt = float(ensemble.times[1] - ensemble.times[0])
     rows = max(1, _BLOCK // (len(ensemble.times) - 1))  # blocks of ~_BLOCK states
     integral = np.concatenate([
-        np.asarray(kernel.region_mass_vec(ensemble.x[a:a + rows, :-1], intervals)).sum(-1)
+        np.asarray(kernel.mass(ensemble.x[a:a + rows, :-1], intervals, 0.0)).sum(-1)
         for a in range(0, P, rows)]) * dt
     res = (counts - integral)[ensemble.active]
     return ResidualStats(mean=float(np.mean(res)),

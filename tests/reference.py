@@ -4,18 +4,20 @@ Each one checks a property of the lab's objects against the paper's
 identities: the carre du champ of a conjugated profile, the polarized
 covariation and the C^1 chain rule of the regularization estimator, the
 uniform continuity of the generator on balls of paths, a second route to
-the drift correction and the working bound of the nonlocal term.  None of
-them is run by a command, diagnostic or script of ``sdelab``.
+the drift correction, the working bound of the nonlocal term, and the
+power tail's scalar quadrature route (QUADPACK pieces and a dyadic tail).
+None of them is run by a command, diagnostic or script of ``sdelab``.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
-                    GridMismatch, ScaleTransform, StableTailKernel,
-                    TruncationFunction, evaluate_generator)
-from sdelab._quad import gauss_legendre_01
-from sdelab.kernels import _INNER_NODES, _jump_breaks, _split_masses
+                    GridMismatch, ScaleTransform, TruncationFunction,
+                    evaluate_generator)
+from sdelab._quad import gauss_legendre_01, quad_checked
+from sdelab.errors import QuadratureFailure
+from sdelab.kernels import _INNER_NODES, _TOL, _beyond
 from sdelab.pathcalc import _grid_step, _qv_core, _time_index, _window_steps
 
 
@@ -204,9 +206,7 @@ def drift_correction_expansion(kernel, transform: ScaleTransform,
         psi_bar = float(np.sum(inv_deriv(y0 + a_nodes * z) * a_wts))
         return inv_dy * float(trunc(z)) - float(trunc(z * psi_bar))
 
-    val = kernel.integral(x, np.vectorize(lambda w: core(w) + tail(w), otypes=[float]),
-                          g_bound=trunc.cap * (1.0 + inv_dy),
-                          breakpoints=_jump_breaks(transform, x, y0, (r_in, -r_in)))
+    val = kernel.integral(x, np.vectorize(lambda w: core(w) + tail(w), otypes=[float]))
     return hp_x * val
 
 
@@ -231,13 +231,83 @@ def jump_operator_bound(f_prime, kernel, trunc: TruncationFunction, y, f_sup):
     m1 inside the truncation radius R, plus the far profile's sup times the
     mass m2 beyond R."""
     alpha, R = kernel.alpha, trunc.radius
-    if isinstance(kernel, StableTailKernel):
-        s, g = kernel.scale, kernel.gamma
-        m1 = 2.0 * s * R ** (1.0 + alpha - g) / (1.0 + alpha - g)
-        m2 = 2.0 * float(kernel.one_tail_mass(R))
-    else:
-        m1, m2 = _split_masses(kernel, y, R, alpha)
+    m1 = float(kernel.mass(y, [(-R, R)], 1.0 + alpha))
+    m2 = float(kernel.mass(y, _beyond(R), 0.0))
     window = abs(y) + R + 1.0
     sup_fp = float(np.max(np.abs(f_prime(np.linspace(y - window, y + window, 101)))))
     return (_holder_norm(f_prime, alpha, window) * m1
             + (2.0 * f_sup + trunc.cap * sup_fp) * m2)
+
+
+# ---------------------------------------------------------------------------
+# the power tail's scalar quadrature route
+# ---------------------------------------------------------------------------
+
+def dyadic_tail(f, a, tail_mass, tol=1e-8, sup_bound=None):
+    """Sum int_a^inf f over at most 200 blocks [a 2^k, a 2^(k+1)].
+
+    ``tail_mass(r)`` must return the total absolute mass of the underlying
+    measure beyond radius r; together with a bound on |g| (declared via
+    ``sup_bound`` or estimated from the blocks already seen) it yields a
+    rigorous stopping criterion.
+    """
+    if a <= 0:
+        raise ValueError("dyadic tail needs a positive starting radius")
+    total = 0.0
+    lo = a
+    observed = 0.0
+    for _ in range(200):
+        hi = 2.0 * lo
+        block = quad_checked(f, lo, hi, tol=tol)
+        total += block
+        dens_scale = max(tail_mass(lo) - tail_mass(hi), 1e-300)
+        observed = max(observed, abs(block) / dens_scale)
+        bound = sup_bound if sup_bound is not None else 2.0 * max(observed, 1e-12)
+        remainder = bound * tail_mass(hi)
+        if abs(block) < 0.25 * tol and remainder < 0.5 * tol:
+            return total
+        lo = hi
+    raise QuadratureFailure(f"tail integral from {a} did not converge")
+
+
+def stable_integral(kernel, y, g, lo=-np.inf, hi=np.inf, tol=_TOL, breakpoints=(),
+                    g_bound=None):
+    """The integral of g over [lo, hi] against a power-tail kernel, one side
+    at a time: QUADPACK pieces cut at radius 1 and at ``breakpoints``, and
+    a dyadic tail beyond."""
+    del y  # the family is state independent
+    total = 0.0
+    if hi > 0 and max(lo, 0.0) < hi:
+        total += _stable_side(kernel, g, max(lo, 0.0), hi, +1.0, tol, breakpoints,
+                              g_bound)
+    if lo < 0 and min(hi, 0.0) > lo:
+        total += _stable_side(kernel, g, max(-min(hi, 0.0), 0.0), -lo, -1.0, tol,
+                              breakpoints, g_bound)
+    return total
+
+
+def _stable_side(kernel, g, a, b, sign, tol, breakpoints, g_bound):
+    # integrate over radii (a, b), actual points sign * r
+    def f(r):
+        return float(np.asarray(g(sign * r)).reshape(-1)[0]) * kernel._dens(r)
+
+    cuts = sorted({a, min(b, max(a, 1.0)),
+                   *(abs(p) for p in breakpoints if a < abs(p) < min(b, 1e300)
+                     and np.sign(p) == sign)})
+    total = 0.0
+    if not np.isfinite(b):
+        fin = max(cuts[-1], 1.0)
+        cuts = sorted(set(cuts) | {fin})
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if v > u:
+                total += quad_checked(f, u, v, tol=tol)
+        total += dyadic_tail(
+            f, fin, tail_mass=lambda r: float(kernel.one_tail_mass(r)),
+            tol=tol, sup_bound=g_bound,
+        )
+    else:
+        cuts = sorted(set(cuts) | {b})
+        for u, v in zip(cuts[:-1], cuts[1:]):
+            if v > u:
+                total += quad_checked(f, u, v, tol=tol)
+    return total

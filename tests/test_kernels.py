@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 
-from sdelab import (DiscreteLaw, DivergentMoment, FiniteActivityKernel,
+from sdelab import (CagladPath, CoefficientSet, DiscreteLaw, DivergentMoment,
+                    EquationX, FiniteActivityKernel, ScaleTransform,
                     StableTailKernel, TabulatedKernel, TruncationFunction,
-                    drift_correction, geometric_partition, jump_operator,
-                    moment_bound, pushforward_integral, transformed_diffusion,
-                    tv_continuity_modulus)
+                    ValidationError, drift_correction,
+                    evaluate_transformed_generator, geometric_partition,
+                    jump_operator, moment_bound, pushforward_integral,
+                    transformed_diffusion, tv_continuity_modulus)
+from sdelab.scenarios import standard_profiles
 
-from reference import drift_correction_expansion, jump_operator_bound
+from reference import drift_correction_expansion, jump_operator_bound, stable_integral
 
 
 # --- independent oracles -----------------------------------------------------
@@ -117,8 +121,8 @@ class TestTVModulus:
 # --- tabulated region mass ---------------------------------------------------
 
 class TestTabulatedRegionMass:
-    """The array form equals the kernel's total mass on each interval,
-    ``integral(y, np.ones_like, lo, hi)``, summed per state."""
+    """``mass(y, intervals, 0)`` equals the kernel's total mass on each
+    interval, ``integral(y, np.ones_like, lo, hi)``, summed per state."""
 
     INTERVALS = [(0.3, 1.0), (-1.0, -0.2), (1.5, np.inf)]
 
@@ -140,18 +144,18 @@ class TestTabulatedRegionMass:
         y = np.concatenate([grid, mids, [-50.0, 50.0, srt[0] - 1e-9, srt[-1] + 1e-9],
                             rng.uniform(-6.0, 6.0, 200)])
         for intervals in (self.INTERVALS, self.INTERVALS[:1], []):
-            got = k.region_mass_vec(y, intervals)
+            got = k.mass(y, intervals, 0.0)
             assert got.dtype == float
             assert np.array_equal(got, self._scalar(k, y, intervals))
         y2 = y[:200].reshape(20, 10)
-        assert np.array_equal(k.region_mass_vec(y2, self.INTERVALS),
+        assert np.array_equal(k.mass(y2, self.INTERVALS, 0.0),
                               self._scalar(k, y2, self.INTERVALS))
 
     def test_scalar_and_empty_states(self):
         k = TabulatedKernel(y_grid=np.asarray([0.0, 1.0]),
                             measures=(((1.0, 0.5),), ((1.0, 2.0),)))
-        assert k.region_mass_vec(0.5, [(0.5, 1.5)]) == 0.5  # tie: first state
-        assert k.region_mass_vec(np.empty((0, 3)), [(0.5, 1.5)]).shape == (0, 3)
+        assert k.mass(0.5, [(0.5, 1.5)], 0.0) == 0.5  # tie: first state
+        assert k.mass(np.empty((0, 3)), [(0.5, 1.5)], 0.0).shape == (0, 3)
 
     def test_empty_measure_row(self):
         k = TabulatedKernel(y_grid=np.asarray([0.0, 1.0, 2.0]),
@@ -160,7 +164,7 @@ class TestTabulatedRegionMass:
         assert np.array_equal(rows.count, [[0, 0], [2, 0]])
         assert np.array_equal(rows.mass, [[[0.0, 0.0], [0.0, 0.0]],
                                           [[1.0, 2.0], [0.0, 0.0]]])
-        assert np.array_equal(k.region_mass_vec([0.0, 0.9, 2.0], [(-1.0, 1.0)]),
+        assert np.array_equal(k.mass([0.0, 0.9, 2.0], [(-1.0, 1.0)], 0.0),
                               [0.0, 3.0, 0.0])
         assert k.support_radius == 0.5
         assert k.integral(0.0, np.sin) == 0.0
@@ -257,14 +261,28 @@ class TestNonFiniteKernelInput:
 # --- pushforward -------------------------------------------------------------
 
 class TestPushforward:
-    def test_identity_transform_is_plain_integral(self, stable_half_kernel):
-        from sdelab import ScaleTransform
-        g = lambda z: np.minimum(1.0, np.abs(z))
-        via_push = pushforward_integral(stable_half_kernel, ScaleTransform.identity(),
-                                        0.3, g, g_bound=1.0)
-        direct = stable_half_kernel.integral(0.3, g, g_bound=1.0,
-                                             breakpoints=(-1.0, 1.0))
-        assert abs(via_push - direct) < 1e-7
+    def test_identity_transform_is_plain_integral(self, stable_half_kernel,
+                                                  atom_kernel, clamp1):
+        # the identity maps a kernel onto itself: the atoms are summed where
+        # they stand, and a power tail's transformed jump term is its own
+        # compensated integral of sin, 2 scale Gamma(-gamma) cos(pi gamma/2) sin(y)
+        ident = ScaleTransform.identity()
+        y = 0.3
+        g = lambda z: (np.sin(y + np.asarray(z)) - np.sin(y)
+                       - np.asarray(clamp1(z)) * np.cos(y))
+        assert abs(pushforward_integral(atom_kernel, ident, y, g)
+                   - atom_kernel.integral(y, g)) < 1e-15  # (y + w) - y rounds
+        eq = EquationX(CoefficientSet.unit(), stable_half_kernel, clamp1)
+        path = CagladPath(np.linspace(0.0, 1.0, 5), np.full(5, y))
+        jump = evaluate_transformed_generator(standard_profiles()[0], eq, path, 0.5).jump
+        k = stable_half_kernel
+        exact = 2.0 * k.scale * gamma_fn(-k.gamma) * np.cos(0.5 * np.pi * k.gamma)
+        assert abs(jump - exact * np.sin(y)) < 1e-6
+
+    def test_power_tail_fails_closed(self, stable_half_kernel):
+        with pytest.raises(ValidationError, match="identity transform"):
+            pushforward_integral(stable_half_kernel, ScaleTransform.identity(), 0.3,
+                                 np.sin)
 
     def test_tabulated_flat_transform_matches_for_bounded_support(self, flat_coeffs,
                                                                   atom_kernel):
@@ -316,7 +334,6 @@ class TestPushforward:
 class TestDriftCorrection:
     def test_identity_transform_vanishes(self, stable_half_kernel,
                                          atom_kernel, clamp1):
-        from sdelab import ScaleTransform
         ident = ScaleTransform.identity()
         for k in (stable_half_kernel, atom_kernel):
             assert drift_correction(k, ident, clamp1, 0.7) == 0.0
@@ -395,6 +412,62 @@ class TestJumpOperator:
                 bound = jump_operator_bound(np.cos, k, clamp1, y, f_sup=1.0)
                 assert abs(out) <= bound + 1e-12
                 assert bound < np.inf
+
+
+# --- the power tail against its scalar reference route -----------------------
+
+class TestPowerTailAgainstReference:
+    """The power tail's closed-form masses and its panel walk against the
+    scalar quadrature route of ``reference.stable_integral`` and against
+    an exact value."""
+
+    @staticmethod
+    def kernel():
+        return StableTailKernel(gamma=1.5, scale=0.5, alpha=0.75)  # stable_jump's
+
+    # bands that touch 0, reach infinity, straddle radius 1, and a union
+    BANDS = ([(0.0, 0.5)], [(-0.5, 0.25)], [(-np.inf, -2.0)], [(0.3, 3.0)],
+             [(-4.0, -0.6), (2.0, np.inf)])
+
+    @pytest.mark.parametrize("p", (0.0, 1.75, 2.0))  # 0, 1 + alpha, 2
+    def test_mass_matches_quadrature(self, p):
+        k = self.kernel()
+        for bands in self.BANDS:
+            got = k.mass(np.zeros(3), bands, p)
+            assert got.shape == (3,) and np.all(got == got[0])
+            touches_0 = any(lo <= 0.0 <= hi for lo, hi in bands)
+            reaches_inf = any(np.isinf(hi - lo) for lo, hi in bands)
+            if (touches_0 and p <= k.gamma) or (reaches_inf and p >= k.gamma):
+                assert np.isinf(got[0])
+                continue
+            want = sum(stable_integral(k, 0.0, lambda x: np.abs(x) ** p, lo, hi,
+                                       tol=1e-12) for lo, hi in bands)
+            assert abs(got[0] - want) <= 1e-8 * abs(want)
+
+    def test_jump_term_matches_scalar_route(self, clamp1):
+        # the transformed generator's jump term of a power tail
+        k = self.kernel()
+        for phi in standard_profiles():
+            for y in (-2.0, -0.7, 0.0, 0.3, 1.1, 2.5):
+                fy, fpy = float(phi.phi(y)), float(phi.phi_prime(y))
+                g = lambda z: (phi.phi(y + np.asarray(z)) - fy
+                               - np.asarray(clamp1(z)) * fpy)
+                ref = stable_integral(k, y, g, breakpoints=(-1.0, 1.0),
+                                      g_bound=2.0 * phi.bound + abs(fpy))
+                got = jump_operator(phi.phi, phi.phi_prime, k, clamp1, y,
+                                    f_sup=phi.bound, split=False)
+                assert abs(got - ref) <= 1e-7, (phi.name, y)
+
+    @pytest.mark.parametrize("split", (True, False))
+    def test_jump_term_of_sin_is_exact(self, clamp1, split):
+        # symmetric kernel, odd clamp: the term is sin(y) times
+        # 2 int_0^inf (cos r - 1) scale r^(-1-gamma) dr
+        #   = 2 scale Gamma(-gamma) cos(pi gamma / 2) sin(y)
+        k = self.kernel()
+        c = 2.0 * k.scale * gamma_fn(-k.gamma) * np.cos(0.5 * np.pi * k.gamma)
+        for y in (-2.0, -0.7, 1.1):
+            got = jump_operator(np.sin, np.cos, k, clamp1, y, f_sup=1.0, split=split)
+            assert abs(got - c * np.sin(y)) <= 2e-8
 
 
 class TestDiffusionCoefficient:

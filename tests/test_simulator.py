@@ -78,7 +78,7 @@ def _rebuilt_noise(seed, i, n, horizon, lam_max):
     """Path ``i``'s noise redrawn call by call in the documented order: n
     normals, n small-jump normals, the candidate count, then count uniforms
     each for times, acceptance, size u1 and size u2."""
-    rng = next(simulator.streams(seed, [[i]]))
+    rng = next(simulator.streams(seed, [i]))
     normals = rng.standard_normal(n)
     rng.standard_normal(n)  # small-jump normals
     k = rng.poisson(lam_max * horizon) if lam_max > 0 else 0
@@ -194,36 +194,27 @@ class TestStreams:
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_path_keys_match_seed_sequence(self, seed):
-        keys = np.concatenate([np.arange(400), [2**31, 2**32 - 1]])[:, None]
-        ref = np.stack([_numpy_words(seed, (int(k),)) for k in keys[:, 0]])
-        assert np.array_equal(simulator.seed_words(seed, keys), ref)
-
-    @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_event_keys_match_seed_sequence(self, seed):
-        keys = np.asarray([(p, 1 + j) for p in (0, 3, 7, 4095, 10**6) for j in range(20)])
-        ref = np.stack([_numpy_words(seed, (int(p), int(e))) for p, e in keys])
-        assert np.array_equal(simulator.seed_words(seed, keys), ref)
+        paths = np.concatenate([np.arange(400), [2**31, 2**32 - 1]])
+        ref = np.stack([_numpy_words(seed, (int(k),)) for k in paths])
+        assert np.array_equal(simulator.seed_words(seed, paths), ref)
 
     @pytest.mark.parametrize("seed", (0, 41, 2**64 + 7))
     def test_first_draws_match_default_rng(self, seed):
         for i in (0, 5, 2**32 - 1):
             ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            rng = next(simulator.streams(seed, [[i]]))
+            rng = next(simulator.streams(seed, [i]))
             assert np.array_equal(rng.random(8), ref.random(8))
-            ref = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(i, 1 + 3)))
-            rng = next(simulator.streams(seed, [[i, 1 + 3]]))
-            assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
 
     def test_engine_streams_match_path_rng(self):
-        rngs = list(simulator.streams(9, np.arange(6)[:, None]))
+        rngs = list(simulator.streams(9, np.arange(6)))
         for i, rng in enumerate(rngs):
-            one = next(simulator.streams(9, [[i]]))
+            one = next(simulator.streams(9, [i]))
             assert np.array_equal(rng.random(4), one.random(4))
 
-    @pytest.mark.parametrize("key", ([[2**32]], [[-1]], [[0, 2**32]], [[0.5]], [0]))
+    @pytest.mark.parametrize("key", ([2**32], [-1], [[0, 1]], [0.5], np.asarray(0)))
     def test_bad_keys_rejected(self, key):
-        # SeedSequence would spend two words on an entry of 2**32 or more
+        # SeedSequence would spend two words on an entry of 2**32 or more;
+        # path indices are one word each, in a 1-d array
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
             simulator.seed_words(0, key)
@@ -231,15 +222,13 @@ class TestStreams:
     def test_indices_beyond_one_word_rejected(self):
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            next(simulator.streams(0, [[2**32]]))
-        with pytest.raises(ValidationError):
-            next(simulator.streams(0, [[0, 2**32]]))  # a second key word
+            next(simulator.streams(0, [2**32]))
 
     @pytest.mark.parametrize("seed", (-1, 1.5, True, np.float64(2.0), "3", None))
     def test_bad_master_seed_rejected(self, seed):
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
-            simulator.seed_words(seed, [[0]])
+            simulator.seed_words(seed, [0])
 
 
 # ---------------------------------------------------------------------------
