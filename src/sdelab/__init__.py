@@ -14,23 +14,22 @@ from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         clamped_running_sup, conjugation_residual,
                         constant_functional, evaluate_generator,
                         evaluate_transformed_generator, generator_state,
-                        martingale_residual_ensemble, resolve_functional,
-                        sin_left_limit, zero_functional)
+                        girsanov_weight, martingale_residual_ensemble,
+                        resolve_functional, sin_left_limit, zero_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
                       TruncationFunction, drift_correction,
                       geometric_partition, jump_operator, moment_bound,
                       pushforward_integral, tv_continuity_modulus)
 from .pathcalc import (DirichletReport, GammaQVReport, IntegrabilityGrowthTable,
-                       QVEstimate, aligned_window_ladder, big_jump_sums,
-                       classify_dirichlet, dirichlet_condition_intY,
-                       gamma_residual_qv, qv_estimate, qv_regularization)
+                       aligned_window_ladder, big_jump_sums, classify_dirichlet,
+                       dirichlet_condition_intY, gamma_residual_qv, qv_sweep)
 from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         counterexample_stable, emit_report, load_spec,
                         run_scenario, scenario_names, standard_profiles)
 from .simulator import (CharacteristicsY, EngineSetup, Ensemble, JumpOps,
                         SimConfig, build_characteristics, compensator_residual,
-                        engine_setup, girsanov_weight, jump_ops,
+                        engine_setup, jump_ops,
                         simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, simulate_y, weighted_expectation)
 

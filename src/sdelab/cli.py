@@ -21,14 +21,14 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError,
                      ValidationError)
-from .generator import generator_state, jump_tables, martingale_residual_ensemble
+from .generator import (generator_state, girsanov_weight, jump_tables,
+                        martingale_residual_ensemble)
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
-from .pathcalc import qv_estimate
+from .pathcalc import aligned_window_ladder, qv_sweep
 from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
                         counterexample_cauchy, counterexample_stable,
                         emit_report, load_spec, report_json, run_bundle,
                         run_scenario, scenario_names, standard_profiles)
-from .simulator import girsanov_weight
 
 _NUMERIC_ERRORS = (NonConvergent, QuadratureFailure, RangeError, DivergentMoment,
                    IntensityBoundViolated, DegenerateWeights, GridMismatch,
@@ -76,10 +76,10 @@ def _write_paths_csv(ens, out_dir, max_paths):
         fh.write("path_id,t,Y,X,jump_flag,jump_size\n")
         dt = float(ens.times[1] - ens.times[0])
         for i in range(min(max_paths, ens.n_paths)):
-            p = ens.path(i)
             flags = np.zeros(len(ens.times))
             sizes = np.zeros(len(ens.times))
-            for jt, jw in zip(p.jump_times, p.jump_w):
+            jumps = ens.jumps_of(i)
+            for jt, jw in zip(ens.jump_time[jumps], ens.jump_w[jumps]):
                 node = min(int(np.ceil((jt - 1e-12) / dt)), len(ens.times) - 1)
                 flags[node] = 1
                 sizes[node] += jw
@@ -187,14 +187,13 @@ def cmd_qv(args):
     report, ens = run_scenario(spec)
     out_dir = _out_dir(args)
     T = float(ens.times[-1])
-    from .pathcalc import aligned_window_ladder
-    eps = aligned_window_ladder(ens.times)
+    eps = aligned_window_ladder(ens.times)  # descending, as the sweep's rows
+    qv = qv_sweep(ens.times, ens.x[:args.dump_paths], eps, T)
     path = os.path.join(out_dir, f"qv_{report.scenario}.csv")
     with _written(path) as fh:
         fh.write("epsilon,t,value\n")
-        for i in range(min(args.dump_paths, ens.n_paths)):
-            est = qv_estimate(ens.path(i), eps, T)
-            for e, v in zip(est.epsilons, est.values):
+        for row in qv.T:
+            for e, v in zip(eps, row):
                 fh.write(f"{float(e)!r},{T!r},{float(v)!r}\n")
     print(f"sweep written to {path}", file=sys.stderr)
     return _print_report(report, out_dir, args.format)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
                            local_generator, transformed_diffusion)
-from .errors import ValidationError
+from .errors import MissingDriverRecord, ValidationError
 from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
 
@@ -29,25 +29,17 @@ from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
 
 @dataclass
 class CagladPath:
-    """Left-limit path values on a time grid, with the driving records of
-    a simulated path when it has them.
+    """Left-limit path values on a time grid: the input path of the
+    generator functions and of ``PathFunctional.evaluate``.
 
     ``restrict`` drops everything after t, so a functional evaluated on the
-    result structurally cannot anticipate; it keeps the times and values
-    only.
-    ``dW`` holds the Brownian increments, None when they were not recorded.
-    ``jump_times``, ``jump_x_pre`` and ``jump_w`` hold the jump marks (time,
-    pre-jump value and size in the original variable), all empty by
-    default.  Without ``jump_x_pre`` the pre-jump values are read off the
-    grid, at the last node before each jump time.
+    result structurally cannot anticipate.  A simulated path is a row of
+    an ``Ensemble`` (``ens.x[i]``, ``ens.dW[i]`` and its slice of the jump
+    records), never a ``CagladPath``.
     """
 
     times: np.ndarray
     values: np.ndarray
-    dW: Optional[np.ndarray] = None
-    jump_times: np.ndarray = ()
-    jump_x_pre: Optional[np.ndarray] = None
-    jump_w: np.ndarray = ()
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -56,13 +48,6 @@ class CagladPath:
             raise ValueError("times and values must have equal shapes")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        self.jump_times = np.asarray(self.jump_times, dtype=float)
-        self.jump_w = np.asarray(self.jump_w, dtype=float)
-        if self.jump_x_pre is None:
-            before = np.searchsorted(self.times, self.jump_times - 1e-12) - 1
-            self.jump_x_pre = self.values[np.maximum(before, 0)]
-        else:
-            self.jump_x_pre = np.asarray(self.jump_x_pre, dtype=float)
 
     @property
     def horizon(self):
@@ -114,6 +99,22 @@ class PathFunctional:
         """H(path)(t): the last grid value of the path restricted to [0, t]."""
         past = path.restrict(t)
         return float(self.grid_values(past.times, past.values)[-1])
+
+
+def girsanov_weight(times, h, dW) -> np.ndarray:
+    """Exponential weight kappa at ``times`` (kappa = 1 at the first) from
+    a functional's grid values ``h`` there and the Brownian increments
+    ``dW`` between them; the last axis is time.
+
+    Multiplying terminal values by kappa_T realises the law in which the
+    bounded functional acts as an extra drift through the diffusion
+    coefficient.
+    """
+    if dW is None:
+        raise MissingDriverRecord("Brownian increments are required for reweighting")
+    h = np.asarray(h)[..., :-1]
+    log_k = np.cumsum(h * dW - 0.5 * h**2 * np.diff(times), axis=-1)
+    return np.exp(np.concatenate([np.zeros(log_k.shape[:-1] + (1,)), log_k], axis=-1))
 
 
 def _constant_step(c):
@@ -420,7 +421,6 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
     grid values.  A row's numbers do not depend on its block: a power
     tail's jump term is tabulated once per profile over all states
     (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``)."""
-    from .simulator import girsanov_weight  # simulator imports this module
     n_paths, n_times = ens.x.shape
     tables = jump_tables(eq, profiles, ens.x) if tables is None else tables
     out = np.empty((len(profiles), n_paths, len(cols)))

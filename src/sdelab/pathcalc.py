@@ -3,9 +3,10 @@ the remainder's quadratic variation, and the integrability diagnostics
 that separate processes with a zero-quadratic-variation remainder from
 those without one.
 
-All estimators work on the simulation grid; window widths must be integer
-multiples of the step.  Nothing here attempts jump detection: jump marks
-are taken from the simulation records, which are exact.
+Every quadratic variation goes through ``qv_sweep``, which reads an array
+of paths on the simulation grid (last axis = time); window widths must be
+integer multiples of the step.  Nothing here attempts jump detection:
+jump marks are taken from the simulation records, which are exact.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .coefficients import CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
-from .generator import CagladPath, EquationX
+from .generator import EquationX
 from .kernels import has_atoms, stable_threshold_expectation
 
 
@@ -54,9 +55,30 @@ def _time_index(times, t, dt):
 def _qv_core(values, m, idx_t, dt, epsilon):
     """(1/eps) sum_{t_i < t} (v_{(t_i+eps) ^ t} - v_{t_i})^2 dt."""
     i = np.arange(idx_t)
-    j = np.minimum(i + m, idx_t)
-    d = values[..., j] - values[..., i]
+    # C-contiguous differences: a row sums as that row alone, bit for bit
+    d = np.take(values, np.minimum(i + m, idx_t), axis=-1) - np.take(values, i, axis=-1)
     return np.sum(d * d, axis=-1) * dt / epsilon
+
+
+def qv_sweep(times, values, epsilons, t):
+    """Regularization estimates of the quadratic variation at ``t`` of
+    every path in ``values`` (last axis = time, on ``times``), one row per
+    window of ``epsilons`` in descending order; a path's estimates do not
+    depend on the other paths, bit for bit.
+
+    Checked once (``GridMismatch``): a uniform grid, ``t`` a grid time
+    after the first, and each window a grid multiple below ``t``.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dt = _grid_step(times)
+    if values.shape[-1] != len(times):
+        raise GridMismatch("the values' last axis must match the time grid")
+    idx_t = _time_index(times, t, dt)
+    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
+    if len(eps) and eps[0] >= t:
+        raise GridMismatch("epsilon must be smaller than t")
+    return np.stack([_qv_core(values, _window_steps(e, dt), idx_t, dt, e) for e in eps])
 
 
 def aligned_window_ladder(times):
@@ -75,35 +97,6 @@ def aligned_window_ladder(times):
     if not out:
         raise GridMismatch("no admissible window widths on this grid")
     return tuple(out)
-
-
-def qv_regularization(path, epsilon, t):
-    """Quadratic-variation estimate of one path at time t and window epsilon."""
-    times = np.asarray(path.times, dtype=float)
-    dt = _grid_step(times)
-    if epsilon >= t:
-        raise GridMismatch("epsilon must be smaller than t")
-    m = _window_steps(epsilon, dt)
-    idx_t = _time_index(times, t, dt)
-    return float(_qv_core(np.asarray(path.values, dtype=float), m, idx_t, dt, epsilon))
-
-
-@dataclass
-class QVEstimate:
-    epsilons: np.ndarray
-    values: np.ndarray
-    jump_sum: float
-    continuous_part: float  # finest-window total minus the mark-based jump sum
-
-
-def qv_estimate(path: CagladPath, epsilons, t) -> QVEstimate:
-    """Window sweep plus the exact jump split from the recorded marks."""
-    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    vals = np.asarray([qv_regularization(path, e, t) for e in eps])
-    sel = path.jump_times <= t + 1e-12
-    jump_sum = float(np.sum(path.jump_w[sel] ** 2))
-    return QVEstimate(epsilons=eps, values=vals, jump_sum=jump_sum,
-                      continuous_part=float(vals[-1] - jump_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +267,6 @@ def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
     X = ensemble.x[act]
     dW = ensemble.dW[act]
     n = X.shape[1] - 1
-    t = float(times[-1]) if t is None else float(t)
-    idx_t = _time_index(times, t, dt)
 
     sig = np.asarray(eq.coeffs.diffusion.sigma(X[:, :-1]))
     stoch = np.cumsum(np.asarray(phi_prime(X[:, :-1])) * sig * dW, axis=-1)
@@ -308,14 +299,9 @@ def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
              - stoch - (jump_cum - comp))
 
     eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    means, ses = [], []
-    for e in eps:
-        m = _window_steps(e, dt)
-        qv = _qv_core(gamma, m, idx_t, dt, e)
-        means.append(float(np.mean(qv)))
-        ses.append(float(np.std(qv, ddof=1) / np.sqrt(len(qv))))
-    return GammaQVReport(epsilons=eps, mean_qv=np.asarray(means),
-                         se_qv=np.asarray(ses))
+    qv = qv_sweep(times, gamma, eps, float(times[-1]) if t is None else t)
+    return GammaQVReport(epsilons=eps, mean_qv=np.mean(qv, axis=-1),
+                         se_qv=np.std(qv, axis=-1, ddof=1) / np.sqrt(qv.shape[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,16 @@ import yaml
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (EquationX, constant_functional, jump_tables,
+from .generator import (CagladPath, EquationX, constant_functional,
+                        conjugation_residual, girsanov_weight, jump_tables,
                         martingale_columns, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
-                       dirichlet_condition_intY, gamma_residual_qv, qv_estimate)
+                       dirichlet_condition_intY, gamma_residual_qv, qv_sweep)
 from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
-                        compensator_residual, engine_setup, girsanov_weight,
-                        is_finite_real, simulate_blocks, simulate_euler_direct,
+                        compensator_residual, engine_setup, is_finite_real,
+                        simulate_blocks, simulate_euler_direct,
                         simulate_x_markovian, weighted_expectation)
 
 SCHEMA_VERSION = 1
@@ -367,9 +368,6 @@ def _z_gate(name, zs, tol, n_active, details):
 def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     """Zero-mean terminal residuals and increment orthogonality, 5 profiles;
     weighted by the Girsanov weight when the bundle has a drift functional."""
-    n_active = int(np.sum(ens.active))
-    if n_active < MIN_ACTIVE_PATHS:
-        return _z_gate("martingale", [], 3.0, n_active, {})
     details = {}
     n_half = ens.x.shape[1] // 2
     x_half = ens.x[:, n_half]
@@ -391,34 +389,22 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
         details[f"{prof.name}_terminal_z"] = _mean_z(m_t)
         for gname, g in pasts.items():
             details[f"{prof.name}_orth_{gname}_z"] = _mean_z(inc * g[ens.active])
-    return replace(_z_gate("martingale", list(details.values()), 3.0, n_active, details),
+    return replace(_z_gate("martingale", list(details.values()), 3.0,
+                           int(np.sum(ens.active)), details),
                    jump_tables=tables)
 
 
 def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    """Window sweep of the realized variation against the driver-based value."""
-    n_active = int(np.sum(ens.active))
-    if n_active < MIN_ACTIVE_PATHS:
-        return _z_gate("qv", [], 0.1, n_active, {})
+    """Window sweep of the realized variation of the first 100 active paths
+    against the driver-based value."""
     T = float(ens.times[-1])
-    eps = aligned_window_ladder(ens.times)
     dt = float(ens.times[1] - ens.times[0])
-    n_use = min(100, ens.n_paths)
-    vals, refs = [], []
-    used = 0
-    for i in range(ens.n_paths):
-        if used >= n_use:
-            break
-        if not ens.active[i]:
-            continue
-        p = ens.path(i)
-        est = qv_estimate(p, eps, T)
-        sig = np.asarray(bundle.eq.coeffs.diffusion.sigma(p.values[:-1]))
-        ref = float(np.sum(sig**2) * dt + np.sum(p.jump_w**2))
-        vals.append(est.values[-1])
-        refs.append(ref)
-        used += 1
-    vals, refs = np.asarray(vals), np.asarray(refs)
+    eps = aligned_window_ladder(ens.times)
+    rows = np.flatnonzero(ens.active)[:100]
+    vals = qv_sweep(ens.times, ens.x[rows], eps, T)[-1]
+    sig = np.asarray(bundle.eq.coeffs.diffusion.sigma(ens.x[rows, :-1]))
+    jumps = np.asarray([np.sum(ens.jump_w[ens.jumps_of(i)] ** 2) for i in rows])
+    refs = np.sum(sig**2, axis=-1) * dt + jumps
     rel = abs(np.mean(vals) - np.mean(refs)) / max(np.mean(refs), 1e-12)
     return DiagnosticResult("qv", _status(rel < 0.1), float(rel), 0.1,
                             {"finest_mean": float(np.mean(vals)),
@@ -427,9 +413,6 @@ def _diag_qv(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 
 def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    n_active = int(np.sum(ens.active))
-    if n_active < MIN_ACTIVE_PATHS:
-        return _z_gate("gamma", [], 0.05, n_active, {})
     eps = aligned_window_ladder(ens.times)
     rep = gamma_residual_qv(ens, np.sin, np.cos, bundle.eq, eps, phi_bound=1.0)
     ok = rep.decreasing() and rep.final < 0.05
@@ -440,15 +423,11 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     functional = bundle.eq.functional or constant_functional(0.5)
-    n_active = int(np.sum(ens.active))
-    if n_active < MIN_ACTIVE_PATHS:
-        return _z_gate("girsanov", [], 3.0, n_active,
-                       {"functional": functional.name})
     h = functional.grid_values(ens.times, ens.x)
     k_t = girsanov_weight(ens.times, h, ens.dW)[ens.active, -1]
     z = _mean_z(k_t, center=1.0)
     est = weighted_expectation(k_t, ens.x[ens.active, -1])
-    return _z_gate("girsanov", [z], 3.0, n_active,
+    return _z_gate("girsanov", [z], 3.0, len(k_t),
                    {"mean_weight": float(np.mean(k_t)),
                     "weighted_terminal_mean": est.value,
                     "weighted_terminal_se": est.se,
@@ -462,17 +441,13 @@ def _default_region(kernel: Kernel):
 
 
 def _diag_compensator(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    n_active = int(np.sum(ens.active))
-    if n_active < MIN_ACTIVE_PATHS:
-        return _z_gate("compensator", [], 3.0, n_active, {})
     kernel = bundle.eq.kernel
     stats = compensator_residual(ens, _default_region(kernel), kernel)
-    return _z_gate("compensator", [abs(stats.zscore)], 3.0, n_active,
+    return _z_gate("compensator", [abs(stats.zscore)], 3.0, len(stats.per_path),
                    {"mean": stats.mean, "se": stats.se})
 
 
 def _diag_conjugation(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    from .generator import CagladPath, conjugation_residual
     rng = np.random.default_rng(bundle.sim.master_seed + 99)
     profiles = standard_profiles()
     times = np.linspace(0.0, 1.0, 33)
@@ -521,16 +496,28 @@ def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
                             np.inf, report.to_dict())
 
 
+# name -> (diagnostic, tolerance); a diagnostic with a tolerance reads the
+# ensemble's paths, and ``_diagnose`` makes it inconclusive without running
+# it when fewer than MIN_ACTIVE_PATHS of them are active
 _DIAGNOSTICS: dict = {
-    "martingale": _diag_martingale,
-    "qv": _diag_qv,
-    "gamma": _diag_gamma,
-    "girsanov": _diag_girsanov,
-    "compensator": _diag_compensator,
-    "conjugation": _diag_conjugation,
-    "crosscheck_euler": _diag_crosscheck_euler,
-    "dirichlet": _diag_dirichlet,
+    "martingale": (_diag_martingale, 3.0),
+    "qv": (_diag_qv, 0.1),
+    "gamma": (_diag_gamma, 0.05),
+    "girsanov": (_diag_girsanov, 3.0),
+    "compensator": (_diag_compensator, 3.0),
+    "conjugation": (_diag_conjugation, None),
+    "crosscheck_euler": (_diag_crosscheck_euler, 3.0),
+    "dirichlet": (_diag_dirichlet, np.inf),
 }
+
+
+def _diagnose(name, bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
+    """The diagnostic ``name`` on ``ens``, failing closed on too few paths."""
+    fn, tol = _DIAGNOSTICS[name]
+    n_active = int(np.sum(ens.active))
+    if tol is not None and n_active < MIN_ACTIVE_PATHS:
+        return _z_gate(name, [], tol, n_active, {})
+    return fn(bundle, ens)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +616,7 @@ def run_bundle(spec: ScenarioSpec, bundle: ScenarioBundle, t0=None) -> tuple:
     _check_diagnostics(bundle)
     hypothesis = _hypothesis_section(bundle)  # hard gate before any simulation
     ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
-    results = [(_DIAGNOSTICS[d])(bundle, ens) for d in bundle.diagnostics]
+    results = [_diagnose(d, bundle, ens) for d in bundle.diagnostics]
     report = RunReport(
         scenario=bundle.name, spec=spec.to_dict(), seed=bundle.sim.master_seed,
         hypothesis=hypothesis,
@@ -656,7 +643,8 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     expectation, so the growth table keeps climbing and the verdict is
     "inconsistent"; above 1 the table stabilises at the finite tail
     integral.  The symmetric kernel with an odd truncation produces no
-    compensator drift, so the construction is exact.
+    compensator drift, so the construction is exact.  Fewer than
+    MIN_ACTIVE_PATHS active paths make the verdict inconclusive.
     """
     if not 0.0 < gamma < 2.0:
         raise ValidationError("gamma must lie in (0, 2)")
@@ -684,25 +672,27 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
         return len(ens.jump_time)
 
     n_jumps = sum(simulate_blocks(setup, reduce))
-    ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000, 100000) if m <= n]
-    if not ladder or ladder[-1] != n:
-        ladder.append(n)
-    growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder,
-                                      caps=caps)
-    # reference: the two-sided big-jump size integral, or its largest
-    # truncation when it diverges
-    from scipy.integrate import quad as _quad
-    hi = np.inf if gamma > 1.0 else float(max(caps))
-    ref, _ = _quad(lambda x: 2.0 * scale * x**-gamma, a, hi)
-    ref *= config.horizon
-    report_d = classify_dirichlet(growth, reference=ref)
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
-    diag = DiagnosticResult(
-        "dirichlet_counterexample", _status(report_d.verdict == expected),
-        float(growth.means[-1]), np.inf,
-        {**report_d.to_dict(), "expected_verdict": expected, "gamma": float(gamma),
-         "scale": float(scale)},
-    )
+    echo = {"expected_verdict": expected, "gamma": float(gamma), "scale": float(scale)}
+    n_active = int(np.sum(active))
+    if n_active < MIN_ACTIVE_PATHS:
+        diag = _z_gate("dirichlet_counterexample", [], np.inf, n_active, echo)
+    else:
+        ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000, 100000) if m <= n]
+        if not ladder or ladder[-1] != n:
+            ladder.append(n)
+        growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder,
+                                          caps=caps)
+        # reference: the two-sided big-jump size integral, or its largest
+        # truncation when it diverges
+        from scipy.integrate import quad as _quad
+        hi = np.inf if gamma > 1.0 else float(max(caps))
+        ref, _ = _quad(lambda x: 2.0 * scale * x**-gamma, a, hi)
+        ref *= config.horizon
+        report_d = classify_dirichlet(growth, reference=ref)
+        diag = DiagnosticResult(
+            "dirichlet_counterexample", _status(report_d.verdict == expected),
+            float(growth.means[-1]), np.inf, {**report_d.to_dict(), **echo})
     spec_echo = {"name": "counterexample_stable", "gamma": float(gamma),
                  "scale": float(scale), "threshold": float(a),
                  "caps": [float(c) for c in caps]}

@@ -20,9 +20,9 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .coefficients import CubicTable, ScaleTransform, transformed_diffusion
-from .errors import (DegenerateWeights, IntensityBoundViolated,
-                     MissingDriverRecord, RangeError, ValidationError)
-from .generator import _BLOCK, CagladPath, EquationX, PathFunctional
+from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
+                     ValidationError)
+from .generator import _BLOCK, EquationX, PathFunctional
 from .kernels import (Kernel, StableTailKernel, TruncationFunction, has_atoms,
                       stable_threshold_expectation)
 
@@ -426,12 +426,11 @@ class Ensemble:
     def excluded_count(self):
         return int(np.sum(~self.active))
 
-    def path(self, i) -> CagladPath:
-        """Path i of X with its Brownian increments and jump marks."""
-        sel = self.jump_path == i
-        return CagladPath(self.times, self.x[i], dW=self.dW[i],
-                          jump_times=self.jump_time[sel],
-                          jump_x_pre=self.jump_x_pre[sel], jump_w=self.jump_w[sel])
+    def jumps_of(self, i) -> slice:
+        """The slice of row i's jump records, which are sorted by row, then
+        time."""
+        lo, hi = np.searchsorted(self.jump_path, (i, i + 1))
+        return slice(int(lo), int(hi))
 
     def terminal_x(self):
         return self.x[self.active, -1]
@@ -708,22 +707,6 @@ def simulate_euler_direct(drift, sigma, config: SimConfig, x0: float) -> Ensembl
 # ---------------------------------------------------------------------------
 # reweighting
 # ---------------------------------------------------------------------------
-
-def girsanov_weight(times, h, dW) -> np.ndarray:
-    """Exponential weight kappa at ``times`` (kappa = 1 at the first) from
-    the drift functional's grid values ``h`` there and the Brownian
-    increments ``dW`` between them; the last axis is time.
-
-    Multiplying terminal values by kappa_T realises the law in which the
-    bounded functional acts as an extra drift through the diffusion
-    coefficient.
-    """
-    if dW is None:
-        raise MissingDriverRecord("Brownian increments are required for reweighting")
-    h = np.asarray(h)[..., :-1]
-    log_k = np.cumsum(h * dW - 0.5 * h**2 * np.diff(times), axis=-1)
-    return np.exp(np.concatenate([np.zeros(log_k.shape[:-1] + (1,)), log_k], axis=-1))
-
 
 @dataclass
 class WeightedEstimate:

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
-                    GridMismatch, ScaleTransform, TruncationFunction,
-                    evaluate_generator)
+                    ScaleTransform, TruncationFunction, evaluate_generator,
+                    qv_sweep)
 from sdelab._quad import gauss_legendre_01, quad_checked
 from sdelab.errors import QuadratureFailure
 from sdelab.kernels import _INNER_NODES, _TOL, _beyond
-from sdelab.pathcalc import _grid_step, _qv_core, _time_index, _window_steps
+from sdelab.pathcalc import _grid_step, _time_index
 
 
 # ---------------------------------------------------------------------------
@@ -66,19 +66,18 @@ def stopped(path: CagladPath, t):
     return CagladPath(path.times.copy(), vals)
 
 
-def covariation(path1, path2, epsilon, t):
-    """Polarized covariation: quarter of [v1+v2] minus [v1-v2]."""
-    t1 = np.asarray(path1.times, dtype=float)
-    t2 = np.asarray(path2.times, dtype=float)
-    if t1.shape != t2.shape or not np.allclose(t1, t2, rtol=1e-12, atol=1e-12):
-        raise GridMismatch("covariation needs a common time grid")
-    dt = _grid_step(t1)
-    m = _window_steps(epsilon, dt)
-    idx_t = _time_index(t1, t, dt)
-    v1, v2 = (np.asarray(p.values, dtype=float) for p in (path1, path2))
-    plus = _qv_core(v1 + v2, m, idx_t, dt, epsilon)
-    minus = _qv_core(v1 - v2, m, idx_t, dt, epsilon)
+def covariation(times, v1, v2, epsilon, t):
+    """Polarized covariation of two paths on the grid ``times``: a quarter
+    of [v1+v2] minus [v1-v2]."""
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    plus, minus = qv_sweep(times, np.stack([v1 + v2, v1 - v2]), (epsilon,), t)[0]
     return float(0.25 * (plus - minus))
+
+
+def row_jumps(ens, i):
+    """The jump records of row i of ``ens``: times, pre-jump values and sizes."""
+    rows = ens.jumps_of(i)
+    return ens.jump_time[rows], ens.jump_x_pre[rows], ens.jump_w[rows]
 
 
 @dataclass
@@ -92,23 +91,24 @@ class ChainRuleComparison:
         return float(self.estimated[-1])
 
 
-def chain_rule_qv(phi, phi_prime, path: CagladPath, epsilons,
+def chain_rule_qv(phi, phi_prime, times, values, jumps, epsilons,
                   t) -> ChainRuleComparison:
-    """Predicted vs estimated quadratic variation of the image path.
+    """Predicted vs estimated quadratic variation of the image of one path.
 
-    Predicted: the weighted continuous part plus the exact sum of squared
-    image jumps; the continuous increments are the grid increments with
-    the in-step recorded jumps removed.  Estimated: the regularization
-    estimator applied to the transformed values.
+    ``jumps`` holds the path's recorded jump times, pre-jump values and
+    sizes.  Predicted: the weighted continuous part plus the exact sum of
+    squared image jumps; the continuous increments are the grid increments
+    with the in-step recorded jumps removed.  Estimated: the
+    regularization estimator applied to the transformed values.
     """
-    times = np.asarray(path.times, dtype=float)
+    times = np.asarray(times, dtype=float)
     dt = _grid_step(times)
     idx_t = _time_index(times, t, dt)
-    m_eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    v = np.asarray(path.values, dtype=float)
+    v = np.asarray(values, dtype=float)
 
-    sel = path.jump_times <= t + 1e-12
-    jt, jw, jx = path.jump_times[sel], path.jump_w[sel], path.jump_x_pre[sel]
+    jt, jx, jw = (np.asarray(a, dtype=float) for a in jumps)
+    sel = jt <= t + 1e-12
+    jt, jx, jw = jt[sel], jx[sel], jw[sel]
 
     dvc = np.diff(v).copy()
     if len(jt):
@@ -118,12 +118,9 @@ def chain_rule_qv(phi, phi_prime, path: CagladPath, epsilons,
                              * dvc[:idx_t] ** 2))
     pred_jump = float(np.sum((np.asarray(phi(jx + jw)) - np.asarray(phi(jx))) ** 2))
 
-    y = np.asarray(phi(v))
-    est = np.asarray([
-        float(_qv_core(y, _window_steps(e, dt), idx_t, dt, e)) for e in m_eps
-    ])
     return ChainRuleComparison(predicted=pred_cont + pred_jump,
-                               epsilons=m_eps, estimated=est)
+                               epsilons=np.sort(np.asarray(epsilons, dtype=float))[::-1],
+                               estimated=qv_sweep(times, phi(v), epsilons, t))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from sdelab import (CagladPath, DiscreteLaw, EquationX, FiniteActivityKernel,
                     clamped_running_sup, conjugation_residual, constant_functional,
                     counterexample_cauchy, counterexample_stable, engine_setup,
                     gamma_residual_qv, girsanov_weight,
-                    local_generator, qv_regularization, run_scenario,
+                    local_generator, qv_sweep, run_scenario,
                     simulate_y, standard_profiles,
                     weighted_expectation, zero_functional)
 from sdelab.scenarios import build_bundle
 from sdelab.simulator import CharacteristicsY
 
-from reference import chain_rule_qv, identity_profile, square_identity_residual
+from reference import (chain_rule_qv, identity_profile, row_jumps,
+                       square_identity_residual)
 
 
 def _criterion(num, name, ok, detail=""):
@@ -149,13 +150,10 @@ def test_c04_kernel_moment():
 
 def test_c05_qv_estimator(brownian_fine):
     eps = (0.125, 0.0625, 0.03125, 0.015625)
-    finest = [qv_regularization(brownian_fine.path(i), eps[-1], 1.0)
-              for i in range(100)]
+    finest = qv_sweep(brownian_fine.times, brownian_fine.x[:100], eps, 1.0)[-1]
     mean_fine = float(np.mean(finest))
     times = np.linspace(0.0, 1.0, 11)
-    step = CagladPath(times, np.where(times >= 0.5, 1.0, 0.0),
-                      jump_times=(0.5,), jump_w=(1.0,))
-    step_val = qv_regularization(step, 0.1, 1.0)
+    step_val = float(qv_sweep(times, np.where(times >= 0.5, 1.0, 0.0), (0.1,), 1.0)[0])
     ok = abs(mean_fine - 1.0) < 0.05 and step_val == 1.0
     _criterion(5, "realized variation", ok,
                f"finest-window mean {mean_fine:.4f}, step path {step_val!r}")
@@ -169,12 +167,12 @@ def test_c06_chain_rule():
     # piecewise-constant paths: both routes are exact
     times = np.linspace(0.0, 1.0, 101)
     vals = np.where(times >= 0.3, 0.7, 0.0) - np.where(times >= 0.6, 0.4, 0.0)
-    path = CagladPath(times, vals, jump_times=(0.3, 0.6), jump_w=(0.7, -0.4))
+    jumps = ((0.3, 0.6), (0.0, 0.7), (0.7, -0.4))  # times, pre-jump values, sizes
     worst_exact = 0.0
     for phi, dphi in ((np.sin, np.cos),
                       (lambda x: np.asarray(x, dtype=float) ** 2,
                        lambda x: 2.0 * np.asarray(x, dtype=float))):
-        cmp_ = chain_rule_qv(phi, dphi, path, (0.1,), 1.0)
+        cmp_ = chain_rule_qv(phi, dphi, times, vals, jumps, (0.1,), 1.0)
         worst_exact = max(worst_exact, abs(cmp_.predicted - cmp_.finest_estimate))
 
     # diffusive paths with one explicit jump size: ensemble agreement
@@ -187,7 +185,7 @@ def test_c06_chain_rule():
     ens = simulate_y(engine_setup(chars, cfg, 0.0))
     pred, est = [], []
     for i in range(ens.n_paths):
-        c = chain_rule_qv(np.sin, np.cos, ens.path(i),
+        c = chain_rule_qv(np.sin, np.cos, ens.times, ens.x[i], row_jumps(ens, i),
                           (0.125, 0.0625, 0.03125, 0.015625), 1.0)
         pred.append(c.predicted)
         est.append(c.finest_estimate)

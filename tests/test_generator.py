@@ -303,8 +303,7 @@ class TestGeneratorState:
         for prof in (standard_profiles()[0], identity_profile()):
             M = martingale_residual_ensemble(state, prof)
             for i in rows:
-                path = ens.path(i)
-                one = generator_state(bundle.eq, path.times, path.values)
+                one = generator_state(bundle.eq, ens.times, ens.x[i])
                 single = martingale_residual_ensemble(one, prof)
                 assert np.array_equal(single, M[i])
 

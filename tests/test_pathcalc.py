@@ -4,22 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CagladPath, CharacteristicsY, DiscreteLaw, EquationX,
+from sdelab import (CharacteristicsY, DiscreteLaw, EquationX,
                     FiniteActivityKernel, GridMismatch, MissingDriverRecord, SimConfig,
                     StableTailKernel,
                     big_jump_sums, classify_dirichlet,
-                    dirichlet_condition_intY, gamma_residual_qv,
-                    qv_estimate, qv_regularization,
+                    dirichlet_condition_intY, gamma_residual_qv, qv_sweep,
                     engine_setup, simulate_x_markovian, simulate_y)
 
-from reference import chain_rule_qv, covariation
+from reference import chain_rule_qv, covariation, row_jumps
+
+STEP_JUMPS = ((0.5,), (0.0,), (1.0,))  # the step path's jump: time, pre-jump value, size
 
 
 def step_path(n=11):
-    """Deterministic unit step at t = 0.5 on [0, 1]."""
+    """Deterministic unit step at t = 0.5 on [0, 1]: times and values."""
     times = np.linspace(0.0, 1.0, n)
-    values = np.where(times >= 0.5, 1.0, 0.0)
-    return CagladPath(times, values, jump_times=(0.5,), jump_w=(1.0,))
+    return times, np.where(times >= 0.5, 1.0, 0.0)
+
+
+def qv(times, values, epsilon, t):
+    """The estimate at one window."""
+    return qv_sweep(times, values, (epsilon,), t)[0]
 
 
 def brownian_paths(n_paths=100, n_steps=4096, seed=21):
@@ -38,21 +43,17 @@ def brownian_paths(n_paths=100, n_steps=4096, seed=21):
 class TestQVRegularization:
     def test_constant_path_zero(self):
         times = np.linspace(0, 1, 11)
-        p = CagladPath(times, np.full(11, 2.0))
-        assert qv_regularization(p, 0.1, 1.0) == 0.0
+        assert qv(times, np.full(11, 2.0), 0.1, 1.0) == 0.0
 
     def test_step_path_exact_unit(self):
         # one window of length eps catches the unit jump: eps * 1 / eps = 1
-        assert abs(qv_regularization(step_path(), 0.1, 1.0) - 1.0) < 1e-12
+        assert abs(qv(*step_path(), 0.1, 1.0) - 1.0) < 1e-12
 
     def test_brownian_ladder_approaches_horizon(self):
         # dyadic ladder on the dyadic grid (windows must be grid multiples)
         ens = brownian_paths()
         eps = (0.125, 0.0625, 0.03125, 0.015625)
-        means = []
-        for e in eps:
-            vals = [qv_regularization(ens.path(i), e, 1.0) for i in range(100)]
-            means.append(np.mean(vals))
+        means = np.mean(qv_sweep(ens.times, ens.x, eps, 1.0), axis=-1)
         assert abs(means[-1] - 1.0) < 0.05
         # bias shrinks with the window: |mean - (1 - eps/2)| stays small
         for e, m in zip(eps, means):
@@ -60,17 +61,30 @@ class TestQVRegularization:
 
     def test_misaligned_epsilon_rejected(self):
         with pytest.raises(GridMismatch):
-            qv_regularization(step_path(), 0.13, 1.0)
+            qv(*step_path(), 0.13, 1.0)
 
     def test_epsilon_not_below_t_rejected(self):
         with pytest.raises(GridMismatch):
-            qv_regularization(step_path(), 0.5, 0.3)
+            qv(*step_path(), 0.5, 0.3)
 
-    def test_estimate_splits_jump_sum(self):
-        est = qv_estimate(step_path(), (0.2, 0.1), 1.0)
-        assert est.jump_sum == 1.0
-        assert abs(est.values[-1] - 1.0) < 1e-12
-        assert abs(est.continuous_part) < 1e-12
+    def test_values_off_the_grid_rejected(self):
+        times, values = step_path()
+        with pytest.raises(GridMismatch):
+            qv(times, values[:-1], 0.1, 1.0)
+        with pytest.raises(GridMismatch):
+            qv(times, values, 0.1, 0.95)
+
+    def test_rows_equal_their_own_sweep(self):
+        # every window of every row of a path array, bit for bit, on paths
+        # with power-tail jumps
+        ens, _ = _stable_ensemble(1.5, n_paths=40, seed=47)
+        eps = (0.0625, 0.25, 0.125, 0.03125)
+        sweep = qv_sweep(ens.times, ens.x, eps, 1.0)
+        assert sweep.shape == (4, 40)
+        for i, row in enumerate(ens.x):
+            assert np.array_equal(sweep[:, i], qv_sweep(ens.times, row, eps, 1.0))
+        # windows in descending order
+        assert np.array_equal(sweep[0], qv_sweep(ens.times, ens.x, (0.25,), 1.0)[0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,13 +97,10 @@ def test_qv_shift_invariance_and_quadratic_scaling(vals, shift, scale):
     dt = times[1] - times[0]
     eps = 2 * dt
     t = float(times[-1])
-    p0 = CagladPath(times, base)
-    p_shift = CagladPath(times, base + shift)
-    p_scale = CagladPath(times, scale * base)
-    v0 = qv_regularization(p0, eps, t)
-    assert qv_regularization(p_shift, eps, t) == pytest.approx(v0, abs=1e-9, rel=1e-9)
-    assert qv_regularization(p_scale, eps, t) == pytest.approx(scale**2 * v0,
-                                                               abs=1e-9, rel=1e-9)
+    v0 = qv(times, base, eps, t)
+    assert qv(times, base + shift, eps, t) == pytest.approx(v0, abs=1e-9, rel=1e-9)
+    assert qv(times, scale * base, eps, t) == pytest.approx(scale**2 * v0,
+                                                            abs=1e-9, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +110,19 @@ def test_qv_shift_invariance_and_quadratic_scaling(vals, shift, scale):
 class TestCovariation:
     def test_self_covariation_equals_qv(self):
         ens = brownian_paths(n_paths=3, n_steps=512, seed=5)
-        p = ens.path(0)
-        assert covariation(p, p, 0.125, 1.0) == pytest.approx(
-            qv_regularization(p, 0.125, 1.0), rel=1e-12)
+        v = ens.x[0]
+        assert covariation(ens.times, v, v, 0.125, 1.0) == pytest.approx(
+            qv(ens.times, v, 0.125, 1.0), rel=1e-12)
 
     def test_bilinearity_exact(self):
         ens = brownian_paths(n_paths=3, n_steps=512, seed=6)
-        p = ens.path(0)
-        doubled = CagladPath(p.times, 2.0 * p.values)
-        assert covariation(p, doubled, 0.125, 1.0) == pytest.approx(
-            2.0 * qv_regularization(p, 0.125, 1.0), rel=1e-12)
+        v = ens.x[0]
+        assert covariation(ens.times, v, 2.0 * v, 0.125, 1.0) == pytest.approx(
+            2.0 * qv(ens.times, v, 0.125, 1.0), rel=1e-12)
 
     def test_independent_brownians_near_zero(self):
         ens = brownian_paths(n_paths=40, n_steps=1024, seed=7)
-        vals = [covariation(ens.path(2 * i), ens.path(2 * i + 1), 0.03125, 1.0)
+        vals = [covariation(ens.times, ens.x[2 * i], ens.x[2 * i + 1], 0.03125, 1.0)
                 for i in range(20)]
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(np.mean(vals)) < 3.5 * se
@@ -123,8 +133,6 @@ class TestCovariation:
         times = np.linspace(0, 1, 65)
         a = np.cumsum(rng.standard_normal(65)) * 0.1
         b = np.cumsum(rng.standard_normal(65)) * 0.1
-        pa = CagladPath(times, a)
-        pb = CagladPath(times, b)
         dt = times[1] - times[0]
         m = 4
         eps = m * dt
@@ -132,7 +140,7 @@ class TestCovariation:
         i = np.arange(idx)
         j = np.minimum(i + m, idx)
         cross = np.sum((a[j] - a[i]) * (b[j] - b[i])) * dt / eps
-        assert covariation(pa, pb, eps, 1.0) == pytest.approx(cross, rel=1e-12)
+        assert covariation(times, a, b, eps, 1.0) == pytest.approx(cross, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +149,16 @@ class TestCovariation:
 
 class TestChainRule:
     def test_identity_map_definitional(self):
-        p = step_path(n=21)
         cmp_ = chain_rule_qv(lambda x: np.asarray(x, dtype=float),
                              lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                             p, (0.1,), 1.0)
+                             *step_path(n=21), STEP_JUMPS, (0.1,), 1.0)
         assert cmp_.predicted == pytest.approx(cmp_.finest_estimate, abs=1e-12)
 
     def test_square_map_on_step_path_exact(self):
         # image jump from 0 to 1 has size 1; both routes give exactly 1
-        p = step_path(n=21)
         cmp_ = chain_rule_qv(lambda x: np.asarray(x, dtype=float) ** 2,
                              lambda x: 2.0 * np.asarray(x, dtype=float),
-                             p, (0.1,), 1.0)
+                             *step_path(n=21), STEP_JUMPS, (0.1,), 1.0)
         assert abs(cmp_.predicted - 1.0) < 1e-12
         assert abs(cmp_.finest_estimate - 1.0) < 1e-12
 
@@ -166,7 +172,7 @@ class TestChainRule:
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
         pred, est = [], []
         for i in range(ens.n_paths):
-            c = chain_rule_qv(np.sin, np.cos, ens.path(i),
+            c = chain_rule_qv(np.sin, np.cos, ens.times, ens.x[i], row_jumps(ens, i),
                               (0.125, 0.0625, 0.03125, 0.015625), 1.0)
             pred.append(c.predicted)
             est.append(c.finest_estimate)
@@ -290,11 +296,3 @@ class TestVerdicts:
             reference=2.0 * (np.sqrt(100.0) - 1.0))
         assert rep_l.verdict == "consistent_with_dirichlet"
         assert rep_h.verdict == "inconsistent"
-
-    def test_jump_sum_bounded_by_total(self):
-        # within estimator noise: window effects on large jumps scale with
-        # the jump contribution itself, hence the multiplicative band
-        ens, _ = _stable_ensemble(1.5, n_paths=50, seed=46)
-        for i in range(10):
-            est = qv_estimate(ens.path(i), (0.25, 0.125), 1.0)
-            assert est.jump_sum <= 1.25 * est.values[-1] + 0.5

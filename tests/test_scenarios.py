@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from sdelab import (ScenarioSpec, ValidationError, counterexample_cauchy,
-                    counterexample_stable, emit_report, load_spec, run_scenario,
-                    scenario_names)
+                    counterexample_stable, emit_report, load_spec, qv_sweep,
+                    run_scenario, scenario_names)
 from sdelab.scenarios import build_bundle, report_json
 from sdelab.simulator import SimConfig
 
@@ -216,13 +216,37 @@ class TestRunScenario:
         names = [d.name for d in report.diagnostics]
         assert names == ["qv", "gamma"]
 
+    def test_qv_reference_sums_each_paths_jumps(self):
+        # the qv diagnostic reads each row's jumps as a slice of the
+        # records; its reference must equal the one summed path by path
+        # over the jumps that a mask picks, bit for bit
+        spec = ScenarioSpec(name="stable_jump", n_paths=200, n_steps=32,
+                            diagnostics=("qv",))
+        report, ens = run_scenario(spec)
+        sigma = build_bundle(spec).eq.coeffs.diffusion.sigma
+        rows = np.flatnonzero(ens.active)[:100]
+        assert np.max(np.bincount(ens.jump_path)[rows]) >= 3
+        dt = ens.times[1] - ens.times[0]
+        refs = [float(np.sum(np.asarray(sigma(ens.x[i, :-1])) ** 2) * dt
+                      + np.sum(ens.jump_w[ens.jump_path == i] ** 2)) for i in rows]
+        details = report.diagnostics[0].details
+        finest = [qv_sweep(ens.times, ens.x[i], details["epsilons"][-1:], 1.0)[0]
+                  for i in rows]
+        assert details["reference_mean"] == float(np.mean(refs))
+        assert details["finest_mean"] == float(np.mean(finest))
+
 
 class TestFailClosed:
     @pytest.mark.parametrize("name,diag", (("brownian_baseline", "martingale"),
                                            ("brownian_baseline", "girsanov"),
                                            ("brownian_baseline", "qv"),
                                            ("brownian_baseline", "gamma"),
-                                           ("atom_jump", "compensator")))
+                                           ("atom_jump", "compensator"),
+                                           ("smooth_drift_crosscheck",
+                                            "crosscheck_euler"),
+                                           ("brownian_baseline", "dirichlet"),
+                                           ("atom_jump", "dirichlet"),
+                                           ("stable_jump", "dirichlet")))
     def test_too_few_paths_is_inconclusive(self, name, diag):
         spec = ScenarioSpec(name=name, n_paths=1, n_steps=16, diagnostics=(diag,))
         report, _ = run_scenario(spec)
@@ -231,6 +255,20 @@ class TestFailClosed:
         assert np.isnan(d.statistic)
         assert d.details["active_paths"] == 1
         assert report.status == "inconclusive"
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.5))
+    def test_stable_counterexample_below_the_path_floor_is_inconclusive(self, gamma):
+        from sdelab.scenarios import MIN_ACTIVE_PATHS
+        for n in (10, MIN_ACTIVE_PATHS - 1):
+            cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=n, master_seed=41)
+            report = counterexample_stable(gamma, config=cfg)
+            d = report.diagnostics[0]
+            assert d.status == report.status == "inconclusive"
+            assert d.details["active_paths"] == n and "verdict" not in d.details
+        cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=MIN_ACTIVE_PATHS,
+                        master_seed=41)
+        d = counterexample_stable(gamma, config=cfg).diagnostics[0]
+        assert d.status != "inconclusive" and "verdict" in d.details
 
     def test_non_converged_potential_fails_validation(self, unit_diffusion):
         from dataclasses import replace
@@ -563,6 +601,14 @@ class TestCLI:
         assert mart["status"] == "inconclusive"
         assert doc["status"] != "pass"
 
+    @pytest.mark.parametrize("argv", (["dirichlet", "--name", "stable_jump"],
+                                      ["counterexample", "stable"],
+                                      ["counterexample", "stable", "--gamma", "1.5"]))
+    def test_too_few_paths_exits_one(self, tmp_path, argv):
+        import sdelab.cli as cli
+        assert cli.main(argv + ["--paths", "10", "--steps", "16",
+                                "--out", str(tmp_path)]) == 1
+
     def test_single_path_qv_and_gamma_inconclusive(self, tmp_path):
         import warnings
         import sdelab.cli as cli
@@ -657,7 +703,8 @@ class TestCLI:
     def test_verify_martingale_writes_girsanov_weights(self, tmp_path, monkeypatch):
         import sdelab.cli as cli
         from sdelab import scenarios
-        from sdelab.simulator import girsanov_weight, simulate_x_markovian
+        from sdelab.generator import girsanov_weight
+        from sdelab.simulator import simulate_x_markovian
         calls = []
 
         def counted(spec):

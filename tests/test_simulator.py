@@ -835,12 +835,13 @@ class TestGirsanov:
 
     def test_single_path_interface(self, brownian_ens):
         from sdelab import MissingDriverRecord
-        p, f = brownian_ens.path(3), constant_functional(0.5)
-        kappa = girsanov_weight(p.times, f.grid_values(p.times, p.values), p.dW)
-        assert kappa.shape == p.times.shape and kappa[0] == 1.0 and kappa[-1] > 0
+        times, f = brownian_ens.times, constant_functional(0.5)
+        h = f.grid_values(times, brownian_ens.x[3])
+        kappa = girsanov_weight(times, h, brownian_ens.dW[3])
+        assert kappa.shape == times.shape and kappa[0] == 1.0 and kappa[-1] > 0
         assert kappa[-1] == _kappa_T(brownian_ens, f)[3]
         with pytest.raises(MissingDriverRecord):
-            girsanov_weight(p.times, f.grid_values(p.times, p.values), None)
+            girsanov_weight(times, h, None)
 
     def test_constant_drift_lognormal_moments(self, brownian_ens):
         # log weight is Gaussian with mean -c^2 T / 2 and variance c^2 T
