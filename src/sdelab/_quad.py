@@ -2,9 +2,10 @@
 
 Cached Gauss-Legendre and Gauss-Kronrod rules serve the mollifier blocks
 and the nonlocal integrals.  ``quad_checked`` (QUADPACK with an error
-check) serves the one scalar integral left, the mollifier's normalising
-constant; the jump kernels need none: their masses are closed forms or
-atom sums.
+check) serves the one scalar integral left, the normalising constant of
+the ``bump`` mollifier; the jump kernels need none: their masses are
+closed forms or atom sums.  It imports scipy when called, so that
+importing sdelab and every default run load no scipy module.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureFailure
 
@@ -61,6 +61,7 @@ def quad_checked(f, a, b, tol=1e-8):
     pessimistic near integrable singularities, so a strict comparison
     would produce false alarms).
     """
+    from scipy.integrate import IntegrationWarning, quad
     try:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)

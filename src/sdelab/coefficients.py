@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from ._quad import gauss_kronrod, gauss_legendre, quad_checked
 from .errors import NonConvergent, QuadratureFailure, RangeError
@@ -45,13 +44,53 @@ def _power_sum(c, s):
     return v
 
 
+def _pchip_edge(h0, h1, m0, m1):
+    """One-sided three-point end derivative (Moler 2004): 0 where its sign
+    differs from the end slope m0, 3 m0 where the slopes change sign and it
+    exceeds 3 |m0|."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    mask = np.sign(d) != np.sign(m0)
+    mmm = ~mask & (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3. * np.abs(m0))
+    return np.where(mask, 0., np.where(mmm, 3. * m0, d))
+
+
+def _pchip_coefficients(x, y):
+    """PCHIP coefficients of the (nodes, columns) table ``y``, laid out as
+    (power, column, cell), highest power first."""
+    hk = (x[1:] - x[:-1])[:, None]
+    mk = (y[1:] - y[:-1]) / hk
+    if len(x) == 2:
+        dk = np.concatenate([mk, mk])
+    else:
+        # weighted harmonic mean of the two slopes, 0 where they differ in
+        # sign or one vanishes
+        smk = np.sign(mk)
+        condition = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+        w1 = 2 * hk[1:] + hk[:-1]
+        w2 = hk[1:] + 2 * hk[:-1]
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk = np.concatenate([_pchip_edge(hk[0], hk[1], mk[0], mk[1])[None],
+                             np.where(condition, 0.0, 1.0 / whmean),
+                             _pchip_edge(hk[-1], hk[-2], mk[-1], mk[-2])[None]])
+    if not np.all(np.isfinite(dk)):
+        raise ValueError("the node derivatives are not finite (the slopes overflow)")
+    # the Hermite cubic of each cell, as in scipy's CubicHermiteSpline
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    c = np.stack([t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]])
+    c[3] += 0.0  # PPoly's sum starts at +0.0, which maps -0.0 to +0.0
+    return np.ascontiguousarray(c.transpose(0, 2, 1))
+
+
 class CubicTable:
     """Monotone cubic interpolant of values tabulated along the last axis
     of ``y`` at the increasing nodes ``x`` (Fritsch & Carlson 1980).
 
-    The coefficients are those of scipy's ``PchipInterpolator``, built once
-    (with the harmonic-mean overflow warnings of near-flat segments
-    silenced), and evaluation repeats scipy's ``PPoly`` arithmetic, so the
+    The node derivatives are Fritsch & Butland's (1984) weighted harmonic
+    means of the neighbouring slopes, zero where the slopes change sign or
+    vanish, with Moler's one-sided three-point rule at the ends and the
+    chord on a 2-node table.  The derivatives, the Hermite coefficients and
+    the input checks repeat scipy's ``PchipInterpolator`` operation for
+    operation, and evaluation repeats scipy's ``PPoly`` arithmetic, so the
     values agree with scipy bit for bit.  A point p lies in the cell i with
     x[i] <= p < x[i+1]; the end cells extrapolate and the last node belongs
     to the last cell.  On a uniform grid the cell is a direct index with a
@@ -60,14 +99,26 @@ class CubicTable:
     """
 
     def __init__(self, x, y):
+        x = np.array(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("`x` must be 1-dimensional.")
+        n = len(x)
+        if n < 2:
+            raise ValueError("`x` must contain at least 2 elements.")
+        if y.ndim == 0 or y.shape[-1] != n:
+            raise ValueError("The length of `y` along its last axis doesn't match "
+                             "the length of `x`")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("`x` must contain only finite values.")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("`y` must contain only finite values.")
+        if np.any(np.diff(x) <= 0):
+            raise ValueError("`x` must be strictly increasing sequence.")
+        # near-flat segments overflow the harmonic mean; those nodes get 0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            pp = PchipInterpolator(x, y, axis=y.ndim - 1)
-        self.x = pp.x
-        n = len(self.x)
-        # (power, column, cell), so that a gather along cells is one take
-        self._c = np.ascontiguousarray(pp.c.reshape(4, n - 1, -1).transpose(0, 2, 1))
-        self._c[3] += 0.0  # PPoly's sum starts at +0.0, which maps -0.0 to +0.0
+            self._c = _pchip_coefficients(x, y.reshape(-1, n).T)
+        self.x = x
         self._lead = y.shape[:-1]
         # cell i holds left[i] <= p < right[i]; the end cells are unbounded,
         # and a NaN bound never compares true, so no point leaves them

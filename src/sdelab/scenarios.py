@@ -685,10 +685,8 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
                                           caps=caps)
         # reference: the two-sided big-jump size integral, or its largest
         # truncation when it diverges
-        from scipy.integrate import quad as _quad
         hi = np.inf if gamma > 1.0 else float(max(caps))
-        ref, _ = _quad(lambda x: 2.0 * scale * x**-gamma, a, hi)
-        ref *= config.horizon
+        ref = float(kernel.mass(0.0, [(-hi, -a), (a, hi)], 1.0)) * config.horizon
         report_d = classify_dirichlet(growth, reference=ref)
         diag = DiagnosticResult(
             "dirichlet_counterexample", _status(report_d.verdict == expected),

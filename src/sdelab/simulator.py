@@ -514,6 +514,20 @@ def _check_exclusions(n_excluded, config: SimConfig):
         )
 
 
+def _candidate_order(c_step, c_path, c_t, n_paths):
+    """Permutation of the candidates into (step, path, time) order, ties in
+    input order; c_path < n_paths, so (step, path) is one integer key."""
+    return np.lexsort((c_t, c_step * n_paths + c_path))
+
+
+def _record_order(jp):
+    """Permutation of the accepted records, which come in (step, path,
+    time) order, into (path, time) order, ties in input order: a path's
+    step never decreases as its time grows, so a stable sort by path
+    keeps its records in time order."""
+    return np.argsort(jp, kind="stable")
+
+
 def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble:
     """Simulate the transformed state of ``setup``; see the module docstring.
 
@@ -583,7 +597,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     c_at = 3 * first[c_path] + np.arange(total)  # j = arange(total) - first[p]
     c_t = T * unif[c_at]
     c_step = np.minimum((c_t / dt).astype(np.int64), n - 1)
-    order = np.lexsort((c_t, c_path, c_step))
+    order = _candidate_order(c_step, c_path, c_t, P)
     c_path, c_t, c_step = c_path[order], c_t[order], c_step[order]
     c_at, c_count = c_at[order], counts[c_path]
     c_u, c_u1, c_u2 = (unif[c_at + m * c_count] for m in (1, 2, 3))
@@ -651,7 +665,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     if acc_idx:
         sel = np.concatenate(acc_idx)
         jp, jt = c_path[sel], c_t[sel]
-        order = np.lexsort((jt, jp))
+        order = _record_order(jp)
         jp, jt = jp[order], jt[order]
         jy, jz, jw = (np.concatenate(a)[order] for a in (acc_y, acc_z, acc_w))
         jx = np.asarray(transform.inverse(jy)) if not transform.is_identity else jy.copy()

@@ -308,3 +308,13 @@ def _stable_side(kernel, g, a, b, sign, tol, breakpoints, g_bound):
             if v > u:
                 total += quad_checked(f, u, v, tol=tol)
     return total
+
+
+def counterexample_reference(gamma, scale, a, caps, horizon):
+    """The stable counterexample's reference by QUADPACK: the two-sided
+    big-jump size integral 2 scale int_a^hi x^-gamma dx, to infinity when
+    it converges (gamma > 1) and to the largest cap otherwise."""
+    from scipy.integrate import quad
+    hi = np.inf if gamma > 1.0 else float(max(caps))
+    ref, _ = quad(lambda x: 2.0 * scale * x**-gamma, a, hi)
+    return ref * horizon

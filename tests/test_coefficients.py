@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftSpec,
                     MollifierConfig, NonConvergent, QuadratureFailure, RangeError,
                     build_scale_transform, check_hypotheses, compute_drift_potential,
-                    local_generator, transformed_diffusion)
+                    local_generator, scenario_names, transformed_diffusion)
 from approximants import domain_approximant
 from conftest import unit_sigma, zero_beta
 from reference import identity_profile, square_identity_residual
@@ -458,6 +458,130 @@ class TestCubicTable:
         got = CubicTable(x, x**3)(0.37)
         assert isinstance(got, np.ndarray) and got.shape == ()
         assert got == PchipInterpolator(x, x**3)(0.37)
+
+
+def _scipy_coefficients(x, y):
+    """scipy's PCHIP coefficients of the table, laid out as (power, column,
+    cell) like ``CubicTable._c``."""
+    from scipy.interpolate import PchipInterpolator
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        c = PchipInterpolator(x, y, axis=y.ndim - 1).c
+    return c.reshape(4, len(x) - 1, -1).transpose(0, 2, 1)
+
+
+def _end_rule_branches(h0, h1, m0, m1):
+    """Which branch of the one-sided end rule a table end takes: the
+    estimate's sign differs from m0 (set to 0), or the slopes change sign
+    and the estimate exceeds 3 |m0| (set to 3 m0)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    mask = np.sign(d) != np.sign(m0)
+    return bool(mask), bool(~mask & (np.sign(m0) != np.sign(m1)) & (abs(d) > 3 * abs(m0)))
+
+
+class TestPchipCoefficients:
+    """``CubicTable``'s own PCHIP coefficients equal scipy's bit for bit."""
+
+    @staticmethod
+    def _check(x, y):
+        from sdelab.coefficients import CubicTable
+        x = np.asarray(x, dtype=float)
+        got, want = CubicTable(x, y)._c, _scipy_coefficients(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("y", ([1.0, 3.0], [2.0, 2.0], [0.5, -0.0],
+                                   [[1.0, -2.0], [0.0, 7.5], [3.0, 3.0]]))
+    def test_two_nodes(self, y):
+        self._check([-0.3, 1.7], y)
+
+    def test_flat_runs_and_zero_slopes(self):
+        x = np.linspace(0.0, 3.0, 13)
+        self._check(x, [0, 0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 5, 5])
+        self._check(x, np.zeros(13))
+        self._check(x, np.full(13, -4.25))
+
+    def test_slope_sign_changes(self):
+        x = np.linspace(-1.0, 1.0, 41)
+        self._check(x, np.sin(7.0 * x))
+        self._check(x, np.abs(x))
+        self._check(x, (-1.0) ** np.arange(41))
+
+    @pytest.mark.parametrize("x, y, left, right", [
+        ([0, 1, 2, 3, 4], [0, 1, 5, 10, 10.5], "mask", "mask"),
+        ([0, 1, 11, 12, 13], [0, 1, -299, -300, -301], "mmm", None),
+        ([0, 1, 2, 12, 13], [5, 4, 3, -297, -296], None, "mmm"),
+        ([0, 1, 11], [0, 3, 13], None, "mask"),
+        ([0, 1, 11], [0, 1, -299], "mmm", None),
+    ])
+    def test_both_end_rule_branches(self, x, y, left, right):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        h, m = np.diff(x), np.diff(y) / np.diff(x)
+        for ends, want in (((h[0], h[1], m[0], m[1]), left),
+                           ((h[-1], h[-2], m[-1], m[-2]), right)):
+            mask, mmm = _end_rule_branches(*ends)
+            assert (mask, mmm) == (want == "mask", want == "mmm")
+        self._check(x, y)
+
+    def test_negative_zero_values(self):
+        x = np.linspace(0.0, 4.0, 5)
+        self._check(x, [0.82, 0.51, -0.0, -0.59, -1.32])
+        self._check(x, [-0.0, -0.0, 0.0, -0.0, 1.0])
+        self._check(x, np.full(5, -0.0))
+
+    def test_three_columns_on_nonuniform_nodes(self):
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.uniform(0.01, 1.0, 64))
+        self._check(x, np.stack([np.tanh(x - 10.0), np.exp(-x), rng.normal(size=64)]))
+        self._check(x, rng.normal(size=(2, 3, 64)))
+
+    def test_near_flat_segments_overflow_the_harmonic_mean(self):
+        x = np.arange(6.0)
+        y = np.array([0.0, 1e-310, 2e-310, 3e-310, 1.0, 2.0])
+        with np.errstate(over="ignore"):
+            assert np.isinf(3.0 / np.diff(y)[0])  # w1 / m_k overflows
+        self._check(x, y)
+        self._check(x, -y)
+        self._check(np.linspace(0.0, 1e-3, 6), [1.0, 1.0, 1.0 + 2e-16, 1.0 + 4e-16, 2.0, 3.0])
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_table_of_a_registry_run(self, name, monkeypatch):
+        from sdelab import ScenarioSpec, run_scenario
+        from sdelab.coefficients import CubicTable
+        made, init = [], CubicTable.__init__
+
+        def recording_init(self, x, y):
+            init(self, x, y)
+            made.append((np.array(x, dtype=float), np.array(y, dtype=float), self._c))
+
+        monkeypatch.setattr(CubicTable, "__init__", recording_init)
+        run_scenario(ScenarioSpec(name=name))
+        assert made
+        for x, y, c in made:
+            assert np.array_equal(c, _scipy_coefficients(x, y))
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.0], [1.0]),                                  # fewer than 2 nodes
+        ([[0.0, 1.0]], [1.0, 2.0]),                      # nodes not 1-d
+        ([0.0, np.nan, 2.0], [1.0, 2.0, 3.0]),           # non-finite node
+        ([0.0, 1.0, np.inf], [1.0, 2.0, 3.0]),
+        ([0.0, 2.0, 1.0], [1.0, 2.0, 3.0]),              # non-increasing nodes
+        ([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 3.0]),           # non-finite value
+        ([0.0, 1.0, 2.0], [1.0, 2.0, -np.inf]),
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),                   # length mismatch
+        ([0.0, 1.0, 2.0], [[1.0, 2.0, 3.0, 4.0]]),
+        ([0.0, 1e-10, 2e-10], [0.0, 1e308, -1e308]),    # slopes overflow
+    ])
+    def test_rejects_what_scipy_rejects(self, x, y):
+        from scipy.interpolate import PchipInterpolator
+
+        from sdelab.coefficients import CubicTable
+        y = np.asarray(y, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            PchipInterpolator(x, y, axis=y.ndim - 1)
+        with pytest.raises(ValueError):
+            CubicTable(x, y)
 
 
 def _scipy_inverse(tr, y, newton_iters=3, bisect_iters=30):

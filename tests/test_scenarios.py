@@ -12,6 +12,7 @@ from sdelab import (ScenarioSpec, ValidationError, counterexample_cauchy,
                     run_scenario, scenario_names)
 from sdelab.scenarios import build_bundle, report_json
 from sdelab.simulator import SimConfig
+from reference import counterexample_reference
 
 
 SMALL = dict(n_paths=400, n_steps=64)
@@ -90,6 +91,37 @@ class TestShippedCoefficients:
         b = build_bundle(ScenarioSpec(name="stable_jump",
                                       params={"gamma": 0.8}))
         assert b.eq.kernel.gamma == 0.8
+
+
+class TestDefaultPathsWithoutScipy:
+    def test_no_scipy_module_is_loaded(self):
+        # a fresh interpreter: this one has loaded scipy for other tests
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "import sdelab, sdelab.cli\n"
+            "from sdelab import (ScenarioSpec, SimConfig, compute_drift_potential,\n"
+            "                    counterexample_stable, run_scenario, scenario_names)\n"
+            "from sdelab.scenarios import build_bundle\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "for name in scenario_names():\n"
+            "    run_scenario(ScenarioSpec(name=name, n_paths=400, n_steps=64))\n"
+            "cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=200, master_seed=41)\n"
+            "for gamma in (0.5, 1.5):\n"
+            "    counterexample_stable(gamma, config=cfg)\n"
+            "assert not scipy_modules(), scipy_modules()[:5]\n"
+            "coeffs = build_bundle(ScenarioSpec(name='brownian_baseline')).eq.coeffs\n"
+            "compute_drift_potential(coeffs.drift, coeffs.diffusion,\n"
+            "                        replace(coeffs.mollifier, shape='bump'),\n"
+            "                        coeffs.potential.grid)\n"
+            "assert 'scipy.integrate' in scipy_modules()\n"
+        )
+        src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHardOrdering:
@@ -395,6 +427,24 @@ class TestCounterexamples:
             assert heavy.diagnostics[0].details["verdict"] == "inconsistent"
             assert (light.diagnostics[0].details["verdict"]
                     == "consistent_with_dirichlet")
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.0, 1.5))
+    def test_stable_reference_is_the_quadpack_integral(self, gamma, monkeypatch):
+        from sdelab import scenarios
+        seen, classify = [], scenarios.classify_dirichlet
+
+        def recording_classify(growth, reference=None):
+            seen.append(reference)
+            return classify(growth, reference=reference)
+
+        monkeypatch.setattr(scenarios, "classify_dirichlet", recording_classify)
+        cfg = SimConfig(horizon=2.0, n_steps=16, n_paths=200, master_seed=41)
+        counterexample_stable(gamma, config=cfg)
+        want = counterexample_reference(gamma, scale=0.5, a=1.0, caps=(10.0, 100.0),
+                                        horizon=2.0)
+        assert seen[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+        if gamma == 0.5:  # 2 * 0.5 * 2 (sqrt(100) - 1), exactly
+            assert seen[0] == 36.0
 
     def test_cauchy_truncated_means(self):
         rep = counterexample_cauchy(n_samples=300_000, seed=3)

@@ -184,6 +184,34 @@ STREAM_SEEDS = (0, 1, 17, 41, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 7,
                 2**73 + 3, 2**130 + 99)
 
 
+class TestSortOrder:
+    """The engine's candidate and record orders equal the 3-key and 2-key
+    lexsorts they replace, ties in times included."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_permutations_as_lexsort(self, seed):
+        rng = np.random.default_rng(seed)
+        P, n, T = 7, 5, 1.0
+        dt = T / n
+        # times on a grid of 1/40: ties within and across paths, and
+        # several candidates of one path within one step
+        c_t = T * rng.integers(0, 40, 300) / 40
+        c_path = rng.integers(0, P, 300)
+        c_step = np.minimum((c_t / dt).astype(np.int64), n - 1)
+        key = np.stack([c_step, c_path, c_t], axis=1)
+        distinct = len(np.unique(key, axis=0))
+        assert distinct < len(key)  # one path's candidates at one time
+        assert len(np.unique(key[:, :2], axis=0)) < distinct  # and at two times of one step
+
+        order = simulator._candidate_order(c_step, c_path, c_t, P)
+        assert np.array_equal(order, np.lexsort((c_t, c_path, c_step)))
+
+        # accepted records keep the sorted candidates' order
+        sel = np.flatnonzero(rng.random(300) < 0.6)
+        jp, jt = c_path[order][sel], c_t[order][sel]
+        assert np.array_equal(simulator._record_order(jp), np.lexsort((jt, jp)))
+
+
 def _numpy_words(seed, key):
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(
         4, np.uint64)
