@@ -659,19 +659,20 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     setup = engine_setup(build_characteristics(EquationX(CoefficientSet.unit(), kernel)),
                          config, 0.0)
 
-    # per-path terminal X, active flags and big-jump sums, filled block by
-    # block; nothing else of a block outlives it
+    # per-path terminal X, active flags and big-jump sums, and the jump
+    # count of each block; nothing else of a block outlives it
+    def reduce(ens):
+        return (ens.first_path, ens.x[:, -1].copy(), ens.active,
+                big_jump_sums(_identity, ens, a, caps), len(ens.jump_time))
+
     n = config.n_paths
     x_end, active = np.empty(n), np.empty(n, dtype=bool)
     sums = np.empty((1 + len(caps), n))
-
-    def reduce(ens):
-        rows = slice(ens.first_path, ens.first_path + ens.n_paths)
-        x_end[rows], active[rows] = ens.x[:, -1], ens.active
-        sums[:, rows] = big_jump_sums(_identity, ens, a, caps)
-        return len(ens.jump_time)
-
-    n_jumps = sum(simulate_blocks(setup, reduce))
+    n_jumps = 0
+    for first, x_b, active_b, sums_b, jumps_b in simulate_blocks(setup, reduce):
+        rows = slice(first, first + len(x_b))
+        x_end[rows], active[rows], sums[:, rows] = x_b, active_b, sums_b
+        n_jumps += jumps_b
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
     echo = {"expected_verdict": expected, "gamma": float(gamma), "scale": float(scale)}
     n_active = int(np.sum(active))

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .coefficients import CubicTable, ScaleTransform, transformed_diffusion
+from .coefficients import (CubicTable, ScaleTransform, _usable_cpus,
+                           transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
                      ValidationError)
 from .generator import _BLOCK, EquationX, PathFunctional
@@ -653,7 +655,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                 active &= ~newly
             y_next = np.where(active, y_next, y)
         Y[:, s + 1] = y_next
-    del small_normals, c_step, c_u, c_u1, c_u2
+    del small_normals, c_u, c_u1, c_u2
 
     if P == config.n_paths:
         _check_exclusions(int(np.sum(~active)), config)
@@ -664,11 +666,10 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         X, HX, HPX = transform.inverse(Y, images=True)
     if acc_idx:
         sel = np.concatenate(acc_idx)
-        jp, jt = c_path[sel], c_t[sel]
-        order = _record_order(jp)
-        jp, jt = jp[order], jt[order]
+        order = _record_order(c_path[sel])
+        jp, jt, js = (a[sel][order] for a in (c_path, c_t, c_step))
         jy, jz, jw = (np.concatenate(a)[order] for a in (acc_y, acc_z, acc_w))
-        jx = np.asarray(transform.inverse(jy)) if not transform.is_identity else jy.copy()
+        jx = X[jp, js]  # a record's pre-jump state is Y[row, step]
     else:
         jp = np.empty(0, dtype=int)
         jt, jy, jz, jw, jx = (np.empty(0) for _ in range(5))
@@ -681,26 +682,86 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                     hx=HX, hpx=HPX, first_path=paths.start)
 
 
+def _reduced_blocks(setup: EngineSetup, reduce: Callable, blocks) -> tuple:
+    """``[(start, reduce(ensemble), excluded count)]`` of ``blocks`` in
+    order, and ``(start, exception)`` of the block that raised (None when
+    none did), which ends the list."""
+    done = []
+    for block in blocks:
+        try:
+            ens = simulate_y(setup, paths=block)
+            done.append((block.start, reduce(ens), ens.excluded_count))
+        except Exception as exc:
+            return done, (block.start, exc)
+        del ens  # before the next block is drawn
+    return done, None
+
+
+def _block_worker(setup: EngineSetup, reduce: Callable, blocks, conn):
+    """A forked worker of ``simulate_blocks``: sends ``_reduced_blocks`` of
+    its share, or the exception that pickling them raised."""
+    with conn:
+        result = _reduced_blocks(setup, reduce, blocks)
+        try:
+            conn.send(result)
+        except Exception as exc:  # a reduction or an exception that does not pickle
+            conn.send(([], (blocks[0].start, exc)))
+
+
 def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
     """``reduce(ensemble)`` of every block of ``BLOCK_PATHS`` consecutive
     paths of the run ``setup``, in path order.
 
     Each block goes through ``simulate_y`` and is dropped once reduced, so
-    memory holds one block plus whatever ``reduce`` keeps; a reduction
-    should copy what it keeps, since a view holds its whole block.  The
+    a worker's memory holds one block plus whatever ``reduce`` keeps.  The
+    blocks are dealt round-robin to ``min(usable CPUs, blocks)`` workers:
+    this process is one, and each other is a child forked for the call
+    (none while other Python threads run), which sends its reductions back
+    through a pipe.  So ``reduce`` may run in a child: it must return what
+    it keeps (writes to outside objects are lost there), copy the views it
+    keeps (a view holds its whole block), and its result must pickle.  The
+    exception of the first block that raises, in block order, is raised
+    here whichever worker ran it, as is one that pickling a child's result
+    raised.  Every child is joined before this returns or raises.  The
     ``max_exclusion_fraction`` check counts the excluded paths of all
-    blocks.
+    blocks.  The result does not depend on the number of workers.
     """
+    import multiprocessing
     config = setup.config
-    out, n_excluded = [], 0
-    for start in range(0, config.n_paths, BLOCK_PATHS):
-        block = range(start, min(start + BLOCK_PATHS, config.n_paths))
-        ens = simulate_y(setup, paths=block)
-        n_excluded += ens.excluded_count
-        out.append(reduce(ens))
-        del ens
-    _check_exclusions(n_excluded, config)
-    return out
+    blocks = [range(start, min(start + BLOCK_PATHS, config.n_paths))
+              for start in range(0, config.n_paths, BLOCK_PATHS)]
+    can_fork = (threading.active_count() == 1
+                and "fork" in multiprocessing.get_all_start_methods())
+    workers = min(_usable_cpus(), len(blocks)) if can_fork else 1
+    shares = [blocks[k::workers] for k in range(workers)]
+    conns, children = [], []
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            conns.append(recv)
+            with send:
+                child = multiprocessing.get_context("fork").Process(
+                    target=_block_worker, args=(setup, reduce, share, send))
+                child.start()
+            children.append(child)
+        results = [_reduced_blocks(setup, reduce, shares[0])]
+        results += [recv.recv() for recv in conns]
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for recv in conns:
+            recv.close()
+        for child in children:
+            child.join()
+            child.close()
+    failed = [f for _, f in results if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    done = sorted((d for part, _ in results for d in part), key=lambda d: d[0])
+    _check_exclusions(sum(n for _, _, n in done), config)
+    return [r for _, r, _ in done]
 
 
 def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensemble:

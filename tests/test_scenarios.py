@@ -471,22 +471,37 @@ class TestCounterexamples:
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # 7 blocks, the last short
         assert report_json(counterexample_stable(gamma, config=cfg)) == whole
 
+    @pytest.mark.parametrize("gamma", (0.5, 1.5))
+    def test_stable_report_independent_of_worker_count(self, gamma, monkeypatch):
+        from sdelab import simulator
+        cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # 7 blocks, the last short
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            reports.append(report_json(counterexample_stable(gamma, config=cfg)))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     def test_stable_peak_memory_flat_in_paths(self):
         # the ensemble is simulated and reduced a block at a time, so four
-        # times the paths add only their per-path vectors (~1.5 MB here)
+        # times the paths add only their per-path vectors (~1.5 MB here),
+        # in this process and in the forked block workers alike
         code = ("import resource, sys\n"
                 "from sdelab import SimConfig, counterexample_stable\n"
                 "cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=int(sys.argv[1]),"
                 " master_seed=41)\n"
                 "counterexample_stable(0.5, config=cfg)\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+                "print(*(resource.getrusage(who).ru_maxrss for who in"
+                " (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
         src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        peak_mb = [int(subprocess.run([sys.executable, "-c", code, str(n)], env=env,
-                                      capture_output=True, text=True,
-                                      check=True).stdout) / 1024
+        peak_mb = [[int(kb) / 1024 for kb in subprocess.run(
+                        [sys.executable, "-c", code, str(n)], env=env,
+                        capture_output=True, text=True, check=True).stdout.split()]
                    for n in (16_000, 64_000)]
-        assert abs(peak_mb[1] - peak_mb[0]) < 10.0, peak_mb
+        (self_16k, children_16k), (self_64k, children_64k) = peak_mb
+        assert abs(self_64k - self_16k) < 10.0, peak_mb
+        assert abs(children_64k - children_16k) < 10.0, peak_mb
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
 """Monte Carlo engine: determinism, law oracles, weights, residuals."""
+import multiprocessing
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -359,8 +364,8 @@ class TestBlocks:
         assert len(_blocked(chars, cfg, y0, 7, monkeypatch)) == 6
         assert len(calls) == 1
 
-    def test_exclusion_limit_counts_the_whole_run(self, unit_diffusion, clamp1,
-                                                  monkeypatch):
+    def _narrow_grid(self, unit_diffusion, clamp1):
+        """A run of 100 paths on a grid narrow enough that some leave it."""
         import sdelab as sl
         grid = np.linspace(-2.0, 2.0, 161)
         drift = sl.DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
@@ -369,6 +374,11 @@ class TestBlocks:
         chars = build_characteristics(EquationX(coeffs, None, clamp1))
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=100, master_seed=1,
                         big_jump_intensity_bound=0.0, max_exclusion_fraction=1.0)
+        return chars, cfg
+
+    def test_exclusion_limit_counts_the_whole_run(self, unit_diffusion, clamp1,
+                                                  monkeypatch):
+        chars, cfg = self._narrow_grid(unit_diffusion, clamp1)
         excluded = simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
         assert 0 < excluded < 50
         # some block of 7 paths loses far more than the run's share
@@ -389,6 +399,125 @@ class TestBlocks:
         cfg = BROWNIAN_CFG.replace(n_paths=40)
         with pytest.raises(ValidationError):
             simulate_y(engine_setup(brownian_chars(), cfg, 0.0), paths=paths)
+
+    @pytest.mark.parametrize("case", ("atom_tanh", "tabulated_tanh"))
+    def test_jump_x_pre_is_the_inverse_of_jump_y_pre(self, case, tanh_coeffs,
+                                                     atom_kernel, clamp1):
+        # jump_x_pre is read from X at the record's row and step
+        chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
+        ens = simulate_y(engine_setup(chars, cfg, y0))
+        assert len(ens.jump_y_pre) > 10
+        want = np.asarray(chars.transform.inverse(ens.jump_y_pre))
+        assert ens.jump_x_pre.dtype == want.dtype
+        assert np.array_equal(ens.jump_x_pre, want)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_blocks_equal_one_run_on_any_worker_count(self, case, workers, tanh_coeffs,
+                                                      atom_kernel, clamp1, monkeypatch):
+        chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
+        self._check_blocks(chars, cfg, y0, 7, monkeypatch)
+        _assert_no_child_left()
+
+    def test_exclusions_in_blocks_of_different_workers(self, workers, unit_diffusion,
+                                                       clamp1, monkeypatch):
+        chars, cfg = self._narrow_grid(unit_diffusion, clamp1)
+        blocks = _blocked(chars, cfg, 0.0, 7, monkeypatch)
+        excluded = sum(b.excluded_count for b in blocks)
+        assert excluded == simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
+        # block k runs on worker k % workers
+        assert len({k % workers for k, b in enumerate(blocks) if b.excluded_count}) \
+            >= min(workers, 2)
+        above = cfg.replace(max_exclusion_fraction=(excluded + 0.5) / 100)
+        assert sum(b.excluded_count for b in _blocked(chars, above, 0.0, 7,
+                                                       monkeypatch)) == excluded
+        below = cfg.replace(max_exclusion_fraction=(excluded - 0.5) / 100)
+        with pytest.raises(RangeError):
+            _blocked(chars, below, 0.0, 7, monkeypatch)
+        _assert_no_child_left()
+
+
+@pytest.fixture(params=(1, 2, 3))
+def workers(request, monkeypatch):
+    """``simulate_blocks`` sees this many usable CPUs."""
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestBlockWorkers:
+    """``simulate_blocks`` deals its blocks round-robin to min(usable CPUs,
+    blocks) workers: this process and children forked for the call."""
+
+    def _setup(self, n_paths, monkeypatch):
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
+        cfg = BROWNIAN_CFG.replace(n_paths=n_paths, n_steps=8)
+        return engine_setup(brownian_chars(), cfg, 0.0)
+
+    @pytest.mark.parametrize("n_paths", (40, 14))  # 6 and 2 blocks
+    def test_one_process_per_worker(self, workers, n_paths, monkeypatch):
+        pids = simulator.simulate_blocks(self._setup(n_paths, monkeypatch),
+                                         lambda ens: os.getpid())
+        n_blocks = -(-n_paths // 7)
+        used = min(workers, n_blocks)
+        assert len(set(pids)) == used
+        assert pids == [pids[k % used] for k in range(n_blocks)]
+        assert pids[0] == os.getpid()
+        _assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, workers, monkeypatch):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            pids = simulator.simulate_blocks(self._setup(40, monkeypatch),
+                                             lambda ens: os.getpid())
+        finally:
+            stop.set()
+            thread.join()
+        assert set(pids) == {os.getpid()}
+
+    @pytest.mark.parametrize("failing", ((1,), (1, 2), (2, 3)))
+    def test_first_failing_block_raises_here(self, workers, failing, monkeypatch):
+        # with two or three workers block 1 runs in a child and block 2 in
+        # this process (two workers) or a child (three)
+        from sdelab import ValidationError
+
+        def reduce(ens):
+            if ens.first_path // 7 in failing:
+                raise ValidationError(f"block {ens.first_path // 7}")
+            return ens.first_path
+
+        with pytest.raises(ValidationError) as got:
+            simulator.simulate_blocks(self._setup(40, monkeypatch), reduce)
+        assert type(got.value) is ValidationError
+        assert str(got.value) == f"block {failing[0]}"
+        _assert_no_child_left()
+
+    def test_unpicklable_child_result_raised_here(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        local = lambda: None  # noqa: E731  (pickles by name, which it lacks)
+        with pytest.raises(Exception) as want:
+            pickle.dumps(local)
+        with pytest.raises(Exception) as got:
+            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: local)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        _assert_no_child_left()
+
+    def test_fork_gives_no_warning(self, monkeypatch):
+        # Python >= 3.12 warns when a process with more than one OS thread
+        # forks; OpenBLAS stops its thread pool before a fork, and no other
+        # thread may run
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: 0)
+        assert not [w for w in seen if "fork" in str(w.message)], seen
 
 
 # ---------------------------------------------------------------------------
