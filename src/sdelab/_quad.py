@@ -1,20 +1,15 @@
 """Internal quadrature helpers.
 
 Cached Gauss-Legendre and Gauss-Kronrod rules serve the mollifier blocks
-and the nonlocal integrals.  ``quad_checked`` (QUADPACK with an error
-check) serves the one scalar integral left, the normalising constant of
-the ``bump`` mollifier; the jump kernels need none: their masses are
-closed forms or atom sums.  It imports scipy when called, so that
-importing sdelab and every default run load no scipy module.
+and the nonlocal integrals.  No integral in the lab needs an adaptive
+routine: the jump kernels' masses are closed forms or atom sums, and the
+mollifier is a Gaussian with a closed-form normalisation.
 """
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import QuadratureFailure
 
 
 @lru_cache(maxsize=None)
@@ -50,29 +45,3 @@ def gauss_legendre_01(n: int):
     """Nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def quad_checked(f, a, b, tol=1e-8):
-    """scipy.integrate.quad with an error check, at most 400 subintervals.
-
-    QUADPACK's own warnings are suppressed: the returned error estimate is
-    checked instead.  It fails when the estimate exceeds the tolerance by
-    more than two orders of magnitude (the estimator is routinely
-    pessimistic near integrable singularities, so a strict comparison
-    would produce false alarms).
-    """
-    from scipy.integrate import IntegrationWarning, quad
-    try:
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=400)
-    except Exception as exc:  # pragma: no cover - scipy internal failures
-        raise QuadratureFailure(f"quad failed on [{a}, {b}]: {exc}") from exc
-    if not np.isfinite(value):
-        raise QuadratureFailure(f"integral on [{a}, {b}] is not finite")
-    if err > max(100.0 * tol, 1e-3 * max(1.0, abs(value))):
-        raise QuadratureFailure(
-            f"integral on [{a}, {b}] reached error {err:.2e} > tol {tol:.2e}"
-        )
-    return value
-

@@ -18,12 +18,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import gauss_kronrod, gauss_legendre, quad_checked
+from ._quad import gauss_kronrod, gauss_legendre
 from .errors import NonConvergent, QuadratureFailure, RangeError
 
 _MOLL_NODES = 48
@@ -223,7 +222,6 @@ class MollifierConfig:
     widths: tuple = (0.02, 0.01, 0.005)
     quadrature_tol: float = 1e-8
     convergence_tol: float = 1e-4
-    shape: str = "gaussian"  # or "bump"
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.widths)
@@ -235,8 +233,6 @@ class MollifierConfig:
         tols = (self.quadrature_tol, self.convergence_tol)
         if not (np.all(np.isfinite(tols)) and min(tols) > 0):
             raise ValueError("tolerances must be finite and positive")
-        if self.shape not in ("gaussian", "bump"):
-            raise ValueError(f"unknown mollifier shape {self.shape!r}")
         self.widths = w
 
 
@@ -244,35 +240,20 @@ class MollifierConfig:
 # mollifiers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bump_norm():
-    # normalisation of exp(-1/(1-t^2)) on (-1, 1)
-    val = quad_checked(lambda t: np.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0, tol=1e-13)
-    return val
-
-
-def _mollifier_tables(shape: str, width: float):
-    """Positive-axis nodes with even rho and odd rho' values.
+def _mollifier_tables(width: float):
+    """Positive-axis nodes with the even Gaussian rho and odd rho' values,
+    cut at 8 widths.
 
     Convolutions are folded onto u > 0, which kills the catastrophic
     cancellation that a raw quadrature of f * rho' suffers from (rho'
     integrates to zero against constants only up to quadrature error).
     """
     x, w01 = gauss_legendre(_MOLL_NODES)
-    if shape == "gaussian":
-        half = 8.0 * width
-        u = 0.5 * half * (x + 1.0)
-        qw = 0.5 * half * w01
-        rho = np.exp(-0.5 * (u / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
-        rho_p = -(u / width**2) * rho
-    else:
-        half = width
-        u = 0.5 * half * (x + 1.0)
-        qw = 0.5 * half * w01
-        t = np.clip(u / width, 0.0, 1.0 - 1e-12)
-        core = np.exp(-1.0 / (1.0 - t * t)) / (_bump_norm() * width)
-        rho = core
-        rho_p = core * (-2.0 * t / (1.0 - t * t) ** 2) / width
+    half = 8.0 * width
+    u = 0.5 * half * (x + 1.0)
+    qw = 0.5 * half * w01
+    rho = np.exp(-0.5 * (u / width) ** 2) / (width * np.sqrt(2.0 * np.pi))
+    rho_p = -(u / width**2) * rho
     return u, qw, rho, rho_p
 
 
@@ -291,14 +272,14 @@ def _pooled(task, jobs):
         return list(pool.map(task, jobs))
 
 
-def _folded(fn, x, width, shape, odd):
+def _folded(fn, x, width, odd):
     """(fn * rho'_w)(x) if ``odd``, else (fn * rho_w)(x), in blocks of at most
     ``_CHUNK`` point-node values along the leading axis of x, spread over the
     usable CPUs (numpy's ufuncs release the GIL).  Each block writes its own
     rows, and each row keeps its own stacked product with the node weights
     (one point per row for a 1-d x), so no value depends on the block size
     or the number of threads."""
-    u, qw, rho, rho_p = _mollifier_tables(shape, width)
+    u, qw, rho, rho_p = _mollifier_tables(width)
     op, weight = (np.subtract, rho_p) if odd else (np.add, rho)
     x = np.asarray(x, dtype=float)
     pts = x.reshape(x.shape[0] if x.ndim else 1, int(np.prod(x.shape[1:])))
@@ -313,14 +294,14 @@ def _folded(fn, x, width, shape, odd):
     return out.reshape(x.shape)
 
 
-def mollified_drift_derivative(beta, x, width, shape="gaussian"):
+def mollified_drift_derivative(beta, x, width):
     """(beta * rho'_w)(x) on an array of points."""
-    return _folded(beta, x, width, shape, odd=True)
+    return _folded(beta, x, width, odd=True)
 
 
-def mollified_function(fn, x, width, shape="gaussian"):
+def mollified_function(fn, x, width):
     """(fn * rho_w)(x) on an array of points."""
-    return _folded(fn, x, width, shape, odd=False)
+    return _folded(fn, x, width, odd=False)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +415,8 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
     diffusion.validate_on(grid)
 
     def integrand(pts, width):
-        num = mollified_drift_derivative(drift.beta, pts, width, moll.shape)
-        den = mollified_function(diffusion.sigma, pts, width, moll.shape)
+        num = mollified_drift_derivative(drift.beta, pts, width)
+        den = mollified_function(diffusion.sigma, pts, width)
         return 2.0 * num / den**2
 
     gx, gw = gauss_legendre(_SEG_NODES)

@@ -224,9 +224,9 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
 
     The local part is the classical second-order term plus the drift
     correction; the nonlocal part sums the atoms of the pushforward of
-    the kernel, or, for a power tail (which needs the identity transform
-    and is its own pushforward), is the unsplit compensated integral of
-    ``jump_operator``.  The drift functional is that of the original
+    the kernel (``pushforward_integral``, which raises ``ValidationError``
+    for a power tail: under the identity transform it needs, both sides
+    would be one integral).  The drift functional is that of the original
     path, so it is evaluated on the preimage of ``y_path``.
     """
     transform, kernel, trunc = eq.coeffs.transform, eq.kernel, eq.trunc
@@ -242,7 +242,7 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
 
     if kernel is None:
         jump = 0.0
-    elif has_atoms(kernel):
+    else:
         phi_y = float(np.asarray(phi.phi(np.asarray(y_t))))
 
         def g(z):
@@ -250,9 +250,6 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
             return phi.phi(y_t + z) - phi_y - np.asarray(trunc(z)) * phi_p
 
         jump = pushforward_integral(kernel, transform, y_t, g)
-    else:  # a power tail: the identity transform maps it onto itself
-        jump = jump_operator(phi.phi, phi.phi_prime, kernel, trunc, y_t,
-                             f_sup=phi.bound, split=False)
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 
@@ -339,7 +336,7 @@ def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
     fx, fpx = f.as_x_callables(eq.coeffs.transform)
     lo, hi = float(np.min(x)), float(np.max(x))
     if hi - lo < 1e-9:
-        val = jump_operator(fx, fpx, kernel, trunc, lo, f_sup=f.bound, split=False)
+        val = jump_operator(fx, fpx, kernel, trunc, lo, f_sup=f.bound)
         return lambda u: np.full_like(u, val)
     # nodes at the quantiles of the states, so that heavy-tailed paths far
     # out do not thin the table where most states are; the quantiles thin
@@ -348,8 +345,8 @@ def _jump_table(f: ConjugateTestFunction, eq: EquationX, x):
     gaps = np.diff(nodes)
     wide = np.argsort(gaps)[len(gaps) // 2:]
     nodes = np.union1d(nodes, nodes[wide] + 0.5 * gaps[wide])
-    return CubicTable(nodes, _stable_nonlocal(kernel, trunc, nodes, fx, fpx, split=False,
-                                              f_sup=f.bound, subpanel_budget=512))
+    return CubicTable(nodes, _stable_nonlocal(kernel, trunc, nodes, fx, fpx, f_sup=f.bound,
+                                              subpanel_budget=512))
 
 
 def jump_tables(eq: EquationX, profiles, x):

@@ -458,14 +458,14 @@ def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g):
     The transformed measure is the pushforward of Q at the preimage state
     through w -> h(x + w) - h(x); the integral is a sum over the atoms of
     Q in the original jump variable.  A power tail needs the identity
-    transform, which maps it onto itself: its compensated jump term is
-    ``jump_operator(..., split=False)``.
+    transform, under which the transformed equation is the original one,
+    so it has no pushforward to sum: ``ValidationError``.
     """
     if not has_atoms(kernel):
         raise ValidationError(
             f"pushforward_integral sums atoms, not a {type(kernel).__name__}: a "
-            f"power tail needs the identity transform, under which its jump term "
-            f"is jump_operator(..., split=False)")
+            f"power tail needs the identity transform, under which the "
+            f"transformed equation is the original one")
     x = float(np.asarray(transform.inverse(y)))
     _guard_support(kernel, transform, x)
     y0 = float(np.asarray(transform.forward(x)))
@@ -564,11 +564,11 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
     return total if total is not None else 0.0
 
 
-def _both_rays(kernel: StableTailKernel, values_at, start, direction, **walk):
-    """The panel sums of ``values_at(x_nodes)`` along the positive and the
-    negative ray, added."""
+def _both_rays(kernel: StableTailKernel, values_at, start, **walk):
+    """The outward panel sums of ``values_at(x_nodes)`` along the positive
+    and the negative ray, added."""
     return sum(_stable_panel_sum(kernel, lambda r, s=s: values_at(s * r), start,
-                                 direction, **walk) for s in (1.0, -1.0))
+                                 "out", **walk) for s in (1.0, -1.0))
 
 
 _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the
@@ -576,13 +576,12 @@ _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the
 
 
 def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
-                     fx, fpx, split=True, f_sup=None, subpanel_budget=4096):
+                     fx, fpx, f_sup=None, subpanel_budget=4096):
     """Compensated nonlocal integral for a power-tail kernel, vector in y.
 
-    In split mode the near part is the Taylor-remainder form with an inner
-    Gauss integral; unsplit, it is the direct compensated difference,
-    switching to the Taylor form only below the cancellation depth.  The
-    far part is the direct compensated difference in both modes.
+    The direct compensated difference on both rays, except below the
+    cancellation depth R 2^-_DIRECT_DEPTH, where the Taylor-remainder form
+    with an inner Gauss integral takes over.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
     R = trunc.radius
@@ -606,28 +605,24 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
         inner = ((np.asarray(fpx(shifted)) - fpy[:, :, None]) * a_wts).sum(axis=-1)
         return x_nodes[None, :] * inner
 
-    if split:
-        near = _both_rays(kernel, taylor, R, "in")
-    else:
-        # direct over the top panels, Taylor below the cancellation depth
-        switch = R * 2.0 ** (-_DIRECT_DEPTH)
-        gx, gw = gauss_legendre(_PANEL_NODES)
-        near = None
-        for sign in (+1.0, -1.0):
-            a = R
-            part = None
-            for _ in range(_DIRECT_DEPTH):
-                lo, hi = 0.5 * a, a
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                r = mid + half * gx
-                wq = half * gw * kernel._dens(r)
-                c = direct(sign * r) @ wq
-                part = c if part is None else part + c
-                a = lo
-            deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch, "in")
-            part = part + deep
-            near = part if near is None else near + part
-    far = _both_rays(kernel, direct, R, "out", far_bound=far_bound, slope=slope,
+    switch = R * 2.0 ** (-_DIRECT_DEPTH)
+    gx, gw = gauss_legendre(_PANEL_NODES)
+    near = None
+    for sign in (+1.0, -1.0):
+        a = R
+        part = None
+        for _ in range(_DIRECT_DEPTH):
+            lo, hi = 0.5 * a, a
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            r = mid + half * gx
+            wq = half * gw * kernel._dens(r)
+            c = direct(sign * r) @ wq
+            part = c if part is None else part + c
+            a = lo
+        deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch, "in")
+        part = part + deep
+        near = part if near is None else near + part
+    far = _both_rays(kernel, direct, R, far_bound=far_bound, slope=slope,
                      subpanel_budget=subpanel_budget)
     return near + far
 
@@ -641,20 +636,19 @@ def stable_threshold_expectation(kernel: StableTailKernel, x_states, g, threshol
     256 subpanels a panel).
     """
     x = np.atleast_1d(np.asarray(x_states, dtype=float))[:, None]
-    return _both_rays(kernel, lambda w: np.asarray(g(x, w[None, :])), threshold, "out",
+    return _both_rays(kernel, lambda w: np.asarray(g(x, w[None, :])), threshold,
                       far_bound=g_bound, slope=g_slope, subpanel_budget=256)
 
 
 def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
-                  f_sup=None, split=True) -> float:
+                  f_sup=None) -> float:
     """Nonlocal generator term at y.
 
-    The near part uses the first-order Taylor remainder in integral form
-    (inner integral by fixed Gauss quadrature), weighted so that only the
-    tilted mass of the kernel enters; the far part is the plain
-    compensated difference.  ``split=False`` evaluates the unsplit
-    integral instead: the transformed generator's jump term of a power
-    tail, and the power tail's jump-term tables.
+    A power tail takes the panel walk of ``_stable_nonlocal``.  Atoms are
+    summed in two parts: inside the truncation radius, the first-order
+    Taylor remainder in integral form (inner integral by fixed Gauss
+    quadrature), weighted so that only the tilted mass of the kernel
+    enters; outside it, the plain compensated difference.
     """
     R = trunc.radius
     y = float(y)
@@ -663,8 +657,7 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
     if isinstance(kernel, StableTailKernel):
         if kernel.alpha <= kernel.gamma - 1.0:
             raise DivergentMoment("alpha <= gamma - 1: nonlocal term diverges")
-        return float(_stable_nonlocal(kernel, trunc, y, f, f_prime, split=split,
-                                      f_sup=f_sup)[0])
+        return float(_stable_nonlocal(kernel, trunc, y, f, f_prime, f_sup=f_sup)[0])
 
     fpy = float(np.asarray(f_prime(np.asarray(y))))
 
@@ -672,8 +665,6 @@ def jump_operator(f, f_prime, kernel: Kernel, trunc: TruncationFunction, y,
         x = np.asarray(x, dtype=float)
         return f(y + x) - fy - np.asarray(trunc(x)) * fpy
 
-    if not split:
-        return kernel.integral(y, far)
     a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
 
     def near(x):

@@ -336,14 +336,14 @@ def classify_dirichlet(growth: IntegrabilityGrowthTable,
     or a terminal mean far outside the factor-2 envelope of a declared
     finite ``reference`` (the tail integral when it converges, its largest
     truncation otherwise).  Trends within noise stay "inconclusive" rather
-    than being forced into a class.
+    than being forced into a class, and so does a table whose last mean is
+    0: it read no big jump.
     """
     band = 2.0
     last = float(growth.means[-1]) if len(growth.means) else 0.0
     out_of_band = reference is not None and last > band**2 * reference
-    in_band = (reference is None
-               or (reference / band <= last <= band**2 * reference)
-               or last == 0.0)
+    in_band = last > 0.0 and (reference is None
+                              or reference / band <= last <= band**2 * reference)
 
     # cap-ladder evidence (bounded summands, statistically solid): a
     # plateau across caps says the tail integral converges, growth

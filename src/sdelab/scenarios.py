@@ -484,14 +484,17 @@ def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticR
                     "var_direct_euler": float(vb)})
 
 
+_DIRICHLET_STATUS = {"inconsistent": "fail", "inconclusive": "inconclusive",
+                     "consistent_with_dirichlet": "pass"}
+
+
 def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     n = ens.n_paths
     ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000) if m <= n] or [n]
     growth = dirichlet_condition_intY(big_jump_sums(_identity, ens, 1.0), ens.active,
                                       a=1.0, sample_sizes=ladder)
     report = classify_dirichlet(growth)
-    return DiagnosticResult("dirichlet",
-                            "pass" if report.verdict != "inconsistent" else "fail",
+    return DiagnosticResult("dirichlet", _DIRICHLET_STATUS[report.verdict],
                             float(growth.means[-1]) if len(growth.means) else 0.0,
                             np.inf, report.to_dict())
 
@@ -595,6 +598,11 @@ def _check_diagnostics(bundle: ScenarioBundle):
         raise ValidationError(f"unknown diagnostics: {unknown}")
     if "compensator" in diags and eq.kernel is None:
         raise ValidationError("the compensator diagnostic needs a jump kernel")
+    # a power tail needs the identity transform, so both sides of the
+    # conjugation would be one integral
+    if "conjugation" in diags and isinstance(eq.kernel, StableTailKernel):
+        raise ValidationError("the conjugation diagnostic needs a kernel with atoms, "
+                              "not a power tail")
     if "crosscheck_euler" in diags:
         if eq.coeffs.drift.beta_prime is None:
             raise ValidationError("cross-check needs a classical drift")

@@ -2,7 +2,8 @@
 
 ``domain_approximant`` builds the n-th smooth approximant of a C^1 target
 from the scale transform and the mollifier convolutions of
-``sdelab.coefficients``; ``canonical_decomposition_residual`` reads any
+``sdelab.coefficients``, with the compactly supported bump of
+``reference.bump_mollifier``; ``canonical_decomposition_residual`` reads any
 object with its ``n`` and ``generator_value`` on a simulated ensemble.
 """
 from dataclasses import dataclass, field
@@ -12,6 +13,8 @@ import numpy as np
 from sdelab.coefficients import (CubicTable, DiffusionSpec, ScaleTransform,
                                  _cumulative_table, mollified_drift_derivative,
                                  mollified_function)
+
+from reference import bump_mollifier
 
 
 def smooth_cutoff(a):
@@ -91,9 +94,10 @@ def domain_approximant(target, target_prime, transform: ScaleTransform,
         return target_prime(u) / transform.deriv(u) * plateau_cutoff(u, n)
 
     hp = transform.deriv(grid)
-    fprime = hp * mollified_function(weighted, grid, width, shape="bump")
-    # generator core: h' * d/dx[(weighted) * rho_w] via the mollifier derivative
-    lf_core = hp * mollified_drift_derivative(weighted, grid, width, shape="bump")
+    with bump_mollifier():
+        fprime = hp * mollified_function(weighted, grid, width)
+        # generator core: h' * d/dx[(weighted) * rho_w] via the mollifier derivative
+        lf_core = hp * mollified_drift_derivative(weighted, grid, width)
     f_vals = _cumulative_table(CubicTable(grid, fprime), grid)
     f_vals = f_vals + float(np.asarray(target(np.zeros(1)))[0])
     return TestFunctionApproximant(

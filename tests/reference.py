@@ -4,18 +4,24 @@ Each one checks a property of the lab's objects against the paper's
 identities: the carre du champ of a conjugated profile, the polarized
 covariation and the C^1 chain rule of the regularization estimator, the
 uniform continuity of the generator on balls of paths, a second route to
-the drift correction, the working bound of the nonlocal term, and the
-power tail's scalar quadrature route (QUADPACK pieces and a dyadic tail).
-None of them is run by a command, diagnostic or script of ``sdelab``.
+the drift correction, the working bound of the nonlocal term, the
+power tail's scalar quadrature route (QUADPACK pieces and a dyadic tail),
+and a second mollifier family, the bump, for the limits that must not
+depend on the smoothing.  None of them is run by a command, diagnostic or
+script of ``sdelab``.
 """
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
-                    ScaleTransform, TruncationFunction, evaluate_generator,
-                    qv_sweep)
-from sdelab._quad import gauss_legendre_01, quad_checked
+                    ScaleTransform, TruncationFunction, coefficients,
+                    evaluate_generator, qv_sweep)
+from sdelab._quad import gauss_legendre, gauss_legendre_01
 from sdelab.errors import QuadratureFailure
 from sdelab.kernels import _INNER_NODES, _TOL, _beyond
 from sdelab.pathcalc import _grid_step, _time_index
@@ -234,6 +240,65 @@ def jump_operator_bound(f_prime, kernel, trunc: TruncationFunction, y, f_sup):
     sup_fp = float(np.max(np.abs(f_prime(np.linspace(y - window, y + window, 101)))))
     return (_holder_norm(f_prime, alpha, window) * m1
             + (2.0 * f_sup + trunc.cap * sup_fp) * m2)
+
+
+# ---------------------------------------------------------------------------
+# QUADPACK with an error check
+# ---------------------------------------------------------------------------
+
+def quad_checked(f, a, b, tol=1e-8):
+    """scipy.integrate.quad with an error check, at most 400 subintervals.
+
+    QUADPACK's own warnings are suppressed: the returned error estimate is
+    checked instead.  It fails when the estimate exceeds the tolerance by
+    more than two orders of magnitude (the estimator is routinely
+    pessimistic near integrable singularities, so a strict comparison
+    would produce false alarms).
+    """
+    from scipy.integrate import IntegrationWarning, quad
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value, err = quad(f, a, b, epsabs=tol, epsrel=tol, limit=400)
+    except Exception as exc:  # pragma: no cover - scipy internal failures
+        raise QuadratureFailure(f"quad failed on [{a}, {b}]: {exc}") from exc
+    if not np.isfinite(value):
+        raise QuadratureFailure(f"integral on [{a}, {b}] is not finite")
+    if err > max(100.0 * tol, 1e-3 * max(1.0, abs(value))):
+        raise QuadratureFailure(
+            f"integral on [{a}, {b}] reached error {err:.2e} > tol {tol:.2e}"
+        )
+    return value
+
+
+# ---------------------------------------------------------------------------
+# the bump mollifier
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _bump_norm():
+    # normalisation of exp(-1/(1-t^2)) on (-1, 1)
+    return quad_checked(lambda t: np.exp(-1.0 / (1.0 - t * t)), -1.0, 1.0, tol=1e-13)
+
+
+def bump_tables(width):
+    """``coefficients._mollifier_tables`` for the compactly supported bump
+    exp(-1/(1-t^2)), t = u/width: positive-axis nodes, quadrature weights,
+    even rho and odd rho' values."""
+    x, w01 = gauss_legendre(coefficients._MOLL_NODES)
+    u = 0.5 * width * (x + 1.0)
+    qw = 0.5 * width * w01
+    t = np.clip(u / width, 0.0, 1.0 - 1e-12)
+    rho = np.exp(-1.0 / (1.0 - t * t)) / (_bump_norm() * width)
+    rho_p = rho * (-2.0 * t / (1.0 - t * t) ** 2) / width
+    return u, qw, rho, rho_p
+
+
+@contextmanager
+def bump_mollifier():
+    """Every mollifier convolution of the lab uses the bump inside the block."""
+    with mock.patch.object(coefficients, "_mollifier_tables", bump_tables):
+        yield
 
 
 # ---------------------------------------------------------------------------

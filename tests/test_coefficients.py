@@ -1,5 +1,4 @@
 """Potential construction, scale transform, conjugated generator pieces."""
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftS
                     local_generator, scenario_names, transformed_diffusion)
 from approximants import domain_approximant
 from conftest import unit_sigma, zero_beta
-from reference import identity_profile, square_identity_residual
+from reference import bump_mollifier, identity_profile, square_identity_residual
 
 # lacunary sine series: beta = sum 2^(-j/2) sin(2^j x), j = 0..8.
 # With unit sigma the potential is exactly 2(beta(x) - beta(0)) = 2 beta(x);
@@ -87,9 +86,10 @@ class TestDriftPotential:
         grid = np.linspace(-2.0, 2.0, 401)
         drift = DriftSpec(beta=lambda x: 0.3 * np.asarray(x, dtype=float)
                           + 0.05 * np.sin(3.0 * np.asarray(x, dtype=float)))
-        moll = MollifierConfig(widths=(0.01, 0.005, 0.0025), shape="gaussian")
+        moll = MollifierConfig(widths=(0.01, 0.005, 0.0025))
         a = compute_drift_potential(drift, unit_diff, moll, grid)
-        b = compute_drift_potential(drift, unit_diff, replace(moll, shape="bump"), grid)
+        with bump_mollifier():
+            b = compute_drift_potential(drift, unit_diff, moll, grid)
         assert np.max(np.abs(a.values - b.values)) < 10.0 * moll.convergence_tol
 
     def test_grid_must_contain_zero(self, unit_diff):

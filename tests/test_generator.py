@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdelab import (CagladPath, ConjugateTestFunction, EquationX, GeneratorValue,
-                    SimConfig, clamped_running_sup, conjugation_residual,
+from sdelab import (CagladPath, CoefficientSet, ConjugateTestFunction, EquationX,
+                    GeneratorValue, SimConfig, StableTailKernel,
+                    clamped_running_sup, conjugation_residual,
                     constant_functional, evaluate_generator,
                     evaluate_transformed_generator,
                     generator_state, local_generator,
@@ -170,6 +171,13 @@ class TestConjugation:
         res = conjugation_residual(SIN, EquationX(tanh_coeffs, None, clamp1),
                                    flat_path(0.7), 0.5)
         assert res < 1e-10
+
+    def test_power_tail_is_rejected(self, clamp1):
+        # a power tail needs the identity transform: no second route to compare
+        eq = EquationX(CoefficientSet.unit(),
+                       StableTailKernel(gamma=1.5, scale=0.5, alpha=0.75), clamp1)
+        with pytest.raises(ValidationError, match="identity transform"):
+            conjugation_residual(SIN, eq, flat_path(0.3), 0.5)
 
     def test_nonlinear_transform_atom_kernel_running_sup(self, tanh_coeffs,
                                                          atom_kernel, clamp1):
@@ -340,7 +348,7 @@ class TestGeneratorState:
         rows = np.arange(0, 24, 2)
         cols = np.linspace(1, len(ens.times) - 1, 12).astype(int)
         err = [abs(got[r, c] - jump_operator(fx, fpx, eq.kernel, eq.trunc, ens.x[r, c],
-                                             f_sup=f.bound, split=False))
+                                             f_sup=f.bound))
                for r, c in zip(rows, cols)]
         assert f.name == "sin" and max(err) < 1e-4, err
         # the widest quantile gaps are halved, so the tail state at x = 3.15

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdelab import (CharacteristicsY, DiscreteLaw, EquationX,
-                    FiniteActivityKernel, GridMismatch, MissingDriverRecord, SimConfig,
-                    StableTailKernel,
+                    FiniteActivityKernel, GridMismatch, IntegrabilityGrowthTable,
+                    MissingDriverRecord, SimConfig, StableTailKernel,
                     big_jump_sums, classify_dirichlet,
                     dirichlet_condition_intY, gamma_residual_qv, qv_sweep,
                     engine_setup, simulate_x_markovian, simulate_y)
@@ -280,6 +280,14 @@ class TestGammaResidual:
 # ---------------------------------------------------------------------------
 
 class TestVerdicts:
+    @pytest.mark.parametrize("reference", (None, 2.0))
+    def test_table_without_big_jumps_is_inconclusive(self, reference):
+        # a last mean of 0 read no big jump: no evidence either way
+        table = IntegrabilityGrowthTable(threshold=1.0,
+                                         sample_sizes=np.asarray([100, 300, 1000]),
+                                         means=np.zeros(3))
+        assert classify_dirichlet(table, reference=reference).verdict == "inconclusive"
+
     def test_dichotomy_between_tail_exponents(self):
         # references: the two-sided tail integral (finite for the light
         # tail: 2 * 0.5 / (1.5 - 1) = 2), its cap-100 truncation otherwise

@@ -12,7 +12,7 @@ from sdelab import (ScenarioSpec, ValidationError, counterexample_cauchy,
                     run_scenario, scenario_names)
 from sdelab.scenarios import build_bundle, report_json
 from sdelab.simulator import SimConfig
-from reference import counterexample_reference
+from reference import bump_mollifier, counterexample_reference
 
 
 SMALL = dict(n_paths=400, n_steps=64)
@@ -63,15 +63,13 @@ class TestShippedCoefficients:
                                       "weierstrass_drift"))
     def test_two_mollifier_families_agree(self, name):
         # the limit must not depend on the smoothing family
-        from dataclasses import replace
-
         from sdelab import compute_drift_potential
         b = build_bundle(ScenarioSpec(name=name))
         coeffs = b.eq.coeffs
         moll = coeffs.mollifier
-        alt = compute_drift_potential(coeffs.drift, coeffs.diffusion,
-                                      replace(moll, shape="bump"),
-                                      coeffs.potential.grid)
+        with bump_mollifier():
+            alt = compute_drift_potential(coeffs.drift, coeffs.diffusion, moll,
+                                          coeffs.potential.grid)
         gap = float(np.max(np.abs(alt.values - coeffs.potential.values)))
         assert gap < 10.0 * moll.convergence_tol
 
@@ -94,31 +92,42 @@ class TestShippedCoefficients:
 
 
 class TestDefaultPathsWithoutScipy:
-    def test_no_scipy_module_is_loaded(self):
-        # a fresh interpreter: this one has loaded scipy for other tests
+    def test_no_scipy_module_is_loaded(self, tmp_path):
+        # a fresh interpreter in which `import scipy` fails: scipy is a test
+        # dependency only, and this interpreter has loaded it for other tests
         code = (
             "import sys\n"
-            "from dataclasses import replace\n"
-            "import sdelab, sdelab.cli\n"
-            "from sdelab import (ScenarioSpec, SimConfig, compute_drift_potential,\n"
+            "sys.modules['scipy'] = None\n"
+            "try:\n"
+            "    import scipy.integrate\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('scipy was not blocked')\n"
+            "import sdelab.cli as cli\n"
+            "from sdelab import (ScenarioSpec, SimConfig, counterexample_cauchy,\n"
             "                    counterexample_stable, run_scenario, scenario_names)\n"
-            "from sdelab.scenarios import build_bundle\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "for name in scenario_names():\n"
             "    run_scenario(ScenarioSpec(name=name, n_paths=400, n_steps=64))\n"
             "cfg = SimConfig(horizon=1.0, n_steps=16, n_paths=200, master_seed=41)\n"
             "for gamma in (0.5, 1.5):\n"
             "    counterexample_stable(gamma, config=cfg)\n"
-            "assert not scipy_modules(), scipy_modules()[:5]\n"
-            "coeffs = build_bundle(ScenarioSpec(name='brownian_baseline')).eq.coeffs\n"
-            "compute_drift_potential(coeffs.drift, coeffs.diffusion,\n"
-            "                        replace(coeffs.mollifier, shape='bump'),\n"
-            "                        coeffs.potential.grid)\n"
-            "assert 'scipy.integrate' in scipy_modules()\n"
+            "counterexample_cauchy(n_samples=10000)\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['check-coefficients', '--name', 'weierstrass_drift'],\n"
+            "             ['check-kernel', '--name', 'atom_jump'],\n"
+            "             ['check-kernel', '--name', 'stable_jump'],\n"
+            "             ['qv', '--name', 'brownian_baseline', '--paths', '200',\n"
+            "              '--steps', '64', '--dump-paths', '2'],\n"
+            "             ['dirichlet', '--name', 'stable_jump', '--paths', '200',\n"
+            "              '--steps', '32'],\n"
+            "             ['verify-martingale', '--name', 'path_dependent_drift',\n"
+            "              '--paths', '400', '--steps', '64', '--dump-paths', '3']):\n"
+            "    code = cli.main(argv + ['--out', out])\n"
+            "    assert code == 0, (argv, code)\n"
         )
         src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
-        proc = subprocess.run([sys.executable, "-c", code],
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -143,6 +152,18 @@ class TestHardOrdering:
         with pytest.raises(DivergentMoment):
             run_scenario(ScenarioSpec(name="stable_jump"))
         assert not called  # no simulation output after failed checks
+
+    def test_conjugation_on_a_power_tail_is_rejected_first(self, monkeypatch):
+        # a power tail needs the identity transform, so both sides of the
+        # conjugation are one integral: rejected before the gate and the paths
+        import sdelab.scenarios as sc
+        called = []
+        monkeypatch.setattr(sc, "_hypothesis_section", lambda *a: called.append(1))
+        monkeypatch.setattr(sc, "simulate_x_markovian",
+                            lambda *a, **k: called.append(2))
+        with pytest.raises(ValidationError, match="conjugation diagnostic needs"):
+            run_scenario(ScenarioSpec(name="stable_jump", diagnostics=("conjugation",)))
+        assert not called
 
 
 class TestRunScenario:
@@ -287,6 +308,32 @@ class TestFailClosed:
         assert np.isnan(d.statistic)
         assert d.details["active_paths"] == 1
         assert report.status == "inconclusive"
+
+    @pytest.mark.parametrize("spec, verdict, status", (
+        # no big jump is read: atom_jump's one atom, at 0.1, is below the threshold 1
+        (dict(name="brownian_baseline"), "inconclusive", "inconclusive"),
+        (dict(name="atom_jump"), "inconclusive", "inconclusive"),
+        (dict(name="stable_jump"), "inconclusive", "inconclusive"),
+        (dict(name="stable_jump", n_paths=200, n_steps=32),
+         "consistent_with_dirichlet", "pass"),
+    ), ids=("brownian_baseline", "atom_jump", "stable_jump", "stable_jump_200x32"))
+    def test_dirichlet_status_is_the_verdicts(self, spec, verdict, status):
+        report, _ = run_scenario(ScenarioSpec(diagnostics=("dirichlet",), **spec))
+        d = report.diagnostics[0]
+        assert (d.details["verdict"], d.status, report.status) == (verdict, status,
+                                                                    status)
+
+    @pytest.mark.parametrize("verdict, status", (("inconsistent", "fail"),
+                                                 ("inconclusive", "inconclusive"),
+                                                 ("consistent_with_dirichlet", "pass")))
+    def test_each_dirichlet_verdict_has_its_status(self, monkeypatch, verdict, status):
+        from sdelab import scenarios
+        from sdelab import DirichletReport
+        monkeypatch.setattr(scenarios, "classify_dirichlet",
+                            lambda growth: DirichletReport(growth=growth, verdict=verdict))
+        report, _ = run_scenario(ScenarioSpec(name="stable_jump", n_paths=200,
+                                              n_steps=32, diagnostics=("dirichlet",)))
+        assert report.diagnostics[0].status == status
 
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_counterexample_below_the_path_floor_is_inconclusive(self, gamma):
@@ -559,6 +606,10 @@ class TestCLI:
            "  n_paths: 50\n  n_steps: 8\n  diagnostics: [crosscheck_euler]\n", 2,
            "cross-check needs a scenario without jumps")
           for name in ("atom_jump", "stable_jump")),
+        # a power tail has no second route: the conjugation would check nothing
+        (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: stable_jump\n"
+         "  diagnostics: [conjugation]\n", 2,
+         "the conjugation diagnostic needs a kernel with atoms"),
         # each command registers only the options it reads
         (["check-kernel", "--name", "atom_jump", "--seed", "3"], None, 2,
          "unrecognized arguments: --seed 3"),
@@ -573,7 +624,7 @@ class TestCLI:
             "compensator_without_kernel[weierstrass_drift]",
             "compensator_without_kernel[path_dependent_drift]",
             "crosscheck_with_jumps[atom_jump]", "crosscheck_with_jumps[stable_jump]",
-            "check_kernel_seed", "simulate_format", "counterexample_name"))
+            "conjugation_on_a_power_tail", "check_kernel_seed", "simulate_format", "counterexample_name"))
     def test_bad_input_fails_closed_without_traceback(self, tmp_path, argv, config,
                                                       code, message):
         (tmp_path / "afile").write_text("")

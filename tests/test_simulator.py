@@ -17,7 +17,7 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     simulate_x_markovian, simulate_y, weighted_expectation,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
                     PathFunctional, ScaleTransform, TruncationFunction,
-                    build_characteristics, jump_operator, jump_ops)
+                    build_characteristics, jump_ops)
 from sdelab import simulator
 
 from approximants import canonical_decomposition_residual, domain_approximant
@@ -746,10 +746,20 @@ class TestTabulatedKernelOps:
                             kernel.y_grid[:-1] + 0.5]).reshape(6, -1)
         state = generator_state(EquationX(coeffs, kernel, clamp1),
                                 np.linspace(0, 1, 53), x)
+        def compensated_sum(fx, fpx, y):
+            # every atom's compensated difference, summed in one integral
+            fy = float(np.asarray(fx(np.asarray(y))))
+            fpy = float(np.asarray(fpx(np.asarray(y))))
+
+            def g(w):
+                w = np.asarray(w, dtype=float)
+                return fx(y + w) - fy - np.asarray(clamp1(w)) * fpy
+
+            return kernel.integral(y, g)
+
         for f in standard_profiles():
             fx, fpx = f.as_x_callables(tr)
-            want = [jump_operator(fx, fpx, kernel, clamp1, xi, f_sup=f.bound,
-                                  split=False) for xi in x.ravel()]
+            want = [compensated_sum(fx, fpx, float(xi)) for xi in x.ravel()]
             got = generator._jump_term_grid(
                 f, state, f.phi(state.hx), f.phi_prime(state.hx) * state.hpx)
             np.testing.assert_allclose(got, np.reshape(want, x.shape), rtol=1e-13,
