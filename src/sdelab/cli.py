@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -212,7 +213,7 @@ def cmd_counterexample(args):
                                                    ("n_steps", args.steps),
                                                    ("master_seed", args.seed))
                      if value is not None}
-        config = COUNTEREXAMPLE_STABLE_CONFIG.replace(**overrides)
+        config = replace(COUNTEREXAMPLE_STABLE_CONFIG, **overrides)
         report = counterexample_stable(gamma=args.gamma, config=config)
     else:
         report = counterexample_cauchy(

@@ -176,7 +176,6 @@ class DriftSpec:
 
     beta: Callable[[np.ndarray], np.ndarray]
     beta_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = "drift"
 
     def validate(self):
         probes = (-1.0, 0.0, 0.7)
@@ -204,7 +203,6 @@ class DiffusionSpec:
     sigma: Callable[[np.ndarray], np.ndarray]
     sigma_min: float
     sigma_max: float
-    name: str = "diffusion"
 
     def validate_on(self, grid):
         if not (np.all(np.isfinite((self.sigma_min, self.sigma_max)))
@@ -370,10 +368,8 @@ class DriftPotential:
     values: np.ndarray = field(repr=False)
     alpha: float = 1.0
     holder_const: float = 0.0
-    sup_bound: float = 0.0
     converged: bool = True
     level_gap: float = 0.0
-    widths: tuple = ()
 
     def __post_init__(self):
         self.grid = np.asarray(self.grid, dtype=float)
@@ -448,11 +444,8 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
         )
     values = tables[-1]
     alpha, const = _holder_fit(grid, values)
-    return DriftPotential(
-        grid=grid, values=values, alpha=alpha, holder_const=const,
-        sup_bound=float(np.max(np.abs(values))), converged=converged,
-        level_gap=gap, widths=moll.widths,
-    )
+    return DriftPotential(grid=grid, values=values, alpha=alpha, holder_const=const,
+                          converged=converged, level_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +672,6 @@ class PotentialHypothesisReport:
     holder_const: float
     converged: bool
     level_gap: float
-    half_range_sup: float
     sup_saturating: bool
     divergence_levels: np.ndarray = field(repr=False)
     divergence_pos: np.ndarray = field(repr=False)
@@ -736,7 +728,7 @@ def check_hypotheses(potential: DriftPotential) -> PotentialHypothesisReport:
     return PotentialHypothesisReport(
         sup_norm=sup, alpha=potential.alpha, holder_const=potential.holder_const,
         converged=potential.converged, level_gap=potential.level_gap,
-        half_range_sup=half_sup, sup_saturating=saturating,
+        sup_saturating=saturating,
         divergence_levels=levels, divergence_pos=pos, divergence_neg=neg,
         slope_lower=slope,
     )
@@ -752,7 +744,6 @@ class CoefficientSet:
 
     drift: DriftSpec
     diffusion: DiffusionSpec
-    mollifier: Optional[MollifierConfig]
     potential: DriftPotential
     transform: ScaleTransform
 
@@ -760,18 +751,17 @@ class CoefficientSet:
     def build(cls, drift, diffusion, mollifier, grid):
         drift.validate()
         pot = compute_drift_potential(drift, diffusion, mollifier, grid)
-        return cls(drift=drift, diffusion=diffusion, mollifier=mollifier,
-                   potential=pot, transform=build_scale_transform(pot))
+        return cls(drift=drift, diffusion=diffusion, potential=pot,
+                   transform=build_scale_transform(pot))
 
     @classmethod
     def unit(cls):
         """sigma == 1, beta == 0 with the exact identity transform."""
         drift = DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          beta_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          name="zero")
+                          beta_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         diffusion = DiffusionSpec(sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                  sigma_min=1.0, sigma_max=1.0, name="unit")
-        return cls(drift=drift, diffusion=diffusion, mollifier=None,
+                                  sigma_min=1.0, sigma_max=1.0)
+        return cls(drift=drift, diffusion=diffusion,
                    potential=DriftPotential.zero(np.linspace(-1, 1, 3)),
                    transform=ScaleTransform.identity())
 

@@ -82,7 +82,6 @@ class PathFunctional:
     """
 
     name: str
-    bound: float
     step: Callable
 
     def grid_values(self, times, x):
@@ -124,12 +123,11 @@ def _constant_step(c):
 
 
 def zero_functional():
-    return PathFunctional(name="zero", bound=0.0, step=_constant_step(0.0))
+    return PathFunctional(name="zero", step=_constant_step(0.0))
 
 
 def constant_functional(c):
-    return PathFunctional(name=f"const({c})", bound=abs(c),
-                          step=_constant_step(float(c)))
+    return PathFunctional(name=f"const({c})", step=_constant_step(float(c)))
 
 
 def clamped_running_sup(cap=1.0):
@@ -138,7 +136,7 @@ def clamped_running_sup(cap=1.0):
         run = x if run is None else np.maximum(run, x)
         return run, np.clip(run, -cap, cap)
 
-    return PathFunctional(name="clamped_running_sup", bound=cap, step=step)
+    return PathFunctional(name="clamped_running_sup", step=step)
 
 
 def sin_left_limit(amplitude=1.0, frequency=1.0):
@@ -146,7 +144,7 @@ def sin_left_limit(amplitude=1.0, frequency=1.0):
     def step(carry, x):
         return None, amplitude * np.sin(frequency * x)
 
-    return PathFunctional(name="sin_left_limit", bound=abs(amplitude), step=step)
+    return PathFunctional(name="sin_left_limit", step=step)
 
 
 FUNCTIONALS = {

@@ -43,11 +43,11 @@ def _beyond(r):
 
 @dataclass
 class TruncationFunction:
-    """Bounded function equal to the identity near 0 (default: clamp)."""
+    """The clamp to [-cap, cap]: odd, bounded by its cap and, since
+    ``radius <= cap``, the identity inside its radius."""
 
     radius: float = 1.0
     cap: float = 1.0
-    fn: Optional[Callable] = None
 
     def __post_init__(self):
         if not (np.all(np.isfinite((self.radius, self.cap)))
@@ -55,18 +55,7 @@ class TruncationFunction:
             raise ValueError("need finite 0 < radius <= cap")
 
     def __call__(self, x):
-        if self.fn is not None:
-            return self.fn(np.asarray(x, dtype=float))
         return np.clip(np.asarray(x, dtype=float), -self.cap, self.cap)
-
-    def validate(self):
-        probes = np.linspace(-3 * self.cap, 3 * self.cap, 41)
-        vals = self(probes)
-        if np.any(np.abs(vals) > self.cap + 1e-12):
-            raise ValueError("truncation exceeds its cap")
-        inner = np.abs(probes) <= self.radius
-        if not np.allclose(vals[inner], probes[inner], atol=1e-12):
-            raise ValueError("truncation is not the identity inside its radius")
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +347,6 @@ class TiltedKernelReport:
     moments: np.ndarray = field(repr=False)
     m1: np.ndarray = field(repr=False)  # |x|^(1+alpha) mass inside the radius
     m2: np.ndarray = field(repr=False)  # plain mass outside the radius
-    radius: float = 1.0
     alpha: float = 0.0
 
     @property
@@ -387,7 +375,7 @@ def moment_bound(kernel: Kernel, y_grid, radius=1.0) -> TiltedKernelReport:
     if not np.all(np.isfinite(moments + m1 + m2)):
         raise DivergentMoment(f"the tilted mass is not finite (alpha={alpha})")
     return TiltedKernelReport(y_grid=y_grid, moments=moments, m1=m1, m2=m2,
-                              radius=radius, alpha=alpha)
+                              alpha=alpha)
 
 
 def geometric_partition(inner, outer, n_cells=128):
@@ -401,8 +389,7 @@ def geometric_partition(inner, outer, n_cells=128):
 
 @dataclass
 class TVModulusReport:
-    y_pairs: list
-    values: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)  # one per adjacent pair of states
 
     @property
     def max(self):
@@ -430,9 +417,8 @@ def tv_continuity_modulus(kernel: Kernel, alpha, y_grid, x_partition) -> TVModul
 
     vectors = np.stack([tilted_mass(a, b) for a, b in zip(edges[:-1], edges[1:])],
                        axis=-1)
-    pairs = [(float(a), float(b)) for a, b in zip(y_grid[:-1], y_grid[1:])]
     vals = [float(np.sum(np.abs(v1 - v0))) for v0, v1 in zip(vectors[:-1], vectors[1:])]
-    return TVModulusReport(y_pairs=pairs, values=np.asarray(vals))
+    return TVModulusReport(values=np.asarray(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -503,20 +489,19 @@ def drift_correction(kernel: Kernel, transform: ScaleTransform,
 _PANEL_NODES = 24
 
 
-def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, direction,
+def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start,
                       far_bound=None, slope=0.0, subpanel_budget=4096):
-    """Sum of panel integrals of a kernel-weighted profile along one ray.
+    """Sum of panel integrals of a kernel-weighted profile along one ray,
+    outward from ``start``.
 
     ``values_on_panel(x_nodes)`` returns the profile at signed nodes
-    (shape (m, p) for m states).  Panels are dyadic: outward from
-    ``start`` for direction "out", inward (geometric refinement towards 0)
-    for direction "in".  Outward panels are subdivided so that the
-    profile's declared slope stays resolvable by the Gauss rule.
+    (shape (m, p) for m states).  Panels are dyadic, each subdivided so
+    that the profile's declared slope stays resolvable by the Gauss rule.
 
-    A walk takes at most 64 panels.  The outward walk stops when the
-    closed-form mass bound certifies the remainder, when three consecutive
-    panels fall below _TOL/8, or when the next panel would exceed the
-    resolution budget.  On termination the remainder is extrapolated as
+    A walk takes at most 64 panels.  It stops when the closed-form mass
+    bound certifies the remainder, when three consecutive panels fall
+    below _TOL/8, or when the next panel would exceed the resolution
+    budget.  On termination the remainder is extrapolated as
     (kernel-weighted mean of the profile over the last resolved octave)
     times the exact remaining tail mass: exact for profiles that have
     settled to a constant, and the cancelled residue of an oscillatory
@@ -529,10 +514,10 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
     a = start
     last_mean = None
     for k in range(64):
-        lo, hi = (a, 2.0 * a) if direction == "out" else (0.5 * a, a)
+        lo, hi = a, 2.0 * a
         width = hi - lo
         m = 1
-        if direction == "out" and slope > 0:
+        if slope > 0:
             m = int(np.ceil(width * slope / 12.0))
             if m > subpanel_budget:
                 break
@@ -545,30 +530,26 @@ def _stable_panel_sum(kernel: StableTailKernel, values_on_panel, start, directio
         contrib = vals @ wq
         total = contrib if total is None else total + contrib
         peak = float(np.max(np.abs(contrib)))
-        a = hi if direction == "out" else lo
-        if direction == "out":
-            panel_mass = float(kernel.one_tail_mass(lo) - kernel.one_tail_mass(hi))
-            last_mean = contrib / panel_mass
-            remainder = ((far_bound if far_bound else 1.0)
-                         * float(kernel.one_tail_mass(a)))
-            if remainder < 0.5 * _TOL:
-                return total
+        a = hi
+        panel_mass = float(kernel.one_tail_mass(lo) - kernel.one_tail_mass(hi))
+        last_mean = contrib / panel_mass
+        remainder = ((far_bound if far_bound else 1.0)
+                     * float(kernel.one_tail_mass(a)))
+        if remainder < 0.5 * _TOL:
+            return total
         quiet = quiet + 1 if peak < 0.125 * _TOL else 0
         if quiet >= 3:
             break
-    else:
-        if direction == "out" and last_mean is None:
-            raise QuadratureFailure("power-tail panel walk did not converge")
-    if direction == "out" and last_mean is not None:
-        return total + last_mean * float(kernel.one_tail_mass(a))
-    return total if total is not None else 0.0
+    if last_mean is None:  # the first panel already exceeds the budget
+        raise QuadratureFailure("power-tail panel walk did not converge")
+    return total + last_mean * float(kernel.one_tail_mass(a))
 
 
 def _both_rays(kernel: StableTailKernel, values_at, start, **walk):
     """The outward panel sums of ``values_at(x_nodes)`` along the positive
     and the negative ray, added."""
     return sum(_stable_panel_sum(kernel, lambda r, s=s: values_at(s * r), start,
-                                 "out", **walk) for s in (1.0, -1.0))
+                                 **walk) for s in (1.0, -1.0))
 
 
 _DIRECT_DEPTH = 10  # inward panels evaluated in direct form before the
@@ -581,7 +562,9 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
 
     The direct compensated difference on both rays, except below the
     cancellation depth R 2^-_DIRECT_DEPTH, where the Taylor-remainder form
-    with an inner Gauss integral takes over.
+    with an inner Gauss integral takes over.  Inside R the panels halve
+    towards 0, one Gauss rule each; the Taylor walk stops after three
+    consecutive panels below _TOL/8, or after 64 panels.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
     R = trunc.radius
@@ -605,21 +588,31 @@ def _stable_nonlocal(kernel: StableTailKernel, trunc: TruncationFunction, y,
         inner = ((np.asarray(fpx(shifted)) - fpy[:, :, None]) * a_wts).sum(axis=-1)
         return x_nodes[None, :] * inner
 
-    switch = R * 2.0 ** (-_DIRECT_DEPTH)
     gx, gw = gauss_legendre(_PANEL_NODES)
+
+    def panel(values_at, a):
+        """The Gauss rule on [a/2, a] of ``values_at`` against the kernel."""
+        lo, hi = 0.5 * a, a
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        r = mid + half * gx
+        return values_at(r) @ (half * gw * kernel._dens(r))
+
     near = None
     for sign in (+1.0, -1.0):
         a = R
         part = None
         for _ in range(_DIRECT_DEPTH):
-            lo, hi = 0.5 * a, a
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            r = mid + half * gx
-            wq = half * gw * kernel._dens(r)
-            c = direct(sign * r) @ wq
+            c = panel(lambda r: direct(sign * r), a)
             part = c if part is None else part + c
-            a = lo
-        deep = _stable_panel_sum(kernel, lambda r: taylor(sign * r), switch, "in")
+            a = 0.5 * a
+        deep, quiet = None, 0  # a is now R 2^-_DIRECT_DEPTH
+        for _ in range(64):
+            c = panel(lambda r: taylor(sign * r), a)
+            deep = c if deep is None else deep + c
+            a = 0.5 * a
+            quiet = quiet + 1 if float(np.max(np.abs(c))) < 0.125 * _TOL else 0
+            if quiet >= 3:
+                break
         part = part + deep
         near = part if near is None else near + part
     far = _both_rays(kernel, direct, R, far_bound=far_bound, slope=slope,

@@ -236,9 +236,7 @@ def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi,
 
 @dataclass
 class GammaQVReport:
-    epsilons: np.ndarray
-    mean_qv: np.ndarray
-    se_qv: np.ndarray
+    mean_qv: np.ndarray  # one per window, widest first
 
     @property
     def final(self):
@@ -298,10 +296,8 @@ def gamma_residual_qv(ensemble, phi, phi_prime, eq: EquationX, epsilons,
     gamma = (np.asarray(phi(X)) - np.asarray(phi(X[:, :1]))
              - stoch - (jump_cum - comp))
 
-    eps = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    qv = qv_sweep(times, gamma, eps, float(times[-1]) if t is None else t)
-    return GammaQVReport(epsilons=eps, mean_qv=np.mean(qv, axis=-1),
-                         se_qv=np.std(qv, axis=-1, ddof=1) / np.sqrt(qv.shape[-1]))
+    qv = qv_sweep(times, gamma, epsilons, float(times[-1]) if t is None else t)
+    return GammaQVReport(mean_qv=np.mean(qv, axis=-1))
 
 
 # ---------------------------------------------------------------------------

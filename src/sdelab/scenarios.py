@@ -87,16 +87,14 @@ def _unit_sigma(x):
 def _linear_drift(slope):
     return DriftSpec(beta=lambda x: slope * np.asarray(x, dtype=float),
                      beta_prime=lambda x: np.full_like(
-                         np.asarray(x, dtype=float), slope),
-                     name=f"linear({slope})")
+                         np.asarray(x, dtype=float), slope))
 
 
 def _tanh_drift(amp=0.6, width=2.0):
     return DriftSpec(
         beta=lambda x: amp * np.tanh(np.asarray(x, dtype=float) / width),
         beta_prime=lambda x: (amp / width) / np.cosh(
-            np.asarray(x, dtype=float) / width) ** 2,
-        name="tanh-drift")
+            np.asarray(x, dtype=float) / width) ** 2)
 
 
 def weierstrass_beta(n_terms=9, holder=0.5, lacunarity=2.0):
@@ -119,17 +117,16 @@ def weierstrass_beta(n_terms=9, holder=0.5, lacunarity=2.0):
 
 
 def _weierstrass_drift():
-    return DriftSpec(beta=weierstrass_beta(), name="weierstrass")
+    return DriftSpec(beta=weierstrass_beta())
 
 
 def _unit_diffusion():
-    return DiffusionSpec(sigma=_unit_sigma, sigma_min=1.0, sigma_max=1.0, name="unit")
+    return DiffusionSpec(sigma=_unit_sigma, sigma_min=1.0, sigma_max=1.0)
 
 
 def _build_brownian():
     grid = np.linspace(-8.0, 8.0, 641)
-    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta,
-                                            name="zero"),
+    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
         name="brownian_baseline", eq=EquationX(coeffs), x0=0.0,
@@ -193,8 +190,7 @@ def _build_stable_jump(gamma=1.5, scale=0.5):
 
 def _build_path_dependent():
     grid = np.linspace(-8.0, 8.0, 641)
-    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta,
-                                            name="zero"),
+    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
         name="path_dependent_drift",
@@ -302,7 +298,7 @@ def build_bundle(spec: ScenarioSpec) -> ScenarioBundle:
     if spec.horizon is not None:
         kw["horizon"] = spec.horizon
     if kw:
-        sim = sim.replace(**kw)
+        sim = replace(sim, **kw)
     if spec.x0 is not None and not is_finite_real(spec.x0):
         raise ValidationError(f"x0 must be a finite number, got {spec.x0!r}")
     eq = bundle.eq
@@ -467,8 +463,8 @@ def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticR
     """Transform route against plain Euler with the classical drift."""
     bp = bundle.eq.coeffs.drift.beta_prime
     direct = simulate_euler_direct(bp, bundle.eq.coeffs.diffusion.sigma,
-                                   bundle.sim.replace(master_seed=bundle.sim.master_seed
-                                                      + 1000),
+                                   replace(bundle.sim,
+                                           master_seed=bundle.sim.master_seed + 1000),
                                    bundle.x0)
     a, b = ens.terminal_x(), direct.terminal_x()
     z_mean = abs(np.mean(a) - np.mean(b)) / np.sqrt(
@@ -662,8 +658,8 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     lam = 2.0 * float(kernel.one_tail_mass(delta))
     mode = "drop" if gamma < 1.0 else "gaussian_match"
     config = config or COUNTEREXAMPLE_STABLE_CONFIG
-    config = config.replace(small_jump_cutoff=delta, small_jump_mode=mode,
-                            big_jump_intensity_bound=lam * 1.02)
+    config = replace(config, small_jump_cutoff=delta, small_jump_mode=mode,
+                     big_jump_intensity_bound=lam * 1.02)
     setup = engine_setup(build_characteristics(EquationX(CoefficientSet.unit(), kernel)),
                          config, 0.0)
 

@@ -25,8 +25,7 @@ from .coefficients import (CubicTable, ScaleTransform, _usable_cpus,
 from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
                      ValidationError)
 from .generator import _BLOCK, EquationX, PathFunctional
-from .kernels import (Kernel, StableTailKernel, TruncationFunction, has_atoms,
-                      stable_threshold_expectation)
+from .kernels import Kernel, StableTailKernel, TruncationFunction, has_atoms
 
 
 def _as_vec(fn_or_const):
@@ -90,11 +89,6 @@ class SimConfig:
             raise ValidationError(f"max_exclusion_fraction must lie in [0, 1], "
                                   f"got {self.max_exclusion_fraction!r}")
         check_seed(self.master_seed)
-
-    def replace(self, **kw):
-        d = self.__dict__.copy()
-        d.update(kw)
-        return SimConfig(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
                 "power-tail kernels need the identity transform: their support "
                 "exceeds any finite transform table"
             )
-        profiles, sample = _stable_ops(k, delta, trunc)
+        profiles, sample = _stable_ops(k, delta)
     elif has_atoms(k):
         profiles, sample = _atom_kernel_ops(k, transform, delta, trunc)
     else:
@@ -238,21 +232,19 @@ def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
     return JumpOps(profiles, sample)
 
 
-def _stable_ops(kernel: StableTailKernel, delta, trunc):
-    """Identity transform: everything is state independent.  The rate and
-    the small-jump variance are closed-form masses; the truncated
-    compensator of the big jumps is the panel walk of both rays, exactly 0
-    for an odd truncation."""
+def _stable_ops(kernel: StableTailKernel, delta):
+    """Identity transform: everything is state independent, and a jump's
+    size is the same array in both coordinates.  The rate and the
+    small-jump variance are closed-form masses; the truncated compensator
+    of the big jumps is 0, the integral of the odd clamp against the
+    symmetric tail."""
     rate = 2.0 * float(kernel.one_tail_mass(delta))
-    kdelta = float(stable_threshold_expectation(
-        kernel, 0.0, lambda x, w: np.asarray(trunc(w)), delta,
-        g_bound=trunc.cap, g_slope=1.0)[0])  # the clamp's slope
     svar = float(kernel.mass(0.0, [(-delta, delta)], 2.0))
 
     def sample(y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
-        return z, z.copy()
-    return _constant_profiles(rate, kdelta, svar), sample
+        return z, z
+    return _constant_profiles(rate, 0.0, svar), sample
 
 
 def _atom_kernel_ops(kernel, transform, delta, trunc):
@@ -397,9 +389,12 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
 class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
-    ``hx`` and ``hpx`` hold h(x) and h'(x) from the final inversion, equal
-    bit for bit to ``transform.forward(x)`` and ``transform.deriv(x)``;
-    both are None under the identity transform.
+    Under the identity transform ``x`` is ``y`` itself, one array that
+    nobody writes to.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
+    final inversion, equal bit for bit to ``transform.forward(x)`` and
+    ``transform.deriv(x)``; both are None under the identity transform.
+    A jump record holds its row, time, pre-jump state of X and size in
+    the original coordinates.
     """
 
     times: np.ndarray = field(repr=False)
@@ -409,13 +404,9 @@ class Ensemble:
     active: np.ndarray = field(repr=False)
     jump_path: np.ndarray = field(repr=False)
     jump_time: np.ndarray = field(repr=False)
-    jump_y_pre: np.ndarray = field(repr=False)
     jump_x_pre: np.ndarray = field(repr=False)
-    jump_z: np.ndarray = field(repr=False)
     jump_w: np.ndarray = field(repr=False)
     config: SimConfig
-    y0: float
-    x0: float
     hx: Optional[np.ndarray] = field(default=None, repr=False)
     hpx: Optional[np.ndarray] = field(default=None, repr=False)
     first_path: int = 0  # run-wide index of row 0
@@ -469,14 +460,11 @@ class EngineSetup:
 
 
 def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> EngineSetup:
-    """Validate the truncation, cutoff, initial state and dominating
-    intensity, and build the jump ops, once for all blocks of a run."""
-    transform, trunc = chars.transform, chars.trunc
-    try:
-        trunc.validate()
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
-    if config.small_jump_cutoff >= trunc.radius:
+    """Validate the cutoff against the truncation radius, the initial state
+    and the dominating intensity, and build the jump ops, once for all
+    blocks of a run."""
+    transform = chars.transform
+    if config.small_jump_cutoff >= chars.trunc.radius:
         raise ValidationError("small_jump_cutoff must stay below the truncation radius")
     ops = jump_ops(chars, config)
 
@@ -611,8 +599,9 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     active = np.ones(P, dtype=bool)
     carry, hv = None, 0.0
 
-    # accepted marks: indices into the sorted candidates plus their values
-    acc_idx, acc_y, acc_z, acc_w = [], [], [], []
+    # accepted marks: indices into the sorted candidates plus their sizes
+    # in the original coordinates
+    acc_idx, acc_w = [], []
     for s in range(n):
         y = Y[:, s]
         if functional is not None:
@@ -637,12 +626,9 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
             if np.any(acc):
                 sel = lo + np.flatnonzero(acc)
                 pa = c_path[sel]
-                y_pre = y[pa]
-                z, w = ops.sample(y_pre, c_u1[sel], c_u2[sel])
+                z, w = ops.sample(y[pa], c_u1[sel], c_u2[sel])
                 np.add.at(jump_add, pa, z)
                 acc_idx.append(sel)
-                acc_y.append(y_pre)
-                acc_z.append(np.asarray(z, dtype=float))
                 acc_w.append(np.asarray(w, dtype=float))
         incr = drift * dt + s0 * sq_dt * normals[:, s]
         if use_gauss:
@@ -661,25 +647,23 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         _check_exclusions(int(np.sum(~active)), config)
 
     if transform.is_identity:
-        X, HX, HPX = Y.copy(), None, None
+        X, HX, HPX = Y, None, None
     else:
         X, HX, HPX = transform.inverse(Y, images=True)
     if acc_idx:
         sel = np.concatenate(acc_idx)
         order = _record_order(c_path[sel])
         jp, jt, js = (a[sel][order] for a in (c_path, c_t, c_step))
-        jy, jz, jw = (np.concatenate(a)[order] for a in (acc_y, acc_z, acc_w))
-        jx = X[jp, js]  # a record's pre-jump state is Y[row, step]
+        jw = np.concatenate(acc_w)[order]
+        jx = X[jp, js]  # the state before a jump is at its row and step
     else:
         jp = np.empty(0, dtype=int)
-        jt, jy, jz, jw, jx = (np.empty(0) for _ in range(5))
+        jt, jw, jx = (np.empty(0) for _ in range(3))
 
-    x0 = float(np.asarray(transform.inverse(np.asarray(y0))))
     normals *= sq_dt  # the recorded Brownian increments
     return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
-                    jump_path=jp, jump_time=jt, jump_y_pre=jy, jump_x_pre=jx,
-                    jump_z=jz, jump_w=jw, config=config, y0=y0, x0=x0,
-                    hx=HX, hpx=HPX, first_path=paths.start)
+                    jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
+                    config=config, hx=HX, hpx=HPX, first_path=paths.start)
 
 
 def _reduced_blocks(setup: EngineSetup, reduce: Callable, blocks) -> tuple:

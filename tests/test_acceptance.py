@@ -250,7 +250,7 @@ def test_c09_girsanov(brownian_10k):
         b=lambda y: np.zeros_like(y),
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
         functional=constant_functional(c))
-    direct = simulate_y(engine_setup(chars, ens.config.replace(master_seed=777), 0.0))
+    direct = simulate_y(engine_setup(chars, replace(ens.config, master_seed=777), 0.0))
     dm = direct.y[direct.active, -1]
     z_cross = abs(est.value - np.mean(dm)) / np.sqrt(
         est.se**2 + np.var(dm, ddof=1) / len(dm))

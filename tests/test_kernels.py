@@ -8,12 +8,13 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from sdelab import (CagladPath, CoefficientSet, DiscreteLaw, DivergentMoment,
-                    EquationX, FiniteActivityKernel, ScaleTransform,
-                    StableTailKernel, TabulatedKernel, TruncationFunction,
-                    ValidationError, drift_correction,
+                    EquationX, FiniteActivityKernel, QuadratureFailure,
+                    ScaleTransform, StableTailKernel, TabulatedKernel,
+                    TruncationFunction, ValidationError, drift_correction,
                     evaluate_transformed_generator, geometric_partition,
                     jump_operator, moment_bound, pushforward_integral,
                     transformed_diffusion, tv_continuity_modulus)
+from sdelab.kernels import stable_threshold_expectation
 from sdelab.scenarios import standard_profiles
 
 from reference import drift_correction_expansion, jump_operator_bound, stable_integral
@@ -522,11 +523,25 @@ def test_nan_truncation_run_fails_closed():
         simulate_x_markovian(eq, cfg, 0.0)
 
 
-def test_truncation_validate_rejects_bad_fn():
-    bad = TruncationFunction(radius=1.0, cap=1.0,
-                             fn=lambda x: 2.0 * np.asarray(x, dtype=float))
-    with pytest.raises(ValueError):
-        bad.validate()
+@pytest.mark.parametrize("gamma", (0.5, 1.0, 1.5))
+@pytest.mark.parametrize("delta", (0.05, 0.1))
+@pytest.mark.parametrize("cap", (0.5, 1.0, 2.0))
+def test_big_jump_compensator_of_the_clamp_is_positive_zero(gamma, delta, cap):
+    # the engine takes the power tail's big-jump compensator to be the
+    # constant 0.0: the clamp is odd and the tail symmetric, and the walk
+    # of both rays cancels exactly
+    kernel = StableTailKernel(gamma=gamma, scale=0.5)
+    clamp = TruncationFunction(radius=cap, cap=cap)
+    val = stable_threshold_expectation(kernel, 0.0, lambda x, w: clamp(w), delta,
+                                       g_bound=cap, g_slope=1.0)
+    assert val.shape == (1,) and val[0] == 0.0 and not np.signbit(val[0])
+
+
+def test_panel_walk_fails_when_its_first_panel_exceeds_the_budget():
+    with pytest.raises(QuadratureFailure, match="did not converge"):
+        stable_threshold_expectation(StableTailKernel(gamma=1.5, scale=0.5), 0.0,
+                                     lambda x, w: np.sin(1e6 * w), 0.1,
+                                     g_bound=1.0, g_slope=1e6)
 
 
 @settings(max_examples=30, deadline=None)

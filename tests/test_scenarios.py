@@ -61,15 +61,17 @@ class TestRegistry:
 class TestShippedCoefficients:
     @pytest.mark.parametrize("name", ("smooth_drift_crosscheck", "atom_jump",
                                       "weierstrass_drift"))
-    def test_two_mollifier_families_agree(self, name):
-        # the limit must not depend on the smoothing family
-        from sdelab import compute_drift_potential
-        b = build_bundle(ScenarioSpec(name=name))
-        coeffs = b.eq.coeffs
-        moll = coeffs.mollifier
+    def test_two_mollifier_families_agree(self, name, monkeypatch):
+        # the limit must not depend on the smoothing family; the scenario's
+        # mollifier ladder is read off its own potential build
+        from sdelab import coefficients
+        real, ladders = coefficients.compute_drift_potential, []
+        monkeypatch.setattr(coefficients, "compute_drift_potential",
+                            lambda *a, **kw: ladders.append(a[2]) or real(*a, **kw))
+        coeffs = build_bundle(ScenarioSpec(name=name)).eq.coeffs
+        (moll,) = ladders
         with bump_mollifier():
-            alt = compute_drift_potential(coeffs.drift, coeffs.diffusion, moll,
-                                          coeffs.potential.grid)
+            alt = real(coeffs.drift, coeffs.diffusion, moll, coeffs.potential.grid)
         gap = float(np.max(np.abs(alt.values - coeffs.potential.values)))
         assert gap < 10.0 * moll.convergence_tol
 
@@ -202,6 +204,20 @@ class TestRunScenario:
         assert [d.name for d in report.diagnostics] == ["girsanov", "martingale"]
         assert report.diagnostics[1].status == "pass"
         assert report.status == "pass"
+
+    def test_identity_alias_is_never_written(self):
+        # under the identity X is Y itself: no diagnostic may write to it
+        import hashlib
+        from sdelab import scenarios, simulate_x_markovian
+        bundle = build_bundle(ScenarioSpec(
+            name="stable_jump", n_paths=300, n_steps=32,
+            diagnostics=("compensator", "qv", "gamma", "martingale", "dirichlet")))
+        ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
+        assert ens.x is ens.y
+        before = hashlib.sha256(ens.y.tobytes()).hexdigest()
+        results = [scenarios._diagnose(d, bundle, ens) for d in bundle.diagnostics]
+        assert [r.name for r in results] == list(bundle.diagnostics)
+        assert hashlib.sha256(ens.y.tobytes()).hexdigest() == before
 
     def test_martingale_diagnostic_evaluates_the_functional_once(self, monkeypatch):
         # the generator state's grid values give the Girsanov weight too

@@ -60,7 +60,7 @@ class TestDeterminism:
     def test_path_streams_independent_of_ensemble_size(self):
         cfg4 = SimConfig(horizon=1.0, n_steps=32, n_paths=4, master_seed=5,
                          big_jump_intensity_bound=0.0)
-        cfg8 = cfg4.replace(n_paths=8)
+        cfg8 = replace(cfg4, n_paths=8)
         a = simulate_y(engine_setup(brownian_chars(), cfg4, 0.0))
         b = simulate_y(engine_setup(brownian_chars(), cfg8, 0.0))
         assert np.array_equal(a.y, b.y[:4])
@@ -92,12 +92,22 @@ def _rebuilt_noise(seed, i, n, horizon, lam_max):
     return normals, t, u_acc, u1, u2
 
 
+def _pre_jump_states(ens):
+    """Y before each recorded jump: ``Y[row, step]``, with the step rebuilt
+    from the jump time as the engine bins its candidates."""
+    cfg = ens.config
+    dt = cfg.horizon / cfg.n_steps
+    step = np.minimum((ens.jump_time / dt).astype(np.int64), cfg.n_steps - 1)
+    return ens.y[ens.jump_path, step]
+
+
 class TestDrawOrder:
     """Rebuild every path's stream independently and derive the accepted
     jumps from it; the engine must agree bit for bit."""
 
     def _check(self, ens, cfg, rate, sizes):
-        """``sizes(i, j, u1, u2)`` gives (z, w) of candidate ``j`` of path i."""
+        """``sizes(i, j, u1, u2)`` gives the sizes w of candidates ``j`` of
+        path i in the original coordinates."""
         dt = cfg.horizon / cfg.n_steps
         n_cand = n_acc = 0
         for i in range(cfg.n_paths):
@@ -109,11 +119,9 @@ class TestDrawOrder:
             j = np.flatnonzero(u_acc < rate / cfg.big_jump_intensity_bound)
             j = j[np.argsort(t[j], kind="stable")]
             n_acc += len(j)
-            z, w = sizes(i, j, u1[j], u2[j])
             sel = ens.jump_path == i
             assert np.array_equal(ens.jump_time[sel], t[j])
-            assert np.array_equal(ens.jump_z[sel], z)
-            assert np.array_equal(ens.jump_w[sel], w)
+            assert np.array_equal(ens.jump_w[sel], sizes(i, j, u1[j], u2[j]))
         assert len(ens.jump_path) == n_acc
         assert np.all(np.diff(ens.jump_path) >= 0)
         return n_cand
@@ -125,25 +133,29 @@ class TestDrawOrder:
         return kernel, cfg, CoefficientSet.unit(), TruncationFunction()
 
     def _stable_sizes(self, kernel, cutoff):
-        def sizes(i, j, u1, u2):
-            z = kernel.sample_two_tail(u1, u2, -cutoff, cutoff)
-            return z, z
-        return sizes
+        return lambda i, j, u1, u2: kernel.sample_two_tail(u1, u2, -cutoff, cutoff)
 
     def test_stable_kernel(self):
         kernel, cfg, coeffs, trunc = self._stable_case()
-        ens = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
+        eq = EquationX(coeffs, kernel, trunc)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
         rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
-        n_cand = self._check(ens, cfg, rate,
-                             self._stable_sizes(kernel, cfg.small_jump_cutoff))
+        sizes = self._stable_sizes(kernel, cfg.small_jump_cutoff)
+        n_cand = self._check(ens, cfg, rate, sizes)
         assert n_cand > 150 and len(ens.jump_time) > 100
+        # under the identity a power tail's jump has one size in both
+        # coordinates
+        u1, u2 = np.random.default_rng(23).random((2, len(ens.jump_time)))
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(
+            _pre_jump_states(ens), u1, u2)
+        assert np.array_equal(w, sizes(None, None, u1, u2)) and np.array_equal(z, w)
 
     def test_buffer_growth_keeps_the_streams(self, monkeypatch):
         kernel, cfg, coeffs, trunc = self._stable_case()
         ref = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
         monkeypatch.setattr(simulator, "_candidate_capacity", lambda mean: 1)
         ens = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
-        for f in ("y", "dW", "jump_path", "jump_time", "jump_z", "jump_w"):
+        for f in ("y", "dW", "jump_path", "jump_time", "jump_x_pre", "jump_w"):
             assert np.array_equal(getattr(ens, f), getattr(ref, f))
         rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
         self._check(ens, cfg, rate, self._stable_sizes(kernel, cfg.small_jump_cutoff))
@@ -161,12 +173,16 @@ class TestDrawOrder:
         cum = np.cumsum(r_big) / np.sum(r_big)
 
         def sizes(i, j, u1, u2):
-            w = z_big[np.clip(np.searchsorted(cum, u1), 0, len(z_big) - 1)]
-            y_pre = ens.jump_y_pre[ens.jump_path == i]
-            return (y_pre + w) - y_pre, w
+            return z_big[np.clip(np.searchsorted(cum, u1), 0, len(z_big) - 1)]
 
         self._check(ens, cfg, float(np.sum(r_big)), sizes)
         assert len(ens.jump_time) > 40
+        # the jump of Y is h(h^-1(y_pre) + w) - y_pre, h the identity
+        y_pre = _pre_jump_states(ens)
+        u1, u2 = np.random.default_rng(8).random((2, len(y_pre)))
+        z, w = jump_ops(chars, cfg).sample(y_pre, u1, u2)
+        assert np.array_equal(w, sizes(None, None, u1, u2))
+        assert np.array_equal(z, (y_pre + w) - y_pre)
 
     def test_no_candidates(self):
         # a positive bound whose Poisson counts all come out 0: the
@@ -176,7 +192,7 @@ class TestDrawOrder:
         chars = CharacteristicsY(b=zeros, sigma0=ones, measure=FiniteActivityKernel(
             rate=1e-9, law=DiscreteLaw(((1.0, 1.0),))))
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
-        assert self._check(ens, cfg, 1e-9, lambda i, j, u1, u2: (u1, u2)) == 0
+        assert self._check(ens, cfg, 1e-9, lambda i, j, u1, u2: u1) == 0
         assert len(ens.jump_time) == 0 and ens.jump_path.dtype == np.int64
 
 
@@ -269,7 +285,7 @@ class TestStreams:
 # ---------------------------------------------------------------------------
 
 ENSEMBLE_ARRAYS = ("times", "y", "x", "dW", "active", "hx", "hpx", "jump_time",
-                   "jump_y_pre", "jump_x_pre", "jump_z", "jump_w")
+                   "jump_x_pre", "jump_w")
 
 
 def _blocked(chars, cfg, y0, block_paths, monkeypatch):
@@ -352,7 +368,6 @@ class TestBlocks:
                 assert got is None, field
             else:
                 assert got.dtype == want.dtype and np.array_equal(got, want), field
-        assert all((b.x0, b.y0) == (whole.x0, whole.y0) for b in blocks)
         return whole
 
     def test_jump_ops_built_once_per_run(self, monkeypatch):
@@ -382,11 +397,11 @@ class TestBlocks:
         excluded = simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
         assert 0 < excluded < 50
         # some block of 7 paths loses far more than the run's share
-        above = cfg.replace(max_exclusion_fraction=(excluded + 0.5) / 100)
+        above = replace(cfg, max_exclusion_fraction=(excluded + 0.5) / 100)
         blocks = _blocked(chars, above, 0.0, 7, monkeypatch)
         assert max(b.excluded_count / b.n_paths for b in blocks) > (excluded + 0.5) / 100
         assert sum(b.excluded_count for b in blocks) == excluded
-        below = cfg.replace(max_exclusion_fraction=(excluded - 0.5) / 100)
+        below = replace(cfg, max_exclusion_fraction=(excluded - 0.5) / 100)
         with pytest.raises(RangeError):
             _blocked(chars, below, 0.0, 7, monkeypatch)
         with pytest.raises(RangeError):
@@ -396,18 +411,19 @@ class TestBlocks:
                                        range(-1, 4), range(0, 10, 2), (0, 1)))
     def test_bad_path_ranges_rejected(self, paths):
         from sdelab import ValidationError
-        cfg = BROWNIAN_CFG.replace(n_paths=40)
+        cfg = replace(BROWNIAN_CFG, n_paths=40)
         with pytest.raises(ValidationError):
             simulate_y(engine_setup(brownian_chars(), cfg, 0.0), paths=paths)
 
     @pytest.mark.parametrize("case", ("atom_tanh", "tabulated_tanh"))
     def test_jump_x_pre_is_the_inverse_of_jump_y_pre(self, case, tanh_coeffs,
                                                      atom_kernel, clamp1):
-        # jump_x_pre is read from X at the record's row and step
+        # jump_x_pre is read from X at the record's row and step, so it is
+        # the inverse of Y there, the state just before the jump
         chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
         ens = simulate_y(engine_setup(chars, cfg, y0))
-        assert len(ens.jump_y_pre) > 10
-        want = np.asarray(chars.transform.inverse(ens.jump_y_pre))
+        assert len(ens.jump_time) > 10
+        want = np.asarray(chars.transform.inverse(_pre_jump_states(ens)))
         assert ens.jump_x_pre.dtype == want.dtype
         assert np.array_equal(ens.jump_x_pre, want)
 
@@ -427,10 +443,10 @@ class TestBlocks:
         # block k runs on worker k % workers
         assert len({k % workers for k, b in enumerate(blocks) if b.excluded_count}) \
             >= min(workers, 2)
-        above = cfg.replace(max_exclusion_fraction=(excluded + 0.5) / 100)
+        above = replace(cfg, max_exclusion_fraction=(excluded + 0.5) / 100)
         assert sum(b.excluded_count for b in _blocked(chars, above, 0.0, 7,
                                                        monkeypatch)) == excluded
-        below = cfg.replace(max_exclusion_fraction=(excluded - 0.5) / 100)
+        below = replace(cfg, max_exclusion_fraction=(excluded - 0.5) / 100)
         with pytest.raises(RangeError):
             _blocked(chars, below, 0.0, 7, monkeypatch)
         _assert_no_child_left()
@@ -455,7 +471,7 @@ class TestBlockWorkers:
 
     def _setup(self, n_paths, monkeypatch):
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
-        cfg = BROWNIAN_CFG.replace(n_paths=n_paths, n_steps=8)
+        cfg = replace(BROWNIAN_CFG, n_paths=n_paths, n_steps=8)
         return engine_setup(brownian_chars(), cfg, 0.0)
 
     @pytest.mark.parametrize("n_paths", (40, 14))  # 6 and 2 blocks
@@ -551,7 +567,7 @@ class TestLawOracles:
                         big_jump_intensity_bound=0.0)
         via_h = simulate_x_markovian(EquationX(linear_coeffs, None, clamp1), cfg, 0.0)
         direct = simulate_euler_direct(lambda x: np.full_like(x, 0.3), ones,
-                                       cfg.replace(master_seed=1006), 0.0)
+                                       replace(cfg, master_seed=1006), 0.0)
         a, b = via_h.terminal_x(), direct.terminal_x()
         z = abs(np.mean(a) - np.mean(b)) / np.sqrt(
             np.var(a, ddof=1) / len(a) + np.var(b, ddof=1) / len(b))
@@ -561,12 +577,16 @@ class TestLawOracles:
                                                clamp1):
         cfg = SimConfig(horizon=1.0, n_steps=256, n_paths=300, master_seed=4,
                         small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
-        ens = simulate_x_markovian(EquationX(tanh_coeffs, atom_kernel, clamp1), cfg, 0.0)
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
         assert len(ens.jump_time) > 100
         tr = tanh_coeffs.transform
-        w_check = (tr.inverse(ens.jump_y_pre + ens.jump_z)
-                   - tr.inverse(ens.jump_y_pre))
-        assert np.max(np.abs(w_check - ens.jump_w)) < 1e-8
+        y_pre = _pre_jump_states(ens)
+        u1, u2 = np.random.default_rng(4).random((2, len(y_pre)))
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
+        assert np.array_equal(w, np.full_like(y_pre, 0.1))
+        w_check = tr.inverse(y_pre + z) - tr.inverse(y_pre)
+        assert np.max(np.abs(w_check - w)) < 1e-8
 
     def test_euler_weak_error_halves_with_steps(self):
         # noise-free nonlinear drift: the step bias must scale linearly
@@ -622,12 +642,17 @@ class TestJumpMeasureBranches:
         kernel = make()
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=300, master_seed=31,
                         small_jump_cutoff=0.05, big_jump_intensity_bound=1.25)
-        ens = simulate_x_markovian(EquationX(tanh_coeffs, kernel, clamp1), cfg, 0.0)
+        eq = EquationX(tanh_coeffs, kernel, clamp1)
+        ens = simulate_x_markovian(eq, cfg, 0.0)
         assert len(ens.jump_w) > 150
         h = tanh_coeffs.transform.forward
-        z_check = h(ens.jump_x_pre + ens.jump_w) - h(ens.jump_x_pre)
-        assert np.max(np.abs(z_check - ens.jump_z)) < 1e-8
-        assert np.all(in_support(ens.jump_w))
+        # the sampler's z at the recorded pre-jump states, from fresh uniforms
+        y_pre = _pre_jump_states(ens)
+        u1, u2 = np.random.default_rng(31).random((2, len(y_pre)))
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
+        z_check = h(ens.jump_x_pre + w) - h(ens.jump_x_pre)
+        assert np.max(np.abs(z_check - z)) < 1e-8
+        assert np.all(in_support(w)) and np.all(in_support(ens.jump_w))
         stats = compensator_residual(ens, region, kernel)
         assert abs(stats.zscore) < 3.5
 
@@ -860,17 +885,6 @@ class TestGuards:
         with pytest.raises(IntensityBoundViolated, match="jump rate"):
             simulate_x_markovian(EquationX(coeffs, kernel), cfg, 0.0)
 
-    def test_truncation_that_is_not_one_fails_closed(self):
-        # this run used to finish with 228 jumps and a terminal mean of
-        # -0.424, its compensator taken under a truncation that is not one
-        from sdelab import ValidationError
-        kernel = FiniteActivityKernel(rate=1.0, law=DiscreteLaw(((0.5, 1.0),)))
-        trunc = TruncationFunction(radius=1.0, cap=1.0, fn=lambda x: 2.0 * np.asarray(x))
-        cfg = SimConfig(n_steps=16, n_paths=200, master_seed=1, small_jump_cutoff=0.1,
-                        big_jump_intensity_bound=1.05)
-        with pytest.raises(ValidationError, match="cap"):
-            simulate_x_markovian(EquationX(CoefficientSet.unit(), kernel, trunc), cfg, 0.0)
-
     def test_cutoff_must_stay_below_truncation_radius(self):
         cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=10, master_seed=1,
                         small_jump_cutoff=2.0, big_jump_intensity_bound=1.0)
@@ -884,7 +898,7 @@ class TestGuards:
         with pytest.raises(ValidationError):
             SimConfig(master_seed=seed)
         with pytest.raises(ValidationError):
-            BROWNIAN_CFG.replace(master_seed=seed)
+            replace(BROWNIAN_CFG, master_seed=seed)
 
     @pytest.mark.parametrize("size", (0, -4, 40.7, 40.0, True, "40", None))
     @pytest.mark.parametrize("field", ("n_paths", "n_steps"))
@@ -893,7 +907,7 @@ class TestGuards:
         with pytest.raises(ValidationError):
             SimConfig(**{field: size})
         with pytest.raises(ValidationError):
-            BROWNIAN_CFG.replace(**{field: size})
+            replace(BROWNIAN_CFG, **{field: size})
 
     @pytest.mark.parametrize("field, value", (
         ("small_jump_cutoff", np.nan), ("small_jump_cutoff", np.inf),
@@ -905,7 +919,7 @@ class TestGuards:
         with pytest.raises(ValidationError, match=field):
             SimConfig(**{field: value})
         with pytest.raises(ValidationError, match=field):
-            BROWNIAN_CFG.replace(**{field: value})
+            replace(BROWNIAN_CFG, **{field: value})
 
     def test_numpy_integer_sizes_accepted(self):
         cfg = SimConfig(n_paths=np.int64(40), n_steps=np.uint16(16))
@@ -948,7 +962,7 @@ class TestCharacteristics:
         from sdelab import ValidationError
         with pytest.raises(ValidationError):
             engine_setup(build_characteristics(EquationX(tanh_coeffs, atom_kernel, narrow)),
-                         cfg.replace(small_jump_cutoff=0.6), y0)
+                         replace(cfg, small_jump_cutoff=0.6), y0)
 
     def test_no_measure_gives_no_ops(self):
         assert jump_ops(brownian_chars(), SimConfig()) is None
@@ -975,7 +989,7 @@ class TestEngineFunctional:
             y0 = float(chars.transform.forward(np.asarray(0.3)))
         else:
             chars, y0 = brownian_chars(), 0.3
-        chars = replace(chars, functional=PathFunctional("record", 0.0, record))
+        chars = replace(chars, functional=PathFunctional("record", record))
         ens = simulate_y(engine_setup(chars, cfg, y0))
         if transformed:  # a step fed Y would differ from X
             assert not np.array_equal(ens.x, ens.y)
@@ -1036,7 +1050,7 @@ class TestGirsanov:
         est = weighted_expectation(_kappa_T(brownian_ens, constant_functional(c)),
                                    brownian_ens.y[:, -1])
         chars = replace(brownian_chars(), functional=constant_functional(c))
-        direct = simulate_y(engine_setup(chars, BROWNIAN_CFG.replace(master_seed=101),
+        direct = simulate_y(engine_setup(chars, replace(BROWNIAN_CFG, master_seed=101),
                                          0.0))
         yt = direct.y[direct.active, -1]
         dmean = np.mean(yt)
