@@ -16,6 +16,7 @@ Hoelder-continuous potential is never differentiated.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -268,6 +269,74 @@ def _pooled(task, jobs):
     a task's exception is raised here."""
     with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(jobs)))) as pool:
         return list(pool.map(task, jobs))
+
+
+# grid values (paths x times) a forked share holds at least: below about
+# this, a fork and the copy-on-write faults it leaves in the caller cost
+# more than the share saves (measured end to end on registry scenarios)
+_MIN_SHARE = 2**16
+
+
+def _share_worker(task, share, conn):
+    """A forked worker of ``_forked``: sends ``(True, task(share))``, or
+    ``(False, exception)`` when the task or pickling its result raised."""
+    with conn:
+        try:
+            reply = (True, task(share))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # a result or an exception that does not pickle
+            conn.send((False, exc))
+
+
+def _forked(task, shares) -> list:
+    """``[task(share) for share in shares]``, each share on its own worker.
+
+    The first share runs in this process, and each other in a child forked
+    for the call, whose result comes back pickled through a pipe.  So
+    ``task`` may run in a child: its result must pickle, and its writes
+    are lost unless they go to memory mapped shared before the fork.  A
+    child must not write to anything else it inherits that is mapped
+    shared, such as an ensemble of an earlier dealt run.  The exception of
+    the first share that raises, in share order, is raised here, as is one
+    that pickling a child's result raised; every child is joined before
+    this returns or raises.  Where fork is not available, or while another
+    Python thread runs, every share runs here, in order.
+    """
+    if len(shares) < 2:
+        return [task(share) for share in shares]
+    import multiprocessing
+    if threading.active_count() != 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task(share) for share in shares]
+    context = multiprocessing.get_context("fork")
+    conns, children = [], []
+    try:
+        for share in shares[1:]:
+            recv, send = context.Pipe(duplex=False)
+            conns.append(recv)
+            with send:
+                child = context.Process(target=_share_worker, args=(task, share, send))
+                child.start()
+            children.append(child)
+        results = [task(shares[0])]
+        for recv in conns:
+            ok, value = recv.recv()
+            if not ok:
+                raise value
+            results.append(value)
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for recv in conns:
+            recv.close()
+        for child in children:
+            child.join()
+            child.close()
+    return results
 
 
 def _folded(fn, x, width, odd):

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
-                           local_generator, transformed_diffusion)
+                           _MIN_SHARE, _forked, _usable_cpus, local_generator,
+                           transformed_diffusion)
 from .errors import MissingDriverRecord, ValidationError
 from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
@@ -415,18 +416,31 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
     (None without a functional), read in row blocks of about ``_BLOCK``
     grid values.  A row's numbers do not depend on its block: a power
     tail's jump term is tabulated once per profile over all states
-    (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``)."""
+    (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``).
+    The blocks are dealt in contiguous runs to min(usable CPUs, blocks,
+    grid values // ``_MIN_SHARE``) workers (``_forked``), which only read
+    ``ens``."""
     n_paths, n_times = ens.x.shape
     tables = jump_tables(eq, profiles, ens.x) if tables is None else tables
-    out = np.empty((len(profiles), n_paths, len(cols)))
-    kappa = None if eq.functional is None else np.empty(n_paths)
     rows = max(1, _BLOCK // n_times)
-    for a in range(0, n_paths, rows):
-        r = slice(a, a + rows)
-        hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
-        state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
-        for i, f in enumerate(profiles):
-            out[i, r] = martingale_residual_ensemble(state, f)[:, cols]
-        if kappa is not None:
-            kappa[r] = girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1]
-    return out, kappa
+    n_blocks = -(-n_paths // rows)
+    workers = max(1, min(_usable_cpus(), n_blocks, n_paths * n_times // _MIN_SHARE))
+
+    def share(paths):
+        out = np.empty((len(profiles), len(paths), len(cols)))
+        kappa = None if eq.functional is None else np.empty(len(paths))
+        for a in range(paths.start, paths.stop, rows):
+            r = slice(a, min(a + rows, paths.stop))
+            local = slice(r.start - paths.start, r.stop - paths.start)
+            hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
+            state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
+            for i, f in enumerate(profiles):
+                out[i, local] = martingale_residual_ensemble(state, f)[:, cols]
+            if kappa is not None:
+                kappa[local] = girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1]
+        return out, kappa
+
+    edges = [min(n_paths, rows * (n_blocks * k // workers)) for k in range(workers + 1)]
+    parts = _forked(share, [range(a, b) for a, b in zip(edges, edges[1:])])
+    out = np.concatenate([p[0] for p in parts], axis=1)
+    return out, None if eq.functional is None else np.concatenate([p[1] for p in parts])

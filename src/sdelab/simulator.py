@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .coefficients import (CubicTable, ScaleTransform, _usable_cpus,
-                           transformed_diffusion)
+from .coefficients import (_MIN_SHARE, CubicTable, ScaleTransform, _forked,
+                           _usable_cpus, transformed_diffusion)
 from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
                      ValidationError)
 from .generator import _BLOCK, EquationX, PathFunctional
@@ -390,7 +389,9 @@ class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
     Under the identity transform ``x`` is ``y`` itself, one array that
-    nobody writes to.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
+    nobody writes to.  The arrays of a dealt run (``simulate_y``) are
+    mapped shared with the children that later calls fork, which must not
+    write to them either.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
     final inversion, equal bit for bit to ``transform.forward(x)`` and
     ``transform.deriv(x)``; both are None under the identity transform.
     A jump record holds its row, time, pre-jump state of X and size in
@@ -533,19 +534,76 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     run, so it runs here only over all paths: a caller that simulates a
     shorter range must count the exclusions of all its ranges and check
     them itself, as ``simulate_blocks`` does.
+
+    A run over all paths (``paths`` None) is dealt in contiguous shares of
+    paths to min(usable CPUs, grid values // ``_MIN_SHARE``) workers
+    (``_forked``), which write their rows into arrays mapped shared before
+    the fork; the ensemble equals the one-process run bit for bit.
     """
-    chars, config, y0 = setup.chars, setup.config, setup.y0
+    config, workers = setup.config, 1
     if paths is None:
         paths = range(config.n_paths)
-    if not (isinstance(paths, range) and paths.step == 1
-            and 0 <= paths.start < paths.stop <= config.n_paths):
+        workers = min(_usable_cpus(), config.n_paths * (config.n_steps + 1) // _MIN_SHARE)
+    elif not (isinstance(paths, range) and paths.step == 1
+              and 0 <= paths.start < paths.stop <= config.n_paths):
         raise ValidationError(f"paths must be a nonempty range within "
                               f"range({config.n_paths}), got {paths!r}")
+    ens = _engine(setup, paths) if workers < 2 else _dealt(setup, workers)
+    if len(paths) == config.n_paths:
+        _check_exclusions(ens.excluded_count, config)
+    return ens
+
+
+def _shared(shape, dtype=float):
+    """A zeroed array in anonymous memory mapped shared, so that children
+    forked after it and this process see each other's writes."""
+    import mmap
+    count = math.prod(shape)
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
+
+
+def _dealt(setup: EngineSetup, workers: int) -> Ensemble:
+    """``_engine`` over all paths of the run, in ``workers`` contiguous
+    shares of paths: each share writes its rows of Y, dW, the active flags
+    and (under a non-identity transform) X, h(X) and h'(X) into arrays
+    mapped shared, and sends back only its jump records."""
+    config = setup.config
+    P, n = config.n_paths, config.n_steps
+    run = {"y": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
+    images = not setup.chars.transform.is_identity
+    if images:
+        run.update((name, _shared((P, n + 1))) for name in ("x", "hx", "hpx"))
+
+    def share(paths):
+        part = _engine(setup, paths, run)
+        if images:
+            rows = slice(paths.start, paths.stop)
+            run["x"][rows], run["hx"][rows], run["hpx"][rows] = part.x, part.hx, part.hpx
+        return (part.jump_path + paths.start, part.jump_time, part.jump_x_pre,
+                part.jump_w)
+
+    edges = [P * k // workers for k in range(workers + 1)]
+    records = _forked(share, [range(a, b) for a, b in zip(edges, edges[1:])])
+    jp, jt, jx, jw = (np.concatenate(r) for r in zip(*records))
+    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), y=run["y"],
+                    x=run.get("x", run["y"]), dW=run["dW"], active=run["active"],
+                    jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
+                    config=config, hx=run.get("hx"), hpx=run.get("hpx"))
+
+
+def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ensemble:
+    """The engine of ``simulate_y`` over the range ``paths``, without the
+    exclusion check.  With ``run``, a dict of arrays over all the run's
+    paths, Y, dW and the active flags are drawn in place into the rows
+    ``paths`` of ``run["y"]``, ``run["dW"]`` and ``run["active"]``."""
+    chars, config, y0 = setup.chars, setup.config, setup.y0
     transform, functional, ops = chars.transform, chars.functional, setup.ops
     has_jumps = ops is not None
     img_lo, img_hi = setup.y_range
 
     n, P = config.n_steps, len(paths)
+    rows = slice(paths.start, paths.stop)
     T = config.horizon
     dt = T / n
     sq_dt = np.sqrt(dt)
@@ -559,7 +617,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     # acceptance uniforms, k size uniforms u1 and k size uniforms u2.
     # Small-jump normals nobody reads all go to one reused row, which keeps
     # the later draws in place.
-    normals = np.empty((P, n))
+    normals = np.empty((P, n)) if run is None else run["dW"][rows]
     small_normals = np.empty((P if use_gauss else 1, n))
     counts = np.zeros(P, dtype=np.int64)
     unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
@@ -594,9 +652,10 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     del unif, first, order, c_at, c_count
     bounds = np.searchsorted(c_step, np.arange(n + 1))
 
-    Y = np.empty((P, n + 1))
+    Y = np.empty((P, n + 1)) if run is None else run["y"][rows]
     Y[:, 0] = y0
-    active = np.ones(P, dtype=bool)
+    active = np.empty(P, dtype=bool) if run is None else run["active"][rows]
+    active.fill(True)
     carry, hv = None, 0.0
 
     # accepted marks: indices into the sorted candidates plus their sizes
@@ -643,9 +702,6 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         Y[:, s + 1] = y_next
     del small_normals, c_u, c_u1, c_u2
 
-    if P == config.n_paths:
-        _check_exclusions(int(np.sum(~active)), config)
-
     if transform.is_identity:
         X, HX, HPX = Y, None, None
     else:
@@ -681,27 +737,14 @@ def _reduced_blocks(setup: EngineSetup, reduce: Callable, blocks) -> tuple:
     return done, None
 
 
-def _block_worker(setup: EngineSetup, reduce: Callable, blocks, conn):
-    """A forked worker of ``simulate_blocks``: sends ``_reduced_blocks`` of
-    its share, or the exception that pickling them raised."""
-    with conn:
-        result = _reduced_blocks(setup, reduce, blocks)
-        try:
-            conn.send(result)
-        except Exception as exc:  # a reduction or an exception that does not pickle
-            conn.send(([], (blocks[0].start, exc)))
-
-
 def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
     """``reduce(ensemble)`` of every block of ``BLOCK_PATHS`` consecutive
     paths of the run ``setup``, in path order.
 
     Each block goes through ``simulate_y`` and is dropped once reduced, so
     a worker's memory holds one block plus whatever ``reduce`` keeps.  The
-    blocks are dealt round-robin to ``min(usable CPUs, blocks)`` workers:
-    this process is one, and each other is a child forked for the call
-    (none while other Python threads run), which sends its reductions back
-    through a pipe.  So ``reduce`` may run in a child: it must return what
+    blocks are dealt round-robin to ``min(usable CPUs, blocks)`` workers
+    (``_forked``), so ``reduce`` may run in a child: it must return what
     it keeps (writes to outside objects are lost there), copy the views it
     keeps (a view holds its whole block), and its result must pickle.  The
     exception of the first block that raises, in block order, is raised
@@ -710,36 +753,12 @@ def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
     ``max_exclusion_fraction`` check counts the excluded paths of all
     blocks.  The result does not depend on the number of workers.
     """
-    import multiprocessing
     config = setup.config
     blocks = [range(start, min(start + BLOCK_PATHS, config.n_paths))
               for start in range(0, config.n_paths, BLOCK_PATHS)]
-    can_fork = (threading.active_count() == 1
-                and "fork" in multiprocessing.get_all_start_methods())
-    workers = min(_usable_cpus(), len(blocks)) if can_fork else 1
-    shares = [blocks[k::workers] for k in range(workers)]
-    conns, children = [], []
-    try:
-        for share in shares[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            conns.append(recv)
-            with send:
-                child = multiprocessing.get_context("fork").Process(
-                    target=_block_worker, args=(setup, reduce, share, send))
-                child.start()
-            children.append(child)
-        results = [_reduced_blocks(setup, reduce, shares[0])]
-        results += [recv.recv() for recv in conns]
-    except BaseException:
-        for child in children:
-            child.terminate()
-        raise
-    finally:
-        for recv in conns:
-            recv.close()
-        for child in children:
-            child.join()
-            child.close()
+    workers = min(_usable_cpus(), len(blocks))
+    results = _forked(lambda share: _reduced_blocks(setup, reduce, share),
+                      [blocks[k::workers] for k in range(workers)])
     failed = [f for _, f in results if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]

@@ -68,3 +68,12 @@ def stable_half_kernel():
 @pytest.fixture(scope="session")
 def clamp1():
     return TruncationFunction()
+
+
+@pytest.fixture(params=(1, 2, 3))
+def workers(request, monkeypatch):
+    """The engine and the martingale columns see this many usable CPUs."""
+    from sdelab import generator, simulator
+    for module in (simulator, generator):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: request.param)
+    return request.param

@@ -205,19 +205,80 @@ class TestRunScenario:
         assert report.diagnostics[1].status == "pass"
         assert report.status == "pass"
 
-    def test_identity_alias_is_never_written(self):
-        # under the identity X is Y itself: no diagnostic may write to it
+    def test_identity_alias_is_never_written(self, monkeypatch):
+        # under the identity X is Y itself: no diagnostic may write to it,
+        # nor to a dealt ensemble, whose arrays the forked workers share
+        self._check_never_written("stable_jump", ("compensator", "qv", "gamma",
+                                                  "martingale", "dirichlet"), monkeypatch)
+
+    def test_dealt_ensemble_is_never_written(self, monkeypatch):
+        self._check_never_written("atom_jump", ("martingale", "qv", "gamma", "girsanov",
+                                                "compensator", "conjugation", "dirichlet"),
+                                  monkeypatch)
+
+    def _check_never_written(self, name, diagnostics, monkeypatch):
         import hashlib
-        from sdelab import scenarios, simulate_x_markovian
-        bundle = build_bundle(ScenarioSpec(
-            name="stable_jump", n_paths=300, n_steps=32,
-            diagnostics=("compensator", "qv", "gamma", "martingale", "dirichlet")))
+        from sdelab import generator, scenarios, simulate_x_markovian, simulator
+        for module in (simulator, generator):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(module, "_MIN_SHARE", 1)
+        monkeypatch.setattr(generator, "_BLOCK", 7 * 33)  # 43 row blocks
+        bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32,
+                                           diagnostics=diagnostics))
         ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
-        assert ens.x is ens.y
-        before = hashlib.sha256(ens.y.tobytes()).hexdigest()
+        assert (ens.x is ens.y) == (name == "stable_jump")
+        fields = ("y", "x", "dW", "active", "hx", "hpx")
+
+        def digests():
+            return [None if getattr(ens, f) is None
+                    else hashlib.sha256(getattr(ens, f).tobytes()).hexdigest()
+                    for f in fields]
+        before = digests()
         results = [scenarios._diagnose(d, bundle, ens) for d in bundle.diagnostics]
         assert [r.name for r in results] == list(bundle.diagnostics)
-        assert hashlib.sha256(ens.y.tobytes()).hexdigest() == before
+        assert digests() == before
+
+    @pytest.mark.parametrize("name", ("atom_jump", "stable_jump", "path_dependent_drift"),
+                             ids=("atoms", "power_tail", "functional"))
+    def test_martingale_columns_independent_of_worker_count(self, name, monkeypatch):
+        import multiprocessing
+        from sdelab import generator, simulate_x_markovian
+        from sdelab.scenarios import standard_profiles
+        bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32))
+        ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
+        monkeypatch.setattr(generator, "_BLOCK", 7 * 33)  # 43 row blocks, the last short
+        monkeypatch.setattr(generator, "_MIN_SHARE", 1)
+        made, table = [], generator._jump_table
+        monkeypatch.setattr(generator, "_jump_table",
+                            lambda *a: made.append(1) or table(*a))
+        profiles, cols = standard_profiles()[:2], np.arange(33)
+        got = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(generator, "_usable_cpus", lambda: cpus)
+            got.append(generator.martingale_columns(bundle.eq, ens, profiles, cols))
+            assert multiprocessing.active_children() == []
+        # a power tail's tables are built here, once per profile and run
+        assert len(made) == (3 * len(profiles) if name == "stable_jump" else 0)
+        (res, kappa), rest = got[0], got[1:]
+        assert res.shape == (len(profiles), 300, 33)
+        assert (kappa is None) == (name != "path_dependent_drift")
+        for res_k, kappa_k in rest:
+            assert np.array_equal(res_k, res)
+            assert (kappa_k is None and kappa is None) or np.array_equal(kappa_k, kappa)
+
+    @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift",
+                                      "brownian_baseline", "stable_jump"))
+    def test_martingale_report_independent_of_worker_count(self, name, monkeypatch):
+        from sdelab import generator, simulator
+        monkeypatch.setattr(generator, "_BLOCK", 7 * 33)
+        spec = ScenarioSpec(name=name, n_paths=300, n_steps=32, diagnostics=("martingale",))
+        reports = []
+        for cpus in (1, 2, 3):
+            for module in (simulator, generator):
+                monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(module, "_MIN_SHARE", 1)
+            reports.append(report_json(run_scenario(spec)[0]))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_martingale_diagnostic_evaluates_the_functional_once(self, monkeypatch):
         # the generator state's grid values give the Girsanov weight too
@@ -277,6 +338,28 @@ class TestRunScenario:
                                     check=True).stdout.split())
             for n in (2000, 8000)]
         assert rss1 - rss0 < 1.5 * (ens1 - ens0), (rss0, rss1, ens0, ens1)
+
+    def test_dealt_run_adds_no_peak_memory(self):
+        # the forked workers write their rows of a whole run into arrays
+        # mapped shared, so dealing adds nothing to this process's peak; a
+        # child holds what it inherits plus its share
+        code = ("import resource, sys\n"
+                "from sdelab import generator, simulator\n"
+                "from sdelab.scenarios import ScenarioSpec, run_scenario\n"
+                "for module in (simulator, generator):\n"
+                "    module._usable_cpus = lambda: int(sys.argv[1])\n"
+                "run_scenario(ScenarioSpec(name='atom_jump', n_paths=4000, n_steps=256))\n"
+                "print(*(resource.getrusage(who).ru_maxrss for who in"
+                " (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
+        src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        peak_mb = [[int(kb) / 1024 for kb in subprocess.run(
+                        [sys.executable, "-c", code, str(workers)], env=env,
+                        capture_output=True, text=True, check=True).stdout.split()]
+                   for workers in (1, 2)]
+        (self_one, _), (self_dealt, children_dealt) = peak_mb
+        assert self_dealt <= 1.05 * self_one, peak_mb
+        assert 0 < children_dealt <= 1.05 * self_one, peak_mb
 
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",

@@ -452,13 +452,6 @@ class TestBlocks:
         _assert_no_child_left()
 
 
-@pytest.fixture(params=(1, 2, 3))
-def workers(request, monkeypatch):
-    """``simulate_blocks`` sees this many usable CPUs."""
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: request.param)
-    return request.param
-
-
 def _assert_no_child_left():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
@@ -534,6 +527,149 @@ class TestBlockWorkers:
             warnings.simplefilter("always")
             simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: 0)
         assert not [w for w in seen if "fork" in str(w.message)], seen
+
+
+def _one_process(setup, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "_usable_cpus", lambda: 1)
+        return simulate_y(setup)
+
+
+class TestDealtRun:
+    """A run over all paths is dealt in contiguous shares of paths to
+    min(usable CPUs, grid values // ``_MIN_SHARE``) workers, and equals the
+    one-process run bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _every_size_dealt(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_MIN_SHARE", 1)
+
+    def _check_dealt(self, chars, cfg, y0, monkeypatch):
+        setup = engine_setup(chars, cfg, y0)
+        want = _one_process(setup, monkeypatch)
+        got = simulate_y(setup)
+        assert len(want.jump_time) > 10
+        for field in ENSEMBLE_ARRAYS + ("jump_path",):
+            a, b = getattr(want, field), getattr(got, field)
+            if a is None:
+                assert b is None, field
+            else:
+                assert b.dtype == a.dtype and np.array_equal(b, a), field
+        assert got.first_path == 0 and (got.x is got.y) == (want.x is want.y)
+        _assert_no_child_left()
+        return got
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dealt_run_equals_one_process(self, case, workers, tanh_coeffs, atom_kernel,
+                                          clamp1, monkeypatch):
+        chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
+        got = self._check_dealt(chars, cfg, y0, monkeypatch)
+        if case.startswith("stable"):  # the identity: X is Y itself
+            assert got.x is got.y and got.hx is None
+        else:
+            assert got.hx is not None
+
+    def test_more_workers_than_cores(self, tanh_coeffs, atom_kernel, clamp1, monkeypatch):
+        # six shares write disjoint rows of the shared arrays at once
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 6)
+        chars, cfg, y0 = TestBlocks()._case("atom_tanh", tanh_coeffs, atom_kernel, clamp1)
+        self._check_dealt(chars, cfg, y0, monkeypatch)
+
+    @pytest.mark.parametrize("case", ("stable_drop", "atom_tanh"))
+    def test_dealt_run_with_a_functional(self, case, workers, tanh_coeffs, atom_kernel,
+                                         clamp1, monkeypatch):
+        chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
+        with_sup = replace(chars, functional=clamped_running_sup(1.0))
+        got = self._check_dealt(with_sup, cfg, y0, monkeypatch)
+        assert not np.array_equal(got.y, _one_process(engine_setup(chars, cfg, y0),
+                                                      monkeypatch).y)
+
+    def test_exclusions_summed_over_shares(self, workers, unit_diffusion, clamp1,
+                                           monkeypatch):
+        chars, cfg = TestBlocks()._narrow_grid(unit_diffusion, clamp1)
+        ens = simulate_y(engine_setup(chars, cfg, 0.0))
+        excluded = ens.excluded_count
+        edges = [100 * k // workers for k in range(workers + 1)]
+        per_share = [int(np.sum(~ens.active[a:b])) for a, b in zip(edges, edges[1:])]
+        assert sum(per_share) == excluded
+        # from two workers on, no share alone passes the limit below
+        assert max(per_share) < excluded or workers == 1
+        below = replace(cfg, max_exclusion_fraction=(excluded - 0.5) / 100)
+        with pytest.raises(RangeError):
+            simulate_y(engine_setup(chars, below, 0.0))
+        above = replace(cfg, max_exclusion_fraction=(excluded + 0.5) / 100)
+        assert simulate_y(engine_setup(chars, above, 0.0)).excluded_count == excluded
+        _assert_no_child_left()
+
+    def test_failing_share_raises_here(self, workers, clamp1, monkeypatch):
+        # the rate spike of TestGuards stops the run mid-way in some share
+        def rate(x):
+            return 1.0 + 10.0 * (np.abs(np.asarray(x, dtype=float) - 0.125) < 0.1)
+        kernel = FiniteActivityKernel(rate=rate, law=DiscreteLaw(((0.5, 1.0),)))
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=200, master_seed=1,
+                        small_jump_cutoff=0.1, big_jump_intensity_bound=2.0)
+        setup = engine_setup(build_characteristics(
+            EquationX(CoefficientSet.unit(), kernel, clamp1)), cfg, 0.0)
+        with pytest.raises(Exception) as want:
+            _one_process(setup, monkeypatch)
+        with pytest.raises(Exception) as got:
+            simulate_y(setup)
+        assert type(got.value) is type(want.value) is IntensityBoundViolated
+        _assert_no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, workers, monkeypatch):
+        caller = os.getpid()
+
+        def b(y):  # a share run in a forked child raises
+            if os.getpid() != caller:
+                raise RuntimeError("forked")
+            return zeros(y)
+        setup = engine_setup(CharacteristicsY(b=b, sigma0=ones),
+                             replace(BROWNIAN_CFG, n_paths=40, n_steps=8), 0.0)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = simulate_y(setup)
+        finally:
+            stop.set()
+            thread.join()
+        assert np.array_equal(got.y, _one_process(setup, monkeypatch).y)
+        if workers > 1:
+            with pytest.raises(RuntimeError, match="forked"):
+                simulate_y(setup)
+        _assert_no_child_left()
+
+    def test_fork_gives_no_warning(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        setup = engine_setup(brownian_chars(), replace(BROWNIAN_CFG, n_paths=40), 0.0)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            simulate_y(setup)
+        assert not [w for w in seen if "fork" in str(w.message)], seen
+
+    def test_small_runs_stay_in_one_process(self, monkeypatch):
+        # a run deals from two shares of _MIN_SHARE grid values on, and so
+        # do the martingale columns of its ensemble
+        from sdelab import generator
+        from sdelab.scenarios import standard_profiles
+        shares = []
+
+        def counted(task, parts):
+            shares.append(len(parts))
+            return [task(part) for part in parts]
+        for module in (simulator, generator):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(module, "_MIN_SHARE", 2**16)
+            monkeypatch.setattr(module, "_forked", counted)
+        eq = EquationX(CoefficientSet.unit())
+        below = (2 * 2**16 - 1) // 129
+        for n_paths, want in ((below, [1]), (below + 1, [2, 2])):
+            shares.clear()
+            cfg = replace(BROWNIAN_CFG, n_paths=n_paths, n_steps=128)
+            ens = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
+            generator.martingale_columns(eq, ens, standard_profiles()[:1], [-1])
+            assert shares == want, n_paths
 
 
 # ---------------------------------------------------------------------------
