@@ -277,6 +277,14 @@ def _pooled(task, jobs):
 _MIN_SHARE = 2**16
 
 
+def _shares(n_paths, n_times) -> list:
+    """max(1, min(usable CPUs, n_paths, grid values // ``_MIN_SHARE``))
+    contiguous ranges that cover ``range(n_paths)``, of sizes within 1."""
+    workers = max(1, min(_usable_cpus(), n_paths, n_paths * n_times // _MIN_SHARE))
+    edges = [n_paths * k // workers for k in range(workers + 1)]
+    return [range(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _share_worker(task, share, conn):
     """A forked worker of ``_forked``: sends ``(True, task(share))``, or
     ``(False, exception)`` when the task or pickling its result raised."""
@@ -292,18 +300,18 @@ def _share_worker(task, share, conn):
 
 
 def _forked(task, shares) -> list:
-    """``[task(share) for share in shares]``, each share on its own worker.
+    """``[task(share) for share in shares]``, each on its own worker.
 
     The first share runs in this process, and each other in a child forked
     for the call, whose result comes back pickled through a pipe.  So
     ``task`` may run in a child: its result must pickle, and its writes
     are lost unless they go to memory mapped shared before the fork.  A
     child must not write to anything else it inherits that is mapped
-    shared, such as an ensemble of an earlier dealt run.  The exception of
-    the first share that raises, in share order, is raised here, as is one
-    that pickling a child's result raised; every child is joined before
-    this returns or raises.  Where fork is not available, or while another
-    Python thread runs, every share runs here, in order.
+    shared, such as the ensemble of an earlier run over all paths.  The
+    exception of the first share that raises, in share order, is raised
+    here, as is one that pickling a child's result raised; every child is
+    joined before this returns or raises.  Where fork is not available, or
+    while another Python thread runs, every share runs here, in order.
     """
     if len(shares) < 2:
         return [task(share) for share in shares]
@@ -337,6 +345,17 @@ def _forked(task, shares) -> list:
             child.join()
             child.close()
     return results
+
+
+def _walked(task, n_paths, n_times, block) -> list:
+    """``task(paths)`` of every block of at most ``block`` paths, in path
+    order: each of the ``_shares`` runs on a worker of ``_forked``, which
+    walks it in blocks from its first path, so a failing block ends its
+    share and the first failing block in path order is raised here."""
+    def walk(share):
+        return [task(range(a, min(a + block, share.stop)))
+                for a in range(share.start, share.stop, block)]
+    return [r for part in _forked(walk, _shares(n_paths, n_times)) for r in part]
 
 
 def _folded(fn, x, width, odd):

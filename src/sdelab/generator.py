@@ -17,8 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
-                           _MIN_SHARE, _forked, _usable_cpus, local_generator,
-                           transformed_diffusion)
+                           _walked, local_generator, transformed_diffusion)
 from .errors import MissingDriverRecord, ValidationError
 from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
@@ -410,37 +409,24 @@ def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction
     return res
 
 
-def martingale_columns(eq: EquationX, ens, profiles, cols, tables=None):
+def martingale_columns(eq: EquationX, ens, profiles, cols, tables):
     """Each profile's residual at the time columns ``cols`` of every path
     of ``ens`` (profiles x paths x columns) and the terminal Girsanov weight
     (None without a functional), read in row blocks of about ``_BLOCK``
-    grid values.  A row's numbers do not depend on its block: a power
-    tail's jump term is tabulated once per profile over all states
-    (``tables`` when the caller holds ``jump_tables(eq, profiles, ens.x)``).
-    The blocks are dealt in contiguous runs to min(usable CPUs, blocks,
-    grid values // ``_MIN_SHARE``) workers (``_forked``), which only read
-    ``ens``."""
+    grid values on the forked workers of ``_walked``, which only read
+    ``ens``.  A row's numbers do not depend on its block: a power tail's
+    jump term is tabulated once per profile over all states, in
+    ``tables = jump_tables(eq, profiles, ens.x)``."""
     n_paths, n_times = ens.x.shape
-    tables = jump_tables(eq, profiles, ens.x) if tables is None else tables
-    rows = max(1, _BLOCK // n_times)
-    n_blocks = -(-n_paths // rows)
-    workers = max(1, min(_usable_cpus(), n_blocks, n_paths * n_times // _MIN_SHARE))
 
-    def share(paths):
-        out = np.empty((len(profiles), len(paths), len(cols)))
-        kappa = None if eq.functional is None else np.empty(len(paths))
-        for a in range(paths.start, paths.stop, rows):
-            r = slice(a, min(a + rows, paths.stop))
-            local = slice(r.start - paths.start, r.stop - paths.start)
-            hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
-            state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
-            for i, f in enumerate(profiles):
-                out[i, local] = martingale_residual_ensemble(state, f)[:, cols]
-            if kappa is not None:
-                kappa[local] = girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1]
-        return out, kappa
+    def block(paths):
+        r = slice(paths.start, paths.stop)
+        hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
+        state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
+        out = np.stack([martingale_residual_ensemble(state, f)[:, cols] for f in profiles])
+        return out, (None if eq.functional is None
+                     else girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1].copy())
 
-    edges = [min(n_paths, rows * (n_blocks * k // workers)) for k in range(workers + 1)]
-    parts = _forked(share, [range(a, b) for a, b in zip(edges, edges[1:])])
+    parts = _walked(block, n_paths, n_times, max(1, _BLOCK // n_times))
     out = np.concatenate([p[0] for p in parts], axis=1)
     return out, None if eq.functional is None else np.concatenate([p[1] for p in parts])

@@ -666,17 +666,13 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     # per-path terminal X, active flags and big-jump sums, and the jump
     # count of each block; nothing else of a block outlives it
     def reduce(ens):
-        return (ens.first_path, ens.x[:, -1].copy(), ens.active,
-                big_jump_sums(_identity, ens, a, caps), len(ens.jump_time))
+        return (ens.x[:, -1].copy(), ens.active, big_jump_sums(_identity, ens, a, caps),
+                len(ens.jump_time))
 
+    x_end, active, sums, jumps = zip(*simulate_blocks(setup, reduce))
+    x_end, active = np.concatenate(x_end), np.concatenate(active)
+    sums, n_jumps = np.concatenate(sums, axis=1), sum(jumps)
     n = config.n_paths
-    x_end, active = np.empty(n), np.empty(n, dtype=bool)
-    sums = np.empty((1 + len(caps), n))
-    n_jumps = 0
-    for first, x_b, active_b, sums_b, jumps_b in simulate_blocks(setup, reduce):
-        rows = slice(first, first + len(x_b))
-        x_end[rows], active[rows], sums[:, rows] = x_b, active_b, sums_b
-        n_jumps += jumps_b
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
     echo = {"expected_verdict": expected, "gamma": float(gamma), "scale": float(scale)}
     n_active = int(np.sum(active))

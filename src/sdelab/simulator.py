@@ -7,7 +7,8 @@ by thinning a dominating Poisson stream.  Jumps below the cutoff are
 either dropped or replaced by a variance-matched Gaussian.  Paths map
 back through the inverse transform.  Every path owns a counter-derived
 random stream, so ensembles are reproducible path by path, and a run
-simulated in blocks of paths equals one run over all paths bit for bit.
+simulated in blocks of paths, on however many forked workers
+(``coefficients._walked``), equals one run over all paths bit for bit.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .coefficients import (_MIN_SHARE, CubicTable, ScaleTransform, _forked,
-                           _usable_cpus, transformed_diffusion)
+from .coefficients import CubicTable, ScaleTransform, _walked, transformed_diffusion
 from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
                      ValidationError)
 from .generator import _BLOCK, EquationX, PathFunctional
@@ -389,9 +389,9 @@ class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
     Under the identity transform ``x`` is ``y`` itself, one array that
-    nobody writes to.  The arrays of a dealt run (``simulate_y``) are
-    mapped shared with the children that later calls fork, which must not
-    write to them either.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
+    nobody writes to.  The arrays of a run over all paths (``simulate_y``)
+    are mapped shared with the children that later calls fork, which must
+    not write to them either.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
     final inversion, equal bit for bit to ``transform.forward(x)`` and
     ``transform.deriv(x)``; both are None under the identity transform.
     A jump record holds its row, time, pre-jump state of X and size in
@@ -410,7 +410,6 @@ class Ensemble:
     config: SimConfig
     hx: Optional[np.ndarray] = field(default=None, repr=False)
     hpx: Optional[np.ndarray] = field(default=None, repr=False)
-    first_path: int = 0  # run-wide index of row 0
 
     @property
     def n_paths(self):
@@ -433,8 +432,8 @@ class Ensemble:
 # the engine
 # ---------------------------------------------------------------------------
 
-# paths per block of a blocked run (``simulate_blocks``): one block's
-# ensemble is simulated, reduced and dropped before the next is drawn
+# paths per block of a run (``_blocks``): a block's private arrays are
+# dropped, or its ensemble reduced and dropped, before the next is drawn
 BLOCK_PATHS = 8192
 
 
@@ -497,7 +496,7 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
 def _check_exclusions(n_excluded, config: SimConfig):
     """Raise RangeError when more than ``max_exclusion_fraction`` of all
     the run's paths left the effective range."""
-    frac = 1.0 - (config.n_paths - n_excluded) / config.n_paths
+    frac = n_excluded / config.n_paths
     if frac > config.max_exclusion_fraction:
         raise RangeError(
             f"{frac:.2%} of paths left the tabulated range "
@@ -530,28 +529,41 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     default.  Path i draws only from the streams keyed by
     ``(master_seed, i)``, so the rows of a range equal the same rows of a
     run over all paths, bit for bit; ``jump_path`` counts rows from
-    ``paths.start``.  The ``max_exclusion_fraction`` check covers the whole
-    run, so it runs here only over all paths: a caller that simulates a
-    shorter range must count the exclusions of all its ranges and check
-    them itself, as ``simulate_blocks`` does.
+    ``paths.start``.  A range is simulated here, in this process, with no
+    ``max_exclusion_fraction`` check: that check covers a whole run, so
+    the caller of ranges counts their exclusions, as ``simulate_blocks``
+    does.
 
-    A run over all paths (``paths`` None) is dealt in contiguous shares of
-    paths to min(usable CPUs, grid values // ``_MIN_SHARE``) workers
-    (``_forked``), which write their rows into arrays mapped shared before
-    the fork; the ensemble equals the one-process run bit for bit.
+    A run over all paths (``paths`` None) goes through ``_blocks``, whose
+    blocks write their rows into arrays mapped shared before the fork (and
+    send back their jump records), so it equals the one-process run.
     """
-    config, workers = setup.config, 1
-    if paths is None:
-        paths = range(config.n_paths)
-        workers = min(_usable_cpus(), config.n_paths * (config.n_steps + 1) // _MIN_SHARE)
-    elif not (isinstance(paths, range) and paths.step == 1
-              and 0 <= paths.start < paths.stop <= config.n_paths):
-        raise ValidationError(f"paths must be a nonempty range within "
-                              f"range({config.n_paths}), got {paths!r}")
-    ens = _engine(setup, paths) if workers < 2 else _dealt(setup, workers)
-    if len(paths) == config.n_paths:
-        _check_exclusions(ens.excluded_count, config)
-    return ens
+    config = setup.config
+    if paths is not None:
+        if not (isinstance(paths, range) and paths.step == 1
+                and 0 <= paths.start < paths.stop <= config.n_paths):
+            raise ValidationError(f"paths must be a nonempty range within "
+                                  f"range({config.n_paths}), got {paths!r}")
+        return _engine(setup, paths)
+    P, n = config.n_paths, config.n_steps
+    run = {"y": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
+    images = not setup.chars.transform.is_identity
+    if images:
+        run.update((name, _shared((P, n + 1))) for name in ("x", "hx", "hpx"))
+
+    def block(paths):
+        part = _engine(setup, paths, run)
+        if images:
+            rows = slice(paths.start, paths.stop)
+            run["x"][rows], run["hx"][rows], run["hpx"][rows] = part.x, part.hx, part.hpx
+        return ((part.jump_path + paths.start, part.jump_time, part.jump_x_pre,
+                 part.jump_w), part.excluded_count)
+
+    jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block)))
+    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), y=run["y"],
+                    x=run.get("x", run["y"]), dW=run["dW"], active=run["active"],
+                    jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
+                    config=config, hx=run.get("hx"), hpx=run.get("hpx"))
 
 
 def _shared(shape, dtype=float):
@@ -563,33 +575,14 @@ def _shared(shape, dtype=float):
     return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
 
 
-def _dealt(setup: EngineSetup, workers: int) -> Ensemble:
-    """``_engine`` over all paths of the run, in ``workers`` contiguous
-    shares of paths: each share writes its rows of Y, dW, the active flags
-    and (under a non-identity transform) X, h(X) and h'(X) into arrays
-    mapped shared, and sends back only its jump records."""
+def _blocks(setup: EngineSetup, task: Callable) -> list:
+    """``result`` of ``task(paths) = (result, excluded count)`` for every
+    block of ``BLOCK_PATHS`` paths of the run, in path order (``_walked``),
+    after the ``max_exclusion_fraction`` check of all blocks' exclusions."""
     config = setup.config
-    P, n = config.n_paths, config.n_steps
-    run = {"y": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
-    images = not setup.chars.transform.is_identity
-    if images:
-        run.update((name, _shared((P, n + 1))) for name in ("x", "hx", "hpx"))
-
-    def share(paths):
-        part = _engine(setup, paths, run)
-        if images:
-            rows = slice(paths.start, paths.stop)
-            run["x"][rows], run["hx"][rows], run["hpx"][rows] = part.x, part.hx, part.hpx
-        return (part.jump_path + paths.start, part.jump_time, part.jump_x_pre,
-                part.jump_w)
-
-    edges = [P * k // workers for k in range(workers + 1)]
-    records = _forked(share, [range(a, b) for a, b in zip(edges, edges[1:])])
-    jp, jt, jx, jw = (np.concatenate(r) for r in zip(*records))
-    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), y=run["y"],
-                    x=run.get("x", run["y"]), dW=run["dW"], active=run["active"],
-                    jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
-                    config=config, hx=run.get("hx"), hpx=run.get("hpx"))
+    done = _walked(task, config.n_paths, config.n_steps + 1, BLOCK_PATHS)
+    _check_exclusions(sum(n for _, n in done), config)
+    return [r for r, _ in done]
 
 
 def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ensemble:
@@ -719,22 +712,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     normals *= sq_dt  # the recorded Brownian increments
     return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
-                    config=config, hx=HX, hpx=HPX, first_path=paths.start)
-
-
-def _reduced_blocks(setup: EngineSetup, reduce: Callable, blocks) -> tuple:
-    """``[(start, reduce(ensemble), excluded count)]`` of ``blocks`` in
-    order, and ``(start, exception)`` of the block that raised (None when
-    none did), which ends the list."""
-    done = []
-    for block in blocks:
-        try:
-            ens = simulate_y(setup, paths=block)
-            done.append((block.start, reduce(ens), ens.excluded_count))
-        except Exception as exc:
-            return done, (block.start, exc)
-        del ens  # before the next block is drawn
-    return done, None
+                    config=config, hx=HX, hpx=HPX)
 
 
 def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
@@ -743,28 +721,18 @@ def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
 
     Each block goes through ``simulate_y`` and is dropped once reduced, so
     a worker's memory holds one block plus whatever ``reduce`` keeps.  The
-    blocks are dealt round-robin to ``min(usable CPUs, blocks)`` workers
-    (``_forked``), so ``reduce`` may run in a child: it must return what
-    it keeps (writes to outside objects are lost there), copy the views it
-    keeps (a view holds its whole block), and its result must pickle.  The
-    exception of the first block that raises, in block order, is raised
-    here whichever worker ran it, as is one that pickling a child's result
-    raised.  Every child is joined before this returns or raises.  The
-    ``max_exclusion_fraction`` check counts the excluded paths of all
-    blocks.  The result does not depend on the number of workers.
+    blocks run on the forked workers of ``_blocks``, so ``reduce`` may run
+    in a child: it must return what it keeps (writes to outside objects
+    are lost there), copy the views it keeps (a view holds its whole
+    block), and its result must pickle.  The exception of the first block
+    that raises, in path order, is raised here, as is one that pickling a
+    child's result raised.  Every child is joined before this returns or
+    raises.  The result does not depend on the number of workers.
     """
-    config = setup.config
-    blocks = [range(start, min(start + BLOCK_PATHS, config.n_paths))
-              for start in range(0, config.n_paths, BLOCK_PATHS)]
-    workers = min(_usable_cpus(), len(blocks))
-    results = _forked(lambda share: _reduced_blocks(setup, reduce, share),
-                      [blocks[k::workers] for k in range(workers)])
-    failed = [f for _, f in results if f is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    done = sorted((d for part, _ in results for d in part), key=lambda d: d[0])
-    _check_exclusions(sum(n for _, _, n in done), config)
-    return [r for _, r, _ in done]
+    def block(paths):
+        ens = simulate_y(setup, paths=paths)
+        return reduce(ens), ens.excluded_count
+    return _blocks(setup, block)
 
 
 def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensemble:

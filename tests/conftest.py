@@ -72,8 +72,9 @@ def clamp1():
 
 @pytest.fixture(params=(1, 2, 3))
 def workers(request, monkeypatch):
-    """The engine and the martingale columns see this many usable CPUs."""
-    from sdelab import generator, simulator
-    for module in (simulator, generator):
-        monkeypatch.setattr(module, "_usable_cpus", lambda: request.param)
+    """Forked runs see this many usable CPUs, and runs of every size are
+    dealt to them."""
+    from sdelab import coefficients
+    monkeypatch.setattr(coefficients, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
     return request.param

@@ -328,6 +328,38 @@ class TestBlocks:
 # scale transform
 # ---------------------------------------------------------------------------
 
+class TestShares:
+    """``_shares`` deals the paths of a forked run in contiguous shares, one
+    per worker."""
+
+    @pytest.mark.parametrize("cpus", (1, 2, 3, 8))
+    @pytest.mark.parametrize("n_paths", (1, 2, 5, 7, 100, 1001))
+    def test_contiguous_cover_of_near_equal_sizes(self, cpus, n_paths, monkeypatch):
+        from sdelab import coefficients
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
+        shares = coefficients._shares(n_paths, 9)
+        # fewer paths than CPUs: one path per share
+        assert len(shares) == min(cpus, n_paths)
+        assert all(isinstance(s, range) and s.step == 1 for s in shares)
+        assert [i for s in shares for i in s] == list(range(n_paths))
+        sizes = [len(s) for s in shares]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    def test_min_share_boundary(self, monkeypatch):
+        # a share holds at least _MIN_SHARE grid values (paths x times)
+        from sdelab import coefficients
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 4)
+        m = coefficients._MIN_SHARE
+        below = (2 * m - 1) // 65
+        for n_paths, n_times, want in ((m - 1, 1, 1), (m, 1, 1), (2 * m - 1, 1, 1),
+                                       (2 * m, 1, 2), (3 * m, 1, 3), (100 * m, 1, 4),
+                                       (below, 65, 1), (below + 1, 65, 2), (1, 100 * m, 1)):
+            shares = coefficients._shares(n_paths, n_times)
+            assert len(shares) == want, (n_paths, n_times)
+            assert shares[0].start == 0 and shares[-1].stop == n_paths
+
+
 class TestScaleTransform:
     def test_zero_potential_gives_identity(self, flat_coeffs):
         tr = flat_coeffs.transform

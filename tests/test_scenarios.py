@@ -218,10 +218,9 @@ class TestRunScenario:
 
     def _check_never_written(self, name, diagnostics, monkeypatch):
         import hashlib
-        from sdelab import generator, scenarios, simulate_x_markovian, simulator
-        for module in (simulator, generator):
-            monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
-            monkeypatch.setattr(module, "_MIN_SHARE", 1)
+        from sdelab import coefficients, generator, scenarios, simulate_x_markovian
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         monkeypatch.setattr(generator, "_BLOCK", 7 * 33)  # 43 row blocks
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32,
                                            diagnostics=diagnostics))
@@ -242,23 +241,25 @@ class TestRunScenario:
                              ids=("atoms", "power_tail", "functional"))
     def test_martingale_columns_independent_of_worker_count(self, name, monkeypatch):
         import multiprocessing
-        from sdelab import generator, simulate_x_markovian
+        from sdelab import coefficients, generator, simulate_x_markovian
         from sdelab.scenarios import standard_profiles
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32))
         ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
         monkeypatch.setattr(generator, "_BLOCK", 7 * 33)  # 43 row blocks, the last short
-        monkeypatch.setattr(generator, "_MIN_SHARE", 1)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         made, table = [], generator._jump_table
         monkeypatch.setattr(generator, "_jump_table",
                             lambda *a: made.append(1) or table(*a))
         profiles, cols = standard_profiles()[:2], np.arange(33)
+        tables = generator.jump_tables(bundle.eq, profiles, ens.x)
         got = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(generator, "_usable_cpus", lambda: cpus)
-            got.append(generator.martingale_columns(bundle.eq, ens, profiles, cols))
+            monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
+            got.append(generator.martingale_columns(bundle.eq, ens, profiles, cols, tables))
             assert multiprocessing.active_children() == []
-        # a power tail's tables are built here, once per profile and run
-        assert len(made) == (3 * len(profiles) if name == "stable_jump" else 0)
+        # a power tail's tables are built by the caller, once per profile,
+        # and no worker builds another
+        assert len(made) == (len(profiles) if name == "stable_jump" else 0)
         (res, kappa), rest = got[0], got[1:]
         assert res.shape == (len(profiles), 300, 33)
         assert (kappa is None) == (name != "path_dependent_drift")
@@ -269,14 +270,13 @@ class TestRunScenario:
     @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift",
                                       "brownian_baseline", "stable_jump"))
     def test_martingale_report_independent_of_worker_count(self, name, monkeypatch):
-        from sdelab import generator, simulator
+        from sdelab import coefficients, generator
         monkeypatch.setattr(generator, "_BLOCK", 7 * 33)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         spec = ScenarioSpec(name=name, n_paths=300, n_steps=32, diagnostics=("martingale",))
         reports = []
         for cpus in (1, 2, 3):
-            for module in (simulator, generator):
-                monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
-                monkeypatch.setattr(module, "_MIN_SHARE", 1)
+            monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
             reports.append(report_json(run_scenario(spec)[0]))
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
@@ -344,10 +344,9 @@ class TestRunScenario:
         # mapped shared, so dealing adds nothing to this process's peak; a
         # child holds what it inherits plus its share
         code = ("import resource, sys\n"
-                "from sdelab import generator, simulator\n"
+                "from sdelab import coefficients\n"
                 "from sdelab.scenarios import ScenarioSpec, run_scenario\n"
-                "for module in (simulator, generator):\n"
-                "    module._usable_cpus = lambda: int(sys.argv[1])\n"
+                "coefficients._usable_cpus = lambda: int(sys.argv[1])\n"
                 "run_scenario(ScenarioSpec(name='atom_jump', n_paths=4000, n_steps=256))\n"
                 "print(*(resource.getrusage(who).ru_maxrss for who in"
                 " (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
@@ -619,13 +618,29 @@ class TestCounterexamples:
 
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_report_independent_of_worker_count(self, gamma, monkeypatch):
-        from sdelab import simulator
+        from sdelab import coefficients, simulator
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)
-        monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # 7 blocks, the last short
+        monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # blocks of 300, some short
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         reports = []
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
             reports.append(report_json(counterexample_stable(gamma, config=cfg)))
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.5))
+    def test_default_stable_report_independent_of_worker_count(self, gamma, monkeypatch):
+        # the default 4000 x 64 run is dealt to up to three workers
+        from sdelab import coefficients
+        shares = []
+        forked = coefficients._forked
+        monkeypatch.setattr(coefficients, "_forked",
+                            lambda task, parts: shares.append(len(parts)) or forked(task, parts))
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
+            reports.append(report_json(counterexample_stable(gamma)))
+        assert shares == [1, 2, 3]
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_stable_peak_memory_flat_in_paths(self):
@@ -953,7 +968,7 @@ class TestCLI:
         # martingale diagnostic reads them (stable_jump: the jump term's
         # table comes from all states, not from the written rows)
         import sdelab.cli as cli
-        from sdelab.generator import martingale_columns
+        from sdelab.generator import jump_tables, martingale_columns
         from sdelab.scenarios import standard_profiles
         from sdelab.simulator import simulate_x_markovian
         cli.main(["verify-martingale", "--name", name, "--paths", "60",
@@ -963,8 +978,9 @@ class TestCLI:
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=60, n_steps=16))
         eq = bundle.eq
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
-        M, kappa = martingale_columns(eq, ens, standard_profiles()[:1],
-                                      np.arange(len(ens.times)))
+        profiles = standard_profiles()[:1]
+        M, kappa = martingale_columns(eq, ens, profiles, np.arange(len(ens.times)),
+                                      jump_tables(eq, profiles, ens.x))
         kappa = np.ones(ens.n_paths) if kappa is None else kappa
         want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
                                 M[0, :3].ravel(), np.repeat(kappa[:3], 17)))

@@ -1,4 +1,5 @@
 """Monte Carlo engine: determinism, law oracles, weights, residuals."""
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -18,7 +19,7 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
                     clamped_running_sup, StableTailKernel, CoefficientSet,
                     PathFunctional, ScaleTransform, TruncationFunction,
                     build_characteristics, jump_ops)
-from sdelab import simulator
+from sdelab import coefficients, simulator
 
 from approximants import canonical_decomposition_residual, domain_approximant
 
@@ -299,8 +300,9 @@ def _merged(blocks, field):
     if field == "times" or parts[0] is None:
         assert all(np.array_equal(p, parts[0]) for p in parts)
         return parts[0]
-    if field == "jump_path":
-        parts = [b.first_path + p for b, p in zip(blocks, parts)]
+    if field == "jump_path":  # a block's rows count from its first path
+        starts = np.cumsum([0] + [b.n_paths for b in blocks[:-1]])
+        parts = [start + p for start, p in zip(starts, parts)]
     return np.concatenate(parts)
 
 
@@ -361,7 +363,8 @@ class TestBlocks:
         whole = simulate_y(engine_setup(chars, cfg, y0))
         assert len(whole.jump_time) > 10
         blocks = _blocked(chars, cfg, y0, block_paths, monkeypatch)
-        assert [b.first_path for b in blocks] == list(range(0, 40, block_paths))
+        assert [b.n_paths for b in blocks] == [len(r) for r in _block_ranges(cfg,
+                                                                            block_paths)]
         for field in ENSEMBLE_ARRAYS + ("jump_path",):
             want, got = getattr(whole, field), _merged(blocks, field)
             if want is None:
@@ -407,6 +410,29 @@ class TestBlocks:
         with pytest.raises(RangeError):
             simulate_y(engine_setup(chars, below, 0.0))
 
+    def test_exclusion_limit_is_inclusive(self, unit_diffusion, clamp1, monkeypatch):
+        # exactly max_exclusion_fraction of the paths may leave the range
+        chars, cfg = self._narrow_grid(unit_diffusion, clamp1)
+        excluded = simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
+        at = replace(cfg, max_exclusion_fraction=excluded / 100)
+        assert simulate_y(engine_setup(chars, at, 0.0)).excluded_count == excluded
+        assert sum(b.excluded_count for b in _blocked(chars, at, 0.0, 7,
+                                                       monkeypatch)) == excluded
+        one_less = replace(cfg, max_exclusion_fraction=(excluded - 1) / 100)
+        with pytest.raises(RangeError):
+            simulate_y(engine_setup(chars, one_less, 0.0))
+        with pytest.raises(RangeError):
+            _blocked(chars, one_less, 0.0, 7, monkeypatch)
+
+    @pytest.mark.parametrize("n_paths,limit", ((100, 0.01), (200, 0.01), (4000, 0.01),
+                                               (100, 0.29)))
+    def test_exclusion_check_at_the_limit(self, n_paths, limit):
+        cfg = replace(BROWNIAN_CFG, n_paths=n_paths, max_exclusion_fraction=limit)
+        at = round(n_paths * limit)
+        simulator._check_exclusions(at, cfg)
+        with pytest.raises(RangeError, match="of paths left the tabulated range"):
+            simulator._check_exclusions(at + 1, cfg)
+
     @pytest.mark.parametrize("paths", (range(0), range(3, 2), range(0, 41),
                                        range(-1, 4), range(0, 10, 2), (0, 1)))
     def test_bad_path_ranges_rejected(self, paths):
@@ -440,8 +466,10 @@ class TestBlocks:
         blocks = _blocked(chars, cfg, 0.0, 7, monkeypatch)
         excluded = sum(b.excluded_count for b in blocks)
         assert excluded == simulate_y(engine_setup(chars, cfg, 0.0)).excluded_count
-        # block k runs on worker k % workers
-        assert len({k % workers for k, b in enumerate(blocks) if b.excluded_count}) \
+        # the blocks of share k run on worker k
+        share_of = [k for k, share in enumerate(coefficients._shares(100, cfg.n_steps + 1))
+                    for _ in range(share.start, share.stop, 7)]
+        assert len({share_of[i] for i, b in enumerate(blocks) if b.excluded_count}) \
             >= min(workers, 2)
         above = replace(cfg, max_exclusion_fraction=(excluded + 0.5) / 100)
         assert sum(b.excluded_count for b in _blocked(chars, above, 0.0, 7,
@@ -452,6 +480,13 @@ class TestBlocks:
         _assert_no_child_left()
 
 
+def _block_ranges(cfg, block_paths):
+    """The blocks of a blocked run: each share walked from its first path."""
+    return [range(a, min(a + block_paths, share.stop))
+            for share in coefficients._shares(cfg.n_paths, cfg.n_steps + 1)
+            for a in range(share.start, share.stop, block_paths)]
+
+
 def _assert_no_child_left():
     assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError):
@@ -459,24 +494,31 @@ def _assert_no_child_left():
 
 
 class TestBlockWorkers:
-    """``simulate_blocks`` deals its blocks round-robin to min(usable CPUs,
-    blocks) workers: this process and children forked for the call."""
+    """``simulate_blocks`` deals its paths in contiguous shares to min(usable
+    CPUs, paths, grid values // ``_MIN_SHARE``) workers, this process and
+    children forked for the call, and each walks its share in blocks."""
 
     def _setup(self, n_paths, monkeypatch):
         monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
         cfg = replace(BROWNIAN_CFG, n_paths=n_paths, n_steps=8)
         return engine_setup(brownian_chars(), cfg, 0.0)
 
-    @pytest.mark.parametrize("n_paths", (40, 14))  # 6 and 2 blocks
+    @pytest.mark.parametrize("n_paths", (40, 14, 2))
     def test_one_process_per_worker(self, workers, n_paths, monkeypatch):
-        pids = simulator.simulate_blocks(self._setup(n_paths, monkeypatch),
-                                         lambda ens: os.getpid())
-        n_blocks = -(-n_paths // 7)
-        used = min(workers, n_blocks)
-        assert len(set(pids)) == used
-        assert pids == [pids[k % used] for k in range(n_blocks)]
-        assert pids[0] == os.getpid()
+        setup = self._setup(n_paths, monkeypatch)
+        pids = simulator.simulate_blocks(setup, lambda ens: os.getpid())
+        # each worker runs one contiguous run of blocks, this process the first
+        assert len(pids) == len(_block_ranges(setup.config, 7))
+        runs = [pid for pid, _ in itertools.groupby(pids)]
+        assert len(runs) == len(set(runs)) == min(workers, n_paths)
+        assert runs[0] == os.getpid()
         _assert_no_child_left()
+
+    def test_min_share_keeps_small_runs_here(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
+        pids = simulator.simulate_blocks(self._setup(40, monkeypatch),
+                                         lambda ens: os.getpid())
+        assert set(pids) == {os.getpid()} and len(pids) == 6
 
     def test_no_fork_while_another_thread_runs(self, workers, monkeypatch):
         stop = threading.Event()
@@ -490,25 +532,34 @@ class TestBlockWorkers:
             thread.join()
         assert set(pids) == {os.getpid()}
 
-    @pytest.mark.parametrize("failing", ((1,), (1, 2), (2, 3)))
+    @pytest.mark.parametrize("failing", ((1,), (1, 2), (2, 3), (3, 4), (5,)))
     def test_first_failing_block_raises_here(self, workers, failing, monkeypatch):
-        # with two or three workers block 1 runs in a child and block 2 in
-        # this process (two workers) or a child (three)
+        # with two workers blocks 0-2 run here and 3-5 in a child, with
+        # three workers blocks 0-1 here, 2-3 and 4-5 in two children; a
+        # block is known by its first row of Brownian increments
         from sdelab import ValidationError
+        setup = self._setup(40, monkeypatch)
+        whole = simulate_y(setup)
+        index = {whole.dW[r.start].tobytes(): k
+                 for k, r in enumerate(_block_ranges(setup.config, 7))}
 
         def reduce(ens):
-            if ens.first_path // 7 in failing:
-                raise ValidationError(f"block {ens.first_path // 7}")
-            return ens.first_path
+            k = index[ens.dW[0].tobytes()]
+            if k in failing:
+                raise ValidationError(f"block {k}")
+            return k
 
+        assert simulator.simulate_blocks(setup, lambda ens: index[ens.dW[0].tobytes()]) \
+            == list(range(6))
         with pytest.raises(ValidationError) as got:
-            simulator.simulate_blocks(self._setup(40, monkeypatch), reduce)
+            simulator.simulate_blocks(setup, reduce)
         assert type(got.value) is ValidationError
         assert str(got.value) == f"block {failing[0]}"
         _assert_no_child_left()
 
     def test_unpicklable_child_result_raised_here(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         local = lambda: None  # noqa: E731  (pickles by name, which it lacks)
         with pytest.raises(Exception) as want:
             pickle.dumps(local)
@@ -522,7 +573,8 @@ class TestBlockWorkers:
         # Python >= 3.12 warns when a process with more than one OS thread
         # forks; OpenBLAS stops its thread pool before a fork, and no other
         # thread may run
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: 0)
@@ -531,18 +583,18 @@ class TestBlockWorkers:
 
 def _one_process(setup, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(simulator, "_usable_cpus", lambda: 1)
+        m.setattr(coefficients, "_usable_cpus", lambda: 1)
         return simulate_y(setup)
 
 
 class TestDealtRun:
     """A run over all paths is dealt in contiguous shares of paths to
-    min(usable CPUs, grid values // ``_MIN_SHARE``) workers, and equals the
-    one-process run bit for bit."""
+    min(usable CPUs, paths, grid values // ``_MIN_SHARE``) workers, and
+    equals the one-process run bit for bit."""
 
     @pytest.fixture(autouse=True)
     def _every_size_dealt(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_MIN_SHARE", 1)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
 
     def _check_dealt(self, chars, cfg, y0, monkeypatch):
         setup = engine_setup(chars, cfg, y0)
@@ -555,7 +607,7 @@ class TestDealtRun:
                 assert b is None, field
             else:
                 assert b.dtype == a.dtype and np.array_equal(b, a), field
-        assert got.first_path == 0 and (got.x is got.y) == (want.x is want.y)
+        assert (got.x is got.y) == (want.x is want.y)
         _assert_no_child_left()
         return got
 
@@ -571,7 +623,7 @@ class TestDealtRun:
 
     def test_more_workers_than_cores(self, tanh_coeffs, atom_kernel, clamp1, monkeypatch):
         # six shares write disjoint rows of the shared arrays at once
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 6)
         chars, cfg, y0 = TestBlocks()._case("atom_tanh", tanh_coeffs, atom_kernel, clamp1)
         self._check_dealt(chars, cfg, y0, monkeypatch)
 
@@ -589,8 +641,8 @@ class TestDealtRun:
         chars, cfg = TestBlocks()._narrow_grid(unit_diffusion, clamp1)
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
         excluded = ens.excluded_count
-        edges = [100 * k // workers for k in range(workers + 1)]
-        per_share = [int(np.sum(~ens.active[a:b])) for a, b in zip(edges, edges[1:])]
+        per_share = [int(np.sum(~ens.active[share.start:share.stop]))
+                     for share in coefficients._shares(100, cfg.n_steps + 1)]
         assert sum(per_share) == excluded
         # from two workers on, no share alone passes the limit below
         assert max(per_share) < excluded or workers == 1
@@ -641,7 +693,7 @@ class TestDealtRun:
         _assert_no_child_left()
 
     def test_fork_gives_no_warning(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
         setup = engine_setup(brownian_chars(), replace(BROWNIAN_CFG, n_paths=40), 0.0)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -658,17 +710,17 @@ class TestDealtRun:
         def counted(task, parts):
             shares.append(len(parts))
             return [task(part) for part in parts]
-        for module in (simulator, generator):
-            monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
-            monkeypatch.setattr(module, "_MIN_SHARE", 2**16)
-            monkeypatch.setattr(module, "_forked", counted)
-        eq = EquationX(CoefficientSet.unit())
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(coefficients, "_MIN_SHARE", 2**16)
+        monkeypatch.setattr(coefficients, "_forked", counted)
+        eq, profiles = EquationX(CoefficientSet.unit()), standard_profiles()[:1]
         below = (2 * 2**16 - 1) // 129
-        for n_paths, want in ((below, [1]), (below + 1, [2, 2])):
+        for n_paths, want in ((below, [1, 1]), (below + 1, [2, 2])):
             shares.clear()
             cfg = replace(BROWNIAN_CFG, n_paths=n_paths, n_steps=128)
             ens = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
-            generator.martingale_columns(eq, ens, standard_profiles()[:1], [-1])
+            generator.martingale_columns(eq, ens, profiles, [-1],
+                                         generator.jump_tables(eq, profiles, ens.x))
             assert shares == want, n_paths
 
 
