@@ -388,14 +388,14 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
 class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
-    Under the identity transform ``x`` is ``y`` itself, one array that
-    nobody writes to.  The arrays of a run over all paths (``simulate_y``)
-    are mapped shared with the children that later calls fork, which must
-    not write to them either.  ``hx`` and ``hpx`` hold h(x) and h'(x) from the
-    final inversion, equal bit for bit to ``transform.forward(x)`` and
-    ``transform.deriv(x)``; both are None under the identity transform.
-    A jump record holds its row, time, pre-jump state of X and size in
-    the original coordinates.
+    Under the identity transform ``x`` is ``y`` itself, one array that nobody
+    writes to.  A run over all paths (``simulate_y``) writes its arrays,
+    ``x``, ``hx`` and ``hpx`` too, in place into memory mapped shared with the
+    children that later calls fork, which must not write to them either.
+    ``hx`` and ``hpx`` hold h(x) and h'(x) from the final inversion, equal bit
+    for bit to ``transform.forward(x)`` and ``transform.deriv(x)``; both are
+    None under the identity transform.  A jump record holds its row, time,
+    pre-jump state of X and size in the original coordinates.
     """
 
     times: np.ndarray = field(repr=False)
@@ -535,8 +535,8 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     does.
 
     A run over all paths (``paths`` None) goes through ``_blocks``, whose
-    blocks write their rows into arrays mapped shared before the fork (and
-    send back their jump records), so it equals the one-process run.
+    blocks write all their rows, X, h(X) and h'(X) too, in place into
+    arrays mapped shared before the fork, so it equals the one-process run.
     """
     config = setup.config
     if paths is not None:
@@ -547,15 +547,11 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         return _engine(setup, paths)
     P, n = config.n_paths, config.n_steps
     run = {"y": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
-    images = not setup.chars.transform.is_identity
-    if images:
+    if not setup.chars.transform.is_identity:
         run.update((name, _shared((P, n + 1))) for name in ("x", "hx", "hpx"))
 
     def block(paths):
         part = _engine(setup, paths, run)
-        if images:
-            rows = slice(paths.start, paths.stop)
-            run["x"][rows], run["hx"][rows], run["hpx"][rows] = part.x, part.hx, part.hpx
         return ((part.jump_path + paths.start, part.jump_time, part.jump_x_pre,
                  part.jump_w), part.excluded_count)
 
@@ -588,8 +584,8 @@ def _blocks(setup: EngineSetup, task: Callable) -> list:
 def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ensemble:
     """The engine of ``simulate_y`` over the range ``paths``, without the
     exclusion check.  With ``run``, a dict of arrays over all the run's
-    paths, Y, dW and the active flags are drawn in place into the rows
-    ``paths`` of ``run["y"]``, ``run["dW"]`` and ``run["active"]``."""
+    paths, the rows ``paths`` of its Y, dW, active flags and (under a
+    non-identity transform) X, h(X) and h'(X) are written in place."""
     chars, config, y0 = setup.chars, setup.config, setup.y0
     transform, functional, ops = chars.transform, chars.functional, setup.ops
     has_jumps = ops is not None
@@ -697,8 +693,12 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
 
     if transform.is_identity:
         X, HX, HPX = Y, None, None
-    else:
-        X, HX, HPX = transform.inverse(Y, images=True)
+    else:  # row blocks of about _BLOCK grid values bound the temporaries
+        X, HX, HPX = (np.empty((P, n + 1)) if run is None else run[k][rows]
+                      for k in ("x", "hx", "hpx"))
+        step = max(1, _BLOCK // (n + 1))
+        for r in (slice(a, a + step) for a in range(0, P, step)):
+            X[r], HX[r], HPX[r] = transform.inverse(Y[r], images=True)
     if acc_idx:
         sel = np.concatenate(acc_idx)
         order = _record_order(c_path[sel])

@@ -590,11 +590,14 @@ def _one_process(setup, monkeypatch):
 class TestDealtRun:
     """A run over all paths is dealt in contiguous shares of paths to
     min(usable CPUs, paths, grid values // ``_MIN_SHARE``) workers, and
-    equals the one-process run bit for bit."""
+    equals the one-process run bit for bit.  Each share inverts its rows
+    in blocks of about ``_BLOCK`` grid values; here a share spans several
+    such blocks, the last one short."""
 
     @pytest.fixture(autouse=True)
     def _every_size_dealt(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
+        monkeypatch.setattr(simulator, "_BLOCK", 100)  # 3 rows of 33, 5 of 17
 
     def _check_dealt(self, chars, cfg, y0, monkeypatch):
         setup = engine_setup(chars, cfg, y0)
@@ -608,6 +611,11 @@ class TestDealtRun:
             else:
                 assert b.dtype == a.dtype and np.array_equal(b, a), field
         assert (got.x is got.y) == (want.x is want.y)
+        if got.hx is not None:  # the row blocks join into one inversion
+            for ens in (want, got):
+                images = chars.transform.inverse(ens.y, images=True)
+                for field, image in zip(("x", "hx", "hpx"), images):
+                    assert np.array_equal(getattr(ens, field), image), field
         _assert_no_child_left()
         return got
 
@@ -722,6 +730,29 @@ class TestDealtRun:
             generator.martingale_columns(eq, ens, profiles, [-1],
                                          generator.jump_tables(eq, profiles, ens.x))
             assert shares == want, n_paths
+
+
+def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
+                                              monkeypatch):
+    # a one-share run inverts its row blocks straight into the shared rows
+    # of x, hx and hpx, which tracemalloc does not see: 4.2 MB of traced
+    # peak, where a private (3, paths, times) inversion copied into them
+    # held 28.0 MB.  "drop" keeps out the (paths, steps) small-jump
+    # normals of "gaussian_match", almost one such array by themselves.
+    import tracemalloc
+    monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 1)
+    chars, cfg, y0 = TestBlocks()._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
+    cfg = replace(cfg, n_paths=4000, n_steps=256, small_jump_mode="drop")
+    setup = engine_setup(chars, cfg, y0)
+    tracemalloc.start()
+    try:
+        ens = simulate_y(setup)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_array = ens.y.nbytes
+    assert ens.hx is not None and len(ens.jump_time) > 1000
+    assert peak < one_array, (peak, one_array)
 
 
 # ---------------------------------------------------------------------------
