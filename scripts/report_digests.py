@@ -16,7 +16,7 @@ from sdelab import (ScenarioSpec, counterexample_cauchy, counterexample_stable,
                     run_scenario, scenario_names)
 from sdelab.scenarios import report_json
 
-# every diagnostic but crosscheck_euler, which needs a scenario without jumps
+# every diagnostic but law, which needs a scenario without jumps
 ATOM_JUMP_DIAGNOSTICS = ("martingale", "qv", "gamma", "girsanov", "compensator",
                          "conjugation", "dirichlet")
 

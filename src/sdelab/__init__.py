@@ -14,7 +14,7 @@ from .generator import (CagladPath, EquationX, GeneratorValue, PathFunctional,
                         clamped_running_sup, conjugation_residual,
                         constant_functional, evaluate_generator,
                         evaluate_transformed_generator, generator_state,
-                        girsanov_weight, martingale_residual_ensemble,
+                        girsanov_weight, law_reference, martingale_residual_ensemble,
                         resolve_functional, sin_left_limit, zero_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel,
                       StableTailKernel, TabulatedKernel, TiltedKernelReport,
@@ -29,8 +29,7 @@ from .scenarios import (RunReport, ScenarioSpec, counterexample_cauchy,
                         run_scenario, scenario_names, standard_profiles)
 from .simulator import (CharacteristicsY, EngineSetup, Ensemble, JumpOps,
                         SimConfig, build_characteristics, compensator_residual,
-                        engine_setup, jump_ops,
-                        simulate_blocks, simulate_euler_direct,
+                        engine_setup, jump_ops, simulate_blocks,
                         simulate_x_markovian, simulate_y, weighted_expectation)
 
 __version__ = "0.1.0"

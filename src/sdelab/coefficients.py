@@ -167,33 +167,17 @@ class CubicTable:
 
 @dataclass
 class DriftSpec:
-    """Drift given through its continuous antiderivative.
-
-    ``beta_prime`` is optional and only present when the drift happens to
-    be a classical function; it is used for cross-checks, never for the
-    potential construction.  ``beta`` may be called from several threads
-    at once, which a pure numpy function allows.
-    """
+    """Drift given through its continuous antiderivative ``beta``, which is
+    never differentiated (the drift may be a distribution).  ``beta`` may be
+    called from several threads at once, which a pure numpy function allows."""
 
     beta: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def validate(self):
-        probes = (-1.0, 0.0, 0.7)
-        for p in probes:
+        for p in (-1.0, 0.0, 0.7):
             v = float(np.asarray(self.beta(np.asarray(p))))
             if not np.isfinite(v):
                 raise ValueError(f"beta not finite at {p}")
-        if self.beta_prime is not None:
-            eps = 1e-6
-            for p in probes:
-                num = (float(self.beta(np.asarray(p + eps)))
-                       - float(self.beta(np.asarray(p - eps)))) / (2 * eps)
-                ref = float(np.asarray(self.beta_prime(np.asarray(p))))
-                if abs(num - ref) > 1e-3 * (1.0 + abs(ref)):
-                    raise ValueError(
-                        f"beta_prime inconsistent with beta at {p}: {num} vs {ref}"
-                    )
 
 
 @dataclass
@@ -845,8 +829,7 @@ class CoefficientSet:
     @classmethod
     def unit(cls):
         """sigma == 1, beta == 0 with the exact identity transform."""
-        drift = DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                          beta_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        drift = DriftSpec(beta=lambda x: np.zeros_like(np.asarray(x, dtype=float)))
         diffusion = DiffusionSpec(sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                                   sigma_min=1.0, sigma_max=1.0)
         return cls(drift=drift, diffusion=diffusion,

@@ -16,8 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientSet, ConjugateTestFunction, CubicTable,
-                           _walked, local_generator, transformed_diffusion)
+from ._quad import gauss_legendre
+from .coefficients import (_SEG_NODES, CoefficientSet, ConjugateTestFunction,
+                           CubicTable, _segment_points, _walked, local_generator,
+                           transformed_diffusion)
 from .errors import MissingDriverRecord, ValidationError
 from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
@@ -262,6 +264,32 @@ def conjugation_residual(phi: ConjugateTestFunction, eq: EquationX, path: Caglad
     y_path = CagladPath(path.times, eq.coeffs.transform.forward(path.values))
     rhs = evaluate_transformed_generator(phi, eq, y_path, t).total
     return abs(lhs - rhs)
+
+
+def law_reference(eq: EquationX, x0, horizon, gs, nodes) -> np.ndarray:
+    """E[g(X_T) | X_0 = x0] at T = ``horizon`` for each g of ``gs``, without
+    kernel or drift functional and with a constant sigma: the generator in
+    Feller form, (1/m) (f'/s)' with s = exp(-2 (beta - beta(0)) / sigma^2) and
+    m = 2 / (sigma^2 s), as the reflected birth-death chain of Etore (2006) on
+    ``nodes`` uniform nodes over the transform's domain.  Its rates come from
+    the cells' scale and speed integrals by the potential's Gauss rule (a
+    node's mass is half of each adjacent cell's), never from beta'.  It is
+    reversible under the masses, so one ``eigh`` solves it exactly in time;
+    linear interpolation at x0 keeps the error second order in the spacing."""
+    beta, sigma2 = eq.coeffs.drift.beta, eq.coeffs.diffusion.sigma_min ** 2
+    grid = np.linspace(*eq.coeffs.transform.domain, nodes)
+    gx, gw = gauss_legendre(_SEG_NODES)
+    pts, half = _segment_points(grid, gx)
+    pot = 2.0 * (beta(pts) - beta(np.zeros(1))) / sigma2
+    rate = 1.0 / ((np.exp(-pot) @ gw) * half)  # 1 / the scale integral of a cell
+    speed = (np.exp(pot) @ gw) * half * (2.0 / sigma2)
+    r = 1.0 / np.sqrt(0.5 * (np.pad(speed, (0, 1)) + np.pad(speed, (1, 0))))  # mass^-1/2
+    k = np.diag(rate, 1) + np.diag(rate, -1)
+    np.fill_diagonal(k, -k.sum(axis=1))
+    lam, v = np.linalg.eigh(r[:, None] * k * r)
+    g = np.stack([fn(grid) for fn in gs], axis=-1) / r[:, None]
+    u = r[:, None] * (v @ (np.exp(horizon * lam)[:, None] * (v.T @ g)))
+    return np.array([np.interp(x0, grid, col) for col in u.T])
 
 
 # ---------------------------------------------------------------------------

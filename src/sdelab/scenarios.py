@@ -21,15 +21,14 @@ from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
 from .errors import IoError, ValidationError
 from .generator import (CagladPath, EquationX, constant_functional,
                         conjugation_residual, girsanov_weight, jump_tables,
-                        martingale_columns, resolve_functional)
+                        law_reference, martingale_columns, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
                        dirichlet_condition_intY, gamma_residual_qv, qv_sweep)
 from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
                         compensator_residual, engine_setup, is_finite_real,
-                        simulate_blocks, simulate_euler_direct,
-                        simulate_x_markovian, weighted_expectation)
+                        simulate_blocks, simulate_x_markovian, weighted_expectation)
 
 SCHEMA_VERSION = 1
 
@@ -85,16 +84,11 @@ def _unit_sigma(x):
 
 
 def _linear_drift(slope):
-    return DriftSpec(beta=lambda x: slope * np.asarray(x, dtype=float),
-                     beta_prime=lambda x: np.full_like(
-                         np.asarray(x, dtype=float), slope))
+    return DriftSpec(beta=lambda x: slope * np.asarray(x, dtype=float))
 
 
 def _tanh_drift(amp=0.6, width=2.0):
-    return DriftSpec(
-        beta=lambda x: amp * np.tanh(np.asarray(x, dtype=float) / width),
-        beta_prime=lambda x: (amp / width) / np.cosh(
-            np.asarray(x, dtype=float) / width) ** 2)
+    return DriftSpec(beta=lambda x: amp * np.tanh(np.asarray(x, dtype=float) / width))
 
 
 def weierstrass_beta(n_terms=9, holder=0.5, lacunarity=2.0):
@@ -126,7 +120,7 @@ def _unit_diffusion():
 
 def _build_brownian():
     grid = np.linspace(-8.0, 8.0, 641)
-    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta),
+    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
         name="brownian_baseline", eq=EquationX(coeffs), x0=0.0,
@@ -144,7 +138,7 @@ def _build_smooth_drift():
         name="smooth_drift_crosscheck", eq=EquationX(coeffs), x0=0.0,
         sim=SimConfig(horizon=1.0, n_steps=256, n_paths=4000, master_seed=5,
                       big_jump_intensity_bound=0.0),
-        diagnostics=("crosscheck_euler", "martingale"),
+        diagnostics=("law", "martingale"),
     )
 
 
@@ -190,7 +184,7 @@ def _build_stable_jump(gamma=1.5, scale=0.5):
 
 def _build_path_dependent():
     grid = np.linspace(-8.0, 8.0, 641)
-    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta, beta_prime=_zero_beta),
+    coeffs = CoefficientSet.build(DriftSpec(beta=_zero_beta),
                                   _unit_diffusion(), MollifierConfig(), grid)
     return ScenarioBundle(
         name="path_dependent_drift",
@@ -459,25 +453,28 @@ def _diag_conjugation(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult
     return DiagnosticResult("conjugation", _status(worst < 1e-6), worst, 1e-6, {})
 
 
-def _diag_crosscheck_euler(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    """Transform route against plain Euler with the classical drift."""
-    bp = bundle.eq.coeffs.drift.beta_prime
-    direct = simulate_euler_direct(bp, bundle.eq.coeffs.diffusion.sigma,
-                                   replace(bundle.sim,
-                                           master_seed=bundle.sim.master_seed + 1000),
-                                   bundle.x0)
-    a, b = ens.terminal_x(), direct.terminal_x()
-    z_mean = abs(np.mean(a) - np.mean(b)) / np.sqrt(
-        np.var(a, ddof=1) / len(a) + np.var(b, ddof=1) / len(b))
-    va, vb = np.var(a, ddof=1), np.var(b, ddof=1)
-    se_va = np.sqrt((np.mean((a - a.mean()) ** 4) - va**2) / len(a))
-    se_vb = np.sqrt((np.mean((b - b.mean()) ** 4) - vb**2) / len(b))
-    z_var = abs(va - vb) / np.sqrt(se_va**2 + se_vb**2)
-    return _z_gate("crosscheck_euler", [z_mean, z_var], 3.0, min(len(a), len(b)),
-                   {"mean_transform_route": float(np.mean(a)),
-                    "mean_direct_euler": float(np.mean(b)),
-                    "var_transform_route": float(va),
-                    "var_direct_euler": float(vb)})
+# bounded functions of X_T whose means ``law`` checks against the exact law,
+# and the nodes of that law's reference and of the coarser one that checks it
+_LAW_FUNCTIONS = {"cos": np.cos, "sin": np.sin, "tanh": np.tanh}
+_LAW_NODES = (801, 401)
+
+
+def _diag_law(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
+    """Means of bounded functions of X_T against the exact law
+    (``law_reference``); inconclusive when the coarser reference is more than
+    0.1 standard errors of a mean away from the finer."""
+    xt = ens.terminal_x()
+    vals = np.stack([g(xt) for g in _LAW_FUNCTIONS.values()])
+    mean, se = np.mean(vals, axis=1), np.std(vals, axis=1, ddof=1) / np.sqrt(len(xt))
+    ref, coarse = (law_reference(bundle.eq, bundle.x0, bundle.sim.horizon,
+                                 list(_LAW_FUNCTIONS.values()), n) for n in _LAW_NODES)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z, gap = (mean - ref) / se, float(np.max(np.abs(ref - coarse) / se))
+    details = {f"{name}_{key}": float(v) for name, *row in zip(_LAW_FUNCTIONS, mean, ref, z)
+               for key, v in zip(("mean", "reference", "z"), row)}
+    details["reference_gap_se"] = gap
+    result = _z_gate("law", np.abs(z), 3.0, len(xt), details)
+    return result if gap <= 0.1 else replace(result, status="inconclusive")
 
 
 _DIRICHLET_STATUS = {"inconsistent": "fail", "inconclusive": "inconclusive",
@@ -505,7 +502,7 @@ _DIAGNOSTICS: dict = {
     "girsanov": (_diag_girsanov, 3.0),
     "compensator": (_diag_compensator, 3.0),
     "conjugation": (_diag_conjugation, None),
-    "crosscheck_euler": (_diag_crosscheck_euler, 3.0),
+    "law": (_diag_law, 3.0),
     "dirichlet": (_diag_dirichlet, np.inf),
 }
 
@@ -599,12 +596,11 @@ def _check_diagnostics(bundle: ScenarioBundle):
     if "conjugation" in diags and isinstance(eq.kernel, StableTailKernel):
         raise ValidationError("the conjugation diagnostic needs a kernel with atoms, "
                               "not a power tail")
-    if "crosscheck_euler" in diags:
-        if eq.coeffs.drift.beta_prime is None:
-            raise ValidationError("cross-check needs a classical drift")
-        # the Euler route has no jumps, so a comparison with jumps is vacuous
-        if eq.kernel is not None:
-            raise ValidationError("cross-check needs a scenario without jumps")
+    diffusion = eq.coeffs.diffusion
+    if "law" in diags and (eq.kernel is not None or eq.functional is not None
+                           or diffusion.sigma_min != diffusion.sigma_max):
+        raise ValidationError("the law diagnostic needs no jump kernel, no drift "
+                              "functional and a constant sigma")
 
 
 def run_scenario(spec: ScenarioSpec) -> tuple:

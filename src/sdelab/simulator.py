@@ -1,6 +1,6 @@
 """Monte Carlo engine for the transformed equation.
 
-The transformed state is advanced by an Euler step carrying drift
+The transformed state is advanced by an explicit first-order step carrying drift
 (including the truncation-compensator correction for jumps that are
 simulated explicitly), the transformed diffusion, and big jumps produced
 by thinning a dominating Poisson stream.  Jumps below the cutoff are
@@ -27,11 +27,8 @@ from .generator import _BLOCK, EquationX, PathFunctional
 from .kernels import Kernel, StableTailKernel, TruncationFunction, has_atoms
 
 
-def _as_vec(fn_or_const):
-    if callable(fn_or_const):
-        return lambda y: np.asarray(fn_or_const(np.asarray(y, dtype=float)), dtype=float)
-    c = float(fn_or_const)
-    return lambda y: np.full_like(np.asarray(y, dtype=float), c)
+def _zero(y):
+    return np.zeros_like(np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +186,13 @@ class JumpOps:
     leading axis of length 3.  ``sample(y_pre, u1, u2)`` returns the sizes
     ``(z, w)`` of accepted big jumps in transformed and original
     coordinates from each candidate's two size uniforms, so a jump reads
-    only its own path's stream.
+    only its own path's stream.  ``small_jumps`` is False when the
+    small-jump variance is zero at every state by the kernel's structure.
     """
 
     profiles: Callable
     sample: Callable
+    small_jumps: bool
 
 
 def _constant_profiles(rate, kdelta, small_var):
@@ -223,12 +222,10 @@ def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
                 "power-tail kernels need the identity transform: their support "
                 "exceeds any finite transform table"
             )
-        profiles, sample = _stable_ops(k, delta)
-    elif has_atoms(k):
-        profiles, sample = _atom_kernel_ops(k, transform, delta, trunc)
-    else:
-        raise ValidationError(f"unsupported kernel type {type(k).__name__}")
-    return JumpOps(profiles, sample)
+        return JumpOps(*_stable_ops(k, delta))
+    if has_atoms(k):
+        return JumpOps(*_atom_kernel_ops(k, transform, delta, trunc))
+    raise ValidationError(f"unsupported kernel type {type(k).__name__}")
 
 
 def _stable_ops(kernel: StableTailKernel, delta):
@@ -243,7 +240,7 @@ def _stable_ops(kernel: StableTailKernel, delta):
     def sample(y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z
-    return _constant_profiles(rate, 0.0, svar), sample
+    return _constant_profiles(rate, 0.0, svar), sample, svar != 0.0
 
 
 def _atom_kernel_ops(kernel, transform, delta, trunc):
@@ -258,8 +255,9 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     positions and the big/small class of each is uniform over the working
     range, the profiles are smooth, so they are tabulated once and
     interpolated (the per-step exact evaluation costs a transform
-    inversion, which dominates the whole engine).  Size sampling is always
-    exact.
+    inversion, which dominates the whole engine), and when every atom is big
+    at every node the third result says the table's small-jump variance is
+    zero.  Size sampling is always exact.
     """
     def rows(y):
         """The atoms at the states of 1-d y, their sizes in transformed
@@ -284,12 +282,12 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
                         atoms.sum(z**2 * m * ~big)])
         return out.reshape((3,) + y.shape)
 
-    profiles = exact
+    profiles, small_jumps = exact, True
     if not transform.is_identity:
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
         atoms, _, big = rows(ys)
         if atoms.fixed and np.all(big == big[:1, :]):
-            profiles = CubicTable(ys, exact(ys))
+            profiles, small_jumps = CubicTable(ys, exact(ys)), not np.all(big)
 
     def sample(y_pre, u1, u2):
         y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
@@ -301,7 +299,7 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
         j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)[:, None]
         return (np.take_along_axis(z, j, axis=-1)[:, 0],
                 np.take_along_axis(pos, j, axis=-1)[:, 0])
-    return profiles, sample
+    return profiles, sample, small_jumps
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +362,7 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
         sigma0 = CubicTable(ys_full, transformed_diffusion(transform, diffusion, ys_full))
 
     if kernel is None or transform.is_identity:
-        b = _as_vec(0.0)  # without jumps, or under the identity, no correction
+        b = _zero  # without jumps, or under the identity, no correction
     else:
         # a power tail fails here (RangeError): no finite table holds its
         # support.  For atoms, the defining integral of drift_correction,
@@ -598,13 +596,14 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     sq_dt = np.sqrt(dt)
     times = np.linspace(0.0, T, n + 1)
     lam_max = config.big_jump_intensity_bound
-    use_gauss = has_jumps and config.small_jump_mode == "gaussian_match"
+    use_gauss = has_jumps and ops.small_jumps and config.small_jump_mode == "gaussian_match"
 
     # per-path noise, drawn in place in a fixed order from the path's own
     # stream: n normals, n small-jump normals, the candidate count k, then
     # one block of 4k uniforms holding k candidate times (scaled by T), k
     # acceptance uniforms, k size uniforms u1 and k size uniforms u2.
-    # Small-jump normals nobody reads all go to one reused row, which keeps
+    # Small-jump normals nobody reads (under "drop", or when the small-jump
+    # variance is zero everywhere) all go to one reused row, which keeps
     # the later draws in place.
     normals = np.empty((P, n)) if run is None else run["dW"][rows]
     small_normals = np.empty((P if use_gauss else 1, n))
@@ -742,12 +741,6 @@ def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensembl
     chars = build_characteristics(replace(eq, functional=None))
     y0 = float(np.asarray(eq.coeffs.transform.forward(np.asarray(x0))))
     return simulate_y(engine_setup(chars, config, y0))
-
-
-def simulate_euler_direct(drift, sigma, config: SimConfig, x0: float) -> Ensemble:
-    """Plain Euler reference for classical-coefficient cross-checks."""
-    chars = CharacteristicsY(b=_as_vec(drift), sigma0=_as_vec(sigma))
-    return simulate_y(engine_setup(chars, config, x0))
 
 
 # ---------------------------------------------------------------------------

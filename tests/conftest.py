@@ -24,7 +24,7 @@ def unit_diffusion():
 def flat_coeffs(unit_diffusion):
     """sigma == 1, beta == 0, transform built through the full pipeline."""
     grid = np.linspace(-6.0, 6.0, 481)
-    drift = DriftSpec(beta=zero_beta, beta_prime=zero_beta)
+    drift = DriftSpec(beta=zero_beta)
     return CoefficientSet.build(drift, unit_diffusion, MollifierConfig(), grid)
 
 
@@ -32,9 +32,7 @@ def flat_coeffs(unit_diffusion):
 def linear_coeffs(unit_diffusion):
     """beta = 0.3 x, so the potential is 0.6 x exactly."""
     grid = np.linspace(-6.0, 6.0, 721)
-    drift = DriftSpec(beta=lambda x: 0.3 * np.asarray(x, dtype=float),
-                      beta_prime=lambda x: np.full_like(
-                          np.asarray(x, dtype=float), 0.3))
+    drift = DriftSpec(beta=lambda x: 0.3 * np.asarray(x, dtype=float))
     return CoefficientSet.build(drift, unit_diffusion, MollifierConfig(), grid)
 
 
@@ -42,9 +40,7 @@ def linear_coeffs(unit_diffusion):
 def tanh_coeffs(unit_diffusion):
     """Bounded nonlinear potential 1.2 tanh(x/2): nontrivial, globally safe."""
     grid = np.linspace(-8.0, 8.0, 801)
-    drift = DriftSpec(
-        beta=lambda x: 0.6 * np.tanh(np.asarray(x, dtype=float) / 2.0),
-        beta_prime=lambda x: 0.3 / np.cosh(np.asarray(x, dtype=float) / 2.0) ** 2)
+    drift = DriftSpec(beta=lambda x: 0.6 * np.tanh(np.asarray(x, dtype=float) / 2.0))
     return CoefficientSet.build(drift, unit_diffusion, MollifierConfig(), grid)
 
 

@@ -262,18 +262,28 @@ def test_c09_girsanov(brownian_10k):
 
 
 # ---------------------------------------------------------------------------
-# 10. transform route against direct Euler for a classical drift
+# 10. transform route against the exact law for a classical drift
 # ---------------------------------------------------------------------------
 
 def test_c10_smooth_drift_crosscheck():
     spec = ScenarioSpec(name="smooth_drift_crosscheck", n_paths=10_000,
-                        n_steps=256, diagnostics=("crosscheck_euler",))
-    report, _ = run_scenario(spec)
+                        n_steps=256, diagnostics=("law",))
+    report, ens = run_scenario(spec)
     diag = report.diagnostics[0]
-    _criterion(10, "smooth-drift cross-validation", diag.statistic < 3.0,
-               f"worst |z| {diag.statistic:.2f} over terminal mean and variance; "
-               f"means {diag.details['mean_transform_route']:.4f} vs "
-               f"{diag.details['mean_direct_euler']:.4f}")
+    # X_1 is N(0.3, 1): the terminal mean and variance against their closed
+    # forms, and the law diagnostic's references against E cos X_1, E sin X_1
+    xt = ens.terminal_x()
+    n, mean, var = len(xt), np.mean(xt), np.var(xt, ddof=1)
+    z_mean = abs(mean - 0.3) / np.sqrt(var / n)
+    z_var = abs(var - 1.0) / np.sqrt((np.mean((xt - mean) ** 4) - var**2) / n)
+    ref_gap = max(abs(diag.details["cos_reference"] - np.cos(0.3) * np.exp(-0.5)),
+                  abs(diag.details["sin_reference"] - np.sin(0.3) * np.exp(-0.5)))
+    worst = max(diag.statistic, z_mean, z_var)
+    ok = diag.status == "pass" and worst < 3.0 and ref_gap < 1e-4
+    _criterion(10, "smooth-drift exact law", ok,
+               f"worst |z| {worst:.2f} over E cos, E sin, E tanh, mean and "
+               f"variance of X_1; mean {mean:.4f} vs 0.3; reference off the "
+               f"closed form by {ref_gap:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from sdelab import (CagladPath, CoefficientSet, ConjugateTestFunction, EquationX
                     clamped_running_sup, conjugation_residual,
                     constant_functional, evaluate_generator,
                     evaluate_transformed_generator,
-                    generator_state, local_generator,
+                    generator_state, law_reference, local_generator,
                     martingale_residual_ensemble, resolve_functional,
                     simulate_x_markovian, sin_left_limit, standard_profiles,
                     zero_functional, ValidationError)
@@ -386,3 +386,25 @@ class TestBallModulus:
         slope = est.slope()
         assert 0.5 < slope < 1.05
         assert np.all(est.sups <= est.deltas + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the exact law reference
+# ---------------------------------------------------------------------------
+
+class TestLawReference:
+    @pytest.mark.parametrize("name, mu", (("brownian_baseline", 0.0),
+                                          ("smooth_drift_crosscheck", 0.3)))
+    def test_second_order_against_the_normal_law(self, name, mu):
+        # beta = mu x and sigma = 1 from 0: X_1 is N(mu, 1), so E cos X_1 =
+        # cos(mu) e^(-1/2) and E sin X_1 = sin(mu) e^(-1/2); each halving of
+        # the node spacing quarters the error
+        eq = build_bundle(ScenarioSpec(name=name)).eq
+        exact = np.array([np.cos(mu), np.sin(mu)]) * np.exp(-0.5)
+        errs = np.abs([law_reference(eq, 0.0, 1.0, (np.cos, np.sin), n) - exact
+                       for n in (401, 801, 1601)])
+        assert np.all(errs[1] < 3e-5), errs
+        real = errs[0] > 1e-9  # E sin X_1 = 0 by symmetry when mu = 0
+        ratios = errs[:-1, real] / errs[1:, real]
+        assert np.all((3.8 < ratios) & (ratios < 4.2)), ratios
+        assert np.all(errs[:, ~real] < 1e-9), errs

@@ -167,6 +167,30 @@ class TestHardOrdering:
             run_scenario(ScenarioSpec(name="stable_jump", diagnostics=("conjugation",)))
         assert not called
 
+    @pytest.mark.parametrize("name", ("stable_jump", "atom_jump", "path_dependent_drift",
+                                      "varying_sigma"))
+    def test_law_needs_no_kernel_no_functional_and_a_constant_sigma(self, name,
+                                                                    monkeypatch):
+        # the exact law has none of these: rejected before the gate and the paths
+        from dataclasses import replace
+
+        import sdelab.scenarios as sc
+        from sdelab import DiffusionSpec
+        if name == "varying_sigma":
+            base = sc._build_brownian()
+            coeffs = replace(base.eq.coeffs, diffusion=DiffusionSpec(
+                sigma=sc._unit_sigma, sigma_min=0.5, sigma_max=1.0))
+            bundle = replace(base, eq=replace(base.eq, coeffs=coeffs))
+            monkeypatch.setitem(sc._REGISTRY, name, lambda: bundle)
+        called = []
+        monkeypatch.setattr(sc, "_hypothesis_section", lambda *a: called.append(1))
+        monkeypatch.setattr(sc, "simulate_x_markovian",
+                            lambda *a, **k: called.append(2))
+        with pytest.raises(ValidationError, match="the law diagnostic needs no jump "
+                           "kernel, no drift functional and a constant sigma"):
+            run_scenario(ScenarioSpec(name=name, diagnostics=("law",)))
+        assert not called
+
 
 class TestRunScenario:
     def test_brownian_baseline_passes(self):
@@ -184,12 +208,31 @@ class TestRunScenario:
         assert report.status == "pass"
 
     def test_smooth_drift_crosscheck_passes(self):
+        # X_1 is N(0.3, 1): E cos X_1 = cos(0.3) e^(-1/2), E sin X_1 = sin(0.3) e^(-1/2)
         spec = ScenarioSpec(name="smooth_drift_crosscheck", n_paths=3000,
-                            n_steps=128, diagnostics=("crosscheck_euler",))
+                            n_steps=128, diagnostics=("law",))
         report, _ = run_scenario(spec)
         assert report.status == "pass"
         det = report.diagnostics[0].details
-        assert abs(det["mean_transform_route"] - det["mean_direct_euler"]) < 0.1
+        for name, exact in (("cos", np.cos(0.3)), ("sin", np.sin(0.3))):
+            assert abs(det[f"{name}_reference"] - exact * np.exp(-0.5)) < 1e-4
+            assert abs(det[f"{name}_mean"] - exact * np.exp(-0.5)) < 0.1
+
+    def test_law_is_inconclusive_when_the_grids_disagree(self, monkeypatch):
+        # an 11-node reference is far more than 0.1 standard errors off
+        import sdelab.scenarios as sc
+        spec = ScenarioSpec(name="smooth_drift_crosscheck", diagnostics=("law",), **SMALL)
+        d = run_scenario(spec)[0].diagnostics[0]
+        assert d.status == "pass" and d.details["reference_gap_se"] < 0.1
+        monkeypatch.setattr(sc, "_LAW_NODES", (801, 11))
+        d = run_scenario(spec)[0].diagnostics[0]
+        assert d.status == "inconclusive" and d.details["reference_gap_se"] > 0.1
+
+    @pytest.mark.xfail(strict=True, reason="the engine's step bias on the rough "
+                       "drift: cos z -12.7, sin z +13.8, tanh z +14.0")
+    def test_weierstrass_drift_passes_law_at_its_registry_default(self):
+        spec = ScenarioSpec(name="weierstrass_drift", diagnostics=("law",))
+        assert run_scenario(spec)[0].status == "pass"
 
     def test_girsanov_diagnostic_path_dependent(self):
         spec = ScenarioSpec(name="path_dependent_drift", n_paths=2000, n_steps=128,
@@ -393,8 +436,7 @@ class TestFailClosed:
                                            ("brownian_baseline", "qv"),
                                            ("brownian_baseline", "gamma"),
                                            ("atom_jump", "compensator"),
-                                           ("smooth_drift_crosscheck",
-                                            "crosscheck_euler"),
+                                           ("smooth_drift_crosscheck", "law"),
                                            ("brownian_baseline", "dirichlet"),
                                            ("atom_jump", "dirichlet"),
                                            ("stable_jump", "dirichlet")))
@@ -703,9 +745,9 @@ class TestCLI:
          "io error: cannot read configuration"),
         (["run", "--config", "{tmp}/s.yaml"], "scenario: [\n", 2, "is not valid YAML"),
         (["run", "--config", "{tmp}/s.yaml"], b"\xff\xfe\x00", 2, "is not valid YAML"),
-        (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: weierstrass_drift\n"
+        (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: smooth_drift_crosscheck\n"
          "  n_paths: 400\n  n_steps: 32\n  diagnostics: [crosscheck_euler]\n", 2,
-         "cross-check needs a classical drift"),
+         "unknown diagnostics: ['crosscheck_euler']"),
         # inside the domain, but outside the range shrunk by the atom's support
         (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: atom_jump\n"
          "  n_paths: 50\n  n_steps: 8\n  x0: 7.95\n", 3,
@@ -715,10 +757,10 @@ class TestCLI:
            "the compensator diagnostic needs a jump kernel")
           for name in ("brownian_baseline", "smooth_drift_crosscheck",
                        "weierstrass_drift", "path_dependent_drift")),
-        # the Euler route has no jumps: comparing it with one that has is vacuous
+        # the exact law reference of `law` has no jumps
         *((["run", "--config", "{tmp}/s.yaml"], f"scenario:\n  name: {name}\n"
-           "  n_paths: 50\n  n_steps: 8\n  diagnostics: [crosscheck_euler]\n", 2,
-           "cross-check needs a scenario without jumps")
+           "  n_paths: 50\n  n_steps: 8\n  diagnostics: [law]\n", 2,
+           "the law diagnostic needs no jump kernel")
           for name in ("atom_jump", "stable_jump")),
         # a power tail has no second route: the conjugation would check nothing
         (["run", "--config", "{tmp}/s.yaml"], "scenario:\n  name: stable_jump\n"
@@ -732,7 +774,7 @@ class TestCLI:
         (["counterexample", "cauchy", "--name", "atom_jump"], None, 2,
          "unrecognized arguments: --name atom_jump"),
     ), ids=("out_is_a_file", "out_under_a_file", "csv_is_a_directory", "missing_config",
-            "unparseable_yaml", "binary_config", "crosscheck_without_classical_drift",
+            "unparseable_yaml", "binary_config", "crosscheck_euler_is_unknown",
             "x0_near_the_edge", "compensator_without_kernel[brownian_baseline]",
             "compensator_without_kernel[smooth_drift_crosscheck]",
             "compensator_without_kernel[weierstrass_drift]",
