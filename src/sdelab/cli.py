@@ -73,6 +73,7 @@ def _spec_from_args(args) -> ScenarioSpec:
 
 def _write_paths_csv(ens, out_dir, max_paths):
     path = os.path.join(out_dir, "paths.csv")
+    y = ens.x if ens.hx is None else ens.hx  # Y = h(X)
     with _written(path) as fh:
         fh.write("path_id,t,Y,X,jump_flag,jump_size\n")
         dt = float(ens.times[1] - ens.times[0])
@@ -85,7 +86,7 @@ def _write_paths_csv(ens, out_dir, max_paths):
                 flags[node] = 1
                 sizes[node] += jw
             for k, t in enumerate(ens.times):
-                fh.write(f"{i},{float(t)!r},{float(ens.y[i, k])!r},"
+                fh.write(f"{i},{float(t)!r},{float(y[i, k])!r},"
                          f"{float(ens.x[i, k])!r},{int(flags[k])},"
                          f"{float(sizes[k])!r}\n")
     return path

@@ -439,12 +439,13 @@ def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction
 
 def martingale_columns(eq: EquationX, ens, profiles, cols, tables):
     """Each profile's residual at the time columns ``cols`` of every path
-    of ``ens`` (profiles x paths x columns) and the terminal Girsanov weight
-    (None without a functional), read in row blocks of about ``_BLOCK``
+    of ``ens`` (profiles x paths x columns), the terminal Girsanov weight
+    (None without a functional) and the pasts X and its running sup at
+    ``cols`` (2 x paths x columns), read in row blocks of about ``_BLOCK``
     grid values on the forked workers of ``_walked``, which only read
-    ``ens``.  A row's numbers do not depend on its block: a power tail's
-    jump term is tabulated once per profile over all states, in
-    ``tables = jump_tables(eq, profiles, ens.x)``."""
+    ``ens``; so the caller touches no worker's rows.  A row's numbers do
+    not depend on its block: a power tail's jump term is tabulated once per
+    profile over all states, in ``tables = jump_tables(eq, profiles, ens.x)``."""
     n_paths, n_times = ens.x.shape
 
     def block(paths):
@@ -452,9 +453,12 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables):
         hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
         state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
         out = np.stack([martingale_residual_ensemble(state, f)[:, cols] for f in profiles])
-        return out, (None if eq.functional is None
-                     else girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1].copy())
+        kappa = (None if eq.functional is None
+                 else girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1].copy())
+        sup = np.maximum.accumulate(state.x, axis=-1)
+        return out, kappa, np.stack([state.x[:, cols], sup[:, cols]])
 
-    parts = _walked(block, n_paths, n_times, max(1, _BLOCK // n_times))
-    out = np.concatenate([p[0] for p in parts], axis=1)
-    return out, None if eq.functional is None else np.concatenate([p[1] for p in parts])
+    out, kappa, pasts = zip(*_walked(block, n_paths, n_times, max(1, _BLOCK // n_times)))
+    return (np.concatenate(out, axis=1),
+            None if eq.functional is None else np.concatenate(kappa),
+            np.concatenate(pasts, axis=1))

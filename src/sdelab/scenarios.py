@@ -360,17 +360,16 @@ def _diag_martingale(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     weighted by the Girsanov weight when the bundle has a drift functional."""
     details = {}
     n_half = ens.x.shape[1] // 2
-    x_half = ens.x[:, n_half]
-    run_half = np.clip(np.max(ens.x[:, :n_half + 1], axis=-1), -1.0, 1.0)
-    pasts = {"clamp_mid": np.clip(x_half, -1.0, 1.0),
-             "one": np.ones_like(x_half),
-             "runsup_mid": run_half}
     # the engine does not simulate a drift functional, but the generator
     # includes it: the Girsanov weight of its grid values realises that
     # law, so the residuals are read under it
     profiles = standard_profiles()
     tables = jump_tables(bundle.eq, profiles, ens.x)
-    res, kappa = martingale_columns(bundle.eq, ens, profiles, [n_half, -1], tables)
+    res, kappa, (x_at, sup_at) = martingale_columns(bundle.eq, ens, profiles,
+                                                    [n_half, -1], tables)
+    pasts = {"clamp_mid": np.clip(x_at[:, 0], -1.0, 1.0),
+             "one": np.ones_like(x_at[:, 0]),
+             "runsup_mid": np.clip(sup_at[:, 0], -1.0, 1.0)}
     for prof, M in zip(profiles, res):
         m_t = M[ens.active, 1]
         inc = m_t - M[ens.active, 0]
@@ -598,9 +597,10 @@ def _check_diagnostics(bundle: ScenarioBundle):
                               "not a power tail")
     diffusion = eq.coeffs.diffusion
     if "law" in diags and (eq.kernel is not None or eq.functional is not None
-                           or diffusion.sigma_min != diffusion.sigma_max):
+                           or diffusion.sigma_min != diffusion.sigma_max
+                           or eq.coeffs.transform.is_identity):
         raise ValidationError("the law diagnostic needs no jump kernel, no drift "
-                              "functional and a constant sigma")
+                              "functional and a constant sigma on a bounded domain")
 
 
 def run_scenario(spec: ScenarioSpec) -> tuple:

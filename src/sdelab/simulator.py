@@ -386,19 +386,20 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
 class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
-    Under the identity transform ``x`` is ``y`` itself, one array that nobody
-    writes to.  A run over all paths (``simulate_y``) writes its arrays,
-    ``x``, ``hx`` and ``hpx`` too, in place into memory mapped shared with the
-    children that later calls fork, which must not write to them either.
-    ``hx`` and ``hpx`` hold h(x) and h'(x) from the final inversion, equal bit
-    for bit to ``transform.forward(x)`` and ``transform.deriv(x)``; both are
-    None under the identity transform.  A jump record holds its row, time,
-    pre-jump state of X and size in the original coordinates.
+    Y is simulated in the rows of ``x`` and inverted there in place: under
+    the identity transform ``x`` is Y and ``hx``, ``hpx`` are None, else
+    they hold h(x) and h'(x) from that inversion, equal bit for bit to
+    ``transform.forward(x)`` and ``transform.deriv(x)``.  A run over all
+    paths (``simulate_y``) writes its arrays in place into memory mapped
+    shared with the children that later calls fork, which must not write
+    to them either, and keeps the terminal X, ``x_end``, as its workers
+    copied it (a range keeps a view of ``x``).  A jump record holds its
+    row, time, pre-jump state of X and size in the original coordinates.
     """
 
     times: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
+    x_end: np.ndarray = field(repr=False)
     dW: np.ndarray = field(repr=False)
     active: np.ndarray = field(repr=False)
     jump_path: np.ndarray = field(repr=False)
@@ -411,7 +412,7 @@ class Ensemble:
 
     @property
     def n_paths(self):
-        return self.y.shape[0]
+        return self.x.shape[0]
 
     @property
     def excluded_count(self):
@@ -424,7 +425,7 @@ class Ensemble:
         return slice(int(lo), int(hi))
 
     def terminal_x(self):
-        return self.x[self.active, -1]
+        return self.x_end[self.active]
 
 # ---------------------------------------------------------------------------
 # the engine
@@ -533,8 +534,8 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
     does.
 
     A run over all paths (``paths`` None) goes through ``_blocks``, whose
-    blocks write all their rows, X, h(X) and h'(X) too, in place into
-    arrays mapped shared before the fork, so it equals the one-process run.
+    blocks write all their rows in place into arrays mapped shared before
+    the fork, so it equals the one-process run.
     """
     config = setup.config
     if paths is not None:
@@ -544,18 +545,18 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                                   f"range({config.n_paths}), got {paths!r}")
         return _engine(setup, paths)
     P, n = config.n_paths, config.n_steps
-    run = {"y": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
+    run = {"x": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
     if not setup.chars.transform.is_identity:
-        run.update((name, _shared((P, n + 1))) for name in ("x", "hx", "hpx"))
+        run.update((name, _shared((P, n + 1))) for name in ("hx", "hpx"))
 
     def block(paths):
         part = _engine(setup, paths, run)
-        return ((part.jump_path + paths.start, part.jump_time, part.jump_x_pre,
-                 part.jump_w), part.excluded_count)
+        return ((part.x_end.copy(), part.jump_path + paths.start, part.jump_time,
+                 part.jump_x_pre, part.jump_w), part.excluded_count)
 
-    jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block)))
-    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), y=run["y"],
-                    x=run.get("x", run["y"]), dW=run["dW"], active=run["active"],
+    xe, jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block)))
+    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), x=run["x"], x_end=xe,
+                    dW=run["dW"], active=run["active"],
                     jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
                     config=config, hx=run.get("hx"), hpx=run.get("hpx"))
 
@@ -582,8 +583,8 @@ def _blocks(setup: EngineSetup, task: Callable) -> list:
 def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ensemble:
     """The engine of ``simulate_y`` over the range ``paths``, without the
     exclusion check.  With ``run``, a dict of arrays over all the run's
-    paths, the rows ``paths`` of its Y, dW, active flags and (under a
-    non-identity transform) X, h(X) and h'(X) are written in place."""
+    paths, the rows ``paths`` of its X, dW, active flags and (under a
+    non-identity transform) h(X) and h'(X) are written in place."""
     chars, config, y0 = setup.chars, setup.config, setup.y0
     transform, functional, ops = chars.transform, chars.functional, setup.ops
     has_jumps = ops is not None
@@ -640,7 +641,8 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     del unif, first, order, c_at, c_count
     bounds = np.searchsorted(c_step, np.arange(n + 1))
 
-    Y = np.empty((P, n + 1)) if run is None else run["y"][rows]
+    # Y is simulated in the rows of X, which its inversion overwrites
+    Y = np.empty((P, n + 1)) if run is None else run["x"][rows]
     Y[:, 0] = y0
     active = np.empty(P, dtype=bool) if run is None else run["active"][rows]
     active.fill(True)
@@ -690,14 +692,13 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
         Y[:, s + 1] = y_next
     del small_normals, c_u, c_u1, c_u2
 
-    if transform.is_identity:
-        X, HX, HPX = Y, None, None
-    else:  # row blocks of about _BLOCK grid values bound the temporaries
-        X, HX, HPX = (np.empty((P, n + 1)) if run is None else run[k][rows]
-                      for k in ("x", "hx", "hpx"))
+    X, HX, HPX = Y, None, None
+    if not transform.is_identity:  # row blocks of about _BLOCK grid values
+        HX, HPX = (np.empty((P, n + 1)) if run is None else run[k][rows]
+                   for k in ("hx", "hpx"))
         step = max(1, _BLOCK // (n + 1))
         for r in (slice(a, a + step) for a in range(0, P, step)):
-            X[r], HX[r], HPX[r] = transform.inverse(Y[r], images=True)
+            X[r], HX[r], HPX[r] = transform.inverse(X[r], images=True)
     if acc_idx:
         sel = np.concatenate(acc_idx)
         order = _record_order(c_path[sel])
@@ -709,7 +710,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
         jt, jw, jx = (np.empty(0) for _ in range(3))
 
     normals *= sq_dt  # the recorded Brownian increments
-    return Ensemble(times=times, y=Y, x=X, dW=normals, active=active,
+    return Ensemble(times=times, x=X, x_end=X[:, -1], dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
                     config=config, hx=HX, hpx=HPX)
 

@@ -6,8 +6,9 @@ covariation and the C^1 chain rule of the regularization estimator, the
 uniform continuity of the generator on balls of paths, a second route to
 the drift correction, the working bound of the nonlocal term, the
 power tail's scalar quadrature route (QUADPACK pieces and a dyadic tail),
-and a second mollifier family, the bump, for the limits that must not
-depend on the smoothing.  None of them is run by a command, diagnostic or
+a second mollifier family, the bump, for the limits that must not
+depend on the smoothing, and the simulated Y of a run, which the
+ensemble does not keep.  None of them is run by a command, diagnostic or
 script of ``sdelab``.
 """
 import warnings
@@ -20,11 +21,27 @@ import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
                     ScaleTransform, TruncationFunction, coefficients,
-                    evaluate_generator, qv_sweep)
+                    evaluate_generator, qv_sweep, simulate_y)
 from sdelab._quad import gauss_legendre, gauss_legendre_01
 from sdelab.errors import QuadratureFailure
 from sdelab.kernels import _INNER_NODES, _TOL, _beyond
 from sdelab.pathcalc import _grid_step, _time_index
+
+
+# ---------------------------------------------------------------------------
+# the simulated Y of a run
+# ---------------------------------------------------------------------------
+
+def simulated_y(setup):
+    """Y of the run ``setup`` as the engine simulates it, before X is read
+    back through the inverse transform: the run repeated with its final
+    inversion handing Y back, so that its rows of X hold Y."""
+    inverse = ScaleTransform.inverse
+
+    def keep_y(self, y, images=False):
+        return (np.array(y),) * 3 if images else inverse(self, y)
+    with mock.patch.object(ScaleTransform, "inverse", keep_y):
+        return simulate_y(setup).x
 
 
 # ---------------------------------------------------------------------------

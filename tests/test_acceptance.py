@@ -251,7 +251,7 @@ def test_c09_girsanov(brownian_10k):
         sigma0=lambda y: np.ones_like(np.asarray(y, dtype=float)),
         functional=constant_functional(c))
     direct = simulate_y(engine_setup(chars, replace(ens.config, master_seed=777), 0.0))
-    dm = direct.y[direct.active, -1]
+    dm = direct.x[direct.active, -1]
     z_cross = abs(est.value - np.mean(dm)) / np.sqrt(
         est.se**2 + np.var(dm, ddof=1) / len(dm))
     worst = max(max(zs), z_cross)

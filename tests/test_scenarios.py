@@ -12,7 +12,7 @@ from sdelab import (ScenarioSpec, ValidationError, counterexample_cauchy,
                     run_scenario, scenario_names)
 from sdelab.scenarios import build_bundle, report_json
 from sdelab.simulator import SimConfig
-from reference import bump_mollifier, counterexample_reference
+from reference import bump_mollifier, counterexample_reference, simulated_y
 
 
 SMALL = dict(n_paths=400, n_steps=64)
@@ -191,6 +191,35 @@ class TestHardOrdering:
             run_scenario(ScenarioSpec(name=name, diagnostics=("law",)))
         assert not called
 
+    def test_law_needs_a_bounded_domain(self, monkeypatch):
+        # the identity transform's domain is the whole line, over which
+        # law_reference cannot lay its grid: rejected before any engine call
+        import sdelab.scenarios as sc
+        from sdelab import CoefficientSet, EquationX, simulator
+        called = []
+        monkeypatch.setattr(simulator, "_engine", lambda *a, **k: called.append(1))
+        bundle = sc.ScenarioBundle(
+            name="unit", eq=EquationX(CoefficientSet.unit()), x0=0.0,
+            sim=SimConfig(n_paths=200, n_steps=16), diagnostics=("law",))
+        with pytest.raises(ValidationError, match="constant sigma on a bounded domain"):
+            sc.run_bundle(ScenarioSpec(name="brownian_baseline"), bundle)
+        assert not called
+
+
+def _resident_bytes(array):
+    """This process's resident bytes in the mapping that holds ``array``:
+    the Rss line of that mapping in /proc/self/smaps."""
+    start, inside = array.__array_interface__["data"][0], False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            field = line.split()[0]
+            if not field.endswith(":"):  # a mapping's header: lo-hi perms ...
+                lo, hi = (int(v, 16) for v in field.split("-"))
+                inside = lo <= start < hi
+            elif inside and field == "Rss:":
+                return int(line.split()[1]) * 1024
+    raise AssertionError("no mapping holds the array")
+
 
 class TestRunScenario:
     def test_brownian_baseline_passes(self):
@@ -268,8 +297,8 @@ class TestRunScenario:
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32,
                                            diagnostics=diagnostics))
         ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
-        assert (ens.x is ens.y) == (name == "stable_jump")
-        fields = ("y", "x", "dW", "active", "hx", "hpx")
+        assert (ens.hx is None) == (name == "stable_jump")
+        fields = ("x", "x_end", "dW", "active", "hx", "hpx")
 
         def digests():
             return [None if getattr(ens, f) is None
@@ -303,11 +332,15 @@ class TestRunScenario:
         # a power tail's tables are built by the caller, once per profile,
         # and no worker builds another
         assert len(made) == (len(profiles) if name == "stable_jump" else 0)
-        (res, kappa), rest = got[0], got[1:]
+        (res, kappa, pasts), rest = got[0], got[1:]
         assert res.shape == (len(profiles), 300, 33)
         assert (kappa is None) == (name != "path_dependent_drift")
-        for res_k, kappa_k in rest:
-            assert np.array_equal(res_k, res)
+        # the pasts are X and its running sup at the columns
+        assert np.array_equal(pasts[0], ens.x)
+        for c in cols:
+            assert np.array_equal(pasts[1][:, c], np.max(ens.x[:, :c + 1], axis=-1))
+        for res_k, kappa_k, pasts_k in rest:
+            assert np.array_equal(res_k, res) and np.array_equal(pasts_k, pasts)
             assert (kappa_k is None and kappa is None) or np.array_equal(kappa_k, kappa)
 
     @pytest.mark.parametrize("name", ("atom_jump", "path_dependent_drift",
@@ -402,6 +435,27 @@ class TestRunScenario:
         (self_one, _), (self_dealt, children_dealt) = peak_mb
         assert self_dealt <= 1.05 * self_one, peak_mb
         assert 0 < children_dealt <= 1.05 * self_one, peak_mb
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                        reason="reads /proc/self/smaps")
+    @pytest.mark.parametrize("workers", (2, 3), indirect=True)
+    def test_caller_reads_no_worker_rows(self, workers):
+        # the caller of a dealt run simulates its own share and reads only
+        # its rows: the workers hand back their terminal X and the
+        # martingale pasts, so no page of another share's rows is mapped in
+        # here (read in the caller, the pasts and terminal X map all of x)
+        from sdelab.coefficients import _shares
+        from sdelab.scenarios import run_bundle
+        spec = ScenarioSpec(name="atom_jump", n_paths=2000, n_steps=64,
+                            diagnostics=("martingale",))
+        report, ens = run_bundle(spec, build_bundle(spec))
+        assert [d.name for d in report.diagnostics] == ["martingale"]
+        own, page = len(_shares(2000, 65)[0]), os.sysconf("SC_PAGE_SIZE")
+        assert own < 2000
+        for name in ("x", "hx", "hpx", "dW"):
+            array = getattr(ens, name)
+            rows = own * array.strides[0]
+            assert rows - page <= _resident_bytes(array) <= rows + 2 * page, name
 
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
@@ -809,6 +863,26 @@ class TestCLI:
             for cell in line.split(","):
                 float(cell)
 
+    def test_path_csv_y_is_h_of_x(self, tmp_path):
+        # the Y column is h(X) from the inversion, which is within the
+        # inverse's residual tolerance 1e-10 (1 + |Y|) of the simulated Y
+        import sdelab.cli as cli
+        from sdelab import build_characteristics, engine_setup, simulate_x_markovian
+        assert cli.main(["simulate", "--name", "atom_jump", "--paths", "50",
+                         "--steps", "64", "--out", str(tmp_path),
+                         "--dump-paths", "3"]) == 0
+        lines = (tmp_path / "paths.csv").read_text().splitlines()
+        cols = np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
+        y, x = (c.reshape(3, 65) for c in cols[2:4])
+        bundle = build_bundle(ScenarioSpec(name="atom_jump", n_paths=50, n_steps=64))
+        ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
+        assert np.array_equal(x, ens.x[:3]) and np.array_equal(y, ens.hx[:3])
+        transform = bundle.eq.coeffs.transform
+        y_sim = simulated_y(engine_setup(build_characteristics(bundle.eq), bundle.sim,
+                                         float(transform.forward(np.asarray(bundle.x0)))))
+        assert np.all(np.abs(y - y_sim[:3]) <= 1e-10 * (1.0 + np.abs(y_sim[:3])))
+        assert not np.array_equal(y, x)
+
     def test_check_coefficients(self, tmp_path):
         r = run_cli(["check-coefficients", "--name", "smooth_drift_crosscheck",
                      "--out", str(tmp_path)])
@@ -1021,8 +1095,8 @@ class TestCLI:
         eq = bundle.eq
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
         profiles = standard_profiles()[:1]
-        M, kappa = martingale_columns(eq, ens, profiles, np.arange(len(ens.times)),
-                                      jump_tables(eq, profiles, ens.x))
+        M, kappa, _ = martingale_columns(eq, ens, profiles, np.arange(len(ens.times)),
+                                         jump_tables(eq, profiles, ens.x))
         kappa = np.ones(ens.n_paths) if kappa is None else kappa
         want = np.column_stack((np.repeat(np.arange(3), 17), np.tile(ens.times, 3),
                                 M[0, :3].ravel(), np.repeat(kappa[:3], 17)))

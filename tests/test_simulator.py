@@ -21,6 +21,7 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
 from sdelab import coefficients, simulator
 
 from approximants import canonical_decomposition_residual, domain_approximant
+from reference import simulated_y
 
 
 def ones(y):
@@ -54,7 +55,7 @@ class TestDeterminism:
                         big_jump_intensity_bound=0.0)
         a = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
         b = simulate_y(engine_setup(brownian_chars(), cfg, 0.0))
-        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.dW, b.dW)
 
     def test_path_streams_independent_of_ensemble_size(self):
@@ -63,7 +64,7 @@ class TestDeterminism:
         cfg8 = replace(cfg4, n_paths=8)
         a = simulate_y(engine_setup(brownian_chars(), cfg4, 0.0))
         b = simulate_y(engine_setup(brownian_chars(), cfg8, 0.0))
-        assert np.array_equal(a.y, b.y[:4])
+        assert np.array_equal(a.x, b.x[:4])
 
     def test_jump_runs_reproducible(self, unit_atom_kernel):
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=50, master_seed=3,
@@ -71,7 +72,7 @@ class TestDeterminism:
         chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
         a = simulate_y(engine_setup(chars, cfg, 0.0))
         b = simulate_y(engine_setup(chars, cfg, 0.0))
-        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.jump_time, b.jump_time)
 
 
@@ -92,13 +93,14 @@ def _rebuilt_noise(seed, i, n, horizon, lam_max):
     return normals, t, u_acc, u1, u2
 
 
-def _pre_jump_states(ens):
-    """Y before each recorded jump: ``Y[row, step]``, with the step rebuilt
-    from the jump time as the engine bins its candidates."""
+def _pre_jump_states(ens, y):
+    """Y before each recorded jump of ``ens``: ``y[row, step]`` of its Y,
+    with the step rebuilt from the jump time as the engine bins its
+    candidates."""
     cfg = ens.config
     dt = cfg.horizon / cfg.n_steps
     step = np.minimum((ens.jump_time / dt).astype(np.int64), cfg.n_steps - 1)
-    return ens.y[ens.jump_path, step]
+    return y[ens.jump_path, step]
 
 
 class TestDrawOrder:
@@ -147,7 +149,7 @@ class TestDrawOrder:
         # coordinates
         u1, u2 = np.random.default_rng(23).random((2, len(ens.jump_time)))
         z, w = jump_ops(build_characteristics(eq), cfg).sample(
-            _pre_jump_states(ens), u1, u2)
+            _pre_jump_states(ens, ens.x), u1, u2)
         assert np.array_equal(w, sizes(None, None, u1, u2)) and np.array_equal(z, w)
 
     def test_buffer_growth_keeps_the_streams(self, monkeypatch):
@@ -155,7 +157,7 @@ class TestDrawOrder:
         ref = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
         monkeypatch.setattr(simulator, "_candidate_capacity", lambda mean: 1)
         ens = simulate_x_markovian(EquationX(coeffs, kernel, trunc), cfg, 0.0)
-        for f in ("y", "dW", "jump_path", "jump_time", "jump_x_pre", "jump_w"):
+        for f in ("x", "dW", "jump_path", "jump_time", "jump_x_pre", "jump_w"):
             assert np.array_equal(getattr(ens, f), getattr(ref, f))
         rate = 2.0 * float(kernel.one_tail_mass(cfg.small_jump_cutoff))
         self._check(ens, cfg, rate, self._stable_sizes(kernel, cfg.small_jump_cutoff))
@@ -178,7 +180,7 @@ class TestDrawOrder:
         self._check(ens, cfg, float(np.sum(r_big)), sizes)
         assert len(ens.jump_time) > 40
         # the jump of Y is h(h^-1(y_pre) + w) - y_pre, h the identity
-        y_pre = _pre_jump_states(ens)
+        y_pre = _pre_jump_states(ens, ens.x)
         u1, u2 = np.random.default_rng(8).random((2, len(y_pre)))
         z, w = jump_ops(chars, cfg).sample(y_pre, u1, u2)
         assert np.array_equal(w, sizes(None, None, u1, u2))
@@ -284,7 +286,7 @@ class TestStreams:
 # blocks of paths
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_ARRAYS = ("times", "y", "x", "dW", "active", "hx", "hpx", "jump_time",
+ENSEMBLE_ARRAYS = ("times", "x", "x_end", "dW", "active", "hx", "hpx", "jump_time",
                    "jump_x_pre", "jump_w")
 
 
@@ -354,7 +356,7 @@ class TestBlocks:
         chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
         with_sup = replace(chars, functional=clamped_running_sup(1.0))
         whole = self._check_blocks(with_sup, cfg, y0, block_paths, monkeypatch)
-        assert not np.array_equal(whole.y, simulate_y(engine_setup(chars, cfg, y0)).y)
+        assert not np.array_equal(whole.x, simulate_y(engine_setup(chars, cfg, y0)).x)
 
     def _check_blocks(self, chars, cfg, y0, block_paths, monkeypatch):
         """Assert that the blocks of ``block_paths`` paths merge into the
@@ -446,9 +448,11 @@ class TestBlocks:
         # jump_x_pre is read from X at the record's row and step, so it is
         # the inverse of Y there, the state just before the jump
         chars, cfg, y0 = self._case(case, tanh_coeffs, atom_kernel, clamp1)
-        ens = simulate_y(engine_setup(chars, cfg, y0))
+        setup = engine_setup(chars, cfg, y0)
+        ens = simulate_y(setup)
         assert len(ens.jump_time) > 10
-        want = np.asarray(chars.transform.inverse(_pre_jump_states(ens)))
+        y_pre = _pre_jump_states(ens, simulated_y(setup))
+        want = np.asarray(chars.transform.inverse(y_pre))
         assert ens.jump_x_pre.dtype == want.dtype
         assert np.array_equal(ens.jump_x_pre, want)
 
@@ -609,10 +613,9 @@ class TestDealtRun:
                 assert b is None, field
             else:
                 assert b.dtype == a.dtype and np.array_equal(b, a), field
-        assert (got.x is got.y) == (want.x is want.y)
         if got.hx is not None:  # the row blocks join into one inversion
+            images = chars.transform.inverse(simulated_y(setup), images=True)
             for ens in (want, got):
-                images = chars.transform.inverse(ens.y, images=True)
                 for field, image in zip(("x", "hx", "hpx"), images):
                     assert np.array_equal(getattr(ens, field), image), field
         _assert_no_child_left()
@@ -624,7 +627,7 @@ class TestDealtRun:
         chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
         got = self._check_dealt(chars, cfg, y0, monkeypatch)
         if case.startswith("stable"):  # the identity: X is Y itself
-            assert got.x is got.y and got.hx is None
+            assert got.hx is None and got.hpx is None
         else:
             assert got.hx is not None
 
@@ -634,20 +637,39 @@ class TestDealtRun:
         chars, cfg, y0 = TestBlocks()._case("atom_tanh", tanh_coeffs, atom_kernel, clamp1)
         self._check_dealt(chars, cfg, y0, monkeypatch)
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_whole_run_equals_the_range_route(self, case, workers, tanh_coeffs,
+                                              atom_kernel, clamp1):
+        # a whole run inverts Y in place in its shared rows of x, a range in
+        # its private ones; the workers of a whole run copy their terminal X,
+        # and a range keeps a view of its own
+        chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
+        setup = engine_setup(chars, cfg, y0)
+        whole, part = simulate_y(setup), simulate_y(setup, paths=range(cfg.n_paths))
+        for field in ENSEMBLE_ARRAYS + ("jump_path",):
+            a, b = getattr(part, field), getattr(whole, field)
+            assert (a is None and b is None) or np.array_equal(a, b), field
+        for ens in (whole, part):
+            assert np.array_equal(ens.terminal_x(), ens.x[ens.active, -1])
+        assert not np.shares_memory(whole.x_end, whole.x)
+        assert np.shares_memory(part.x_end, part.x)
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("case", ("stable_drop", "atom_tanh"))
     def test_dealt_run_with_a_functional(self, case, workers, tanh_coeffs, atom_kernel,
                                          clamp1, monkeypatch):
         chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
         with_sup = replace(chars, functional=clamped_running_sup(1.0))
         got = self._check_dealt(with_sup, cfg, y0, monkeypatch)
-        assert not np.array_equal(got.y, _one_process(engine_setup(chars, cfg, y0),
-                                                      monkeypatch).y)
+        assert not np.array_equal(got.x, _one_process(engine_setup(chars, cfg, y0),
+                                                      monkeypatch).x)
 
     def test_exclusions_summed_over_shares(self, workers, unit_diffusion, clamp1,
                                            monkeypatch):
         chars, cfg = TestBlocks()._narrow_grid(unit_diffusion, clamp1)
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
         excluded = ens.excluded_count
+        assert np.array_equal(ens.terminal_x(), ens.x[ens.active, -1])
         per_share = [int(np.sum(~ens.active[share.start:share.stop]))
                      for share in coefficients._shares(100, cfg.n_steps + 1)]
         assert sum(per_share) == excluded
@@ -693,7 +715,7 @@ class TestDealtRun:
         finally:
             stop.set()
             thread.join()
-        assert np.array_equal(got.y, _one_process(setup, monkeypatch).y)
+        assert np.array_equal(got.x, _one_process(setup, monkeypatch).x)
         if workers > 1:
             with pytest.raises(RuntimeError, match="forked"):
                 simulate_y(setup)
@@ -749,7 +771,7 @@ def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    one_array = ens.y.nbytes
+    one_array = ens.x.nbytes
     assert ens.hx is not None and len(ens.jump_time) > 1000
     assert peak < one_array, (peak, one_array)
 
@@ -788,7 +810,7 @@ def test_zero_small_jump_variance_holds_no_small_normals(tanh_coeffs, atom_kerne
 class TestLawOracles:
     def test_brownian_terminal_variance(self, brownian_ens):
         # analytic variance of the terminal value is the horizon
-        yt = brownian_ens.y[brownian_ens.active, -1]
+        yt = brownian_ens.x[brownian_ens.active, -1]
         var = np.var(yt, ddof=1)
         se = np.sqrt(2.0 / (len(yt) - 1))  # SE of the variance under normality
         assert abs(var - 1.0) < 3.0 * se
@@ -800,7 +822,7 @@ class TestLawOracles:
                         small_jump_cutoff=0.5, big_jump_intensity_bound=1.5)
         chars = CharacteristicsY(b=ones, sigma0=zeros, measure=unit_atom_kernel)
         ens = simulate_y(engine_setup(chars, cfg, 0.0))
-        yt = ens.y[ens.active, -1]
+        yt = ens.x[ens.active, -1]
         se = np.std(yt, ddof=1) / np.sqrt(len(yt))
         assert abs(np.mean(yt) - 1.0) < 3.0 * se
         counts = np.round(yt).astype(int)
@@ -824,7 +846,9 @@ class TestLawOracles:
         ens = simulate_x_markovian(eq, cfg, 0.0)
         assert len(ens.jump_time) > 100
         tr = tanh_coeffs.transform
-        y_pre = _pre_jump_states(ens)
+        setup = engine_setup(build_characteristics(eq), cfg,
+                             float(tr.forward(np.asarray(0.0))))
+        y_pre = _pre_jump_states(ens, simulated_y(setup))
         u1, u2 = np.random.default_rng(4).random((2, len(y_pre)))
         z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
         assert np.array_equal(w, np.full_like(y_pre, 0.1))
@@ -840,7 +864,7 @@ class TestLawOracles:
         for n in (32, 64):
             cfg = SimConfig(horizon=1.0, n_steps=n, n_paths=1, master_seed=0,
                             big_jump_intensity_bound=0.0)
-            errs.append(abs(simulate_y(engine_setup(chars, cfg, 0.5)).y[0, -1] - exact))
+            errs.append(abs(simulate_y(engine_setup(chars, cfg, 0.5)).x[0, -1] - exact))
         ratio = errs[1] / errs[0]
         assert 0.4 < ratio < 0.6
 
@@ -886,7 +910,8 @@ class TestJumpMeasureBranches:
         assert len(ens.jump_w) > 150
         h = tanh_coeffs.transform.forward
         # the sampler's z at the recorded pre-jump states, from fresh uniforms
-        y_pre = _pre_jump_states(ens)
+        setup = engine_setup(build_characteristics(eq), cfg, float(h(np.asarray(0.0))))
+        y_pre = _pre_jump_states(ens, simulated_y(setup))
         u1, u2 = np.random.default_rng(31).random((2, len(y_pre)))
         z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
         z_check = h(ens.jump_x_pre + w) - h(ens.jump_x_pre)
@@ -1193,8 +1218,8 @@ class TestCharacteristics:
         y0 = float(tanh_coeffs.transform.forward(np.asarray(x0)))
         ens = simulate_y(engine_setup(build_characteristics(eq), cfg, y0))
         ref = simulate_x_markovian(eq, cfg, x0)
-        assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.y)
-        for name in ("x", "y", "hx", "hpx", "jump_x_pre", "jump_w"):
+        assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.hx)
+        for name in ("x", "x_end", "hx", "hpx", "jump_x_pre", "jump_w"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
         # the cutoff is checked against the truncation the drift was built with
         narrow = TruncationFunction(radius=0.5, cap=0.5)
@@ -1230,8 +1255,8 @@ class TestEngineFunctional:
             chars, y0 = brownian_chars(), 0.3
         chars = replace(chars, functional=PathFunctional("record", record))
         ens = simulate_y(engine_setup(chars, cfg, y0))
-        if transformed:  # a step fed Y would differ from X
-            assert not np.array_equal(ens.x, ens.y)
+        if transformed:  # a step fed Y = h(X) would differ from X
+            assert not np.array_equal(ens.x, ens.hx)
         assert len(seen) == cfg.n_steps
         for s, x in enumerate(seen):
             assert np.array_equal(x, ens.x[:, s]), s
@@ -1287,19 +1312,19 @@ class TestGirsanov:
     def test_reweighting_matches_direct_drift(self, brownian_ens):
         c = 0.5
         est = weighted_expectation(_kappa_T(brownian_ens, constant_functional(c)),
-                                   brownian_ens.y[:, -1])
+                                   brownian_ens.x[:, -1])
         chars = replace(brownian_chars(), functional=constant_functional(c))
         direct = simulate_y(engine_setup(chars, replace(BROWNIAN_CFG, master_seed=101),
                                          0.0))
-        yt = direct.y[direct.active, -1]
+        yt = direct.x[direct.active, -1]
         dmean = np.mean(yt)
         dse = np.std(yt, ddof=1) / np.sqrt(direct.n_paths)
         z = abs(est.value - dmean) / np.sqrt(est.se**2 + dse**2)
         assert z < 3.0
 
     def test_plain_weights_recover_plain_mean(self, brownian_ens):
-        est = weighted_expectation(np.ones(brownian_ens.n_paths), brownian_ens.y[:, -1])
-        assert est.value == pytest.approx(float(np.mean(brownian_ens.y[:, -1])))
+        est = weighted_expectation(np.ones(brownian_ens.n_paths), brownian_ens.x[:, -1])
+        assert est.value == pytest.approx(float(np.mean(brownian_ens.x[:, -1])))
 
     def test_normalization_estimate(self, brownian_ens):
         est = weighted_expectation(_kappa_T(brownian_ens, constant_functional(0.5)),
@@ -1310,7 +1335,7 @@ class TestGirsanov:
         w = np.zeros(brownian_ens.n_paths)
         w[0] = 1.0
         with pytest.raises(DegenerateWeights):
-            weighted_expectation(w, brownian_ens.y[:, -1])
+            weighted_expectation(w, brownian_ens.x[:, -1])
 
 
 # ---------------------------------------------------------------------------
