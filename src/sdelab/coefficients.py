@@ -6,10 +6,9 @@ mollified drift potential
 
     Sigma_w(x) = 2 * int_0^x (beta * rho'_w)(y) / (sigma * rho_w)(y)^2 dy,
 
-evaluated at the two finest widths ``w`` of a decreasing ladder (the
-coarser widths are never evaluated).  The derivative always lands on the
-mollifier, never on ``beta``.  The finest table defines the
-strictly increasing scale transform ``h`` with ``h' = exp(-Sigma)``, and
+evaluated at two decreasing widths ``w``.  The derivative always lands on
+the mollifier, never on ``beta``.  The finer table defines the strictly
+increasing scale transform ``h`` with ``h' = exp(-Sigma)``, and
 generator evaluations are conjugated through ``h`` so that the merely
 Hoelder-continuous potential is never differentiated.
 """
@@ -202,16 +201,16 @@ class DiffusionSpec:
 
 @dataclass
 class MollifierConfig:
-    widths: tuple = (0.02, 0.01, 0.005)
+    widths: tuple = (0.01, 0.005)
     quadrature_tol: float = 1e-8
     convergence_tol: float = 1e-4
 
     def __post_init__(self):
         w = tuple(float(v) for v in self.widths)
-        # two widths at least: convergence compares the two finest
-        if len(w) < 2 or not np.all(np.isfinite(w)) or min(w) <= 0:
-            raise ValueError("widths must hold at least two finite positive numbers")
-        if any(b >= a for a, b in zip(w, w[1:])):
+        # convergence compares the two widths; the finer defines the table
+        if len(w) != 2 or not np.all(np.isfinite(w)) or min(w) <= 0:
+            raise ValueError("widths must hold exactly two finite positive numbers")
+        if w[1] >= w[0]:
             raise ValueError("widths must be strictly decreasing")
         tols = (self.quadrature_tol, self.convergence_tol)
         if not (np.all(np.isfinite(tols)) and min(tols) > 0):
@@ -289,12 +288,11 @@ def _forked(task, shares) -> list:
     The first share runs in this process, and each other in a child forked
     for the call, whose result comes back pickled through a pipe.  So
     ``task`` may run in a child: its result must pickle, and its writes
-    are lost unless they go to memory mapped shared before the fork.  A
-    child must not write to anything else it inherits that is mapped
-    shared, such as the ensemble of an earlier run over all paths.  The
-    exception of the first share that raises, in share order, is raised
-    here, as is one that pickling a child's result raised; every child is
-    joined before this returns or raises.  Where fork is not available, or
+    are lost unless they go to memory mapped shared before the fork (the
+    ensemble of an earlier run over all paths, mapped shared too, is
+    read-only).  The exception of the first share that raises, in share
+    order, is raised here, as is one that pickling a child's result
+    raised; every child is joined before this returns or raises.  Where fork is not available, or
     while another Python thread runs, every share runs here, in order.
     """
     if len(shares) < 2:
@@ -434,7 +432,7 @@ def _holder_fit(grid, values):
 
 @dataclass
 class DriftPotential:
-    """Tabulated drift potential at the finest mollifier width."""
+    """Tabulated drift potential at the finer mollifier width."""
 
     grid: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -464,16 +462,16 @@ class DriftPotential:
 
 def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
                             moll: MollifierConfig, grid, strict=True) -> DriftPotential:
-    """Tabulate the potential at the finest width of the mollifier ladder.
+    """Tabulate the potential at the finer of the two mollifier widths.
 
-    Only the two finest widths are computed, each by the 8-point Gauss
-    rule on every grid cell.  Convergence is judged by the sup-grid gap
-    between them; in strict mode a gap above ``convergence_tol`` raises
-    NonConvergent (the construction is then not trustworthy for these
-    coefficients).  The finest table is checked against its 17-point
-    Gauss-Kronrod extension, which evaluates the integrand at the 9
-    Kronrod-only points of each cell: a sup gap |K17 - G8| above
-    ``quadrature_tol`` raises QuadratureFailure.
+    Both widths are computed, each by the 8-point Gauss rule on every grid
+    cell.  Convergence is judged by the sup-grid gap between them; in
+    strict mode a gap above ``convergence_tol`` raises NonConvergent (the
+    construction is then not trustworthy for these coefficients).  The
+    finer table is checked against its 17-point Gauss-Kronrod extension,
+    which evaluates the integrand at the 9 Kronrod-only points of each
+    cell: a sup gap |K17 - G8| above ``quadrature_tol`` raises
+    QuadratureFailure.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3 or np.any(np.diff(grid) <= 0):
@@ -490,13 +488,13 @@ def compute_drift_potential(drift: DriftSpec, diffusion: DiffusionSpec,
     gx, gw = gauss_legendre(_SEG_NODES)
     pts, half = _segment_points(grid, gx)
     tables = []
-    for width in moll.widths[-2:]:
+    for width in moll.widths:
         vals = integrand(pts, width)
         tab = _anchored_cumsum((vals * gw[None, :]).sum(axis=1) * half, grid)
         if not np.all(np.isfinite(tab)):
             raise QuadratureFailure("potential table is not finite")
         tables.append(tab)
-    # segment-quadrature self check at the finest width: the Kronrod
+    # segment-quadrature self check at the finer width: the Kronrod
     # extension reuses the Gauss values and adds the Kronrod-only points
     kx, kw = gauss_kronrod(_SEG_NODES)
     extra = integrand(_segment_points(grid, kx[0::2])[0], moll.widths[-1])

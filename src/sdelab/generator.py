@@ -313,7 +313,7 @@ class GeneratorState:
     final inversion supplies it), not a simulated Y, so that f(X) is
     phi(h(X)) exactly.  ``eq`` is the equation the state was built from;
     the grid functions read its kernel, truncation and transform from here.
-    Treat every array as read-only: ``hx`` may share memory with ``x``.
+    ``hx`` may be ``x`` itself; an ensemble's arrays are read-only.
     """
 
     eq: EquationX

@@ -11,7 +11,7 @@ jump marks are taken from the simulation records, which are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -108,25 +108,8 @@ class IntegrabilityGrowthTable:
     threshold: float
     sample_sizes: np.ndarray
     means: np.ndarray
-    caps: Optional[np.ndarray] = None
-    capped_means: Optional[np.ndarray] = None
-
-    def diverging(self):
-        """Running-mean blow-up: record jumps dominate the sample mean, which
-        ends above four times its first value without stabilizing."""
-        m = self.means
-        if len(m) < 2 or m[0] <= 0:
-            return False
-        return m[-1] > 4.0 * m[0] and not self.stabilized()
-
-    def stabilized(self):
-        """The last two means agree within a quarter of the last."""
-        m = self.means
-        if len(m) < 2:
-            return True
-        if m[-1] == 0:
-            return True
-        return abs(m[-1] - m[-2]) <= 0.25 * abs(m[-1])
+    caps: np.ndarray
+    capped_means: np.ndarray
 
 
 def big_jump_sums(phi, ensemble, a, caps=()) -> np.ndarray:
@@ -151,39 +134,37 @@ def big_jump_sums(phi, ensemble, a, caps=()) -> np.ndarray:
 
 
 def dirichlet_condition_intY(sums, active, a, sample_sizes,
-                             caps=None) -> IntegrabilityGrowthTable:
+                             caps) -> IntegrabilityGrowthTable:
     """Growth table of the summed big-jump image increments.
 
     ``sums`` and ``active`` hold one column and one flag per path, in path
-    order: the rows of ``big_jump_sums`` (those of several blocks
-    concatenated along the paths) and the ensemble's ``active``.  For each
-    n, the mean over the first n active paths of the sum over jumps larger
-    than ``a``.  A stabilizing table is consistent with integrability;
-    unbounded growth is evidence against it.  This is a diagnostic, never
-    a proof.  ``caps`` adds truncated columns, the means of the capped
-    rows, for comparison against closed-form tail integrals; ``sums`` must
-    hold one row per cap after row 0 (else ``ValidationError``).
+    order: the rows of ``big_jump_sums`` for the cap ladder ``caps`` (those
+    of several blocks concatenated along the paths) and the ensemble's
+    ``active``.  For each n of ``sample_sizes`` up to the active count, the
+    mean over the first n active paths of the sum over jumps larger than
+    ``a``; and the mean of each capped row over all active paths, for
+    comparison against the truncated tail integrals.  This is a
+    diagnostic, never a proof.  Fewer than two increasing caps, ``sums``
+    without row 0 and one row per cap for every path, or no sample size
+    up to the active count raise ``ValidationError``.
     """
-    n_caps = 0 if caps is None else len(caps)
-    if np.ndim(sums) != 2 or np.shape(sums) != (1 + n_caps, len(active)):
+    caps = np.asarray(caps, dtype=float)
+    if caps.ndim != 1 or len(caps) < 2 or np.any(np.diff(caps) <= 0):
+        raise ValidationError(f"caps {caps} are not a ladder of increasing values")
+    if np.ndim(sums) != 2 or np.shape(sums) != (1 + len(caps), len(active)):
         raise ValidationError(
             f"sums of shape {np.shape(sums)} do not hold row 0 and one row per "
             f"cap for each of {len(active)} paths")
     active_sums = sums[:, active]
-    ns, means = [], []
-    for n in np.asarray(sample_sizes, dtype=int):
-        if n <= active_sums.shape[1]:
-            ns.append(int(n))
-            means.append(float(np.mean(active_sums[0, :n])))
-    capped_means = None
-    caps_arr = None
-    if caps is not None:
-        caps_arr = np.asarray(caps, dtype=float)
-        capped_means = np.asarray([float(np.mean(row)) for row in active_sums[1:]])
-    return IntegrabilityGrowthTable(threshold=float(a),
-                                    sample_sizes=np.asarray(ns, dtype=int),
-                                    means=np.asarray(means),
-                                    caps=caps_arr, capped_means=capped_means)
+    sizes = np.asarray(sample_sizes, dtype=int)
+    ns = [int(n) for n in sizes if n <= active_sums.shape[1]]
+    if not ns:
+        raise ValidationError(f"no sample size within {active_sums.shape[1]} paths")
+    return IntegrabilityGrowthTable(
+        threshold=float(a), sample_sizes=np.asarray(ns, dtype=int),
+        means=np.asarray([float(np.mean(active_sums[0, :n])) for n in ns]),
+        caps=caps,
+        capped_means=np.asarray([float(np.mean(row)) for row in active_sums[1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,51 +291,40 @@ class DirichletReport:
     verdict: str
 
     def to_dict(self):
-        d = {
+        g = self.growth
+        return {
             "verdict": self.verdict,
             "growth": {
-                "threshold": self.growth.threshold,
-                "sample_sizes": [int(v) for v in self.growth.sample_sizes],
-                "means": [float(v) for v in self.growth.means],
+                "threshold": g.threshold,
+                "sample_sizes": [int(v) for v in g.sample_sizes],
+                "means": [float(v) for v in g.means],
+                "caps": [float(v) for v in g.caps],
+                "capped_means": [float(v) for v in g.capped_means],
             },
         }
-        if self.growth.caps is not None:
-            d["growth"]["caps"] = [float(v) for v in self.growth.caps]
-            d["growth"]["capped_means"] = [float(v) for v in self.growth.capped_means]
-        return d
 
 
-def classify_dirichlet(growth: IntegrabilityGrowthTable,
-                       reference=None) -> DirichletReport:
+def classify_dirichlet(growth: IntegrabilityGrowthTable, reference) -> DirichletReport:
     """Combine the diagnostics into a three-way verdict.
 
-    "inconsistent" requires positive evidence: a blowing-up growth table,
-    or a terminal mean far outside the factor-2 envelope of a declared
-    finite ``reference`` (the tail integral when it converges, its largest
-    truncation otherwise).  Trends within noise stay "inconclusive" rather
-    than being forced into a class, and so does a table whose last mean is
-    0: it read no big jump.
+    The cap ladder reads the tail (its summands are bounded, so its means
+    are statistically solid): capped means that grow by more than the
+    band factor 2 from the first cap to the last track a divergent tail
+    integral, and a plateau (growth below 1.5) says the integral
+    converges.  ``reference`` is the tail integral when it converges, its
+    truncation at the largest cap otherwise.  "inconsistent" requires
+    positive evidence: a growing cap ladder, or a terminal mean above the
+    factor-2 envelope of ``reference``.  "consistent_with_dirichlet"
+    requires a plateau and a terminal mean inside that envelope; anything
+    else stays "inconclusive", and so does a table whose last mean is 0:
+    it read no big jump.
     """
     band = 2.0
-    last = float(growth.means[-1]) if len(growth.means) else 0.0
-    out_of_band = reference is not None and last > band**2 * reference
-    in_band = last > 0.0 and (reference is None
-                              or reference / band <= last <= band**2 * reference)
-
-    # cap-ladder evidence (bounded summands, statistically solid): a
-    # plateau across caps says the tail integral converges, growth
-    # tracking the truncated integral says it does not
-    cap_divergent = cap_plateau = None
-    if growth.capped_means is not None and len(growth.capped_means) >= 2:
-        lo = max(float(growth.capped_means[0]), 1e-12)
-        ratio = float(growth.capped_means[-1]) / lo
-        cap_divergent = ratio > band
-        cap_plateau = ratio < 1.5
-
-    if out_of_band or (cap_divergent if cap_divergent is not None
-                       else growth.diverging()):
+    last = float(growth.means[-1])
+    ratio = float(growth.capped_means[-1]) / max(float(growth.capped_means[0]), 1e-12)
+    if ratio > band or last > band**2 * reference:
         verdict = "inconsistent"
-    elif (cap_plateau if cap_plateau is not None else growth.stabilized()) and in_band:
+    elif ratio < 1.5 and 0.0 < last and reference / band <= last <= band**2 * reference:
         verdict = "consistent_with_dirichlet"
     else:
         verdict = "inconclusive"

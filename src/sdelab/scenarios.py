@@ -24,8 +24,9 @@ from .generator import (CagladPath, EquationX, constant_functional,
                         law_reference, martingale_columns, resolve_functional)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
-from .pathcalc import (aligned_window_ladder, big_jump_sums, classify_dirichlet,
-                       dirichlet_condition_intY, gamma_residual_qv, qv_sweep)
+from .pathcalc import (DirichletReport, aligned_window_ladder, big_jump_sums,
+                       classify_dirichlet, dirichlet_condition_intY, gamma_residual_qv,
+                       qv_sweep)
 from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
                         compensator_residual, engine_setup, is_finite_real,
                         simulate_blocks, simulate_x_markovian, weighted_expectation)
@@ -144,7 +145,7 @@ def _build_smooth_drift():
 
 def _build_weierstrass():
     grid = np.linspace(-4.0, 4.0, 1601)
-    moll = MollifierConfig(widths=(2.5e-5, 1.25e-5, 6.25e-6))
+    moll = MollifierConfig(widths=(1.25e-5, 6.25e-6))
     coeffs = CoefficientSet.build(_weierstrass_drift(), _unit_diffusion(), moll, grid)
     return ScenarioBundle(
         name="weierstrass_drift", eq=EquationX(coeffs), x0=0.0,
@@ -476,19 +477,42 @@ def _diag_law(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     return result if gap <= 0.1 else replace(result, status="inconclusive")
 
 
+# every Dirichlet verdict's big-jump threshold, cap ladder and growth-table
+# sample sizes (cut below the active count, which ends the table)
+_DIRICHLET_THRESHOLD = 1.0
+_DIRICHLET_CAPS = (10.0, 100.0)
+_DIRICHLET_LADDER = (100, 300, 1000, 3000, 10000, 30000, 100000)
 _DIRICHLET_STATUS = {"inconsistent": "fail", "inconclusive": "inconclusive",
                      "consistent_with_dirichlet": "pass"}
 
 
+def dirichlet_report(kernel: Optional[Kernel], x0, horizon, sums, active,
+                     a=_DIRICHLET_THRESHOLD, caps=_DIRICHLET_CAPS) -> DirichletReport:
+    """The Dirichlet report of the big-jump ``sums`` (``big_jump_sums``
+    rows for ``caps``) of a run of ``kernel`` from ``x0`` over ``horizon``.
+
+    Its reference is the integral of |w| over the jumps of ``kernel`` at
+    ``x0`` larger than ``a`` in size, times ``horizon``; where that
+    diverges, its truncation at the largest cap; 0 without a kernel.
+    """
+    n = int(np.sum(active))
+    ladder = [m for m in _DIRICHLET_LADDER if m < n] + [n]
+    growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder, caps=caps)
+    ref = 0.0
+    if kernel is not None:
+        ref = float(kernel.mass(x0, [(-np.inf, -a), (a, np.inf)], 1.0)) * horizon
+        if not np.isfinite(ref):
+            hi = float(max(caps))
+            ref = float(kernel.mass(x0, [(-hi, -a), (a, hi)], 1.0)) * horizon
+    return classify_dirichlet(growth, reference=ref)
+
+
 def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    n = ens.n_paths
-    ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000) if m <= n] or [n]
-    growth = dirichlet_condition_intY(big_jump_sums(_identity, ens, 1.0), ens.active,
-                                      a=1.0, sample_sizes=ladder)
-    report = classify_dirichlet(growth)
+    sums = big_jump_sums(_identity, ens, _DIRICHLET_THRESHOLD, _DIRICHLET_CAPS)
+    report = dirichlet_report(bundle.eq.kernel, bundle.x0, ens.config.horizon, sums,
+                              ens.active)
     return DiagnosticResult("dirichlet", _DIRICHLET_STATUS[report.verdict],
-                            float(growth.means[-1]) if len(growth.means) else 0.0,
-                            np.inf, report.to_dict())
+                            float(report.growth.means[-1]), np.inf, report.to_dict())
 
 
 # name -> (diagnostic, tolerance); a diagnostic with a tolerance reads the
@@ -636,7 +660,7 @@ COUNTEREXAMPLE_STABLE_CONFIG = SimConfig(horizon=1.0, n_steps=64, n_paths=4000,
 
 
 def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
-                          a=1.0, caps=(10.0, 100.0)) -> RunReport:
+                          a=_DIRICHLET_THRESHOLD, caps=_DIRICHLET_CAPS) -> RunReport:
     """Brownian motion plus a pure-jump power tail: integrability dichotomy.
 
     For tail exponents below 1 the summed big-jump sizes have divergent
@@ -668,26 +692,16 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     x_end, active, sums, jumps = zip(*simulate_blocks(setup, reduce))
     x_end, active = np.concatenate(x_end), np.concatenate(active)
     sums, n_jumps = np.concatenate(sums, axis=1), sum(jumps)
-    n = config.n_paths
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
     echo = {"expected_verdict": expected, "gamma": float(gamma), "scale": float(scale)}
     n_active = int(np.sum(active))
     if n_active < MIN_ACTIVE_PATHS:
         diag = _z_gate("dirichlet_counterexample", [], np.inf, n_active, echo)
     else:
-        ladder = [m for m in (100, 300, 1000, 3000, 10000, 30000, 100000) if m <= n]
-        if not ladder or ladder[-1] != n:
-            ladder.append(n)
-        growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder,
-                                          caps=caps)
-        # reference: the two-sided big-jump size integral, or its largest
-        # truncation when it diverges
-        hi = np.inf if gamma > 1.0 else float(max(caps))
-        ref = float(kernel.mass(0.0, [(-hi, -a), (a, hi)], 1.0)) * config.horizon
-        report_d = classify_dirichlet(growth, reference=ref)
+        report_d = dirichlet_report(kernel, 0.0, config.horizon, sums, active, a, caps)
         diag = DiagnosticResult(
             "dirichlet_counterexample", _status(report_d.verdict == expected),
-            float(growth.means[-1]), np.inf, {**report_d.to_dict(), **echo})
+            float(report_d.growth.means[-1]), np.inf, {**report_d.to_dict(), **echo})
     spec_echo = {"name": "counterexample_stable", "gamma": float(gamma),
                  "scale": float(scale), "threshold": float(a),
                  "caps": [float(c) for c in caps]}

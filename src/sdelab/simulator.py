@@ -391,10 +391,12 @@ class Ensemble:
     they hold h(x) and h'(x) from that inversion, equal bit for bit to
     ``transform.forward(x)`` and ``transform.deriv(x)``.  A run over all
     paths (``simulate_y``) writes its arrays in place into memory mapped
-    shared with the children that later calls fork, which must not write
-    to them either, and keeps the terminal X, ``x_end``, as its workers
-    copied it (a range keeps a view of ``x``).  A jump record holds its
-    row, time, pre-jump state of X and size in the original coordinates.
+    shared with the children that later calls fork, and keeps the terminal
+    X, ``x_end``, as its workers copied it (a range keeps a view of ``x``).
+    Every array of an ensemble that ``simulate_y`` returns is read-only
+    (a whole run's once every worker is joined), so a write raises
+    ``ValueError``.  A jump record holds its row, time, pre-jump state of
+    X and size in the original coordinates.
     """
 
     times: np.ndarray = field(repr=False)
@@ -426,6 +428,15 @@ class Ensemble:
 
     def terminal_x(self):
         return self.x_end[self.active]
+
+
+def _read_only(ens: Ensemble) -> Ensemble:
+    """``ens``, its arrays made read-only."""
+    for value in vars(ens).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return ens
+
 
 # ---------------------------------------------------------------------------
 # the engine
@@ -543,7 +554,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                 and 0 <= paths.start < paths.stop <= config.n_paths):
             raise ValidationError(f"paths must be a nonempty range within "
                                   f"range({config.n_paths}), got {paths!r}")
-        return _engine(setup, paths)
+        return _read_only(_engine(setup, paths))
     P, n = config.n_paths, config.n_steps
     run = {"x": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
     if not setup.chars.transform.is_identity:
@@ -555,10 +566,11 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
                  part.jump_x_pre, part.jump_w), part.excluded_count)
 
     xe, jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block)))
-    return Ensemble(times=np.linspace(0.0, config.horizon, n + 1), x=run["x"], x_end=xe,
-                    dW=run["dW"], active=run["active"],
-                    jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
-                    config=config, hx=run.get("hx"), hpx=run.get("hpx"))
+    return _read_only(Ensemble(
+        times=np.linspace(0.0, config.horizon, n + 1), x=run["x"], x_end=xe,
+        dW=run["dW"], active=run["active"],
+        jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
+        config=config, hx=run.get("hx"), hpx=run.get("hpx")))
 
 
 def _shared(shape, dtype=float):

@@ -35,7 +35,7 @@ def unit_diff():
 @pytest.fixture(scope="module")
 def weier_potential(unit_diff):
     grid = np.linspace(-2.0, 2.0, 801)
-    moll = MollifierConfig(widths=(2.5e-5, 1.25e-5, 6.25e-6))
+    moll = MollifierConfig(widths=(1.25e-5, 6.25e-6))
     return compute_drift_potential(DriftSpec(beta=weier_beta), unit_diff, moll, grid)
 
 
@@ -86,7 +86,7 @@ class TestDriftPotential:
         grid = np.linspace(-2.0, 2.0, 401)
         drift = DriftSpec(beta=lambda x: 0.3 * np.asarray(x, dtype=float)
                           + 0.05 * np.sin(3.0 * np.asarray(x, dtype=float)))
-        moll = MollifierConfig(widths=(0.01, 0.005, 0.0025))
+        moll = MollifierConfig(widths=(0.005, 0.0025))
         a = compute_drift_potential(drift, unit_diff, moll, grid)
         with bump_mollifier():
             b = compute_drift_potential(drift, unit_diff, moll, grid)
@@ -98,7 +98,7 @@ class TestDriftPotential:
                                     MollifierConfig(), np.linspace(0.5, 2.0, 50))
 
 
-_LADDER = (2.5e-5, 1.25e-5, 6.25e-6)
+_LADDER = (1.25e-5, 6.25e-6)
 
 
 class TestMollifierConfig:
@@ -107,7 +107,8 @@ class TestMollifierConfig:
         dict(widths=(np.nan, 0.25)), dict(widths=(np.inf, 0.25)),
         dict(widths=(0.5, -0.25)), dict(widths=(0.25, 0.5)),
         dict(quadrature_tol=np.nan), dict(convergence_tol=np.nan),
-        dict(quadrature_tol=np.inf), dict(convergence_tol=0.0)))
+        dict(quadrature_tol=np.inf), dict(convergence_tol=0.0),
+        dict(widths=(0.02, 0.01, 0.005))))
     def test_bad_ladder_or_tolerance_rejected(self, kw):
         with pytest.raises(ValueError):
             MollifierConfig(**kw)
@@ -115,7 +116,7 @@ class TestMollifierConfig:
     def test_one_width_cannot_hide_nonconvergence(self, unit_diff):
         # a one-width ladder compared nothing: level gap 0, "converged";
         # with a second width the same series does not converge
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="exactly two"):
             MollifierConfig(widths=(0.25,))
         with pytest.raises(NonConvergent):
             compute_drift_potential(DriftSpec(beta=weier_beta), unit_diff,
@@ -164,19 +165,9 @@ class TestSegmentSelfCheck:
 class TestTwoFinestLevels:
     grid = np.linspace(-2.0, 2.0, 129)
 
-    def test_coarser_widths_are_not_read(self, unit_diff):
-        drift = DriftSpec(beta=weier_beta)
-        full = compute_drift_potential(drift, unit_diff, MollifierConfig(widths=_LADDER),
-                                       self.grid)
-        last = compute_drift_potential(drift, unit_diff,
-                                       MollifierConfig(widths=_LADDER[1:]), self.grid)
-        assert full.values.tobytes() == last.values.tobytes()
-        assert (full.level_gap, full.alpha, full.holder_const, full.converged) == (
-            last.level_gap, last.alpha, last.holder_const, last.converged)
-
     def test_beta_evaluations_per_segment(self, unit_diff):
         # two widths at the 8 Gauss points plus the 9 Kronrod-only points of
-        # the finest: 25 point sets per segment, each 2 x 48 mollifier nodes
+        # the finer: 25 point sets per segment, each 2 x 48 mollifier nodes
         seen = []
 
         def counting_beta(x):
@@ -415,7 +406,7 @@ def test_transform_monotone_for_random_smooth_drifts(a, b, c):
                       + b * np.sin(c * np.asarray(x, dtype=float)))
     diff = DiffusionSpec(sigma=unit_sigma, sigma_min=1.0, sigma_max=1.0)
     # smoothing widths sized for the frequency range of the strategy
-    moll = MollifierConfig(widths=(0.01, 0.005, 0.0025))
+    moll = MollifierConfig(widths=(0.005, 0.0025))
     coeffs = CoefficientSet.build(drift, diff, moll, grid)
     tr = coeffs.transform
     assert np.all(np.diff(tr.h_values) > 0)

@@ -201,33 +201,39 @@ def ident(x):
     return np.asarray(x, dtype=float)
 
 
+CAPS = (10.0, 100.0)
+
+
+def growth(ens, sample_sizes):
+    """The growth table of ``ens`` at threshold 1 and the caps ``CAPS``."""
+    return dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, CAPS), ens.active,
+                                    a=1.0, sample_sizes=sample_sizes, caps=CAPS)
+
+
 class TestIntegrabilityGrowth:
     def test_no_jumps_zero_table(self):
         ens = brownian_paths(n_paths=50, n_steps=128, seed=3)
-        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
-                                       a=1.0, sample_sizes=(10, 50))
-        assert np.all(tab.means == 0.0)
+        tab = growth(ens, (10, 50))
+        assert np.all(tab.means == 0.0) and np.all(tab.capped_means == 0.0)
 
     def test_light_tail_stabilizes_near_oracle(self):
         # oracle: T * int_{|x|>1} |x| * 0.5 |x|^(-2.5) dx = 2 * 0.5 * 2 = 2
+        # the capped means plateau: their oracles 2(1 - M^(-1/2)) grow 1.32-fold
         ens, _ = _stable_ensemble(1.5)
-        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
-                                       a=1.0, sample_sizes=(100, 500, 2000))
-        assert tab.stabilized()
+        tab = growth(ens, (100, 500, 2000))
+        assert tab.capped_means[-1] < 1.5 * tab.capped_means[0]
         assert 0.5 * 2.0 < tab.means[-1] < 2.0 * 2.0
 
     def test_heavy_tail_diverges(self):
+        # the capped means track their oracles 2(sqrt(M) - 1), 4.2-fold apart
         ens, _ = _stable_ensemble(0.5)
-        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0), ens.active,
-                                       a=1.0, sample_sizes=(100, 500, 2000))
-        assert tab.diverging() or tab.means[-1] > 2.0 * 2.0 * (np.sqrt(100) - 1)
+        tab = growth(ens, (100, 500, 2000))
+        assert tab.capped_means[-1] > 2.0 * tab.capped_means[0]
 
     def test_capped_columns_match_tail_integral(self):
         # truncated oracle: T * 2 * scale * int_1^M x^(-1/2) dx = 2(sqrt(M)-1)
         ens, _ = _stable_ensemble(0.5, n_paths=4000, seed=35)
-        caps = (10.0, 100.0)
-        tab = dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, caps), ens.active,
-                                       a=1.0, sample_sizes=(4000,), caps=caps)
+        tab = growth(ens, (4000,))
         oracle = 2.0 * (np.sqrt(np.asarray([10.0, 100.0])) - 1.0)
         assert np.all(np.abs(tab.capped_means / oracle - 1.0) < 0.2)
 
@@ -237,13 +243,28 @@ class TestIntegrabilityGrowth:
         plain = big_jump_sums(ident, ens, 1.0)
         with pytest.raises(ValidationError):
             dirichlet_condition_intY(plain, ens.active, a=1.0, sample_sizes=(50,),
-                                     caps=(10.0, 100.0))
+                                     caps=CAPS)
         with pytest.raises(ValidationError):
-            dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, (10.0,)),
-                                     ens.active, a=1.0, sample_sizes=(50,))
+            dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, (10.0, 100.0, 1e3)),
+                                     ens.active, a=1.0, sample_sizes=(50,), caps=CAPS)
         with pytest.raises(ValidationError):
-            dirichlet_condition_intY(plain, ens.active[:40], a=1.0,
-                                     sample_sizes=(40,))
+            dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, CAPS),
+                                     ens.active[:40], a=1.0, sample_sizes=(40,), caps=CAPS)
+
+    @pytest.mark.parametrize("caps", ((10.0,), (100.0, 10.0), (10.0, 10.0)))
+    def test_caps_must_be_a_ladder(self, caps):
+        # one cap, or caps that do not increase, cannot show the tail grow
+        from sdelab import ValidationError
+        ens = brownian_paths(n_paths=50, n_steps=128, seed=3)
+        with pytest.raises(ValidationError, match="ladder"):
+            dirichlet_condition_intY(big_jump_sums(ident, ens, 1.0, caps), ens.active,
+                                     a=1.0, sample_sizes=(50,), caps=caps)
+
+    def test_a_sample_size_must_fit(self):
+        from sdelab import ValidationError
+        ens = brownian_paths(n_paths=50, n_steps=128, seed=3)
+        with pytest.raises(ValidationError, match="no sample size"):
+            growth(ens, (100, 300))
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +301,13 @@ class TestGammaResidual:
 # ---------------------------------------------------------------------------
 
 class TestVerdicts:
-    @pytest.mark.parametrize("reference", (None, 2.0))
+    @pytest.mark.parametrize("reference", (0.0, 2.0))
     def test_table_without_big_jumps_is_inconclusive(self, reference):
         # a last mean of 0 read no big jump: no evidence either way
         table = IntegrabilityGrowthTable(threshold=1.0,
                                          sample_sizes=np.asarray([100, 300, 1000]),
-                                         means=np.zeros(3))
+                                         means=np.zeros(3), caps=np.asarray(CAPS),
+                                         capped_means=np.zeros(2))
         assert classify_dirichlet(table, reference=reference).verdict == "inconclusive"
 
     def test_dichotomy_between_tail_exponents(self):
@@ -294,13 +316,8 @@ class TestVerdicts:
         ens_l, _ = _stable_ensemble(1.5, seed=44)
         ens_h, _ = _stable_ensemble(0.5, seed=45)
         sizes = (100, 300, 1000, 2000)
-        rep_l = classify_dirichlet(
-            dirichlet_condition_intY(big_jump_sums(ident, ens_l, 1.0), ens_l.active,
-                                     1.0, sizes),
-            reference=2.0)
-        rep_h = classify_dirichlet(
-            dirichlet_condition_intY(big_jump_sums(ident, ens_h, 1.0), ens_h.active,
-                                     1.0, sizes),
-            reference=2.0 * (np.sqrt(100.0) - 1.0))
+        rep_l = classify_dirichlet(growth(ens_l, sizes), reference=2.0)
+        rep_h = classify_dirichlet(growth(ens_h, sizes),
+                                   reference=2.0 * (np.sqrt(100.0) - 1.0))
         assert rep_l.verdict == "consistent_with_dirichlet"
         assert rep_h.verdict == "inconsistent"

@@ -507,10 +507,15 @@ class TestFailClosed:
         # no big jump is read: atom_jump's one atom, at 0.1, is below the threshold 1
         (dict(name="brownian_baseline"), "inconclusive", "inconclusive"),
         (dict(name="atom_jump"), "inconclusive", "inconclusive"),
-        (dict(name="stable_jump"), "inconclusive", "inconclusive"),
+        (dict(name="stable_jump"), "consistent_with_dirichlet", "pass"),
         (dict(name="stable_jump", n_paths=200, n_steps=32),
          "consistent_with_dirichlet", "pass"),
-    ), ids=("brownian_baseline", "atom_jump", "stable_jump", "stable_jump_200x32"))
+        # the big-jump integral diverges below tail exponent 1
+        (dict(name="stable_jump", params={"gamma": 0.5}), "inconsistent", "fail"),
+        (dict(name="stable_jump", params={"gamma": 0.5}, n_paths=200, n_steps=32),
+         "inconsistent", "fail"),
+    ), ids=("brownian_baseline", "atom_jump", "stable_jump", "stable_jump_200x32",
+            "stable_jump_gamma_0.5", "stable_jump_gamma_0.5_200x32"))
     def test_dirichlet_status_is_the_verdicts(self, spec, verdict, status):
         report, _ = run_scenario(ScenarioSpec(diagnostics=("dirichlet",), **spec))
         d = report.diagnostics[0]
@@ -524,10 +529,45 @@ class TestFailClosed:
         from sdelab import scenarios
         from sdelab import DirichletReport
         monkeypatch.setattr(scenarios, "classify_dirichlet",
-                            lambda growth: DirichletReport(growth=growth, verdict=verdict))
+                            lambda growth, reference: DirichletReport(growth=growth,
+                                                                      verdict=verdict))
         report, _ = run_scenario(ScenarioSpec(name="stable_jump", n_paths=200,
                                               n_steps=32, diagnostics=("dirichlet",)))
         assert report.diagnostics[0].status == status
+
+    @pytest.mark.parametrize("gamma, inconsistent", ((0.5, True), (1.5, False)))
+    def test_dirichlet_verdict_on_every_seed(self, gamma, inconsistent):
+        # a divergent big-jump integral fails on every seed, an integrable
+        # one on none (3 of these 10 seeds are inconclusive at 1.5)
+        for seed in range(10):
+            spec = ScenarioSpec(name="stable_jump", params={"gamma": gamma}, n_paths=200,
+                                n_steps=32, seed=seed, diagnostics=("dirichlet",))
+            verdict = run_scenario(spec)[0].diagnostics[0].details["verdict"]
+            assert (verdict == "inconsistent") == inconsistent, (seed, verdict)
+
+    def test_dirichlet_ladder_ends_at_the_active_count(self):
+        from sdelab.scenarios import dirichlet_report
+        spec = ScenarioSpec(name="stable_jump", n_paths=500, n_steps=32,
+                            diagnostics=("dirichlet",))
+        growth = run_scenario(spec)[0].diagnostics[0].details["growth"]
+        assert growth["sample_sizes"] == [100, 300, 500]
+        active = np.arange(250) % 10 != 3  # 225 active paths
+        report = dirichlet_report(None, 0.0, 1.0, np.zeros((3, 250)), active)
+        assert list(report.growth.sample_sizes) == [100, 225]
+        assert report.verdict == "inconclusive"
+
+    def test_registry_and_counterexample_share_one_route(self):
+        # the same kernel, configuration and seed give the same sums, and
+        # the registry's dirichlet and the counterexample read them alike
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=700, master_seed=41)
+        light = counterexample_stable(1.5, config=cfg).diagnostics[0]
+        spec = ScenarioSpec(name="stable_jump", params={"gamma": 1.5}, n_paths=700,
+                            n_steps=32, seed=41, diagnostics=("dirichlet",))
+        registry = run_scenario(spec)[0].diagnostics[0]
+        assert registry.details["growth"]["sample_sizes"] == [100, 300, 700]
+        assert registry.details["growth"] == light.details["growth"]
+        assert registry.details["verdict"] == light.details["verdict"]
+        assert registry.statistic == light.statistic
 
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_counterexample_below_the_path_floor_is_inconclusive(self, gamma):

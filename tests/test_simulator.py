@@ -656,6 +656,23 @@ class TestDealtRun:
         _assert_no_child_left()
 
     @pytest.mark.parametrize("case", ("stable_drop", "atom_tanh"))
+    def test_finished_runs_are_read_only(self, case, workers, tanh_coeffs, atom_kernel,
+                                         clamp1):
+        # a whole run's shared rows once its workers are joined, a range's
+        # own arrays: an in-place write raises
+        chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
+        setup = engine_setup(chars, cfg, y0)
+        for ens in (simulate_y(setup), simulate_y(setup, paths=range(3, cfg.n_paths))):
+            for field in ENSEMBLE_ARRAYS + ("jump_path",):
+                value = getattr(ens, field)
+                assert value is None or not value.flags.writeable, field
+            with pytest.raises(ValueError, match="read-only"):
+                ens.x[0, 1] += 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                ens.dW[:, 0] = 0.0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ("stable_drop", "atom_tanh"))
     def test_dealt_run_with_a_functional(self, case, workers, tanh_coeffs, atom_kernel,
                                          clamp1, monkeypatch):
         chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
