@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -22,8 +23,7 @@ from .errors import (DegenerateWeights, DivergentMoment, GridMismatch,
                      IntensityBoundViolated, IoError, MissingDriverRecord,
                      NonConvergent, QuadratureFailure, RangeError,
                      ValidationError)
-from .generator import (generator_state, girsanov_weight, jump_tables,
-                        martingale_residual_ensemble)
+from .generator import generator_state, girsanov_weight, martingale_residual_ensemble
 from .kernels import geometric_partition, moment_bound, tv_continuity_modulus
 from .pathcalc import aligned_window_ladder, qv_sweep
 from .scenarios import (COUNTEREXAMPLE_STABLE_CONFIG, ScenarioSpec, build_bundle,
@@ -71,13 +71,22 @@ def _spec_from_args(args) -> ScenarioSpec:
     return spec
 
 
-def _write_paths_csv(ens, out_dir, max_paths):
+def _run(spec):
+    """The bundle of ``spec`` and its report and ensemble, the report's
+    clock counting the build as ``run_scenario``'s does."""
+    t0 = time.perf_counter()
+    bundle = build_bundle(spec)
+    return (bundle, *run_bundle(spec, bundle, t0))
+
+
+def _write_paths_csv(bundle, ens, out_dir, max_paths):
     path = os.path.join(out_dir, "paths.csv")
-    y = ens.x if ens.hx is None else ens.hx  # Y = h(X)
+    n = min(max_paths, ens.n_paths)
+    y = bundle.eq.coeffs.transform.forward(ens.x[:n])  # Y = h(X)
     with _written(path) as fh:
         fh.write("path_id,t,Y,X,jump_flag,jump_size\n")
         dt = float(ens.times[1] - ens.times[0])
-        for i in range(min(max_paths, ens.n_paths)):
+        for i in range(n):
             flags = np.zeros(len(ens.times))
             sizes = np.zeros(len(ens.times))
             jumps = ens.jumps_of(i)
@@ -142,9 +151,9 @@ def cmd_check_kernel(args):
 def cmd_simulate(args):
     spec = _spec_from_args(args)
     spec.diagnostics = ()
-    report, ens = run_scenario(spec)
+    bundle, report, ens = _run(spec)
     out_dir = _out_dir(args)
-    csv_path = _write_paths_csv(ens, out_dir, max_paths=args.dump_paths)
+    csv_path = _write_paths_csv(bundle, ens, out_dir, max_paths=args.dump_paths)
     summary = os.path.join(out_dir, f"summary_{report.scenario}.json")
     with _written(summary) as fh:
         fh.write(report_json(report))
@@ -157,8 +166,7 @@ def cmd_simulate(args):
 def cmd_verify_martingale(args):
     spec = _spec_from_args(args)
     spec.diagnostics = ("martingale",)
-    bundle = build_bundle(spec)
-    report, ens = run_bundle(spec, bundle)
+    bundle, report, ens = _run(spec)
     out_dir = _out_dir(args)
     # the written rows only (none without rows), read as the diagnostic reads
     # them, with its jump-term tables over all states
@@ -166,9 +174,8 @@ def cmd_verify_martingale(args):
     M, kappa = (), ()
     if args.dump_paths:
         f = standard_profiles()[0]
-        hx, hpx = (None, None) if ens.hx is None else (ens.hx[rows], ens.hpx[rows])
-        tables = report.diagnostics[0].jump_tables or jump_tables(bundle.eq, (f,), ens.x)
-        state = generator_state(bundle.eq, ens.times, ens.x[rows], hx, hpx, tables)
+        state = generator_state(bundle.eq, ens.times, ens.x[rows],
+                                report.diagnostics[0].jump_tables)
         M = martingale_residual_ensemble(state, f)
         # the Girsanov weights under which the diagnostic reads the residuals
         kappa = (girsanov_weight(ens.times, state.hv, ens.dW[rows])[:, -1]
@@ -225,10 +232,10 @@ def cmd_counterexample(args):
 
 def cmd_run(args):
     spec = _spec_from_args(args)
-    report, ens = run_scenario(spec)
+    bundle, report, ens = _run(spec)
     out_dir = _out_dir(args)
     if args.dump_paths:
-        _write_paths_csv(ens, out_dir, max_paths=args.dump_paths)
+        _write_paths_csv(bundle, ens, out_dir, max_paths=args.dump_paths)
     return _print_report(report, out_dir, args.format)
 
 

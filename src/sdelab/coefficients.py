@@ -528,11 +528,10 @@ class ScaleTransform:
 
     The derivative table equals exp(-potential) at every node by
     construction; values are cumulative quadrature of the interpolated
-    derivative.  All three tables (h, h' and the inverse's starting guess)
-    are ``CubicTable``s.  Inversion brackets each point once in the value
-    table and works on that cell's coefficients from then on, so it can
-    hand back h(x) and h'(x) as well, bit for bit what ``forward`` and
-    ``deriv`` give at the returned x.
+    derivative.  All tables (h, h', the two as one two-column table, and
+    the inverse's starting guess) are ``CubicTable``s.  Inversion brackets
+    each point once in the value table and works on that cell's
+    coefficients from then on.
     """
 
     grid: Optional[np.ndarray] = field(default=None, repr=False)
@@ -541,7 +540,7 @@ class ScaleTransform:
 
     def __post_init__(self):
         if self.grid is None:
-            self._h = self._hp = self._inv = None
+            self._h = self._hp = self._both = self._inv = None
             return
         self.grid = np.asarray(self.grid, dtype=float)
         self.h_values = np.asarray(self.h_values, dtype=float)
@@ -550,6 +549,9 @@ class ScaleTransform:
             raise ValueError("transform values must be strictly increasing")
         self._h = CubicTable(self.grid, self.h_values)
         self._hp = CubicTable(self.grid, self.hprime_values)
+        # h and h' in one table; its columns do not mix, so it gives the
+        # values of _h and _hp bit for bit
+        self._both = CubicTable(self.grid, np.stack([self.h_values, self.hprime_values]))
         # monotone interpolant of the inverse: the Newton starting guess
         self._inv = CubicTable(self.h_values, self.grid)
 
@@ -598,32 +600,36 @@ class ScaleTransform:
         self._check_domain(x)
         return self._hp(x)
 
-    def inverse(self, y, images=False):
+    def forward_and_deriv(self, x):
+        """``(h(x), h'(x))`` from the table that holds both, so one cell
+        search and one gather serve both; equal bit for bit to
+        ``(forward(x), deriv(x))``."""
+        x = np.asarray(x, dtype=float)
+        if self.is_identity:
+            return x, np.ones_like(x)
+        self._check_domain(x)
+        return tuple(self._both(x))
+
+    def inverse(self, y):
         """Monotone inversion inside the bracketing cell of the value table.
 
         One ``searchsorted`` on ``h_values`` finds each point's cell; the
         interpolated starting guess, ``_NEWTON_ITERS`` Newton steps and the
         residual check then run on that cell's coefficients, and stragglers
-        fall back to ``_BISECT_ITERS`` bisection steps.  With ``images`` a
-        tabulated transform returns ``(x, h(x), h'(x))``, equal bit for bit
-        to ``(x, forward(x), deriv(x))``; the identity always returns x
-        alone.
+        fall back to ``_BISECT_ITERS`` bisection steps.
         """
         if self.is_identity:
             return np.asarray(y, dtype=float)
         self._check_image(y)
         y = np.asarray(y, dtype=float)
         yq = y.ravel()
-        out = np.empty((3 if images else 1, len(yq)))
+        out = np.empty(len(yq))
         for a in range(0, len(yq), _CHUNK):
-            out[:, a:a + _CHUNK] = self._invert(yq[a:a + _CHUNK], images)
-        if y.ndim == 0:
-            return tuple(float(v[0]) for v in out) if images else float(out[0, 0])
-        out = out.reshape((len(out),) + y.shape)
-        return tuple(out) if images else out[0]
+            out[a:a + _CHUNK] = self._invert(yq[a:a + _CHUNK])
+        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
-    def _invert(self, yq, images):
-        """Rows x (and h(x), h'(x) with ``images``) for the 1-d points ``yq``."""
+    def _invert(self, yq):
+        """x for the 1-d points ``yq``."""
         last = len(self.grid) - 2
         idx = np.clip(np.searchsorted(self.h_values, yq) - 1, 0, last)
         lo = self.grid[idx]
@@ -645,15 +651,11 @@ class ScaleTransform:
                     v[edge] = table(x[edge])
             return vals
 
-        both = (self._h, self._hp)
         for _ in range(_NEWTON_ITERS):
-            hx, hpx = evaluate(x, both)
+            hx, hpx = evaluate(x, (self._h, self._hp))
             x = x - (hx - yq) / np.maximum(hpx, 1e-300)
             x = np.clip(x, lo, hi)
-        # the residual check needs h alone; h' only when it is handed back
-        tables = both if images else both[:1]
-        vals = evaluate(x, tables)
-        res = np.abs(vals[0] - yq)
+        res = np.abs(evaluate(x, (self._h,))[0] - yq)
         scale = 1e-10 * (1.0 + np.abs(yq))
         bad = (res > scale).nonzero()[0]
         if len(bad):
@@ -667,10 +669,7 @@ class ScaleTransform:
             xb = 0.5 * (blo + bhi)
             xb = xb - (self._h(xb) - yb) / np.maximum(self._hp(xb), 1e-300)
             x[bad] = np.clip(xb, blo, bhi)
-            if images:
-                for v, table in zip(vals, both):
-                    v[bad] = table(x[bad])
-        return (x, *vals) if images else x
+        return x
 
     @property
     def inv_deriv_sup(self):

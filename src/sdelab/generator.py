@@ -309,11 +309,10 @@ class GeneratorState:
     phi(h(x + w)).  None of h(x), h'(x), sigma(x), the drift functional's
     grid values, the kernel's atoms at x or their images depends on phi,
     so one state serves every profile evaluated on the same paths.  ``hx``
-    is h evaluated at ``x`` (in the inverse's own cell when the engine's
-    final inversion supplies it), not a simulated Y, so that f(X) is
-    phi(h(X)) exactly.  ``eq`` is the equation the state was built from;
-    the grid functions read its kernel, truncation and transform from here.
-    ``hx`` may be ``x`` itself; an ensemble's arrays are read-only.
+    is h evaluated at ``x``, not a simulated Y, so that f(X) is phi(h(X))
+    exactly.  ``eq`` is the equation the state was built from; the grid
+    functions read its kernel, truncation and transform from here.  ``hx``
+    may be ``x`` itself; an ensemble's arrays are read-only.
     """
 
     eq: EquationX
@@ -326,17 +325,16 @@ class GeneratorState:
     sigma_hv: object      # sigma * hv, the drift term per unit f'; None without
     atoms: Optional[AtomRows]  # kernel.atoms(x) of an atomic kernel, else None
     atom_images: tuple    # h(x + w) per atom column of ``atoms``, else ()
-    jump_tables: Optional[dict] = None  # profile name -> _jump_table, else None
+    jump_tables: Optional[dict]  # profile name -> _jump_table, else None
 
 
-def generator_state(eq: EquationX, times, x, hx=None, hpx=None,
-                    jump_tables=None) -> GeneratorState:
+def generator_state(eq: EquationX, times, x, jump_tables) -> GeneratorState:
     """Evaluate the transform, sigma and the functional once on the path
     array ``x`` (last axis = time; one path or many).
 
-    ``hx`` and ``hpx`` are h(x) and h'(x) when the caller already holds
-    them, as an ensemble does from the engine's final inversion; whichever
-    is None is evaluated here.
+    ``jump_tables`` is ``jump_tables(eq, profiles, states)`` over the
+    states the caller reads, so that a power tail's jump term does not
+    depend on which rows ``x`` holds.
     """
     transform = eq.coeffs.transform
     times = np.asarray(times, dtype=float)
@@ -345,8 +343,7 @@ def generator_state(eq: EquationX, times, x, hx=None, hpx=None,
     atoms = eq.kernel.atoms(x) if has_atoms(eq.kernel) else None
     images = () if atoms is None else tuple(np.asarray(transform.forward(x + w))
                                             for w in np.moveaxis(atoms.pos, -1, 0))
-    hx = np.asarray(transform.forward(x)) if hx is None else hx
-    hpx = np.asarray(transform.deriv(x)) if hpx is None else hpx
+    hx, hpx = transform.forward_and_deriv(x)
     sigma = np.asarray(eq.coeffs.diffusion.sigma(x))
     return GeneratorState(eq=eq, times=times, x=x, hx=hx, hpx=hpx,
                           half_s0_sq=0.5 * (sigma * hpx) ** 2, hv=hv,
@@ -387,7 +384,7 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
 
     Kernels with atoms are summed exactly over each state's atoms, which
     the state holds; a power tail reads the profile's table from
-    ``state.jump_tables``, or tabulates it over the state's own grid.
+    ``state.jump_tables``.
     """
     x, kernel, trunc = state.x, state.eq.kernel, state.eq.trunc
     if kernel is None:
@@ -400,9 +397,7 @@ def _jump_term_grid(f: ConjugateTestFunction, state: GeneratorState, base, fp):
             term *= state.atoms.mass[..., j]
             out += term
         return out
-    table = (_jump_table(f, state.eq, x) if state.jump_tables is None
-             else state.jump_tables[f.name])
-    return table(x)
+    return state.jump_tables[f.name](x)
 
 
 def generator_grid(f: ConjugateTestFunction, state: GeneratorState, fx):
@@ -450,8 +445,7 @@ def martingale_columns(eq: EquationX, ens, profiles, cols, tables):
 
     def block(paths):
         r = slice(paths.start, paths.stop)
-        hx, hpx = (None, None) if ens.hx is None else (ens.hx[r], ens.hpx[r])
-        state = generator_state(eq, ens.times, ens.x[r], hx, hpx, tables)
+        state = generator_state(eq, ens.times, ens.x[r], tables)
         out = np.stack([martingale_residual_ensemble(state, f)[:, cols] for f in profiles])
         kappa = (None if eq.functional is None
                  else girsanov_weight(ens.times, state.hv, ens.dW[r])[:, -1].copy())

@@ -386,17 +386,16 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
 class Ensemble:
     """Structure-of-arrays ensemble; rows are paths, last axis is time.
 
-    Y is simulated in the rows of ``x`` and inverted there in place: under
-    the identity transform ``x`` is Y and ``hx``, ``hpx`` are None, else
-    they hold h(x) and h'(x) from that inversion, equal bit for bit to
-    ``transform.forward(x)`` and ``transform.deriv(x)``.  A run over all
-    paths (``simulate_y``) writes its arrays in place into memory mapped
-    shared with the children that later calls fork, and keeps the terminal
-    X, ``x_end``, as its workers copied it (a range keeps a view of ``x``).
-    Every array of an ensemble that ``simulate_y`` returns is read-only
-    (a whole run's once every worker is joined), so a write raises
-    ``ValueError``.  A jump record holds its row, time, pre-jump state of
-    X and size in the original coordinates.
+    Y is simulated in the rows of ``x`` and inverted there in place (under
+    the identity transform ``x`` is Y); h(x) and h'(x) are not stored but
+    evaluated where they are read.  A run over all paths (``simulate_y``)
+    writes its arrays in place into memory mapped shared with the children
+    that later calls fork, and keeps the terminal X, ``x_end``, as its
+    workers copied it (a range keeps a view of ``x``).  Every array of an
+    ensemble that ``simulate_y`` returns is read-only (a whole run's once
+    every worker is joined), so a write raises ``ValueError``.  A jump
+    record holds its row, time, pre-jump state of X and size in the
+    original coordinates.
     """
 
     times: np.ndarray = field(repr=False)
@@ -409,8 +408,6 @@ class Ensemble:
     jump_x_pre: np.ndarray = field(repr=False)
     jump_w: np.ndarray = field(repr=False)
     config: SimConfig
-    hx: Optional[np.ndarray] = field(default=None, repr=False)
-    hpx: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_paths(self):
@@ -557,8 +554,6 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         return _read_only(_engine(setup, paths))
     P, n = config.n_paths, config.n_steps
     run = {"x": _shared((P, n + 1)), "dW": _shared((P, n)), "active": _shared((P,), bool)}
-    if not setup.chars.transform.is_identity:
-        run.update((name, _shared((P, n + 1))) for name in ("hx", "hpx"))
 
     def block(paths):
         part = _engine(setup, paths, run)
@@ -570,7 +565,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         times=np.linspace(0.0, config.horizon, n + 1), x=run["x"], x_end=xe,
         dW=run["dW"], active=run["active"],
         jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
-        config=config, hx=run.get("hx"), hpx=run.get("hpx")))
+        config=config))
 
 
 def _shared(shape, dtype=float):
@@ -595,8 +590,8 @@ def _blocks(setup: EngineSetup, task: Callable) -> list:
 def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ensemble:
     """The engine of ``simulate_y`` over the range ``paths``, without the
     exclusion check.  With ``run``, a dict of arrays over all the run's
-    paths, the rows ``paths`` of its X, dW, active flags and (under a
-    non-identity transform) h(X) and h'(X) are written in place."""
+    paths, the rows ``paths`` of its X, dW and active flags are written in
+    place."""
     chars, config, y0 = setup.chars, setup.config, setup.y0
     transform, functional, ops = chars.transform, chars.functional, setup.ops
     has_jumps = ops is not None
@@ -704,13 +699,11 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
         Y[:, s + 1] = y_next
     del small_normals, c_u, c_u1, c_u2
 
-    X, HX, HPX = Y, None, None
+    X = Y
     if not transform.is_identity:  # row blocks of about _BLOCK grid values
-        HX, HPX = (np.empty((P, n + 1)) if run is None else run[k][rows]
-                   for k in ("hx", "hpx"))
         step = max(1, _BLOCK // (n + 1))
         for r in (slice(a, a + step) for a in range(0, P, step)):
-            X[r], HX[r], HPX[r] = transform.inverse(X[r], images=True)
+            X[r] = transform.inverse(X[r])
     if acc_idx:
         sel = np.concatenate(acc_idx)
         order = _record_order(c_path[sel])
@@ -724,7 +717,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     normals *= sq_dt  # the recorded Brownian increments
     return Ensemble(times=times, x=X, x_end=X[:, -1], dW=normals, active=active,
                     jump_path=jp, jump_time=jt, jump_x_pre=jx, jump_w=jw,
-                    config=config, hx=HX, hpx=HPX)
+                    config=config)
 
 
 def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:

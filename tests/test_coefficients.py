@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from sdelab import (CoefficientSet, ConjugateTestFunction, DiffusionSpec, DriftSpec,
                     MollifierConfig, NonConvergent, QuadratureFailure, RangeError,
-                    build_scale_transform, check_hypotheses, compute_drift_potential,
-                    local_generator, scenario_names, transformed_diffusion)
+                    ScaleTransform, build_scale_transform, check_hypotheses,
+                    compute_drift_potential, local_generator, scenario_names,
+                    transformed_diffusion)
 from approximants import domain_approximant
 from conftest import unit_sigma, zero_beta
 from reference import bump_mollifier, identity_profile, square_identity_residual
@@ -207,9 +208,10 @@ class TestBlocks:
 
         def run():
             pot = compute_drift_potential(drift, unit_diff, moll, self.grid)
+            x = tr.inverse(y)
             return (pot.values.tobytes(), pot.holder_const,
                     mollified_function(weier_beta, self.grid, 0.01).tobytes(),
-                    [v.tobytes() for v in tr.inverse(y, images=True)])
+                    [v.tobytes() for v in (x, *tr.forward_and_deriv(x))])
         whole = run()
         monkeypatch.setattr(coefficients, "_CHUNK", chunk)
         assert run() == whole
@@ -631,10 +633,7 @@ def _scipy_inverse(tr, y, newton_iters=3, bisect_iters=30):
 
 class TestCellLocalInverse:
     def _check(self, tr, y, **kw):
-        x, hx, hpx = tr.inverse(y, images=True)
-        assert np.array_equal(x, tr.inverse(y))
-        assert np.array_equal(hx, tr.forward(x))
-        assert np.array_equal(hpx, tr.deriv(x))
+        x = tr.inverse(y)
         want, n_bisected = _scipy_inverse(tr, y, **kw)
         assert np.array_equal(x, want)
         return n_bisected
@@ -658,10 +657,62 @@ class TestCellLocalInverse:
 
     def test_scalar(self, tanh_coeffs):
         tr = tanh_coeffs.transform
-        x, hx, hpx = tr.inverse(0.3, images=True)
-        assert all(isinstance(v, float) for v in (x, hx, hpx))
-        assert x == tr.inverse(0.3) == float(_scipy_inverse(tr, 0.3)[0])
-        assert hx == float(tr.forward(x)) and hpx == float(tr.deriv(x))
+        x = tr.inverse(0.3)
+        assert isinstance(x, float)
+        assert x == float(_scipy_inverse(tr, 0.3)[0])
+
+
+def _uneven_transform():
+    """A transform on a non-uniform grid, whose cells one ``searchsorted``
+    finds (a uniform grid's are a direct index)."""
+    grid = np.sort(np.concatenate([[-2.0, 0.0, 2.0],
+                                   np.random.default_rng(4).uniform(-2.0, 2.0, 40)]))
+    hp = np.exp(-np.sin(3.0 * grid))
+    h = np.concatenate([[0.0], np.cumsum(0.5 * (hp[1:] + hp[:-1]) * np.diff(grid))])
+    return ScaleTransform(grid=grid, h_values=h - np.interp(0.0, grid, h),
+                          hprime_values=hp)
+
+
+class TestForwardAndDeriv:
+    """``forward_and_deriv`` finds each point's cell once for both tables,
+    and gives ``(forward(x), deriv(x))`` bit for bit."""
+
+    @pytest.fixture(params=("uniform", "uneven"))
+    def tr(self, request, tanh_coeffs):
+        return tanh_coeffs.transform if request.param == "uniform" else _uneven_transform()
+
+    def _check(self, tr, x):
+        hx, hpx = tr.forward_and_deriv(x)
+        for got, want in ((hx, tr.forward(x)), (hpx, tr.deriv(x))):
+            assert got.shape == want.shape == np.shape(x)
+            assert np.array_equal(got, want)
+
+    def test_random_points_over_more_than_one_chunk(self, tr):
+        from sdelab.coefficients import _CHUNK
+        self._check(tr, np.random.default_rng(9).uniform(*tr.domain, (3, _CHUNK // 2 + 5)))
+
+    def test_every_node_and_both_ends(self, tr):
+        # a cell's right end node belongs to the next cell; the ends admit
+        # the domain check's slack of 1e-12
+        lo, hi = tr.domain
+        self._check(tr, tr.grid)
+        self._check(tr, np.array([lo, hi, lo - 5e-13, hi + 5e-13]))
+
+    def test_scalar(self, tr):
+        hx, hpx = tr.forward_and_deriv(0.3)
+        assert hx.ndim == hpx.ndim == 0
+        assert hx == tr.forward(0.3) and hpx == tr.deriv(0.3)
+
+    @pytest.mark.parametrize("side", (0, 1))
+    def test_outside_the_domain_raises(self, tr, side):
+        outside = tr.domain[side] + (-1e-9, 1e-9)[side]
+        with pytest.raises(RangeError):
+            tr.forward_and_deriv(np.array([0.0, outside]))
+
+    def test_identity(self):
+        x = np.linspace(-3.0, 3.0, 7)
+        hx, hpx = ScaleTransform.identity().forward_and_deriv(x)
+        assert np.array_equal(hx, x) and np.array_equal(hpx, np.ones(7))
 
 
 # ---------------------------------------------------------------------------

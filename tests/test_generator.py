@@ -205,7 +205,7 @@ class TestMartingaleResidual:
         path = CagladPath(times, np.full(65, 0.3))
         for coeffs in (flat_coeffs, tanh_coeffs):
             state = generator_state(EquationX(coeffs, None, clamp1, zero_functional()),
-                                    path.times, path.values)
+                                    path.times, path.values, None)
             M = martingale_residual_ensemble(state, identity_profile())
             assert np.max(np.abs(M)) < 1e-14
 
@@ -215,7 +215,7 @@ class TestMartingaleResidual:
         times = np.linspace(0, 1, 65)
         path = CagladPath(times, np.full(65, 0.3))
         state = generator_state(EquationX(flat_coeffs, None, clamp1, zero_functional()),
-                                path.times, path.values)
+                                path.times, path.values, None)
         M = martingale_residual_ensemble(state, SIN)
         # residual is minus the integrated local term, -t * (-sin(0.3)/2)
         expected = 0.5 * np.sin(0.3) * times
@@ -226,7 +226,7 @@ class TestMartingaleResidual:
                         big_jump_intensity_bound=0.0)
         eq = EquationX(flat_coeffs, None, clamp1)
         ens = simulate_x_markovian(eq, cfg, 0.0)
-        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
+        state = generator_state(eq, ens.times, ens.x, None)
         M = martingale_residual_ensemble(state, SIN)
         m_t = M[ens.active, -1]
         se = np.std(m_t, ddof=1) / np.sqrt(len(m_t))
@@ -237,7 +237,7 @@ class TestMartingaleResidual:
                         big_jump_intensity_bound=0.0)
         eq = EquationX(flat_coeffs, None, clamp1)
         ens = simulate_x_markovian(eq, cfg, 0.0)
-        state = generator_state(eq, ens.times, ens.x, ens.hx, ens.hpx)
+        state = generator_state(eq, ens.times, ens.x, None)
         M = martingale_residual_ensemble(state, SIN)
         half = M.shape[1] // 2
         inc = M[:, -1] - M[:, half]
@@ -287,7 +287,7 @@ class TestGeneratorState:
     def test_shared_state_matches_x_side_formulas(self, atom_small, functional):
         bundle, ens = atom_small
         state = generator_state(replace(bundle.eq, functional=functional),
-                                ens.times, ens.x)
+                                ens.times, ens.x, None)
         assert len(state.atom_images) == len(bundle.eq.kernel.law.positions)
         for prof in standard_profiles():
             got = martingale_residual_ensemble(state, prof)
@@ -297,21 +297,22 @@ class TestGeneratorState:
         again = martingale_residual_ensemble(state, prof)
         assert np.array_equal(again, got)
 
-    def test_ensemble_carries_h_and_hprime_of_x(self, atom_small):
+    def test_state_carries_h_and_hprime_of_x(self, atom_small):
         bundle, ens = atom_small
         tr = bundle.eq.coeffs.transform
-        assert np.array_equal(ens.hx, tr.forward(ens.x))
-        assert np.array_equal(ens.hpx, tr.deriv(ens.x))
+        state = generator_state(bundle.eq, ens.times, ens.x, None)
+        assert np.array_equal(state.hx, tr.forward(ens.x))
+        assert np.array_equal(state.hpx, tr.deriv(ens.x))
 
     def test_single_path_equals_ensemble_row(self, atom_small):
         bundle, ens = atom_small
         rows = [int(np.argmax(np.bincount(ens.jump_path,
                                           minlength=ens.n_paths))), 0]
-        state = generator_state(bundle.eq, ens.times, ens.x, ens.hx, ens.hpx)
+        state = generator_state(bundle.eq, ens.times, ens.x, None)
         for prof in (standard_profiles()[0], identity_profile()):
             M = martingale_residual_ensemble(state, prof)
             for i in rows:
-                one = generator_state(bundle.eq, ens.times, ens.x[i])
+                one = generator_state(bundle.eq, ens.times, ens.x[i], None)
                 single = martingale_residual_ensemble(one, prof)
                 assert np.array_equal(single, M[i])
 
@@ -325,7 +326,7 @@ class TestGeneratorState:
         monkeypatch.setattr(kernel, "atoms", lambda x: calls.append(1) or atoms(x))
         x = np.linspace(-4.5, 4.5, 4 * 33).reshape(4, 33)
         state = generator_state(EquationX(tanh_coeffs, kernel, clamp1),
-                                np.linspace(0.0, 1.0, 33), x)
+                                np.linspace(0.0, 1.0, 33), x, None)
         for prof in standard_profiles():
             martingale_residual_ensemble(state, prof)
         assert len(standard_profiles()) == 5 and len(calls) == 1
@@ -339,8 +340,9 @@ class TestGeneratorState:
         bundle = build_bundle(ScenarioSpec(name="stable_jump", n_paths=400))
         eq = bundle.eq
         ens = simulate_x_markovian(eq, bundle.sim, bundle.x0)
-        state = generator_state(eq, ens.times, ens.x)
         f = standard_profiles()[0]
+        state = generator_state(eq, ens.times, ens.x,
+                                generator.jump_tables(eq, (f,), ens.x))
         got = generator._jump_term_grid(f, state, f.phi(state.hx),
                                         f.phi_prime(state.hx) * state.hpx)
         fx, fpx = f.as_x_callables(eq.coeffs.transform)

@@ -297,13 +297,11 @@ class TestRunScenario:
         bundle = build_bundle(ScenarioSpec(name=name, n_paths=300, n_steps=32,
                                            diagnostics=diagnostics))
         ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
-        assert (ens.hx is None) == (name == "stable_jump")
-        fields = ("x", "x_end", "dW", "active", "hx", "hpx")
+        assert bundle.eq.coeffs.transform.is_identity == (name == "stable_jump")
+        fields = ("x", "x_end", "dW", "active")
 
         def digests():
-            return [None if getattr(ens, f) is None
-                    else hashlib.sha256(getattr(ens, f).tobytes()).hexdigest()
-                    for f in fields]
+            return [hashlib.sha256(getattr(ens, f).tobytes()).hexdigest() for f in fields]
         before = digests()
         results = [scenarios._diagnose(d, bundle, ens) for d in bundle.diagnostics]
         assert [r.name for r in results] == list(bundle.diagnostics)
@@ -452,10 +450,30 @@ class TestRunScenario:
         assert [d.name for d in report.diagnostics] == ["martingale"]
         own, page = len(_shares(2000, 65)[0]), os.sysconf("SC_PAGE_SIZE")
         assert own < 2000
-        for name in ("x", "hx", "hpx", "dW"):
+        for name in ("x", "dW"):
             array = getattr(ens, name)
             rows = own * array.strides[0]
             assert rows - page <= _resident_bytes(array) <= rows + 2 * page, name
+
+    def test_whole_run_maps_only_x_dw_and_active(self, monkeypatch):
+        # a run under a transform stores X alone: h(X) and h'(X) are
+        # evaluated where the diagnostics read them, so the only shared
+        # (paths x times) array is x
+        from sdelab import simulator
+        from sdelab.scenarios import run_bundle
+        mapped, shared = [], simulator._shared
+        monkeypatch.setattr(simulator, "_shared", lambda shape, dtype=float: (
+            mapped.append((shape, np.dtype(dtype))) or shared(shape, dtype)))
+        spec = ScenarioSpec(name="atom_jump", n_paths=300, n_steps=32,
+                            diagnostics=("martingale",))
+        bundle = build_bundle(spec)
+        assert not bundle.eq.coeffs.transform.is_identity
+        report, ens = run_bundle(spec, bundle)
+        assert [d.name for d in report.diagnostics] == ["martingale"]
+        assert mapped == [((300, 33), np.dtype(float)), ((300, 32), np.dtype(float)),
+                          ((300,), np.dtype(bool))]
+        assert [a.shape for a in (ens.x, ens.dW, ens.active)] == [(300, 33), (300, 32),
+                                                                  (300,)]
 
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
@@ -904,7 +922,7 @@ class TestCLI:
                 float(cell)
 
     def test_path_csv_y_is_h_of_x(self, tmp_path):
-        # the Y column is h(X) from the inversion, which is within the
+        # the Y column is h(X) of the inverted rows, which is within the
         # inverse's residual tolerance 1e-10 (1 + |Y|) of the simulated Y
         import sdelab.cli as cli
         from sdelab import build_characteristics, engine_setup, simulate_x_markovian
@@ -916,8 +934,8 @@ class TestCLI:
         y, x = (c.reshape(3, 65) for c in cols[2:4])
         bundle = build_bundle(ScenarioSpec(name="atom_jump", n_paths=50, n_steps=64))
         ens = simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
-        assert np.array_equal(x, ens.x[:3]) and np.array_equal(y, ens.hx[:3])
         transform = bundle.eq.coeffs.transform
+        assert np.array_equal(x, ens.x[:3]) and np.array_equal(y, transform.forward(x))
         y_sim = simulated_y(engine_setup(build_characteristics(bundle.eq), bundle.sim,
                                          float(transform.forward(np.asarray(bundle.x0)))))
         assert np.all(np.abs(y - y_sim[:3]) <= 1e-10 * (1.0 + np.abs(y_sim[:3])))
@@ -954,13 +972,13 @@ class TestCLI:
         import sdelab.cli as cli
         from sdelab.scenarios import DiagnosticResult
 
-        def fake_run(spec):
+        def fake_run(spec, bundle, t0=None):
             rep, ens = run_scenario(ScenarioSpec(name="brownian_baseline",
                                                  diagnostics=(), **SMALL))
             rep.diagnostics.append(DiagnosticResult("martingale", "fail", 9.0, 3.0))
             return rep, ens
 
-        monkeypatch.setattr(cli, "run_scenario", fake_run)
+        monkeypatch.setattr(cli, "run_bundle", fake_run)
         code = cli.main(["run", "--name", "brownian_baseline",
                          "--out", str(tmp_path), "--dump-paths", "0"])
         assert code == 1
@@ -972,7 +990,7 @@ class TestCLI:
         def explode(spec):
             raise NonConvergent("mollification levels diverged")
 
-        monkeypatch.setattr(cli, "run_scenario", explode)
+        monkeypatch.setattr(cli, "build_bundle", explode)
         code = cli.main(["run", "--name", "brownian_baseline",
                          "--out", str(tmp_path)])
         assert code == 3

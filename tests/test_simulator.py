@@ -286,8 +286,8 @@ class TestStreams:
 # blocks of paths
 # ---------------------------------------------------------------------------
 
-ENSEMBLE_ARRAYS = ("times", "x", "x_end", "dW", "active", "hx", "hpx", "jump_time",
-                   "jump_x_pre", "jump_w")
+ENSEMBLE_ARRAYS = ("times", "x", "x_end", "dW", "active", "jump_time", "jump_x_pre",
+                   "jump_w")
 
 
 def _blocked(chars, cfg, y0, block_paths, monkeypatch):
@@ -368,10 +368,7 @@ class TestBlocks:
                                                                             block_paths)]
         for field in ENSEMBLE_ARRAYS + ("jump_path",):
             want, got = getattr(whole, field), _merged(blocks, field)
-            if want is None:
-                assert got is None, field
-            else:
-                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
         return whole
 
     def test_jump_ops_built_once_per_run(self, monkeypatch):
@@ -609,15 +606,11 @@ class TestDealtRun:
         assert len(want.jump_time) > 10
         for field in ENSEMBLE_ARRAYS + ("jump_path",):
             a, b = getattr(want, field), getattr(got, field)
-            if a is None:
-                assert b is None, field
-            else:
-                assert b.dtype == a.dtype and np.array_equal(b, a), field
-        if got.hx is not None:  # the row blocks join into one inversion
-            images = chars.transform.inverse(simulated_y(setup), images=True)
+            assert b.dtype == a.dtype and np.array_equal(b, a), field
+        if not chars.transform.is_identity:  # the row blocks join into one inversion
+            x = chars.transform.inverse(simulated_y(setup))
             for ens in (want, got):
-                for field, image in zip(("x", "hx", "hpx"), images):
-                    assert np.array_equal(getattr(ens, field), image), field
+                assert np.array_equal(ens.x, x)
         _assert_no_child_left()
         return got
 
@@ -625,11 +618,9 @@ class TestDealtRun:
     def test_dealt_run_equals_one_process(self, case, workers, tanh_coeffs, atom_kernel,
                                           clamp1, monkeypatch):
         chars, cfg, y0 = TestBlocks()._case(case, tanh_coeffs, atom_kernel, clamp1)
-        got = self._check_dealt(chars, cfg, y0, monkeypatch)
-        if case.startswith("stable"):  # the identity: X is Y itself
-            assert got.hx is None and got.hpx is None
-        else:
-            assert got.hx is not None
+        self._check_dealt(chars, cfg, y0, monkeypatch)
+        # the identity, where X is Y itself, only under the stable kernel
+        assert chars.transform.is_identity == case.startswith("stable")
 
     def test_more_workers_than_cores(self, tanh_coeffs, atom_kernel, clamp1, monkeypatch):
         # six shares write disjoint rows of the shared arrays at once
@@ -647,8 +638,7 @@ class TestDealtRun:
         setup = engine_setup(chars, cfg, y0)
         whole, part = simulate_y(setup), simulate_y(setup, paths=range(cfg.n_paths))
         for field in ENSEMBLE_ARRAYS + ("jump_path",):
-            a, b = getattr(part, field), getattr(whole, field)
-            assert (a is None and b is None) or np.array_equal(a, b), field
+            assert np.array_equal(getattr(part, field), getattr(whole, field)), field
         for ens in (whole, part):
             assert np.array_equal(ens.terminal_x(), ens.x[ens.active, -1])
         assert not np.shares_memory(whole.x_end, whole.x)
@@ -664,8 +654,7 @@ class TestDealtRun:
         setup = engine_setup(chars, cfg, y0)
         for ens in (simulate_y(setup), simulate_y(setup, paths=range(3, cfg.n_paths))):
             for field in ENSEMBLE_ARRAYS + ("jump_path",):
-                value = getattr(ens, field)
-                assert value is None or not value.flags.writeable, field
+                assert not getattr(ens, field).flags.writeable, field
             with pytest.raises(ValueError, match="read-only"):
                 ens.x[0, 1] += 1.0
             with pytest.raises(ValueError, match="read-only"):
@@ -773,7 +762,7 @@ class TestDealtRun:
 def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
                                               monkeypatch):
     # a one-share run inverts its row blocks straight into the shared rows
-    # of x, hx and hpx, which tracemalloc does not see: 4.2 MB of traced
+    # of x, which tracemalloc does not see: 4.2 MB of traced
     # peak, where a private (3, paths, times) inversion copied into them
     # held 28.0 MB.  "drop" keeps out the (paths, steps) small-jump
     # normals of "gaussian_match", almost one such array by themselves.
@@ -789,7 +778,7 @@ def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
     finally:
         tracemalloc.stop()
     one_array = ens.x.nbytes
-    assert ens.hx is not None and len(ens.jump_time) > 1000
+    assert not chars.transform.is_identity and len(ens.jump_time) > 1000
     assert peak < one_array, (peak, one_array)
 
 
@@ -816,8 +805,7 @@ def test_zero_small_jump_variance_holds_no_small_normals(tanh_coeffs, atom_kerne
             tracemalloc.stop()
     assert peaks[1] < peaks[0] + 0.5e6, peaks
     for name in ENSEMBLE_ARRAYS:
-        a, b = (getattr(r, name) for r in runs)
-        assert (a is None and b is None) or np.array_equal(a, b), name
+        assert np.array_equal(*(getattr(r, name) for r in runs)), name
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1039,7 @@ class TestTabulatedKernelOps:
         x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
                             kernel.y_grid[:-1] + 0.5]).reshape(6, -1)
         state = generator_state(EquationX(coeffs, kernel, clamp1),
-                                np.linspace(0, 1, 53), x)
+                                np.linspace(0, 1, 53), x, None)
         def compensated_sum(fx, fpx, y):
             # every atom's compensated difference, summed in one integral
             fy = float(np.asarray(fx(np.asarray(y))))
@@ -1235,8 +1223,9 @@ class TestCharacteristics:
         y0 = float(tanh_coeffs.transform.forward(np.asarray(x0)))
         ens = simulate_y(engine_setup(build_characteristics(eq), cfg, y0))
         ref = simulate_x_markovian(eq, cfg, x0)
-        assert len(ref.jump_w) > 0 and not np.array_equal(ref.x, ref.hx)
-        for name in ("x", "x_end", "hx", "hpx", "jump_x_pre", "jump_w"):
+        assert len(ref.jump_w) > 0
+        assert not np.array_equal(ref.x, tanh_coeffs.transform.forward(ref.x))
+        for name in ("x", "x_end", "jump_x_pre", "jump_w"):
             assert np.array_equal(getattr(ens, name), getattr(ref, name)), name
         # the cutoff is checked against the truncation the drift was built with
         narrow = TruncationFunction(radius=0.5, cap=0.5)
@@ -1273,7 +1262,7 @@ class TestEngineFunctional:
         chars = replace(chars, functional=PathFunctional("record", record))
         ens = simulate_y(engine_setup(chars, cfg, y0))
         if transformed:  # a step fed Y = h(X) would differ from X
-            assert not np.array_equal(ens.x, ens.hx)
+            assert not np.array_equal(ens.x, chars.transform.forward(ens.x))
         assert len(seen) == cfg.n_steps
         for s, x in enumerate(seen):
             assert np.array_equal(x, ens.x[:, s]), s
