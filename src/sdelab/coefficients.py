@@ -14,6 +14,7 @@ Hoelder-continuous potential is never differentiated.
 """
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -92,9 +93,9 @@ class CubicTable:
     operation, and evaluation repeats scipy's ``PPoly`` arithmetic, so the
     values agree with scipy bit for bit.  A point p lies in the cell i with
     x[i] <= p < x[i+1]; the end cells extrapolate and the last node belongs
-    to the last cell.  On a uniform grid the cell is a direct index with a
-    one-cell correction against the nodes, otherwise one ``searchsorted``.
-    Values have shape ``y.shape[:-1] + p.shape``.
+    to the last cell.  The cell is a direct index with an exact correction
+    (``cell``), on uniform and non-uniform nodes alike.  Values have shape
+    ``y.shape[:-1] + p.shape``.
     """
 
     def __init__(self, x, y):
@@ -119,27 +120,55 @@ class CubicTable:
             self._c = _pchip_coefficients(x, y.reshape(-1, n).T)
         self.x = x
         self._lead = y.shape[:-1]
-        # cell i holds left[i] <= p < right[i]; the end cells are unbounded,
-        # and a NaN bound never compares true, so no point leaves them
-        self._inner = self.x[1:-1]
-        self._left = np.concatenate([[np.nan], self._inner])
-        self._right = np.concatenate([self._inner, [np.nan]])
-        step = (self.x[-1] - self.x[0]) / (n - 1)
-        uniform = np.max(np.abs(self.x - (self.x[0] + step * np.arange(n)))) < 1e-3 * step
-        self._inv_step = 1.0 / step if uniform else None
+        # the cell of p counts the inner nodes <= p.  Uniform bins over the
+        # nodes' span, (n - 1) 2^m of them with the least m <= 3 that puts
+        # at most one inner node in a bin, else m = 3: the bin is a monotone
+        # function of p, so the nodes of earlier bins lie below p and those
+        # of later bins above it, and a branchless binary search over the
+        # at most `most` nodes of p's bin finishes the count.  Past the
+        # last node the search reads NaN, which never compares true.
+        inner = x[1:-1]
+        for m in range(4):
+            self._last_bin = float(((n - 1) << m) - 1)
+            self._per_bin = (self._last_bin + 1.0) / (x[-1] - x[0])
+            b = self._bin(inner)
+            most = int(np.bincount(b).max()) if len(b) else 0
+            if most <= 1:
+                break
+        # stored as int32 (a table keeps up to 8 (n - 1) entries), read as intp
+        self._first = np.searchsorted(b, np.arange(int(self._last_bin) + 1)).astype(np.int32)
+        steps = [1 << k for k in reversed(range(most.bit_length()))]
+        above = np.concatenate([inner, np.full(1 << most.bit_length(), np.nan)])
+        self._search = [(s, above[s - 1:]) for s in steps]
+
+    def _bin(self, p):
+        """Bin index of every point of the 1-d float array ``p``."""
+        t = p - self.x[0]
+        t *= self._per_bin
+        np.fmax(t, 0.0, out=t)  # also sends NaN to bin 0, so to cell 0
+        np.fmin(t, self._last_bin, out=t)
+        return t.astype(np.intp)
 
     def cell(self, p):
-        """Cell index of every point of the 1-d float array ``p``."""
-        if self._inv_step is None:
-            return np.searchsorted(self._inner, p, side="right")
-        t = p - self.x[0]
-        t *= self._inv_step
-        np.fmax(t, 0.0, out=t)  # also sends NaN to cell 0
-        np.fmin(t, len(self._inner), out=t)
-        i = t.astype(np.intp)
-        i -= p < self._left[i]
-        i += p >= self._right[i]
+        """Cell index of every point of the 1-d float array ``p``: that of
+        ``np.searchsorted(x[1:-1], p, side="right")`` for every point but
+        NaN, which goes to cell 0."""
+        i = self._first[self._bin(p)].astype(np.intp)
+        for s, above in self._search:
+            hit = p >= above[i]
+            i += hit if s == 1 else s * hit
         return i
+
+    def stacked(self, other):
+        """The columns of this table, then those of ``other`` on the same
+        nodes, as one table.  Columns do not mix, so its values are theirs
+        bit for bit, from one cell search and one gather."""
+        if not np.array_equal(self.x, other.x):
+            raise ValueError("stacked tables need the same nodes")
+        out = copy.copy(self)
+        out._c = np.concatenate([self._c, other._c], axis=1)
+        out._lead = (out._c.shape[1],)
+        return out
 
     def coefficients(self, i):
         """Coefficients of the cells ``i``, shape (4, columns, len(i))."""
@@ -549,9 +578,9 @@ class ScaleTransform:
             raise ValueError("transform values must be strictly increasing")
         self._h = CubicTable(self.grid, self.h_values)
         self._hp = CubicTable(self.grid, self.hprime_values)
-        # h and h' in one table; its columns do not mix, so it gives the
-        # values of _h and _hp bit for bit
-        self._both = CubicTable(self.grid, np.stack([self.h_values, self.hprime_values]))
+        # h and h' in one table, which gives the values of _h and _hp bit
+        # for bit
+        self._both = self._h.stacked(self._hp)
         # monotone interpolant of the inverse: the Newton starting guess
         self._inv = CubicTable(self.h_values, self.grid)
 
@@ -613,10 +642,11 @@ class ScaleTransform:
     def inverse(self, y):
         """Monotone inversion inside the bracketing cell of the value table.
 
-        One ``searchsorted`` on ``h_values`` finds each point's cell; the
-        interpolated starting guess, ``_NEWTON_ITERS`` Newton steps and the
-        residual check then run on that cell's coefficients, and stragglers
-        fall back to ``_BISECT_ITERS`` bisection steps.
+        The inverse table's direct cell index (``CubicTable.cell``) finds
+        each point's bracketing cell; the interpolated starting guess,
+        ``_NEWTON_ITERS`` Newton steps, the residual check and, for
+        stragglers, ``_BISECT_ITERS`` bisection steps then all run on that
+        cell's gathered coefficients.
         """
         if self.is_identity:
             return np.asarray(y, dtype=float)
@@ -630,44 +660,42 @@ class ScaleTransform:
 
     def _invert(self, yq):
         """x for the 1-d points ``yq``."""
-        last = len(self.grid) - 2
-        idx = np.clip(np.searchsorted(self.h_values, yq) - 1, 0, last)
-        lo = self.grid[idx]
-        hi = self.grid[idx + 1]
-        # the inverse table's cell starts at a node value that equals the point
-        j = np.minimum(idx + (self.h_values[idx + 1] == yq), last)
-        x = np.clip(self._inv.at(yq, j)[0], lo, hi)
-        coefs = (self._h.coefficients(idx), self._hp.coefficients(idx))
-        inner = idx < last
+        # the inverse table's cell i, h[i] <= y < h[i+1], brackets x; at a
+        # node value y = h[i] the start is grid[i], where Newton stops
+        i = self._inv.cell(yq)
+        lo, hi = self.grid[i], self.grid[i + 1]
+        x = np.clip(self._inv.at(yq, i)[0], lo, hi)
+        c = self._both.coefficients(i)
 
-        def evaluate(x, tables):
-            """The ``tables`` (h, then h') at x from the bracketing cell."""
-            s = x - lo
-            vals = [_power_sum(c, s)[0] for c in coefs[:len(tables)]]
-            # a cell's right end node belongs to the next cell
-            edge = ((x == hi) & inner).nonzero()[0]
+        def values(x, c, lo, hi, i, columns=2):
+            """h (and h') at x from the cells i, [lo, hi], of coefficients
+            c.  A cell's right end node belongs to the next cell: there the
+            value is that cell's constant term (the last node stays in the
+            last cell)."""
+            v = _power_sum(c[:, :columns], x - lo)
+            edge = ((x == hi) & (i < len(self.grid) - 2)).nonzero()[0]
             if len(edge):
-                for v, table in zip(vals, tables):
-                    v[edge] = table(x[edge])
-            return vals
+                v[:, edge] = self._both._c[3][:columns, i[edge] + 1]
+            return v
 
         for _ in range(_NEWTON_ITERS):
-            hx, hpx = evaluate(x, (self._h, self._hp))
+            hx, hpx = values(x, c, lo, hi, i)
             x = x - (hx - yq) / np.maximum(hpx, 1e-300)
             x = np.clip(x, lo, hi)
-        res = np.abs(evaluate(x, (self._h,))[0] - yq)
+        res = np.abs(values(x, c, lo, hi, i, 1)[0] - yq)
         scale = 1e-10 * (1.0 + np.abs(yq))
         bad = (res > scale).nonzero()[0]
         if len(bad):
-            blo, bhi = lo[bad].copy(), hi[bad].copy()
-            yb = yq[bad]
+            cb, lob, hib, ib, yb = c[:, :, bad], lo[bad], hi[bad], i[bad], yq[bad]
+            blo, bhi = lob, hib
             for _ in range(_BISECT_ITERS):
                 mid = 0.5 * (blo + bhi)
-                below = self._h(mid) < yb
+                below = values(mid, cb, lob, hib, ib, 1)[0] < yb
                 blo = np.where(below, mid, blo)
                 bhi = np.where(below, bhi, mid)
             xb = 0.5 * (blo + bhi)
-            xb = xb - (self._h(xb) - yb) / np.maximum(self._hp(xb), 1e-300)
+            hb, hpb = values(xb, cb, lob, hib, ib)
+            xb = xb - (hb - yb) / np.maximum(hpb, 1e-300)
             x[bad] = np.clip(xb, blo, bhi)
         return x
 

@@ -183,10 +183,11 @@ class JumpOps:
 
     ``profiles(y)`` stacks the big-jump rate, the truncated compensator of
     the big jumps and the small-jump variance at the states ``y`` on a
-    leading axis of length 3.  ``sample(y_pre, u1, u2)`` returns the sizes
-    ``(z, w)`` of accepted big jumps in transformed and original
-    coordinates from each candidate's two size uniforms, so a jump reads
-    only its own path's stream.  ``small_jumps`` is False when the
+    leading axis of length 3.  ``sample(x_pre, y_pre, u1, u2)`` returns the
+    sizes ``(z, w)`` of accepted big jumps in transformed and original
+    coordinates from their pre-jump states in both coordinates and each
+    candidate's two size uniforms, so a jump reads only its own path's
+    stream.  ``small_jumps`` is False when the
     small-jump variance is zero at every state by the kernel's structure.
     """
 
@@ -237,7 +238,7 @@ def _stable_ops(kernel: StableTailKernel, delta):
     rate = 2.0 * float(kernel.one_tail_mass(delta))
     svar = float(kernel.mass(0.0, [(-delta, delta)], 2.0))
 
-    def sample(y_pre, u1, u2):
+    def sample(x_pre, y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z
     return _constant_profiles(rate, 0.0, svar), sample, svar != 0.0
@@ -247,11 +248,12 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     """Kernels with finitely many atoms at every state (``kernel.atoms``)
     through a (possibly nontrivial) transform.
 
-    A batch of states costs one inversion, one ``atoms`` call and one
-    transform call on the padded atoms of all states.  Sums over a state's
-    atoms, or over its big atoms moved to the front of the row, add as a
-    per-state ``np.sum`` over just those atoms would: the results equal a
-    loop over the states bit for bit.  When the atoms sit at fixed
+    A batch of states costs one ``atoms`` call and one transform call on
+    the padded atoms of all states (the sampler is handed its states in
+    both coordinates, the exact profiles invert theirs).  Sums over a
+    state's atoms, or over its big atoms moved to the front of the row, add
+    as a per-state ``np.sum`` over just those atoms would: the results equal
+    a loop over the states bit for bit.  When the atoms sit at fixed
     positions and the big/small class of each is uniform over the working
     range, the profiles are smooth, so they are tabulated once and
     interpolated (the per-step exact evaluation costs a transform
@@ -259,24 +261,26 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     at every node the third result says the table's small-jump variance is
     zero.  Size sampling is always exact.
     """
-    def rows(y):
-        """The atoms at the states of 1-d y, their sizes in transformed
-        coordinates and their big-jump flags, one row per state."""
-        x = np.asarray(transform.inverse(y))
+    def rows(x, y):
+        """The atoms at the states of 1-d x = h^{-1}(y), their sizes in
+        transformed coordinates and their big-jump flags, one row per
+        state."""
         atoms = kernel.atoms(x)
         z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - y[:, None]
         return atoms, z, np.abs(z) > delta
 
-    def big_first(big, *arrays):
+    def big_first(atoms, big):
+        """Each row's atom order with its big atoms first, in place order,
+        and the big masses in that order (0 after them)."""
         order = np.argsort(~big, axis=-1, kind="stable")
-        return [np.take_along_axis(np.broadcast_to(a, big.shape), order, axis=-1)
-                for a in arrays]
+        return order, np.take_along_axis(atoms.mass * big, order, axis=-1)
 
     def exact(y):
         y = np.asarray(y, dtype=float)
-        atoms, z, big = rows(y.ravel())
+        flat = y.ravel()
+        atoms, z, big = rows(np.asarray(transform.inverse(flat)), flat)
         m = atoms.mass
-        mb, = big_first(big, m * big)
+        _, mb = big_first(atoms, big)
         out = np.stack([atoms.sum(mb, big.sum(axis=-1)),
                         atoms.sum(np.asarray(trunc(z)) * m * big),
                         atoms.sum(z**2 * m * ~big)])
@@ -285,20 +289,22 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     profiles, small_jumps = exact, True
     if not transform.is_identity:
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
-        atoms, _, big = rows(ys)
+        atoms, _, big = rows(np.asarray(transform.inverse(ys)), ys)
         if atoms.fixed and np.all(big == big[:1, :]):
             profiles, small_jumps = CubicTable(ys, exact(ys)), not np.all(big)
 
-    def sample(y_pre, u1, u2):
-        y_pre = np.atleast_1d(np.asarray(y_pre, dtype=float))
-        u1 = np.atleast_1d(np.asarray(u1, dtype=float))
-        atoms, z, big = rows(y_pre)
+    def sample(x_pre, y_pre, u1, u2):
+        x_pre, y_pre, u1 = (np.atleast_1d(np.asarray(a, dtype=float))
+                            for a in (x_pre, y_pre, u1))
+        atoms, z, big = rows(x_pre, y_pre)
         n_big = big.sum(axis=-1)
-        pos, z, mb = big_first(big, atoms.pos, z, atoms.mass * big)
+        order, mb = big_first(atoms, big)
         cum = np.cumsum(mb, axis=-1) / atoms.sum(mb, n_big)[:, None]
-        j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)[:, None]
-        return (np.take_along_axis(z, j, axis=-1)[:, 0],
-                np.take_along_axis(pos, j, axis=-1)[:, 0])
+        j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)
+        # the chosen big atom's place in its row
+        r = np.arange(len(j))
+        k = order[r, j]
+        return z[r, k], atoms.pos[k] if atoms.fixed else atoms.pos[r, k]
     return profiles, sample, small_jumps
 
 
@@ -455,12 +461,15 @@ def _candidate_capacity(mean_total):
 class EngineSetup:
     """One run of the engine: the characteristics, configuration and
     initial state, and what is built and validated from them once before
-    any path is drawn, the jump measure's ops (None without jumps) and the
+    any path is drawn, the jump measure's ops (None without jumps), the
     range ``(lo, hi)`` of Y whose leaving excludes a path (unbounded under
-    the identity)."""
+    the identity) and, with jumps, ``profiles(y)``: the drift ``chars.b``
+    and the three jump profiles at y, one table of four columns when both
+    are tables on the same nodes."""
 
     ops: Optional[JumpOps]
     y_range: tuple
+    profiles: Optional[Callable] = field(repr=False)
     chars: CharacteristicsY = field(repr=False)
     config: SimConfig = field(repr=False)
     y0: float
@@ -497,7 +506,21 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
         if not sup_rate <= lam_max * (1.0 + 1e-9):  # a NaN rate fails too
             raise IntensityBoundViolated(f"dominating intensity {lam_max} does not bound "
                                          f"the scanned supremum rate {sup_rate:.6g}")
-    return EngineSetup(ops, (img_lo, img_hi), chars, config, float(y0))
+    return EngineSetup(ops, (img_lo, img_hi), None if ops is None
+                       else _with_drift(chars.b, ops.profiles), chars, config, float(y0))
+
+
+def _with_drift(b, profiles):
+    """y -> (b(y), *profiles(y)): one four-column table when ``b`` and
+    ``profiles`` are tables on the same nodes, with their values bit for
+    bit."""
+    if (isinstance(b, CubicTable) and isinstance(profiles, CubicTable)
+            and np.array_equal(b.x, profiles.x)):
+        return b.stacked(profiles)
+
+    def both(y):
+        return (b(y), *profiles(y))
+    return both
 
 
 def _check_exclusions(n_excluded, config: SimConfig):
@@ -648,9 +671,14 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     del unif, first, order, c_at, c_count
     bounds = np.searchsorted(c_step, np.arange(n + 1))
 
-    # Y is simulated in the rows of X, which its inversion overwrites
-    Y = np.empty((P, n + 1)) if run is None else run["x"][rows]
-    Y[:, 0] = y0
+    # Y is simulated in the rows of X.  When a step reads X (a drift
+    # functional, or the jump sampler under a transform), each column of Y
+    # is inverted once, as its step finishes, into its column of X;
+    # otherwise the rows of X hold Y until the row blocks below invert them
+    X = np.empty((P, n + 1)) if run is None else run["x"][rows]
+    by_column = not transform.is_identity and (functional is not None or has_jumps)
+    y = np.full(P, y0)
+    X[:, 0] = transform.inverse(y) if by_column else y
     active = np.empty(P, dtype=bool) if run is None else run["active"][rows]
     active.fill(True)
     carry, hv = None, 0.0
@@ -659,16 +687,17 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     # in the original coordinates
     acc_idx, acc_w = [], []
     for s in range(n):
-        y = Y[:, s]
+        x = X[:, s]  # Y under the identity; no step reads it in the row-block case
         if functional is not None:
-            x = y if transform.is_identity else transform.inverse(y)
             carry, hv = functional.step(carry, x)
         s0 = np.asarray(chars.sigma0(y))
-        drift = np.asarray(chars.b(y)) + s0 * hv
-        jump_add = np.zeros(P)
         if has_jumps:
-            big_rate, kdelta, small_var = ops.profiles(y)
-            drift = drift - kdelta
+            b, big_rate, kdelta, small_var = setup.profiles(y)
+            drift = np.asarray(b) + s0 * hv - kdelta
+            del b  # b(y) would outlive the step
+        else:
+            drift = np.asarray(chars.b(y)) + s0 * hv
+        jump_add = np.zeros(P)
         lo, hi = bounds[s], bounds[s + 1]
         if has_jumps and hi > lo:
             p_idx = c_path[lo:hi]
@@ -682,7 +711,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
             if np.any(acc):
                 sel = lo + np.flatnonzero(acc)
                 pa = c_path[sel]
-                z, w = ops.sample(y[pa], c_u1[sel], c_u2[sel])
+                z, w = ops.sample(x[pa], y[pa], c_u1[sel], c_u2[sel])
                 np.add.at(jump_add, pa, z)
                 acc_idx.append(sel)
                 acc_w.append(np.asarray(w, dtype=float))
@@ -696,11 +725,11 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
             if np.any(newly):
                 active &= ~newly
             y_next = np.where(active, y_next, y)
-        Y[:, s + 1] = y_next
+        X[:, s + 1] = transform.inverse(y_next) if by_column else y_next
+        y = y_next
     del small_normals, c_u, c_u1, c_u2
 
-    X = Y
-    if not transform.is_identity:  # row blocks of about _BLOCK grid values
+    if not (transform.is_identity or by_column):  # row blocks of about _BLOCK values
         step = max(1, _BLOCK // (n + 1))
         for r in (slice(a, a + step) for a in range(0, P, step)):
             X[r] = transform.inverse(X[r])

@@ -7,10 +7,11 @@ uniform continuity of the generator on balls of paths, a second route to
 the drift correction, the working bound of the nonlocal term, the
 power tail's scalar quadrature route (QUADPACK pieces and a dyadic tail),
 a second mollifier family, the bump, for the limits that must not
-depend on the smoothing, and the simulated Y of a run, which the
-ensemble does not keep.  None of them is run by a command, diagnostic or
-script of ``sdelab``.
+depend on the smoothing, the simulated Y of a run, which the ensemble
+does not keep, and the atom sampler's earlier big-first route.  None of
+them is run by a command, diagnostic or script of ``sdelab``.
 """
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from sdelab import (CagladPath, ConjugateTestFunction, DiffusionSpec, EquationX,
                     ScaleTransform, TruncationFunction, coefficients,
-                    evaluate_generator, qv_sweep, simulate_y)
+                    evaluate_generator, qv_sweep, simulate_y, simulator)
 from sdelab._quad import gauss_legendre, gauss_legendre_01
 from sdelab.errors import QuadratureFailure
 from sdelab.kernels import _INNER_NODES, _TOL, _beyond
@@ -34,15 +35,45 @@ from sdelab.pathcalc import _grid_step, _time_index
 
 def simulated_y(setup):
     """Y of the run ``setup`` as the engine simulates it, before X is read
-    back through the inverse transform: the run repeated with its final
+    back through the inverse transform: the run repeated over all its paths
+    in this process, which equals it bit for bit, recording the columns of
+    Y that the engine inverts one at a time, or with the final row-block
     inversion handing Y back, so that its rows of X hold Y."""
     inverse = ScaleTransform.inverse
+    columns = []
 
     def keep_y(self, y):
-        # the final inversion reads row blocks, a drift functional one column
-        return np.array(y) if np.ndim(y) == 2 else inverse(self, y)
+        if np.ndim(y) == 2:  # the final inversion's row blocks
+            return np.array(y)
+        if sys._getframe(1).f_code is simulator._engine.__code__:  # a column
+            columns.append(np.array(y))
+        return inverse(self, y)
     with mock.patch.object(ScaleTransform, "inverse", keep_y):
-        return simulate_y(setup).x
+        x = simulate_y(setup, paths=range(setup.config.n_paths)).x
+    return np.stack(columns, axis=1) if columns else x
+
+
+# ---------------------------------------------------------------------------
+# the atom sampler with its rows reordered big first
+# ---------------------------------------------------------------------------
+
+def big_first_sample(kernel, transform, delta, x_pre, y_pre, u1):
+    """Sizes (z, w) of accepted big jumps at the pre-jump states (x_pre,
+    y_pre), drawn as the atom sampler drew them before it indexed the
+    chosen atom in its row: each row's positions, sizes and big masses
+    reordered big first with ``take_along_axis``, and the chosen atom read
+    from the reordered rows."""
+    atoms = kernel.atoms(x_pre)
+    z = np.asarray(transform.forward(x_pre[:, None] + atoms.pos)) - y_pre[:, None]
+    big = np.abs(z) > delta
+    n_big = big.sum(axis=-1)
+    order = np.argsort(~big, axis=-1, kind="stable")
+    pos, z, mb = (np.take_along_axis(np.broadcast_to(a, big.shape), order, axis=-1)
+                  for a in (atoms.pos, z, atoms.mass * big))
+    cum = np.cumsum(mb, axis=-1) / atoms.sum(mb, n_big)[:, None]
+    j = np.minimum(np.sum(cum < u1[:, None], axis=-1), n_big - 1)[:, None]
+    return (np.take_along_axis(z, j, axis=-1)[:, 0],
+            np.take_along_axis(pos, j, axis=-1)[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,55 @@ class TestForwardAndDeriv:
         assert np.array_equal(hx, x) and np.array_equal(hpx, np.ones(7))
 
 
+@pytest.fixture(scope="module", params=("weierstrass_drift", "smooth_drift_crosscheck"))
+def dense_transform(request):
+    """The transform of a registry scenario whose value table's cells are
+    far from even: their widths span 2158x and 14589x."""
+    from sdelab.scenarios import ScenarioSpec, build_bundle
+    return build_bundle(ScenarioSpec(name=request.param)).eq.coeffs.transform
+
+
+class TestCellIndex:
+    """``CubicTable.cell`` is a direct index with an exact correction: it
+    gives every point the cell of ``np.searchsorted``, on uniform nodes and
+    on uneven ones, where the inverse finds its bracket through it."""
+
+    def _check(self, x, rng):
+        from sdelab.coefficients import CubicTable
+        table = CubicTable(x, np.arange(len(x), dtype=float))
+        pts = np.concatenate([_probe_points(x, rng), [-np.inf, np.inf]])
+        want = np.searchsorted(x[1:-1], pts, side="right")
+        assert np.array_equal(table.cell(pts), want)
+        return table
+
+    def test_uniform_and_uneven_nodes(self, tanh_coeffs):
+        rng = np.random.default_rng(11)
+        tr = tanh_coeffs.transform
+        for x in (tr.grid, tr.h_values, _uneven_transform().grid):
+            self._check(x, rng)
+
+    def test_two_node_table(self):
+        self._check(np.array([-1.0, 2.5]), np.random.default_rng(12))
+
+    def test_dense_value_table(self, dense_transform):
+        h = dense_transform.h_values
+        widths = np.diff(h)
+        assert widths.max() / widths.min() > 2000
+        table = self._check(h, np.random.default_rng(13))
+        assert len(table._search) > 1  # a bin holds more than one node
+
+    def test_inverse_equals_the_searchsorted_route(self, dense_transform):
+        # the inverse through the cell index against the scipy route, which
+        # brackets with np.searchsorted(h_values, y): every node value, its
+        # neighbours, random points and both image ends
+        tr = dense_transform
+        h = tr.h_values
+        y = np.concatenate([h, np.nextafter(h, -np.inf)[1:], np.nextafter(h, np.inf)[:-1],
+                            np.random.default_rng(14).uniform(*tr.image, 20_000),
+                            [tr.image[0] - 5e-13, tr.image[1] + 5e-13]])
+        assert np.array_equal(tr.inverse(y), _scipy_inverse(tr, y)[0])
+
+
 # ---------------------------------------------------------------------------
 # conjugated generator pieces
 # ---------------------------------------------------------------------------

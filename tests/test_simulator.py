@@ -1,8 +1,10 @@
 """Monte Carlo engine: determinism, law oracles, weights, residuals."""
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -21,7 +23,7 @@ from sdelab import (CharacteristicsY, DegenerateWeights, DiscreteLaw, EquationX,
 from sdelab import coefficients, simulator
 
 from approximants import canonical_decomposition_residual, domain_approximant
-from reference import simulated_y
+from reference import big_first_sample, simulated_y
 
 
 def ones(y):
@@ -148,8 +150,8 @@ class TestDrawOrder:
         # under the identity a power tail's jump has one size in both
         # coordinates
         u1, u2 = np.random.default_rng(23).random((2, len(ens.jump_time)))
-        z, w = jump_ops(build_characteristics(eq), cfg).sample(
-            _pre_jump_states(ens, ens.x), u1, u2)
+        y_pre = _pre_jump_states(ens, ens.x)
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, y_pre, u1, u2)
         assert np.array_equal(w, sizes(None, None, u1, u2)) and np.array_equal(z, w)
 
     def test_buffer_growth_keeps_the_streams(self, monkeypatch):
@@ -182,7 +184,7 @@ class TestDrawOrder:
         # the jump of Y is h(h^-1(y_pre) + w) - y_pre, h the identity
         y_pre = _pre_jump_states(ens, ens.x)
         u1, u2 = np.random.default_rng(8).random((2, len(y_pre)))
-        z, w = jump_ops(chars, cfg).sample(y_pre, u1, u2)
+        z, w = jump_ops(chars, cfg).sample(y_pre, y_pre, u1, u2)
         assert np.array_equal(w, sizes(None, None, u1, u2))
         assert np.array_equal(z, (y_pre + w) - y_pre)
 
@@ -590,9 +592,10 @@ def _one_process(setup, monkeypatch):
 class TestDealtRun:
     """A run over all paths is dealt in contiguous shares of paths to
     min(usable CPUs, paths, grid values // ``_MIN_SHARE``) workers, and
-    equals the one-process run bit for bit.  Each share inverts its rows
-    in blocks of about ``_BLOCK`` grid values; here a share spans several
-    such blocks, the last one short."""
+    equals the one-process run bit for bit.  A share whose steps read X
+    inverts each column of Y as its step finishes; one whose steps do not
+    inverts its rows in blocks of about ``_BLOCK`` grid values, and here
+    a share spans several such blocks, the last one short."""
 
     @pytest.fixture(autouse=True)
     def _every_size_dealt(self, monkeypatch):
@@ -603,11 +606,11 @@ class TestDealtRun:
         setup = engine_setup(chars, cfg, y0)
         want = _one_process(setup, monkeypatch)
         got = simulate_y(setup)
-        assert len(want.jump_time) > 10
+        assert len(want.jump_time) > 10 or setup.ops is None
         for field in ENSEMBLE_ARRAYS + ("jump_path",):
             a, b = getattr(want, field), getattr(got, field)
             assert b.dtype == a.dtype and np.array_equal(b, a), field
-        if not chars.transform.is_identity:  # the row blocks join into one inversion
+        if not chars.transform.is_identity:  # the columns or row blocks join into one
             x = chars.transform.inverse(simulated_y(setup))
             for ens in (want, got):
                 assert np.array_equal(ens.x, x)
@@ -621,6 +624,13 @@ class TestDealtRun:
         self._check_dealt(chars, cfg, y0, monkeypatch)
         # the identity, where X is Y itself, only under the stable kernel
         assert chars.transform.is_identity == case.startswith("stable")
+
+    def test_dealt_run_without_jumps(self, workers, tanh_coeffs, clamp1, monkeypatch):
+        # no step reads X: the shares invert their rows in blocks
+        chars = build_characteristics(EquationX(tanh_coeffs, None, clamp1))
+        cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=40, master_seed=17,
+                        big_jump_intensity_bound=0.0)
+        self._check_dealt(chars, cfg, 0.0, monkeypatch)
 
     def test_more_workers_than_cores(self, tanh_coeffs, atom_kernel, clamp1, monkeypatch):
         # six shares write disjoint rows of the shared arrays at once
@@ -759,6 +769,49 @@ class TestDealtRun:
             assert shares == want, n_paths
 
 
+@pytest.mark.parametrize("case", ("jumps", "functional", "neither"))
+def test_each_grid_value_inverted_once(case, tanh_coeffs, atom_kernel, clamp1,
+                                       monkeypatch):
+    # a run whose steps read X (the jump sampler, a drift functional)
+    # inverts each column of Y once, as its step finishes, and the sampler
+    # and the functional read those columns: paths x (steps + 1) points in
+    # 1-d calls from the engine alone.  A run whose steps do not read X
+    # inverts the same points in row blocks at the end.
+    eq = EquationX(tanh_coeffs, atom_kernel if case == "jumps" else None, clamp1,
+                   clamped_running_sup(1.0) if case == "functional" else None)
+    cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=300, master_seed=17,
+                    small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
+    setup = engine_setup(build_characteristics(eq), cfg, 0.0)
+    calls = []
+    inverse = ScaleTransform.inverse
+
+    def counted(self, y):
+        calls.append((np.shape(y), sys._getframe(1).f_code.co_name))
+        return inverse(self, y)
+    monkeypatch.setattr(ScaleTransform, "inverse", counted)
+    monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 1)
+    ens = simulate_y(setup)
+    assert sum(math.prod(shape) for shape, _ in calls) == 300 * 33
+    assert {caller for _, caller in calls} == {"_engine"}
+    ndim = 2 if case == "neither" else 1
+    assert {len(shape) for shape, _ in calls} == {ndim}
+    if case == "jumps":
+        assert len(ens.jump_time) > 100
+
+
+def test_drift_and_jump_profiles_share_one_table(tanh_coeffs, atom_kernel, clamp1):
+    # b and the three jump profiles are tabulated on the same nodes: one
+    # four-column table, whose columns are the two tables' bit for bit
+    chars, cfg, y0 = TestBlocks()._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
+    setup = engine_setup(chars, cfg, y0)
+    assert isinstance(setup.profiles, coefficients.CubicTable)
+    nodes = setup.profiles.x
+    y = np.concatenate([nodes, np.random.default_rng(2).uniform(*setup.y_range, 5000)])
+    want = np.concatenate([chars.b(y)[None], setup.ops.profiles(y)])
+    assert want.shape == (4, len(y))
+    assert np.array_equal(setup.profiles(y), want)
+
+
 def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
                                               monkeypatch):
     # a one-share run inverts its row blocks straight into the shared rows
@@ -855,7 +908,8 @@ class TestLawOracles:
                              float(tr.forward(np.asarray(0.0))))
         y_pre = _pre_jump_states(ens, simulated_y(setup))
         u1, u2 = np.random.default_rng(4).random((2, len(y_pre)))
-        z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(ens.jump_x_pre, y_pre,
+                                                               u1, u2)
         assert np.array_equal(w, np.full_like(y_pre, 0.1))
         w_check = tr.inverse(y_pre + z) - tr.inverse(y_pre)
         assert np.max(np.abs(w_check - w)) < 1e-8
@@ -918,7 +972,8 @@ class TestJumpMeasureBranches:
         setup = engine_setup(build_characteristics(eq), cfg, float(h(np.asarray(0.0))))
         y_pre = _pre_jump_states(ens, simulated_y(setup))
         u1, u2 = np.random.default_rng(31).random((2, len(y_pre)))
-        z, w = jump_ops(build_characteristics(eq), cfg).sample(y_pre, u1, u2)
+        z, w = jump_ops(build_characteristics(eq), cfg).sample(ens.jump_x_pre, y_pre,
+                                                               u1, u2)
         z_check = h(ens.jump_x_pre + w) - h(ens.jump_x_pre)
         assert np.max(np.abs(z_check - z)) < 1e-8
         assert np.all(in_support(w)) and np.all(in_support(ens.jump_w))
@@ -1024,9 +1079,32 @@ class TestTabulatedKernelOps:
                               ref_profiles(y).reshape(3, 6, -1))
         u1 = np.random.default_rng(8).uniform(size=len(y))
         has_big = ref_profiles(y)[0] > 0
-        got = sample(y[has_big], u1[has_big], None)
+        got = sample(tr.inverse(y[has_big]), y[has_big], u1[has_big], None)
         want = ref_sample(y[has_big], u1[has_big])
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("transformed", (False, True), ids=("identity", "tanh"))
+    def test_sampler_equals_big_first_route(self, transformed, tanh_coeffs, clamp1):
+        # the chosen atom indexed in its row against the rows reordered big
+        # first: padded rows of 4 to 12 atoms, small ones ahead of big ones
+        kernel = _mixed_table()
+        tr = tanh_coeffs.transform if transformed else ScaleTransform.identity()
+        _, sample, _ = simulator._atom_kernel_ops(kernel, tr, 0.05, clamp1)
+        x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
+                            kernel.y_grid[:-1] + 0.5])
+        y = np.asarray(tr.forward(x))
+        x = np.asarray(tr.inverse(y))  # the engine's X column
+        atoms = kernel.atoms(x)
+        big = np.abs(np.asarray(tr.forward(x[:, None] + atoms.pos)) - y[:, None]) > 0.05
+        has_big = big.any(axis=-1)
+        assert has_big.all() and not big.all(axis=-1).any()
+        assert (np.argmax(big, axis=-1) > 0).any()  # a small atom ahead of the big ones
+        x, y = x[has_big], y[has_big]
+        u1 = np.random.default_rng(9).uniform(size=len(y))
+        got = sample(x, y, u1, None)
+        want = big_first_sample(kernel, tr, 0.05, x, y, u1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(np.unique(got[1])) > 3
 
     @pytest.mark.parametrize("transformed", (False, True), ids=("identity", "tanh"))
     @pytest.mark.parametrize("make", (_state_dependent_table, _mixed_table))
