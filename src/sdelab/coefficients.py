@@ -699,13 +699,6 @@ class ScaleTransform:
             x[bad] = np.clip(xb, blo, bhi)
         return x
 
-    @property
-    def inv_deriv_sup(self):
-        """Upper bound on the inverse derivative over the table."""
-        if self.is_identity:
-            return 1.0
-        return float(np.max(1.0 / self.hprime_values))
-
 
 def build_scale_transform(potential: DriftPotential) -> ScaleTransform:
     """Tabulate h = cumulative integral of exp(-potential) on the potential's

@@ -18,8 +18,7 @@ import numpy as np
 
 from ._quad import gauss_legendre
 from .coefficients import (_SEG_NODES, CoefficientSet, ConjugateTestFunction,
-                           CubicTable, _segment_points, _walked, local_generator,
-                           transformed_diffusion)
+                           CubicTable, _segment_points, _walked, local_generator)
 from .errors import MissingDriverRecord, ValidationError
 from .kernels import (AtomRows, Kernel, TruncationFunction, _stable_nonlocal,
                       drift_correction, has_atoms, jump_operator, pushforward_integral)
@@ -226,18 +225,21 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
     correction; the nonlocal part sums the atoms of the pushforward of
     the kernel (``pushforward_integral``, which raises ``ValidationError``
     for a power tail: under the identity transform it needs, both sides
-    would be one integral).  The drift functional is that of the original
-    path, so it is evaluated on the preimage of ``y_path``.
+    would be one integral).  The path up to t is inverted once: the drift
+    correction and the pushforward read its state x_t and h(x_t), and the
+    drift functional, that of the original path, reads the preimage.
     """
     transform, kernel, trunc = eq.coeffs.transform, eq.kernel, eq.trunc
-    y_t = y_path.value(t)
-    s0 = float(np.asarray(transformed_diffusion(transform, eq.coeffs.diffusion, y_t)))
-    b = drift_correction(kernel, transform, trunc, y_t) if kernel is not None else 0.0
+    past = y_path.restrict(t)
+    x_past = CagladPath(past.times, transform.inverse(past.values))
+    y_t, x_t = past.values[-1], x_past.values[-1]
+    hx = transform.forward(x_t)  # h(x_t), the image the pushforward starts from
+    s0 = float(eq.coeffs.diffusion.sigma(np.asarray(x_t)) * transform.deriv(x_t))
+    b = (float(drift_correction(kernel, transform, trunc, x_t, hx))
+         if kernel is not None else 0.0)
     phi_p = float(np.asarray(phi.phi_prime(np.asarray(y_t))))
     local = 0.5 * s0**2 * float(np.asarray(phi.phi_second(np.asarray(y_t)))) + b * phi_p
-    h_val = (eq.functional.evaluate(CagladPath(y_path.times,
-                                               transform.inverse(y_path.values)), t)
-             if eq.functional is not None else 0.0)
+    h_val = eq.functional.evaluate(x_past, t) if eq.functional is not None else 0.0
     drift = s0 * h_val * phi_p
 
     if kernel is None:
@@ -249,7 +251,7 @@ def evaluate_transformed_generator(phi: ConjugateTestFunction, eq: EquationX,
             z = np.asarray(z, dtype=float)
             return phi.phi(y_t + z) - phi_y - np.asarray(trunc(z)) * phi_p
 
-        jump = pushforward_integral(kernel, transform, y_t, g)
+        jump = float(pushforward_integral(kernel, transform, x_t, hx, g))
     return GeneratorValue(local=local, drift=drift, jump=jump)
 
 

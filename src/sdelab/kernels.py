@@ -432,54 +432,57 @@ def _guard_support(kernel: Kernel, transform: ScaleTransform, x):
     sr = kernel.support_radius
     # the same slack as ScaleTransform's domain check: an image-grid end
     # node inverts to within rounding of the edge minus the support
-    if sr > min(x - lo, hi - x) + 1e-12:
+    if np.any(sr > np.minimum(x - lo, hi - x) + 1e-12):
         raise RangeError(
             "kernel support exceeds the tabulated transform range around the state"
         )
 
 
-def pushforward_integral(kernel: Kernel, transform: ScaleTransform, y, g):
-    """Integral of g against the transformed kernel at the image state y.
+def atom_jumps(kernel: AtomKernel, transform: ScaleTransform, x, y):
+    """The atoms of the states ``x`` and their pushforward through the
+    transform: ``(kernel.atoms(x), z)`` with ``z = h(x + w) - y`` for every
+    atom ``w``, one row per state.  ``y`` is the image of ``x`` that the
+    caller holds: ``h(x)``, or the simulated state that ``x`` inverts."""
+    x = np.asarray(x, dtype=float)
+    atoms = kernel.atoms(x)
+    z = np.asarray(transform.forward(x[..., None] + atoms.pos)) - np.asarray(y)[..., None]
+    return atoms, z
 
-    The transformed measure is the pushforward of Q at the preimage state
-    through w -> h(x + w) - h(x); the integral is a sum over the atoms of
-    Q in the original jump variable.  A power tail needs the identity
-    transform, under which the transformed equation is the original one,
-    so it has no pushforward to sum: ``ValidationError``.
+
+def pushforward_integral(kernel: Kernel, transform: ScaleTransform, x, y, g):
+    """Integral of g against the transformed kernel at the image states y
+    of the states x, one value per state.
+
+    The transformed measure is the pushforward of Q at x through
+    w -> h(x + w) - y (``atom_jumps``); the integral is a sum over the
+    atoms of Q in the original jump variable.  A power tail needs the
+    identity transform, under which the transformed equation is the
+    original one, so it has no pushforward to sum: ``ValidationError``.
     """
     if not has_atoms(kernel):
         raise ValidationError(
             f"pushforward_integral sums atoms, not a {type(kernel).__name__}: a "
             f"power tail needs the identity transform, under which the "
             f"transformed equation is the original one")
-    x = float(np.asarray(transform.inverse(y)))
     _guard_support(kernel, transform, x)
-    y0 = float(np.asarray(transform.forward(x)))
-
-    def integrand(w):
-        return g(transform.forward(x + np.asarray(w)) - y0)
-
-    return kernel.integral(x, integrand)
+    atoms, z = atom_jumps(kernel, transform, x, y)
+    return atoms.sum(atoms.mass * np.asarray(g(z)))
 
 
 def drift_correction(kernel: Kernel, transform: ScaleTransform,
-                     trunc: TruncationFunction, y):
+                     trunc: TruncationFunction, x, y):
     """Drift generated by transporting the truncation through the transform:
-    the integral of trunc(h(x + w) - h(x)) - h'(x) trunc(w) against the
-    kernel at the preimage x of y.  Identically zero for the identity
-    transform."""
+    the integral of trunc(h(x + w) - y) - h'(x) trunc(w) against the kernel
+    at the states x with images y, one value per state.  Identically zero
+    for the identity transform."""
+    x = np.asarray(x, dtype=float)
     if transform.is_identity:
-        return 0.0
-    x = float(np.asarray(transform.inverse(y)))
+        return np.zeros(x.shape)
     _guard_support(kernel, transform, x)
-    y0 = float(np.asarray(transform.forward(x)))
-    hp_x = float(np.asarray(transform.deriv(x)))
-
-    def integrand(w):
-        z = transform.forward(x + np.asarray(w)) - y0
-        return trunc(z) - hp_x * trunc(np.asarray(w))
-
-    return kernel.integral(x, integrand)
+    atoms, z = atom_jumps(kernel, transform, x, y)
+    hp = np.asarray(transform.deriv(x))[..., None]
+    return atoms.sum(atoms.mass * (np.asarray(trunc(z))
+                                   - hp * np.asarray(trunc(atoms.pos))))
 
 
 # ---------------------------------------------------------------------------

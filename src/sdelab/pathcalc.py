@@ -18,7 +18,7 @@ import numpy as np
 from .coefficients import CubicTable
 from .errors import GridMismatch, MissingDriverRecord, ValidationError
 from .generator import EquationX
-from .kernels import has_atoms, stable_threshold_expectation
+from .kernels import atom_jumps, has_atoms, stable_threshold_expectation
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,8 @@ def _phi_jump_compensator(eq: EquationX, delta, phi, x_lo, x_hi,
     if has_atoms(kernel):
         def fn(x):
             x = np.asarray(x, dtype=float)
-            atoms = kernel.atoms(x)
-            xw = x[..., None] + atoms.pos
-            z = (np.asarray(transform.forward(xw))
-                 - np.asarray(transform.forward(x))[..., None])
-            inc = np.asarray(phi(xw)) - np.asarray(phi(x))[..., None]
+            atoms, z = atom_jumps(kernel, transform, x, transform.forward(x))
+            inc = np.asarray(phi(x[..., None] + atoms.pos)) - np.asarray(phi(x))[..., None]
             return atoms.sum(atoms.mass * np.where(np.abs(z) > delta, inc, 0.0))
         return fn
 

@@ -24,7 +24,8 @@ from .coefficients import CubicTable, ScaleTransform, _walked, transformed_diffu
 from .errors import (DegenerateWeights, IntensityBoundViolated, RangeError,
                      ValidationError)
 from .generator import _BLOCK, EquationX, PathFunctional
-from .kernels import Kernel, StableTailKernel, TruncationFunction, has_atoms
+from .kernels import (Kernel, StableTailKernel, TruncationFunction, atom_jumps,
+                      drift_correction, has_atoms)
 
 
 def _zero(y):
@@ -181,14 +182,15 @@ def streams(master_seed, paths):
 class JumpOps:
     """What the engine needs of a jump measure once the cutoff is fixed.
 
-    ``profiles(y)`` stacks the big-jump rate, the truncated compensator of
-    the big jumps and the small-jump variance at the states ``y`` on a
-    leading axis of length 3.  ``sample(x_pre, y_pre, u1, u2)`` returns the
-    sizes ``(z, w)`` of accepted big jumps in transformed and original
-    coordinates from their pre-jump states in both coordinates and each
-    candidate's two size uniforms, so a jump reads only its own path's
-    stream.  ``small_jumps`` is False when the
-    small-jump variance is zero at every state by the kernel's structure.
+    ``profiles(x, y)`` stacks the big-jump rate, the truncated compensator
+    of the big jumps and the small-jump variance at the states ``y`` of Y,
+    whose preimages ``x`` the caller holds, on a leading axis of length 3.
+    ``sample(x_pre, y_pre, u1, u2)`` returns the sizes ``(z, w)`` of
+    accepted big jumps in transformed and original coordinates from their
+    pre-jump states in both coordinates and each candidate's two size
+    uniforms, so a jump reads only its own path's stream.  ``small_jumps``
+    is False when the small-jump variance is zero at every state by the
+    kernel's structure.
     """
 
     profiles: Callable
@@ -201,7 +203,7 @@ def _constant_profiles(rate, kdelta, small_var):
     per evaluation."""
     c = np.asarray([rate, kdelta, small_var], dtype=float)
 
-    def profiles(y):
+    def profiles(x, y):
         shape = np.shape(y)
         return np.broadcast_to(c.reshape((3,) + (1,) * len(shape)), (3,) + shape)
     return profiles
@@ -249,37 +251,27 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     through a (possibly nontrivial) transform.
 
     A batch of states costs one ``atoms`` call and one transform call on
-    the padded atoms of all states (the sampler is handed its states in
-    both coordinates, the exact profiles invert theirs).  Sums over a
+    the padded atoms of all states (``atom_jumps``; the profiles and the
+    sampler are handed their states in both coordinates).  Sums over a
     state's atoms, or over its big atoms moved to the front of the row, add
     as a per-state ``np.sum`` over just those atoms would: the results equal
     a loop over the states bit for bit.  When the atoms sit at fixed
     positions and the big/small class of each is uniform over the working
     range, the profiles are smooth, so they are tabulated once and
-    interpolated (the per-step exact evaluation costs a transform
-    inversion, which dominates the whole engine), and when every atom is big
-    at every node the third result says the table's small-jump variance is
-    zero.  Size sampling is always exact.
+    interpolated (``_TableOfY``, which reads y only), and when every atom
+    is big at every node the third result says the table's small-jump
+    variance is zero.  Size sampling is always exact.
     """
-    def rows(x, y):
-        """The atoms at the states of 1-d x = h^{-1}(y), their sizes in
-        transformed coordinates and their big-jump flags, one row per
-        state."""
-        atoms = kernel.atoms(x)
-        z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - y[:, None]
-        return atoms, z, np.abs(z) > delta
-
     def big_first(atoms, big):
         """Each row's atom order with its big atoms first, in place order,
         and the big masses in that order (0 after them)."""
         order = np.argsort(~big, axis=-1, kind="stable")
         return order, np.take_along_axis(atoms.mass * big, order, axis=-1)
 
-    def exact(y):
+    def exact(x, y):
         y = np.asarray(y, dtype=float)
-        flat = y.ravel()
-        atoms, z, big = rows(np.asarray(transform.inverse(flat)), flat)
-        m = atoms.mass
+        atoms, z = atom_jumps(kernel, transform, np.ravel(x), y.ravel())
+        m, big = atoms.mass, np.abs(z) > delta
         _, mb = big_first(atoms, big)
         out = np.stack([atoms.sum(mb, big.sum(axis=-1)),
                         atoms.sum(np.asarray(trunc(z)) * m * big),
@@ -289,14 +281,18 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
     profiles, small_jumps = exact, True
     if not transform.is_identity:
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
-        atoms, _, big = rows(np.asarray(transform.inverse(ys)), ys)
+        xs = transform.inverse(ys)
+        atoms, z = atom_jumps(kernel, transform, xs, ys)
+        big = np.abs(z) > delta
         if atoms.fixed and np.all(big == big[:1, :]):
-            profiles, small_jumps = CubicTable(ys, exact(ys)), not np.all(big)
+            profiles = _TableOfY(CubicTable(ys, exact(xs, ys)))
+            small_jumps = not np.all(big)
 
     def sample(x_pre, y_pre, u1, u2):
         x_pre, y_pre, u1 = (np.atleast_1d(np.asarray(a, dtype=float))
                             for a in (x_pre, y_pre, u1))
-        atoms, z, big = rows(x_pre, y_pre)
+        atoms, z = atom_jumps(kernel, transform, x_pre, y_pre)
+        big = np.abs(z) > delta
         n_big = big.sum(axis=-1)
         order, mb = big_first(atoms, big)
         cum = np.cumsum(mb, axis=-1) / atoms.sum(mb, n_big)[:, None]
@@ -306,6 +302,16 @@ def _atom_kernel_ops(kernel, transform, delta, trunc):
         k = order[r, j]
         return z[r, k], atoms.pos[k] if atoms.fixed else atoms.pos[r, k]
     return profiles, sample, small_jumps
+
+
+@dataclass(frozen=True)
+class _TableOfY:
+    """Profiles tabulated over Y: ``(x, y) -> table(y)``, x unread."""
+
+    table: CubicTable
+
+    def __call__(self, x, y):
+        return self.table(y)
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +377,10 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
         b = _zero  # without jumps, or under the identity, no correction
     else:
         # a power tail fails here (RangeError): no finite table holds its
-        # support.  For atoms, the defining integral of drift_correction,
-        # summed exactly over each node's atoms
+        # support
         ys = _shrunk_image_grid(transform, kernel.support_radius, 257)
-        x = transform.inverse(ys)
-        atoms = kernel.atoms(x)
-        z = np.asarray(transform.forward(x[:, None] + atoms.pos)) - ys[:, None]
-        hp = np.asarray(transform.deriv(x))[:, None]
-        b = CubicTable(ys, atoms.sum(atoms.mass * (np.asarray(trunc(z))
-                                                   - hp * np.asarray(trunc(atoms.pos)))))
+        b = CubicTable(ys, drift_correction(kernel, transform, trunc,
+                                            transform.inverse(ys), ys))
     return CharacteristicsY(b=b, sigma0=sigma0, measure=kernel, transform=transform,
                             trunc=trunc, functional=eq.functional)
 
@@ -463,9 +464,9 @@ class EngineSetup:
     initial state, and what is built and validated from them once before
     any path is drawn, the jump measure's ops (None without jumps), the
     range ``(lo, hi)`` of Y whose leaving excludes a path (unbounded under
-    the identity) and, with jumps, ``profiles(y)``: the drift ``chars.b``
-    and the three jump profiles at y, one table of four columns when both
-    are tables on the same nodes."""
+    the identity) and, with jumps, ``profiles(x, y)``: the drift
+    ``chars.b`` and the three jump profiles at y = h(x), one table of four
+    columns when both are tables on the same nodes."""
 
     ops: Optional[JumpOps]
     y_range: tuple
@@ -501,7 +502,7 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
             scan = np.linspace(y0 - span, y0 + span, 65)
         else:
             scan = np.linspace(img_lo, img_hi, 129)
-        sup_rate = float(np.max(ops.profiles(scan)[0]))
+        sup_rate = float(np.max(ops.profiles(transform.inverse(scan), scan)[0]))
         lam_max = config.big_jump_intensity_bound
         if not sup_rate <= lam_max * (1.0 + 1e-9):  # a NaN rate fails too
             raise IntensityBoundViolated(f"dominating intensity {lam_max} does not bound "
@@ -511,15 +512,15 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
 
 
 def _with_drift(b, profiles):
-    """y -> (b(y), *profiles(y)): one four-column table when ``b`` and
-    ``profiles`` are tables on the same nodes, with their values bit for
-    bit."""
-    if (isinstance(b, CubicTable) and isinstance(profiles, CubicTable)
-            and np.array_equal(b.x, profiles.x)):
-        return b.stacked(profiles)
+    """(x, y) -> (b(y), *profiles(x, y)): one four-column table of y when
+    ``b`` and ``profiles`` are tables on the same nodes, with their values
+    bit for bit."""
+    if (isinstance(b, CubicTable) and isinstance(profiles, _TableOfY)
+            and np.array_equal(b.x, profiles.table.x)):
+        return _TableOfY(b.stacked(profiles.table))
 
-    def both(y):
-        return (b(y), *profiles(y))
+    def both(x, y):
+        return (b(y), *profiles(x, y))
     return both
 
 
@@ -692,7 +693,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
             carry, hv = functional.step(carry, x)
         s0 = np.asarray(chars.sigma0(y))
         if has_jumps:
-            b, big_rate, kdelta, small_var = setup.profiles(y)
+            b, big_rate, kdelta, small_var = setup.profiles(x, y)
             drift = np.asarray(b) + s0 * hv - kdelta
             del b  # b(y) would outlive the step
         else:

@@ -238,7 +238,7 @@ def drift_correction_expansion(kernel, transform: ScaleTransform,
     y0 = float(np.asarray(transform.forward(x)))
     hp_x = float(np.asarray(transform.deriv(x)))
     a_nodes, a_wts = gauss_legendre_01(_INNER_NODES)
-    r_in = trunc.radius / transform.inv_deriv_sup
+    r_in = trunc.radius / np.max(1.0 / transform.hprime_values)
     inv_dy = 1.0 / hp_x  # derivative of the inverse at y
 
     def inv_deriv(u):

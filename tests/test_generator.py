@@ -192,6 +192,27 @@ class TestConjugation:
             res = conjugation_residual(prof, eq, CagladPath(times, vals), t)
             assert res < 1e-6
 
+    @pytest.mark.parametrize("functional", (None, clamped_running_sup(1.0)),
+                             ids=("markovian", "running_sup"))
+    def test_transformed_generator_inverts_once(self, functional, tanh_coeffs,
+                                                atom_kernel, clamp1, monkeypatch):
+        # the path up to t is inverted in one call; the drift correction,
+        # the pushforward, sigma0 and the functional all read that preimage
+        from sdelab import ScaleTransform
+        eq = EquationX(tanh_coeffs, atom_kernel, clamp1, functional)
+        times = np.linspace(0, 1, 17)
+        path = CagladPath(times, tanh_coeffs.transform.forward(np.sin(3 * times)))
+        calls = []
+        inverse = ScaleTransform.inverse
+
+        def counted(self, y):
+            calls.append(np.shape(y))
+            return inverse(self, y)
+        monkeypatch.setattr(ScaleTransform, "inverse", counted)
+        gv = evaluate_transformed_generator(SIN, eq, path, 0.5)
+        assert calls == [(9,)]
+        assert gv.jump != 0.0 and (functional is None) == (gv.drift == 0.0)
+
 
 # ---------------------------------------------------------------------------
 # martingale residuals

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from sdelab import (CagladPath, CoefficientSet, DiscreteLaw, DivergentMoment,
-                    EquationX, FiniteActivityKernel, QuadratureFailure,
+                    EquationX, FiniteActivityKernel, QuadratureFailure, RangeError,
                     ScaleTransform, StableTailKernel, TabulatedKernel,
                     TruncationFunction, ValidationError, drift_correction,
                     evaluate_transformed_generator, geometric_partition,
@@ -261,6 +261,13 @@ class TestNonFiniteKernelInput:
 
 # --- pushforward -------------------------------------------------------------
 
+def _preimage(transform, y):
+    """The state x = h^{-1}(y) and its image h(x), the pair that
+    ``pushforward_integral`` and ``drift_correction`` read."""
+    x = transform.inverse(y)
+    return x, transform.forward(x)
+
+
 class TestPushforward:
     def test_identity_transform_is_plain_integral(self, stable_half_kernel,
                                                   atom_kernel, clamp1):
@@ -272,7 +279,7 @@ class TestPushforward:
         y = 0.3
         g = lambda z: (np.sin(y + np.asarray(z)) - np.sin(y)
                        - np.asarray(clamp1(z)) * np.cos(y))
-        assert abs(pushforward_integral(atom_kernel, ident, y, g)
+        assert abs(pushforward_integral(atom_kernel, ident, y, y, g)
                    - atom_kernel.integral(y, g)) < 1e-15  # (y + w) - y rounds
         eq = EquationX(CoefficientSet.unit(), stable_half_kernel, clamp1)
         path = CagladPath(np.linspace(0.0, 1.0, 5), np.full(5, y))
@@ -288,13 +295,14 @@ class TestPushforward:
     def test_power_tail_fails_closed(self, stable_half_kernel):
         with pytest.raises(ValidationError, match="identity transform"):
             pushforward_integral(stable_half_kernel, ScaleTransform.identity(), 0.3,
-                                 np.sin)
+                                 0.3, np.sin)
 
     def test_tabulated_flat_transform_matches_for_bounded_support(self, flat_coeffs,
                                                                   atom_kernel):
         # numerically-identity tabulated transform: image integral == original
         g = lambda z: np.sin(np.asarray(z, dtype=float))
-        via_push = pushforward_integral(atom_kernel, flat_coeffs.transform, 0.3, g)
+        via_push = pushforward_integral(atom_kernel, flat_coeffs.transform,
+                                        *_preimage(flat_coeffs.transform, 0.3), g)
         direct = atom_kernel.integral(0.3, g)
         assert abs(via_push - direct) < 1e-10
 
@@ -302,7 +310,8 @@ class TestPushforward:
         # rate-2 kernel with a unit-mass law: the image keeps total rate 2
         k = FiniteActivityKernel(rate=2.0, law=DiscreteLaw(((1.0, 1.0),)), alpha=1.0)
         ones = lambda z: np.ones_like(np.asarray(z, dtype=float))
-        val = pushforward_integral(k, tanh_coeffs.transform, 0.4, ones)
+        val = pushforward_integral(k, tanh_coeffs.transform,
+                                   *_preimage(tanh_coeffs.transform, 0.4), ones)
         assert abs(val - 2.0) < 1e-12
 
     def test_atoms_relocate_with_unchanged_weights(self, tanh_coeffs):
@@ -315,7 +324,7 @@ class TestPushforward:
         z_minus = float(tr.forward(np.asarray(x0 - 1.0))) - y0
         for target, weight in ((z_plus, 0.3), (z_minus, 0.7)):
             ind = lambda z, c=target: (np.abs(np.asarray(z) - c) < 1e-9).astype(float)
-            assert abs(pushforward_integral(k, tr, y0, ind) - weight) < 1e-12
+            assert abs(pushforward_integral(k, tr, x0, y0, ind) - weight) < 1e-12
 
     @pytest.mark.parametrize("d", (0.1, 0.01))
     def test_tail_mass_matches_preimage_region(self, tanh_coeffs, d):
@@ -327,7 +336,7 @@ class TestPushforward:
         y0 = float(tr.forward(np.asarray(0.5)))
         x0 = 0.5
         ind = lambda z: (np.abs(np.asarray(z)) > d).astype(float)
-        via_push = pushforward_integral(k, tr, y0, ind)
+        via_push = pushforward_integral(k, tr, *_preimage(tr, y0), ind)
         w_plus = float(tr.inverse(y0 + d)) - x0
         w_minus = float(tr.inverse(y0 - d)) - x0
         direct = (k.integral(x0, np.ones_like, -np.inf, np.nextafter(w_minus, -np.inf))
@@ -342,13 +351,13 @@ class TestDriftCorrection:
                                          atom_kernel, clamp1):
         ident = ScaleTransform.identity()
         for k in (stable_half_kernel, atom_kernel):
-            assert drift_correction(k, ident, clamp1, 0.7) == 0.0
+            assert drift_correction(k, ident, clamp1, 0.7, 0.7) == 0.0
 
     def test_two_routes_agree(self, tanh_coeffs, atom_kernel, clamp1):
         tr = tanh_coeffs.transform
         for x in (-1.5, -0.3, 0.0, 0.8, 2.0):
             y = float(tr.forward(np.asarray(x)))
-            b_def = drift_correction(atom_kernel, tr, clamp1, y)
+            b_def = drift_correction(atom_kernel, tr, clamp1, *_preimage(tr, y))
             b_exp = drift_correction_expansion(atom_kernel, tr, clamp1, y)
             assert abs(b_def - b_exp) < 1e-8
 
@@ -359,7 +368,52 @@ class TestDriftCorrection:
         y = float(tr.forward(np.asarray(x)))
         z = float(tr.forward(np.asarray(x + 0.1))) - y
         expected = z - float(tr.deriv(np.asarray(x))) * 0.1
-        assert abs(drift_correction(atom_kernel, tr, clamp1, y) - expected) < 1e-12
+        assert abs(drift_correction(atom_kernel, tr, clamp1, x, y) - expected) < 1e-12
+
+
+def _nine_atom_kernel():
+    """Nine atoms, small and big, at a state-dependent rate: each row sums
+    pairwise (numpy adds 8 terms and more that way)."""
+    law = DiscreteLaw(((-0.9, 0.05), (-0.5, 0.1), (-0.2, 0.15), (-0.04, 0.1),
+                       (0.02, 0.1), (0.1, 0.2), (0.3, 0.1), (0.6, 0.1), (1.0, 0.1)))
+    return FiniteActivityKernel(rate=lambda x: 1.0 + 0.5 * np.tanh(x) ** 2, law=law)
+
+
+class TestVectorizedOverStates:
+    @pytest.mark.parametrize("make", (lambda: FiniteActivityKernel(
+        rate=1.0, law=DiscreteLaw(((0.1, 1.0),))), _nine_atom_kernel),
+        ids=("atom_jump", "nine_atoms"))
+    def test_equal_per_state_calls(self, make, tanh_coeffs, clamp1):
+        # the drift correction and the pushforward over an array of states
+        # equal one call per state bit for bit: on the engine's shrunk image
+        # grid, both ends included, and inside it; with y the grid value
+        # (the engine's pair) and with y = h(x) (the generator's)
+        from sdelab import build_characteristics
+        kernel, tr = make(), tanh_coeffs.transform
+        nodes = build_characteristics(EquationX(tanh_coeffs, kernel, clamp1)).b.x
+        ys = np.concatenate([nodes, np.random.default_rng(4).uniform(
+            nodes[0], nodes[-1], 143)])
+        x = tr.inverse(ys)
+        g = lambda z: np.sin(3.0 * z) - 0.5 * clamp1(z)
+        for y in (ys, tr.forward(x)):
+            b = drift_correction(kernel, tr, clamp1, x, y)
+            push = pushforward_integral(kernel, tr, x, y, g)
+            assert b.shape == push.shape == (400,)
+            assert np.array_equal(b, [drift_correction(kernel, tr, clamp1, xi, yi)
+                                      for xi, yi in zip(x, y)])
+            assert np.array_equal(push, [pushforward_integral(kernel, tr, xi, yi, g)
+                                         for xi, yi in zip(x, y)])
+        assert np.all(b != 0.0)
+
+    def test_support_guard_per_state(self, tanh_coeffs, atom_kernel, clamp1):
+        # one state within the support of the domain's edge fails the batch
+        tr = tanh_coeffs.transform
+        x = np.asarray([0.0, tr.domain[1] - 0.05])
+        for call in (lambda: drift_correction(atom_kernel, tr, clamp1, x, tr.forward(x)),
+                     lambda: pushforward_integral(atom_kernel, tr, x, tr.forward(x),
+                                                  np.sin)):
+            with pytest.raises(RangeError, match="support"):
+                call()
 
 
 # --- nonlocal operator -------------------------------------------------------

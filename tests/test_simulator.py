@@ -769,18 +769,21 @@ class TestDealtRun:
             assert shares == want, n_paths
 
 
-@pytest.mark.parametrize("case", ("jumps", "functional", "neither"))
+@pytest.mark.parametrize("case", ("jumps", "tabulated", "functional", "neither"))
 def test_each_grid_value_inverted_once(case, tanh_coeffs, atom_kernel, clamp1,
                                        monkeypatch):
-    # a run whose steps read X (the jump sampler, a drift functional)
-    # inverts each column of Y once, as its step finishes, and the sampler
-    # and the functional read those columns: paths x (steps + 1) points in
-    # 1-d calls from the engine alone.  A run whose steps do not read X
+    # a run whose steps read X (the jump sampler, a drift functional, the
+    # exact profiles of state-dependent atoms) inverts each column of Y
+    # once, as its step finishes, and the sampler, the profiles and the
+    # functional read those columns: paths x (steps + 1) points in 1-d
+    # calls from the engine alone.  A run whose steps do not read X
     # inverts the same points in row blocks at the end.
-    eq = EquationX(tanh_coeffs, atom_kernel if case == "jumps" else None, clamp1,
+    kernel = {"jumps": atom_kernel, "tabulated": _state_dependent_table()}.get(case)
+    eq = EquationX(tanh_coeffs, kernel, clamp1,
                    clamped_running_sup(1.0) if case == "functional" else None)
     cfg = SimConfig(horizon=1.0, n_steps=32, n_paths=300, master_seed=17,
-                    small_jump_cutoff=0.01, big_jump_intensity_bound=1.05)
+                    small_jump_cutoff=0.01,
+                    big_jump_intensity_bound=1.25 if case == "tabulated" else 1.05)
     setup = engine_setup(build_characteristics(eq), cfg, 0.0)
     calls = []
     inverse = ScaleTransform.inverse
@@ -795,7 +798,7 @@ def test_each_grid_value_inverted_once(case, tanh_coeffs, atom_kernel, clamp1,
     assert {caller for _, caller in calls} == {"_engine"}
     ndim = 2 if case == "neither" else 1
     assert {len(shape) for shape, _ in calls} == {ndim}
-    if case == "jumps":
+    if kernel is not None:
         assert len(ens.jump_time) > 100
 
 
@@ -804,12 +807,12 @@ def test_drift_and_jump_profiles_share_one_table(tanh_coeffs, atom_kernel, clamp
     # four-column table, whose columns are the two tables' bit for bit
     chars, cfg, y0 = TestBlocks()._atom_tanh(tanh_coeffs, atom_kernel, clamp1)
     setup = engine_setup(chars, cfg, y0)
-    assert isinstance(setup.profiles, coefficients.CubicTable)
-    nodes = setup.profiles.x
+    assert isinstance(setup.profiles.table, coefficients.CubicTable)
+    nodes = setup.profiles.table.x
     y = np.concatenate([nodes, np.random.default_rng(2).uniform(*setup.y_range, 5000)])
-    want = np.concatenate([chars.b(y)[None], setup.ops.profiles(y)])
+    want = np.concatenate([chars.b(y)[None], setup.ops.profiles(None, y)])
     assert want.shape == (4, len(y))
-    assert np.array_equal(setup.profiles(y), want)
+    assert np.array_equal(setup.profiles(None, y), want)
 
 
 def test_whole_run_holds_no_private_inversion(tanh_coeffs, atom_kernel, clamp1,
@@ -994,7 +997,7 @@ class TestJumpMeasureBranches:
 
         ys = simulator._shrunk_image_grid(tr, 0.1, 257)
         z = h(tr.inverse(ys) + 0.1) - ys
-        np.testing.assert_allclose(prepare(atom_kernel, 0.01).profiles(ys),
+        np.testing.assert_allclose(prepare(atom_kernel, 0.01).profiles(None, ys),
                                    [np.ones_like(ys), z, np.zeros_like(ys)],
                                    rtol=1e-12, atol=1e-15)
 
@@ -1005,8 +1008,8 @@ class TestJumpMeasureBranches:
                  0.5 * np.sum(np.where(big, clamp1(z), 0.0), axis=0),
                  0.5 * np.sum(np.where(big, 0.0, z**2), axis=0)]
         assert 0 < big[0].sum() < len(ys)  # the 0.05 atom changes class
-        np.testing.assert_allclose(prepare(_split_atom_kernel(), 0.05).profiles(ys),
-                                   exact, rtol=1e-12, atol=1e-15)
+        got = prepare(_split_atom_kernel(), 0.05).profiles(tr.inverse(ys), ys)
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-15)
 
 
 def _measure_at(kernel, x):
@@ -1075,7 +1078,7 @@ class TestTabulatedKernelOps:
         x = np.concatenate([np.linspace(-4.5, 4.5, 301), kernel.y_grid,
                             kernel.y_grid[:-1] + 0.5])
         y = np.asarray(tr.forward(x))
-        assert np.array_equal(profiles(y.reshape(6, -1)),
+        assert np.array_equal(profiles(tr.inverse(y).reshape(6, -1), y.reshape(6, -1)),
                               ref_profiles(y).reshape(3, 6, -1))
         u1 = np.random.default_rng(8).uniform(size=len(y))
         has_big = ref_profiles(y)[0] > 0
@@ -1143,11 +1146,19 @@ class TestTabulatedKernelThroughTransform:
     under the tanh transform, summed over each state's atoms."""
 
     def test_drift_correction_equals_definition(self, tanh_coeffs, clamp1):
-        from sdelab import drift_correction
+        # the defining integral of trunc(h(x + w) - h(x)) - h'(x) trunc(w),
+        # atom by atom at each node's own measure
         kernel = _mixed_table()
+        tr = tanh_coeffs.transform
         b = build_characteristics(EquationX(tanh_coeffs, kernel)).b
-        want = [drift_correction(kernel, tanh_coeffs.transform, clamp1, float(y))
-                for y in b.x]
+        want = []
+        for y in b.x:
+            x = float(tr.inverse(y))
+            hx, hpx = float(tr.forward(x)), float(tr.deriv(x))
+            pos, mass = _measure_at(kernel, x)
+            want.append(sum(m * (float(clamp1(float(tr.forward(x + w)) - hx))
+                                 - hpx * float(clamp1(w)))
+                            for w, m in zip(pos, mass)))
         np.testing.assert_allclose(b(b.x), want, rtol=1e-12, atol=0)
 
     def test_gamma_compensator_equals_state_loop(self, tanh_coeffs, clamp1):
