@@ -434,6 +434,21 @@ def martingale_residual_ensemble(state: GeneratorState, f: ConjugateTestFunction
     return res
 
 
+def terminal_weights(functional: PathFunctional, ens) -> np.ndarray:
+    """The terminal Girsanov weight kappa_T of every path of ``ens`` under
+    ``functional``, read in row blocks of about ``_BLOCK`` grid values on
+    the forked workers of ``_walked``, as ``martingale_columns`` reads its
+    rows, so the caller touches no worker's rows of ``x`` or ``dW``."""
+    n_paths, n_times = ens.x.shape
+
+    def block(paths):
+        r = slice(paths.start, paths.stop)
+        h = functional.grid_values(ens.times, ens.x[r])
+        return girsanov_weight(ens.times, h, ens.dW[r])[:, -1].copy()
+
+    return np.concatenate(_walked(block, n_paths, n_times, max(1, _BLOCK // n_times)))
+
+
 def martingale_columns(eq: EquationX, ens, profiles, cols, tables):
     """Each profile's residual at the time columns ``cols`` of every path
     of ``ens`` (profiles x paths x columns), the terminal Girsanov weight

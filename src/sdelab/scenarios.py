@@ -20,15 +20,15 @@ from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
                            DriftSpec, MollifierConfig, check_hypotheses)
 from .errors import IoError, ValidationError
 from .generator import (CagladPath, EquationX, constant_functional,
-                        conjugation_residual, girsanov_weight, jump_tables,
-                        law_reference, martingale_columns, resolve_functional)
+                        conjugation_residual, jump_tables, law_reference,
+                        martingale_columns, resolve_functional, terminal_weights)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
                       moment_bound)
 from .pathcalc import (DirichletReport, aligned_window_ladder, big_jump_sums,
                        classify_dirichlet, dirichlet_condition_intY, gamma_residual_qv,
                        qv_sweep)
-from .simulator import (Ensemble, SimConfig, build_characteristics, check_seed,
-                        compensator_residual, engine_setup, is_finite_real,
+from .simulator import (EngineSetup, Ensemble, SimConfig, _shared, build_characteristics,
+                        check_seed, compensator_residual, engine_setup, is_finite_real,
                         simulate_blocks, simulate_x_markovian, weighted_expectation)
 
 SCHEMA_VERSION = 1
@@ -413,10 +413,9 @@ def _diag_gamma(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
 
 def _diag_girsanov(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
     functional = bundle.eq.functional or constant_functional(0.5)
-    h = functional.grid_values(ens.times, ens.x)
-    k_t = girsanov_weight(ens.times, h, ens.dW)[ens.active, -1]
+    k_t = terminal_weights(functional, ens)[ens.active]
     z = _mean_z(k_t, center=1.0)
-    est = weighted_expectation(k_t, ens.x[ens.active, -1])
+    est = weighted_expectation(k_t, ens.terminal_x())
     return _z_gate("girsanov", [z], 3.0, len(k_t),
                    {"mean_weight": float(np.mean(k_t)),
                     "weighted_terminal_mean": est.value,
@@ -659,6 +658,20 @@ COUNTEREXAMPLE_STABLE_CONFIG = SimConfig(horizon=1.0, n_steps=64, n_paths=4000,
                                          master_seed=41)
 
 
+def _stable_setup(gamma, config: SimConfig, scale) -> EngineSetup:
+    """The engine setup of ``counterexample_stable``: unit Brownian motion
+    plus the power tail of exponent ``gamma``, with the cutoff, small-jump
+    mode and dominating intensity that the exponent sets in ``config``."""
+    kernel = StableTailKernel(gamma=gamma, scale=scale, alpha=min(1.0, gamma / 2.0))
+    delta = 0.05 if gamma < 1.0 else 0.1
+    lam = 2.0 * float(kernel.one_tail_mass(delta))
+    mode = "drop" if gamma < 1.0 else "gaussian_match"
+    config = replace(config, small_jump_cutoff=delta, small_jump_mode=mode,
+                     big_jump_intensity_bound=lam * 1.02)
+    return engine_setup(build_characteristics(EquationX(CoefficientSet.unit(), kernel)),
+                        config, 0.0)
+
+
 def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
                           a=_DIRICHLET_THRESHOLD, caps=_DIRICHLET_CAPS) -> RunReport:
     """Brownian motion plus a pure-jump power tail: integrability dichotomy.
@@ -673,25 +686,22 @@ def counterexample_stable(gamma, config: Optional[SimConfig] = None, scale=0.5,
     if not 0.0 < gamma < 2.0:
         raise ValidationError("gamma must lie in (0, 2)")
     t0 = time.perf_counter()
-    kernel = StableTailKernel(gamma=gamma, scale=scale, alpha=min(1.0, gamma / 2.0))
-    delta = 0.05 if gamma < 1.0 else 0.1
-    lam = 2.0 * float(kernel.one_tail_mass(delta))
-    mode = "drop" if gamma < 1.0 else "gaussian_match"
-    config = config or COUNTEREXAMPLE_STABLE_CONFIG
-    config = replace(config, small_jump_cutoff=delta, small_jump_mode=mode,
-                     big_jump_intensity_bound=lam * 1.02)
-    setup = engine_setup(build_characteristics(EquationX(CoefficientSet.unit(), kernel)),
-                         config, 0.0)
+    setup = _stable_setup(gamma, config or COUNTEREXAMPLE_STABLE_CONFIG, scale)
+    kernel, config = setup.chars.measure, setup.config
 
-    # per-path terminal X, active flags and big-jump sums, and the jump
-    # count of each block; nothing else of a block outlives it
-    def reduce(ens):
-        return (ens.x[:, -1].copy(), ens.active, big_jump_sums(_identity, ens, a, caps),
-                len(ens.jump_time))
+    # each block writes its paths' terminal X, active flags and big-jump
+    # sums at their rows of arrays mapped shared before the fork, and sends
+    # back only its jump count; nothing else of a block outlives it
+    P = config.n_paths
+    x_end, active, sums = _shared((P,)), _shared((P,), bool), _shared((1 + len(caps), P))
 
-    x_end, active, sums, jumps = zip(*simulate_blocks(setup, reduce))
-    x_end, active = np.concatenate(x_end), np.concatenate(active)
-    sums, n_jumps = np.concatenate(sums, axis=1), sum(jumps)
+    def reduce(ens, paths):
+        rows = slice(paths.start, paths.stop)
+        x_end[rows], active[rows] = ens.x_end, ens.active
+        sums[:, rows] = big_jump_sums(_identity, ens, a, caps)
+        return len(ens.jump_time)
+
+    n_jumps = sum(simulate_blocks(setup, reduce))
     expected = "inconsistent" if gamma < 1.0 else "consistent_with_dirichlet"
     echo = {"expected_verdict": expected, "gamma": float(gamma), "scale": float(scale)}
     n_active = int(np.sum(active))

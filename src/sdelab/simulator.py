@@ -446,9 +446,17 @@ def _read_only(ens: Ensemble) -> Ensemble:
 # the engine
 # ---------------------------------------------------------------------------
 
-# paths per block of a run (``_blocks``): a block's private arrays are
-# dropped, or its ensemble reduced and dropped, before the next is drawn
-BLOCK_PATHS = 8192
+# bytes a block of a run may hold privately (``_path_bytes``): each worker
+# walks its share in blocks of as many paths as fit, and drops a block's
+# private arrays, or reduces and drops its ensemble, before it draws the next
+BLOCK_BYTES = 2**22
+
+# floats a path holds privately per candidate jump (its four uniforms, keys,
+# sort permutation, sorted copies and accepted records) and per path beyond
+# its noise rows (the state of a step and the step's temporaries); measured
+# with tracemalloc on the power tail's range and whole runs
+_CANDIDATE_FLOATS = 12
+_STEP_FLOATS = 24
 
 
 def _candidate_capacity(mean_total):
@@ -584,7 +592,7 @@ def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble
         return ((part.x_end.copy(), part.jump_path + paths.start, part.jump_time,
                  part.jump_x_pre, part.jump_w), part.excluded_count)
 
-    xe, jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block)))
+    xe, jp, jt, jx, jw = (np.concatenate(r) for r in zip(*_blocks(setup, block, True)))
     return _read_only(Ensemble(
         times=np.linspace(0.0, config.horizon, n + 1), x=run["x"], x_end=xe,
         dW=run["dW"], active=run["active"],
@@ -601,12 +609,35 @@ def _shared(shape, dtype=float):
     return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
 
 
-def _blocks(setup: EngineSetup, task: Callable) -> list:
-    """``result`` of ``task(paths) = (result, excluded count)`` for every
-    block of ``BLOCK_PATHS`` paths of the run, in path order (``_walked``),
-    after the ``max_exclusion_fraction`` check of all blocks' exclusions."""
+def _gauss_small_jumps(setup: EngineSetup) -> bool:
+    """True when the run draws small-jump normals that some step reads."""
+    ops = setup.ops
+    return (ops is not None and ops.small_jumps
+            and setup.config.small_jump_mode == "gaussian_match")
+
+
+def _path_bytes(setup: EngineSetup, shared: bool) -> int:
+    """Bytes one path of ``setup`` holds privately in its block: its rows
+    of X and dW unless the run maps them ``shared``, its small-jump normals
+    under gaussian_match, its share of the lam_max T candidates and the step
+    temporaries."""
     config = setup.config
-    done = _walked(task, config.n_paths, config.n_steps + 1, BLOCK_PATHS)
+    n = config.n_steps
+    floats = (_STEP_FLOATS + _CANDIDATE_FLOATS * config.big_jump_intensity_bound
+              * config.horizon + (0 if shared else 2 * n + 1)
+              + (n if _gauss_small_jumps(setup) else 0))
+    return math.ceil(8 * floats)
+
+
+def _blocks(setup: EngineSetup, task: Callable, shared: bool) -> list:
+    """``result`` of ``task(paths) = (result, excluded count)`` for every
+    block of the run, in path order (``_walked``), after the
+    ``max_exclusion_fraction`` check of all blocks' exclusions.  A block
+    holds as many paths as fit in ``BLOCK_BYTES`` at ``_path_bytes(setup,
+    shared)`` each."""
+    config = setup.config
+    block = max(1, BLOCK_BYTES // _path_bytes(setup, shared))
+    done = _walked(task, config.n_paths, config.n_steps + 1, block)
     _check_exclusions(sum(n for _, n in done), config)
     return [r for r, _ in done]
 
@@ -628,7 +659,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     sq_dt = np.sqrt(dt)
     times = np.linspace(0.0, T, n + 1)
     lam_max = config.big_jump_intensity_bound
-    use_gauss = has_jumps and ops.small_jumps and config.small_jump_mode == "gaussian_match"
+    use_gauss = _gauss_small_jumps(setup)
 
     # per-path noise, drawn in place in a fixed order from the path's own
     # stream: n normals, n small-jump normals, the candidate count k, then
@@ -751,23 +782,25 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
 
 
 def simulate_blocks(setup: EngineSetup, reduce: Callable) -> list:
-    """``reduce(ensemble)`` of every block of ``BLOCK_PATHS`` consecutive
+    """``reduce(ensemble, paths)`` of every block ``paths`` of consecutive
     paths of the run ``setup``, in path order.
 
     Each block goes through ``simulate_y`` and is dropped once reduced, so
-    a worker's memory holds one block plus whatever ``reduce`` keeps.  The
-    blocks run on the forked workers of ``_blocks``, so ``reduce`` may run
-    in a child: it must return what it keeps (writes to outside objects
-    are lost there), copy the views it keeps (a view holds its whole
-    block), and its result must pickle.  The exception of the first block
+    a worker holds one block, of as many paths as fit in ``BLOCK_BYTES``,
+    plus whatever ``reduce`` keeps.  The blocks run on the forked workers
+    of ``_blocks``, so ``reduce`` may run in a child: a write survives only
+    into memory mapped shared before the fork (``_shared``), which is where
+    a per-path result goes, at the block's rows ``paths``; what ``reduce``
+    returns comes back pickled, so it should be small, and must not keep a
+    view (a view holds its whole block).  The exception of the first block
     that raises, in path order, is raised here, as is one that pickling a
     child's result raised.  Every child is joined before this returns or
     raises.  The result does not depend on the number of workers.
     """
     def block(paths):
         ens = simulate_y(setup, paths=paths)
-        return reduce(ens), ens.excluded_count
-    return _blocks(setup, block)
+        return reduce(ens, paths), ens.excluded_count
+    return _blocks(setup, block, False)
 
 
 def simulate_x_markovian(eq: EquationX, config: SimConfig, x0: float) -> Ensemble:

@@ -439,21 +439,24 @@ class TestRunScenario:
     @pytest.mark.parametrize("workers", (2, 3), indirect=True)
     def test_caller_reads_no_worker_rows(self, workers):
         # the caller of a dealt run simulates its own share and reads only
-        # its rows: the workers hand back their terminal X and the
-        # martingale pasts, so no page of another share's rows is mapped in
-        # here (read in the caller, the pasts and terminal X map all of x)
+        # its rows: the workers hand back their terminal X, the martingale
+        # pasts and the terminal Girsanov weights, so no page of another
+        # share's rows is mapped in here (read in the caller, the pasts,
+        # terminal X and weights map all of x and dW)
         from sdelab.coefficients import _shares
         from sdelab.scenarios import run_bundle
-        spec = ScenarioSpec(name="atom_jump", n_paths=2000, n_steps=64,
-                            diagnostics=("martingale",))
-        report, ens = run_bundle(spec, build_bundle(spec))
-        assert [d.name for d in report.diagnostics] == ["martingale"]
         own, page = len(_shares(2000, 65)[0]), os.sysconf("SC_PAGE_SIZE")
         assert own < 2000
-        for name in ("x", "dW"):
-            array = getattr(ens, name)
-            rows = own * array.strides[0]
-            assert rows - page <= _resident_bytes(array) <= rows + 2 * page, name
+        for diagnostics in (("martingale",), ("girsanov",)):
+            spec = ScenarioSpec(name="atom_jump", n_paths=2000, n_steps=64,
+                                diagnostics=diagnostics)
+            report, ens = run_bundle(spec, build_bundle(spec))
+            assert [d.name for d in report.diagnostics] == list(diagnostics)
+            for name in ("x", "dW"):
+                array = getattr(ens, name)
+                rows = own * array.strides[0]
+                assert rows - page <= _resident_bytes(array) <= rows + 2 * page, \
+                    (diagnostics, name)
 
     def test_whole_run_maps_only_x_dw_and_active(self, monkeypatch):
         # a run under a transform stores X alone: h(X) and h'(X) are
@@ -474,6 +477,36 @@ class TestRunScenario:
                           ((300,), np.dtype(bool))]
         assert [a.shape for a in (ens.x, ens.dW, ens.active)] == [(300, 33), (300, 32),
                                                                   (300,)]
+
+    @pytest.mark.parametrize("name,n_paths,n_steps", (
+        [(name, None, None) for name in scenario_names()]
+        + [("atom_jump", 4000, 512), ("atom_jump", 10_000, 512)]))
+    @pytest.mark.parametrize("cpus", (2, 3))
+    def test_block_rule_whole_run_one_block_per_share(self, name, n_paths, n_steps,
+                                                      cpus, monkeypatch):
+        # a whole run maps its rows of X and dW shared, so a path holds
+        # privately only its small-jump normals, candidates and step
+        # temporaries, and each share is one block (on one CPU,
+        # stable_jump's 2000 paths, 3.3 kB each, walk two)
+        from sdelab import coefficients, simulator
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
+        blocks = []
+
+        class Walked(Exception):
+            pass
+
+        def walked(task, n_paths, n_times, block):
+            blocks.append((n_paths, n_times, block))
+            raise Walked
+
+        monkeypatch.setattr(simulator, "_walked", walked)
+        spec = ScenarioSpec(name=name, n_paths=n_paths, n_steps=n_steps)
+        bundle = build_bundle(spec)
+        with pytest.raises(Walked):
+            simulator.simulate_x_markovian(bundle.eq, bundle.sim, bundle.x0)
+        (P, n_times, block), = blocks
+        assert (P, n_times) == (bundle.sim.n_paths, bundle.sim.n_steps + 1)
+        assert block >= max(len(share) for share in coefficients._shares(P, n_times))
 
     def test_every_requested_diagnostic_reported_once(self):
         spec = ScenarioSpec(name="brownian_baseline",
@@ -707,6 +740,15 @@ class TestConfigLoading:
 # counterexamples
 # ---------------------------------------------------------------------------
 
+def _stable_blocks(gamma, cfg, block_paths, monkeypatch):
+    """Set the byte budget so that ``counterexample_stable(gamma,
+    config=cfg)`` walks blocks of ``block_paths`` paths."""
+    from sdelab import scenarios, simulator
+    setup = scenarios._stable_setup(gamma, cfg, 0.5)
+    monkeypatch.setattr(simulator, "BLOCK_BYTES",
+                        block_paths * simulator._path_bytes(setup, shared=False))
+
+
 class TestCounterexamples:
     def test_stable_dichotomy_small(self):
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)
@@ -764,17 +806,16 @@ class TestCounterexamples:
 
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_report_independent_of_block_size(self, gamma, monkeypatch):
-        from sdelab import simulator
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)
         whole = report_json(counterexample_stable(gamma, config=cfg))
-        monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # 7 blocks, the last short
+        _stable_blocks(gamma, cfg, 300, monkeypatch)  # 7 blocks, the last short
         assert report_json(counterexample_stable(gamma, config=cfg)) == whole
 
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_report_independent_of_worker_count(self, gamma, monkeypatch):
-        from sdelab import coefficients, simulator
+        from sdelab import coefficients
         cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)
-        monkeypatch.setattr(simulator, "BLOCK_PATHS", 300)  # blocks of 300, some short
+        _stable_blocks(gamma, cfg, 300, monkeypatch)  # blocks of 300, some short
         monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         reports = []
         for cpus in (1, 2, 3):
@@ -817,6 +858,74 @@ class TestCounterexamples:
         (self_16k, children_16k), (self_64k, children_64k) = peak_mb
         assert abs(self_64k - self_16k) < 10.0, peak_mb
         assert abs(children_64k - children_16k) < 10.0, peak_mb
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.5))
+    def test_block_rule_counterexample_within_budget(self, gamma, monkeypatch):
+        # a blocked path holds its rows of X and dW, its small-jump normals
+        # under gaussian_match, its candidates and its step temporaries, so
+        # a run walks blocks of as many paths as fit in BLOCK_BYTES, and
+        # one process that walks three of them and reduces each holds no
+        # more than the budget (tracemalloc: the output arrays are mapped)
+        import tracemalloc
+        from sdelab import coefficients, scenarios, simulator
+        monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 1)
+        setup = scenarios._stable_setup(gamma, scenarios.COUNTEREXAMPLE_STABLE_CONFIG, 0.5)
+        block = simulator.BLOCK_BYTES // simulator._path_bytes(setup, shared=False)
+        assert block >= (1900 if gamma < 1.0 else 1000)
+        cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=3 * block + 17, master_seed=41)
+        ranges, simulate_y = [], simulator.simulate_y
+        with monkeypatch.context() as m:
+            m.setattr(simulator, "simulate_y", lambda setup, paths: (
+                ranges.append(paths) or simulate_y(setup, paths=paths)))
+            counterexample_stable(gamma, config=cfg)
+        assert [len(r) for r in ranges] == [block] * 3 + [17]
+        tracemalloc.start()
+        try:
+            counterexample_stable(gamma, config=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulator.BLOCK_BYTES, (peak, block)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM in /proc/self/status")
+    def test_stable_caller_memory_and_replies_flat_in_paths(self):
+        # each block writes its per-path reductions in place into arrays
+        # mapped shared before the fork, so the caller holds one block plus
+        # those arrays (33 bytes a path), and a worker sends back two small
+        # integers per block and no per-path data (2-core box, 64 000
+        # paths: the caller's peak rose 20.1 MB over its baseline, and the
+        # worker's reply took 1.06 MB, when 8192-path blocks sent back their
+        # reductions).  The peak is VmHWM, which starts afresh at exec;
+        # ru_maxrss would carry over the peak of the process that forked it
+        code = ("import pickle, sys\n"
+                "import numpy as np\n"
+                "from sdelab import SimConfig, coefficients, counterexample_stable,"
+                " simulator\n"
+                "def peak_mb():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(line.split()[1]) for line in fh\n"
+                "                    if line.startswith('VmHWM:')) / 1024\n"
+                "coefficients._usable_cpus = lambda: 2\n"
+                "forked, sizes = coefficients._forked, simulator._shared((2,), np.int64)\n"
+                "def spy(task, shares):\n"
+                "    def sized(share):\n"
+                "        out = task(share)\n"
+                "        sizes[shares.index(share)] = len(pickle.dumps(out))\n"
+                "        return out\n"
+                "    return forked(sized, shares)\n"
+                "coefficients._forked = spy\n"
+                "cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=64_000, master_seed=41)\n"
+                "base = peak_mb()\n"
+                "counterexample_stable(0.5, config=cfg)\n"
+                "print(peak_mb() - base, sizes[1])\n")
+        src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=600).stdout.split()
+        rise_mb, reply = float(out[0]), int(out[1])
+        assert rise_mb < 12.0, out
+        assert 0 < reply < 1024, out
 
 
 # ---------------------------------------------------------------------------

@@ -292,10 +292,18 @@ ENSEMBLE_ARRAYS = ("times", "x", "x_end", "dW", "active", "jump_time", "jump_x_p
                    "jump_w")
 
 
+def _block_bytes(setup, block_paths, monkeypatch):
+    """Set the byte budget so that a blocked run of ``setup`` walks blocks
+    of ``block_paths`` paths."""
+    monkeypatch.setattr(simulator, "BLOCK_BYTES",
+                        block_paths * simulator._path_bytes(setup, shared=False))
+
+
 def _blocked(chars, cfg, y0, block_paths, monkeypatch):
     """The block ensembles of a blocked run, with ``block_paths`` paths each."""
-    monkeypatch.setattr(simulator, "BLOCK_PATHS", block_paths)
-    return simulator.simulate_blocks(engine_setup(chars, cfg, y0), lambda ens: ens)
+    setup = engine_setup(chars, cfg, y0)
+    _block_bytes(setup, block_paths, monkeypatch)
+    return simulator.simulate_blocks(setup, lambda ens, paths: ens)
 
 
 def _merged(blocks, field):
@@ -501,15 +509,19 @@ class TestBlockWorkers:
     children forked for the call, and each walks its share in blocks."""
 
     def _setup(self, n_paths, monkeypatch):
-        monkeypatch.setattr(simulator, "BLOCK_PATHS", 7)
         cfg = replace(BROWNIAN_CFG, n_paths=n_paths, n_steps=8)
-        return engine_setup(brownian_chars(), cfg, 0.0)
+        setup = engine_setup(brownian_chars(), cfg, 0.0)
+        _block_bytes(setup, 7, monkeypatch)
+        return setup
 
     @pytest.mark.parametrize("n_paths", (40, 14, 2))
     def test_one_process_per_worker(self, workers, n_paths, monkeypatch):
         setup = self._setup(n_paths, monkeypatch)
-        pids = simulator.simulate_blocks(setup, lambda ens: os.getpid())
-        # each worker runs one contiguous run of blocks, this process the first
+        pids = simulator.simulate_blocks(setup, lambda ens, paths: os.getpid())
+        # each worker runs one contiguous run of blocks, this process the first,
+        # and hands ``reduce`` each block's range of paths
+        assert simulator.simulate_blocks(setup, lambda ens, paths: paths) \
+            == _block_ranges(setup.config, 7)
         assert len(pids) == len(_block_ranges(setup.config, 7))
         runs = [pid for pid, _ in itertools.groupby(pids)]
         assert len(runs) == len(set(runs)) == min(workers, n_paths)
@@ -519,7 +531,7 @@ class TestBlockWorkers:
     def test_min_share_keeps_small_runs_here(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_usable_cpus", lambda: 2)
         pids = simulator.simulate_blocks(self._setup(40, monkeypatch),
-                                         lambda ens: os.getpid())
+                                         lambda ens, paths: os.getpid())
         assert set(pids) == {os.getpid()} and len(pids) == 6
 
     def test_no_fork_while_another_thread_runs(self, workers, monkeypatch):
@@ -528,7 +540,7 @@ class TestBlockWorkers:
         thread.start()
         try:
             pids = simulator.simulate_blocks(self._setup(40, monkeypatch),
-                                             lambda ens: os.getpid())
+                                             lambda ens, paths: os.getpid())
         finally:
             stop.set()
             thread.join()
@@ -545,14 +557,14 @@ class TestBlockWorkers:
         index = {whole.dW[r.start].tobytes(): k
                  for k, r in enumerate(_block_ranges(setup.config, 7))}
 
-        def reduce(ens):
+        def reduce(ens, paths):
             k = index[ens.dW[0].tobytes()]
             if k in failing:
                 raise ValidationError(f"block {k}")
             return k
 
-        assert simulator.simulate_blocks(setup, lambda ens: index[ens.dW[0].tobytes()]) \
-            == list(range(6))
+        assert simulator.simulate_blocks(
+            setup, lambda ens, paths: index[ens.dW[0].tobytes()]) == list(range(6))
         with pytest.raises(ValidationError) as got:
             simulator.simulate_blocks(setup, reduce)
         assert type(got.value) is ValidationError
@@ -566,7 +578,7 @@ class TestBlockWorkers:
         with pytest.raises(Exception) as want:
             pickle.dumps(local)
         with pytest.raises(Exception) as got:
-            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: local)
+            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens, paths: local)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         _assert_no_child_left()
@@ -579,7 +591,7 @@ class TestBlockWorkers:
         monkeypatch.setattr(coefficients, "_MIN_SHARE", 1)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens: 0)
+            simulator.simulate_blocks(self._setup(40, monkeypatch), lambda ens, paths: 0)
         assert not [w for w in seen if "fork" in str(w.message)], seen
 
 
