@@ -139,9 +139,8 @@ class StableTailKernel:
         m_neg = self.one_tail_mass(np.abs(w_lo))
         m_pos = self.one_tail_mass(np.abs(w_hi))
         go_pos = u_side < m_pos / (m_pos + m_neg)
-        mag_pos = np.abs(w_hi) * (1.0 - u_mag) ** (-1.0 / self.gamma)
-        mag_neg = np.abs(w_lo) * (1.0 - u_mag) ** (-1.0 / self.gamma)
-        return np.where(go_pos, mag_pos, -mag_neg)
+        stretch = (1.0 - u_mag) ** (-1.0 / self.gamma)
+        return np.where(go_pos, np.abs(w_hi) * stretch, -(np.abs(w_lo) * stretch))
 
     @property
     def support_radius(self):

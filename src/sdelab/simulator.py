@@ -188,9 +188,11 @@ class JumpOps:
     ``sample(x_pre, y_pre, u1, u2)`` returns the sizes ``(z, w)`` of
     accepted big jumps in transformed and original coordinates from their
     pre-jump states in both coordinates and each candidate's two size
-    uniforms, so a jump reads only its own path's stream.  ``small_jumps``
-    is False when the small-jump variance is zero at every state by the
-    kernel's structure.
+    uniforms, so a jump reads only its own path's stream.  When
+    ``profiles`` is a ``_ConstantProfiles`` the measure reads no state:
+    ``sample`` reads only ``u1`` and ``u2`` (its states may be None).
+    ``small_jumps`` is False when the small-jump variance is zero at every
+    state by the kernel's structure.
     """
 
     profiles: Callable
@@ -198,15 +200,17 @@ class JumpOps:
     small_jumps: bool
 
 
-def _constant_profiles(rate, kdelta, small_var):
-    """State-independent profiles as a broadcast view: nothing is allocated
-    per evaluation."""
-    c = np.asarray([rate, kdelta, small_var], dtype=float)
+@dataclass(frozen=True)
+class _ConstantProfiles:
+    """State-independent profiles ``values`` = (rate, kdelta, small_var),
+    evaluated as a broadcast view: nothing is allocated per evaluation."""
 
-    def profiles(x, y):
+    values: tuple
+
+    def __call__(self, x, y):
         shape = np.shape(y)
+        c = np.asarray(self.values, dtype=float)
         return np.broadcast_to(c.reshape((3,) + (1,) * len(shape)), (3,) + shape)
-    return profiles
 
 
 def jump_ops(chars: CharacteristicsY, config: SimConfig) -> Optional[JumpOps]:
@@ -243,7 +247,7 @@ def _stable_ops(kernel: StableTailKernel, delta):
     def sample(x_pre, y_pre, u1, u2):
         z = kernel.sample_two_tail(np.asarray(u1), np.asarray(u2), -delta, delta)
         return z, z
-    return _constant_profiles(rate, 0.0, svar), sample, svar != 0.0
+    return _ConstantProfiles((rate, 0.0, svar)), sample, svar != 0.0
 
 
 def _atom_kernel_ops(kernel, transform, delta, trunc):
@@ -452,9 +456,11 @@ def _read_only(ens: Ensemble) -> Ensemble:
 BLOCK_BYTES = 2**22
 
 # floats a path holds privately per candidate jump (its four uniforms, keys,
-# sort permutation, sorted copies and accepted records) and per path beyond
-# its noise rows (the state of a step and the step's temporaries); measured
-# with tracemalloc on the power tail's range and whole runs
+# sort permutation, sorted copies and accepted records; a block whose marks
+# read no state holds its accepted indices, paths and sizes in place of the
+# acceptance and size uniforms it drops before its steps) and per path
+# beyond its noise rows (the state of a step and the step's temporaries);
+# measured with tracemalloc on the power tail's range and whole runs
 _CANDIDATE_FLOATS = 12
 _STEP_FLOATS = 24
 
@@ -545,16 +551,27 @@ def _check_exclusions(n_excluded, config: SimConfig):
 
 def _candidate_order(c_step, c_path, c_t, n_paths):
     """Permutation of the candidates into (step, path, time) order, ties in
-    input order; c_path < n_paths, so (step, path) is one integer key."""
-    return np.lexsort((c_t, c_step * n_paths + c_path))
+    input order; c_path < n_paths, so (step, path) is one integer key.
+    Most keys are held by one candidate, so one unstable sort by key places
+    them, and only the candidates that share a key are sorted again, by
+    (key, time, input order)."""
+    key = c_step * n_paths + c_path
+    order = np.argsort(key)
+    tied = np.diff(key[order]) == 0
+    if tied.any():
+        at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        m = order[at]
+        order[at] = m[np.lexsort((m, c_t[m], key[m]))]
+    return order
 
 
 def _record_order(jp):
     """Permutation of the accepted records, which come in (step, path,
     time) order, into (path, time) order, ties in input order: a path's
-    step never decreases as its time grows, so a stable sort by path
-    keeps its records in time order."""
-    return np.argsort(jp, kind="stable")
+    step never decreases as its time grows, so a sort by path, ties in
+    input order, keeps its records in time order.  The keys (path, input
+    position) are distinct, so an unstable sort gives that order."""
+    return np.argsort(jp * len(jp) + np.arange(len(jp)))
 
 
 def simulate_y(setup: EngineSetup, *, paths: Optional[range] = None) -> Ensemble:
@@ -616,6 +633,16 @@ def _gauss_small_jumps(setup: EngineSetup) -> bool:
             and setup.config.small_jump_mode == "gaussian_match")
 
 
+def _marks_read_no_state(setup: EngineSetup) -> bool:
+    """True when no step's jumps read the state: constant profiles (the
+    power tail) under the identity, which excludes no path, and no drift
+    functional.  Then a block's candidates are accepted and sampled before
+    its steps."""
+    ops, chars = setup.ops, setup.chars
+    return (ops is not None and isinstance(ops.profiles, _ConstantProfiles)
+            and chars.transform.is_identity and chars.functional is None)
+
+
 def _path_bytes(setup: EngineSetup, shared: bool) -> int:
     """Bytes one path of ``setup`` holds privately in its block: its rows
     of X and dW unless the run maps them ``shared``, its small-jump normals
@@ -662,21 +689,25 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     use_gauss = _gauss_small_jumps(setup)
 
     # per-path noise, drawn in place in a fixed order from the path's own
-    # stream: n normals, n small-jump normals, the candidate count k, then
-    # one block of 4k uniforms holding k candidate times (scaled by T), k
-    # acceptance uniforms, k size uniforms u1 and k size uniforms u2.
-    # Small-jump normals nobody reads (under "drop", or when the small-jump
-    # variance is zero everywhere) all go to one reused row, which keeps
-    # the later draws in place.
+    # stream: n normals and n small-jump normals (one call of 2n into a
+    # reused row), the candidate count k, then one block of 4k uniforms
+    # holding k candidate times (scaled by T), k acceptance uniforms, k size
+    # uniforms u1 and k size uniforms u2.  Small-jump normals nobody reads
+    # (under "drop", or when the small-jump variance is zero everywhere)
+    # stay in the reused row, which keeps the later draws in place.
     normals = np.empty((P, n)) if run is None else run["dW"][rows]
-    small_normals = np.empty((P if use_gauss else 1, n))
+    small_normals = np.empty((P, n)) if use_gauss else None
+    row = np.empty(2 * n)
+    head, tail = row[:n], row[n:]
     counts = np.zeros(P, dtype=np.int64)
     unif = np.empty(4 * _candidate_capacity(P * lam_max * T))
     total = 0
     for i, rng in enumerate(streams(config.master_seed,
                                     np.arange(paths.start, paths.stop))):
-        rng.standard_normal(out=normals[i])
-        rng.standard_normal(out=small_normals[i if use_gauss else 0])
+        rng.standard_normal(out=row)
+        normals[i] = head
+        if use_gauss:
+            small_normals[i] = tail
         k = int(rng.poisson(lam_max * T)) if lam_max > 0 else 0
         if k:
             end = 4 * (total + k)
@@ -703,6 +734,29 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     del unif, first, order, c_at, c_count
     bounds = np.searchsorted(c_step, np.arange(n + 1))
 
+    # accepted marks: indices into the sorted candidates plus their sizes
+    # in the original coordinates.  A measure that reads no state has its
+    # whole block accepted and sampled here, once; each step then adds the
+    # jumps at its slice ``a_bounds`` of them
+    acc_idx, acc_w = [], []
+    free = _marks_read_no_state(setup)
+    kdelta = 0.0  # without jumps no compensator is subtracted
+    if free:
+        rate, kdelta, small_var = ops.profiles.values
+        ratio = rate / lam_max if total else 0.0  # no candidate reads it
+        if ratio > 1.0 + 1e-12:
+            raise IntensityBoundViolated(f"acceptance probability {ratio:.6g} > 1 "
+                                         f"at step {int(c_step[0])}")
+        sel = np.flatnonzero(c_u < ratio)
+        u1, u2 = c_u1[sel], c_u2[sel]
+        del c_u, c_u1, c_u2
+        z, w = ops.sample(None, None, u1, u2)
+        del u1, u2
+        a_path, a_bounds = c_path[sel], np.searchsorted(sel, bounds)
+        if len(sel):
+            acc_idx.append(sel)
+            acc_w.append(np.asarray(w, dtype=float))
+
     # Y is simulated in the rows of X.  When a step reads X (a drift
     # functional, or the jump sampler under a transform), each column of Y
     # is inverted once, as its step finishes, into its column of X;
@@ -715,23 +769,24 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     active.fill(True)
     carry, hv = None, 0.0
 
-    # accepted marks: indices into the sorted candidates plus their sizes
-    # in the original coordinates
-    acc_idx, acc_w = [], []
     for s in range(n):
         x = X[:, s]  # Y under the identity; no step reads it in the row-block case
         if functional is not None:
             carry, hv = functional.step(carry, x)
         s0 = np.asarray(chars.sigma0(y))
-        if has_jumps:
+        if has_jumps and not free:
             b, big_rate, kdelta, small_var = setup.profiles(x, y)
-            drift = np.asarray(b) + s0 * hv - kdelta
-            del b  # b(y) would outlive the step
         else:
-            drift = np.asarray(chars.b(y)) + s0 * hv
+            b = chars.b(y)
+        drift = np.asarray(b) + s0 * hv - kdelta
+        del b  # b(y) would outlive the step
         jump_add = np.zeros(P)
-        lo, hi = bounds[s], bounds[s + 1]
-        if has_jumps and hi > lo:
+        if free:
+            lo, hi = a_bounds[s], a_bounds[s + 1]
+            if hi > lo:
+                np.add.at(jump_add, a_path[lo:hi], z[lo:hi])
+        elif has_jumps and bounds[s + 1] > bounds[s]:
+            lo, hi = bounds[s], bounds[s + 1]
             p_idx = c_path[lo:hi]
             ratio = big_rate[p_idx] / lam_max
             if np.any(ratio > 1.0 + 1e-12):
@@ -759,7 +814,11 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
             y_next = np.where(active, y_next, y)
         X[:, s + 1] = transform.inverse(y_next) if by_column else y_next
         y = y_next
-    del small_normals, c_u, c_u1, c_u2
+    del small_normals, row, head, tail
+    if free:
+        del a_path, z
+    else:
+        del c_u, c_u1, c_u2
 
     if not (transform.is_identity or by_column):  # row blocks of about _BLOCK values
         step = max(1, _BLOCK // (n + 1))

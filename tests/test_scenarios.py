@@ -17,6 +17,17 @@ from reference import bump_mollifier, counterexample_reference, simulated_y
 
 SMALL = dict(n_paths=400, n_steps=64)
 
+# the source of ``peak_mb()``, a process's own peak RSS in MB: VmHWM, which
+# starts afresh at exec, where RUSAGE_SELF's ru_maxrss carries over the peak
+# of the process that started it (the test runner's).  RUSAGE_CHILDREN
+# measures forked workers, which do not exec, as their own VmHWM would
+PEAK_MB = ("def peak_mb():\n"
+           "    with open('/proc/self/status') as fh:\n"
+           "        return next(int(line.split()[1]) for line in fh\n"
+           "                    if line.startswith('VmHWM:')) / 1024\n")
+needs_vmhwm = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="reads VmHWM in /proc/self/status")
+
 
 # ---------------------------------------------------------------------------
 # registry and validation
@@ -391,19 +402,20 @@ class TestRunScenario:
             monkeypatch.setattr(coefficients, "_CHUNK", chunk)
             assert report_json(run_scenario(spec)[0]) == whole, chunk
 
+    @needs_vmhwm
     def test_atom_jump_peak_memory_grows_with_the_ensemble_only(self):
         # the martingale diagnostic reads the paths in row blocks, so four
         # times the paths add about the ensemble's own bytes to the peak
         # (2-core box, 2000 -> 8000 paths: 32 MB of peak RSS for 31 MB of
         # ensemble; 79 MB when the diagnostic held whole-ensemble arrays)
-        code = ("import resource, sys\n"
+        code = ("import sys\n"
                 "import numpy as np\n"
-                "from sdelab import ScenarioSpec, run_scenario\n"
+                "from sdelab import ScenarioSpec, run_scenario\n" + PEAK_MB +
                 "_, ens = run_scenario(ScenarioSpec(name='atom_jump',"
                 " n_paths=int(sys.argv[1]), n_steps=128))\n"
                 "nbytes = sum(v.nbytes for v in vars(ens).values()"
                 " if isinstance(v, np.ndarray))\n"
-                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024, nbytes)\n")
+                "print(round(peak_mb() * 2**20), nbytes)\n")
         src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
         env = {**os.environ, "PYTHONPATH": src}
         (rss0, ens0), (rss1, ens1) = [
@@ -413,20 +425,21 @@ class TestRunScenario:
             for n in (2000, 8000)]
         assert rss1 - rss0 < 1.5 * (ens1 - ens0), (rss0, rss1, ens0, ens1)
 
+    @needs_vmhwm
     def test_dealt_run_adds_no_peak_memory(self):
         # the forked workers write their rows of a whole run into arrays
         # mapped shared, so dealing adds nothing to this process's peak; a
         # child holds what it inherits plus its share
         code = ("import resource, sys\n"
                 "from sdelab import coefficients\n"
-                "from sdelab.scenarios import ScenarioSpec, run_scenario\n"
+                "from sdelab.scenarios import ScenarioSpec, run_scenario\n" + PEAK_MB +
                 "coefficients._usable_cpus = lambda: int(sys.argv[1])\n"
                 "run_scenario(ScenarioSpec(name='atom_jump', n_paths=4000, n_steps=256))\n"
-                "print(*(resource.getrusage(who).ru_maxrss for who in"
-                " (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
+                "print(peak_mb(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss"
+                " / 1024)\n")
         src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        peak_mb = [[int(kb) / 1024 for kb in subprocess.run(
+        peak_mb = [[float(mb) for mb in subprocess.run(
                         [sys.executable, "-c", code, str(workers)], env=env,
                         capture_output=True, text=True, check=True).stdout.split()]
                    for workers in (1, 2)]
@@ -838,20 +851,21 @@ class TestCounterexamples:
         assert shares == [1, 2, 3]
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
+    @needs_vmhwm
     def test_stable_peak_memory_flat_in_paths(self):
         # the ensemble is simulated and reduced a block at a time, so four
         # times the paths add only their per-path vectors (~1.5 MB here),
         # in this process and in the forked block workers alike
         code = ("import resource, sys\n"
-                "from sdelab import SimConfig, counterexample_stable\n"
+                "from sdelab import SimConfig, counterexample_stable\n" + PEAK_MB +
                 "cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=int(sys.argv[1]),"
                 " master_seed=41)\n"
                 "counterexample_stable(0.5, config=cfg)\n"
-                "print(*(resource.getrusage(who).ru_maxrss for who in"
-                " (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))\n")
+                "print(peak_mb(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss"
+                " / 1024)\n")
         src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        peak_mb = [[int(kb) / 1024 for kb in subprocess.run(
+        peak_mb = [[float(mb) for mb in subprocess.run(
                         [sys.executable, "-c", code, str(n)], env=env,
                         capture_output=True, text=True, check=True).stdout.split()]
                    for n in (16_000, 64_000)]
@@ -887,8 +901,7 @@ class TestCounterexamples:
             tracemalloc.stop()
         assert peak <= simulator.BLOCK_BYTES, (peak, block)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                        reason="reads VmHWM in /proc/self/status")
+    @needs_vmhwm
     def test_stable_caller_memory_and_replies_flat_in_paths(self):
         # each block writes its per-path reductions in place into arrays
         # mapped shared before the fork, so the caller holds one block plus
@@ -896,16 +909,11 @@ class TestCounterexamples:
         # integers per block and no per-path data (2-core box, 64 000
         # paths: the caller's peak rose 20.1 MB over its baseline, and the
         # worker's reply took 1.06 MB, when 8192-path blocks sent back their
-        # reductions).  The peak is VmHWM, which starts afresh at exec;
-        # ru_maxrss would carry over the peak of the process that forked it
+        # reductions)
         code = ("import pickle, sys\n"
                 "import numpy as np\n"
                 "from sdelab import SimConfig, coefficients, counterexample_stable,"
-                " simulator\n"
-                "def peak_mb():\n"
-                "    with open('/proc/self/status') as fh:\n"
-                "        return next(int(line.split()[1]) for line in fh\n"
-                "                    if line.startswith('VmHWM:')) / 1024\n"
+                " simulator\n" + PEAK_MB +
                 "coefficients._usable_cpus = lambda: 2\n"
                 "forked, sizes = coefficients._forked, simulator._shared((2,), np.int64)\n"
                 "def spy(task, shares):\n"

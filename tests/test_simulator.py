@@ -215,13 +215,20 @@ class TestSortOrder:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_same_permutations_as_lexsort(self, seed):
-        rng = np.random.default_rng(seed)
-        P, n, T = 7, 5, 1.0
+        self._check(np.random.default_rng(seed), 7, 5, 300, 40)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_permutations_as_lexsort_at_block_size(self, seed):
+        # a counterexample block's paths, steps and candidates
+        self._check(np.random.default_rng(seed), 2000, 64, 20_000, 4096)
+
+    def _check(self, rng, P, n, size, grid):
+        T = 1.0
         dt = T / n
-        # times on a grid of 1/40: ties within and across paths, and
+        # times on a grid of 1/grid: ties within and across paths, and
         # several candidates of one path within one step
-        c_t = T * rng.integers(0, 40, 300) / 40
-        c_path = rng.integers(0, P, 300)
+        c_t = T * rng.integers(0, grid, size) / grid
+        c_path = rng.integers(0, P, size)
         c_step = np.minimum((c_t / dt).astype(np.int64), n - 1)
         key = np.stack([c_step, c_path, c_t], axis=1)
         distinct = len(np.unique(key, axis=0))
@@ -232,7 +239,7 @@ class TestSortOrder:
         assert np.array_equal(order, np.lexsort((c_t, c_path, c_step)))
 
         # accepted records keep the sorted candidates' order
-        sel = np.flatnonzero(rng.random(300) < 0.6)
+        sel = np.flatnonzero(rng.random(size) < 0.6)
         jp, jt = c_path[order][sel], c_t[order][sel]
         assert np.array_equal(simulator._record_order(jp), np.lexsort((jt, jp)))
 
@@ -779,6 +786,122 @@ class TestDealtRun:
             generator.martingale_columns(eq, ens, profiles, [-1],
                                          generator.jump_tables(eq, profiles, ens.x))
             assert shares == want, n_paths
+
+
+# ---------------------------------------------------------------------------
+# jump marks that read no state
+# ---------------------------------------------------------------------------
+
+def _stable_jump_setup(n_paths, n_steps):
+    from sdelab.scenarios import ScenarioSpec, build_bundle
+    bundle = build_bundle(ScenarioSpec(name="stable_jump", n_paths=n_paths,
+                                       n_steps=n_steps))
+    return engine_setup(build_characteristics(bundle.eq), bundle.sim, bundle.x0)
+
+
+def _hidden(setup):
+    """``setup`` with its constant profiles behind a plain callable, so that
+    the same run takes the per-step loop."""
+    profiles = setup.ops.profiles
+    return replace(setup, ops=replace(setup.ops, profiles=lambda x, y: profiles(x, y)))
+
+
+def _sample_calls(setup):
+    """The number of ``ops.sample`` calls of a one-process range run of
+    ``setup``, and its ensemble."""
+    calls, sample = [], setup.ops.sample
+    counted = replace(setup, ops=replace(setup.ops, sample=lambda *a: (
+        calls.append(1) or sample(*a))))
+    ens = simulate_y(counted, paths=range(setup.config.n_paths))
+    return len(calls), ens
+
+
+def _assert_same_ensemble(got, want):
+    for field in ENSEMBLE_ARRAYS + ("jump_path",):
+        a, b = getattr(want, field), getattr(got, field)
+        assert b.dtype == a.dtype and np.array_equal(b, a), field
+
+
+class TestStateFreeMarks:
+    """Under the identity with the power tail and no drift functional, no
+    step's jumps read the state: a block's candidates are accepted and
+    sampled once, before its steps, and the run equals the per-step loop
+    bit for bit."""
+
+    def _setup(self, case):
+        from sdelab.scenarios import COUNTEREXAMPLE_STABLE_CONFIG, _stable_setup
+        if case == "stable_jump":
+            return _stable_jump_setup(1000, 16)
+        cfg = replace(COUNTEREXAMPLE_STABLE_CONFIG, n_paths=1000, n_steps=16)
+        return _stable_setup({"gamma_0.5": 0.5, "gamma_1.5": 1.5}[case], cfg, 0.5)
+
+    @pytest.mark.parametrize("case", ("gamma_0.5", "gamma_1.5", "stable_jump"))
+    @pytest.mark.parametrize("block_paths", (7, 300))
+    def test_equals_the_per_step_loop(self, case, block_paths, workers, monkeypatch):
+        setup = self._setup(case)
+        mode = {"gamma_0.5": "drop"}.get(case, "gaussian_match")
+        assert setup.config.small_jump_mode == mode
+        loop = _hidden(setup)
+        assert simulator._marks_read_no_state(setup)
+        assert not simulator._marks_read_no_state(loop)
+        runs = []
+        for s in (setup, loop):
+            _block_bytes(s, block_paths, monkeypatch)
+            blocks = simulator.simulate_blocks(s, lambda ens, paths: ens)
+            assert max(b.n_paths for b in blocks) == block_paths
+            runs += [simulate_y(s), blocks]
+        whole, blocks, whole_loop, blocks_loop = runs
+        assert len(whole.jump_time) > 1000
+        for field in ENSEMBLE_ARRAYS + ("jump_path",):
+            want = getattr(whole_loop, field)
+            for got in (getattr(whole, field), _merged(blocks, field),
+                        _merged(blocks_loop, field)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+        _assert_no_child_left()
+
+    def test_block_without_candidates(self):
+        # at a horizon of 1e-4 most paths draw no candidate
+        setup = self._setup("gamma_0.5")
+        setup = replace(setup, config=replace(setup.config, horizon=1e-4))
+        for paths in (range(0, 1), range(0, 40)):
+            _assert_same_ensemble(simulate_y(setup, paths=paths),
+                                  simulate_y(_hidden(setup), paths=paths))
+        assert len(simulate_y(setup, paths=range(0, 1)).jump_time) == 0
+
+    def test_one_sample_call_per_block(self):
+        setup = self._setup("gamma_0.5")
+        calls, ens = _sample_calls(setup)
+        loop_calls, loop_ens = _sample_calls(_hidden(setup))
+        assert calls == 1 and loop_calls == setup.config.n_steps
+        _assert_same_ensemble(ens, loop_ens)
+
+    def test_a_functional_or_a_transform_takes_the_per_step_loop(self, tanh_coeffs):
+        setup = self._setup("gamma_0.5")
+        with_sup = replace(setup, chars=replace(setup.chars,
+                                                functional=clamped_running_sup(1.0)))
+        calls, ens = _sample_calls(with_sup)
+        assert calls == setup.config.n_steps and len(ens.jump_time) > 1000
+        # a power tail builds no ops under a transform, so only the route
+        # rule can be asked
+        transformed = replace(setup, chars=replace(setup.chars,
+                                                   transform=tanh_coeffs.transform))
+        assert simulator._marks_read_no_state(setup)
+        assert not simulator._marks_read_no_state(transformed)
+
+    def test_acceptance_above_one_raises_as_the_loop_does(self):
+        # a rate within the start-up scan's 1e-9 of the bound passes it, and
+        # the first step with a candidate finds the acceptance above 1
+        setup = self._setup("gamma_0.5")
+        rate = setup.ops.profiles.values[0]
+        setup = engine_setup(setup.chars, replace(
+            setup.config, n_paths=50, big_jump_intensity_bound=rate / (1.0 + 1e-10)),
+            setup.y0)
+        messages = []
+        for s in (setup, _hidden(setup)):
+            with pytest.raises(IntensityBoundViolated, match=r"> 1 at step \d+$") as got:
+                simulate_y(s, paths=range(50))
+            messages.append(str(got.value))
+        assert messages[0] == messages[1]
 
 
 @pytest.mark.parametrize("case", ("jumps", "tabulated", "functional", "neither"))
