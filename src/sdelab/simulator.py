@@ -740,7 +740,6 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
     # jumps at its slice ``a_bounds`` of them
     acc_idx, acc_w = [], []
     free = _marks_read_no_state(setup)
-    kdelta = 0.0  # without jumps no compensator is subtracted
     if free:
         rate, kdelta, small_var = ops.profiles.values
         ratio = rate / lam_max if total else 0.0  # no candidate reads it
@@ -778,8 +777,10 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
             b, big_rate, kdelta, small_var = setup.profiles(x, y)
         else:
             b = chars.b(y)
-        drift = np.asarray(b) + s0 * hv - kdelta
+        drift = np.asarray(b) + s0 * hv
         del b  # b(y) would outlive the step
+        if has_jumps:
+            drift = drift - kdelta
         jump_add = np.zeros(P)
         if free:
             lo, hi = a_bounds[s], a_bounds[s + 1]
@@ -815,9 +816,7 @@ def _engine(setup: EngineSetup, paths: range, run: Optional[dict] = None) -> Ens
         X[:, s + 1] = transform.inverse(y_next) if by_column else y_next
         y = y_next
     del small_normals, row, head, tail
-    if free:
-        del a_path, z
-    else:
+    if not free:
         del c_u, c_u1, c_u2
 
     if not (transform.is_identity or by_column):  # row blocks of about _BLOCK values
