@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -279,6 +278,7 @@ def _usable_cpus():
 def _pooled(task, jobs):
     """``list(map(task, jobs))`` on a pool of min(usable CPUs, jobs) threads;
     a task's exception is raised here."""
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(jobs)))) as pool:
         return list(pool.map(task, jobs))
 

@@ -155,16 +155,20 @@ def dirichlet_condition_intY(sums, active, a, sample_sizes,
         raise ValidationError(
             f"sums of shape {np.shape(sums)} do not hold row 0 and one row per "
             f"cap for each of {len(active)} paths")
-    active_sums = sums[:, active]
+    # row 0's active sums for the ladder, then each cap's in turn: the call
+    # holds one row of active sums, never all of them
+    head = sums[0][active]
     sizes = np.asarray(sample_sizes, dtype=int)
-    ns = [int(n) for n in sizes if n <= active_sums.shape[1]]
+    ns = [int(n) for n in sizes if n <= len(head)]
     if not ns:
-        raise ValidationError(f"no sample size within {active_sums.shape[1]} paths")
+        raise ValidationError(f"no sample size within {len(head)} paths")
+    means = np.asarray([float(np.mean(head[:n])) for n in ns])
+    del head
     return IntegrabilityGrowthTable(
-        threshold=float(a), sample_sizes=np.asarray(ns, dtype=int),
-        means=np.asarray([float(np.mean(active_sums[0, :n])) for n in ns]),
+        threshold=float(a), sample_sizes=np.asarray(ns, dtype=int), means=means,
         caps=caps,
-        capped_means=np.asarray([float(np.mean(row)) for row in active_sums[1:]]))
+        capped_means=np.asarray([float(np.mean(sums[k][active]))
+                                 for k in range(1, len(sums))]))
 
 
 # ---------------------------------------------------------------------------

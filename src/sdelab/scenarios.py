@@ -14,12 +14,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .coefficients import (CoefficientSet, ConjugateTestFunction, DiffusionSpec,
-                           DriftSpec, MollifierConfig, check_hypotheses)
+                           DriftSpec, MollifierConfig, _walked, check_hypotheses)
 from .errors import IoError, ValidationError
-from .generator import (CagladPath, EquationX, constant_functional,
+from .generator import (_BLOCK, CagladPath, EquationX, constant_functional,
                         conjugation_residual, jump_tables, law_reference,
                         martingale_columns, resolve_functional, terminal_weights)
 from .kernels import (DiscreteLaw, FiniteActivityKernel, Kernel, StableTailKernel,
@@ -239,6 +238,7 @@ def load_spec(path) -> ScenarioSpec:
     """Read a declarative scenario description (plain key/value document).
     An unreadable file raises ``IoError``, one that is not YAML
     ``ValidationError``."""
+    import yaml
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -485,6 +485,26 @@ _DIRICHLET_STATUS = {"inconsistent": "fail", "inconclusive": "inconclusive",
                      "consistent_with_dirichlet": "pass"}
 
 
+def _tail_reference(integral, a, caps) -> float:
+    """``integral(intervals)``, an integral of |w| over the jumps with w in
+    ``intervals``, over the jumps larger than ``a`` in size; where that
+    diverges, its truncation at the largest cap."""
+    ref = float(integral([(-np.inf, -a), (a, np.inf)]))
+    if not np.isfinite(ref):
+        hi = float(max(caps))
+        ref = float(integral([(-hi, -a), (a, hi)]))
+    return ref
+
+
+def _dirichlet_verdict(sums, active, reference, a, caps) -> DirichletReport:
+    """The growth table of ``sums`` over the ladder cut at the active count,
+    classified against ``reference``."""
+    n = int(np.sum(active))
+    ladder = [m for m in _DIRICHLET_LADDER if m < n] + [n]
+    growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder, caps=caps)
+    return classify_dirichlet(growth, reference=reference)
+
+
 def dirichlet_report(kernel: Optional[Kernel], x0, horizon, sums, active,
                      a=_DIRICHLET_THRESHOLD, caps=_DIRICHLET_CAPS) -> DirichletReport:
     """The Dirichlet report of the big-jump ``sums`` (``big_jump_sums``
@@ -492,24 +512,39 @@ def dirichlet_report(kernel: Optional[Kernel], x0, horizon, sums, active,
 
     Its reference is the integral of |w| over the jumps of ``kernel`` at
     ``x0`` larger than ``a`` in size, times ``horizon``; where that
-    diverges, its truncation at the largest cap; 0 without a kernel.
+    diverges, its truncation at the largest cap; 0 without a kernel.  This
+    is the compensator of those jumps for a kernel that does not depend on
+    the state, as a power tail does not.
     """
-    n = int(np.sum(active))
-    ladder = [m for m in _DIRICHLET_LADDER if m < n] + [n]
-    growth = dirichlet_condition_intY(sums, active, a=a, sample_sizes=ladder, caps=caps)
-    ref = 0.0
-    if kernel is not None:
-        ref = float(kernel.mass(x0, [(-np.inf, -a), (a, np.inf)], 1.0)) * horizon
-        if not np.isfinite(ref):
-            hi = float(max(caps))
-            ref = float(kernel.mass(x0, [(-hi, -a), (a, hi)], 1.0)) * horizon
-    return classify_dirichlet(growth, reference=ref)
+    ref = 0.0 if kernel is None else _tail_reference(
+        lambda intervals: float(kernel.mass(x0, intervals, 1.0)) * horizon, a, caps)
+    return _dirichlet_verdict(sums, active, ref, a, caps)
+
+
+def _mass_along(kernel: Kernel, ens: Ensemble, intervals) -> float:
+    """The mean over the active paths of ``ens`` of the left-point grid
+    integral of ``kernel.mass(X_s, intervals, 1.0)`` over the run, read in
+    row blocks of about ``_BLOCK`` grid values on the forked workers of
+    ``_walked``: the engine draws a step's jumps at the state that starts it."""
+    n_paths, n_times = ens.x.shape
+    dt = np.diff(ens.times)
+
+    def block(paths):
+        return kernel.mass(ens.x[paths.start:paths.stop, :-1], intervals, 1.0) @ dt
+
+    per_path = np.concatenate(_walked(block, n_paths, n_times, max(1, _BLOCK // n_times)))
+    return float(np.mean(per_path[ens.active]))
 
 
 def _diag_dirichlet(bundle: ScenarioBundle, ens: Ensemble) -> DiagnosticResult:
-    sums = big_jump_sums(_identity, ens, _DIRICHLET_THRESHOLD, _DIRICHLET_CAPS)
-    report = dirichlet_report(bundle.eq.kernel, bundle.x0, ens.config.horizon, sums,
-                              ens.active)
+    """The Dirichlet verdict of the run's big jumps against their
+    compensator integrated along the simulated states (``_mass_along``), so
+    a kernel whose big jumps live away from ``x0`` has a reference too."""
+    kernel, a, caps = bundle.eq.kernel, _DIRICHLET_THRESHOLD, _DIRICHLET_CAPS
+    sums = big_jump_sums(_identity, ens, a, caps)
+    ref = 0.0 if kernel is None else _tail_reference(
+        lambda intervals: _mass_along(kernel, ens, intervals), a, caps)
+    report = _dirichlet_verdict(sums, ens.active, ref, a, caps)
     return DiagnosticResult("dirichlet", _DIRICHLET_STATUS[report.verdict],
                             float(report.growth.means[-1]), np.inf, report.to_dict())
 

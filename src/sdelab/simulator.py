@@ -370,8 +370,7 @@ def build_characteristics(eq: EquationX) -> CharacteristicsY:
     kernel, trunc = eq.kernel, eq.trunc
 
     if transform.is_identity:
-        def sigma0(y):
-            return np.asarray(transformed_diffusion(transform, diffusion, y))
+        sigma0 = diffusion.sigma  # (sigma h') o h^{-1} is sigma(y) * 1.0
     else:
         lo, hi = transform.image
         ys_full = np.linspace(lo, hi, max(257, 2 * len(transform.grid) - 1))
@@ -511,8 +510,8 @@ def engine_setup(chars: CharacteristicsY, config: SimConfig, y0: float) -> Engin
     # start-up validation of the dominating intensity on a scan grid
     if ops is not None:
         if transform.is_identity:
-            span = max(8.0 * abs(float(np.asarray(chars.sigma0(np.asarray(y0)))))
-                       * np.sqrt(config.horizon), 1.0)
+            s0 = float(np.asarray(chars.sigma0(np.asarray(y0, dtype=float))))
+            span = max(8.0 * abs(s0) * np.sqrt(config.horizon), 1.0)
             scan = np.linspace(y0 - span, y0 + span, 65)
         else:
             scan = np.linspace(img_lo, img_hi, 129)
@@ -557,11 +556,12 @@ def _candidate_order(c_step, c_path, c_t, n_paths):
     (key, time, input order)."""
     key = c_step * n_paths + c_path
     order = np.argsort(key)
-    tied = np.diff(key[order]) == 0
+    key.sort()  # the values key[order] gave, without a second array
+    tied = key[1:] == key[:-1]
     if tied.any():
         at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
         m = order[at]
-        order[at] = m[np.lexsort((m, c_t[m], key[m]))]
+        order[at] = m[np.lexsort((m, c_t[m], key[at]))]
     return order
 
 

@@ -221,6 +221,7 @@ class TestBlocks:
         # one worker, and more workers than a 2-core box has: the blocks of
         # every convolution here outnumber both, so the pool is that wide;
         # a short switch interval interleaves the workers' row writes
+        import concurrent.futures
         import sys
         from sdelab import coefficients
         from sdelab.coefficients import mollified_function
@@ -234,12 +235,12 @@ class TestBlocks:
         whole = run()
         widths = []
 
-        class Recorded(coefficients.ThreadPoolExecutor):
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 widths.append(max_workers)
                 super().__init__(max_workers)
         monkeypatch.setattr(coefficients, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(coefficients, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

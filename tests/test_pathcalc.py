@@ -237,6 +237,31 @@ class TestIntegrabilityGrowth:
         oracle = 2.0 * (np.sqrt(np.asarray([10.0, 100.0])) - 1.0)
         assert np.all(np.abs(tab.capped_means / oracle - 1.0) < 0.2)
 
+    def test_rows_read_one_at_a_time(self):
+        # row 0's active sums, then each capped row's, give the means of the
+        # whole copy sums[:, active] bit for bit, and the call holds about
+        # one row of active sums where that copy held three
+        import tracemalloc
+        rng = np.random.default_rng(11)
+        sums = rng.standard_exponential((3, 40_000)) * (rng.random((3, 40_000)) < 0.3)
+        active = rng.random(40_000) < 0.9
+        sizes = (100, 1000, 30_000, 10**6)
+        tracemalloc.start()
+        try:
+            tab = dirichlet_condition_intY(sums, active, a=1.0, sample_sizes=sizes,
+                                           caps=CAPS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole = sums[:, active]
+        ns = [n for n in sizes if n <= whole.shape[1]]
+        assert list(tab.sample_sizes) == ns == [100, 1000, 30_000]
+        assert tab.means.tobytes() == np.asarray(
+            [float(np.mean(whole[0, :n])) for n in ns]).tobytes()
+        assert tab.capped_means.tobytes() == np.asarray(
+            [float(np.mean(row)) for row in whole[1:]]).tobytes()
+        assert peak < 1.5 * whole[0].nbytes, peak / whole[0].nbytes
+
     def test_rows_must_match_caps(self):
         from sdelab import ValidationError
         ens = brownian_paths(n_paths=50, n_steps=128, seed=3)

@@ -633,6 +633,49 @@ class TestFailClosed:
         assert registry.details["verdict"] == light.details["verdict"]
         assert registry.statistic == light.statistic
 
+    @staticmethod
+    def _far_jump_run():
+        """A 400x64 run of Brownian motion plus one atom at 2 whose rate
+        min(4|x|, 1) is 0 at x0 = 0: no big jump at x0, but plenty away."""
+        from sdelab import CoefficientSet, DiscreteLaw, EquationX, FiniteActivityKernel
+        from sdelab.scenarios import ScenarioBundle, run_bundle
+        kernel = FiniteActivityKernel(
+            rate=lambda x: np.minimum(4.0 * np.abs(np.asarray(x, dtype=float)), 1.0),
+            law=DiscreteLaw(((2.0, 1.0),)))
+        bundle = ScenarioBundle(
+            name="far_jumps", eq=EquationX(CoefficientSet.unit(), kernel), x0=0.0,
+            sim=SimConfig(horizon=1.0, n_steps=64, n_paths=400, master_seed=3,
+                          big_jump_intensity_bound=1.0),
+            diagnostics=("dirichlet",))
+        report, ens = run_bundle(ScenarioSpec(name="stable_jump"), bundle)
+        return kernel, report.diagnostics[0], ens
+
+    def test_dirichlet_reference_integrates_along_the_states(self):
+        # the capped means plateau at 1.88 (bounded jumps, an integrable
+        # tail); the kernel at x0 alone has no big jump and gave reference 0,
+        # so "inconsistent"; integrated along the states it is about 1.70
+        from sdelab.scenarios import _mass_along
+        kernel, d, ens = self._far_jump_run()
+        big = [(-np.inf, -1.0), (1.0, np.inf)]
+        assert float(kernel.mass(0.0, big, 1.0)) == 0.0
+        assert abs(_mass_along(kernel, ens, big) - 1.70) < 0.01
+        capped = d.details["growth"]["capped_means"]
+        assert capped[0] == capped[1] > 1.0
+        assert (d.details["verdict"], d.status) == ("consistent_with_dirichlet", "pass")
+
+    def test_dirichlet_reference_on_any_block_and_worker_count(self, workers, monkeypatch):
+        # the reference reads the states in row blocks on the forked workers
+        # of ``_walked``, and a power tail's is its value at x0 times the horizon
+        from sdelab import StableTailKernel, scenarios
+        kernel, _, ens = self._far_jump_run()
+        big = [(-np.inf, -1.0), (1.0, np.inf)]
+        whole = kernel.mass(ens.x[:, :-1], big, 1.0) @ np.diff(ens.times)
+        monkeypatch.setattr(scenarios, "_BLOCK", 7 * 65)  # 7 paths a block
+        assert scenarios._mass_along(kernel, ens, big) == float(np.mean(whole[ens.active]))
+        tail = StableTailKernel(gamma=1.5, scale=0.5, alpha=0.75)
+        at_x0 = float(tail.mass(0.0, big, 1.0))
+        assert scenarios._mass_along(tail, ens, big) == pytest.approx(at_x0, rel=1e-12)
+
     @pytest.mark.parametrize("gamma", (0.5, 1.5))
     def test_stable_counterexample_below_the_path_floor_is_inconclusive(self, gamma):
         from sdelab.scenarios import MIN_ACTIVE_PATHS
@@ -728,6 +771,30 @@ class TestReports:
 
 
 class TestConfigLoading:
+    def test_yaml_and_thread_pool_load_only_where_read(self, tmp_path):
+        # a counterexample run reads no YAML and builds no potential, so a
+        # fresh interpreter maps neither the YAML parser nor the thread pool
+        # of the mollifier's blocks; reading a scenario file loads the parser
+        (tmp_path / "good.yaml").write_text("scenario:\n  name: stable_jump\n")
+        (tmp_path / "bad.yaml").write_text("scenario: [\n")
+        code = ("import sys\n"
+                "import sdelab\n"
+                "from sdelab import ValidationError, counterexample_stable, load_spec\n"
+                "from sdelab.simulator import SimConfig\n"
+                "cfg = SimConfig(horizon=1.0, n_steps=64, n_paths=2000, master_seed=41)\n"
+                "counterexample_stable(0.5, config=cfg)\n"
+                "print(*(m in sys.modules for m in ('yaml', 'concurrent.futures')))\n"
+                "print(load_spec(sys.argv[1] + '/good.yaml').name, 'yaml' in sys.modules)\n"
+                "try:\n"
+                "    load_spec(sys.argv[1] + '/bad.yaml')\n"
+                "except ValidationError as exc:\n"
+                "    print('not valid YAML' in str(exc))\n")
+        src = os.path.dirname(os.path.dirname(__import__("sdelab").__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out == ["False", "False", "stable_jump", "True", "True"], out
+
     def test_yaml_round_trip(self, tmp_path):
         cfg = tmp_path / "scenario.yaml"
         cfg.write_text(

@@ -243,10 +243,46 @@ class TestSortOrder:
         jp, jt = c_path[order][sel], c_t[order][sel]
         assert np.array_equal(simulator._record_order(jp), np.lexsort((jt, jp)))
 
+    def test_candidate_sort_holds_under_four_candidate_arrays(self):
+        # a counterexample block of 39 940 candidates over 1 997 paths: the
+        # keys are sorted in place and ties found between neighbours, so no
+        # sorted copy of the keys and no int64 diff of them sits next to the
+        # keys and their order (3.5 candidate-sized int64 arrays; 4.0 with both)
+        import tracemalloc
+        rng = np.random.default_rng(109)
+        P, n, size = 1997, 64, 39_940
+        c_t = np.floor(rng.random(size) * 4096) / 4096
+        c_path = rng.integers(0, P, size)
+        c_step = np.minimum((c_t * n).astype(np.int64), n - 1)
+        tracemalloc.start()
+        try:
+            order = simulator._candidate_order(c_step, c_path, c_t, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(order, np.lexsort((c_t, c_path, c_step)))
+        assert peak < 3.75 * 8 * size, peak / (8 * size)
+
 
 def _numpy_words(seed, key):
     return np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(
         4, np.uint64)
+
+
+class TestCharacteristics:
+    def test_identity_sigma0_is_the_diffusion(self):
+        # (sigma h') o h^{-1} under the identity is sigma(y) * 1.0, equal to
+        # sigma(y) bit for bit on floats, so a step reads sigma itself
+        from sdelab import DiffusionSpec, transformed_diffusion
+        diffusion = DiffusionSpec(
+            sigma=lambda x: 1.0 + 0.5 * np.sin(np.asarray(x, dtype=float)),
+            sigma_min=0.5, sigma_max=1.5)
+        coeffs = replace(CoefficientSet.unit(), diffusion=diffusion)
+        chars = build_characteristics(EquationX(coeffs))
+        assert chars.sigma0 is diffusion.sigma
+        for y in (np.linspace(-3.0, 3.0, 101), np.asarray(0.7)):
+            assert np.array_equal(chars.sigma0(y),
+                                  transformed_diffusion(coeffs.transform, diffusion, y))
 
 
 class TestStreams:
